@@ -202,6 +202,25 @@ PortfolioView convert(const PortfolioView& src, Layout target, Arena& a,
 // layout's prices back in the caller's arrays. Returns bytes copied.
 std::size_t copy_outputs(const PortfolioView& from, const PortfolioView& to);
 
+// The inputs-only counterpart of copy_outputs: copy spot/strike/years of
+// `from` into `to` (any Black–Scholes layout pair of equal size). A
+// lane-blocked target pads its ragged last block with the final option.
+// The engine negotiates one chunk at a time as copy_inputs -> kernel ->
+// copy_outputs through a cache-resident tile. Returns bytes written.
+std::size_t copy_inputs(const PortfolioView& from, const PortfolioView& to);
+
+// Uninitialized storage for n options in Black–Scholes layout `target`,
+// carved from `a` and carrying `like`'s shared scalars (rate, vol,
+// dividend). *bytes, when given, receives the bytes carved.
+PortfolioView allocate_like(const PortfolioView& like, Layout target, std::size_t n, Arena& a,
+                            std::size_t* bytes = nullptr);
+
+// The [off, off + m) range of `v` as a view of its own: the same arrays
+// and shared scalars, no copy. Every layout is supported; a kBsBlocked
+// range must start on a block boundary (throws std::invalid_argument
+// otherwise) and keeps the parent's padding in its last block.
+PortfolioView subview(const PortfolioView& v, std::size_t off, std::size_t m);
+
 // --- Portfolio --------------------------------------------------------------
 //
 // The owning form: one arena holding the workload in one layout. All

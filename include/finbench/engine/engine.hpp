@@ -1,16 +1,17 @@
 // finbench/engine/engine.hpp
 //
 // The batched pricing engine: looks the requested variant up in the
-// registry, *negotiates* the workload layout against the variant's
-// required layout (a convertible mismatch — e.g. an AOS portfolio priced
-// by an SOA variant — is converted once through the request's arena,
-// cached across repetitions, and its one-time cost reported in
-// PricingResult::convert_seconds/convert_bytes; outputs are copied back
-// into the caller's portfolio after every run, inside the timed region),
-// partitions specs-layout portfolios into cost-model-weighted chunks, and
-// executes them on a persistent thread pool with dynamic chunk
-// self-scheduling (PricingRequest::schedule selects dynamic/static).
-// Variants without a run_range adapter (Black–Scholes batches, Brownian
+// registry, partitions the workload into chunks and executes them on a
+// persistent thread pool with dynamic chunk self-scheduling
+// (PricingRequest::schedule selects dynamic/static). Specs-layout
+// portfolios get cost-model-weighted chunks. Black–Scholes batches get
+// cache-sized chunks, each of which is priced, sanitized, guarded and
+// repaired while it sits in L2; a convertible layout mismatch (e.g. an
+// AOS portfolio priced by an SOA variant) is *negotiated* per chunk
+// through a tile in the variant's layout — inputs copied in, outputs
+// copied back, inside the timed region, with the cost reported in
+// PricingResult::convert_seconds/convert_bytes. A one-chunk BS batch runs
+// inline on the caller. Variants without a run_range adapter (Brownian
 // path construction) fall through to the kernel's native batch entry
 // point.
 //
@@ -66,9 +67,10 @@ class Engine {
   // fusable layout, matching batch scalars and accuracy/robustness knobs,
   // no active fault plan, and a deterministic (non-statistical) kernel.
   // Auto-intent requests ("blackscholes.auto") compare by *resolved plan*:
-  // both resolve through the tuner first and fuse only when they land on
-  // the same concrete variant, schedule, and chunk granularity.
-  static bool fusable(const PricingRequest& a, const PricingRequest& b);
+  // both resolve through the tuner at this engine's pool size — the size
+  // the group will be priced at — and fuse only when they land on the
+  // same concrete variant, schedule, and chunk granularity.
+  bool fusable(const PricingRequest& a, const PricingRequest& b) const;
 
   // Participants the engine executes with (pool workers + caller). The
   // tuner keys plans on this: a plan raced at one pool size does not

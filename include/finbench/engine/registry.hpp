@@ -88,12 +88,16 @@ struct VariantInfo {
   void (*run_batch)(const PricingRequest&, const core::PortfolioView&,
                     PricingResult&) = nullptr;
 
-  // Execute items [begin, end) of a kSpecs workload, writing
-  // values[begin..end) (and std_errors for MC). Must be safe to call
+  // Execute items [begin, end) of the workload: a kSpecs adapter writes
+  // values[begin..end) (and std_errors for MC), a Black–Scholes adapter
+  // prices the range in place in the view's arrays. Must be safe to call
   // concurrently for disjoint ranges; null = whole-batch only (the engine
   // then falls back to run_batch). Must not allocate: chunks run in the
   // engine's zero-steady-state-allocation loop (buffers come from prepare
-  // / the request Scratch).
+  // / the request Scratch). A Black–Scholes adapter runs before the chunk's
+  // sanitize scan, so it must take any input bits (NaN, Inf, zero,
+  // negative) without throwing or undefined behavior — what sanitize =
+  // kOff has always asked of it; the engine discards those outputs.
   void (*run_range)(const PricingRequest&, const core::PortfolioView&, std::size_t begin,
                     std::size_t end, PricingResult&) = nullptr;
 

@@ -48,10 +48,10 @@ struct PricingRequest {
 
   // --- Workload: one layout-tagged view (core::view_of / core::Portfolio).
   // When the view's layout differs from the variant's required layout and
-  // the pair is core::convertible, the engine negotiates: it converts once
-  // into the request's arena, reuses the converted buffer across repeated
-  // pricings, copies outputs back after each run, and reports the one-time
-  // conversion cost in the result. ---------------------------------------
+  // the pair is core::convertible, the engine negotiates: every pricing
+  // copies each chunk's inputs into a tile in the variant's layout, prices
+  // it there and copies the outputs back, and reports what that cost in
+  // the result. -----------------------------------------------------------
   core::PortfolioView portfolio{};
 
   // --- Accuracy knobs ------------------------------------------------------
@@ -170,15 +170,13 @@ struct PricingResult {
 
   std::size_t items = 0;   // options priced / paths constructed
   double seconds = 0.0;    // wall time inside the engine, including the
-                           // per-repetition output writeback after a
-                           // negotiated-layout run (0 for run_batch
-                           // dispatched directly by benchmarks)
+                           // negotiated-layout conversion and writeback
+                           // (0 for run_batch dispatched directly by
+                           // benchmarks)
 
   // Layout negotiation: the layout the kernel actually executed on, and
-  // the one-time cost of converting the request's portfolio into it
-  // (0 / 0 when the request already matched). The conversion is cached in
-  // the request Scratch, so repeated pricings report the same one-time
-  // cost rather than paying it again.
+  // what converting this call's chunks into it and their outputs back
+  // cost, summed over chunks (0 / 0 when the request already matched).
   core::Layout layout = core::Layout::kSpecs;
   double convert_seconds = 0.0;
   std::size_t convert_bytes = 0;
@@ -195,10 +193,11 @@ struct PricingResult {
   // outputs by design.
   std::vector<std::uint8_t> option_faults;
 
-  // Outcome per engine chunk, aligned with the run's chunk partition;
-  // empty for whole-batch (single-chunk) execution, where `status` alone
-  // tells the story. Partial results after a deadline: kDeadline/kNotRun
-  // chunks hold unpriced items.
+  // Outcome per engine chunk, aligned with the run's chunk partition
+  // (Black–Scholes and specs batches); empty for whole-batch execution
+  // (path construction), where `status` alone tells the story. Partial
+  // results after a deadline: kDeadline/kNotRun chunks hold unpriced
+  // items (NaN).
   std::vector<std::uint8_t> chunk_status;  // ChunkStatus values
 
   std::size_t options_clamped = 0;   // sanitizer repaired in place / in copy

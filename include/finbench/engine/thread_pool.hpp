@@ -72,6 +72,16 @@ class ThreadPool {
            arch::Schedule sched = arch::Schedule::kDynamic, const char* site = "pool",
            const robust::CancelToken* cancel = nullptr);
 
+  // Execute fn(c) for c in [0, nchunks) serially on the calling thread,
+  // under the same policy a pool participant runs with: OpenMP ICV pinned
+  // to one thread, FTZ+DAZ (both restored on return), participant id 0
+  // (or the enclosing run's), the cancel token polled between chunks. No
+  // worker is woken. run() takes this path for nested submissions and
+  // single-participant pools; the engine takes it for work too small to
+  // share (a one-chunk Black–Scholes quote).
+  static void run_inline(std::ptrdiff_t nchunks, const std::function<void(std::ptrdiff_t)>& fn,
+                         const robust::CancelToken* cancel = nullptr);
+
   // Process-wide pool sized to arch::num_threads() at first use.
   static ThreadPool& shared();
 

@@ -20,6 +20,12 @@ namespace finbench::robust {
 // No-op (returns false) on targets without SSE MXCSR.
 bool install_denormal_ftz() noexcept;
 
+// Clear flush-to-zero + denormals-are-zero on the calling thread (IEEE
+// subnormals), returning the previous state for restore_fp_state. The
+// sanitizer classifies under IEEE semantics this way even on a pool
+// participant, where DAZ would read a denormal input as zero.
+std::uint32_t clear_denormal_ftz() noexcept;
+
 // Save / restore the calling thread's full floating-point environment
 // word (MXCSR on x86). Used to scope the pool policy around the caller's
 // participation without leaking it into user code.

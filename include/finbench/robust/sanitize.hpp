@@ -93,6 +93,34 @@ struct SanitizeReport {
 void sanitize(core::PortfolioView& view, SanitizePolicy policy, SanitizeReport& out,
               const SanitizeEnvelope& env = {});
 
+// --- Black–Scholes range scans -----------------------------------------------
+//
+// sanitize() on a BS view is sanitize_shared() followed by one
+// sanitize_range() over the whole view. The engine splits the two: the
+// batch-wide rate/vol/dividend are classified (and repaired) once per call
+// on its working view, then every chunk scans its own core::subview while
+// the chunk is cache-resident.
+
+// Classify the shared scalars of a BS view, repairing them in place on
+// `view` under kClamp/kSkip. Returns the fault bits every option of the
+// batch inherits (kFaultNone when the scalars are sane or policy is kOff).
+std::uint8_t sanitize_shared(core::PortfolioView& view, SanitizePolicy policy,
+                             const SanitizeEnvelope& env = {});
+
+// Scan (and under kClamp/kSkip repair in place) the options of a BS view,
+// typically a chunk subview, given the bits sanitize_shared returned.
+// `out` describes this range only: its mask is indexed from the range
+// start and materializes only when a fault is found. A branch-free
+// envelope test clears a fault-free range before any per-option
+// classification runs; masks and counts are exactly those of the
+// per-option scan. Touches no counters (see record_sanitize).
+void sanitize_range(const core::PortfolioView& view, std::uint8_t shared, SanitizePolicy policy,
+                    SanitizeReport& out, const SanitizeEnvelope& env = {});
+
+// Add a report's counts to the "robust.sanitize.*" counters. sanitize()
+// does this itself; range callers do it once for their merged report.
+void record_sanitize(const SanitizeReport& r);
+
 // Policy application for kSpecs workloads: writes a sanitized copy of
 // `src` into `dst` (same length; pre-carved from the request arena).
 // Clamped options are repaired, skipped options are replaced by a benign

@@ -151,6 +151,40 @@ void store_lane(const PortfolioView& v, std::size_t i, const BsLane& l) {
   throw std::invalid_argument("store_lane: not a Black-Scholes layout");
 }
 
+// Input fields only: the outputs of `v` are left as they are.
+void store_inputs(const PortfolioView& v, std::size_t i, const BsLane& l) {
+  switch (v.layout) {
+    case Layout::kBsAos: {
+      BsOptionAos& o = v.aos.options[i];
+      o.spot = l.spot;
+      o.strike = l.strike;
+      o.years = l.years;
+      return;
+    }
+    case Layout::kBsSoa:
+      v.soa.spot[i] = l.spot;
+      v.soa.strike[i] = l.strike;
+      v.soa.years[i] = l.years;
+      return;
+    case Layout::kBsSoaF:
+      v.sp.spot[i] = static_cast<float>(l.spot);
+      v.sp.strike[i] = static_cast<float>(l.strike);
+      v.sp.years[i] = static_cast<float>(l.years);
+      return;
+    case Layout::kBsBlocked: {
+      const BsBlockedView& b = v.blocked;
+      const std::size_t w = static_cast<std::size_t>(b.block);
+      const std::size_t blk = i / w, ln = i % w;
+      b.field(blk, 0)[ln] = l.spot;
+      b.field(blk, 1)[ln] = l.strike;
+      b.field(blk, 2)[ln] = l.years;
+      return;
+    }
+    default: break;
+  }
+  throw std::invalid_argument("store_inputs: not a Black-Scholes layout");
+}
+
 // Carve an empty target-layout view of n options from the arena. Returns
 // the view plus the bytes it occupies.
 PortfolioView carve(Layout target, std::size_t n, const BsScalars& s, Arena& a,
@@ -394,6 +428,104 @@ std::size_t copy_outputs(const PortfolioView& from, const PortfolioView& to) {
   }
   const std::size_t elem = to.layout == Layout::kBsSoaF ? sizeof(float) : sizeof(double);
   return n * 2 * elem;
+}
+
+std::size_t copy_inputs(const PortfolioView& from, const PortfolioView& to) {
+  if (!is_bs(from.layout) || !is_bs(to.layout)) {
+    throw std::invalid_argument("copy_inputs: both views must be Black-Scholes layouts");
+  }
+  if (from.size() != to.size()) {
+    throw std::invalid_argument("copy_inputs: size mismatch");
+  }
+  const std::size_t n = to.size();
+  if (from.layout == Layout::kBsAos && to.layout == Layout::kBsSoa) {
+    const BsOptionAos* o = from.aos.options.data();
+    for (std::size_t i = 0; i < n; ++i) {
+      to.soa.spot[i] = o[i].spot;
+      to.soa.strike[i] = o[i].strike;
+      to.soa.years[i] = o[i].years;
+    }
+  } else if (from.layout == Layout::kBsAos && to.layout == Layout::kBsSoaF) {
+    const BsOptionAos* o = from.aos.options.data();
+    for (std::size_t i = 0; i < n; ++i) {
+      to.sp.spot[i] = static_cast<float>(o[i].spot);
+      to.sp.strike[i] = static_cast<float>(o[i].strike);
+      to.sp.years[i] = static_cast<float>(o[i].years);
+    }
+  } else if (from.layout == Layout::kBsAos && to.layout == Layout::kBsBlocked) {
+    // Block-local transpose; lanes past n replicate the final option.
+    const BsOptionAos* o = from.aos.options.data();
+    const BsBlockedView& b = to.blocked;
+    const std::size_t w = static_cast<std::size_t>(b.block);
+    for (std::size_t blk = 0; blk < b.num_blocks(); ++blk) {
+      double* spot = b.field(blk, 0);
+      double* strike = b.field(blk, 1);
+      double* years = b.field(blk, 2);
+      const std::size_t base = blk * w;
+      for (std::size_t ln = 0; ln < w; ++ln) {
+        const BsOptionAos& x = o[std::min(base + ln, n - 1)];
+        spot[ln] = x.spot;
+        strike[ln] = x.strike;
+        years[ln] = x.years;
+      }
+    }
+  } else {
+    for (std::size_t i = 0; i < n; ++i) store_inputs(to, i, lane_of(from, i));
+    if (to.layout == Layout::kBsBlocked && n > 0) {
+      const std::size_t ceil_n = to.blocked.num_blocks() * static_cast<std::size_t>(to.blocked.block);
+      const BsLane last = lane_of(from, n - 1);
+      for (std::size_t i = n; i < ceil_n; ++i) store_inputs(to, i, last);
+    }
+  }
+  const std::size_t elem = to.layout == Layout::kBsSoaF ? sizeof(float) : sizeof(double);
+  return n * 3 * elem;
+}
+
+PortfolioView allocate_like(const PortfolioView& like, Layout target, std::size_t n, Arena& a,
+                            std::size_t* bytes) {
+  std::size_t sz = 0;
+  PortfolioView v = carve(target, n, scalars_of(like), a, &sz);
+  if (bytes) *bytes = sz;
+  return v;
+}
+
+PortfolioView subview(const PortfolioView& v, std::size_t off, std::size_t m) {
+  PortfolioView s = v;
+  switch (v.layout) {
+    case Layout::kSpecs:
+      s.specs = v.specs.subspan(off, m);
+      break;
+    case Layout::kBsAos:
+      s.aos.options = v.aos.options.subspan(off, m);
+      break;
+    case Layout::kBsSoa:
+      s.soa.spot = v.soa.spot.subspan(off, m);
+      s.soa.strike = v.soa.strike.subspan(off, m);
+      s.soa.years = v.soa.years.subspan(off, m);
+      s.soa.call = v.soa.call.subspan(off, m);
+      s.soa.put = v.soa.put.subspan(off, m);
+      break;
+    case Layout::kBsSoaF:
+      s.sp.spot = v.sp.spot.subspan(off, m);
+      s.sp.strike = v.sp.strike.subspan(off, m);
+      s.sp.years = v.sp.years.subspan(off, m);
+      s.sp.call = v.sp.call.subspan(off, m);
+      s.sp.put = v.sp.put.subspan(off, m);
+      break;
+    case Layout::kBsBlocked: {
+      const std::size_t w = static_cast<std::size_t>(v.blocked.block);
+      if (off % w != 0) {
+        throw std::invalid_argument("subview: a bs_blocked range must start on a block boundary");
+      }
+      s.blocked.n = m;
+      s.blocked.data = v.blocked.data.subspan(off * 5, s.blocked.num_blocks() * 5 * w);
+      break;
+    }
+    case Layout::kPaths:
+      s.npaths = m;
+      break;
+  }
+  return s;
 }
 
 // --- Portfolio --------------------------------------------------------------

@@ -35,20 +35,44 @@ constexpr double kQuietNan = std::numeric_limits<double>::quiet_NaN();
 // chunked execution bitwise identical to the whole-batch call.
 constexpr std::size_t kChunkAlign = 8;
 
-// Contiguous chunk boundaries over [0, n): cost-model-weighted for dynamic
-// scheduling (each chunk carries ~total/K weight, so expensive long-dated
-// options don't all land in one chunk), plain equal-count stripes for
-// static (the classic partition the imbalance experiment compares against).
-// Interior boundaries are kChunkAlign-aligned; duplicates are dropped, so
-// every chunk is non-empty. The result is cached in the request Scratch —
-// steady-state repetitions reuse it without touching the heap.
+// Black–Scholes chunks are sized for the cache, not by a cost model: every
+// option costs the same, and the point of chunking is that a chunk's
+// sanitize scan, kernel, guard and (negotiated) writeback all hit L2. The
+// cap of 16K options is 640 KB of AOS records, a tile in the kernel layout
+// beside it still fits a 2 MB L2. The floor keeps small batches from being
+// split finer than the per-chunk bookkeeping is worth: a batch of at most
+// kBsMinChunk options is one chunk and runs inline on the caller.
+// Boundaries are multiples of 64 options, a multiple of the widest lane
+// tile (16 SP lanes), of the blocked layout's block (8) and of the blocked
+// kernels' two-block unroll, so no interior option lands in a kernel's
+// scalar tail and chunked results equal the whole-batch call bit for bit.
+constexpr std::size_t kBsChunkAlign = 64;
+constexpr std::size_t kBsMinChunk = 1024;
+constexpr std::size_t kBsMaxChunk = 16384;
+
+bool is_bs(Layout l) {
+  return l == Layout::kBsAos || l == Layout::kBsSoa || l == Layout::kBsSoaF ||
+         l == Layout::kBsBlocked;
+}
+
+// Contiguous chunk boundaries over [0, n). Black–Scholes batches get
+// equal cache-sized chunks of ~n / nparts options (clamped to
+// [kBsMinChunk, kBsMaxChunk]). Specs batches are cost-model-weighted for
+// dynamic scheduling (each chunk carries ~total/K weight, so expensive
+// long-dated options don't all land in one chunk), plain equal-count
+// stripes for static (the classic partition the imbalance experiment
+// compares against). Interior boundaries are aligned; duplicates are
+// dropped, so every chunk is non-empty. The result is cached in the
+// request Scratch — steady-state repetitions reuse it without touching
+// the heap.
 const std::vector<std::size_t>& chunk_bounds(const VariantInfo& v, const PricingRequest& req,
                                              const core::PortfolioView& view, std::size_t n,
                                              int nparts, arch::Schedule schedule) {
   Scratch& s = scratch_of(req);
   const int sched = static_cast<int>(schedule);
+  const bool bs = is_bs(v.layout);
   if (s.bounds_n == n && s.bounds_nparts == nparts && s.bounds_sched == sched &&
-      !s.bounds.empty()) {
+      s.bounds_bs == bs && !s.bounds.empty()) {
     return s.bounds;
   }
   std::vector<std::size_t>& bounds = s.bounds;
@@ -60,7 +84,12 @@ const std::vector<std::size_t>& chunk_bounds(const VariantInfo& v, const Pricing
     b -= b % kChunkAlign;
     if (b > bounds.back() && b < n) bounds.push_back(b);
   };
-  if (v.item_cost && schedule == arch::Schedule::kDynamic && !view.specs.empty()) {
+  if (bs) {
+    std::size_t per = (n + k - 1) / k;
+    per = (per + kBsChunkAlign - 1) / kBsChunkAlign * kBsChunkAlign;
+    per = std::clamp(per, kBsMinChunk, kBsMaxChunk);
+    for (std::size_t b = per; b < n; b += per) bounds.push_back(b);
+  } else if (v.item_cost && schedule == arch::Schedule::kDynamic && !view.specs.empty()) {
     std::vector<double>& cost = s.item_cost;
     cost.resize(n);
     double total = 0.0;
@@ -84,6 +113,7 @@ const std::vector<std::size_t>& chunk_bounds(const VariantInfo& v, const Pricing
   s.bounds_n = n;
   s.bounds_nparts = nparts;
   s.bounds_sched = sched;
+  s.bounds_bs = bs;
   return bounds;
 }
 
@@ -121,18 +151,19 @@ std::size_t inject_corrupt_values(std::span<double> values, std::size_t base,
   return hit;
 }
 
-std::size_t inject_corrupt_bs(const core::PortfolioView& view, const robust::FaultPlan& plan) {
+// The same decision stream for a Black–Scholes chunk: option i of the
+// chunk is global option base + i, so which options are corrupted does
+// not depend on the chunking. Only the call leg is poisoned.
+void inject_corrupt_bs(const core::PortfolioView& chunk, std::size_t base,
+                       const robust::FaultPlan& plan) {
   std::size_t hit = 0;
-  const std::size_t n = view.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (plan.hits(1, i, plan.corrupt)) {
-      const robust::BsElem e = robust::bs_elem(view, i);
-      robust::bs_store_outputs(view, i, kQuietNan, e.put);
+  for (std::size_t i = 0; i < chunk.size(); ++i) {
+    if (plan.hits(1, base + i, plan.corrupt)) {
+      robust::bs_store_outputs(chunk, i, kQuietNan, robust::bs_elem(chunk, i).put);
       ++hit;
     }
   }
   if (hit != 0) obs::counter("robust.inject.corrupted").add(hit);
-  return hit;
 }
 
 // Engine-side chunk faults (streams 2 and 3). The injected throw fires
@@ -152,32 +183,44 @@ void inject_chunk_faults(const robust::FaultPlan& plan, std::ptrdiff_t chunk) {
   }
 }
 
-// Re-price all options of a BS batch view with the scalar closed form —
-// the terminal repair when a BS whole-batch kernel throws and no batch
-// fallback variant shares its layout.
-void repair_bs_all(const core::PortfolioView& view) {
-  const std::size_t n = view.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const robust::BsElem e = robust::bs_elem(view, i);
-    const core::BsPrice p =
-        core::black_scholes(e.spot, e.strike, e.years, e.rate, e.vol, e.dividend);
-    robust::bs_store_outputs(view, i, p.call, p.put);
+// Quiet NaN into both outputs of a Black–Scholes view: every option, or
+// with a sanitizer mask only the skipped ones.
+void nan_bs_outputs(const core::PortfolioView& view, std::span<const std::uint8_t> mask = {}) {
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    if (mask.empty() || (mask[i] & robust::kFaultSkipped) != 0) {
+      robust::bs_store_outputs(view, i, kQuietNan, kQuietNan);
+    }
   }
-  obs::counter("robust.guard.repaired").add(n);
 }
 
-// Force quiet NaN into the outputs of sanitizer-skipped options, so the
+// Force quiet NaN into the values of sanitizer-skipped options, so the
 // placeholder prices the kernel computed for them never escape.
-void mask_skipped_outputs(const std::vector<std::uint8_t>& mask, std::vector<double>& values,
-                          std::vector<double>& std_errors, const core::PortfolioView& bs_view) {
+void mask_skipped_values(const std::vector<std::uint8_t>& mask, std::vector<double>& values,
+                         std::vector<double>& std_errors) {
   for (std::size_t i = 0; i < mask.size(); ++i) {
     if ((mask[i] & robust::kFaultSkipped) == 0) continue;
     if (i < values.size()) values[i] = kQuietNan;
     if (i < std_errors.size()) std_errors[i] = kQuietNan;
-    if (robust::is_bs_layout(bs_view) && i < bs_view.size()) {
-      robust::bs_store_outputs(bs_view, i, kQuietNan, kQuietNan);
-    }
   }
+}
+
+// One flight-recorder record per chunk; a chunk no participant ran keeps
+// worker -1 and zero ticks, so "never ran" looks different from "ran and
+// failed" in a dump.
+void record_chunk(obs::FlightRecorder& flight, std::uint64_t request_id, const VariantInfo& v,
+                  std::size_t c, std::size_t begin, std::size_t end, const char* status,
+                  int worker = -1, double start_us = 0.0, double end_us = 0.0) {
+  obs::FlightRecord fr;
+  fr.request_id = request_id;
+  fr.chunk = static_cast<std::uint32_t>(c);
+  fr.worker = worker;
+  fr.begin = begin;
+  fr.end = end;
+  fr.start_us = start_us;
+  fr.end_us = end_us;
+  fr.set_kernel(v.id.c_str());
+  fr.set_status(status);
+  flight.record(fr);
 }
 
 // Outcome counter per terminal status code, so a scrape can alert on
@@ -238,6 +281,144 @@ struct RunErrors {
     if (first.empty()) first = what;
   }
 };
+
+// Everything one Black–Scholes chunk needs, behind one pointer so the
+// pool closure stays inside std::function's small buffer.
+struct BsRun {
+  const VariantInfo* v;
+  const PricingRequest* req;
+  const core::PortfolioView* src;    // working view: caller arrays, sanitized scalars
+  const core::PortfolioView* tiles;  // per-participant negotiation tiles; null = native
+  int ntiles;
+  const std::size_t* bounds;
+  Scratch::BsChunk* chunks;
+  PricingResult* res;
+  RunErrors* errors;
+  obs::Histogram* hist_chunk;
+  obs::FlightRecorder* flight;
+  std::uint8_t shared;  // fault bits of the batch-wide scalars
+};
+
+// Fallback for a Black–Scholes chunk whose kernel threw: the chain's
+// same-layout links, then the scalar closed form as the terminal repair
+// (outputs NaN'd, then repaired through the guard, which skips masked
+// options).
+void fallback_bs(const BsRun& r, const core::PortfolioView& chunk,
+                 std::span<const std::uint8_t> mask, Scratch::BsChunk& st) {
+  for (const VariantInfo* fb = fallback_of(*r.v); fb != nullptr; fb = fallback_of(*fb)) {
+    if (fb->layout != chunk.layout || fb->run_range == nullptr) break;
+    PricingRequest sub = *r.req;
+    sub.kernel_id = fb->id;
+    sub.faults = {};  // never inject into the repair path
+    sub.scratch.reset();
+    try {
+      fb->run_range(sub, chunk, 0, chunk.size(), *r.res);
+      return;
+    } catch (...) {
+      // keep walking the chain
+    }
+  }
+  nan_bs_outputs(chunk);
+  st.repaired += robust::guard_and_repair_bs(chunk, robust::GuardPolicy{}, mask);
+}
+
+// The variant's kernel on one chunk; a throw is recorded and reported as
+// kFailed. `inject` arms the request's and the chaos layer's chunk faults
+// (first attempt only).
+ChunkStatus price_bs_chunk(const BsRun& r, const core::PortfolioView& chunk, std::ptrdiff_t c,
+                           bool inject) {
+  try {
+    if (inject && r.req->faults.any_engine_side()) inject_chunk_faults(r.req->faults, c);
+    if (inject && resilience::chaos_active()) {
+      resilience::maybe_inject(r.v->id.c_str(), r.res->request_id, static_cast<std::uint64_t>(c));
+    }
+    r.v->run_range(*r.req, chunk, 0, chunk.size(), *r.res);
+    return ChunkStatus::kOk;
+  } catch (const std::exception& e) {
+    r.errors->record(e.what());
+  } catch (...) {
+    r.errors->record("non-std exception from kernel");
+  }
+  return ChunkStatus::kFailed;
+}
+
+// One Black–Scholes chunk, start to finish while it is cache-resident:
+// fill the participant's tile (negotiated layouts), price, sanitize, fall
+// back on a throw, guard and repair, write the outputs back, and NaN the
+// sanitizer-skipped options.
+//
+// The kernel runs before the sanitize scan, on purpose: its first touch
+// of the chunk overlaps DRAM traffic with arithmetic, where a scan first
+// would stall on memory with nothing to overlap, and the scan then reads
+// the chunk from cache (on the 12M-option AOS book, 4 vCPUs: 276M against
+// 229M options/s). BS kernels take raw inputs without harm, as under
+// sanitize = kOff (VariantInfo::run_range), and a float tile's first fill
+// narrows them the IEEE way (out-of-range becomes Inf). A chunk whose scan
+// finds faults (the scan repairs them in place under kClamp/kSkip) is
+// filled and priced again from the repaired inputs, so outputs, masks and
+// counts are exactly those of sanitizing first.
+void run_bs_chunk(const BsRun& r, std::ptrdiff_t c) {
+  FINBENCH_SPAN("engine.chunk");
+  const std::size_t begin = r.bounds[static_cast<std::size_t>(c)];
+  const std::size_t m = r.bounds[static_cast<std::size_t>(c) + 1] - begin;
+  const PricingRequest& req = *r.req;
+  Scratch::BsChunk& st = r.chunks[c];
+  const double start_us = obs::trace::now_us();
+
+  const core::PortfolioView src = core::subview(*r.src, begin, m);
+  core::PortfolioView chunk = src;
+  auto fill = [&] {
+    const double fill_us = obs::trace::now_us();
+    st.convert_bytes += core::copy_inputs(src, chunk);
+    st.convert_seconds += (obs::trace::now_us() - fill_us) * 1e-6;
+  };
+  if (r.tiles != nullptr) {
+    int p = ThreadPool::current_participant();
+    if (p < 0 || p >= r.ntiles) p = 0;  // nested inline run: serial, any tile is free
+    chunk = core::subview(r.tiles[p], 0, m);
+    fill();
+  }
+
+  ChunkStatus status = price_bs_chunk(r, chunk, c, /*inject=*/true);
+  // kReject scanned the whole book before anything ran (its verdict must
+  // not follow writes into the caller's outputs); kOff just clears the
+  // report.
+  if (req.sanitize != robust::SanitizePolicy::kReject) {
+    robust::sanitize_range(src, r.shared, req.sanitize, st.san);
+    if (st.san.faulty > 0) {
+      if (r.tiles != nullptr) fill();
+      if (status == ChunkStatus::kOk) status = price_bs_chunk(r, chunk, c, /*inject=*/false);
+    }
+  }
+  const std::span<const std::uint8_t> mask = st.san.mask;
+
+  if (status == ChunkStatus::kOk && req.faults.corrupt > 0.0) {
+    inject_corrupt_bs(chunk, begin, req.faults);
+  }
+  if (status == ChunkStatus::kFailed && req.fallback) {
+    fallback_bs(r, chunk, mask, st);
+    status = ChunkStatus::kDegraded;
+  }
+  if (status != ChunkStatus::kFailed) {
+    if (req.guard.mode != robust::GuardMode::kOff) {
+      st.repaired += robust::guard_and_repair_bs(chunk, req.guard, mask);
+    }
+    if (r.tiles != nullptr) {
+      const double wb_us = obs::trace::now_us();
+      st.convert_bytes += core::copy_outputs(chunk, src);
+      st.convert_seconds += (obs::trace::now_us() - wb_us) * 1e-6;
+    }
+    if (st.san.skipped > 0) nan_bs_outputs(src, mask);
+  } else {
+    nan_bs_outputs(src);  // unpriced: never leave stale prices behind
+  }
+  r.res->chunk_status[static_cast<std::size_t>(c)] = static_cast<std::uint8_t>(status);
+
+  const double end_us = obs::trace::now_us();
+  r.hist_chunk->record_seconds((end_us - start_us) * 1e-6);
+  record_chunk(*r.flight, r.res->request_id, *r.v, static_cast<std::size_t>(c), begin, begin + m,
+               to_string(status).data(), ThreadPool::current_participant(), start_us, end_us);
+}
 
 }  // namespace
 
@@ -359,10 +540,33 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
     }
   }
 
+  // --- Layout negotiation --------------------------------------------------
+  // A convertible mismatch (any pair of Black–Scholes layouts) is priced
+  // chunk by chunk through a cache-resident tile in the variant's layout:
+  // fill the tile from the caller's range, price it, write the outputs
+  // back. Every pricing therefore reads the caller's current inputs, and
+  // the writeback sits inside the timer, so res.seconds stays honest about
+  // what the caller's layout really costs.
+  if (working.layout != v->layout && !core::convertible(working.layout, v->layout)) {
+    finish(robust::Status::invalid_argument(
+        "variant '" + v->id + "' needs a " + std::string(to_string(v->layout)) +
+        " workload; the request carries " + std::string(to_string(working.layout)) +
+        " (not convertible)"));
+    return;
+  }
+  const bool negotiated = working.layout != v->layout;
+  const bool bs = is_bs(v->layout) && v->run_range != nullptr;
+
   // --- Input sanitization --------------------------------------------------
+  // Black–Scholes batches classify their shared scalars here and scan the
+  // options chunk by chunk inside the pipeline below. Other workloads are
+  // scanned whole, here.
   robust::SanitizeReport& san = s.sanitize_report;
   san.reset();
-  if (req.sanitize != robust::SanitizePolicy::kOff) {
+  std::uint8_t shared = robust::kFaultNone;
+  if (bs) {
+    shared = robust::sanitize_shared(working, req.sanitize);
+  } else if (req.sanitize != robust::SanitizePolicy::kOff) {
     robust::sanitize(working, req.sanitize, san);
     if (!san.clean()) {
       if (req.sanitize == robust::SanitizePolicy::kReject) {
@@ -386,6 +590,22 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
     }
   }
 
+  // --- Request-scoped caches ------------------------------------------------
+  // Chunked execution first builds the variant's request caches (normal
+  // streams, lattice and VML scratch pools; run_batch prepares on its
+  // own). Like dispatch resolution this is warm-up, built once per request
+  // and reused by every repetition, so it runs before the deadline is
+  // armed — a first pricing does not spend its budget on it.
+  const bool chunked = bs || (v->run_range != nullptr && n >= 2);
+  if (chunked && v->prepare) {
+    try {
+      v->prepare(req, working);
+    } catch (const std::exception& e) {
+      finish(robust::Status::kernel_error("variant '" + v->id + "' prepare failed: " + e.what()));
+      return;
+    }
+  }
+
   // --- Deadline / cancellation ---------------------------------------------
   robust::CancelToken& token = s.token;
   token.reset();
@@ -394,52 +614,14 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
   const bool has_deadline = req.deadline_seconds > 0.0 || req.cancel != nullptr;
   const robust::CancelToken* cancel = has_deadline ? &token : nullptr;
 
-  // --- Layout negotiation --------------------------------------------------
-  // A convertible mismatch is converted once into the request's arena and
-  // cached; repetitions reuse the converted view and only pay the output
-  // writeback. The one-time conversion cost travels on every result so a
-  // single-shot caller still sees what negotiation cost them.
-  const core::PortfolioView* view = &working;
-  bool negotiated = false;
-  if (working.layout != v->layout) {
-    if (!core::convertible(working.layout, v->layout)) {
-      finish(robust::Status::invalid_argument(
-          "variant '" + v->id + "' needs a " + std::string(to_string(v->layout)) +
-          " workload; the request carries " + std::string(to_string(working.layout)) +
-          " (not convertible)"));
-      return;
-    }
-    const void* key = workload_data_key(working);
-    if (!s.has_negotiated || s.negotiated_src != key || s.negotiated_n != n ||
-        s.negotiated_from != working.layout || s.negotiated_to != v->layout) {
-      s.arena.reset();
-      s.negotiated = core::convert(working, v->layout, s.arena, &s.convert_stats);
-      s.has_negotiated = true;
-      s.negotiated_src = key;
-      s.negotiated_n = n;
-      s.negotiated_from = working.layout;
-      s.negotiated_to = v->layout;
-      static obs::Counter& converts = obs::counter("engine.layout_converts");
-      static obs::Counter& cbytes = obs::counter("engine.convert.bytes");
-      static obs::Stat& csecs = obs::stat("engine.convert.seconds");
-      converts.add(1);
-      cbytes.add(s.convert_stats.bytes);
-      csecs.record(s.convert_stats.seconds);
-    }
-    view = &s.negotiated;
-    negotiated = true;
-    res.convert_seconds = s.convert_stats.seconds;
-    res.convert_bytes = s.convert_stats.bytes;
-  }
-
   static obs::Counter& c_requests = obs::counter("engine.requests");
   static obs::Counter& c_items = obs::counter("engine.items");
   c_requests.add(1);
   FINBENCH_SPAN("engine.price");
   arch::WallTimer t;
 
-  // Final bookkeeping shared by both execution shapes: NaN out the
-  // sanitizer-skipped outputs, aggregate a Status from what happened.
+  // Final bookkeeping shared by every execution shape: NaN out the
+  // sanitizer-skipped values, aggregate a Status from what happened.
   auto aggregate = [&](RunErrors& errors, std::size_t priced_items) {
     // Score this execution on the variant's circuit breaker — except for
     // requests carrying an injected FaultPlan, whose failures are test
@@ -457,9 +639,8 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
       }
       s.breaker->record(oc);
     }
-    if (!res.option_faults.empty()) {
-      mask_skipped_outputs(res.option_faults, res.values, res.std_errors,
-                           negotiated ? req.portfolio : working);
+    if (!res.option_faults.empty() && !res.values.empty()) {
+      mask_skipped_values(res.option_faults, res.values, res.std_errors);
     }
     res.items = priced_items;
     res.seconds = t.seconds();
@@ -496,29 +677,15 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
   };
 
   // --- Whole-batch execution -----------------------------------------------
-  // No range adapter, or nothing to chunk over. Negotiated Black–Scholes
-  // runs land here (BS variants are whole-batch); their outputs are
-  // written into the converted arrays, so each run ends with a writeback
-  // into the caller's portfolio — inside the timer, so res.seconds stays
-  // honest about what the caller's layout really costs. The whole batch
-  // is one unit of failure/fallback accounting; the cooperative deadline
-  // is only checked before the kernel runs.
-  if (!v->run_range || v->layout != Layout::kSpecs || n < 2) {
+  // No range adapter (path construction), or a specs batch too small to
+  // chunk. The whole batch is one unit of failure/fallback accounting; the
+  // cooperative deadline is only checked before the kernel runs.
+  if (!chunked) {
     RunErrors errors;
     // The whole batch is one chunk of flight-recorder accounting: one
     // record covering [0, n), one sample in the per-chunk histogram.
     auto record_flight = [&](const char* status, double start_us, double end_us) {
-      obs::FlightRecord fr;
-      fr.request_id = res.request_id;
-      fr.chunk = 0;
-      fr.worker = -1;
-      fr.begin = 0;
-      fr.end = n;
-      fr.start_us = start_us;
-      fr.end_us = end_us;
-      fr.set_kernel(v->id.c_str());
-      fr.set_status(status);
-      s.flight->record(fr);
+      record_chunk(*s.flight, res.request_id, *v, 0, 0, n, status, -1, start_us, end_us);
     };
     if (cancel != nullptr && cancel->expired()) {
       res.chunks_deadline = 1;
@@ -531,29 +698,21 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
     try {
       if (req.faults.any_engine_side()) inject_chunk_faults(req.faults, 0);
       if (resilience::chaos_active()) resilience::maybe_inject(v->id.c_str(), res.request_id, 0);
-      v->run_batch(req, *view, res);
+      v->run_batch(req, working, res);
       priced = true;
     } catch (const std::exception& e) {
       errors.record(e.what());
     } catch (...) {
       errors.record("non-std exception from kernel");
     }
-    if (priced && req.faults.corrupt > 0.0) {
-      if (robust::is_bs_layout(*view)) {
-        inject_corrupt_bs(*view, req.faults);
-      } else {
-        inject_corrupt_values(res.values, 0, req.faults);
-      }
-    }
+    if (priced && req.faults.corrupt > 0.0) inject_corrupt_values(res.values, 0, req.faults);
     if (!priced && req.fallback) {
-      // Walk the fallback chain through same-layout batch variants; for a
-      // BS batch an exhausted chain still has the scalar closed form as
-      // the terminal repair.
+      // Walk the fallback chain through same-layout batch variants.
       for (const VariantInfo* fb = fallback_of(*v); fb != nullptr && !priced;
            fb = fallback_of(*fb)) {
-        if (fb->layout != view->layout || fb->run_batch == nullptr) break;
-        if (fb->european_only && view->layout == Layout::kSpecs &&
-            range_has_american(view->specs, 0, n)) {
+        if (fb->layout != working.layout || fb->run_batch == nullptr) break;
+        if (fb->european_only && working.layout == Layout::kSpecs &&
+            range_has_american(working.specs, 0, n)) {
           continue;
         }
         PricingRequest sub = req;
@@ -561,20 +720,13 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
         sub.faults = {};  // never inject into the repair path
         sub.scratch.reset();
         try {
-          fb->run_batch(sub, *view, res);
+          fb->run_batch(sub, working, res);
           priced = true;
           res.chunks_degraded = 1;
           obs::counter("robust.fallback.chunks").add(1);
         } catch (...) {
           // keep walking the chain
         }
-      }
-      if (!priced && robust::is_bs_layout(*view)) {
-        repair_bs_all(*view);
-        res.options_repaired += n;
-        res.chunks_degraded = 1;
-        obs::counter("robust.fallback.chunks").add(1);
-        priced = true;
       }
     }
     if (!priced) {
@@ -585,31 +737,18 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
       aggregate(errors, 0);
       return;
     }
-    // Output guardrails. BS batches repair violating options in place
-    // with the scalar closed form; values-producing batches that fail the
-    // guard re-price through the chain above on the next failure class
-    // (statistical estimators get finiteness-only checks).
-    if (req.guard.mode != robust::GuardMode::kOff) {
-      if (robust::is_bs_layout(*view)) {
-        const std::size_t repaired =
-            robust::guard_and_repair_bs(*view, req.guard, res.option_faults);
-        res.options_repaired += repaired;
-      } else if (!res.values.empty() && view->layout == Layout::kSpecs) {
-        std::size_t first = 0;
-        const std::size_t bad =
-            robust::guard_specs_range(view->specs, res.values, req.guard, v->statistical,
-                                      res.option_faults, 0, &first);
-        if (bad > 0) {
-          // Terminal repair for a deterministic specs value: there is no
-          // cheaper honest number than the family reference; re-pricing
-          // per option through run_batch is the chunked path's job. Here
-          // the violating values are disclosed as failures.
-          errors.record("output guard failed");
-          res.chunks_failed = 1;
-        }
-      }
+    // Output guardrails (statistical estimators get finiteness-only
+    // checks). There is no cheaper honest number than the family
+    // reference for a deterministic specs value, and re-pricing per
+    // option is the chunked path's job: here violations are disclosed as
+    // failures.
+    if (req.guard.mode != robust::GuardMode::kOff && !res.values.empty() &&
+        working.layout == Layout::kSpecs &&
+        robust::guard_specs_range(working.specs, res.values, req.guard, v->statistical,
+                                  res.option_faults, 0) > 0) {
+      errors.record("output guard failed");
+      res.chunks_failed = 1;
     }
-    if (negotiated) core::copy_outputs(*view, req.portfolio);
     const double batch_end_us = obs::trace::now_us();
     s.hist_chunk->record_seconds((batch_end_us - batch_start_us) * 1e-6);
     record_flight(res.chunks_failed != 0     ? "failed"
@@ -621,17 +760,6 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
   }
 
   // --- Chunked execution ---------------------------------------------------
-  res.values.assign(n, 0.0);
-  if (v->has_std_error) res.std_errors.assign(n, 0.0);
-  if (v->prepare) {
-    try {
-      v->prepare(req, *view);
-    } catch (const std::exception& e) {
-      finish(robust::Status::kernel_error("variant '" + v->id + "' prepare failed: " + e.what()));
-      return;
-    }
-  }
-
   // Effective scheduling: the request's values for explicit dispatch, the
   // resolved plan's for auto (pins keep the caller's value — see
   // PricingRequest::pin_schedule/pin_chunks).
@@ -639,12 +767,132 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
   const int nparts = rd.schedule == arch::Schedule::kDynamic
                          ? P * std::max(1, rd.chunks_per_thread)
                          : P;
-  const std::vector<std::size_t>& bounds = chunk_bounds(*v, req, *view, n, nparts, rd.schedule);
+  const std::vector<std::size_t>& bounds = chunk_bounds(*v, req, working, n, nparts, rd.schedule);
   const std::size_t nchunks = bounds.size() - 1;
   res.chunk_status.assign(nchunks, static_cast<std::uint8_t>(ChunkStatus::kNotRun));
   const char* site =
       rd.schedule == arch::Schedule::kDynamic ? "engine.dynamic" : "engine.static";
 
+  // Post-pass flight records for chunks the workers never touched (and for
+  // repaired ones).
+  auto record_flight = [&](std::size_t c, std::size_t begin, std::size_t end,
+                           const char* status) {
+    record_chunk(*s.flight, res.request_id, *v, c, begin, end, status);
+  };
+
+  if (bs) {
+    // --- Black–Scholes chunk pipeline ---------------------------------------
+    // Each chunk runs (tile fill) -> kernel -> sanitize -> guard/repair ->
+    // (writeback) while it is cache-resident (run_bs_chunk). A batch that
+    // fits one chunk runs inline on the caller, under the same one-thread
+    // OpenMP and FTZ policy as a pool participant, without waking workers.
+    // kReject decides before anything is priced, so a rejected request
+    // never writes the caller's outputs: one scan of the whole book up
+    // front (it repairs nothing under kReject), which the per-chunk
+    // reports below then leave untouched.
+    if (req.sanitize == robust::SanitizePolicy::kReject) {
+      robust::sanitize_range(working, shared, req.sanitize, san);
+      if (!san.clean()) {
+        robust::record_sanitize(san);
+        res.option_faults = san.mask;
+        finish(robust::Status::invalid_input(
+            "workload rejected: " + std::to_string(san.faulty) + " of " + std::to_string(n) +
+            " option(s) failed sanitization (see PricingResult::option_faults)"));
+        return;
+      }
+    }
+    s.bs_chunks.resize(nchunks);
+    for (Scratch::BsChunk& st : s.bs_chunks) st.reset();
+
+    // Negotiation tiles: one chunk-sized tile per participant, re-carved
+    // from the request arena every pricing (the arena keeps its blocks, so
+    // steady state allocates nothing) with this call's sanitized scalars.
+    const core::PortfolioView* tiles = nullptr;
+    if (negotiated) {
+      std::size_t widest = 0;
+      for (std::size_t c = 0; c < nchunks; ++c) widest = std::max(widest, bounds[c + 1] - bounds[c]);
+      s.arena.reset();
+      s.bs_tiles.resize(static_cast<std::size_t>(P));
+      for (core::PortfolioView& tile : s.bs_tiles) {
+        tile = core::allocate_like(working, v->layout, widest, s.arena);
+      }
+      tiles = s.bs_tiles.data();
+    }
+
+    RunErrors errors;
+    const BsRun run{v,         &req,   &working, tiles,       P,       bounds.data(),
+                    s.bs_chunks.data(), &res, &errors, s.hist_chunk, s.flight, shared};
+    const std::function<void(std::ptrdiff_t)> chunk_fn = [&run](std::ptrdiff_t c) {
+      run_bs_chunk(run, c);
+    };
+    if (nchunks == 1) {
+      ThreadPool::run_inline(1, chunk_fn, cancel);
+    } else {
+      pool_->run(static_cast<std::ptrdiff_t>(nchunks), chunk_fn, rd.schedule, site, cancel);
+    }
+
+    // Serial post-pass: statuses, unpriced chunks, per-chunk tallies.
+    std::size_t priced_items = 0;
+    const bool expired = cancel != nullptr && cancel->expired();
+    for (std::size_t c = 0; c < nchunks; ++c) {
+      const std::size_t begin = bounds[c], end = bounds[c + 1];
+      const Scratch::BsChunk& st = s.bs_chunks[c];
+      res.options_repaired += st.repaired;
+      res.convert_bytes += st.convert_bytes;
+      res.convert_seconds += st.convert_seconds;
+      switch (static_cast<ChunkStatus>(res.chunk_status[c])) {
+        case ChunkStatus::kNotRun:
+          res.chunk_status[c] = static_cast<std::uint8_t>(expired ? ChunkStatus::kDeadline
+                                                                  : ChunkStatus::kNotRun);
+          ++res.chunks_deadline;
+          nan_bs_outputs(core::subview(working, begin, end - begin));
+          obs::counter("robust.deadline.chunks_skipped").add(1);
+          record_flight(c, begin, end, expired ? "deadline" : "not_run");
+          break;
+        case ChunkStatus::kFailed:
+          ++res.chunks_failed;
+          obs::counter("robust.fallback.exhausted").add(1);
+          break;
+        case ChunkStatus::kDegraded:
+          ++res.chunks_degraded;
+          obs::counter("robust.fallback.chunks").add(1);
+          priced_items += end - begin;
+          break;
+        default:
+          priced_items += end - begin;
+          break;
+      }
+    }
+    // Merge the per-chunk sanitizer verdicts (chunk masks are indexed from
+    // the chunk start) into the request's report and result.
+    for (std::size_t c = 0; c < nchunks; ++c) {
+      const robust::SanitizeReport& r = s.bs_chunks[c].san;
+      san.scanned += r.scanned;
+      if (r.faulty == 0) continue;
+      san.faulty += r.faulty;
+      san.clamped += r.clamped;
+      san.skipped += r.skipped;
+      if (res.option_faults.empty()) res.option_faults.assign(n, 0);
+      std::copy(r.mask.begin(), r.mask.end(),
+                res.option_faults.begin() + static_cast<std::ptrdiff_t>(bounds[c]));
+    }
+    if (req.sanitize != robust::SanitizePolicy::kOff) robust::record_sanitize(san);
+    res.options_clamped = san.clamped;
+    res.options_skipped = san.skipped;
+    if (negotiated) {
+      static obs::Counter& converts = obs::counter("engine.layout_converts");
+      static obs::Counter& cbytes = obs::counter("engine.convert.bytes");
+      static obs::Stat& csecs = obs::stat("engine.convert.seconds");
+      converts.add(1);
+      cbytes.add(res.convert_bytes);
+      csecs.record(res.convert_seconds);
+    }
+    aggregate(errors, priced_items);
+    return;
+  }
+
+  res.values.assign(n, 0.0);
+  if (v->has_std_error) res.std_errors.assign(n, 0.0);
   RunErrors errors;
   const bool inject = req.faults.any_engine_side();
   const bool guard_on = req.guard.mode != robust::GuardMode::kOff;
@@ -666,7 +914,7 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
     bool inject;
     bool guard_on;
   };
-  ChunkCtx ctx{v, &req, view, bounds.data(), &res, &errors, s.hist_chunk, s.flight, inject,
+  ChunkCtx ctx{v, &req, &working, bounds.data(), &res, &errors, s.hist_chunk, s.flight, inject,
                guard_on};
   pool_->run(
       static_cast<std::ptrdiff_t>(nchunks),
@@ -706,17 +954,9 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
         }
         const double end_us = obs::trace::now_us();
         ctx.hist_chunk->record_seconds((end_us - start_us) * 1e-6);
-        obs::FlightRecord fr;
-        fr.request_id = ctx.res->request_id;
-        fr.chunk = static_cast<std::uint32_t>(c);
-        fr.worker = ThreadPool::current_participant();
-        fr.begin = begin;
-        fr.end = end;
-        fr.start_us = start_us;
-        fr.end_us = end_us;
-        fr.set_kernel(ctx.v->id.c_str());
-        fr.set_status(slot == static_cast<std::uint8_t>(ChunkStatus::kOk) ? "ok" : "failed");
-        ctx.flight->record(fr);
+        record_chunk(*ctx.flight, ctx.res->request_id, *ctx.v, static_cast<std::size_t>(c), begin,
+                     end, slot == static_cast<std::uint8_t>(ChunkStatus::kOk) ? "ok" : "failed",
+                     ThreadPool::current_participant(), start_us, end_us);
       },
       rd.schedule, site, cancel);
 
@@ -728,21 +968,6 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
   // allocation-free.
   std::size_t priced_items = 0;
   const bool expired = cancel != nullptr && cancel->expired();
-  // Post-pass flight records for chunks the workers never touched (and for
-  // repaired ones below): worker -1, zero ticks — "never ran" looks
-  // different from "ran and failed" in the dump.
-  auto record_flight = [&](std::size_t c, std::size_t begin, std::size_t end,
-                           const char* status) {
-    obs::FlightRecord fr;
-    fr.request_id = res.request_id;
-    fr.chunk = static_cast<std::uint32_t>(c);
-    fr.worker = -1;
-    fr.begin = begin;
-    fr.end = end;
-    fr.set_kernel(v->id.c_str());
-    fr.set_status(status);
-    s.flight->record(fr);
-  };
   for (std::size_t c = 0; c < nchunks; ++c) {
     auto status = static_cast<ChunkStatus>(res.chunk_status[c]);
     const std::size_t begin = bounds[c], end = bounds[c + 1];
@@ -761,11 +986,11 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
       for (const VariantInfo* fb = fallback_of(*v); fb != nullptr && !repaired;
            fb = fallback_of(*fb)) {
         if (fb->layout != Layout::kSpecs || fb->run_batch == nullptr) break;
-        if (fb->european_only && range_has_american(view->specs, begin, end)) continue;
+        if (fb->european_only && range_has_american(working.specs, begin, end)) continue;
         PricingRequest sub = req;
         sub.kernel_id = fb->id;
         sub.faults = {};  // never inject into the repair path
-        sub.portfolio = core::view_of(view->specs.subspan(begin, end - begin));
+        sub.portfolio = core::view_of(working.specs.subspan(begin, end - begin));
         sub.scratch.reset();
         PricingResult subres;
         try {
@@ -774,7 +999,7 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
           continue;  // next link
         }
         if (subres.values.size() != end - begin) continue;
-        if (robust::guard_specs_range(view->specs.subspan(begin, end - begin), subres.values,
+        if (robust::guard_specs_range(working.specs.subspan(begin, end - begin), subres.values,
                                       req.guard, fb->statistical, res.option_faults,
                                       begin) > 0) {
           continue;

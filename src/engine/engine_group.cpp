@@ -31,36 +31,6 @@ bool fusable_layout(Layout l) {
          l == Layout::kBsSoaF;
 }
 
-// The member's [off, off+m) range of the fused batch as a view of its own.
-core::PortfolioView subview(const core::PortfolioView& v, std::size_t off, std::size_t m) {
-  core::PortfolioView s = v;
-  switch (v.layout) {
-    case Layout::kSpecs:
-      s.specs = v.specs.subspan(off, m);
-      break;
-    case Layout::kBsAos:
-      s.aos.options = v.aos.options.subspan(off, m);
-      break;
-    case Layout::kBsSoa:
-      s.soa.spot = v.soa.spot.subspan(off, m);
-      s.soa.strike = v.soa.strike.subspan(off, m);
-      s.soa.years = v.soa.years.subspan(off, m);
-      s.soa.call = v.soa.call.subspan(off, m);
-      s.soa.put = v.soa.put.subspan(off, m);
-      break;
-    case Layout::kBsSoaF:
-      s.sp.spot = v.sp.spot.subspan(off, m);
-      s.sp.strike = v.sp.strike.subspan(off, m);
-      s.sp.years = v.sp.years.subspan(off, m);
-      s.sp.call = v.sp.call.subspan(off, m);
-      s.sp.put = v.sp.put.subspan(off, m);
-      break;
-    default:
-      break;
-  }
-  return s;
-}
-
 // Concatenate the members' inputs into one arena-backed batch in the
 // members' (shared) layout. Outputs are left uninitialized — the kernel
 // writes every call/put, and nothing is scattered back on paths that
@@ -164,7 +134,7 @@ void reset_result(PricingResult& r) {
 
 }  // namespace
 
-bool Engine::fusable(const PricingRequest& a, const PricingRequest& b) {
+bool Engine::fusable(const PricingRequest& a, const PricingRequest& b) const {
   if (a.kernel_id != b.kernel_id) return false;
   const Layout la = a.portfolio.layout;
   if (la != b.portfolio.layout || !fusable_layout(la)) return false;
@@ -210,8 +180,8 @@ bool Engine::fusable(const PricingRequest& a, const PricingRequest& b) {
   // effective schedule and chunk granularity (each member resolves through
   // its own scratch, so steady-state checks are cache hits, not races).
   if (tune::is_auto_id(a.kernel_id)) {
-    const ResolvedDispatch ra = resolve_dispatch(Engine::shared(), a);
-    const ResolvedDispatch rb = resolve_dispatch(Engine::shared(), b);
+    const ResolvedDispatch ra = resolve_dispatch(*this, a);
+    const ResolvedDispatch rb = resolve_dispatch(*this, b);
     return ra.v != nullptr && ra.v == rb.v && !ra.v->statistical &&
            ra.schedule == rb.schedule && ra.chunks_per_thread == rb.chunks_per_thread;
   }
@@ -302,12 +272,6 @@ void Engine::price_group(std::span<const GroupJob> group, GroupScratch& gs) cons
       }
     }
   }
-  // The fused batch reuses the same arena addresses with new contents every
-  // group — the negotiation cache keys on (pointer, n), so it must be
-  // invalidated explicitly or a same-shaped group would be priced against
-  // the previous group's converted data.
-  scratch_of(f).has_negotiated = false;
-
   price(f, gs.fused_res);
   const PricingResult& fr = gs.fused_res;
   const robust::StatusCode fc = fr.status.code();
@@ -381,7 +345,7 @@ void Engine::price_group(std::span<const GroupJob> group, GroupScratch& gs) cons
     // Usable fused outputs: re-guard this member's range with its own
     // policy (repairs land in the fused arrays first), then copy the
     // member's slice back to where Engine::price would have written it.
-    const core::PortfolioView sub = subview(fused_view, off, m);
+    const core::PortfolioView sub = core::subview(fused_view, off, m);
     if (bs) {
       if (group[j].req->guard.mode != robust::GuardMode::kOff) {
         std::span<const std::uint8_t> mask;

@@ -212,31 +212,39 @@ void ThreadPool::worker_main(int participant) {
   }
 }
 
+void ThreadPool::run_inline(std::ptrdiff_t nchunks,
+                            const std::function<void(std::ptrdiff_t)>& fn,
+                            const robust::CancelToken* cancel) {
+  const int caller_omp = omp_get_max_threads();
+  const std::uint32_t fp = robust::save_fp_state();
+  omp_set_num_threads(1);
+  robust::install_denormal_ftz();
+  // A nested submission keeps the outer run's participant id; otherwise
+  // the caller executes as participant 0.
+  const int prev_participant = t_pool_participant;
+  if (prev_participant < 0) t_pool_participant = 0;
+  auto restore = [&] {
+    t_pool_participant = prev_participant;
+    robust::restore_fp_state(fp);
+    omp_set_num_threads(caller_omp);
+  };
+  for (std::ptrdiff_t c = 0; c < nchunks; ++c) {
+    if (cancel != nullptr && cancel->expired()) break;
+    try {
+      fn(c);
+    } catch (...) {
+      restore();
+      throw;
+    }
+  }
+  restore();
+}
+
 void ThreadPool::run(std::ptrdiff_t nchunks, const std::function<void(std::ptrdiff_t)>& fn,
                      arch::Schedule sched, const char* site, const robust::CancelToken* cancel) {
   if (nchunks <= 0) return;
   if (t_in_pool_run || workers_.empty()) {
-    // Nested submission or single-participant pool: inline, serially,
-    // under the pool's denormal policy (restored on exit) and honoring
-    // the cancel token between chunks.
-    const std::uint32_t fp = robust::save_fp_state();
-    robust::install_denormal_ftz();
-    // Nested submission keeps the outer run's participant id; a
-    // single-participant pool executes as participant 0.
-    const int prev_participant = t_pool_participant;
-    if (prev_participant < 0) t_pool_participant = 0;
-    for (std::ptrdiff_t c = 0; c < nchunks; ++c) {
-      if (cancel != nullptr && cancel->expired()) break;
-      try {
-        fn(c);
-      } catch (...) {
-        t_pool_participant = prev_participant;
-        robust::restore_fp_state(fp);
-        throw;
-      }
-    }
-    t_pool_participant = prev_participant;
-    robust::restore_fp_state(fp);
+    run_inline(nchunks, fn, cancel);
     return;
   }
 

@@ -47,36 +47,48 @@ struct Scratch {
   arch::AlignedVector<double> bb_z_blocked;
   int bb_blocked_width = 0;
 
-  // --- Layout negotiation (engine-owned) -----------------------------------
-  // When the request's portfolio layout differs from the variant's, the
-  // engine converts once into this arena and caches the converted view;
-  // repeated pricings reuse it and only copy outputs back. The key records
-  // what the cached view was built from so a changed request invalidates it.
+  // --- Black–Scholes chunk pipeline (engine-owned) -------------------------
+  // Per-chunk tallies of the last pricing, merged serially after the run:
+  // the chunk's sanitizer verdict (mask indexed from the chunk start), its
+  // guard repairs and its negotiation traffic. On a layout mismatch each
+  // participant prices through its own chunk-sized tile in the variant's
+  // layout, re-carved from `arena` every pricing (reset() keeps the
+  // blocks, so steady state allocates nothing).
+  struct BsChunk {
+    robust::SanitizeReport san;
+    std::size_t repaired = 0;
+    std::size_t convert_bytes = 0;
+    double convert_seconds = 0.0;
+
+    void reset() {
+      san.reset();
+      repaired = convert_bytes = 0;
+      convert_seconds = 0.0;
+    }
+  };
+  std::vector<BsChunk> bs_chunks;
   core::Arena arena;
-  core::PortfolioView negotiated{};
-  bool has_negotiated = false;
-  const void* negotiated_src = nullptr;  // source data pointer
-  std::size_t negotiated_n = 0;
-  core::Layout negotiated_from = core::Layout::kSpecs;
-  core::Layout negotiated_to = core::Layout::kSpecs;
-  core::ConvertStats convert_stats{};  // one-time cost of the cached conversion
+  std::vector<core::PortfolioView> bs_tiles;
 
   // --- Chunk-partition cache (engine-owned) --------------------------------
-  // make_bounds output + per-item cost buffer, rebuilt only when the
-  // (n, nparts, schedule) key changes.
+  // chunk_bounds output + per-item cost buffer, rebuilt only when the
+  // (partition kind, n, nparts, schedule) key changes. The kind matters:
+  // one request (serve's fused group) prices Black–Scholes and specs
+  // groups of equal size in turn, and their partitions differ.
   std::vector<std::size_t> bounds;
   std::vector<double> item_cost;
   std::size_t bounds_n = 0;
   int bounds_nparts = -1;
   int bounds_sched = -1;
+  bool bounds_bs = false;
 
   // --- Kernel scratch pools (engine-owned) ---------------------------------
   // Per-worker kernel temporaries — binomial lattices, Monte Carlo normal
   // chunks, the VML variant's d1/d2/xexp/qlog arrays — lease slots from
   // these pools instead of allocating, so steady-state repetitions of a
   // request never touch the heap. Carved from kernel_arena, which is
-  // deliberately separate from the negotiation `arena` above: renegotiation
-  // resets that arena, while pool slices must stay valid for the request's
+  // deliberately separate from the negotiation `arena` above: every
+  // negotiated pricing resets that arena, while pool slices must stay valid for the request's
   // lifetime. reserve() is idempotent, so both the prepare hooks (chunked
   // path) and the run_batch adapters (whole-batch path, bench harness) can
   // size them.
@@ -154,7 +166,7 @@ struct Scratch {
 Scratch& scratch_of(const PricingRequest& req);
 
 // Identity pointer of a view's workload data — the cache-invalidation key
-// for scratch-cached derived state (negotiated layouts, resolved plans).
+// for scratch-cached derived state (resolved plans).
 inline const void* workload_data_key(const core::PortfolioView& view) {
   switch (view.layout) {
     case core::Layout::kSpecs: return view.specs.data();

@@ -1,12 +1,13 @@
 // Registry adapters for the Black–Scholes kernel family (paper Fig. 4).
 //
-// These variants consume a whole Black–Scholes portfolio view and write
-// prices into its arrays (PricingResult::values stays empty: the kernel is
-// bandwidth-bound, and copying millions of outputs would distort exactly
-// what Fig. 4 measures). They are whole-batch only — the kernels' internal
-// "#pragma omp parallel for" over the batch IS the experiment. A request
-// in the "wrong" BS layout is not an error: the engine negotiates it into
-// the view these adapters receive.
+// These variants write prices into the Black–Scholes view's own arrays
+// (PricingResult::values stays empty: the kernel is bandwidth-bound, and
+// copying millions of outputs would distort exactly what Fig. 4
+// measures). run_batch prices a whole view under the kernel's internal
+// "#pragma omp parallel for" (the Fig. 4 experiment); run_range prices one
+// engine chunk on a pool participant. A request in the "wrong" BS layout
+// is not an error: the engine negotiates each chunk into the layout these
+// adapters receive.
 
 #include "finbench/kernels/blackscholes.hpp"
 #include "variants.hpp"
@@ -23,61 +24,77 @@ double flops(const PricingRequest&) { return kernels::bs::kFlopsPerOption; }
 double bytes(const PricingRequest&) { return kernels::bs::kBytesPerOption; }
 double bytes_sp(const PricingRequest&) { return kernels::bs::kBytesPerOption / 2; }
 
+// One pricing function per variant over a whole BS view; the registry
+// entry points below wrap it for the two ways it is driven.
+using PriceFn = void (*)(const PricingRequest&, const core::PortfolioView&);
+
 template <void (*K)(core::BsAosView)>
-void run_aos(const PricingRequest&, const core::PortfolioView& view, PricingResult& res) {
+void price_aos(const PricingRequest&, const core::PortfolioView& view) {
   K(view.aos);
-  res.items = view.aos.size();
-  res.ok = true;
 }
 
 template <Width W>
-void run_intermediate(const PricingRequest&, const core::PortfolioView& view,
-                      PricingResult& res) {
+void price_intermediate(const PricingRequest&, const core::PortfolioView& view) {
   kernels::bs::price_intermediate(view.soa, W);
-  res.items = view.soa.size();
-  res.ok = true;
 }
 
-template <Width W>
-void run_advanced_vml(const PricingRequest& req, const core::PortfolioView& view,
-                      PricingResult& res) {
-  // The chunk temporaries (d1/d2/xexp/qlog) lease from the request's vml
-  // pool; reserve() is an idempotent no-op after the first pricing, so
-  // steady-state repetitions never allocate.
+// The chunk temporaries (d1/d2/xexp/qlog) lease from the request's vml
+// pool; reserve() is an idempotent no-op after the first pricing, so
+// steady-state repetitions never allocate. Chunks run concurrently, so
+// the engine sizes the pool up front through the prepare hook.
+void prepare_vml(const PricingRequest& req, const core::PortfolioView&) {
   Scratch& s = scratch_of(req);
   s.vml_pool.reserve(s.kernel_arena, 4 * kernels::bs::kVmlChunk, scratch_slots());
-  kernels::bs::price_advanced_vml(view.soa, W, &s.vml_pool);
-  res.items = view.soa.size();
-  res.ok = true;
-}
-
-void run_intermediate_sp(const PricingRequest&, const core::PortfolioView& view,
-                         PricingResult& res) {
-  kernels::bs::price_intermediate_sp(view.sp, WidthF::kAuto);
-  res.items = view.sp.size();
-  res.ok = true;
 }
 
 template <Width W>
-void run_blocked(const PricingRequest&, const core::PortfolioView& view, PricingResult& res) {
+void price_advanced_vml(const PricingRequest& req, const core::PortfolioView& view) {
+  prepare_vml(req, view);
+  kernels::bs::price_advanced_vml(view.soa, W, &scratch_of(req).vml_pool);
+}
+
+void price_intermediate_sp(const PricingRequest&, const core::PortfolioView& view) {
+  kernels::bs::price_intermediate_sp(view.sp, WidthF::kAuto);
+}
+
+template <Width W>
+void price_blocked(const PricingRequest&, const core::PortfolioView& view) {
   kernels::bs::price_blocked(view.blocked, W);
-  res.items = view.blocked.size();
-  res.ok = true;
 }
 
 template <WidthF W>
-void run_blocked_sp(const PricingRequest&, const core::PortfolioView& view,
-                    PricingResult& res) {
+void price_blocked_sp(const PricingRequest&, const core::PortfolioView& view) {
   kernels::bs::price_blocked_sp(view.blocked, W);
-  res.items = view.blocked.size();
-  res.ok = true;
 }
 
 template <WidthF W>
-void run_fused_sp(const PricingRequest&, const core::PortfolioView& view, PricingResult& res) {
+void price_fused_sp(const PricingRequest&, const core::PortfolioView& view) {
   kernels::bs::price_blocked_from_aos_f32(view.aos, W);
-  res.items = view.aos.size();
+}
+
+// Whole-batch entry (benchmarks, validation): prices land in the view's
+// arrays, under the kernel's own OpenMP team.
+template <PriceFn F>
+void run_batch(const PricingRequest& req, const core::PortfolioView& view, PricingResult& res) {
+  F(req, view);
+  res.items = view.size();
   res.ok = true;
+}
+
+// Chunk entry (Engine::price): one cache-sized range of the view, on a
+// pool participant whose OpenMP ICV is pinned to one thread. The engine
+// keeps interior chunk boundaries aligned to every lane tile and block
+// width, so chunked results equal the whole-batch call bit for bit.
+template <PriceFn F>
+void run_range(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
+               std::size_t end, PricingResult&) {
+  F(req, core::subview(view, begin, end - begin));
+}
+
+template <PriceFn F>
+void set_kernel(VariantInfo& v) {
+  v.run_batch = run_batch<F>;
+  v.run_range = run_range<F>;
 }
 
 VariantInfo base(const char* id, OptLevel level, int width, Layout layout, const char* desc) {
@@ -103,28 +120,28 @@ void register_blackscholes(Registry& r) {
     VariantInfo v = base("bs.reference.scalar", OptLevel::kReference, 1, Layout::kBsAos,
                          "scalar AOS loop, cnd via libm erfc (Lis. 1)");
     v.reference_id = "";
-    v.run_batch = run_aos<kernels::bs::price_reference>;
+    set_kernel<price_aos<kernels::bs::price_reference>>(v);
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("bs.basic.auto", OptLevel::kBasic, 0, Layout::kBsAos,
                          "AOS loop under pragma omp parallel for simd");
     v.tolerance = 1e-12;
-    v.run_batch = run_aos<kernels::bs::price_basic>;
+    set_kernel<price_aos<kernels::bs::price_basic>>(v);
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("bs.intermediate.avx2", OptLevel::kIntermediate, 4, Layout::kBsSoa,
                          "SOA + 4-wide SIMD across options, erf substitution, put via parity");
     v.tolerance = 1e-9;
-    v.run_batch = run_intermediate<Width::kAvx2>;
+    set_kernel<price_intermediate<Width::kAvx2>>(v);
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("bs.intermediate.auto", OptLevel::kIntermediate, 0, Layout::kBsSoa,
                          "SOA + widest SIMD across options, erf substitution, put via parity");
     v.tolerance = 1e-9;
-    v.run_batch = run_intermediate<Width::kAuto>;
+    set_kernel<price_intermediate<Width::kAuto>>(v);
     r.add(std::move(v));
   }
   {
@@ -135,7 +152,8 @@ void register_blackscholes(Registry& r) {
     // plain intermediate SOA kernel; the scalar closed form is the
     // engine's terminal repair for any BS layout (docs/robustness.md).
     v.fallback_id = "bs.intermediate.avx2";
-    v.run_batch = run_advanced_vml<Width::kAvx2>;
+    set_kernel<price_advanced_vml<Width::kAvx2>>(v);
+    v.prepare = prepare_vml;
     r.add(std::move(v));
   }
   {
@@ -143,7 +161,8 @@ void register_blackscholes(Registry& r) {
                          "SOA + VML-style whole-array transcendental passes, widest");
     v.tolerance = 1e-8;
     v.fallback_id = "bs.intermediate.auto";
-    v.run_batch = run_advanced_vml<Width::kAuto>;
+    set_kernel<price_advanced_vml<Width::kAuto>>(v);
+    v.prepare = prepare_vml;
     r.add(std::move(v));
   }
   {
@@ -151,7 +170,7 @@ void register_blackscholes(Registry& r) {
                          "single-precision SOA SIMD (twice the lanes, half the bytes)");
     v.tolerance = 1e-3;  // SP arithmetic vs the DP reference
     v.bytes_per_item = bytes_sp;
-    v.run_batch = run_intermediate_sp;
+    set_kernel<price_intermediate_sp>(v);
     r.add(std::move(v));
   }
   // --- Register-tiled blocked (AoSoA) family ------------------------------
@@ -164,7 +183,7 @@ void register_blackscholes(Registry& r) {
     VariantInfo v = base("blackscholes.blocked.4", OptLevel::kAdvanced, 4, Layout::kBsBlocked,
                          "AoSoA register tiles, 4-wide DP, streaming stores");
     v.tolerance = 1e-9;
-    v.run_batch = run_blocked<Width::kAvx2>;
+    set_kernel<price_blocked<Width::kAvx2>>(v);
     r.add(std::move(v));
   }
   {
@@ -172,7 +191,7 @@ void register_blackscholes(Registry& r) {
                          "AoSoA register tiles, 8-wide DP (AVX-512), streaming stores");
     v.tolerance = 1e-9;
     v.fallback_id = "blackscholes.blocked.4";
-    v.run_batch = run_blocked<Width::kAuto>;
+    set_kernel<price_blocked<Width::kAuto>>(v);
     r.add(std::move(v));
   }
   {
@@ -180,7 +199,7 @@ void register_blackscholes(Registry& r) {
                          "AoSoA register tiles, 8-wide SP compute in register");
     v.tolerance = 1e-3;  // SP arithmetic vs the DP reference
     v.bytes_per_item = bytes;  // storage stays f64: full 40 B/option move
-    v.run_batch = run_blocked_sp<WidthF::kAvx2>;
+    set_kernel<price_blocked_sp<WidthF::kAvx2>>(v);
     r.add(std::move(v));
   }
   {
@@ -189,7 +208,7 @@ void register_blackscholes(Registry& r) {
     v.tolerance = 1e-3;
     v.bytes_per_item = bytes;
     v.fallback_id = "blackscholes.blocked.8f";
-    v.run_batch = run_blocked_sp<WidthF::kAuto>;
+    set_kernel<price_blocked_sp<WidthF::kAuto>>(v);
     r.add(std::move(v));
   }
   // --- Fused AOS -> f32 register tile (incl. conversion) -------------------
@@ -202,7 +221,7 @@ void register_blackscholes(Registry& r) {
                          "fused AOS -> f32 register tile incl. conversion, 8-wide SP");
     v.tolerance = 1e-3;  // SP arithmetic vs the DP reference
     v.bytes_per_item = bytes;  // storage stays f64 AOS: full 40 B/option move
-    v.run_batch = run_fused_sp<WidthF::kAvx2>;
+    set_kernel<price_fused_sp<WidthF::kAvx2>>(v);
     r.add(std::move(v));
   }
   {
@@ -212,7 +231,7 @@ void register_blackscholes(Registry& r) {
     v.tolerance = 1e-3;
     v.bytes_per_item = bytes;
     v.fallback_id = "blackscholes.blocked_fused.8f";
-    v.run_batch = run_fused_sp<WidthF::kAuto>;
+    set_kernel<price_fused_sp<WidthF::kAuto>>(v);
     r.add(std::move(v));
   }
 }

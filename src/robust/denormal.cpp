@@ -25,6 +25,16 @@ bool install_denormal_ftz() noexcept {
 #endif
 }
 
+std::uint32_t clear_denormal_ftz() noexcept {
+#if FINBENCH_HAS_MXCSR
+  const std::uint32_t prev = _mm_getcsr();
+  _mm_setcsr(prev & ~0x8040u);
+  return prev;
+#else
+  return 0;
+#endif
+}
+
 std::uint32_t save_fp_state() noexcept {
 #if FINBENCH_HAS_MXCSR
   return _mm_getcsr();

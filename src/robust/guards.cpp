@@ -5,11 +5,15 @@
 
 #include "finbench/robust/guards.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "finbench/core/analytic.hpp"
 #include "finbench/obs/metrics.hpp"
 #include "finbench/robust/sanitize.hpp"
+
+#include "bs_scan.hpp"
 
 namespace finbench::robust {
 
@@ -180,6 +184,51 @@ void bs_store_inputs(const core::PortfolioView& view, std::size_t i, double spot
   }
 }
 
+namespace {
+
+// Clean path of the finiteness guard: one branch-free pass testing
+// |x| <= DBL_MAX on the bits (sign cleared), which fails exactly for
+// +-Inf and NaN. Floats widen exactly.
+bool outputs_finite(const core::PortfolioView& v) {
+  constexpr std::uint64_t kAbs = 0x7fffffffffffffffull;
+  constexpr std::uint64_t kMax = 0x7fefffffffffffffull;  // bits of DBL_MAX
+  const auto bad = [](double call, double put) {
+    return static_cast<std::uint64_t>((std::bit_cast<std::uint64_t>(call) & kAbs) > kMax) |
+           static_cast<std::uint64_t>((std::bit_cast<std::uint64_t>(put) & kAbs) > kMax);
+  };
+  std::uint64_t acc = 0;
+  switch (v.layout) {
+    case core::Layout::kBsAos: {
+      detail::AosPattern p;
+      p.set(3, kAbs, 0, kMax);
+      p.set(4, kAbs, 0, kMax);
+      return p.clean(v.aos);
+    }
+    case core::Layout::kBsSoa:
+      for (std::size_t i = 0; i < v.soa.size(); ++i) acc |= bad(v.soa.call[i], v.soa.put[i]);
+      break;
+    case core::Layout::kBsSoaF:
+      for (std::size_t i = 0; i < v.sp.size(); ++i) acc |= bad(v.sp.call[i], v.sp.put[i]);
+      break;
+    case core::Layout::kBsBlocked: {
+      const core::BsBlockedView& b = v.blocked;
+      const std::size_t w = static_cast<std::size_t>(b.block);
+      for (std::size_t blk = 0; blk < b.num_blocks(); ++blk) {
+        const double* call = b.field(blk, 3);
+        const double* put = b.field(blk, 4);
+        const std::size_t lanes = std::min(w, b.n - blk * w);
+        for (std::size_t ln = 0; ln < lanes; ++ln) acc |= bad(call[ln], put[ln]);
+      }
+      break;
+    }
+    default:
+      break;
+  }
+  return acc == 0;
+}
+
+}  // namespace
+
 std::size_t guard_and_repair_bs(const core::PortfolioView& view, const GuardPolicy& policy,
                                 std::span<const std::uint8_t> mask) {
   if (policy.mode == GuardMode::kOff || !is_bs_layout(view)) return 0;
@@ -187,6 +236,10 @@ std::size_t guard_and_repair_bs(const core::PortfolioView& view, const GuardPoli
   // deterministic, so kFull bounds apply. The f32 layout's extra rounding
   // is orders of magnitude inside the default slack.
   const bool bounds = policy.mode == GuardMode::kFull;
+  // A range with a non-finite output (including a sanitizer-skipped
+  // option already NaN) falls through to the per-option scan, which
+  // honors the mask.
+  if (!bounds && outputs_finite(view)) return 0;
   const std::size_t n = view.size();
   std::size_t violations = 0, repaired = 0;
   for (std::size_t i = 0; i < n; ++i) {

@@ -1,15 +1,20 @@
-// Workload sanitizer implementation. One forward scan per workload; the
-// clean path (every option inside the envelope) touches no memory beyond
-// the inputs and allocates nothing — the mask materializes only when the
+// Workload sanitizer implementation. One forward scan per workload (or
+// per chunk of one, through sanitize_range); the clean path (every option
+// inside the envelope) is one branch-free pass over the inputs and
+// allocates nothing — the mask materializes only when the
 // first fault appears, and SanitizeReport::reset() keeps its capacity so
 // steady-state re-scans of a faulty workload are allocation-free too.
 
 #include "finbench/robust/sanitize.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
+#include "bs_scan.hpp"
 #include "finbench/obs/metrics.hpp"
+#include "finbench/robust/denormal.hpp"
+#include "finbench/robust/guards.hpp"
 
 namespace finbench::robust {
 
@@ -21,16 +26,6 @@ namespace {
 // escapes.
 const core::OptionSpec kPlaceholder{};
 
-void count_scan(const SanitizeReport& r) {
-  static obs::Counter& scanned = obs::counter("robust.sanitize.scanned");
-  static obs::Counter& faulty = obs::counter("robust.sanitize.faulty");
-  static obs::Counter& clamped = obs::counter("robust.sanitize.clamped");
-  static obs::Counter& skipped = obs::counter("robust.sanitize.skipped");
-  scanned.add(r.scanned);
-  faulty.add(r.faulty);
-  clamped.add(r.clamped);
-  skipped.add(r.skipped);
-}
 
 // Fault bits of one positive-domain field (spot/strike/vol/years).
 std::uint8_t classify_positive(double x, double ceiling, double floor) {
@@ -73,92 +68,64 @@ std::uint8_t* mask_for(SanitizeReport& out, std::size_t n) {
 // --- Black–Scholes batch layouts --------------------------------------------
 //
 // Per-option fields are spot/strike/years; rate/vol (and dividend) are
-// shared by the whole batch. A generic field accessor keeps the four
-// layouts in one scan loop.
+// shared by the whole batch and classified once per call
+// (sanitize_shared).
 
-struct BsFields {
-  double spot, strike, years;
-};
-
-template <class View>
-struct BsAccess;
-
-template <>
-struct BsAccess<core::BsAosView> {
-  static BsFields load(const core::BsAosView& v, std::size_t i) {
-    const auto& o = v.options[i];
-    return {o.spot, o.strike, o.years};
+// Clean path of a range scan: one branch-free pass accepting exactly the
+// options classify_positive passes against `floor` (detail::outside),
+// given 0 < floor <= max_magnitude, max_years < inf.
+bool inputs_clean(const core::PortfolioView& v, double floor, const SanitizeEnvelope& env) {
+  const std::uint64_t lo = std::bit_cast<std::uint64_t>(floor);
+  const std::uint64_t mag = std::bit_cast<std::uint64_t>(env.max_magnitude) - lo;
+  const std::uint64_t yrs = std::bit_cast<std::uint64_t>(env.max_years) - lo;
+  const auto bad = [&](double spot, double strike, double years) {
+    return detail::outside(spot, lo, mag) | detail::outside(strike, lo, mag) |
+           detail::outside(years, lo, yrs);
+  };
+  std::uint64_t acc = 0;
+  switch (v.layout) {
+    case core::Layout::kBsAos: {
+      detail::AosPattern p;
+      p.set(0, ~0ull, lo, mag);
+      p.set(1, ~0ull, lo, mag);
+      p.set(2, ~0ull, lo, yrs);
+      return p.clean(v.aos);
+    }
+    case core::Layout::kBsSoa:
+      for (std::size_t i = 0; i < v.soa.size(); ++i) {
+        acc |= bad(v.soa.spot[i], v.soa.strike[i], v.soa.years[i]);
+      }
+      break;
+    case core::Layout::kBsSoaF:
+      for (std::size_t i = 0; i < v.sp.size(); ++i) {
+        acc |= bad(v.sp.spot[i], v.sp.strike[i], v.sp.years[i]);
+      }
+      break;
+    case core::Layout::kBsBlocked: {
+      // Block by block over the logical lanes (padding past n is ignored).
+      const core::BsBlockedView& b = v.blocked;
+      const std::size_t w = static_cast<std::size_t>(b.block);
+      for (std::size_t blk = 0; blk < b.num_blocks(); ++blk) {
+        const double* spot = b.field(blk, 0);
+        const double* strike = b.field(blk, 1);
+        const double* years = b.field(blk, 2);
+        const std::size_t lanes = std::min(w, b.n - blk * w);
+        for (std::size_t ln = 0; ln < lanes; ++ln) acc |= bad(spot[ln], strike[ln], years[ln]);
+      }
+      break;
+    }
+    default:
+      break;
   }
-  static void store(const core::BsAosView& v, std::size_t i, const BsFields& f) {
-    auto& o = v.options[i];
-    o.spot = f.spot;
-    o.strike = f.strike;
-    o.years = f.years;
-  }
-};
-
-template <>
-struct BsAccess<core::BsSoaView> {
-  static BsFields load(const core::BsSoaView& v, std::size_t i) {
-    return {v.spot[i], v.strike[i], v.years[i]};
-  }
-  static void store(const core::BsSoaView& v, std::size_t i, const BsFields& f) {
-    v.spot[i] = f.spot;
-    v.strike[i] = f.strike;
-    v.years[i] = f.years;
-  }
-};
-
-template <>
-struct BsAccess<core::BsSoaFView> {
-  static BsFields load(const core::BsSoaFView& v, std::size_t i) {
-    return {v.spot[i], v.strike[i], v.years[i]};
-  }
-  static void store(const core::BsSoaFView& v, std::size_t i, const BsFields& f) {
-    v.spot[i] = static_cast<float>(f.spot);
-    v.strike[i] = static_cast<float>(f.strike);
-    v.years[i] = static_cast<float>(f.years);
-  }
-};
-
-template <>
-struct BsAccess<core::BsBlockedView> {
-  static BsFields load(const core::BsBlockedView& v, std::size_t i) {
-    const std::size_t b = static_cast<std::size_t>(v.block);
-    const std::size_t blk = i / b, lane = i % b;
-    return {v.field(blk, 0)[lane], v.field(blk, 1)[lane], v.field(blk, 2)[lane]};
-  }
-  static void store(const core::BsBlockedView& v, std::size_t i, const BsFields& f) {
-    const std::size_t b = static_cast<std::size_t>(v.block);
-    const std::size_t blk = i / b, lane = i % b;
-    v.field(blk, 0)[lane] = f.spot;
-    v.field(blk, 1)[lane] = f.strike;
-    v.field(blk, 2)[lane] = f.years;
-  }
-};
-
-// The float layout's floor: below ~1e-38 a float is denormal; classify
-// against the wider of the envelope floor and the float normal minimum.
-template <class View>
-constexpr double field_floor(const SanitizeEnvelope& env) {
-  if constexpr (std::is_same_v<View, core::BsSoaFView>) {
-    return std::max(env.min_positive, 1.2e-38);
-  } else {
-    return env.min_positive;
-  }
+  return acc == 0;
 }
 
-template <class View>
-void sanitize_bs(View& v, double& rate, double& vol, double* dividend, SanitizePolicy policy,
-                 SanitizeReport& out, const SanitizeEnvelope& env) {
-  const std::size_t n = v.size();
-  out.scanned = n;
-
-  // Shared batch parameters first: a faulty rate/vol poisons every option.
+// Shared batch parameters: a faulty rate/vol poisons every option.
+std::uint8_t sanitize_scalars(double& rate, double& vol, double* dividend, SanitizePolicy policy,
+                              const SanitizeEnvelope& env) {
   std::uint8_t shared = classify_rate(rate, env.max_abs_rate);
   shared |= classify_positive(vol, env.max_vol, env.min_positive);
   if (dividend != nullptr) shared |= classify_rate(*dividend, env.max_abs_rate);
-  const bool shared_nonfinite = (shared & kFaultNonFinite) != 0;
   const bool repair = policy == SanitizePolicy::kClamp || policy == SanitizePolicy::kSkip;
   if (shared != kFaultNone && repair) {
     // Finite shared params clamp into the envelope; non-finite ones take
@@ -181,36 +148,69 @@ void sanitize_bs(View& v, double& rate, double& vol, double* dividend, SanitizeP
                       : 0.0;
     }
   }
+  return shared;
+}
 
-  const double floor = field_floor<View>(env);
+void scan_bs(const core::PortfolioView& v, std::uint8_t shared, SanitizePolicy policy,
+             SanitizeReport& out, const SanitizeEnvelope& env) {
+  const std::size_t n = v.size();
+  out.scanned = n;
+  // The float layout's floor: below ~1e-38 a float is denormal; classify
+  // against the wider of the envelope floor and the float normal minimum.
+  const double floor = v.layout == core::Layout::kBsSoaF ? std::max(env.min_positive, 1.2e-38)
+                                                         : env.min_positive;
+  // The bit-range test is exact only for 0 < floor <= ceiling < inf; a
+  // caller envelope outside that goes straight to classification.
+  const bool bit_test = floor > 0.0 && std::isfinite(env.max_magnitude) &&
+                        std::isfinite(env.max_years) && env.max_magnitude >= floor &&
+                        env.max_years >= floor;
+  if (shared == kFaultNone && bit_test && inputs_clean(v, floor, env)) return;
+
+  // IEEE subnormals for the classification: under a pool participant's
+  // DAZ a denormal input would read as zero (a domain fault instead of a
+  // magnitude one).
+  const std::uint32_t fp = clear_denormal_ftz();
+  const bool shared_nonfinite = (shared & kFaultNonFinite) != 0;
+  const bool repair = policy == SanitizePolicy::kClamp || policy == SanitizePolicy::kSkip;
   for (std::size_t i = 0; i < n; ++i) {
-    BsFields f = BsAccess<View>::load(v, i);
+    const BsElem e = bs_elem(v, i);
     std::uint8_t bits = shared;
-    bits |= classify_positive(f.spot, env.max_magnitude, floor);
-    bits |= classify_positive(f.strike, env.max_magnitude, floor);
-    bits |= classify_positive(f.years, env.max_years, floor);
+    bits |= classify_positive(e.spot, env.max_magnitude, floor);
+    bits |= classify_positive(e.strike, env.max_magnitude, floor);
+    bits |= classify_positive(e.years, env.max_years, floor);
     if (bits == kFaultNone) continue;
 
     ++out.faulty;
     std::uint8_t* mask = mask_for(out, n);
     const bool nonfinite = ((bits & kFaultNonFinite) != 0) || shared_nonfinite;
     if (policy == SanitizePolicy::kClamp && !nonfinite) {
-      f.spot = clamp_positive(f.spot, env.max_magnitude, floor);
-      f.strike = clamp_positive(f.strike, env.max_magnitude, floor);
-      f.years = clamp_positive(f.years, env.max_years, floor);
-      BsAccess<View>::store(v, i, f);
+      bs_store_inputs(v, i, clamp_positive(e.spot, env.max_magnitude, floor),
+                      clamp_positive(e.strike, env.max_magnitude, floor),
+                      clamp_positive(e.years, env.max_years, floor));
       bits |= kFaultClamped;
       ++out.clamped;
     } else if (repair) {
-      BsAccess<View>::store(v, i, {kPlaceholder.spot, kPlaceholder.strike, kPlaceholder.years});
+      bs_store_inputs(v, i, kPlaceholder.spot, kPlaceholder.strike, kPlaceholder.years);
       bits |= kFaultSkipped;
       ++out.skipped;
     }
     mask[i] = bits;
   }
+  restore_fp_state(fp);
 }
 
 }  // namespace
+
+void record_sanitize(const SanitizeReport& r) {
+  static obs::Counter& scanned = obs::counter("robust.sanitize.scanned");
+  static obs::Counter& faulty = obs::counter("robust.sanitize.faulty");
+  static obs::Counter& clamped = obs::counter("robust.sanitize.clamped");
+  static obs::Counter& skipped = obs::counter("robust.sanitize.skipped");
+  scanned.add(r.scanned);
+  faulty.add(r.faulty);
+  clamped.add(r.clamped);
+  skipped.add(r.skipped);
+}
 
 std::uint8_t classify(const core::OptionSpec& o, const SanitizeEnvelope& env) {
   std::uint8_t bits = kFaultNone;
@@ -221,6 +221,36 @@ std::uint8_t classify(const core::OptionSpec& o, const SanitizeEnvelope& env) {
   bits |= classify_rate(o.rate, env.max_abs_rate);
   bits |= classify_rate(o.dividend, env.max_abs_rate);
   return bits;
+}
+
+std::uint8_t sanitize_shared(core::PortfolioView& view, SanitizePolicy policy,
+                             const SanitizeEnvelope& env) {
+  if (policy == SanitizePolicy::kOff) return kFaultNone;
+  switch (view.layout) {
+    case core::Layout::kBsAos:
+      return sanitize_scalars(view.aos.rate, view.aos.vol, &view.aos.dividend, policy, env);
+    case core::Layout::kBsSoa:
+      return sanitize_scalars(view.soa.rate, view.soa.vol, &view.soa.dividend, policy, env);
+    case core::Layout::kBsSoaF: {
+      double rate = view.sp.rate, vol = view.sp.vol;
+      const std::uint8_t bits = sanitize_scalars(rate, vol, nullptr, policy, env);
+      view.sp.rate = static_cast<float>(rate);
+      view.sp.vol = static_cast<float>(vol);
+      return bits;
+    }
+    case core::Layout::kBsBlocked:
+      return sanitize_scalars(view.blocked.rate, view.blocked.vol, &view.blocked.dividend, policy,
+                              env);
+    default:
+      return kFaultNone;
+  }
+}
+
+void sanitize_range(const core::PortfolioView& view, std::uint8_t shared, SanitizePolicy policy,
+                    SanitizeReport& out, const SanitizeEnvelope& env) {
+  out.reset();
+  if (policy == SanitizePolicy::kOff) return;
+  if (is_bs_layout(view)) scan_bs(view, shared, policy, out, env);
 }
 
 void sanitize(core::PortfolioView& view, SanitizePolicy policy, SanitizeReport& out,
@@ -242,28 +272,14 @@ void sanitize(core::PortfolioView& view, SanitizePolicy policy, SanitizeReport& 
       }
       break;
     }
-    case core::Layout::kBsAos:
-      sanitize_bs(view.aos, view.aos.rate, view.aos.vol, &view.aos.dividend, policy, out, env);
-      break;
-    case core::Layout::kBsSoa:
-      sanitize_bs(view.soa, view.soa.rate, view.soa.vol, &view.soa.dividend, policy, out, env);
-      break;
-    case core::Layout::kBsSoaF: {
-      double rate = view.sp.rate, vol = view.sp.vol;
-      sanitize_bs(view.sp, rate, vol, nullptr, policy, out, env);
-      view.sp.rate = static_cast<float>(rate);
-      view.sp.vol = static_cast<float>(vol);
-      break;
-    }
-    case core::Layout::kBsBlocked:
-      sanitize_bs(view.blocked, view.blocked.rate, view.blocked.vol, &view.blocked.dividend,
-                  policy, out, env);
-      break;
     case core::Layout::kPaths:
       // A path count carries no per-item data to sanitize.
       break;
+    default:
+      sanitize_range(view, sanitize_shared(view, policy, env), policy, out, env);
+      break;
   }
-  count_scan(out);
+  record_sanitize(out);
 }
 
 void sanitize_specs(std::span<const core::OptionSpec> src, std::span<core::OptionSpec> dst,

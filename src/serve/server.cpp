@@ -343,7 +343,7 @@ void Server::process(std::uint64_t now) {
         PricingJob* cand = pending_[k];
         const std::size_t m = cand->request.portfolio.size();
         if (total + m > cfg_.max_batch_items) continue;
-        if (!engine::Engine::fusable(seed->request, cand->request)) continue;
+        if (!engine_->fusable(seed->request, cand->request)) continue;
         members_.push_back(cand);
         claimed_[k] = 1;
         total += m;

@@ -226,8 +226,9 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
   }
 
   // Phase 2 — schedule / chunks_per_thread grid on the winning variant.
-  // Only chunked kSpecs execution consumes these knobs; whole-batch
-  // variants (Black–Scholes, Brownian) keep the seed configuration.
+  // Only the cost-weighted kSpecs partition is worth racing. Black–Scholes
+  // chunks are cache-sized (the knobs only change mid-size books) and
+  // Brownian runs whole-batch: both keep the seed configuration.
   const engine::VariantInfo* wv = engine::Registry::instance().find(phase1->id);
   if (wv != nullptr && wv->run_range != nullptr && wv->layout == core::Layout::kSpecs &&
       req.portfolio.size() >= 2) {

@@ -6,7 +6,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +20,7 @@
 #include "finbench/engine/registry.hpp"
 #include "finbench/engine/validate.hpp"
 #include "finbench/obs/metrics.hpp"
+#include "finbench/robust/guards.hpp"
 
 using namespace finbench;
 using engine::Engine;
@@ -25,6 +29,26 @@ using engine::PricingResult;
 using engine::Registry;
 
 namespace {
+
+constexpr core::Layout kBsLayouts[] = {core::Layout::kBsAos, core::Layout::kBsSoa,
+                                       core::Layout::kBsSoaF, core::Layout::kBsBlocked};
+
+// Call/put of every option of a Black–Scholes view, flattened for bitwise
+// comparison across layouts and runs.
+std::vector<double> bs_outputs(const core::PortfolioView& v) {
+  std::vector<double> out;
+  out.reserve(2 * v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const robust::BsElem e = robust::bs_elem(v, i);
+    out.push_back(e.call);
+    out.push_back(e.put);
+  }
+  return out;
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
 
 std::vector<core::OptionSpec> lattice_workload(std::size_t n, std::uint64_t seed,
                                                bool american = false) {
@@ -170,10 +194,9 @@ TEST(Engine, HeterogeneousStepsPerYearPricesEachExpiryAtItsOwnDepth) {
   EXPECT_TRUE(any_diff);
 }
 
-// Black–Scholes batches have no run_range adapter: the engine falls back
-// to the kernel's native whole-batch entry (prices land in the request's
-// batch arrays, values stays empty).
-TEST(Engine, BatchLayoutFallsThroughToNativeKernel) {
+// Black–Scholes batches price in place: prices land in the request's
+// batch arrays and values stays empty.
+TEST(Engine, BatchLayoutPricesIntoTheBatchArrays) {
   auto soa = core::make_bs_workload_soa(512, 21);
   PricingRequest req;
   req.kernel_id = "bs.intermediate.auto";
@@ -239,4 +262,137 @@ TEST(Engine, DynamicScheduleReducesImbalanceOnSortedMixedExpiryPortfolio) {
   ASSERT_GT(dyn, 0.0);
   if (stat < 1.3) GTEST_SKIP() << "static skew did not manifest (imbalance " << stat << ")";
   EXPECT_LT(dyn, stat) << "dynamic=" << dyn << " static=" << stat;
+}
+
+// The Black–Scholes chunk pipeline must be invisible in the outputs: every
+// registered bs variant, priced from every BS layout (native or
+// negotiated), gives bit-identical prices for any participant count and
+// chunk granularity — including books smaller than one chunk and sizes
+// that leave a ragged SIMD tail.
+TEST(Engine, BsChunkedOutputsAreBitwiseInvariantAcrossParticipantsAndChunkSizes) {
+  const int nproc = std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
+  std::vector<std::unique_ptr<engine::ThreadPool>> pools;
+  for (int p = 1; p <= nproc; ++p) pools.push_back(std::make_unique<engine::ThreadPool>(p));
+
+  for (const engine::VariantInfo* v : Registry::instance().all()) {
+    if (v->kernel != "bs") continue;
+    for (const core::Layout layout : kBsLayouts) {
+      for (const std::size_t n : {std::size_t{100}, std::size_t{4999}, std::size_t{20011}}) {
+        std::vector<double> want;
+        for (const auto& pool : pools) {
+          Engine eng(pool.get());
+          for (const int cpt : {1, 3, 8}) {
+            core::Portfolio pf = core::Portfolio::bs(n, layout, 41);
+            PricingRequest req;
+            req.kernel_id = v->id;
+            req.portfolio = pf.view();
+            req.chunks_per_thread = cpt;
+            const PricingResult res = eng.price(req);
+            ASSERT_EQ(res.status.code(), robust::StatusCode::kOk)
+                << v->id << " " << core::to_string(layout) << ": " << res.status.to_string();
+            ASSERT_EQ(res.items, n);
+            ASSERT_FALSE(res.chunk_status.empty());
+            const std::vector<double> got = bs_outputs(pf.view());
+            if (want.empty()) {
+              want = got;
+              continue;
+            }
+            EXPECT_TRUE(bitwise_equal(got, want))
+                << v->id << " from " << core::to_string(layout) << ", n=" << n << ", "
+                << pool->size() << " participant(s), chunks_per_thread=" << cpt << " ("
+                << res.chunk_status.size() << " chunks)";
+          }
+        }
+      }
+    }
+  }
+}
+
+// A request reused across an in-place market tick must price the new
+// inputs, also when its variant negotiates a layout: the engine re-reads
+// the caller's arrays every pricing.
+TEST(Engine, NegotiatedRequestReusedAcrossAnInPlaceTickPricesTheNewSpots) {
+  engine::ThreadPool pool(2);
+  Engine eng(&pool);
+  for (const char* id : {"bs.intermediate.auto", "blackscholes.blocked.8", "bs.reference.scalar"}) {
+    core::Portfolio book = core::Portfolio::bs(5000, core::Layout::kBsAos, 43);
+    core::Portfolio fresh_book = core::Portfolio::bs(5000, core::Layout::kBsAos, 43);
+    PricingRequest req;
+    req.kernel_id = id;
+    req.portfolio = book.view();
+    PricingResult res;
+    eng.price(req, res);
+    ASSERT_TRUE(res.status.ok()) << id << ": " << res.status.to_string();
+    const std::vector<double> before = bs_outputs(book.view());
+
+    for (auto* pf : {&book, &fresh_book}) {
+      for (core::BsOptionAos& o : pf->view().aos.options) o.spot *= 1.01;
+    }
+    eng.price(req, res);  // same request, same arrays, new spots
+    ASSERT_TRUE(res.status.ok()) << id << ": " << res.status.to_string();
+
+    PricingRequest fresh;
+    fresh.kernel_id = id;
+    fresh.portfolio = fresh_book.view();
+    ASSERT_TRUE(eng.price(fresh).status.ok()) << id;
+    const std::vector<double> after = bs_outputs(book.view());
+    EXPECT_FALSE(bitwise_equal(after, before)) << id << " kept pricing the old spots";
+    EXPECT_TRUE(bitwise_equal(after, bs_outputs(fresh_book.view()))) << id;
+  }
+}
+
+// One GroupScratch prices specs and Black–Scholes groups of the same fused
+// size in turn (a server's dispatcher does), under the same schedule. Each
+// family must get its own partition: the BS group one inline chunk with
+// solo-identical prices, the lattice group its cost-weighted chunks again.
+TEST(Engine, GroupScratchKeepsBlackScholesAndSpecsPartitionsApart) {
+  engine::ThreadPool pool(4);
+  Engine eng(&pool);
+  constexpr std::size_t kMembers = 2, kPer = 128;
+  std::vector<std::vector<core::OptionSpec>> books;
+  std::vector<core::Portfolio> bs_books, solo_books;
+  PricingRequest specs_req[kMembers], bs_req[kMembers];
+  PricingResult specs_res[kMembers], bs_res[kMembers];
+  engine::GroupJob specs_group[kMembers], bs_group[kMembers];
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    books.push_back(lattice_workload(kPer, 70 + i, /*american=*/true));
+    bs_books.push_back(core::Portfolio::bs(kPer, core::Layout::kBsAos, 80 + i));
+    solo_books.push_back(core::Portfolio::bs(kPer, core::Layout::kBsAos, 80 + i));
+  }
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    specs_req[i].kernel_id = "binomial.intermediate.auto";
+    specs_req[i].steps = 64;
+    specs_req[i].portfolio = core::view_of(std::span<const core::OptionSpec>(books[i]));
+    bs_req[i].kernel_id = "blackscholes.blocked_fused.16f";
+    bs_req[i].portfolio = bs_books[i].view();
+    specs_group[i] = {&specs_req[i], &specs_res[i]};
+    bs_group[i] = {&bs_req[i], &bs_res[i]};
+  }
+  ASSERT_TRUE(eng.fusable(specs_req[0], specs_req[1]));
+  ASSERT_TRUE(eng.fusable(bs_req[0], bs_req[1]));
+
+  engine::GroupScratch fresh;
+  eng.price_group(specs_group, fresh);
+  const std::size_t specs_chunks = fresh.fused_res.chunk_status.size();
+  ASSERT_GT(specs_chunks, 1u);
+
+  engine::GroupScratch gs;
+  const auto price_bs_group = [&] {
+    eng.price_group(bs_group, gs);
+    EXPECT_EQ(gs.fused_res.chunk_status.size(), 1u);
+    for (std::size_t i = 0; i < kMembers; ++i) {
+      ASSERT_TRUE(bs_res[i].status.ok()) << bs_res[i].status.to_string();
+      PricingRequest solo;
+      solo.kernel_id = bs_req[i].kernel_id;
+      solo.portfolio = solo_books[i].view();
+      ASSERT_TRUE(eng.price(solo).status.ok());
+      EXPECT_TRUE(
+          bitwise_equal(bs_outputs(bs_books[i].view()), bs_outputs(solo_books[i].view())))
+          << "member " << i;
+    }
+  };
+  price_bs_group();
+  eng.price_group(specs_group, gs);
+  EXPECT_EQ(gs.fused_res.chunk_status.size(), specs_chunks);
+  price_bs_group();
 }

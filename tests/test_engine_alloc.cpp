@@ -4,10 +4,11 @@
 // buffers, the negotiated-layout arena), every further repetition of the
 // same request performs zero C++ heap allocations. Covered paths:
 //
-//   - Black–Scholes whole-batch in the variant's native layout,
+//   - Black–Scholes in the variant's native layout, one chunk inline and
+//     many chunks across a thread pool,
 //   - Black–Scholes with layout negotiation (AOS request, SOA kernel):
-//     the conversion is cached in the request arena, repetitions pay only
-//     the output writeback,
+//     each chunk converts through a tile carved from the request arena,
+//     which keeps its blocks across repetitions,
 //   - chunked Monte Carlo (stream flavor) across a thread pool, both
 //     schedules: chunks write into pre-sized scratch slices and the
 //     dispatch closure fits std::function's small-buffer optimization.
@@ -107,22 +108,46 @@ TEST(EngineAlloc, NegotiatedAosToSoaIsAllocationFreeAfterFirstConversion) {
 
   Engine& eng = Engine::shared();
   PricingResult res;
-  eng.price(req, res);  // warm-up: converts AOS->SOA into the request arena
+  eng.price(req, res);  // warm-up: carves the SOA tiles from the request arena
   ASSERT_TRUE(res.ok) << res.error;
   ASSERT_GT(res.convert_bytes, 0u) << "negotiation did not happen";
-  const double first_cost = res.convert_seconds;
 
   const std::size_t allocs = allocations_during([&] {
     for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
   });
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_EQ(allocs, 0u) << "steady-state negotiated pricing allocated";
-  // Repetitions report the cached one-time cost, not a fresh conversion.
-  EXPECT_EQ(res.convert_seconds, first_cost);
+  // Every repetition converts its chunks afresh (the inputs may have
+  // changed in place) and reports what that cost.
+  EXPECT_GT(res.convert_bytes, 0u);
+  EXPECT_GT(res.convert_seconds, 0.0);
   // The writeback really happened: prices landed back in the AOS arrays.
   double sum = 0.0;
   for (const auto& o : aos.options) sum += o.call;
   EXPECT_GT(sum, 0.0);
+}
+
+TEST(EngineAlloc, ChunkedBsAcrossThePoolIsAllocationFree) {
+  engine::ThreadPool pool(4);
+  Engine eng(&pool);
+  // Native (AOS kernel) and negotiated (AOS book, blocked kernel) books of
+  // many chunks: chunk states, tiles and bounds settle after the warm-up.
+  for (const char* id : {"blackscholes.blocked_fused.8f", "blackscholes.blocked.8"}) {
+    auto aos = core::make_bs_workload_aos(20000, 5);
+    PricingRequest req;
+    req.kernel_id = id;
+    req.portfolio = core::view_of(aos);
+    PricingResult res;
+    eng.price(req, res);
+    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_GT(res.chunk_status.size(), 1u) << id;
+
+    const std::size_t allocs = allocations_during([&] {
+      for (int rep = 0; rep < 5; ++rep) eng.price(req, res);
+    });
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(allocs, 0u) << "steady-state chunked " << id << " pricing allocated";
+  }
 }
 
 TEST(EngineAlloc, ChunkedMonteCarloAcrossThePoolIsAllocationFree) {
@@ -242,9 +267,9 @@ TEST(EngineAlloc, MonteCarloComputedRngScratchIsPooledAfterWarmup) {
 }
 
 TEST(EngineAlloc, SwitchingWorkloadsRebuildsThenSettles) {
-  // A different workload invalidates the negotiation cache (new pointer,
-  // new size): the next call may allocate (arena growth, buffer resize),
-  // but the state must settle again — the arena reuses its blocks.
+  // A different workload may change the request's derived state (plan
+  // key, chunk bounds): the next call may allocate, but the state must
+  // settle again — the negotiation arena reuses its blocks.
   auto aos_a = core::make_bs_workload_aos(1024, 3);
   auto aos_b = core::make_bs_workload_aos(1024, 4);
   PricingRequest req;
@@ -267,7 +292,7 @@ TEST(EngineAlloc, SwitchingWorkloadsRebuildsThenSettles) {
     }
   });
   ASSERT_TRUE(res.ok) << res.error;
-  // Each switch re-converts (the cache keys on the source pointer) but
-  // into reused arena blocks — still no heap traffic.
+  // Each pricing converts its chunks into reused arena blocks — still no
+  // heap traffic.
   EXPECT_EQ(allocs, 0u);
 }

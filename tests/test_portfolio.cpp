@@ -4,9 +4,11 @@
 // single-generator coupling between the AOS and SOA workload builders, and
 // the convertibility matrix the engine's negotiation relies on.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -166,6 +168,44 @@ TEST(Convert, CopyOutputsLandsPricesInTheCallersLayout) {
     EXPECT_EQ(aos.options[i].call, 10.0 + static_cast<double>(i)) << i;
     EXPECT_EQ(aos.options[i].put, 20.0 + static_cast<double>(i)) << i;
   }
+}
+
+// The range pieces the engine negotiates a chunk with: subview of the
+// source, a tile from allocate_like, copy_inputs into it. Chunk by chunk
+// they reproduce convert()'s inputs in every target layout, and a
+// blocked tile pads its ragged last block with the chunk's final option.
+TEST(Convert, RangeCopiesComposeIntoConvert) {
+  auto aos = core::make_bs_workload_aos(150, 23);  // chunks of 64, 64, 22
+  const PortfolioView src = core::view_of(aos);
+  for (const Layout target : {Layout::kBsSoa, Layout::kBsSoaF, Layout::kBsBlocked}) {
+    Arena a;
+    const PortfolioView whole = core::convert(src, target, a);
+    for (std::size_t off = 0; off < 150; off += 64) {
+      const std::size_t m = std::min<std::size_t>(64, 150 - off);
+      const PortfolioView tile = core::allocate_like(src, target, m, a);
+      EXPECT_EQ(core::copy_inputs(core::subview(src, off, m), tile),
+                m * 3 * (target == Layout::kBsSoaF ? sizeof(float) : sizeof(double)));
+      const PortfolioView want = core::subview(whole, off, m);
+      const PortfolioView back = core::convert(tile, Layout::kBsAos, a);
+      const PortfolioView want_back = core::convert(want, Layout::kBsAos, a);
+      for (std::size_t i = 0; i < m; ++i) {
+        EXPECT_EQ(back.aos.options[i].spot, want_back.aos.options[i].spot) << off + i;
+        EXPECT_EQ(back.aos.options[i].strike, want_back.aos.options[i].strike) << off + i;
+        EXPECT_EQ(back.aos.options[i].years, want_back.aos.options[i].years) << off + i;
+      }
+      if (target == Layout::kBsBlocked && m % 8 != 0) {
+        const std::size_t last = tile.blocked.num_blocks() - 1;
+        for (std::size_t lane = m - last * 8; lane < 8; ++lane) {
+          EXPECT_EQ(tile.blocked.field(last, 0)[lane], aos.options[off + m - 1].spot) << lane;
+        }
+      }
+    }
+  }
+  // A blocked range must start on a block boundary.
+  Arena a;
+  const PortfolioView blk = core::convert(src, Layout::kBsBlocked, a);
+  EXPECT_EQ(core::subview(blk, 64, 22).size(), 22u);
+  EXPECT_THROW(core::subview(blk, 3, 8), std::invalid_argument);
 }
 
 // --- Convertibility matrix --------------------------------------------------

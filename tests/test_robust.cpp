@@ -7,9 +7,11 @@
 // re-price through the fallback chain, and expired deadlines yield partial
 // results with per-chunk status.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -204,6 +206,50 @@ TEST(Sanitize, FiniteSharedRateClampsWithoutSkipping) {
   EXPECT_EQ(rep.clamped, 8u);
   EXPECT_EQ(rep.skipped, 0u);
   EXPECT_LE(std::abs(view.soa.rate), 1.0);
+}
+
+TEST(Sanitize, CallerEnvelopesWithoutAPositiveFloorStillFlagEveryFault) {
+  // min_positive = 0 admits nothing new: zero and negative inputs are
+  // domain faults whatever the floor. An inverted envelope (ceiling below
+  // floor) flags every option, NaN included.
+  robust::SanitizeEnvelope zero_floor;
+  zero_floor.min_positive = 0.0;
+  robust::SanitizeEnvelope inverted;
+  inverted.max_magnitude = inverted.min_positive / 2;
+  for (const core::Layout layout : {core::Layout::kBsAos, core::Layout::kBsSoa,
+                                    core::Layout::kBsSoaF, core::Layout::kBsBlocked}) {
+    for (const robust::SanitizeEnvelope& env : {zero_floor, inverted}) {
+      core::Portfolio pf = core::Portfolio::bs(37, layout, 9);
+      const core::PortfolioView& view = pf.view();
+      robust::bs_store_inputs(view, 3, 0.0, 100.0, 1.0);
+      robust::bs_store_inputs(view, 20, 100.0, -5.0, 1.0);
+      robust::bs_store_inputs(view, 36, kNan, 100.0, 1.0);
+      std::vector<std::uint8_t> want(view.size());
+      for (std::size_t i = 0; i < view.size(); ++i) {
+        const robust::BsElem e = robust::bs_elem(view, i);
+        core::OptionSpec o;
+        o.spot = e.spot;
+        o.strike = e.strike;
+        o.years = e.years;
+        o.rate = e.rate;
+        o.vol = e.vol;
+        o.dividend = e.dividend;
+        want[i] = robust::classify(o, env);
+      }
+      const std::string what = std::string(core::to_string(layout)) +
+                               (&env == &zero_floor ? " zero floor" : " inverted");
+
+      robust::SanitizeReport rep;
+      robust::sanitize_range(view, robust::kFaultNone, SanitizePolicy::kReject, rep, env);
+      ASSERT_EQ(rep.mask.size(), view.size()) << what;
+      for (std::size_t i = 0; i < view.size(); ++i) {
+        EXPECT_EQ(rep.mask[i], want[i]) << what << " option " << i;
+      }
+      EXPECT_TRUE(rep.mask[3] & robust::kFaultDomain) << what;
+      EXPECT_TRUE(rep.mask[20] & robust::kFaultDomain) << what;
+      EXPECT_TRUE(rep.mask[36] & robust::kFaultNonFinite) << what;
+    }
+  }
 }
 
 // --- Guards -----------------------------------------------------------------
@@ -610,7 +656,7 @@ TEST(EngineRobust, GroupDeadlineScattersPartialStatusPerMember) {
   }
   req_a.portfolio = core::view_of(std::span<const core::OptionSpec>(book_a));
   req_b.portfolio = core::view_of(std::span<const core::OptionSpec>(book_b));
-  ASSERT_TRUE(Engine::fusable(req_a, req_b));
+  ASSERT_TRUE(eng.fusable(req_a, req_b));
 
   FaultPlan slow;
   slow.seed = 31;
@@ -679,4 +725,297 @@ TEST(EngineRobust, InjectionEventsLandInTheObsCounters) {
 
   EXPECT_GT(counter_value("robust.inject.thrown"), thrown0);
   EXPECT_GT(counter_value("robust.fallback.chunks"), fallback0);
+}
+
+// --- Black–Scholes chunk pipeline ---------------------------------------------
+//
+// Books large enough to span several chunks on a 4-participant pool; the
+// sanitizer, guard and fault-injection semantics must be those of one
+// per-option pass over the whole book, whatever the chunking.
+
+namespace {
+
+constexpr std::size_t kBookN = 4999;  // several chunks, ragged SIMD tail
+
+// Fault bits of every option of a BS view, from the per-option classifier
+// (the reference the chunked scans must reproduce).
+std::vector<std::uint8_t> expected_faults(const core::PortfolioView& v) {
+  std::vector<std::uint8_t> bits(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const robust::BsElem e = robust::bs_elem(v, i);
+    core::OptionSpec o;
+    o.spot = e.spot;
+    o.strike = e.strike;
+    o.years = e.years;
+    o.rate = e.rate;
+    o.vol = e.vol;
+    o.dividend = e.dividend;
+    bits[i] = robust::classify(o);
+  }
+  return bits;
+}
+
+core::Portfolio poisoned_book(core::Layout layout) {
+  core::Portfolio pf = core::Portfolio::bs(kBookN, layout, 61);
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.poison = 0.02;
+  robust::inject_input_faults(pf.view(), plan);
+  return pf;
+}
+
+}  // namespace
+
+TEST(BsChunkPipeline, SanitizePoliciesMatchThePerOptionScan) {
+  engine::ThreadPool pool(4);
+  Engine eng(&pool);
+  for (const core::Layout layout : {core::Layout::kBsAos, core::Layout::kBsSoa,
+                                    core::Layout::kBsSoaF, core::Layout::kBsBlocked}) {
+    for (const char* id : {"bs.intermediate.auto", "blackscholes.blocked.8"}) {
+      for (const SanitizePolicy policy :
+           {SanitizePolicy::kSkip, SanitizePolicy::kClamp, SanitizePolicy::kReject}) {
+        const std::string what = std::string(id) + " from " +
+                                 std::string(core::to_string(layout)) + " under " +
+                                 std::string(robust::to_string(policy));
+        core::Portfolio pf = poisoned_book(layout);
+        const core::PortfolioView& view = pf.view();
+        const std::vector<std::uint8_t> want = expected_faults(view);
+        const std::size_t nfaulty =
+            static_cast<std::size_t>(std::count_if(want.begin(), want.end(),
+                                                   [](std::uint8_t b) { return b != 0; }));
+        ASSERT_GT(nfaulty, 0u);
+        for (std::size_t i = 0; i < kBookN; ++i) robust::bs_store_outputs(view, i, -7.0, -7.0);
+
+        PricingRequest req;
+        req.kernel_id = id;
+        req.portfolio = view;
+        req.sanitize = policy;
+        const PricingResult res = eng.price(req);
+        ASSERT_GT(res.chunk_status.size(), 1u) << what;
+        ASSERT_EQ(res.option_faults.size(), kBookN) << what;
+
+        if (policy == SanitizePolicy::kReject) {
+          EXPECT_EQ(res.status.code(), StatusCode::kInvalidInput) << what;
+          EXPECT_EQ(res.options_skipped + res.options_clamped, 0u) << what;
+          for (std::size_t i = 0; i < kBookN; ++i) {
+            ASSERT_EQ(res.option_faults[i], want[i]) << what << " option " << i;
+            const robust::BsElem e = robust::bs_elem(view, i);
+            ASSERT_TRUE(e.call == -7.0 && e.put == -7.0)
+                << what << ": rejection wrote option " << i;
+          }
+          continue;
+        }
+
+        EXPECT_EQ(res.status.code(), StatusCode::kDegraded) << what;
+        std::size_t skipped = 0, clamped = 0;
+        for (std::size_t i = 0; i < kBookN; ++i) {
+          const robust::BsElem e = robust::bs_elem(view, i);
+          if (want[i] == 0) {
+            ASSERT_EQ(res.option_faults[i], 0u) << what << " option " << i;
+            ASSERT_TRUE(std::isfinite(e.call) && std::isfinite(e.put)) << what << " option " << i;
+            continue;
+          }
+          const bool skip =
+              policy == SanitizePolicy::kSkip || (want[i] & robust::kFaultNonFinite) != 0;
+          const std::uint8_t flag = skip ? robust::kFaultSkipped : robust::kFaultClamped;
+          ASSERT_EQ(res.option_faults[i], want[i] | flag) << what << " option " << i;
+          if (skip) {
+            ++skipped;
+            ASSERT_TRUE(std::isnan(e.call) && std::isnan(e.put)) << what << " option " << i;
+          } else {
+            ++clamped;
+            ASSERT_TRUE(std::isfinite(e.call) && std::isfinite(e.put)) << what << " option " << i;
+          }
+        }
+        EXPECT_EQ(res.options_skipped, skipped) << what;
+        EXPECT_EQ(res.options_clamped, clamped) << what;
+        EXPECT_EQ(skipped + clamped, nfaulty) << what;
+      }
+    }
+  }
+}
+
+// A chunk's kernel runs before its sanitize scan, so every registered BS
+// kernel sees raw poison first (as under sanitize = kOff) and the chunk is
+// priced again once the scan repaired it. The outputs must be bit for bit
+// those of sanitizing the whole book first and pricing the repaired copy.
+TEST(BsChunkPipeline, EveryVariantPricesAPoisonedBookAsIfSanitizedFirst) {
+  engine::ThreadPool pool(4);
+  Engine eng(&pool);
+  for (const engine::VariantInfo* v : Registry::instance().all()) {
+    if (v->kernel != "bs") continue;
+    for (const core::Layout layout : {core::Layout::kBsAos, core::Layout::kBsSoa,
+                                      core::Layout::kBsSoaF, core::Layout::kBsBlocked}) {
+      for (const SanitizePolicy policy : {SanitizePolicy::kSkip, SanitizePolicy::kClamp}) {
+        const std::string what = v->id + " from " + std::string(core::to_string(layout)) +
+                                 " under " + std::string(robust::to_string(policy));
+        core::Portfolio pf = poisoned_book(layout);
+        PricingRequest req;
+        req.kernel_id = v->id;
+        req.portfolio = pf.view();
+        req.sanitize = policy;
+        const PricingResult res = eng.price(req);
+        ASSERT_EQ(res.status.code(), StatusCode::kDegraded) << what << ": "
+                                                            << res.status.to_string();
+
+        core::Portfolio ref_pf = poisoned_book(layout);
+        core::PortfolioView ref = ref_pf.view();
+        robust::SanitizeReport rep;
+        robust::sanitize(ref, policy, rep);
+        PricingRequest ref_req;
+        ref_req.kernel_id = v->id;
+        ref_req.portfolio = ref;
+        ref_req.sanitize = SanitizePolicy::kOff;
+        ASSERT_TRUE(eng.price(ref_req).status.ok()) << what;
+        ASSERT_EQ(rep.mask.size(), kBookN) << what;
+
+        const core::PortfolioView& got = pf.view();
+        for (std::size_t i = 0; i < kBookN; ++i) {
+          if (rep.mask[i] & robust::kFaultSkipped) robust::bs_store_outputs(ref, i, kNan, kNan);
+          const robust::BsElem g = robust::bs_elem(got, i), w = robust::bs_elem(ref, i);
+          ASSERT_EQ(std::memcmp(&g.call, &w.call, sizeof g.call), 0) << what << " option " << i;
+          ASSERT_EQ(std::memcmp(&g.put, &w.put, sizeof g.put), 0) << what << " option " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(BsChunkPipeline, FaultySharedVolFlagsEveryOption) {
+  engine::ThreadPool pool(4);
+  Engine eng(&pool);
+  for (const SanitizePolicy policy : {SanitizePolicy::kSkip, SanitizePolicy::kReject}) {
+    core::Portfolio pf = core::Portfolio::bs(kBookN, core::Layout::kBsAos, 67);
+    core::PortfolioView view = pf.view();
+    view.aos.vol = kNan;
+    PricingRequest req;
+    req.kernel_id = "blackscholes.blocked_fused.16f";
+    req.portfolio = view;
+    req.sanitize = policy;
+    const PricingResult res = eng.price(req);
+    ASSERT_EQ(res.option_faults.size(), kBookN);
+    for (std::size_t i = 0; i < kBookN; ++i) {
+      ASSERT_TRUE(res.option_faults[i] & robust::kFaultNonFinite) << i;
+    }
+    if (policy == SanitizePolicy::kReject) {
+      EXPECT_EQ(res.status.code(), StatusCode::kInvalidInput);
+    } else {
+      EXPECT_EQ(res.status.code(), StatusCode::kDegraded);
+      EXPECT_EQ(res.options_skipped, kBookN);
+      for (const core::BsOptionAos& o : view.aos.options) {
+        ASSERT_TRUE(std::isnan(o.call) && std::isnan(o.put));
+      }
+    }
+  }
+}
+
+TEST(BsChunkPipeline, CorruptChoosesTheSameOptionsWhateverTheChunking) {
+  FaultPlan plan;
+  plan.seed = 9;
+  plan.corrupt = 0.05;
+  std::vector<std::size_t> want;
+  for (std::size_t i = 0; i < kBookN; ++i) {
+    if (plan.hits(1, i, plan.corrupt)) want.push_back(i);
+  }
+  ASSERT_FALSE(want.empty());
+  for (const int participants : {1, 2, 4}) {
+    engine::ThreadPool pool(participants);
+    Engine eng(&pool);
+    for (const int cpt : {1, 8}) {
+      core::Portfolio pf = core::Portfolio::bs(kBookN, core::Layout::kBsSoa, 71);
+      PricingRequest req;
+      req.kernel_id = "bs.intermediate.auto";
+      req.portfolio = pf.view();
+      req.chunks_per_thread = cpt;
+      req.guard.mode = GuardMode::kOff;  // keep the injected NaNs visible
+      req.faults = plan;
+      const PricingResult res = eng.price(req);
+      ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+      std::vector<std::size_t> got;
+      const core::PortfolioView& view = pf.view();
+      for (std::size_t i = 0; i < kBookN; ++i) {
+        if (std::isnan(view.soa.call[i])) got.push_back(i);
+        ASSERT_TRUE(std::isfinite(view.soa.put[i])) << i;
+      }
+      EXPECT_EQ(got, want) << participants << " participant(s), chunks_per_thread=" << cpt
+                           << " (" << res.chunk_status.size() << " chunks)";
+    }
+  }
+}
+
+TEST(BsChunkPipeline, ThrowingChunksFallBackChunkByChunk) {
+  engine::ThreadPool pool(2);
+  Engine eng(&pool);
+  core::Portfolio pf = core::Portfolio::bs(kBookN, core::Layout::kBsBlocked, 73);
+  core::Portfolio want_pf = core::Portfolio::bs(kBookN, core::Layout::kBsBlocked, 73);
+  PricingRequest req;
+  req.kernel_id = "blackscholes.blocked.16f";  // chain: -> blackscholes.blocked.8f
+  req.portfolio = pf.view();
+  req.faults.seed = 3;
+  req.faults.throw_rate = 1.0;  // every chunk throws before its kernel runs
+  const PricingResult res = eng.price(req);
+  ASSERT_EQ(res.status.code(), StatusCode::kDegraded) << res.status.to_string();
+  ASSERT_GT(res.chunk_status.size(), 1u);
+  EXPECT_EQ(res.chunks_degraded, res.chunk_status.size());
+  EXPECT_EQ(res.items, kBookN);
+  EXPECT_EQ(res.options_repaired, 0u);
+
+  PricingRequest want_req;
+  want_req.kernel_id = "blackscholes.blocked.8f";
+  want_req.portfolio = want_pf.view();
+  ASSERT_TRUE(eng.price(want_req).status.ok());
+  for (std::size_t i = 0; i < kBookN; ++i) {
+    const robust::BsElem got = robust::bs_elem(pf.view(), i);
+    const robust::BsElem want = robust::bs_elem(want_pf.view(), i);
+    ASSERT_TRUE(got.call == want.call && got.put == want.put) << i;
+  }
+
+  // The end of the chain is the scalar closed form, repairing every option.
+  core::Portfolio aos = core::Portfolio::bs(kBookN, core::Layout::kBsAos, 73);
+  req.kernel_id = "bs.reference.scalar";
+  req.portfolio = aos.view();
+  req.scratch.reset();
+  const PricingResult term = eng.price(req);
+  ASSERT_EQ(term.status.code(), StatusCode::kDegraded) << term.status.to_string();
+  EXPECT_EQ(term.options_repaired, kBookN);
+  for (const core::BsOptionAos& o : aos.view().aos.options) {
+    const core::BsPrice p = core::black_scholes(o.spot, o.strike, o.years, aos.view().aos.rate,
+                                                aos.view().aos.vol, aos.view().aos.dividend);
+    ASSERT_EQ(o.call, p.call);
+    ASSERT_EQ(o.put, p.put);
+  }
+}
+
+TEST(BsChunkPipeline, DeadlineLeavesPerChunkStatusAndNanForUnpricedChunks) {
+  engine::ThreadPool pool(2);
+  Engine eng(&pool);
+  core::Portfolio pf = core::Portfolio::bs(20000, core::Layout::kBsAos, 79);
+  PricingRequest req;
+  req.kernel_id = "bs.intermediate.auto";  // negotiated: AOS -> SOA tiles
+  req.portfolio = pf.view();
+  req.faults.seed = 1;
+  req.faults.slow = 1.0;  // every chunk sleeps...
+  req.faults.slow_ms = 40.0;
+  req.deadline_seconds = 0.010;  // ...and the deadline expires during the first
+  const PricingResult res = eng.price(req);
+  EXPECT_EQ(res.status.code(), StatusCode::kDeadlineExceeded);
+  ASSERT_GT(res.chunk_status.size(), 2u);
+  std::size_t ran = 0, skipped = 0;
+  for (std::uint8_t s : res.chunk_status) {
+    if (static_cast<ChunkStatus>(s) == ChunkStatus::kOk) ++ran;
+    if (static_cast<ChunkStatus>(s) == ChunkStatus::kDeadline) ++skipped;
+  }
+  EXPECT_GE(ran, 1u);
+  EXPECT_GE(skipped, 1u);
+  EXPECT_EQ(res.chunks_deadline, skipped);
+  std::size_t finite = 0;
+  for (const core::BsOptionAos& o : pf.view().aos.options) {
+    if (std::isfinite(o.call) && std::isfinite(o.put)) {
+      ++finite;
+    } else {
+      ASSERT_TRUE(std::isnan(o.call) && std::isnan(o.put));
+    }
+  }
+  EXPECT_EQ(finite, res.items);
+  EXPECT_LT(res.items, pf.size());
 }

@@ -30,8 +30,12 @@
 
 #include "finbench/core/portfolio.hpp"
 #include "finbench/engine/engine.hpp"
+#include "finbench/obs/flight_recorder.hpp"
+#include "finbench/obs/metrics.hpp"
 #include "finbench/robust/fault.hpp"
 #include "finbench/serve/server.hpp"
+#include "finbench/tune/cache.hpp"
+#include "finbench/tune/tuner.hpp"
 
 namespace {
 
@@ -286,4 +290,75 @@ TEST(Serve, SteadyStateDispatchRoundIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "steady-state submit->dispatch->complete allocated";
   EXPECT_GT(server.stats().max_batch, 1u);
   for (auto& job : wave.jobs) EXPECT_TRUE(job.result.status.ok());
+}
+
+// A coalesced Black–Scholes group that fits one engine chunk runs inline
+// on the dispatcher thread: no pool run is submitted (the pool's
+// parallel-region counter does not move), every member's fused execution
+// is one flight-recorder chunk on participant 0, and members still price
+// bitwise-identically to solo requests.
+TEST(Serve, OneChunkBsGroupsRunInlineOnTheDispatcherAndMatchSolo) {
+  engine::ThreadPool pool(3);
+  engine::Engine eng(&pool);
+  const std::size_t nreq = 12;  // 12 x 64 options: one fused chunk
+  Wave served(nreq, 700), solo(nreq, 700);
+  for (auto& job : solo.jobs) ASSERT_TRUE(eng.price(job.request).status.ok());
+
+  obs::enable_parallel_timing();
+  obs::Counter& regions = obs::counter("parallel.engine.dynamic.regions");
+  const std::uint64_t regions0 = regions.value();
+  serve::ServerConfig cfg;
+  cfg.engine = &eng;
+  serve::Server server(cfg);
+  for (auto& job : served.jobs) ASSERT_TRUE(server.submit(job).ok());
+  server.start();
+  for (auto& job : served.jobs) server.wait(job);
+  server.stop();
+  obs::enable_parallel_timing(false);
+
+  EXPECT_GT(server.stats().max_batch, 1u);
+  EXPECT_EQ(regions.value(), regions0) << "a one-chunk group woke the pool";
+  const auto records = obs::flight_recorder().snapshot();
+  for (std::size_t i = 0; i < nreq; ++i) {
+    const engine::PricingResult& r = served.jobs[i].result;
+    ASSERT_TRUE(r.status.ok()) << r.status.to_string();
+    EXPECT_TRUE(bitwise_equal_outputs(served.jobs[i].request.portfolio,
+                                      solo.jobs[i].request.portfolio))
+        << "member " << i;
+    std::size_t chunks = 0;
+    for (const auto& fr : records) {
+      if (fr.request_id != r.request_id) continue;
+      ++chunks;
+      EXPECT_EQ(fr.worker, 0) << "member " << i;
+    }
+    EXPECT_EQ(chunks, 1u) << "member " << i;
+  }
+}
+
+// The coalescer's fusability check resolves auto intents at the pool size
+// of the engine that prices the group, so a server over its own engine
+// races (and caches) plans for its own participant count only.
+TEST(Serve, FusabilityResolvesAutoIntentsAtTheServersPoolSize) {
+  const int shared_threads = engine::Engine::shared().pool_size();
+  const int own_threads = shared_threads == 3 ? 2 : 3;
+  engine::ThreadPool pool(own_threads);
+  engine::Engine eng(&pool);
+  tune::PlanCache::instance().clear();
+
+  Wave wave(6, 900);
+  for (auto& job : wave.jobs) job.request.kernel_id = "blackscholes.auto";
+  serve::ServerConfig cfg;
+  cfg.engine = &eng;
+  serve::Server server(cfg);
+  for (auto& job : wave.jobs) ASSERT_TRUE(server.submit(job).ok());
+  server.start();
+  for (auto& job : wave.jobs) server.wait(job);
+  server.stop();
+
+  EXPECT_GT(server.stats().max_batch, 1u);
+  const engine::PricingRequest& req = wave.jobs[0].request;
+  EXPECT_TRUE(tune::PlanCache::instance().find(tune::key_for(req, "bs", own_threads)));
+  EXPECT_FALSE(tune::PlanCache::instance().find(tune::key_for(req, "bs", shared_threads)))
+      << "fusability raced a plan at the shared engine's " << shared_threads << " threads";
+  tune::PlanCache::instance().clear();
 }

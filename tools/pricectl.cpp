@@ -35,7 +35,7 @@
 // request layout: `auto` (default) builds the variant's native layout,
 // `aos`/`soa`/`blocked` build that layout regardless and let the engine
 // negotiate —
-// the one-time conversion cost is printed and lands in the run report's
+// the per-call conversion cost is printed and lands in the run report's
 // `layout`/`convert_seconds` fields. --spy N prices a mixed-expiry lattice
 // portfolio at N steps/year of expiry — the heterogeneous workload whose
 // imbalance the dynamic schedule exists to absorb. The run report (--json)
@@ -705,12 +705,12 @@ int main(int argc, char** argv) {
   }
 
   // Layout provenance: what the request carried, what the variant needed,
-  // and what the negotiation cost (one-time; the converted buffer is
-  // cached in the request's scratch across repetitions).
+  // and what the negotiation cost on the last repetition (the engine
+  // converts chunk by chunk on every call).
   opts.layout = std::string(engine::to_string(req_layout));
   opts.convert_seconds = last.convert_seconds;
   if (last.convert_bytes > 0) {
-    std::printf("layout negotiation: %s -> %s, one-time conversion %.3g ms (%zu bytes)\n",
+    std::printf("layout negotiation: %s -> %s, conversion %.3g ms per call (%zu bytes)\n",
                 std::string(engine::to_string(req_layout)).c_str(),
                 std::string(engine::to_string(rv_layout)).c_str(),
                 1e3 * last.convert_seconds, last.convert_bytes);
@@ -723,7 +723,7 @@ int main(int argc, char** argv) {
                   ", exhibit = " + (rv != nullptr ? rv->exhibit : std::string("-")));
   if (last.convert_bytes > 0) {
     report.add_note("negotiated conversion = " + harness::eng(last.convert_seconds) +
-                    " s one-time, " + std::to_string(last.convert_bytes) + " bytes");
+                    " s per call, " + std::to_string(last.convert_bytes) + " bytes");
   }
   if (last.tuned) {
     report.add_note("tune: " + kernel_id + " -> " + last.resolved_id + " (auto dispatch)");

@@ -12,8 +12,9 @@
 // copied back, inside the timed region, with the cost reported in
 // PricingResult::convert_seconds/convert_bytes. A one-chunk BS batch runs
 // inline on the caller. Variants without a run_range adapter (Brownian
-// path construction) fall through to the kernel's native batch entry
-// point.
+// path construction, the blocked binomial family) and one-option specs
+// batches are the one-chunk case: the same chunk executor calls the
+// kernel's native batch entry point once over [0, n).
 //
 // Steady state is allocation-free: re-pricing the same request through
 // the two-argument price() overload performs zero heap allocations per
@@ -44,9 +45,10 @@ class Engine {
   // pool == nullptr: use ThreadPool::shared().
   explicit Engine(ThreadPool* pool = nullptr);
 
-  // Price one request. Never throws for workload/registry errors — they
-  // come back as result.ok == false with a message; kernel exceptions
-  // propagate.
+  // Price one request. Never throws for workload, registry or kernel
+  // errors: they come back on result.status. A kernel exception is
+  // contained to its chunk, which walks the variant's fallback chain
+  // (when req.fallback) and otherwise reports kFailed with NaN outputs.
   PricingResult price(const PricingRequest& req) const;
 
   // Re-entrant form: prices into an existing result, reusing its buffers.

@@ -29,7 +29,10 @@
 // a member whose outputs trip the guardrail is repaired (scalar closed
 // form) and reported kDegraded without touching its neighbours' statuses
 // or bits. Sanitizer verdicts scatter the same way through the per-option
-// fault mask.
+// fault mask, and outcomes through the fused chunk statuses: a deadline
+// or an unrecoverable chunk fails only the members whose range it covers
+// (their priced values, and NaN for the rest, still land in their
+// outputs).
 //
 // GroupScratch is caller-owned and reused across calls; after warm-up, a
 // steady state of same-shaped groups prices with zero heap allocations

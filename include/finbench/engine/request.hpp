@@ -147,11 +147,6 @@ constexpr std::string_view to_string(ChunkStatus s) {
 }
 
 struct PricingResult {
-  // Legacy success flag and message, kept in lockstep with `status`:
-  // ok == status.ok() (true for kOk *and* kDegraded) and error ==
-  // status.to_string() when not clean. New code should read `status`.
-  bool ok = false;
-  std::string error;       // empty on success
   std::string kernel_id;
 
   // Concrete variant the request resolved to. Equal to kernel_id for
@@ -160,7 +155,8 @@ struct PricingResult {
   std::string resolved_id;
   bool tuned = false;
 
-  // Structured outcome of the robust pricing path (finbench/robust).
+  // Outcome of the pricing (finbench/robust): status.ok() is true for
+  // kOk *and* kDegraded; anything else carries a code and a message.
   robust::Status status{};
 
   // Process-unique id of this engine execution, stamped into every
@@ -193,11 +189,11 @@ struct PricingResult {
   // outputs by design.
   std::vector<std::uint8_t> option_faults;
 
-  // Outcome per engine chunk, aligned with the run's chunk partition
-  // (Black–Scholes and specs batches); empty for whole-batch execution
-  // (path construction), where `status` alone tells the story. Partial
-  // results after a deadline: kDeadline/kNotRun chunks hold unpriced
-  // items (NaN).
+  // Outcome per engine chunk, aligned with the run's chunk partition. A
+  // workload the kernel prices in one whole-batch call (path
+  // construction, run_batch-only variants, specs batches of one option)
+  // is one chunk [0, n). Partial results after a deadline:
+  // kDeadline/kNotRun chunks hold unpriced items (NaN).
   std::vector<std::uint8_t> chunk_status;  // ChunkStatus values
 
   std::size_t options_clamped = 0;   // sanitizer repaired in place / in copy
@@ -216,6 +212,31 @@ struct PricingResult {
   int steps_applied = 0;
   // Dispatch attempts the serve retry layer made (1 = no retries).
   int attempts = 1;
+
+  // Clear every field for a new execution under `id`, keeping buffer
+  // capacity, so re-pricing into the same result does not allocate.
+  void reset(const std::string& id) {
+    kernel_id = id;
+    resolved_id.clear();
+    tuned = false;
+    status.reset();
+    request_id = 0;
+    items = 0;
+    seconds = 0.0;
+    layout = core::Layout::kSpecs;
+    convert_seconds = 0.0;
+    convert_bytes = 0;
+    values.clear();
+    std_errors.clear();
+    option_faults.clear();
+    chunk_status.clear();
+    options_clamped = options_skipped = options_repaired = 0;
+    chunks_degraded = chunks_failed = chunks_deadline = 0;
+    brownout_level = 0;
+    npath_applied = 0;
+    steps_applied = 0;
+    attempts = 1;
+  }
 
   double items_per_sec() const {
     return seconds > 0.0 ? static_cast<double>(items) / seconds : 0.0;

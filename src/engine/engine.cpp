@@ -1,15 +1,17 @@
 #include "finbench/engine/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <mutex>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include <atomic>
 
 #include "finbench/arch/timing.hpp"
 #include "finbench/core/analytic.hpp"
@@ -135,41 +137,10 @@ bool range_has_american(std::span<const core::OptionSpec> specs, std::size_t beg
   return false;
 }
 
-// Engine-side output corruption (FaultPlan::corrupt): forces quiet NaN
-// into selected values so the guard/fallback path is exercisable on
-// demand. Index stream 1; per-option decisions, independent of chunking.
-std::size_t inject_corrupt_values(std::span<double> values, std::size_t base,
-                                  const robust::FaultPlan& plan) {
-  std::size_t hit = 0;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (plan.hits(1, base + i, plan.corrupt)) {
-      values[i] = kQuietNan;
-      ++hit;
-    }
-  }
-  if (hit != 0) obs::counter("robust.inject.corrupted").add(hit);
-  return hit;
-}
-
-// The same decision stream for a Black–Scholes chunk: option i of the
-// chunk is global option base + i, so which options are corrupted does
-// not depend on the chunking. Only the call leg is poisoned.
-void inject_corrupt_bs(const core::PortfolioView& chunk, std::size_t base,
-                       const robust::FaultPlan& plan) {
-  std::size_t hit = 0;
-  for (std::size_t i = 0; i < chunk.size(); ++i) {
-    if (plan.hits(1, base + i, plan.corrupt)) {
-      robust::bs_store_outputs(chunk, i, kQuietNan, robust::bs_elem(chunk, i).put);
-      ++hit;
-    }
-  }
-  if (hit != 0) obs::counter("robust.inject.corrupted").add(hit);
-}
-
 // Engine-side chunk faults (streams 2 and 3). The injected throw fires
 // *before* the kernel runs — the most adversarial ordering, since the
 // chunk's outputs are left untouched for the fallback chain to fill.
-void inject_chunk_faults(const robust::FaultPlan& plan, std::ptrdiff_t chunk) {
+void inject_chunk_faults(const robust::FaultPlan& plan, std::size_t chunk) {
   const auto c = static_cast<std::uint64_t>(chunk);
   if (plan.slow > 0.0 && plan.hits(3, c, plan.slow)) {
     obs::counter("robust.inject.slow").add(1);
@@ -271,6 +242,13 @@ void count_status(robust::StatusCode code) {
   }
 }
 
+// Every exit of Engine::price goes through here: the structured status,
+// and the status-labeled outcome counter.
+void finish(PricingResult& res, robust::Status status) {
+  res.status = std::move(status);
+  count_status(res.status.code());
+}
+
 // Mutable-string state of one execution that only exceptional paths touch.
 struct RunErrors {
   std::mutex mu;
@@ -282,57 +260,131 @@ struct RunErrors {
   }
 };
 
-// Everything one Black–Scholes chunk needs, behind one pointer so the
-// pool closure stays inside std::function's small buffer.
-struct BsRun {
+// --- The chunk executor -------------------------------------------------------
+
+// How chunks reach the kernel — the one thing that differs between runs.
+//   kWhole: one chunk [0, n) through the kernel's batch entry point (no
+//           range adapter, or a specs batch too small to split);
+//   kBs:    Black–Scholes chunks priced in place, each sanitized, guarded
+//           and repaired while it is cache-resident;
+//   kSpecs: specs chunks writing values[begin, end) through run_range.
+enum class Shape : std::uint8_t { kWhole, kBs, kSpecs };
+
+Shape shape_of(const VariantInfo& v, std::size_t n) {
+  if (v.run_range == nullptr) return Shape::kWhole;
+  if (is_bs(v.layout)) return Shape::kBs;
+  return n >= 2 ? Shape::kSpecs : Shape::kWhole;
+}
+
+// Everything one execution's chunks need, behind one pointer so the pool
+// closure stays inside std::function's small buffer.
+struct ChunkRun {
   const VariantInfo* v;
   const PricingRequest* req;
-  const core::PortfolioView* src;    // working view: caller arrays, sanitized scalars
+  const core::PortfolioView* view;   // working view: caller arrays, sanitized inputs
   const core::PortfolioView* tiles;  // per-participant negotiation tiles; null = native
   int ntiles;
+  Shape shape;
+  bool scan;            // sanitize each chunk's options in the chunk (Black–Scholes)
+  std::uint8_t shared;  // fault bits of the batch-wide scalars
   const std::size_t* bounds;
-  Scratch::BsChunk* chunks;
+  Scratch::ChunkTally* tallies;
   PricingResult* res;
   RunErrors* errors;
   obs::Histogram* hist_chunk;
   obs::FlightRecorder* flight;
-  std::uint8_t shared;  // fault bits of the batch-wide scalars
 };
 
-// Fallback for a Black–Scholes chunk whose kernel threw: the chain's
-// same-layout links, then the scalar closed form as the terminal repair
-// (outputs NaN'd, then repaired through the guard, which skips masked
-// options).
-void fallback_bs(const BsRun& r, const core::PortfolioView& chunk,
-                 std::span<const std::uint8_t> mask, Scratch::BsChunk& st) {
-  for (const VariantInfo* fb = fallback_of(*r.v); fb != nullptr; fb = fallback_of(*fb)) {
-    if (fb->layout != chunk.layout || fb->run_range == nullptr) break;
-    PricingRequest sub = *r.req;
-    sub.kernel_id = fb->id;
-    sub.faults = {};  // never inject into the repair path
-    sub.scratch.reset();
-    try {
-      fb->run_range(sub, chunk, 0, chunk.size(), *r.res);
-      return;
-    } catch (...) {
-      // keep walking the chain
-    }
-  }
-  nan_bs_outputs(chunk);
-  st.repaired += robust::guard_and_repair_bs(chunk, robust::GuardPolicy{}, mask);
+// The values chunk [begin, end) writes (none for Black–Scholes chunks,
+// which price in place); a whole run owns every value the kernel produced
+// (path construction writes more values than items).
+std::span<double> chunk_values(const ChunkRun& r, std::size_t begin, std::size_t end) {
+  const std::span<double> all(r.res->values);
+  if (r.shape == Shape::kWhole) return all;
+  return end <= all.size() ? all.subspan(begin, end - begin) : std::span<double>{};
 }
 
-// The variant's kernel on one chunk; a throw is recorded and reported as
+// Variant k prices chunk [begin, end) — the one place the shapes differ.
+// A whole run hands its view to the kernel's batch entry point (the
+// kernel's own OpenMP team); a Black–Scholes chunk is priced in place in
+// its chunk view; a specs chunk writes values[begin, end) through
+// run_range, and a fallback link (whose scratch nothing prepared) through
+// run_batch on the range alone, copied into place.
+void call_kernel(const ChunkRun& r, const VariantInfo& k, const PricingRequest& rq,
+                 const core::PortfolioView& chunk, std::size_t begin, std::size_t end,
+                 bool repair) {
+  PricingResult& res = *r.res;
+  if (r.shape == Shape::kWhole) {
+    k.run_batch(rq, chunk, res);
+  } else if (r.shape == Shape::kBs) {
+    k.run_range(rq, chunk, 0, chunk.size(), res);
+  } else if (!repair) {
+    k.run_range(rq, chunk, begin, end, res);
+  } else {
+    const std::size_t m = end - begin;
+    PricingResult part;
+    k.run_batch(rq, core::view_of(chunk.specs.subspan(begin, m)), part);
+    if (part.values.size() != m) throw std::length_error("fallback priced a partial range");
+    std::copy(part.values.begin(), part.values.end(),
+              res.values.begin() + static_cast<std::ptrdiff_t>(begin));
+    if (!res.std_errors.empty() && part.std_errors.size() == m) {
+      std::copy(part.std_errors.begin(), part.std_errors.end(),
+                res.std_errors.begin() + static_cast<std::ptrdiff_t>(begin));
+    }
+  }
+}
+
+// Engine-side output corruption (FaultPlan::corrupt): forces quiet NaN
+// into selected outputs so the guard/fallback path is exercisable on
+// demand. Index stream 1: output i of a chunk is global option begin + i,
+// so which options are corrupted does not depend on the chunking. A
+// Black–Scholes chunk has only its call leg poisoned.
+void inject_corrupt(const ChunkRun& r, const core::PortfolioView& chunk, std::size_t begin,
+                    std::size_t end) {
+  const robust::FaultPlan& plan = r.req->faults;
+  const std::span<double> values = chunk_values(r, begin, end);
+  const bool bs = r.shape == Shape::kBs;
+  const std::size_t m = bs ? chunk.size() : values.size();
+  std::size_t hit = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    if (!plan.hits(1, begin + i, plan.corrupt)) continue;
+    if (bs) {
+      robust::bs_store_outputs(chunk, i, kQuietNan, robust::bs_elem(chunk, i).put);
+    } else {
+      values[i] = kQuietNan;
+    }
+    ++hit;
+  }
+  if (hit != 0) obs::counter("robust.inject.corrupted").add(hit);
+}
+
+// Output guard of a specs chunk priced by variant k (statistical
+// estimators get finiteness-only checks): the violation count, which
+// fails the chunk. Black–Scholes outputs are guarded, and repaired, when
+// the chunk settles; other workloads carry no guardable values.
+std::size_t guard_values(const ChunkRun& r, const VariantInfo& k, std::size_t begin,
+                         std::size_t end) {
+  const PricingRequest& req = *r.req;
+  if (r.shape == Shape::kBs || req.guard.mode == robust::GuardMode::kOff ||
+      r.view->layout != Layout::kSpecs || r.res->values.empty()) {
+    return 0;
+  }
+  return robust::guard_specs_range(r.view->specs.subspan(begin, end - begin),
+                                   chunk_values(r, begin, end), req.guard, k.statistical,
+                                   r.res->option_faults, begin);
+}
+
+// The variant's kernel on chunk c; a throw is recorded and reported as
 // kFailed. `inject` arms the request's and the chaos layer's chunk faults
 // (first attempt only).
-ChunkStatus price_bs_chunk(const BsRun& r, const core::PortfolioView& chunk, std::ptrdiff_t c,
-                           bool inject) {
+ChunkStatus attempt(const ChunkRun& r, const core::PortfolioView& chunk, std::size_t c,
+                    bool inject) {
   try {
     if (inject && r.req->faults.any_engine_side()) inject_chunk_faults(r.req->faults, c);
     if (inject && resilience::chaos_active()) {
       resilience::maybe_inject(r.v->id.c_str(), r.res->request_id, static_cast<std::uint64_t>(c));
     }
-    r.v->run_range(*r.req, chunk, 0, chunk.size(), *r.res);
+    call_kernel(r, *r.v, *r.req, chunk, r.bounds[c], r.bounds[c + 1], /*repair=*/false);
     return ChunkStatus::kOk;
   } catch (const std::exception& e) {
     r.errors->record(e.what());
@@ -342,10 +394,41 @@ ChunkStatus price_bs_chunk(const BsRun& r, const core::PortfolioView& chunk, std
   return ChunkStatus::kFailed;
 }
 
-// One Black–Scholes chunk, start to finish while it is cache-resident:
-// fill the participant's tile (negotiated layouts), price, sanitize, fall
-// back on a throw, guard and repair, write the outputs back, and NaN the
-// sanitizer-skipped options.
+// The fallback walk for a failed chunk: each link of the variant's chain
+// re-prices the chunk in turn (never under fault injection) until one's
+// outputs pass the guard. A link must share the chunk's layout and have
+// the entry point the shape calls; a European-only link is skipped for a
+// range holding American options.
+bool fall_back(const ChunkRun& r, const core::PortfolioView& chunk, std::size_t begin,
+               std::size_t end) {
+  const core::PortfolioView& view = *r.view;
+  for (const VariantInfo* fb = fallback_of(*r.v); fb != nullptr; fb = fallback_of(*fb)) {
+    const bool no_entry = r.shape == Shape::kBs ? fb->run_range == nullptr
+                                                : fb->run_batch == nullptr;
+    if (fb->layout != chunk.layout || no_entry) break;
+    if (fb->european_only && view.layout == Layout::kSpecs &&
+        range_has_american(view.specs, begin, end)) {
+      continue;
+    }
+    PricingRequest sub = *r.req;
+    sub.kernel_id = fb->id;
+    sub.faults = {};
+    sub.scratch.reset();
+    try {
+      call_kernel(r, *fb, sub, chunk, begin, end, /*repair=*/true);
+    } catch (...) {
+      continue;  // next link
+    }
+    if (guard_values(r, *fb, begin, end) == 0) return true;
+  }
+  return false;
+}
+
+// One chunk, start to finish while it is cache-resident: fill the
+// participant's tile (negotiated layouts), price, scan (Black–Scholes),
+// guard, fall back on a failure, repair, write the outputs back and NaN
+// the sanitizer-skipped options. A chunk that stays kFailed is NaN'd by
+// the post-pass.
 //
 // The kernel runs before the sanitize scan, on purpose: its first touch
 // of the chunk overlaps DRAM traffic with arithmetic, where a scan first
@@ -357,15 +440,16 @@ ChunkStatus price_bs_chunk(const BsRun& r, const core::PortfolioView& chunk, std
 // finds faults (the scan repairs them in place under kClamp/kSkip) is
 // filled and priced again from the repaired inputs, so outputs, masks and
 // counts are exactly those of sanitizing first.
-void run_bs_chunk(const BsRun& r, std::ptrdiff_t c) {
+void run_chunk(const ChunkRun& r, std::ptrdiff_t idx) {
   FINBENCH_SPAN("engine.chunk");
-  const std::size_t begin = r.bounds[static_cast<std::size_t>(c)];
-  const std::size_t m = r.bounds[static_cast<std::size_t>(c) + 1] - begin;
+  const auto c = static_cast<std::size_t>(idx);
+  const std::size_t begin = r.bounds[c], end = r.bounds[c + 1];
   const PricingRequest& req = *r.req;
-  Scratch::BsChunk& st = r.chunks[c];
+  Scratch::ChunkTally& st = r.tallies[c];
   const double start_us = obs::trace::now_us();
 
-  const core::PortfolioView src = core::subview(*r.src, begin, m);
+  const core::PortfolioView src =
+      r.shape == Shape::kBs ? core::subview(*r.view, begin, end - begin) : *r.view;
   core::PortfolioView chunk = src;
   auto fill = [&] {
     const double fill_us = obs::trace::now_us();
@@ -374,33 +458,40 @@ void run_bs_chunk(const BsRun& r, std::ptrdiff_t c) {
   };
   if (r.tiles != nullptr) {
     int p = ThreadPool::current_participant();
-    if (p < 0 || p >= r.ntiles) p = 0;  // nested inline run: serial, any tile is free
-    chunk = core::subview(r.tiles[p], 0, m);
+    if (p < 0 || p >= r.ntiles) p = 0;  // caller or nested inline run: serial, any tile is free
+    chunk = core::subview(r.tiles[p], 0, src.size());
     fill();
   }
 
-  ChunkStatus status = price_bs_chunk(r, chunk, c, /*inject=*/true);
-  // kReject scanned the whole book before anything ran (its verdict must
-  // not follow writes into the caller's outputs); kOff just clears the
-  // report.
-  if (req.sanitize != robust::SanitizePolicy::kReject) {
+  ChunkStatus status = attempt(r, chunk, c, /*inject=*/true);
+  if (r.scan) {
     robust::sanitize_range(src, r.shared, req.sanitize, st.san);
     if (st.san.faulty > 0) {
       if (r.tiles != nullptr) fill();
-      if (status == ChunkStatus::kOk) status = price_bs_chunk(r, chunk, c, /*inject=*/false);
+      if (status == ChunkStatus::kOk) status = attempt(r, chunk, c, /*inject=*/false);
     }
   }
   const std::span<const std::uint8_t> mask = st.san.mask;
 
-  if (status == ChunkStatus::kOk && req.faults.corrupt > 0.0) {
-    inject_corrupt_bs(chunk, begin, req.faults);
+  if (status == ChunkStatus::kOk && req.faults.corrupt > 0.0) inject_corrupt(r, chunk, begin, end);
+  if (status == ChunkStatus::kOk && guard_values(r, *r.v, begin, end) > 0) {
+    r.errors->record("output guard failed");
+    status = ChunkStatus::kFailed;
   }
   if (status == ChunkStatus::kFailed && req.fallback) {
-    fallback_bs(r, chunk, mask, st);
-    status = ChunkStatus::kDegraded;
+    if (fall_back(r, chunk, begin, end)) {
+      status = ChunkStatus::kDegraded;
+    } else if (r.shape == Shape::kBs) {
+      // The scalar closed form is the terminal repair of any BS layout:
+      // outputs NaN'd, then repaired through the guard (which skips masked
+      // options).
+      nan_bs_outputs(chunk);
+      st.repaired += robust::guard_and_repair_bs(chunk, robust::GuardPolicy{}, mask);
+      status = ChunkStatus::kDegraded;
+    }
   }
   if (status != ChunkStatus::kFailed) {
-    if (req.guard.mode != robust::GuardMode::kOff) {
+    if (r.shape == Shape::kBs && req.guard.mode != robust::GuardMode::kOff) {
       st.repaired += robust::guard_and_repair_bs(chunk, req.guard, mask);
     }
     if (r.tiles != nullptr) {
@@ -409,15 +500,247 @@ void run_bs_chunk(const BsRun& r, std::ptrdiff_t c) {
       st.convert_seconds += (obs::trace::now_us() - wb_us) * 1e-6;
     }
     if (st.san.skipped > 0) nan_bs_outputs(src, mask);
-  } else {
-    nan_bs_outputs(src);  // unpriced: never leave stale prices behind
   }
-  r.res->chunk_status[static_cast<std::size_t>(c)] = static_cast<std::uint8_t>(status);
+  r.res->chunk_status[c] = static_cast<std::uint8_t>(status);
 
   const double end_us = obs::trace::now_us();
   r.hist_chunk->record_seconds((end_us - start_us) * 1e-6);
-  record_chunk(*r.flight, r.res->request_id, *r.v, static_cast<std::size_t>(c), begin, begin + m,
-               to_string(status).data(), ThreadPool::current_participant(), start_us, end_us);
+  record_chunk(*r.flight, r.res->request_id, *r.v, c, begin, end, to_string(status).data(),
+               ThreadPool::current_participant(), start_us, end_us);
+}
+
+// Quiet NaN into the outputs of a chunk that did not price, so stale
+// prices never survive it.
+void nan_unpriced(const ChunkRun& r, std::size_t begin, std::size_t end) {
+  if (robust::is_bs_layout(*r.view)) {
+    nan_bs_outputs(r.shape == Shape::kBs ? core::subview(*r.view, begin, end - begin) : *r.view);
+  }
+  const std::span<double> values = chunk_values(r, begin, end);
+  std::fill(values.begin(), values.end(), kQuietNan);
+}
+
+// Serial post-pass over the chunk statuses: unpriced chunks get NaN
+// outputs and a flight record (kNotRun becomes kDeadline when the token
+// expired), statuses are counted, and the per-chunk tallies and sanitizer
+// verdicts (chunk masks are indexed from the chunk start) merge into the
+// result and the request's report. Returns the priced item count.
+std::size_t post_pass(const ChunkRun& r, std::size_t nchunks, bool expired,
+                      robust::SanitizeReport& san) {
+  PricingResult& res = *r.res;
+  const std::size_t n = r.bounds[nchunks];
+  std::size_t priced = 0;
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    const std::size_t begin = r.bounds[c], end = r.bounds[c + 1];
+    switch (static_cast<ChunkStatus>(res.chunk_status[c])) {
+      case ChunkStatus::kNotRun:
+        res.chunk_status[c] = static_cast<std::uint8_t>(expired ? ChunkStatus::kDeadline
+                                                                : ChunkStatus::kNotRun);
+        ++res.chunks_deadline;
+        nan_unpriced(r, begin, end);
+        obs::counter("robust.deadline.chunks_skipped").add(1);
+        record_chunk(*r.flight, res.request_id, *r.v, c, begin, end,
+                     expired ? "deadline" : "not_run");
+        break;
+      case ChunkStatus::kFailed:
+        ++res.chunks_failed;
+        nan_unpriced(r, begin, end);
+        obs::counter("robust.fallback.exhausted").add(1);
+        break;
+      case ChunkStatus::kDegraded:
+        ++res.chunks_degraded;
+        obs::counter("robust.fallback.chunks").add(1);
+        priced += end - begin;
+        break;
+      default:
+        priced += end - begin;
+        break;
+    }
+    const Scratch::ChunkTally& st = r.tallies[c];
+    res.options_repaired += st.repaired;
+    res.convert_bytes += st.convert_bytes;
+    res.convert_seconds += st.convert_seconds;
+    san.scanned += st.san.scanned;
+    if (st.san.faulty == 0) continue;
+    san.faulty += st.san.faulty;
+    san.clamped += st.san.clamped;
+    san.skipped += st.san.skipped;
+    if (res.option_faults.empty()) res.option_faults.assign(n, 0);
+    std::copy(st.san.mask.begin(), st.san.mask.end(),
+              res.option_faults.begin() + static_cast<std::ptrdiff_t>(begin));
+  }
+  return priced;
+}
+
+// --- Stages of Engine::price ----------------------------------------------
+
+// The workload must be non-empty and in the variant's layout, or in one
+// the chunks convert through tiles: a Black–Scholes layout, for a variant
+// with a range adapter (a whole-batch variant prices its own layout only).
+robust::Status check_workload(const VariantInfo& v, const core::PortfolioView& w) {
+  if (w.size() == 0) {
+    return robust::Status::invalid_argument("variant '" + v.id +
+                                            "' got an empty workload (layout " +
+                                            std::string(to_string(w.layout)) + ")");
+  }
+  if (w.layout != v.layout && (!core::convertible(w.layout, v.layout) || v.run_range == nullptr)) {
+    return robust::Status::invalid_argument(
+        "variant '" + v.id + "' needs a " + std::string(to_string(v.layout)) +
+        " workload; the request carries " + std::string(to_string(w.layout)) +
+        " (not convertible)");
+  }
+  return {};
+}
+
+// Per-request handles, re-stamped every pricing: the intra-option task
+// handoff (variant adapters may decompose expensive options into nested
+// fork-join tasks on the engine's pool, engine/task_group.hpp; the
+// resolved mode can change between repetitions), the per-kernel latency
+// instruments and the executed variant's circuit breaker. The registry
+// lookups build label strings and take a mutex, so they run once per
+// kernel id and repeated pricings go through the cached handles (the
+// steady-state path stays allocation-free); the breaker's generation guard
+// re-resolves after a registry reset (tests, chaos scenario boundaries) so
+// the handle never dangles.
+void bind_request(Scratch& s, const VariantInfo& v, const ResolvedDispatch& rd, ThreadPool* pool) {
+  s.tasks_on = rd.tasks;
+  s.task_pool = rd.tasks ? pool : nullptr;
+  if (s.hist_kernel_id != v.id) {
+    std::string labels = "kernel=\"";
+    labels += v.id;
+    labels += "\",layout=\"";
+    labels += to_string(v.layout);
+    labels += '"';
+    s.hist_request = &obs::histogram("engine.request.seconds", labels);
+    s.hist_chunk = &obs::histogram("engine.chunk.seconds", labels);
+    s.flight = &obs::flight_recorder();
+    s.hist_kernel_id = v.id;
+    s.breaker = nullptr;  // re-resolve below: the variant changed
+  }
+  resilience::BreakerRegistry& brk = resilience::BreakerRegistry::instance();
+  const std::uint64_t gen = brk.generation();
+  if (s.breaker == nullptr || s.breaker_gen != gen) {
+    s.breaker = &brk.of(v.id);
+    s.breaker_gen = gen;
+  }
+}
+
+// Sanitize stage. A Black–Scholes run classifies its shared scalars here
+// and scans its options chunk by chunk in the executor. Other workloads
+// are scanned whole here, and so is every kReject request: its verdict
+// must stand before anything is priced, so a rejected request never
+// writes the caller's outputs. A specs workload with faults is priced
+// from a policy-applied copy (the caller's specs are immutable through
+// the view; the copy lives in Scratch and is reused across repetitions).
+// Returns the rejection, if any.
+robust::Status sanitize_inputs(const PricingRequest& req, Shape shape, core::PortfolioView& working,
+                               Scratch& s, PricingResult& res, std::uint8_t& shared) {
+  robust::SanitizeReport& san = s.sanitize_report;
+  san.reset();
+  if (shape == Shape::kBs && req.sanitize != robust::SanitizePolicy::kReject) {
+    shared = robust::sanitize_shared(working, req.sanitize);
+    return {};
+  }
+  if (req.sanitize == robust::SanitizePolicy::kOff) return {};
+  robust::sanitize(working, req.sanitize, san);
+  if (san.clean()) return {};
+  if (req.sanitize == robust::SanitizePolicy::kReject) {
+    res.option_faults = san.mask;
+    return robust::Status::invalid_input(
+        "workload rejected: " + std::to_string(san.faulty) + " of " +
+        std::to_string(working.size()) +
+        " option(s) failed sanitization (see PricingResult::option_faults)");
+  }
+  if (working.layout == Layout::kSpecs) {
+    const std::size_t n = working.specs.size();
+    s.sanitized_specs.resize(n);
+    robust::sanitize_specs(working.specs, s.sanitized_specs, req.sanitize, san);
+    working.specs = {s.sanitized_specs.data(), n};
+  }
+  res.option_faults = san.mask;
+  return {};
+}
+
+// Arm the request's cancel token: its own deadline and the caller's
+// token. Null when neither is set, so chunks skip the poll.
+const robust::CancelToken* arm_deadline(const PricingRequest& req, robust::CancelToken& token) {
+  token.reset();
+  token.set_parent(req.cancel);
+  if (req.deadline_seconds > 0.0) token.set_deadline_after(req.deadline_seconds);
+  return req.deadline_seconds > 0.0 || req.cancel != nullptr ? &token : nullptr;
+}
+
+// Negotiation tiles: one chunk-sized tile in the variant's layout per
+// participant that may run a chunk, re-carved from the request arena
+// every pricing (the arena keeps its blocks, so steady state allocates
+// nothing) with this call's sanitized scalars.
+const core::PortfolioView* carve_tiles(Scratch& s, const core::PortfolioView& working,
+                                       Layout layout, std::span<const std::size_t> bounds,
+                                       int ntiles) {
+  std::size_t widest = 0;
+  for (std::size_t c = 0; c + 1 < bounds.size(); ++c) {
+    widest = std::max(widest, bounds[c + 1] - bounds[c]);
+  }
+  s.arena.reset();
+  s.tiles.resize(static_cast<std::size_t>(ntiles));
+  for (core::PortfolioView& tile : s.tiles) {
+    tile = core::allocate_like(working, layout, widest, s.arena);
+  }
+  return s.tiles.data();
+}
+
+// Final stage: score the execution on the variant's circuit breaker
+// (except for requests carrying an injected FaultPlan, whose failures are
+// test machinery, not variant health; variant-scoped chaos faults do not
+// ride on the request and therefore do count), NaN the sanitizer-skipped
+// values, record the timings and aggregate one Status from what happened.
+void aggregate(const PricingRequest& req, Scratch& s, PricingResult& res, const RunErrors& errors,
+               std::size_t priced, std::size_t n, double seconds) {
+  static obs::Counter& c_items = obs::counter("engine.items");
+  if (!req.faults.any() && s.breaker != nullptr &&
+      resilience::BreakerRegistry::instance().enabled()) {
+    resilience::Outcome oc = resilience::Outcome::kOk;
+    if (res.chunks_failed > 0) {
+      oc = resilience::Outcome::kError;
+    } else if (res.chunks_deadline > 0) {
+      oc = resilience::Outcome::kDeadlineMiss;
+    } else if (res.chunks_degraded > 0) {
+      oc = resilience::Outcome::kQuarantine;
+    }
+    s.breaker->record(oc);
+  }
+  if (!res.option_faults.empty() && !res.values.empty()) {
+    mask_skipped_values(res.option_faults, res.values, res.std_errors);
+  }
+  res.items = priced;
+  res.seconds = seconds;
+  s.hist_request->record_seconds(seconds);
+  c_items.add(priced);
+  if (res.chunks_failed > 0) {
+    obs::flight_auto_dump("kernel_error");
+    return finish(res, robust::Status::kernel_error(
+                           std::to_string(res.chunks_failed) + " chunk(s) unrecoverable (" +
+                           errors.first + "); " + std::to_string(priced) + " of " +
+                           std::to_string(n) + " option(s) priced"));
+  }
+  if (res.chunks_deadline > 0) {
+    obs::counter("robust.deadline.expired").add(1);
+    obs::flight_auto_dump("deadline_exceeded");
+    return finish(res, robust::Status::deadline_exceeded(
+                           "deadline expired: " + std::to_string(priced) + " of " +
+                           std::to_string(n) + " option(s) priced (" +
+                           std::to_string(res.chunks_deadline) +
+                           " chunk(s) skipped; see PricingResult::chunk_status)"));
+  }
+  if (res.chunks_degraded > 0 || res.options_clamped > 0 || res.options_skipped > 0 ||
+      res.options_repaired > 0) {
+    if (res.chunks_degraded > 0) obs::flight_auto_dump("quarantine");
+    return finish(res, robust::Status::degraded(
+                           "degraded: " + std::to_string(res.options_clamped) + " clamped, " +
+                           std::to_string(res.options_skipped) + " skipped, " +
+                           std::to_string(res.options_repaired) + " repaired option(s), " +
+                           std::to_string(res.chunks_degraded) + " fallback chunk(s)"));
+  }
+  finish(res, robust::Status{});
 }
 
 }  // namespace
@@ -437,601 +760,144 @@ PricingResult Engine::price(const PricingRequest& req) const {
   return res;
 }
 
+// resolve → sanitize → prepare → arm deadline → partition → execute
+// chunks → post-pass → aggregate. Every run goes through the same chunk
+// executor; a workload the kernel prices in one batch call is the
+// one-chunk case [0, n).
 void Engine::price(const PricingRequest& req, PricingResult& res) const {
-  res.ok = false;
-  res.error.clear();
-  res.status.reset();
-  res.kernel_id = req.kernel_id;  // same id on a reused result: no realloc
-  res.resolved_id.clear();
-  res.tuned = false;
-  res.items = 0;
-  res.seconds = 0.0;
-  res.convert_seconds = 0.0;
-  res.convert_bytes = 0;
-  res.values.clear();
-  res.std_errors.clear();
-  res.option_faults.clear();
-  res.chunk_status.clear();
-  res.options_clamped = res.options_skipped = res.options_repaired = 0;
-  res.chunks_degraded = res.chunks_failed = res.chunks_deadline = 0;
-  res.brownout_level = 0;
-  res.npath_applied = 0;
-  res.steps_applied = 0;
-  res.attempts = 1;
-
   // The flight recorder's join key: one id per engine execution,
   // process-unique, stamped into every record this run produces.
   static std::atomic<std::uint64_t> request_seq{0};
+  res.reset(req.kernel_id);
   res.request_id = request_seq.fetch_add(1, std::memory_order_relaxed) + 1;
 
-  // Mirrors the structured status into the legacy ok/error pair and
-  // returns; every exit below goes through this (and bumps the
-  // status-labeled outcome counter).
-  auto finish = [&res](robust::Status status) {
-    res.status = std::move(status);
-    res.ok = res.status.ok();
-    if (res.status.code() != robust::StatusCode::kOk) res.error = res.status.to_string();
-    count_status(res.status.code());
-  };
-
-  // Resolve the kernel id — a concrete registry id passes through, an auto
-  // intent ("blackscholes.auto") resolves to a DispatchPlan (cache hit or
-  // a one-time race) whose schedule/chunks_per_thread govern execution
-  // below. Resolution happens before the deadline is armed: the race is a
-  // once-per-key warm-up cost, not part of the priced run. (An auto intent
-  // over an empty workload is rejected inside resolve_dispatch — racing
-  // nothing would persist a meaningless plan.)
+  // --- Resolve ---------------------------------------------------------------
+  // A concrete registry id passes through; an auto intent
+  // ("blackscholes.auto") resolves to a DispatchPlan (cache hit or a
+  // one-time race) whose schedule/chunks_per_thread govern execution.
+  // Resolution, like sanitization and prepare, happens before the deadline
+  // is armed: it is once-per-key warm-up, not part of the priced run.
   ResolvedDispatch rd = resolve_dispatch(*this, req);
-  if (rd.v == nullptr) {
-    finish(std::move(rd.error));
-    return;
-  }
-  const VariantInfo* v = rd.v;
-  res.resolved_id = v->id;
+  if (rd.v == nullptr) return finish(res, std::move(rd.error));
+  const VariantInfo& v = *rd.v;
+  res.resolved_id = v.id;
   res.tuned = rd.tuned;
-  res.layout = v->layout;
-  const std::size_t n = req.portfolio.size();
-  if (n == 0) {
-    finish(robust::Status::invalid_argument(
-        "variant '" + v->id + "' got an empty workload (layout " +
-        std::string(to_string(req.portfolio.layout)) + ")"));
-    return;
+  res.layout = v.layout;
+  if (robust::Status st = check_workload(v, req.portfolio); !st.ok()) {
+    return finish(res, std::move(st));
   }
+  const std::size_t n = req.portfolio.size();
+  const Shape shape = shape_of(v, n);
+  Scratch& s = scratch_of(req);
+  bind_request(s, v, rd, pool_);
 
+  // --- Sanitize --------------------------------------------------------------
   // The engine's working view: same arrays as the caller's, but a local
   // object, so the sanitizer may repair shared BS scalars and the specs
   // span may be re-pointed at the sanitized copy without touching req.
   core::PortfolioView working = req.portfolio;
-  Scratch& s = scratch_of(req);
-
-  // Intra-option task handoff: with the resolved task mode on, variant
-  // adapters may decompose expensive options into nested fork-join tasks
-  // on the engine's pool (engine/task_group.hpp). Re-stamped every pricing
-  // — the resolved mode can change between repetitions (tuner, pins).
-  s.tasks_on = rd.tasks;
-  s.task_pool = rd.tasks ? pool_ : nullptr;
-
-  // Per-kernel latency instruments, resolved once per kernel id: the
-  // registry lookup builds label strings and takes a mutex, so repeated
-  // pricings of the same request must go through these cached handles
-  // (the steady-state path stays allocation-free).
-  if (s.hist_kernel_id != v->id) {
-    std::string labels = "kernel=\"";
-    labels += v->id;
-    labels += "\",layout=\"";
-    labels += to_string(v->layout);
-    labels += '"';
-    s.hist_request = &obs::histogram("engine.request.seconds", labels);
-    s.hist_chunk = &obs::histogram("engine.chunk.seconds", labels);
-    s.flight = &obs::flight_recorder();
-    s.hist_kernel_id = v->id;
-    s.breaker = nullptr;  // re-resolve below: the variant changed
-  }
-
-  // The executed variant's circuit breaker, cached with the histogram
-  // handles; the generation guard re-resolves after a registry reset
-  // (tests, chaos scenario boundaries) so the handle never dangles.
-  {
-    resilience::BreakerRegistry& brk = resilience::BreakerRegistry::instance();
-    const std::uint64_t gen = brk.generation();
-    if (s.breaker == nullptr || s.breaker_gen != gen) {
-      s.breaker = &brk.of(v->id);
-      s.breaker_gen = gen;
-    }
-  }
-
-  // --- Layout negotiation --------------------------------------------------
-  // A convertible mismatch (any pair of Black–Scholes layouts) is priced
-  // chunk by chunk through a cache-resident tile in the variant's layout:
-  // fill the tile from the caller's range, price it, write the outputs
-  // back. Every pricing therefore reads the caller's current inputs, and
-  // the writeback sits inside the timer, so res.seconds stays honest about
-  // what the caller's layout really costs.
-  if (working.layout != v->layout && !core::convertible(working.layout, v->layout)) {
-    finish(robust::Status::invalid_argument(
-        "variant '" + v->id + "' needs a " + std::string(to_string(v->layout)) +
-        " workload; the request carries " + std::string(to_string(working.layout)) +
-        " (not convertible)"));
-    return;
-  }
-  const bool negotiated = working.layout != v->layout;
-  const bool bs = is_bs(v->layout) && v->run_range != nullptr;
-
-  // --- Input sanitization --------------------------------------------------
-  // Black–Scholes batches classify their shared scalars here and scan the
-  // options chunk by chunk inside the pipeline below. Other workloads are
-  // scanned whole, here.
-  robust::SanitizeReport& san = s.sanitize_report;
-  san.reset();
   std::uint8_t shared = robust::kFaultNone;
-  if (bs) {
-    shared = robust::sanitize_shared(working, req.sanitize);
-  } else if (req.sanitize != robust::SanitizePolicy::kOff) {
-    robust::sanitize(working, req.sanitize, san);
-    if (!san.clean()) {
-      if (req.sanitize == robust::SanitizePolicy::kReject) {
-        res.option_faults = san.mask;
-        finish(robust::Status::invalid_input(
-            "workload rejected: " + std::to_string(san.faulty) + " of " + std::to_string(n) +
-            " option(s) failed sanitization (see PricingResult::option_faults)"));
-        return;
-      }
-      if (working.layout == Layout::kSpecs) {
-        // The caller's specs are immutable through the view: price a
-        // policy-applied copy instead (kept in Scratch; the buffer is
-        // reused across repetitions of this request).
-        s.sanitized_specs.resize(n);
-        robust::sanitize_specs(working.specs, s.sanitized_specs, req.sanitize, san);
-        working.specs = {s.sanitized_specs.data(), n};
-      }
-      res.option_faults = san.mask;
-      res.options_clamped = san.clamped;
-      res.options_skipped = san.skipped;
-    }
-  }
+  robust::Status verdict = sanitize_inputs(req, shape, working, s, res, shared);
 
-  // --- Request-scoped caches ------------------------------------------------
-  // Chunked execution first builds the variant's request caches (normal
-  // streams, lattice and VML scratch pools; run_batch prepares on its
-  // own). Like dispatch resolution this is warm-up, built once per request
-  // and reused by every repetition, so it runs before the deadline is
-  // armed — a first pricing does not spend its budget on it.
-  const bool chunked = bs || (v->run_range != nullptr && n >= 2);
-  if (chunked && v->prepare) {
+  // --- Prepare ---------------------------------------------------------------
+  // The variant's request caches (normal streams, lattice and VML scratch
+  // pools), built once per request for the range adapters; run_batch
+  // prepares on its own. A rejected workload is never priced, so nothing
+  // is prepared for it.
+  if (verdict.ok() && shape != Shape::kWhole && v.prepare) {
     try {
-      v->prepare(req, working);
+      v.prepare(req, working);
     } catch (const std::exception& e) {
-      finish(robust::Status::kernel_error("variant '" + v->id + "' prepare failed: " + e.what()));
-      return;
+      return finish(res, robust::Status::kernel_error("variant '" + v.id +
+                                                      "' prepare failed: " + e.what()));
     }
   }
 
-  // --- Deadline / cancellation ---------------------------------------------
-  robust::CancelToken& token = s.token;
-  token.reset();
-  token.set_parent(req.cancel);
-  if (req.deadline_seconds > 0.0) token.set_deadline_after(req.deadline_seconds);
-  const bool has_deadline = req.deadline_seconds > 0.0 || req.cancel != nullptr;
-  const robust::CancelToken* cancel = has_deadline ? &token : nullptr;
-
+  // --- Arm deadline ----------------------------------------------------------
+  const robust::CancelToken* cancel = arm_deadline(req, s.token);
   static obs::Counter& c_requests = obs::counter("engine.requests");
-  static obs::Counter& c_items = obs::counter("engine.items");
   c_requests.add(1);
   FINBENCH_SPAN("engine.price");
   arch::WallTimer t;
 
-  // Final bookkeeping shared by every execution shape: NaN out the
-  // sanitizer-skipped values, aggregate a Status from what happened.
-  auto aggregate = [&](RunErrors& errors, std::size_t priced_items) {
-    // Score this execution on the variant's circuit breaker — except for
-    // requests carrying an injected FaultPlan, whose failures are test
-    // machinery, not variant health (variant-scoped chaos faults do not
-    // ride on the request and therefore do count).
-    if (!req.faults.any() && s.breaker != nullptr &&
-        resilience::BreakerRegistry::instance().enabled()) {
-      resilience::Outcome oc = resilience::Outcome::kOk;
-      if (res.chunks_failed > 0) {
-        oc = resilience::Outcome::kError;
-      } else if (res.chunks_deadline > 0) {
-        oc = resilience::Outcome::kDeadlineMiss;
-      } else if (res.chunks_degraded > 0) {
-        oc = resilience::Outcome::kQuarantine;
-      }
-      s.breaker->record(oc);
-    }
-    if (!res.option_faults.empty() && !res.values.empty()) {
-      mask_skipped_values(res.option_faults, res.values, res.std_errors);
-    }
-    res.items = priced_items;
-    res.seconds = t.seconds();
-    s.hist_request->record_seconds(res.seconds);
-    c_items.add(priced_items);
-    if (res.chunks_failed > 0) {
-      obs::flight_auto_dump("kernel_error");
-      finish(robust::Status::kernel_error(
-          std::to_string(res.chunks_failed) + " chunk(s) unrecoverable (" + errors.first +
-          "); " + std::to_string(priced_items) + " of " + std::to_string(n) +
-          " option(s) priced"));
-      return;
-    }
-    if (res.chunks_deadline > 0) {
-      obs::counter("robust.deadline.expired").add(1);
-      obs::flight_auto_dump("deadline_exceeded");
-      finish(robust::Status::deadline_exceeded(
-          "deadline expired: " + std::to_string(priced_items) + " of " + std::to_string(n) +
-          " option(s) priced (" + std::to_string(res.chunks_deadline) +
-          " chunk(s) skipped; see PricingResult::chunk_status)"));
-      return;
-    }
-    if (res.chunks_degraded > 0 || res.options_clamped > 0 || res.options_skipped > 0 ||
-        res.options_repaired > 0) {
-      if (res.chunks_degraded > 0) obs::flight_auto_dump("quarantine");
-      finish(robust::Status::degraded(
-          "degraded: " + std::to_string(res.options_clamped) + " clamped, " +
-          std::to_string(res.options_skipped) + " skipped, " +
-          std::to_string(res.options_repaired) + " repaired option(s), " +
-          std::to_string(res.chunks_degraded) + " fallback chunk(s)"));
-      return;
-    }
-    finish(robust::Status{});
-  };
-
-  // --- Whole-batch execution -----------------------------------------------
-  // No range adapter (path construction), or a specs batch too small to
-  // chunk. The whole batch is one unit of failure/fallback accounting; the
-  // cooperative deadline is only checked before the kernel runs.
-  if (!chunked) {
-    RunErrors errors;
-    // The whole batch is one chunk of flight-recorder accounting: one
-    // record covering [0, n), one sample in the per-chunk histogram.
-    auto record_flight = [&](const char* status, double start_us, double end_us) {
-      record_chunk(*s.flight, res.request_id, *v, 0, 0, n, status, -1, start_us, end_us);
-    };
-    if (cancel != nullptr && cancel->expired()) {
-      res.chunks_deadline = 1;
-      record_flight("deadline", 0.0, 0.0);
-      aggregate(errors, 0);
-      return;
-    }
-    const double batch_start_us = obs::trace::now_us();
-    bool priced = false;
-    try {
-      if (req.faults.any_engine_side()) inject_chunk_faults(req.faults, 0);
-      if (resilience::chaos_active()) resilience::maybe_inject(v->id.c_str(), res.request_id, 0);
-      v->run_batch(req, working, res);
-      priced = true;
-    } catch (const std::exception& e) {
-      errors.record(e.what());
-    } catch (...) {
-      errors.record("non-std exception from kernel");
-    }
-    if (priced && req.faults.corrupt > 0.0) inject_corrupt_values(res.values, 0, req.faults);
-    if (!priced && req.fallback) {
-      // Walk the fallback chain through same-layout batch variants.
-      for (const VariantInfo* fb = fallback_of(*v); fb != nullptr && !priced;
-           fb = fallback_of(*fb)) {
-        if (fb->layout != working.layout || fb->run_batch == nullptr) break;
-        if (fb->european_only && working.layout == Layout::kSpecs &&
-            range_has_american(working.specs, 0, n)) {
-          continue;
-        }
-        PricingRequest sub = req;
-        sub.kernel_id = fb->id;
-        sub.faults = {};  // never inject into the repair path
-        sub.scratch.reset();
-        try {
-          fb->run_batch(sub, working, res);
-          priced = true;
-          res.chunks_degraded = 1;
-          obs::counter("robust.fallback.chunks").add(1);
-        } catch (...) {
-          // keep walking the chain
-        }
-      }
-    }
-    if (!priced) {
-      res.chunks_failed = 1;
-      obs::counter("robust.fallback.exhausted").add(1);
-      res.seconds = t.seconds();
-      record_flight("failed", batch_start_us, obs::trace::now_us());
-      aggregate(errors, 0);
-      return;
-    }
-    // Output guardrails (statistical estimators get finiteness-only
-    // checks). There is no cheaper honest number than the family
-    // reference for a deterministic specs value, and re-pricing per
-    // option is the chunked path's job: here violations are disclosed as
-    // failures.
-    if (req.guard.mode != robust::GuardMode::kOff && !res.values.empty() &&
-        working.layout == Layout::kSpecs &&
-        robust::guard_specs_range(working.specs, res.values, req.guard, v->statistical,
-                                  res.option_faults, 0) > 0) {
-      errors.record("output guard failed");
-      res.chunks_failed = 1;
-    }
-    const double batch_end_us = obs::trace::now_us();
-    s.hist_chunk->record_seconds((batch_end_us - batch_start_us) * 1e-6);
-    record_flight(res.chunks_failed != 0     ? "failed"
-                  : res.chunks_degraded != 0 ? "degraded"
-                                             : "ok",
-                  batch_start_us, batch_end_us);
-    aggregate(errors, res.chunks_failed == 0 ? (res.items != 0 ? res.items : n) : 0);
-    return;
-  }
-
-  // --- Chunked execution ---------------------------------------------------
+  // --- Partition -------------------------------------------------------------
   // Effective scheduling: the request's values for explicit dispatch, the
   // resolved plan's for auto (pins keep the caller's value — see
   // PricingRequest::pin_schedule/pin_chunks).
   const int P = pool_->size();
-  const int nparts = rd.schedule == arch::Schedule::kDynamic
-                         ? P * std::max(1, rd.chunks_per_thread)
-                         : P;
-  const std::vector<std::size_t>& bounds = chunk_bounds(*v, req, working, n, nparts, rd.schedule);
+  const int nparts =
+      rd.schedule == arch::Schedule::kDynamic ? P * std::max(1, rd.chunks_per_thread) : P;
+  const std::size_t whole[2] = {0, n};
+  const std::span<const std::size_t> bounds =
+      shape == Shape::kWhole ? std::span<const std::size_t>(whole)
+                             : chunk_bounds(v, req, working, n, nparts, rd.schedule);
   const std::size_t nchunks = bounds.size() - 1;
   res.chunk_status.assign(nchunks, static_cast<std::uint8_t>(ChunkStatus::kNotRun));
-  const char* site =
-      rd.schedule == arch::Schedule::kDynamic ? "engine.dynamic" : "engine.static";
+  s.tallies.resize(nchunks);
+  for (Scratch::ChunkTally& st : s.tallies) st.reset();
 
-  // Post-pass flight records for chunks the workers never touched (and for
-  // repaired ones).
-  auto record_flight = [&](std::size_t c, std::size_t begin, std::size_t end,
-                           const char* status) {
-    record_chunk(*s.flight, res.request_id, *v, c, begin, end, status);
-  };
+  // A rejected workload stops here, before anything is priced: the
+  // caller's outputs are never written, and every chunk reports kNotRun.
+  if (!verdict.ok()) return finish(res, std::move(verdict));
 
-  if (bs) {
-    // --- Black–Scholes chunk pipeline ---------------------------------------
-    // Each chunk runs (tile fill) -> kernel -> sanitize -> guard/repair ->
-    // (writeback) while it is cache-resident (run_bs_chunk). A batch that
-    // fits one chunk runs inline on the caller, under the same one-thread
-    // OpenMP and FTZ policy as a pool participant, without waking workers.
-    // kReject decides before anything is priced, so a rejected request
-    // never writes the caller's outputs: one scan of the whole book up
-    // front (it repairs nothing under kReject), which the per-chunk
-    // reports below then leave untouched.
-    if (req.sanitize == robust::SanitizePolicy::kReject) {
-      robust::sanitize_range(working, shared, req.sanitize, san);
-      if (!san.clean()) {
-        robust::record_sanitize(san);
-        res.option_faults = san.mask;
-        finish(robust::Status::invalid_input(
-            "workload rejected: " + std::to_string(san.faulty) + " of " + std::to_string(n) +
-            " option(s) failed sanitization (see PricingResult::option_faults)"));
-        return;
-      }
-    }
-    s.bs_chunks.resize(nchunks);
-    for (Scratch::BsChunk& st : s.bs_chunks) st.reset();
-
-    // Negotiation tiles: one chunk-sized tile per participant, re-carved
-    // from the request arena every pricing (the arena keeps its blocks, so
-    // steady state allocates nothing) with this call's sanitized scalars.
-    const core::PortfolioView* tiles = nullptr;
-    if (negotiated) {
-      std::size_t widest = 0;
-      for (std::size_t c = 0; c < nchunks; ++c) widest = std::max(widest, bounds[c + 1] - bounds[c]);
-      s.arena.reset();
-      s.bs_tiles.resize(static_cast<std::size_t>(P));
-      for (core::PortfolioView& tile : s.bs_tiles) {
-        tile = core::allocate_like(working, v->layout, widest, s.arena);
-      }
-      tiles = s.bs_tiles.data();
-    }
-
-    RunErrors errors;
-    const BsRun run{v,         &req,   &working, tiles,       P,       bounds.data(),
-                    s.bs_chunks.data(), &res, &errors, s.hist_chunk, s.flight, shared};
+  // --- Execute chunks --------------------------------------------------------
+  // A convertible layout mismatch (any pair of Black–Scholes layouts) is
+  // priced chunk by chunk through a tile in the variant's layout: fill the
+  // tile from the caller's range, price it, write the outputs back. Every
+  // pricing therefore reads the caller's current inputs, and the writeback
+  // sits inside the timer, so res.seconds stays honest about what the
+  // caller's layout really costs.
+  const int ntiles = nchunks == 1 ? 1 : P;
+  const core::PortfolioView* tiles =
+      working.layout != v.layout ? carve_tiles(s, working, v.layout, bounds, ntiles) : nullptr;
+  RunErrors errors;
+  if (shape == Shape::kSpecs) {
+    res.values.assign(n, 0.0);
+    if (v.has_std_error) res.std_errors.assign(n, 0.0);
+  }
+  const bool scan = shape == Shape::kBs && req.sanitize != robust::SanitizePolicy::kOff &&
+                    req.sanitize != robust::SanitizePolicy::kReject;
+  const ChunkRun run{&v,    &req, &working,      tiles,           ntiles,
+                     shape, scan, shared,        bounds.data(),   s.tallies.data(),
+                     &res,  &errors, s.hist_chunk, s.flight};
+  if (shape == Shape::kWhole) {
+    // On the caller, under the kernel's own OpenMP team and the caller's
+    // FP state; the deadline is checked once, before the kernel runs.
+    if (cancel == nullptr || !cancel->expired()) run_chunk(run, 0);
+  } else {
+    // A one-chunk Black–Scholes batch runs inline on the caller, under the
+    // same one-thread OpenMP and FTZ policy as a pool participant, without
+    // waking workers. Kernel exceptions are contained per chunk, so the
+    // pool never sees a failure and the remaining chunks still execute.
     const std::function<void(std::ptrdiff_t)> chunk_fn = [&run](std::ptrdiff_t c) {
-      run_bs_chunk(run, c);
+      run_chunk(run, c);
     };
-    if (nchunks == 1) {
+    if (shape == Shape::kBs && nchunks == 1) {
       ThreadPool::run_inline(1, chunk_fn, cancel);
     } else {
+      const char* site =
+          rd.schedule == arch::Schedule::kDynamic ? "engine.dynamic" : "engine.static";
       pool_->run(static_cast<std::ptrdiff_t>(nchunks), chunk_fn, rd.schedule, site, cancel);
     }
-
-    // Serial post-pass: statuses, unpriced chunks, per-chunk tallies.
-    std::size_t priced_items = 0;
-    const bool expired = cancel != nullptr && cancel->expired();
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      const std::size_t begin = bounds[c], end = bounds[c + 1];
-      const Scratch::BsChunk& st = s.bs_chunks[c];
-      res.options_repaired += st.repaired;
-      res.convert_bytes += st.convert_bytes;
-      res.convert_seconds += st.convert_seconds;
-      switch (static_cast<ChunkStatus>(res.chunk_status[c])) {
-        case ChunkStatus::kNotRun:
-          res.chunk_status[c] = static_cast<std::uint8_t>(expired ? ChunkStatus::kDeadline
-                                                                  : ChunkStatus::kNotRun);
-          ++res.chunks_deadline;
-          nan_bs_outputs(core::subview(working, begin, end - begin));
-          obs::counter("robust.deadline.chunks_skipped").add(1);
-          record_flight(c, begin, end, expired ? "deadline" : "not_run");
-          break;
-        case ChunkStatus::kFailed:
-          ++res.chunks_failed;
-          obs::counter("robust.fallback.exhausted").add(1);
-          break;
-        case ChunkStatus::kDegraded:
-          ++res.chunks_degraded;
-          obs::counter("robust.fallback.chunks").add(1);
-          priced_items += end - begin;
-          break;
-        default:
-          priced_items += end - begin;
-          break;
-      }
-    }
-    // Merge the per-chunk sanitizer verdicts (chunk masks are indexed from
-    // the chunk start) into the request's report and result.
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      const robust::SanitizeReport& r = s.bs_chunks[c].san;
-      san.scanned += r.scanned;
-      if (r.faulty == 0) continue;
-      san.faulty += r.faulty;
-      san.clamped += r.clamped;
-      san.skipped += r.skipped;
-      if (res.option_faults.empty()) res.option_faults.assign(n, 0);
-      std::copy(r.mask.begin(), r.mask.end(),
-                res.option_faults.begin() + static_cast<std::ptrdiff_t>(bounds[c]));
-    }
-    if (req.sanitize != robust::SanitizePolicy::kOff) robust::record_sanitize(san);
-    res.options_clamped = san.clamped;
-    res.options_skipped = san.skipped;
-    if (negotiated) {
-      static obs::Counter& converts = obs::counter("engine.layout_converts");
-      static obs::Counter& cbytes = obs::counter("engine.convert.bytes");
-      static obs::Stat& csecs = obs::stat("engine.convert.seconds");
-      converts.add(1);
-      cbytes.add(res.convert_bytes);
-      csecs.record(res.convert_seconds);
-    }
-    aggregate(errors, priced_items);
-    return;
   }
 
-  res.values.assign(n, 0.0);
-  if (v->has_std_error) res.std_errors.assign(n, 0.0);
-  RunErrors errors;
-  const bool inject = req.faults.any_engine_side();
-  const bool guard_on = req.guard.mode != robust::GuardMode::kOff;
-
-  // One-pointer capture: the closure fits std::function's small-buffer
-  // optimization, so submitting the run allocates nothing. Kernel
-  // exceptions are contained per chunk — the chunk is marked kFailed for
-  // the fallback pass below and the pool never sees a failure, so the
-  // remaining chunks still execute.
-  struct ChunkCtx {
-    const VariantInfo* v;
-    const PricingRequest* req;
-    const core::PortfolioView* view;
-    const std::size_t* bounds;
-    PricingResult* res;
-    RunErrors* errors;
-    obs::Histogram* hist_chunk;
-    obs::FlightRecorder* flight;
-    bool inject;
-    bool guard_on;
-  };
-  ChunkCtx ctx{v, &req, &working, bounds.data(), &res, &errors, s.hist_chunk, s.flight, inject,
-               guard_on};
-  pool_->run(
-      static_cast<std::ptrdiff_t>(nchunks),
-      [&ctx](std::ptrdiff_t c) {
-        FINBENCH_SPAN("engine.chunk");
-        const std::size_t begin = ctx.bounds[static_cast<std::size_t>(c)];
-        const std::size_t end = ctx.bounds[static_cast<std::size_t>(c) + 1];
-        std::uint8_t& slot = ctx.res->chunk_status[static_cast<std::size_t>(c)];
-        const double start_us = obs::trace::now_us();
-        try {
-          if (ctx.inject) inject_chunk_faults(ctx.req->faults, c);
-          if (resilience::chaos_active()) {
-            resilience::maybe_inject(ctx.v->id.c_str(), ctx.res->request_id,
-                                     static_cast<std::uint64_t>(c));
-          }
-          ctx.v->run_range(*ctx.req, *ctx.view, begin, end, *ctx.res);
-          if (ctx.req->faults.corrupt > 0.0) {
-            inject_corrupt_values({ctx.res->values.data() + begin, end - begin}, begin,
-                                  ctx.req->faults);
-          }
-          if (ctx.guard_on &&
-              robust::guard_specs_range(
-                  ctx.view->specs.subspan(begin, end - begin),
-                  {ctx.res->values.data() + begin, end - begin}, ctx.req->guard,
-                  ctx.v->statistical, ctx.res->option_faults, begin) > 0) {
-            ctx.errors->record("output guard failed");
-            slot = static_cast<std::uint8_t>(ChunkStatus::kFailed);
-          } else {
-            slot = static_cast<std::uint8_t>(ChunkStatus::kOk);
-          }
-        } catch (const std::exception& e) {
-          ctx.errors->record(e.what());
-          slot = static_cast<std::uint8_t>(ChunkStatus::kFailed);
-        } catch (...) {
-          ctx.errors->record("non-std exception from kernel");
-          slot = static_cast<std::uint8_t>(ChunkStatus::kFailed);
-        }
-        const double end_us = obs::trace::now_us();
-        ctx.hist_chunk->record_seconds((end_us - start_us) * 1e-6);
-        record_chunk(*ctx.flight, ctx.res->request_id, *ctx.v, static_cast<std::size_t>(c), begin,
-                     end, slot == static_cast<std::uint8_t>(ChunkStatus::kOk) ? "ok" : "failed",
-                     ThreadPool::current_participant(), start_us, end_us);
-      },
-      rd.schedule, site, cancel);
-
-  // --- Quarantine & fallback pass (serial, exceptional) --------------------
-  // Failed chunks re-price through the fallback chain's batch entry point
-  // on a sub-workload view; the repaired values are guarded again before
-  // they are accepted. Runs on the caller thread; a degraded repetition
-  // may allocate — only clean steady-state repetitions are guaranteed
-  // allocation-free.
-  std::size_t priced_items = 0;
-  const bool expired = cancel != nullptr && cancel->expired();
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    auto status = static_cast<ChunkStatus>(res.chunk_status[c]);
-    const std::size_t begin = bounds[c], end = bounds[c + 1];
-    if (status == ChunkStatus::kNotRun) {
-      res.chunk_status[c] = static_cast<std::uint8_t>(expired ? ChunkStatus::kDeadline
-                                                              : ChunkStatus::kNotRun);
-      ++res.chunks_deadline;
-      std::fill(res.values.begin() + static_cast<std::ptrdiff_t>(begin),
-                res.values.begin() + static_cast<std::ptrdiff_t>(end), kQuietNan);
-      obs::counter("robust.deadline.chunks_skipped").add(1);
-      record_flight(c, begin, end, expired ? "deadline" : "not_run");
-      continue;
-    }
-    if (status == ChunkStatus::kFailed && req.fallback) {
-      bool repaired = false;
-      for (const VariantInfo* fb = fallback_of(*v); fb != nullptr && !repaired;
-           fb = fallback_of(*fb)) {
-        if (fb->layout != Layout::kSpecs || fb->run_batch == nullptr) break;
-        if (fb->european_only && range_has_american(working.specs, begin, end)) continue;
-        PricingRequest sub = req;
-        sub.kernel_id = fb->id;
-        sub.faults = {};  // never inject into the repair path
-        sub.portfolio = core::view_of(working.specs.subspan(begin, end - begin));
-        sub.scratch.reset();
-        PricingResult subres;
-        try {
-          fb->run_batch(sub, sub.portfolio, subres);
-        } catch (...) {
-          continue;  // next link
-        }
-        if (subres.values.size() != end - begin) continue;
-        if (robust::guard_specs_range(working.specs.subspan(begin, end - begin), subres.values,
-                                      req.guard, fb->statistical, res.option_faults,
-                                      begin) > 0) {
-          continue;
-        }
-        std::copy(subres.values.begin(), subres.values.end(),
-                  res.values.begin() + static_cast<std::ptrdiff_t>(begin));
-        if (!res.std_errors.empty() && subres.std_errors.size() == end - begin) {
-          std::copy(subres.std_errors.begin(), subres.std_errors.end(),
-                    res.std_errors.begin() + static_cast<std::ptrdiff_t>(begin));
-        }
-        repaired = true;
-      }
-      if (repaired) {
-        status = ChunkStatus::kDegraded;
-        res.chunk_status[c] = static_cast<std::uint8_t>(status);
-        ++res.chunks_degraded;
-        obs::counter("robust.fallback.chunks").add(1);
-        record_flight(c, begin, end, "degraded");
-      } else {
-        obs::counter("robust.fallback.exhausted").add(1);
-      }
-    }
-    if (status == ChunkStatus::kOk || status == ChunkStatus::kDegraded) {
-      priced_items += end - begin;
-    } else {
-      ++res.chunks_failed;
-      std::fill(res.values.begin() + static_cast<std::ptrdiff_t>(begin),
-                res.values.begin() + static_cast<std::ptrdiff_t>(end), kQuietNan);
-    }
+  // --- Post-pass -------------------------------------------------------------
+  robust::SanitizeReport& san = s.sanitize_report;
+  const std::size_t priced = post_pass(run, nchunks, cancel != nullptr && cancel->expired(), san);
+  if (scan) robust::record_sanitize(san);
+  res.options_clamped = san.clamped;
+  res.options_skipped = san.skipped;
+  if (tiles != nullptr) {
+    static obs::Counter& converts = obs::counter("engine.layout_converts");
+    static obs::Counter& cbytes = obs::counter("engine.convert.bytes");
+    static obs::Stat& csecs = obs::stat("engine.convert.seconds");
+    converts.add(1);
+    cbytes.add(res.convert_bytes);
+    csecs.record(res.convert_seconds);
   }
 
-  aggregate(errors, priced_items);
+  // --- Aggregate -------------------------------------------------------------
+  aggregate(req, s, res, errors, priced, n, t.seconds());
 }
 
 }  // namespace finbench::engine

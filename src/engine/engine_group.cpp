@@ -8,9 +8,9 @@
 // caused it, not smeared across the group.
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "finbench/core/portfolio.hpp"
@@ -107,29 +107,6 @@ core::PortfolioView build_fused(std::span<const GroupJob> group, core::Arena& ar
       break;
   }
   return out;
-}
-
-// Clear a member result the way Engine::price does, keeping capacity.
-void reset_result(PricingResult& r) {
-  r.ok = false;
-  r.error.clear();
-  r.status.reset();
-  r.resolved_id.clear();
-  r.tuned = false;
-  r.items = 0;
-  r.seconds = 0.0;
-  r.convert_seconds = 0.0;
-  r.convert_bytes = 0;
-  r.values.clear();
-  r.std_errors.clear();
-  r.option_faults.clear();
-  r.chunk_status.clear();
-  r.options_clamped = r.options_skipped = r.options_repaired = 0;
-  r.chunks_degraded = r.chunks_failed = r.chunks_deadline = 0;
-  r.brownout_level = 0;
-  r.npath_applied = 0;
-  r.steps_applied = 0;
-  r.attempts = 1;
 }
 
 }  // namespace
@@ -274,16 +251,34 @@ void Engine::price_group(std::span<const GroupJob> group, GroupScratch& gs) cons
   }
   price(f, gs.fused_res);
   const PricingResult& fr = gs.fused_res;
-  const robust::StatusCode fc = fr.status.code();
 
   // --- Scatter -------------------------------------------------------------
-  const bool terminal = !fr.status.ok();
+  // Each member is decided from the fused chunk statuses over its own
+  // range, whatever happened to the rest of the group: a member whose
+  // every overlapping chunk priced gets a clean (or degraded) status; a
+  // member with an unpriced chunk takes the fused status (deadline or
+  // kernel error) with its partial outputs disclosed — priced values, NaN
+  // for the rest, as a solo pricing leaves them. A run that never
+  // executed (rejection, unknown kernel, failed prepare) has no chunk
+  // statuses or only kNotRun ones — after an execution the post-pass
+  // leaves none: every member takes the fused status and its outputs stay
+  // untouched.
+  const std::size_t nchunks = fr.chunk_status.size();
+  const bool ran =
+      std::any_of(fr.chunk_status.begin(), fr.chunk_status.end(), [](std::uint8_t c) {
+        return static_cast<ChunkStatus>(c) != ChunkStatus::kNotRun;
+      });
+  const std::size_t one_chunk[2] = {0, total};
+  const std::span<const std::size_t> bounds =
+      nchunks == 1 ? std::span<const std::size_t>(one_chunk)
+                   : std::span<const std::size_t>(scratch_of(f).bounds);
+  std::size_t first = 0;  // first fused chunk overlapping the member
   for (std::size_t j = 0; j < group.size(); ++j) {
     const std::size_t off = gs.offsets[j];
     const std::size_t m = group[j].req->portfolio.size();
+    const PricingRequest& req = *group[j].req;
     PricingResult& r = *group[j].res;
-    reset_result(r);
-    r.kernel_id = group[j].req->kernel_id;  // the member's own (intent) id
+    r.reset(req.kernel_id);  // the member's own (intent) id
     r.resolved_id = fr.resolved_id;
     r.tuned = group_tuned;
     r.request_id = fr.request_id;
@@ -299,61 +294,42 @@ void Engine::price_group(std::span<const GroupJob> group, GroupScratch& gs) cons
         if (bit & robust::kFaultClamped) ++r.options_clamped;
       }
     }
-    // A mid-batch deadline is terminal for the *fused* run but not
-    // necessarily for every member: chunks that completed before the
-    // expiry fully priced the members they covered. Scatter per member —
-    // a member whose whole slice priced gets its values and a clean (or
-    // degraded) status; a member with unpriced items keeps
-    // kDeadlineExceeded with whatever partial values exist. An item
-    // counts as priced when its value is finite or the sanitizer skipped
-    // it by design (NaN output with kFaultSkipped set).
-    bool member_terminal = terminal;
-    std::size_t member_priced = m;
-    if (terminal && fc == robust::StatusCode::kDeadlineExceeded && !bs && !fr.values.empty()) {
-      member_priced = 0;
-      for (std::size_t i = 0; i < m; ++i) {
-        const bool skipped =
-            !fr.option_faults.empty() &&
-            (fr.option_faults[off + i] & robust::kFaultSkipped) != 0;
-        if (std::isfinite(fr.values[off + i]) || skipped) ++member_priced;
-      }
-      member_terminal = member_priced < m;
-    }
-    if (member_terminal) {
-      // Nothing usable (or not everything) ran for this member
-      // (rejection, unknown kernel, unrecoverable kernel error, or the
-      // deadline caught its slice): propagate the fused status.
+    if (!ran) {
       r.status = fr.status;
-      r.ok = false;
-      r.error = fr.error;
-      if (fc == robust::StatusCode::kDeadlineExceeded) {
-        r.chunks_deadline = 1;
-        // Disclose the partial values so a caller that can use a subset
-        // sees what priced (mirrors the solo chunked path's contract).
-        if (!bs && !fr.values.empty()) {
-          r.values.assign(fr.values.begin() + static_cast<std::ptrdiff_t>(off),
-                          fr.values.begin() + static_cast<std::ptrdiff_t>(off + m));
-          if (!fr.std_errors.empty()) {
-            r.std_errors.assign(fr.std_errors.begin() + static_cast<std::ptrdiff_t>(off),
-                                fr.std_errors.begin() + static_cast<std::ptrdiff_t>(off + m));
-          }
-          r.items = member_priced;
-        }
-      }
       continue;
     }
-    // Usable fused outputs: re-guard this member's range with its own
-    // policy (repairs land in the fused arrays first), then copy the
-    // member's slice back to where Engine::price would have written it.
-    const core::PortfolioView sub = core::subview(fused_view, off, m);
-    if (bs) {
-      if (group[j].req->guard.mode != robust::GuardMode::kOff) {
-        std::span<const std::uint8_t> mask;
-        if (!r.option_faults.empty()) mask = {r.option_faults.data(), m};
-        r.options_repaired = robust::guard_and_repair_bs(sub, group[j].req->guard, mask);
+
+    // Walk the fused chunks overlapping [off, off + m). A priced
+    // Black–Scholes segment is re-guarded with the member's own policy
+    // (repairs land in the fused arrays first), so a guardrail trip is
+    // repaired and reported on the member that caused it.
+    while (first + 1 < nchunks && bounds[first + 1] <= off) ++first;
+    for (std::size_t c = first; c < nchunks && bounds[c] < off + m; ++c) {
+      const std::size_t lo = std::max(bounds[c], off);
+      const std::size_t hi = std::min(bounds[c + 1], off + m);
+      const auto status = static_cast<ChunkStatus>(fr.chunk_status[c]);
+      if (status == ChunkStatus::kFailed) {
+        ++r.chunks_failed;
+        continue;
       }
-      core::copy_outputs(sub, group[j].req->portfolio);
-    } else {
+      if (status != ChunkStatus::kOk && status != ChunkStatus::kDegraded) {
+        ++r.chunks_deadline;
+        continue;
+      }
+      if (status == ChunkStatus::kDegraded) ++r.chunks_degraded;
+      r.items += hi - lo;
+      if (bs && req.guard.mode != robust::GuardMode::kOff) {
+        std::span<const std::uint8_t> mask;
+        if (!r.option_faults.empty()) mask = {r.option_faults.data() + (lo - off), hi - lo};
+        r.options_repaired += robust::guard_and_repair_bs(core::subview(fused_view, lo, hi - lo),
+                                                          req.guard, mask);
+      }
+    }
+    // Copy the member's slice back to where Engine::price would have
+    // written it.
+    if (bs) {
+      core::copy_outputs(core::subview(fused_view, off, m), req.portfolio);
+    } else if (fr.values.size() == total) {
       r.values.assign(fr.values.begin() + static_cast<std::ptrdiff_t>(off),
                       fr.values.begin() + static_cast<std::ptrdiff_t>(off + m));
       if (!fr.std_errors.empty()) {
@@ -361,17 +337,12 @@ void Engine::price_group(std::span<const GroupJob> group, GroupScratch& gs) cons
                             fr.std_errors.begin() + static_cast<std::ptrdiff_t>(off + m));
       }
     }
-    r.items = m;
-    r.chunks_degraded = fr.chunks_degraded > 0 ? 1 : 0;
-    const bool degraded = r.options_repaired > 0 || r.options_skipped > 0 ||
-                          r.options_clamped > 0 || r.chunks_degraded > 0;
-    if (degraded) {
+    if (r.items < m) {
+      r.status = fr.status;
+    } else if (r.options_repaired > 0 || r.options_skipped > 0 || r.options_clamped > 0 ||
+               r.chunks_degraded > 0) {
       r.status.set(robust::StatusCode::kDegraded,
                    "degraded in fused batch (see option_faults / options_repaired)");
-      r.ok = true;
-      r.error = r.status.to_string();
-    } else {
-      r.ok = true;
     }
   }
 }

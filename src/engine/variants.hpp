@@ -47,14 +47,15 @@ struct Scratch {
   arch::AlignedVector<double> bb_z_blocked;
   int bb_blocked_width = 0;
 
-  // --- Black–Scholes chunk pipeline (engine-owned) -------------------------
-  // Per-chunk tallies of the last pricing, merged serially after the run:
-  // the chunk's sanitizer verdict (mask indexed from the chunk start), its
-  // guard repairs and its negotiation traffic. On a layout mismatch each
-  // participant prices through its own chunk-sized tile in the variant's
-  // layout, re-carved from `arena` every pricing (reset() keeps the
-  // blocks, so steady state allocates nothing).
-  struct BsChunk {
+  // --- Chunk executor (engine-owned) ---------------------------------------
+  // Per-chunk tallies of the last pricing, merged serially by the
+  // post-pass: a Black–Scholes chunk's sanitizer verdict (mask indexed
+  // from the chunk start), its guard repairs and its negotiation traffic
+  // (all zero for other chunks). On a layout mismatch each participant
+  // prices through its own chunk-sized tile in the variant's layout,
+  // re-carved from `arena` every pricing (reset() keeps the blocks, so
+  // steady state allocates nothing).
+  struct ChunkTally {
     robust::SanitizeReport san;
     std::size_t repaired = 0;
     std::size_t convert_bytes = 0;
@@ -66,9 +67,9 @@ struct Scratch {
       convert_seconds = 0.0;
     }
   };
-  std::vector<BsChunk> bs_chunks;
+  std::vector<ChunkTally> tallies;
   core::Arena arena;
-  std::vector<core::PortfolioView> bs_tiles;
+  std::vector<core::PortfolioView> tiles;
 
   // --- Chunk-partition cache (engine-owned) --------------------------------
   // chunk_bounds output + per-item cost buffer, rebuilt only when the

@@ -166,7 +166,6 @@ void run_batch(const PricingRequest& req, const core::PortfolioView& view,
   const std::size_t n = view.specs.size();
   if (res.values.size() != n) res.values.assign(n, 0.0);
   res.items = n;
-  res.ok = true;
   if (req.steps_per_year > 0) {
     run_range<K, W>(req, view, 0, n, res);
     return;
@@ -198,7 +197,6 @@ void run_blocked(const PricingRequest& req, const core::PortfolioView& view,
   kernels::binomial::price_blocked(view.blocked, req.steps, W,
                                    &scratch_of(req).lattice_pool);
   res.items = view.blocked.size();
-  res.ok = true;
 }
 
 // Spec-gather baseline and blocked-layout validation anchor: each lane is
@@ -228,7 +226,6 @@ void run_blocked_gather(const PricingRequest& req, const core::PortfolioView& vi
     kernels::binomial::price_reference({&o, 1}, req.steps, {b.field(blk, 4) + ln, 1}, pool);
   }
   res.items = b.size();
-  res.ok = true;
 }
 
 VariantInfo base(const char* id, OptLevel level, int width, const char* desc) {

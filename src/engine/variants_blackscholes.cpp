@@ -78,7 +78,6 @@ template <PriceFn F>
 void run_batch(const PricingRequest& req, const core::PortfolioView& view, PricingResult& res) {
   F(req, view);
   res.items = view.size();
-  res.ok = true;
 }
 
 // Chunk entry (Engine::price): one cache-sized range of the view, on a

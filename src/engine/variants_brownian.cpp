@@ -64,7 +64,6 @@ void prep_out(const core::PortfolioView& view, const Scratch& s, PricingResult& 
   const std::size_t need = view.npaths * s.sched->num_points();
   if (res.values.size() != need) res.values.assign(need, 0.0);
   res.items = view.npaths;
-  res.ok = true;
 }
 
 void run_reference(const PricingRequest& req, const core::PortfolioView& view,
@@ -103,7 +102,6 @@ void run_fused(const PricingRequest& req, const core::PortfolioView& view,
   Scratch& s = prepared(req, view, 1);
   if (res.values.size() != view.npaths) res.values.assign(view.npaths, 0.0);
   res.items = view.npaths;
-  res.ok = true;
   kernels::brownian::construct_advanced_fused(*s.sched, req.seed, view.npaths, res.values,
                                               Width::kAuto);
 }

@@ -51,7 +51,6 @@ void run_batch(const PricingRequest& req, const core::PortfolioView& view,
   const std::size_t n = view.specs.size();
   if (res.values.size() != n) res.values.assign(n, 0.0);
   res.items = n;
-  res.ok = true;
   kernels::cn::price_batch(view.specs, grid_of(req), V, res.values, W);
 }
 
@@ -111,7 +110,6 @@ void run_batch_tasked(const PricingRequest& req, const core::PortfolioView& view
   const std::size_t n = view.specs.size();
   if (res.values.size() != n) res.values.assign(n, 0.0);
   res.items = n;
-  res.ok = true;
   run_range_tasked(req, view, 0, n, res);
 }
 

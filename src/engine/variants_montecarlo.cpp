@@ -116,7 +116,6 @@ void stream_batch(const PricingRequest& req, const core::PortfolioView& view,
   if (res.std_errors.size() != n) res.std_errors.assign(n, 0.0);
   store({mc.data(), n}, 0, res);
   res.items = n;
-  res.ok = true;
 }
 
 // --- Path-block tasks (engine/task_group.hpp) --------------------------------
@@ -215,7 +214,6 @@ void computed_batch(const PricingRequest& req, const core::PortfolioView& view,
   if (res.std_errors.size() != n) res.std_errors.assign(n, 0.0);
   store({mc.data(), n}, 0, res);
   res.items = n;
-  res.ok = true;
 }
 
 VariantInfo base(const char* id, OptLevel level, int width, const char* desc) {

@@ -45,29 +45,6 @@ std::size_t workload_bytes(const core::PortfolioView& v) {
   return 0;
 }
 
-// Clear a job's result for a server-side terminal outcome (queue-expired
-// deadline), mirroring what Engine::price does on entry.
-void reset_result(engine::PricingResult& r) {
-  r.ok = false;
-  r.error.clear();
-  r.status.reset();
-  r.request_id = 0;
-  r.items = 0;
-  r.seconds = 0.0;
-  r.convert_seconds = 0.0;
-  r.convert_bytes = 0;
-  r.values.clear();
-  r.std_errors.clear();
-  r.option_faults.clear();
-  r.chunk_status.clear();
-  r.options_clamped = r.options_skipped = r.options_repaired = 0;
-  r.chunks_degraded = r.chunks_failed = r.chunks_deadline = 0;
-  r.brownout_level = 0;
-  r.npath_applied = 0;
-  r.steps_applied = 0;
-  r.attempts = 1;
-}
-
 }  // namespace
 
 Server::Server(ServerConfig cfg)
@@ -276,12 +253,10 @@ void Server::process(std::uint64_t now) {
     job.queue_seconds = 1e-9 * static_cast<double>(now - job.submit_ns_);
     const double budget = job.request.deadline_seconds;
     if (budget > 0.0 && job.queue_seconds >= budget) {
-      reset_result(job.result);
-      job.result.kernel_id = job.request.kernel_id;
+      job.result.reset(job.request.kernel_id);
       job.result.chunks_deadline = 1;
       job.result.status.set(robust::StatusCode::kDeadlineExceeded,
                             "serve: deadline expired while queued");
-      job.result.error = job.result.status.to_string();
       n_expired_.fetch_add(1, std::memory_order_relaxed);
       c_expired.add(1);
       c_deadline.add(1);
@@ -302,11 +277,9 @@ void Server::process(std::uint64_t now) {
       if (claimed_[i] != 0) continue;
       PricingJob& job = *pending_[i];
       if (brownout_.shed(job.request.degrade.priority)) {
-        reset_result(job.result);
-        job.result.kernel_id = job.request.kernel_id;
+        job.result.reset(job.request.kernel_id);
         job.result.status.set(robust::StatusCode::kResourceExhausted,
                               "serve: shed by brownout at max level");
-        job.result.error = job.result.status.to_string();
         brownout_.note_shed();
         n_brownout_shed_.fetch_add(1, std::memory_order_relaxed);
         c_bshed.add(1);
@@ -440,8 +413,6 @@ void Server::complete(PricingJob& job, std::uint64_t end_ns, std::size_t batch_s
     if (job.result.status.code() == robust::StatusCode::kOk) {
       job.result.status.set(robust::StatusCode::kDegraded,
                             "serve: browned out (accuracy knobs reduced)");
-      job.result.error = job.result.status.to_string();
-      job.result.ok = job.result.status.ok();
     }
     c_degraded.add(1);
     restore_knobs(job);

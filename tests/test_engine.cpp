@@ -19,6 +19,7 @@
 #include "finbench/engine/engine.hpp"
 #include "finbench/engine/registry.hpp"
 #include "finbench/engine/validate.hpp"
+#include "finbench/obs/flight_recorder.hpp"
 #include "finbench/obs/metrics.hpp"
 #include "finbench/robust/guards.hpp"
 
@@ -117,16 +118,17 @@ TEST(Engine, UnknownKernelIdIsAnError) {
   PricingRequest req;
   req.kernel_id = "bs.nonexistent.scalar";
   const PricingResult res = Engine::shared().price(req);
-  EXPECT_FALSE(res.ok);
-  EXPECT_NE(res.error.find("unknown kernel id"), std::string::npos) << res.error;
+  EXPECT_FALSE(res.status.ok());
+  EXPECT_NE(res.status.to_string().find("unknown kernel id"), std::string::npos)
+      << res.status.to_string();
 }
 
 TEST(Engine, MissingWorkloadIsAnError) {
   PricingRequest req;
   req.kernel_id = "binomial.reference.scalar";  // kSpecs layout, but no specs
   const PricingResult res = Engine::shared().price(req);
-  EXPECT_FALSE(res.ok);
-  EXPECT_FALSE(res.error.empty());
+  EXPECT_FALSE(res.status.ok());
+  EXPECT_FALSE(res.status.to_string().empty());
 }
 
 // Chunked engine execution must be numerically invisible: the same values
@@ -157,12 +159,12 @@ TEST(Engine, ChunkedExecutionMatchesWholeBatch) {
     ASSERT_NE(v, nullptr);
     PricingResult whole;
     v->run_batch(req, req.portfolio, whole);
-    ASSERT_TRUE(whole.ok);
+    ASSERT_TRUE(whole.status.ok());
 
     for (auto sched : {arch::Schedule::kDynamic, arch::Schedule::kStatic}) {
       req.schedule = sched;
       const PricingResult res = eng.price(req);
-      ASSERT_TRUE(res.ok) << c.id << ": " << res.error;
+      ASSERT_TRUE(res.status.ok()) << c.id << ": " << res.status.to_string();
       ASSERT_EQ(res.values.size(), workload.size()) << c.id;
       for (std::size_t i = 0; i < workload.size(); ++i) {
         EXPECT_EQ(res.values[i], whole.values[i]) << c.id << " item " << i;
@@ -178,7 +180,7 @@ TEST(Engine, HeterogeneousStepsPerYearPricesEachExpiryAtItsOwnDepth) {
   req.portfolio = core::view_of(std::span<const core::OptionSpec>(workload));
   req.steps_per_year = 64;
   const PricingResult res = Engine::shared().price(req);
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
   // Longer-dated options get deeper lattices, so the result must differ
   // from a fixed-depth batch for at least one option.
@@ -186,7 +188,7 @@ TEST(Engine, HeterogeneousStepsPerYearPricesEachExpiryAtItsOwnDepth) {
   fixed.steps_per_year = 0;
   fixed.scratch.reset();
   const PricingResult res_fixed = Engine::shared().price(fixed);
-  ASSERT_TRUE(res_fixed.ok);
+  ASSERT_TRUE(res_fixed.status.ok());
   bool any_diff = false;
   for (std::size_t i = 0; i < workload.size(); ++i) {
     any_diff = any_diff || res.values[i] != res_fixed.values[i];
@@ -196,13 +198,60 @@ TEST(Engine, HeterogeneousStepsPerYearPricesEachExpiryAtItsOwnDepth) {
 
 // Black–Scholes batches price in place: prices land in the request's
 // batch arrays and values stays empty.
+// A workload the kernel prices in one batch call — path construction, a
+// run_batch-only variant, a specs batch of one option — is the
+// executor's one-chunk case: one chunk status and one flight record
+// covering [0, n). A run_batch-only variant prices its own layout only:
+// another Black–Scholes layout is refused, not read as an empty view.
+TEST(Engine, RunBatchOnlyWorkloadsAreOneChunk) {
+  core::Portfolio blocked = core::Portfolio::bs(64, core::Layout::kBsBlocked, 5);
+  core::Portfolio aos = core::Portfolio::bs(64, core::Layout::kBsAos, 5);
+  const auto one = lattice_workload(1, 7);
+  struct Case {
+    const char* id;
+    core::PortfolioView view;
+  };
+  const Case cases[] = {
+      {"brownian.intermediate.auto", core::paths_view(256)},
+      {"binomial.blocked.4", blocked.view()},
+      {"binomial.intermediate.auto", core::view_of(std::span<const core::OptionSpec>(one))},
+  };
+  for (const Case& c : cases) {
+    const std::string what =
+        std::string(c.id) + " on " + std::string(core::to_string(c.view.layout));
+    PricingRequest req;
+    req.kernel_id = c.id;
+    req.portfolio = c.view;
+    req.steps = 128;
+    const PricingResult res = Engine::shared().price(req);
+    ASSERT_EQ(res.status.code(), robust::StatusCode::kOk) << what << ": " << res.status.to_string();
+    EXPECT_EQ(res.items, c.view.size()) << what;
+    ASSERT_EQ(res.chunk_status.size(), 1u) << what;
+    EXPECT_EQ(static_cast<engine::ChunkStatus>(res.chunk_status[0]), engine::ChunkStatus::kOk)
+        << what;
+    std::size_t records = 0;
+    for (const auto& r : obs::flight_recorder().snapshot()) {
+      if (r.request_id != res.request_id) continue;
+      ++records;
+      EXPECT_EQ(r.begin, 0u) << what;
+      EXPECT_EQ(r.end, c.view.size()) << what;
+    }
+    EXPECT_EQ(records, 1u) << what;
+  }
+
+  PricingRequest neg;
+  neg.kernel_id = "binomial.blocked.4";
+  neg.portfolio = aos.view();
+  EXPECT_EQ(Engine::shared().price(neg).status.code(), robust::StatusCode::kInvalidArgument);
+}
+
 TEST(Engine, BatchLayoutPricesIntoTheBatchArrays) {
   auto soa = core::make_bs_workload_soa(512, 21);
   PricingRequest req;
   req.kernel_id = "bs.intermediate.auto";
   req.portfolio = core::view_of(soa);
   const PricingResult res = Engine::shared().price(req);
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   EXPECT_EQ(res.items, 512u);
   EXPECT_TRUE(res.values.empty());
   // Spot-check the outputs actually landed in the batch arrays.
@@ -219,7 +268,7 @@ TEST(Engine, RepeatedPricingOfOneRequestIsDeterministic) {
   req.npath = 4096;
   const PricingResult a = Engine::shared().price(req);
   const PricingResult b = Engine::shared().price(req);  // scratch reused
-  ASSERT_TRUE(a.ok && b.ok);
+  ASSERT_TRUE(a.status.ok() && b.status.ok());
   ASSERT_EQ(a.values.size(), b.values.size());
   for (std::size_t i = 0; i < a.values.size(); ++i) EXPECT_EQ(a.values[i], b.values[i]) << i;
 }
@@ -247,9 +296,9 @@ TEST(Engine, DynamicScheduleReducesImbalanceOnSortedMixedExpiryPortfolio) {
   obs::reset_metrics();
   for (int rep = 0; rep < 2; ++rep) {
     req.schedule = arch::Schedule::kStatic;
-    ASSERT_TRUE(eng.price(req).ok);
+    ASSERT_TRUE(eng.price(req).status.ok());
     req.schedule = arch::Schedule::kDynamic;
-    ASSERT_TRUE(eng.price(req).ok);
+    ASSERT_TRUE(eng.price(req).status.ok());
   }
   obs::enable_parallel_timing(false);
 

@@ -11,7 +11,8 @@
 //     which keeps its blocks across repetitions,
 //   - chunked Monte Carlo (stream flavor) across a thread pool, both
 //     schedules: chunks write into pre-sized scratch slices and the
-//     dispatch closure fits std::function's small-buffer optimization.
+//     dispatch closure fits std::function's small-buffer optimization,
+//   - a run_batch-only variant, the one-chunk case.
 //
 // The counter intercepts ::operator new (plain and aligned) only — the
 // arena and AlignedAllocator route through these on purpose (see
@@ -91,12 +92,12 @@ TEST(EngineAlloc, BsWholeBatchNativeLayoutIsAllocationFree) {
   Engine& eng = Engine::shared();
   PricingResult res;
   eng.price(req, res);  // warm-up: scratch, obs handles, result strings
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
   const std::size_t allocs = allocations_during([&] {
     for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
   });
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   EXPECT_EQ(allocs, 0u) << "steady-state BS whole-batch pricing allocated";
 }
 
@@ -109,13 +110,13 @@ TEST(EngineAlloc, NegotiatedAosToSoaIsAllocationFreeAfterFirstConversion) {
   Engine& eng = Engine::shared();
   PricingResult res;
   eng.price(req, res);  // warm-up: carves the SOA tiles from the request arena
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   ASSERT_GT(res.convert_bytes, 0u) << "negotiation did not happen";
 
   const std::size_t allocs = allocations_during([&] {
     for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
   });
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   EXPECT_EQ(allocs, 0u) << "steady-state negotiated pricing allocated";
   // Every repetition converts its chunks afresh (the inputs may have
   // changed in place) and reports what that cost.
@@ -139,13 +140,13 @@ TEST(EngineAlloc, ChunkedBsAcrossThePoolIsAllocationFree) {
     req.portfolio = core::view_of(aos);
     PricingResult res;
     eng.price(req, res);
-    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
     ASSERT_GT(res.chunk_status.size(), 1u) << id;
 
     const std::size_t allocs = allocations_during([&] {
       for (int rep = 0; rep < 5; ++rep) eng.price(req, res);
     });
-    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
     EXPECT_EQ(allocs, 0u) << "steady-state chunked " << id << " pricing allocated";
   }
 }
@@ -165,12 +166,12 @@ TEST(EngineAlloc, ChunkedMonteCarloAcrossThePoolIsAllocationFree) {
     PricingResult res;
     eng.price(req, res);  // warm-up: normals, chunk bounds, mc buffer
     eng.price(req, res);  // second warm-up: res buffers at final capacity
-    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
     const std::size_t allocs = allocations_during([&] {
       for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
     });
-    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
     ASSERT_EQ(res.values.size(), workload.size());
     EXPECT_EQ(allocs, 0u) << "steady-state chunked MC allocated (schedule "
                           << (sched == arch::Schedule::kDynamic ? "dynamic" : "static") << ")";
@@ -198,12 +199,12 @@ TEST(EngineAlloc, BinomialLatticeScratchIsPooledAfterWarmup) {
     PricingResult res;
     eng.price(req, res);  // warm-up: lattice pool, chunk bounds
     eng.price(req, res);  // second warm-up: result buffers at capacity
-    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
     const std::size_t allocs = allocations_during([&] {
       for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
     });
-    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
     ASSERT_EQ(res.values.size(), workload.size());
     EXPECT_EQ(allocs, 0u) << "steady-state binomial pricing allocated (schedule "
                           << (sched == arch::Schedule::kDynamic ? "dynamic" : "static") << ")";
@@ -229,12 +230,12 @@ TEST(EngineAlloc, TaskedMixedExpiryBinomialIsAllocationFree) {
   PricingResult res;
   eng.price(req, res);  // warm-up: lattice pool, chunk bounds, task counters
   eng.price(req, res);  // second warm-up: result buffers at capacity
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
   const std::size_t allocs = allocations_during([&] {
     for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
   });
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   ASSERT_EQ(res.values.size(), workload.size());
   EXPECT_EQ(allocs, 0u) << "steady-state tasked binomial pricing allocated";
 }
@@ -254,16 +255,40 @@ TEST(EngineAlloc, MonteCarloComputedRngScratchIsPooledAfterWarmup) {
     PricingResult res;
     eng.price(req, res);  // warm-up: rng pool, chunk bounds
     eng.price(req, res);
-    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
     const std::size_t allocs = allocations_during([&] {
       for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
     });
-    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
     ASSERT_EQ(res.values.size(), workload.size());
     EXPECT_EQ(allocs, 0u) << "steady-state computed MC allocated (schedule "
                           << (sched == arch::Schedule::kDynamic ? "dynamic" : "static") << ")";
   }
+}
+
+// A run_batch-only variant (the blocked binomial family) is the
+// executor's one-chunk case: its chunk status, tally and result buffers
+// keep their capacity across repetitions like every chunked run's.
+TEST(EngineAlloc, WholeBatchRunBatchOnlyVariantIsAllocationFree) {
+  core::Portfolio pf = core::Portfolio::bs(256, core::Layout::kBsBlocked, 17);
+  PricingRequest req;
+  req.kernel_id = "binomial.blocked.4";
+  req.portfolio = pf.view();
+  req.steps = 64;
+
+  Engine& eng = Engine::shared();
+  PricingResult res;
+  eng.price(req, res);  // warm-up: lattice pool, result buffers
+  eng.price(req, res);
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+  ASSERT_EQ(res.chunk_status.size(), 1u);
+
+  const std::size_t allocs = allocations_during([&] {
+    for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
+  });
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+  EXPECT_EQ(allocs, 0u) << "steady-state whole-batch pricing allocated";
 }
 
 TEST(EngineAlloc, SwitchingWorkloadsRebuildsThenSettles) {
@@ -281,7 +306,7 @@ TEST(EngineAlloc, SwitchingWorkloadsRebuildsThenSettles) {
   eng.price(req, res);
   req.portfolio = core::view_of(aos_b);
   eng.price(req, res);  // same size: the reset arena's blocks fit this
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
   const std::size_t allocs = allocations_during([&] {
     for (int rep = 0; rep < 4; ++rep) {
@@ -291,7 +316,7 @@ TEST(EngineAlloc, SwitchingWorkloadsRebuildsThenSettles) {
       eng.price(req, res);
     }
   });
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   // Each pricing converts its chunks into reused arena blocks — still no
   // heap traffic.
   EXPECT_EQ(allocs, 0u);

@@ -99,13 +99,13 @@ TEST(EngineTasks, MixedExpiryBinomialBatchBitwiseEqualTaskedVsFlat) {
   req.tasks = TaskMode::kOff;
   PricingResult flat;
   eng.price(req, flat);
-  ASSERT_TRUE(flat.ok) << flat.error;
+  ASSERT_TRUE(flat.status.ok()) << flat.status.to_string();
 
   const std::uint64_t spawned_before = tasks_spawned();
   req.tasks = TaskMode::kOn;
   PricingResult tasked;
   eng.price(req, tasked);
-  ASSERT_TRUE(tasked.ok) << tasked.error;
+  ASSERT_TRUE(tasked.status.ok()) << tasked.status.to_string();
   EXPECT_GT(tasks_spawned(), spawned_before) << "tasked run spawned no tasks";
 
   ASSERT_EQ(tasked.values.size(), flat.values.size());
@@ -153,12 +153,12 @@ TEST(EngineTasks, CnEngineVariantBitwiseEqualTaskedVsSerial) {
   req.tasks = TaskMode::kOff;  // runner falls back to in-order serial sweeps
   PricingResult serial;
   eng.price(req, serial);
-  ASSERT_TRUE(serial.ok) << serial.error;
+  ASSERT_TRUE(serial.status.ok()) << serial.status.to_string();
 
   req.tasks = TaskMode::kOn;  // sweeps pipeline across the pool
   PricingResult tasked;
   eng.price(req, tasked);
-  ASSERT_TRUE(tasked.ok) << tasked.error;
+  ASSERT_TRUE(tasked.status.ok()) << tasked.status.to_string();
 
   ASSERT_EQ(tasked.values.size(), serial.values.size());
   for (std::size_t i = 0; i < serial.values.size(); ++i) {
@@ -183,8 +183,8 @@ TEST(EngineTasks, McTaskedPathBlocksDeterministicAndConsistent) {
   PricingResult a, b;
   eng.price(req, a);
   eng.price(req, b);
-  ASSERT_TRUE(a.ok) << a.error;
-  ASSERT_TRUE(b.ok) << b.error;
+  ASSERT_TRUE(a.status.ok()) << a.status.to_string();
+  ASSERT_TRUE(b.status.ok()) << b.status.to_string();
   ASSERT_EQ(a.values.size(), specs.size());
   for (std::size_t i = 0; i < a.values.size(); ++i) {
     EXPECT_EQ(a.values[i], b.values[i]) << "tasked MC not deterministic at option " << i;
@@ -195,7 +195,7 @@ TEST(EngineTasks, McTaskedPathBlocksDeterministicAndConsistent) {
   req.tasks = TaskMode::kOff;
   PricingResult flat;
   eng.price(req, flat);
-  ASSERT_TRUE(flat.ok) << flat.error;
+  ASSERT_TRUE(flat.status.ok()) << flat.status.to_string();
   for (std::size_t i = 0; i < a.values.size(); ++i) {
     EXPECT_NEAR(a.values[i], flat.values[i], 1e-9 * (1.0 + std::abs(flat.values[i])));
   }

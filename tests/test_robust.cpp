@@ -412,7 +412,7 @@ TEST(EngineRobust, CleanRunIsOkWithNoRobustnessResidue) {
   req.portfolio = core::view_of(std::span<const core::OptionSpec>(workload));
   req.steps = 64;
   const PricingResult res = Engine::shared().price(req);
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   EXPECT_EQ(res.status.code(), StatusCode::kOk);
   EXPECT_TRUE(res.option_faults.empty());
   EXPECT_EQ(res.options_skipped, 0u);
@@ -433,7 +433,7 @@ TEST(EngineRobust, SkipPolicyMasksPoisonedOptionsAndPricesTheRest) {
   req.steps = 64;  // default sanitize = kSkip
   const PricingResult res = Engine::shared().price(req);
 
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   EXPECT_EQ(res.status.code(), StatusCode::kDegraded);
   EXPECT_EQ(res.options_skipped, 2u);
   ASSERT_EQ(res.option_faults.size(), 24u);
@@ -449,7 +449,7 @@ TEST(EngineRobust, SkipPolicyMasksPoisonedOptionsAndPricesTheRest) {
   cleanreq.portfolio = core::view_of(std::span<const core::OptionSpec>(clean));
   cleanreq.scratch.reset();
   const PricingResult want = Engine::shared().price(cleanreq);
-  ASSERT_TRUE(want.ok);
+  ASSERT_TRUE(want.status.ok());
   for (std::size_t i = 0; i < 24; ++i) {
     if (i == 3 || i == 7) continue;
     EXPECT_EQ(res.values[i], want.values[i]) << i;
@@ -466,7 +466,7 @@ TEST(EngineRobust, RejectPolicyFailsTheRequestWithTheFaultMask) {
   req.sanitize = SanitizePolicy::kReject;
   const PricingResult res = Engine::shared().price(req);
 
-  EXPECT_FALSE(res.ok);
+  EXPECT_FALSE(res.status.ok());
   EXPECT_EQ(res.status.code(), StatusCode::kInvalidInput);
   ASSERT_EQ(res.option_faults.size(), 8u);
   EXPECT_TRUE(res.option_faults[5] & robust::kFaultNonFinite);
@@ -486,7 +486,7 @@ TEST(EngineRobust, OffPolicyReproducesTheRawBenchmarkBehavior) {
   req.steps = 32;
   const PricingResult res = Engine::shared().price(req);
   // Garbage in, garbage out — but the engine itself never fails.
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   EXPECT_EQ(res.status.code(), StatusCode::kOk);
   EXPECT_TRUE(std::isnan(res.values[2]));
 }
@@ -500,7 +500,7 @@ TEST(EngineRobust, CorruptedBsOutputsAreRepairedByTheGuard) {
   req.faults.corrupt = 0.05;
   const PricingResult res = Engine::shared().price(req);
 
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   EXPECT_EQ(res.status.code(), StatusCode::kDegraded);
   EXPECT_GT(res.options_repaired, 0u);
   const core::PortfolioView& view = pf.view();
@@ -524,7 +524,7 @@ TEST(EngineRobust, InjectedChunkThrowsFallBackToTheChain) {
   req.faults.throw_rate = 1.0;  // every chunk throws before its kernel runs
   const PricingResult res = eng.price(req);
 
-  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   EXPECT_EQ(res.status.code(), StatusCode::kDegraded);
   EXPECT_EQ(res.chunks_failed, 0u);
   EXPECT_GT(res.chunks_degraded, 0u);
@@ -540,7 +540,7 @@ TEST(EngineRobust, InjectedChunkThrowsFallBackToTheChain) {
   want_req.faults = {};
   want_req.scratch.reset();
   const PricingResult want = eng.price(want_req);
-  ASSERT_TRUE(want.ok);
+  ASSERT_TRUE(want.status.ok());
   ASSERT_EQ(res.values.size(), want.values.size());
   for (std::size_t i = 0; i < res.values.size(); ++i) {
     EXPECT_EQ(res.values[i], want.values[i]) << i;
@@ -557,7 +557,7 @@ TEST(EngineRobust, FallbackDisabledSurfacesTheKernelError) {
   req.faults.throw_rate = 1.0;
   const PricingResult res = Engine::shared().price(req);
 
-  EXPECT_FALSE(res.ok);
+  EXPECT_FALSE(res.status.ok());
   EXPECT_EQ(res.status.code(), StatusCode::kKernelError);
   EXPECT_NE(res.status.message().find("injected kernel fault"), std::string::npos)
       << res.status.message();
@@ -581,7 +581,7 @@ TEST(EngineRobust, DeadlineYieldsPartialResultsWithPerChunkStatus) {
   req.deadline_seconds = 0.005;  // ...and the deadline expires during the first
 
   const PricingResult res = eng.price(req);
-  EXPECT_FALSE(res.ok);
+  EXPECT_FALSE(res.status.ok());
   EXPECT_EQ(res.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_GT(res.chunks_deadline, 0u);
   EXPECT_LT(res.items, workload.size());
@@ -671,7 +671,7 @@ TEST(EngineRobust, GroupDeadlineScattersPartialStatusPerMember) {
   resilience::clear_variant_faults();
 
   // Member A: its chunk had started before the expiry and ran to the end.
-  EXPECT_TRUE(res_a.ok) << res_a.status.to_string();
+  EXPECT_TRUE(res_a.status.ok()) << res_a.status.to_string();
   EXPECT_EQ(res_a.status.code(), StatusCode::kOk);
   EXPECT_EQ(res_a.items, book_a.size());
   ASSERT_EQ(res_a.values.size(), book_a.size());
@@ -679,7 +679,7 @@ TEST(EngineRobust, GroupDeadlineScattersPartialStatusPerMember) {
 
   // Member B: its slice was skipped at the chunk boundary — partial
   // status, zero priced items, NaN values disclosed for inspection.
-  EXPECT_FALSE(res_b.ok);
+  EXPECT_FALSE(res_b.status.ok());
   EXPECT_EQ(res_b.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(res_b.chunks_deadline, 1u);
   EXPECT_EQ(res_b.items, 0u);
@@ -689,6 +689,69 @@ TEST(EngineRobust, GroupDeadlineScattersPartialStatusPerMember) {
   // Both members came out of the same fused execution.
   EXPECT_EQ(res_a.request_id, res_b.request_id);
   EXPECT_EQ(res_a.resolved_id, res_b.resolved_id);
+}
+
+// The Black–Scholes scatter follows the same per-member rule: a member
+// whose slice priced before the group deadline completes clean with its
+// prices written back; a member whose chunks were skipped reports the
+// deadline and gets NaN, not the stale prices its arrays held before —
+// what pricing it alone leaves behind. One participant runs the fused
+// book's four 1024-option chunks in order, and a variant-scoped slow
+// fault makes chunk 0 (= member A) outlast the budget.
+TEST(EngineRobust, GroupDeadlineScattersBlackScholesMembersFromTheirChunks) {
+  engine::ThreadPool pool(1);
+  Engine eng(&pool);
+
+  core::Portfolio book_a = core::Portfolio::bs(1024, core::Layout::kBsAos, 41);
+  core::Portfolio book_b = core::Portfolio::bs(3072, core::Layout::kBsAos, 43);
+  for (core::Portfolio* pf : {&book_a, &book_b}) {
+    for (std::size_t i = 0; i < pf->size(); ++i) {
+      robust::bs_store_outputs(pf->view(), i, 123.0, 123.0);
+    }
+  }
+  PricingRequest req_a, req_b;
+  PricingResult res_a, res_b;
+  req_a.kernel_id = req_b.kernel_id = "bs.reference.scalar";
+  req_a.portfolio = book_a.view();
+  req_b.portfolio = book_b.view();
+  ASSERT_TRUE(eng.fusable(req_a, req_b));
+
+  FaultPlan slow;
+  slow.seed = 31;
+  slow.slow = 1.0;  // every chunk of the variant sleeps...
+  slow.slow_ms = 40.0;
+  resilience::set_variant_fault("bs.reference.scalar", slow);
+  engine::GroupScratch gs;
+  gs.deadline_seconds = 0.020;  // ...and the budget dies inside chunk 0
+  const engine::GroupJob group[] = {{&req_a, &res_a}, {&req_b, &res_b}};
+  eng.price_group(group, gs);
+  resilience::clear_variant_faults();
+  ASSERT_EQ(gs.fused_res.chunk_status.size(), 4u);
+  ASSERT_EQ(static_cast<ChunkStatus>(gs.fused_res.chunk_status[0]), ChunkStatus::kOk);
+
+  // Member A: priced by chunk 0, bit for bit what it prices alone.
+  EXPECT_EQ(res_a.status.code(), StatusCode::kOk) << res_a.status.to_string();
+  EXPECT_EQ(res_a.items, 1024u);
+  EXPECT_EQ(res_a.chunks_deadline, 0u);
+  core::Portfolio solo_a = core::Portfolio::bs(1024, core::Layout::kBsAos, 41);
+  PricingRequest solo;
+  solo.kernel_id = "bs.reference.scalar";
+  solo.portfolio = solo_a.view();
+  ASSERT_TRUE(eng.price(solo).status.ok());
+  for (std::size_t i = 0; i < book_a.size(); ++i) {
+    const robust::BsElem got = robust::bs_elem(book_a.view(), i);
+    const robust::BsElem want = robust::bs_elem(solo_a.view(), i);
+    ASSERT_TRUE(got.call == want.call && got.put == want.put) << i;
+  }
+
+  // Member B: all three of its chunks were skipped.
+  EXPECT_EQ(res_b.status.code(), StatusCode::kDeadlineExceeded) << res_b.status.to_string();
+  EXPECT_EQ(res_b.items, 0u);
+  EXPECT_EQ(res_b.chunks_deadline, 3u);
+  for (std::size_t i = 0; i < book_b.size(); ++i) {
+    const robust::BsElem got = robust::bs_elem(book_b.view(), i);
+    ASSERT_TRUE(std::isnan(got.call) && std::isnan(got.put)) << i;
+  }
 }
 
 TEST(EngineRobust, PreCancelledTokenPricesNothing) {
@@ -705,7 +768,7 @@ TEST(EngineRobust, PreCancelledTokenPricesNothing) {
   req.cancel = &token;
   const PricingResult res = eng.price(req);
 
-  EXPECT_FALSE(res.ok);
+  EXPECT_FALSE(res.status.ok());
   EXPECT_EQ(res.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(res.items, 0u);
   for (double v : res.values) EXPECT_TRUE(std::isnan(v));
@@ -721,7 +784,7 @@ TEST(EngineRobust, InjectionEventsLandInTheObsCounters) {
   req.portfolio = core::view_of(std::span<const core::OptionSpec>(workload));
   req.steps = 32;
   req.faults.throw_rate = 1.0;
-  ASSERT_TRUE(Engine::shared().price(req).ok);
+  ASSERT_TRUE(Engine::shared().price(req).status.ok());
 
   EXPECT_GT(counter_value("robust.inject.thrown"), thrown0);
   EXPECT_GT(counter_value("robust.fallback.chunks"), fallback0);

@@ -172,7 +172,7 @@ TEST(RobustCorpus, PoisonedWorkloadsDegradeGracefullyOnEveryVariant) {
       ASSERT_GT(poisoned, 0u) << v.id;
       req.portfolio = pf.view();
       res = Engine::shared().price(req);
-      ASSERT_TRUE(res.ok) << v.id << ": " << res.error;
+      ASSERT_TRUE(res.status.ok()) << v.id << ": " << res.status.to_string();
       expect_bs_outputs_finite_or_masked(pf.view(), res, v.id);
     } else {
       auto specs = specs_for(v, 24);
@@ -180,7 +180,7 @@ TEST(RobustCorpus, PoisonedWorkloadsDegradeGracefullyOnEveryVariant) {
           robust::inject_input_faults(std::span<core::OptionSpec>(specs), plan);
       req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
       res = Engine::shared().price(req);
-      ASSERT_TRUE(res.ok) << v.id << ": " << res.error;
+      ASSERT_TRUE(res.status.ok()) << v.id << ": " << res.status.to_string();
       if (poisoned > 0) {
         EXPECT_EQ(res.status.code(), StatusCode::kDegraded) << v.id;
         EXPECT_EQ(res.options_skipped, poisoned) << v.id;
@@ -201,7 +201,7 @@ TEST(RobustCorpus, ExtremeValidOptionsPriceCleanOnSpecsVariants) {
     const auto specs = extreme_specs(v);
     req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
     const PricingResult res = Engine::shared().price(req);
-    ASSERT_TRUE(res.ok) << v.id << ": " << res.error;
+    ASSERT_TRUE(res.status.ok()) << v.id << ": " << res.status.to_string();
     EXPECT_EQ(res.options_clamped, 0u) << v.id;
     EXPECT_EQ(res.options_skipped, 0u) << v.id;
     expect_outputs_finite_or_masked(res, v.id);
@@ -234,7 +234,7 @@ TEST(RobustCorpus, HandCraftedPoisonPatternsAreMaskedPerOption) {
     PricingRequest req = knobs_for(*v);
     req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
     const PricingResult res = Engine::shared().price(req);
-    ASSERT_TRUE(res.ok) << id << ": " << res.error;
+    ASSERT_TRUE(res.status.ok()) << id << ": " << res.status.to_string();
     EXPECT_EQ(res.status.code(), StatusCode::kDegraded) << id;
     EXPECT_EQ(res.options_skipped, 7u) << id;
     ASSERT_EQ(res.option_faults.size(), specs.size()) << id;
@@ -267,7 +267,7 @@ TEST(RobustCorpus, EmptyWorkloadsAreInvalidArgumentEverywhere) {
       req.portfolio = core::view_of(std::span<const core::OptionSpec>{});
     }
     const PricingResult res = Engine::shared().price(req);
-    EXPECT_FALSE(res.ok) << v.id;
+    EXPECT_FALSE(res.status.ok()) << v.id;
     EXPECT_EQ(res.status.code(), StatusCode::kInvalidArgument) << v.id;
   }
 }
@@ -278,7 +278,7 @@ TEST(RobustCorpus, UnknownKernelIdIsNotFound) {
   req.kernel_id = "bs.quantum.avx1024";
   req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
   const PricingResult res = Engine::shared().price(req);
-  EXPECT_FALSE(res.ok);
+  EXPECT_FALSE(res.status.ok());
   EXPECT_EQ(res.status.code(), StatusCode::kNotFound);
 }
 
@@ -300,7 +300,7 @@ TEST(RobustCorpus, SingleOptionBatchesPriceEverywhere) {
       req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
     }
     const PricingResult res = Engine::shared().price(req);
-    ASSERT_TRUE(res.ok) << v.id << ": " << res.error;
+    ASSERT_TRUE(res.status.ok()) << v.id << ": " << res.status.to_string();
     EXPECT_EQ(res.status.code(), StatusCode::kOk) << v.id;
   }
 }

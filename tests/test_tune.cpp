@@ -450,14 +450,16 @@ TEST(AutoDispatch, UnknownFamilyAndEmptyWorkloadFailCleanly) {
   engine::PricingResult res = eng.price(req);
   EXPECT_FALSE(res.status.ok());
   EXPECT_EQ(res.status.code(), robust::StatusCode::kNotFound);
-  EXPECT_NE(res.error.find("unknown auto family"), std::string::npos) << res.error;
+  EXPECT_NE(res.status.to_string().find("unknown auto family"), std::string::npos)
+      << res.status.to_string();
 
   engine::PricingRequest empty;
   empty.kernel_id = "bs.auto";
   const engine::PricingResult res2 = eng.price(empty);
   EXPECT_FALSE(res2.status.ok());
   EXPECT_EQ(res2.status.code(), robust::StatusCode::kInvalidArgument);
-  EXPECT_NE(res2.error.find("empty workload"), std::string::npos) << res2.error;
+  EXPECT_NE(res2.status.to_string().find("empty workload"), std::string::npos)
+      << res2.status.to_string();
 }
 
 TEST(AutoDispatch, PinnedScheduleIsHonoredByThePlan) {

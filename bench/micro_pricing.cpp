@@ -12,7 +12,6 @@
 #include "finbench/kernels/blackscholes.hpp"
 #include "finbench/kernels/cranknicolson.hpp"
 #include "finbench/kernels/lattice.hpp"
-#include "finbench/kernels/heston.hpp"
 
 namespace {
 
@@ -92,16 +91,6 @@ void BM_CrankNicolsonAmerican(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CrankNicolsonAmerican);
-
-void BM_HestonAnalytic(benchmark::State& state) {
-  heston::HestonParams m;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(heston::price_analytic(kOpts[i++ & 511], m).call);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HestonAnalytic);
 
 }  // namespace
 

@@ -8,7 +8,6 @@
 //   pricer_cli --method trinomial --steps 1000
 //   pricer_cli --method cn        --style american --type put
 //   pricer_cli --method mc        --paths 1048576
-//   pricer_cli --method lsmc      --style american --type put
 //   pricer_cli --method all       # run everything and tabulate
 //
 // Batch mode: price a CSV workload (core/io.hpp format) and write prices:
@@ -25,9 +24,6 @@
 #include "finbench/kernels/binomial.hpp"
 #include "finbench/kernels/cranknicolson.hpp"
 #include "finbench/kernels/lattice.hpp"
-#include "finbench/kernels/heston.hpp"
-#include "finbench/kernels/lsmc.hpp"
-#include "finbench/kernels/merton.hpp"
 #include "finbench/kernels/montecarlo.hpp"
 
 using namespace finbench;
@@ -45,7 +41,7 @@ struct Args {
 
 [[noreturn]] void usage(const char* argv0) {
   std::printf(
-      "usage: %s [--method bs|binomial|lr|trinomial|cn|mc|heston|merton|lsmc|all]\n"
+      "usage: %s [--method bs|binomial|lr|trinomial|cn|mc|all]\n"
       "          [--type call|put] [--style european|american]\n"
       "          [--spot S] [--strike K] [--years T] [--rate r] [--vol v]\n"
       "          [--steps N] [--paths N] [--seed N]\n",
@@ -111,39 +107,13 @@ void run_method(const std::string& m, const Args& a) {
                   r.total_iterations);
     } else if (m == "mc") {
       if (american) {
-        std::printf("  %-10s %s\n", "mc", "(European estimator; use lsmc for American)");
+        std::printf("  %-10s %s\n", "mc", "(European estimator; skipping)");
         return;
       }
       std::vector<kernels::mc::McResult> res(1);
       kernels::mc::price_optimized_computed(std::span(&o, 1), a.paths, a.seed, res);
       std::printf("  %-10s %.6f +/- %.6f  (%zu paths)\n", "mc", res[0].price,
                   res[0].std_error, a.paths);
-    } else if (m == "heston") {
-      if (american) {
-        std::printf("  %-10s %s\n", "heston", "(analytic is European-only)");
-        return;
-      }
-      kernels::heston::HestonParams hm;
-      hm.v0 = o.vol * o.vol;
-      hm.theta = o.vol * o.vol;
-      const auto hp = kernels::heston::price_analytic(o, hm);
-      std::printf("  %-10s %.6f  (CF integral; kappa=%.1f xi=%.1f rho=%.1f, v0=theta=vol^2)\n",
-                  "heston", o.type == core::OptionType::kCall ? hp.call : hp.put, hm.kappa,
-                  hm.xi, hm.rho);
-    } else if (m == "merton") {
-      if (american) {
-        std::printf("  %-10s %s\n", "merton", "(series is European-only)");
-        return;
-      }
-      std::printf("  %-10s %.6f  (jump series; lambda=0.5, mean=-0.1, jvol=0.25)\n", "merton",
-                  kernels::merton::price_series(o, {}));
-    } else if (m == "lsmc") {
-      kernels::lsmc::LsmcParams p;
-      p.num_paths = a.paths;
-      p.seed = a.seed;
-      const auto r = kernels::lsmc::price_american(o, p);
-      std::printf("  %-10s %.6f +/- %.6f  (%zu paths x %d dates)\n", "lsmc", r.price,
-                  r.std_error, p.num_paths, p.num_steps);
     } else {
       std::fprintf(stderr, "unknown method '%s'\n", m.c_str());
       std::exit(2);
@@ -186,11 +156,7 @@ int main(int argc, char** argv) {
               a.opt.type == core::OptionType::kCall ? "call" : "put", a.opt.spot, a.opt.strike,
               a.opt.years, a.opt.rate, a.opt.vol);
   if (a.method == "all") {
-    for (const char* m :
-         {"bs", "binomial", "lr", "trinomial", "cn", "mc", "heston", "merton", "lsmc"}) {
-      if (!std::strcmp(m, "lsmc") && a.opt.style == core::ExerciseStyle::kEuropean) continue;
-      run_method(m, a);
-    }
+    for (const char* m : {"bs", "binomial", "lr", "trinomial", "cn", "mc"}) run_method(m, a);
   } else {
     run_method(a.method, a);
   }

@@ -26,27 +26,18 @@
 // Core pricing vocabulary.
 #include "finbench/core/analytic.hpp"
 #include "finbench/core/io.hpp"
-#include "finbench/core/linalg.hpp"
 #include "finbench/core/option.hpp"
-#include "finbench/core/quadrature.hpp"
 #include "finbench/core/term_structure.hpp"
 #include "finbench/core/vol_surface.hpp"
 #include "finbench/core/workload.hpp"
 
 // Kernels.
-#include "finbench/kernels/asian.hpp"
-#include "finbench/kernels/barrier.hpp"
 #include "finbench/kernels/binomial.hpp"
 #include "finbench/kernels/blackscholes.hpp"
 #include "finbench/kernels/brownian.hpp"
 #include "finbench/kernels/cranknicolson.hpp"
-#include "finbench/kernels/heston.hpp"
 #include "finbench/kernels/lattice.hpp"
-#include "finbench/kernels/lookback.hpp"
-#include "finbench/kernels/lsmc.hpp"
-#include "finbench/kernels/merton.hpp"
 #include "finbench/kernels/montecarlo.hpp"
-#include "finbench/kernels/multiasset.hpp"
 #include "finbench/kernels/risk.hpp"
 
 // Benchmark harness.

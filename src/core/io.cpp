@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -33,6 +34,21 @@ std::vector<std::string> split_csv(const std::string& line) {
 
 [[noreturn]] void fail(int line_no, const std::string& what) {
   throw std::runtime_error("options csv, line " + std::to_string(line_no) + ": " + what);
+}
+
+// A numeric field must parse in full and be finite: std::stod alone accepts
+// "nan" and "inf" and stops at the first bad character ("100abc" -> 100).
+double parse_number(int line_no, const std::string& field) {
+  std::size_t used = 0;
+  double v = 0.0;
+  try {
+    v = std::stod(field, &used);
+  } catch (const std::exception&) {
+    fail(line_no, "malformed number '" + field + "'");
+  }
+  if (used != field.size()) fail(line_no, "malformed number '" + field + "'");
+  if (!std::isfinite(v)) fail(line_no, "non-finite number '" + field + "'");
+  return v;
 }
 
 }  // namespace
@@ -77,16 +93,12 @@ std::vector<OptionSpec> read_options_csv(std::istream& in) {
                                  c_div});
     if (static_cast<int>(fields.size()) <= needed) fail(line_no, "too few fields");
     OptionSpec o;
-    try {
-      o.spot = std::stod(fields[c_spot]);
-      o.strike = std::stod(fields[c_strike]);
-      o.years = std::stod(fields[c_years]);
-      o.rate = std::stod(fields[c_rate]);
-      o.vol = std::stod(fields[c_vol]);
-      if (c_div >= 0 && !fields[c_div].empty()) o.dividend = std::stod(fields[c_div]);
-    } catch (const std::exception&) {
-      fail(line_no, "malformed number");
-    }
+    o.spot = parse_number(line_no, fields[c_spot]);
+    o.strike = parse_number(line_no, fields[c_strike]);
+    o.years = parse_number(line_no, fields[c_years]);
+    o.rate = parse_number(line_no, fields[c_rate]);
+    o.vol = parse_number(line_no, fields[c_vol]);
+    if (c_div >= 0 && !fields[c_div].empty()) o.dividend = parse_number(line_no, fields[c_div]);
     const std::string type = lower(fields[c_type]);
     if (type == "call") o.type = OptionType::kCall;
     else if (type == "put") o.type = OptionType::kPut;

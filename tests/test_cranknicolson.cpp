@@ -1,7 +1,8 @@
 // Tests for the Crank–Nicolson / PSOR kernel (Fig. 8): the Thomas-solver
 // European baseline against analytic Black–Scholes, the PSOR American
 // solution against high-resolution binomial pricing, and equivalence of
-// the wavefront-vectorized GSOR variants with the scalar blocked solver.
+// the wavefront-vectorized GSOR variants with the scalar blocked solver,
+// and the Brennan–Schwartz direct American solver against PSOR.
 
 #include <gtest/gtest.h>
 
@@ -239,6 +240,43 @@ TEST(CrankNicolson, FlopsModelIsPositiveAndScales) {
   const double f1 = cn::flops_per_option_estimate(g, 10.0);
   g.num_steps *= 2;
   EXPECT_NEAR(cn::flops_per_option_estimate(g, 10.0), 2 * f1, 1e-9 * f1);
+}
+
+// --- Brennan–Schwartz ----------------------------------------------------------
+
+TEST(BrennanSchwartz, MatchesPsorAmericanPut) {
+  core::OptionSpec o{100, 100, 1.0, 0.05, 0.2, core::OptionType::kPut,
+                     core::ExerciseStyle::kAmerican};
+  cn::GridSpec g;
+  g.num_prices = 257;
+  g.num_steps = 200;
+  const auto direct = cn::price_american_brennan_schwartz(o, g);
+  const auto psor = cn::price_reference(o, g);
+  // Both solve the same LCP; agreement to PSOR's convergence tolerance.
+  EXPECT_NEAR(direct.price, psor.price, 1e-4 * psor.price);
+  // One direct solve per step versus many PSOR iterations.
+  EXPECT_EQ(direct.total_iterations, g.num_steps);
+  EXPECT_GT(psor.total_iterations, 2L * g.num_steps);
+}
+
+TEST(BrennanSchwartz, MatchesBinomialAcrossMoneyness) {
+  cn::GridSpec g;
+  g.num_prices = 513;
+  g.num_steps = 400;
+  for (double spot : {85.0, 100.0, 115.0}) {
+    core::OptionSpec o{spot, 100, 1.0, 0.06, 0.3, core::OptionType::kPut,
+                       core::ExerciseStyle::kAmerican};
+    const double direct = cn::price_american_brennan_schwartz(o, g).price;
+    const double lattice = binomial::price_one_reference(o, 4096);
+    EXPECT_NEAR(direct, lattice, 6e-3 * lattice) << spot;
+  }
+}
+
+TEST(BrennanSchwartz, RejectsCalls) {
+  core::OptionSpec o{100, 100, 1.0, 0.05, 0.2, core::OptionType::kCall,
+                     core::ExerciseStyle::kAmerican};
+  cn::GridSpec g;
+  EXPECT_THROW(cn::price_american_brennan_schwartz(o, g), std::invalid_argument);
 }
 
 }  // namespace

@@ -10,12 +10,10 @@
 
 #include "finbench/core/analytic.hpp"
 #include "finbench/core/workload.hpp"
-#include "finbench/kernels/barrier.hpp"
 #include "finbench/kernels/binomial.hpp"
 #include "finbench/kernels/blackscholes.hpp"
 #include "finbench/kernels/cranknicolson.hpp"
 #include "finbench/kernels/lattice.hpp"
-#include "finbench/kernels/lsmc.hpp"
 #include "finbench/kernels/montecarlo.hpp"
 
 namespace {
@@ -99,16 +97,6 @@ TEST(Dividends, AmericanPutPdeMatchesLattice) {
   EXPECT_NEAR(cn::price_american_brennan_schwartz(o, g).price, lattice, 1e-2 * lattice);
 }
 
-TEST(Dividends, LsmcAmericanCallMatchesLattice) {
-  core::OptionSpec o = opt_q(0.08, core::OptionType::kCall, core::ExerciseStyle::kAmerican);
-  lsmc::LsmcParams p;
-  p.num_paths = 1 << 16;
-  p.num_steps = 50;
-  const auto r = lsmc::price_american(o, p);
-  const double lattice = binomial::price_one_reference(o, 2048);
-  EXPECT_NEAR(r.price, lattice, 0.02 * lattice + 3 * r.std_error);
-}
-
 TEST(Dividends, GreeksMatchFiniteDifferencesWithYield) {
   core::OptionSpec o = opt_q(0.03);
   const core::BsGreeks g = core::black_scholes_greeks(o);
@@ -143,19 +131,6 @@ TEST(Dividends, BermudanStillBracketedWithYield) {
   const double american = binomial::price_one_reference(am, 512);
   EXPECT_GT(monthly, euro);
   EXPECT_LT(monthly, american + 1e-9);
-}
-
-TEST(Dividends, BarrierMcSupportsYield) {
-  barrier::BarrierSpec spec;
-  spec.option = opt_q(0.03);
-  spec.barrier = 85.0;
-  barrier::McParams p;
-  p.num_paths = 1 << 15;
-  const auto with_q = barrier::price_mc(spec, p);
-  spec.option.dividend = 0.0;
-  const auto without = barrier::price_mc(spec, p);
-  // Dividend drag lowers the forward: the call leg gets cheaper.
-  EXPECT_LT(with_q.price, without.price);
 }
 
 TEST(Dividends, BatchKernelsWithSharedYield) {

@@ -61,6 +61,18 @@ TEST(OptionsCsv, RejectsMalformedInput) {
     std::istringstream in("");
     EXPECT_THROW(read_options_csv(in), std::runtime_error);  // empty
   }
+  // Non-finite numbers and trailing garbage: each field must parse in full
+  // and be finite, rate and dividend included.
+  for (const char* row : {"nan,100,1,0.05,0.2,call,european,0",
+                          "inf,100,1,0.05,0.2,call,european,0",
+                          "100abc,100,1,0.05,0.2,call,european,0",
+                          "100,100,1,nan,0.2,call,european,0",
+                          "100,100,inf,0.05,0.2,call,european,0",
+                          "100,100,1,0.05,0.2,call,european,nan"}) {
+    std::istringstream in(std::string("spot,strike,years,rate,vol,type,style,dividend\n") + row +
+                          "\n");
+    EXPECT_THROW(read_options_csv(in), std::runtime_error) << row;
+  }
 }
 
 TEST(OptionsCsv, ErrorCarriesLineNumber) {

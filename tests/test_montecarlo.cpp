@@ -1,7 +1,7 @@
 // Tests for the Monte Carlo pricing kernel (Table II): agreement of all
 // variants on identical random inputs, statistical convergence to the
-// closed-form Black–Scholes price within confidence bounds, and standard
-// error behavior.
+// closed-form Black–Scholes price within confidence bounds, standard error
+// behavior, and the antithetic / control-variate estimator.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +23,11 @@ std::vector<double> normals(std::size_t n, std::uint64_t seed = 1) {
   rng::NormalStream s(seed);
   s.fill(z);
   return z;
+}
+
+core::OptionSpec call_opt(double s = 100, double k = 100, double t = 1, double r = 0.05,
+                          double v = 0.2) {
+  return {s, k, t, r, v, core::OptionType::kCall, core::ExerciseStyle::kEuropean};
 }
 
 TEST(MonteCarlo, ReferenceWithinConfidenceOfAnalytic) {
@@ -150,6 +155,65 @@ TEST(MonteCarlo, SeedChangesEstimate) {
   mc::price_optimized_computed(opts, 5000, 1, a);
   mc::price_optimized_computed(opts, 5000, 2, b);
   EXPECT_NE(a[0].price, b[0].price);
+}
+
+// --- Variance reduction ---------------------------------------------------------------
+
+TEST(VarianceReduction, MatchesAnalyticWithinCi) {
+  const auto opts = core::make_option_workload(10, 51);
+  std::vector<mc::McResult> res(opts.size());
+  mc::price_variance_reduced(opts, 1 << 16, 3, res);
+  for (std::size_t i = 0; i < opts.size(); ++i) {
+    EXPECT_NEAR(res[i].price, core::black_scholes_price(opts[i]),
+                4.5 * res[i].std_error + 1e-10)
+        << i;
+  }
+}
+
+TEST(VarianceReduction, AntitheticShrinksError) {
+  core::OptionSpec o = call_opt();
+  std::vector<mc::McResult> plain(1), anti(1);
+  const std::size_t npath = 1 << 16;
+  mc::price_optimized_computed(std::span(&o, 1), npath, 5, plain);
+  mc::price_variance_reduced(std::span(&o, 1), npath, 5, anti, /*antithetic=*/true,
+                             /*control_variate=*/false);
+  EXPECT_LT(anti[0].std_error, plain[0].std_error);
+}
+
+TEST(VarianceReduction, ControlVariateShrinksErrorFurther) {
+  core::OptionSpec o = call_opt(100, 90, 1.0, 0.05, 0.25);  // ITM: high corr with S_T
+  std::vector<mc::McResult> anti(1), both(1);
+  const std::size_t npath = 1 << 16;
+  mc::price_variance_reduced(std::span(&o, 1), npath, 5, anti, true, false);
+  mc::price_variance_reduced(std::span(&o, 1), npath, 5, both, true, true);
+  EXPECT_LT(both[0].std_error, anti[0].std_error);
+  // Reported errors must still be honest: estimate within 5 claimed SEs.
+  EXPECT_NEAR(both[0].price, core::black_scholes_price(o), 5 * both[0].std_error + 1e-3);
+}
+
+TEST(VarianceReduction, DeepItmControlIsNearExact) {
+  // Deep ITM call payoff ~ S_T - K: the control removes almost everything.
+  core::OptionSpec o = call_opt(100, 40, 1.0, 0.05, 0.2);
+  std::vector<mc::McResult> res(1);
+  mc::price_variance_reduced(std::span(&o, 1), 1 << 15, 7, res);
+  EXPECT_NEAR(res[0].price, core::black_scholes_price(o), 1e-2);
+  EXPECT_LT(res[0].std_error, 5e-3);
+}
+
+TEST(VarianceReduction, OddPathCountsHandled) {
+  core::OptionSpec o = call_opt();
+  std::vector<mc::McResult> res(1);
+  mc::price_variance_reduced(std::span(&o, 1), 10001, 9, res);
+  EXPECT_NEAR(res[0].price, core::black_scholes_price(o), 5 * res[0].std_error);
+}
+
+TEST(VarianceReduction, Reproducible) {
+  const auto opts = core::make_option_workload(2, 52);
+  std::vector<mc::McResult> a(2), b(2);
+  mc::price_variance_reduced(opts, 4096, 11, a);
+  mc::price_variance_reduced(opts, 4096, 11, b);
+  EXPECT_EQ(a[0].price, b[0].price);
+  EXPECT_EQ(a[1].price, b[1].price);
 }
 
 }  // namespace

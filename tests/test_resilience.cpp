@@ -388,7 +388,25 @@ TEST(TuneResolve, TrippedWinnerIsSubstitutedAndRecoversAfterReset) {
   engine::Engine& eng = engine::Engine::shared();
   core::Portfolio pf = core::Portfolio::bs(32, core::Layout::kBsAos, 7);
 
-  // Prime: resolve bs.auto so the tuner races and caches a winner.
+  // Seed the plan cache with a winner that has a fallback chain. A raced
+  // winner is host- and load-dependent: under a slow build the race can
+  // pick bs.reference.scalar, which ends the chain, so nothing could be
+  // substituted below.
+  constexpr const char* kSeeded = "bs.advanced_vml.auto";
+  const engine::VariantInfo* seeded = engine::Registry::instance().find(kSeeded);
+  ASSERT_NE(seeded, nullptr);
+  ASSERT_FALSE(seeded->fallback_id.empty());
+  {
+    engine::PricingRequest req;
+    req.kernel_id = "bs.auto";
+    req.portfolio = pf.view();
+    tune::RaceReport report;
+    report.key = tune::key_for(req, "bs", eng.pool_size());
+    report.winner.variant_id = kSeeded;
+    tune::PlanCache::instance().put(report.key, report);
+  }
+
+  // Prime: resolve bs.auto so the engine dispatches the cached winner.
   std::string winner;
   {
     engine::PricingRequest req;

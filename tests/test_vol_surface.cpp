@@ -1,15 +1,13 @@
 // Tests for the implied-volatility surface container: node recovery,
-// total-variance interpolation, arbitrage checks, and an end-to-end
-// calibration roundtrip through the Heston analytic pricer.
+// total-variance interpolation and arbitrage checks.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
-#include "finbench/core/analytic.hpp"
 #include "finbench/core/vol_surface.hpp"
-#include "finbench/kernels/heston.hpp"
 
 namespace {
 
@@ -83,34 +81,6 @@ TEST(VolSurface, RejectsMalformedGrids) {
   EXPECT_THROW(VolSurface::from_grid(s_ok, e2, v_neg), std::invalid_argument);
   EXPECT_THROW(flat_surface().vol(-5.0, 1.0), std::invalid_argument);
   EXPECT_THROW(flat_surface().vol(100.0, 0.0), std::invalid_argument);
-}
-
-// End-to-end: calibrate a surface from Heston analytic prices, then query
-// it — the surface must reproduce the generating smile between nodes.
-TEST(VolSurface, HestonCalibrationRoundtrip) {
-  kernels::heston::HestonParams m;
-  m.rho = -0.6;
-  m.xi = 0.5;
-  const double spot = 100, rate = 0.02;
-  const std::vector<double> strikes = {70, 85, 100, 115, 130};
-  const std::vector<double> expiries = {0.5, 1.0, 2.0};
-  std::vector<double> vols;
-  for (double t : expiries) {
-    for (double k : strikes) {
-      core::OptionSpec o{spot, k, t, rate, 0.2, OptionType::kCall, ExerciseStyle::kEuropean};
-      const double px = kernels::heston::price_analytic(o, m).call;
-      vols.push_back(implied_volatility(o, px));
-    }
-  }
-  const auto surface = VolSurface::from_grid(strikes, expiries, vols);
-  EXPECT_TRUE(surface.calendar_arbitrage_free());
-  // Query an off-grid point and compare with the directly computed vol.
-  core::OptionSpec probe{spot, 92.5, 1.0, rate, 0.2, OptionType::kCall,
-                         ExerciseStyle::kEuropean};
-  const double direct = implied_volatility(probe, kernels::heston::price_analytic(probe, m).call);
-  EXPECT_NEAR(surface.vol(92.5, 1.0), direct, 5e-3);
-  // The skew survives interpolation.
-  EXPECT_GT(surface.vol(75, 1.0), surface.vol(100, 1.0));
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 // (nested fork-join task layer) + the blocked-layout binomial family.
 //
 // Part 1: a small maturity-sorted European book priced with
-// steps-per-year lattices — deliberately *narrower than the machine*: the
+// steps-per-year lattices through binomial.reference.scalar, the variant
+// that splits deep European options into banded segment tasks (the SIMD
+// variants price mixed depths in depth packs and never split an option).
+// The book is deliberately *narrower than the machine*: the
 // deepest option's quadratic cost exceeds an even per-worker share of the
 // batch, so flat chunking (which cannot split an option) leaves workers
 // idle while the long-dated tail prices on one core. The nested task
@@ -85,7 +88,7 @@ int main(int argc, char** argv) {
   core::Portfolio pf = core::Portfolio::specs(std::span<const core::OptionSpec>(specs));
 
   engine::PricingRequest req;
-  req.kernel_id = "binomial.advanced.auto";
+  req.kernel_id = "binomial.reference.scalar";
   req.portfolio = pf.view();
   req.steps_per_year = spy;
 
@@ -98,7 +101,6 @@ int main(int argc, char** argv) {
 
   engine::Engine& eng = engine::Engine::shared();
   bench::Projector proj;
-  const int w = vecmath::max_width();
 
   engine::PricingResult res;
   const auto run = [&] {
@@ -109,13 +111,13 @@ int main(int argc, char** argv) {
   req.tasks = engine::TaskMode::kOff;
   const double flat = bench::items_per_sec("lattice.flat", nopt, opts.reps, run);
   report.add_row(proj.make_row("mixed-expiry lattice, flat chunking (tasks off)", flat,
-                               flops_per_opt, 0.0, w, w));
+                               flops_per_opt, 0.0, 1, 1));  // scalar lattices
 
   const std::uint64_t spawned_before = counter_value("engine.tasks.spawned");
   req.tasks = engine::TaskMode::kOn;
   const double tasked = bench::items_per_sec("lattice.tasks", nopt, opts.reps, run);
   report.add_row(proj.make_row("mixed-expiry lattice, nested fork-join (tasks on)", tasked,
-                               flops_per_opt, 0.0, w, w));
+                               flops_per_opt, 0.0, 1, 1));  // scalar lattices
   const std::uint64_t spawned = counter_value("engine.tasks.spawned") - spawned_before;
   const std::uint64_t steals = counter_value("engine.tasks.steals");
 
@@ -158,6 +160,7 @@ int main(int argc, char** argv) {
   breq.steps = steps;
   const double bflops = 2.0 * kernels::binomial::flops_per_option(steps);
 
+  const int w = vecmath::max_width();
   double gather = 0.0, best_simd = 0.0;
   for (const char* id :
        {"binomial.blocked_gather.scalar", "binomial.blocked.4", "binomial.blocked.8"}) {
@@ -165,8 +168,7 @@ int main(int argc, char** argv) {
     const engine::VariantInfo* v = engine::Registry::instance().find(id);
     const double rate = bench::measure_variant(id, breq, nblk, opts.reps);
     report.add_row(proj.make_row(v->description, rate, bflops, 0.0,
-                                 v->width > 0 ? v->width : w,
-                                 v->width > 0 ? v->width : w));
+                                 v->width > 0 ? v->width : w, v->width > 0 ? v->width : w));
     if (!std::strcmp(id, "binomial.blocked_gather.scalar")) gather = rate;
     else best_simd = std::max(best_simd, rate);
   }

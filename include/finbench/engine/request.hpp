@@ -57,7 +57,8 @@ struct PricingRequest {
   // --- Accuracy knobs ------------------------------------------------------
   int steps = 1024;          // binomial lattice depth / CN time steps
   int steps_per_year = 0;    // > 0: per-option binomial depth = T * this
-                             // (heterogeneous batches; scalar execution)
+                             // (heterogeneous batches; SIMD variants price
+                             // them in depth packs)
   std::size_t npath = 16384; // Monte Carlo paths per option
   int bridge_depth = 6;      // Brownian bridge depth (2^D steps)
   int cn_num_prices = 257;   // CN spatial grid points

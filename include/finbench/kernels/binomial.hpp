@@ -9,7 +9,8 @@
 //   basic         — reference + pragmas: inner-loop autovectorization and
 //                   OpenMP across options
 //   intermediate  — SIMD across options: one option per lane (Vec classes);
-//                   every access is aligned and full-width
+//                   every access is aligned and full-width. Mixed-depth
+//                   batches pack options of nearby depth (price_packed)
 //   advanced      — intermediate + the paper's novel register-tiling
 //                   scheme (Lis. 3): a TS-deep tile lives in the register
 //                   file, each Call value is read/written once per TS time
@@ -19,11 +20,14 @@
 //                   KNC cores)
 //
 // American exercise is supported by the reference and intermediate
-// variants (the paper prices European; American is the natural extension
-// and is used to validate Crank–Nicolson).
+// variants and by the depth-packed path (the paper prices European;
+// American is the natural extension and is used to validate
+// Crank–Nicolson).
 
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "finbench/core/option.hpp"
@@ -70,6 +74,37 @@ void price_advanced(std::span<const core::OptionSpec> opts, int steps, std::span
 void price_advanced_unrolled(std::span<const core::OptionSpec> opts, int steps,
                              std::span<double> out, Width w = Width::kAuto,
                              core::ScratchPool* scratch = nullptr);
+
+// --- Depth-packed lattices (mixed-depth batches) ----------------------------
+// Books whose options need different lattice depths (depth = T x steps per
+// year) still vectorize across options: options of nearby depth share a
+// pack of W SIMD lanes, and the backward induction starts at the pack's
+// deepest level. A lane's leaves are written in when the induction reaches
+// its own depth, and each lane keeps its own u/d/p and early-exercise
+// test, so every output depends on its own option alone — bitwise the same
+// whichever options share its pack, however a caller splits the batch,
+// and on any thread count. The pack-mates' depth difference is the only
+// waste, which sorting by depth keeps small.
+
+// Sort key of option `index` (< 2^32) priced over a `steps`-deep lattice:
+// depth in the high word, index in the low one, so sorting keys sorts by
+// depth.
+inline std::uint64_t depth_key(int steps, std::size_t index) {
+  return (static_cast<std::uint64_t>(steps) << 32) | static_cast<std::uint32_t>(index);
+}
+inline int key_steps(std::uint64_t key) { return static_cast<int>(key >> 32); }
+inline std::size_t key_index(std::uint64_t key) { return key & 0xffffffffu; }
+
+// Prices opts[key_index(k)] over a key_steps(k)-deep lattice into
+// out[key_index(k)] for every key of `order`, which must be sorted
+// ascending. Consecutive keys share a pack; the one partial pack repeats a
+// real lane instead of falling to a scalar tail. Packs run deepest first
+// across the kernel's OpenMP team, each worker leasing a lattice of
+// (deepest+1) x W doubles from `scratch` (lattice_doubles(deepest) covers
+// every width). Any exercise style.
+void price_packed(std::span<const core::OptionSpec> opts, std::span<const std::uint64_t> order,
+                  std::span<double> out, Width w = Width::kAuto,
+                  core::ScratchPool* scratch = nullptr);
 
 // Ablation entry: register tiling with an explicit tile depth (one of
 // 4, 8, 16, 32, 64; other values throw). The default variants use 16.

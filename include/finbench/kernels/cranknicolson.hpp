@@ -17,6 +17,11 @@
 //   y     = (B_j + alpha/2 (u_{j-1} + u_{j+1})) / (1 + alpha)
 //   u_j  <- max(G_j, u_j + omega (y - u_j))
 //
+// Every solver honors OptionSpec::style: a European option's interior
+// obstacle is -inf, so the projection is a no-op and PSOR solves the plain
+// Crank–Nicolson system; both styles keep the payoff as Dirichlet
+// boundary values.
+//
 // The GSOR recurrence has dependences (k, j) <- (k, j-1), (k-1, j+1)
 // (iteration k, grid point j), so points with equal t = 2k + j are
 // independent (Fig. 7). The SIMD variants run W consecutive convergence

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -97,6 +98,11 @@ struct Scratch {
   core::ScratchPool lattice_pool;  // binomial: (steps+1) x lane-width doubles
   core::ScratchPool rng_pool;      // mc computed: kRngChunk doubles
   core::ScratchPool vml_pool;      // bs advanced_vml: 4 x kVmlChunk doubles
+
+  // Binomial depth-packed chunks: each chunk sorts the depth keys of its
+  // own options in depth_order[begin, end) (kernels::binomial::depth_key),
+  // sized once per request by the prepare hook.
+  std::vector<std::uint64_t> depth_order;
 
   // --- Robustness (engine-owned; finbench/robust) --------------------------
   // Sanitizer verdict of the last pricing (reset() keeps mask capacity)

@@ -1,12 +1,23 @@
 // Registry adapters for the binomial-lattice kernel family (paper Fig. 5).
 //
-// The lattice cost model makes this the engine's showcase for cost-model-
-// weighted chunking: one option costs ~3 s (s+1)/2 flops with s the lattice
-// depth, and with PricingRequest::steps_per_year > 0 the depth scales with
-// expiry — a 3-year option costs two orders of magnitude more than a
-// 1-month one, exactly the skew dynamic self-scheduling absorbs.
+// Uniform depth (PricingRequest::steps): each chunk goes through the
+// variant's own batch kernel, one option per SIMD lane (Lis. 2-3).
+//
+// Mixed depth (steps_per_year > 0, depth = T x steps_per_year): one option
+// costs ~3 s(s+1)/2 flops at depth s, so a 3-year option costs two orders
+// of magnitude more than a 1-month one — the skew cost-weighted chunking
+// and dynamic self-scheduling absorb. Inside a chunk:
+//   - the SIMD variants (intermediate, advanced, advanced_unrolled) sort
+//     the chunk's options by depth and price them in depth packs of W
+//     lanes (kernels::binomial::price_packed); register tiling stays the
+//     uniform-depth path. Lanes never interact, so outputs are bitwise the
+//     same under any chunking, participant count, schedule and task mode;
+//   - the scalar variants (reference, basic) price one option at a time,
+//     and with tasks on they split deep European options into banded
+//     segment tasks on the engine pool, bitwise-equal to the reference.
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 
 #include "finbench/engine/task_group.hpp"
@@ -28,8 +39,18 @@ int steps_for(const core::OptionSpec& o, const PricingRequest& req) {
   return std::max(16, s);
 }
 
+// Mean cost of one option of the request: per-option depths make the
+// roofline's flops per item the book's mean lattice cost, not req.steps'.
 double flops(const PricingRequest& req) {
-  return kernels::binomial::flops_per_option(req.steps);
+  const std::span<const core::OptionSpec> specs = req.portfolio.specs;
+  if (req.steps_per_year <= 0 || specs.empty()) {
+    return kernels::binomial::flops_per_option(req.steps);
+  }
+  double sum = 0.0;
+  for (const core::OptionSpec& o : specs) {
+    sum += kernels::binomial::flops_per_option(steps_for(o, req));
+  }
+  return sum / static_cast<double>(specs.size());
 }
 double bytes(const PricingRequest&) { return 0.0; }  // compute-bound
 
@@ -61,14 +82,19 @@ int max_steps(const PricingRequest& req, const core::PortfolioView& view) {
   return m;
 }
 
-// Carve the per-worker lattice slots once per request; reserve() is
-// idempotent so the chunked path (via the prepare hook) and the whole-batch
-// path (lazily, below) share this. Steady-state repetitions never allocate.
+// Carve the per-worker lattice slots once per request, and with mixed
+// depths size the depth-key buffer packed chunks sort in; both are
+// idempotent, so the chunked path (via the prepare hook) and the
+// whole-batch path (lazily, below) share this. Steady-state repetitions
+// never allocate.
 void reserve_lattice(const PricingRequest& req, const core::PortfolioView& view) {
   Scratch& s = scratch_of(req);
   s.lattice_pool.reserve(s.kernel_arena,
                          kernels::binomial::lattice_doubles(max_steps(req, view)),
                          scratch_slots());
+  if (req.steps_per_year > 0 && s.depth_order.size() < view.specs.size()) {
+    s.depth_order.resize(view.specs.size());
+  }
 }
 
 // --- Intra-option task decomposition (engine/task_group.hpp) -----------------
@@ -132,45 +158,64 @@ double price_one_tasked(const core::OptionSpec& opt, int steps, Scratch& s) {
   return banded::price_one_banded(opt, steps, {base, 2 * lat}, tasked_segment_runner, &ctx);
 }
 
-template <BatchFn K, Width W>
-void run_range(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
-               std::size_t end, PricingResult& res) {
+// Mixed depths in depth packs: the chunk sorts its own options' depth keys
+// in its slice of the request's depth_order, then prices them W lanes at a
+// time.
+template <Width W>
+void run_packed(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
+                std::size_t end, PricingResult& res) {
   Scratch& s = scratch_of(req);
-  core::ScratchPool* pool = &s.lattice_pool;
-  std::span<double> out{res.values.data() + begin, end - begin};
-  if (req.steps_per_year > 0) {
-    // Heterogeneous depths: the lattice is priced per option (SIMD variants
-    // accept single-option spans via their scalar tail path — which is
-    // price_one_reference, so routing deep European options through the
-    // banded decomposition below is bitwise-neutral for every variant).
-    const bool tasks = s.tasks_on && s.task_pool != nullptr;
-    for (std::size_t o = begin; o < end; ++o) {
-      const core::OptionSpec& opt = view.specs[o];
-      const int steps = steps_for(opt, req);
-      if (tasks && steps >= banded::kMinTaskSteps &&
-          opt.style == core::ExerciseStyle::kEuropean) {
-        res.values[o] = price_one_tasked(opt, steps, s);
-        continue;
-      }
-      K(view.specs.subspan(o, 1), steps, {res.values.data() + o, 1}, W, pool);
-    }
-    return;
+  const std::size_t m = end - begin;
+  const std::span<std::uint64_t> order{s.depth_order.data() + begin, m};
+  for (std::size_t i = 0; i < m; ++i) {
+    order[i] = kernels::binomial::depth_key(steps_for(view.specs[begin + i], req), i);
   }
-  K(view.specs.subspan(begin, end - begin), req.steps, out, W, pool);
+  std::sort(order.begin(), order.end());
+  kernels::binomial::price_packed(view.specs.subspan(begin, m), order,
+                                  {res.values.data() + begin, m}, W, &s.lattice_pool);
 }
 
+// Mixed depths one option at a time (the scalar variants); with tasks on,
+// deep European options go through the banded decomposition, which is
+// bitwise-neutral against the scalar reference.
 template <BatchFn K, Width W>
+void run_each(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
+              std::size_t end, PricingResult& res) {
+  Scratch& s = scratch_of(req);
+  const bool tasks = s.tasks_on && s.task_pool != nullptr;
+  for (std::size_t o = begin; o < end; ++o) {
+    const core::OptionSpec& opt = view.specs[o];
+    const int steps = steps_for(opt, req);
+    if (tasks && steps >= banded::kMinTaskSteps &&
+        opt.style == core::ExerciseStyle::kEuropean) {
+      res.values[o] = price_one_tasked(opt, steps, s);
+      continue;
+    }
+    K(view.specs.subspan(o, 1), steps, {res.values.data() + o, 1}, W, &s.lattice_pool);
+  }
+}
+
+template <BatchFn K, Width W, bool Packed>
+void run_range(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
+               std::size_t end, PricingResult& res) {
+  if (req.steps_per_year <= 0) {
+    K(view.specs.subspan(begin, end - begin), req.steps,
+      {res.values.data() + begin, end - begin}, W, &scratch_of(req).lattice_pool);
+  } else if constexpr (Packed) {
+    run_packed<W>(req, view, begin, end, res);
+  } else {
+    run_each<K, W>(req, view, begin, end, res);
+  }
+}
+
+template <BatchFn K, Width W, bool Packed>
 void run_batch(const PricingRequest& req, const core::PortfolioView& view,
                PricingResult& res) {
   reserve_lattice(req, view);
   const std::size_t n = view.specs.size();
   if (res.values.size() != n) res.values.assign(n, 0.0);
   res.items = n;
-  if (req.steps_per_year > 0) {
-    run_range<K, W>(req, view, 0, n, res);
-    return;
-  }
-  K(view.specs, req.steps, res.values, W, &scratch_of(req).lattice_pool);
+  run_range<K, W, Packed>(req, view, 0, n, res);
 }
 
 // --- Blocked-layout family (Layout::kBsBlocked AoSoA tiles) ------------------
@@ -245,11 +290,12 @@ VariantInfo base(const char* id, OptLevel level, int width, const char* desc) {
   return v;
 }
 
-template <BatchFn K, Width W>
+// Packed: the SIMD variants, whose mixed-depth chunks run in depth packs.
+template <BatchFn K, Width W, bool Packed>
 void wire(VariantInfo& v) {
   v.prepare = reserve_lattice;
-  v.run_batch = run_batch<K, W>;
-  v.run_range = run_range<K, W>;
+  v.run_batch = run_batch<K, W, Packed>;
+  v.run_range = run_range<K, W, Packed>;
 }
 
 }  // namespace
@@ -259,7 +305,7 @@ void register_binomial(Registry& r) {
     VariantInfo v = base("binomial.reference.scalar", OptLevel::kReference, 1,
                          "per-option scalar CRR reduction (Lis. 2)");
     v.reference_id = "";
-    wire<reference_w, Width::kScalar>(v);
+    wire<reference_w, Width::kScalar, false>(v);
     r.add(std::move(v));
   }
   {
@@ -269,19 +315,19 @@ void register_binomial(Registry& r) {
     // price_basic's backward induction carries no early-exercise max —
     // the omp-simd inner loop is pure continuation value.
     v.european_only = true;
-    wire<basic_w, Width::kAuto>(v);
+    wire<basic_w, Width::kAuto, false>(v);
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("binomial.intermediate.avx2", OptLevel::kIntermediate, 4,
                          "4-wide SIMD across options, one option per lane");
-    wire<kernels::binomial::price_intermediate, Width::kAvx2>(v);
+    wire<kernels::binomial::price_intermediate, Width::kAvx2, true>(v);
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("binomial.intermediate.auto", OptLevel::kIntermediate, 0,
                          "widest SIMD across options, one option per lane");
-    wire<kernels::binomial::price_intermediate, Width::kAuto>(v);
+    wire<kernels::binomial::price_intermediate, Width::kAuto, true>(v);
     r.add(std::move(v));
   }
   {
@@ -290,7 +336,7 @@ void register_binomial(Registry& r) {
     v.european_only = true;
     // Fallback chain: advanced -> intermediate -> reference.
     v.fallback_id = "binomial.intermediate.avx2";
-    wire<kernels::binomial::price_advanced, Width::kAvx2>(v);
+    wire<kernels::binomial::price_advanced, Width::kAvx2, true>(v);
     r.add(std::move(v));
   }
   {
@@ -298,7 +344,7 @@ void register_binomial(Registry& r) {
                          "register tiling (Lis. 3), widest");
     v.european_only = true;
     v.fallback_id = "binomial.intermediate.auto";
-    wire<kernels::binomial::price_advanced, Width::kAuto>(v);
+    wire<kernels::binomial::price_advanced, Width::kAuto, true>(v);
     r.add(std::move(v));
   }
   {
@@ -306,7 +352,7 @@ void register_binomial(Registry& r) {
                          "register tiling + manual tile-loop unrolling");
     v.european_only = true;
     v.fallback_id = "binomial.advanced.auto";  // -> intermediate -> reference
-    wire<kernels::binomial::price_advanced_unrolled, Width::kAuto>(v);
+    wire<kernels::binomial::price_advanced_unrolled, Width::kAuto, true>(v);
     r.add(std::move(v));
   }
   // --- Blocked (AoSoA) family ----------------------------------------------

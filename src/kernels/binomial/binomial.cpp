@@ -1,7 +1,9 @@
 #include "finbench/kernels/binomial.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <exception>
 #include <stdexcept>
 
 #include "finbench/arch/aligned.hpp"
@@ -167,8 +169,8 @@ void price_basic(std::span<const core::OptionSpec> opts, int steps, std::span<do
 
 namespace {
 
-// Shared lane setup: W options side by side, Call[j] is a W-wide vector.
-// `group` indexes the block of W consecutive options.
+// Lane setup of the register-tiled path: W options side by side, Call[j]
+// is a W-wide vector; `base` indexes the block of W consecutive options.
 template <int W>
 struct LaneBatch {
   using V = simd::Vec<double, W>;
@@ -195,56 +197,107 @@ struct LaneBatch {
   }
 };
 
+// One level of the in-place backward induction over W lanes: Call[j]
+// becomes the discounted expectation of Call[j] and Call[j+1], j < i.
 template <int W>
-void reduce_european(double* call, int steps, simd::Vec<double, W> pu, simd::Vec<double, W> pd) {
+void european_level(double* call, int i, simd::Vec<double, W> pu, simd::Vec<double, W> pd) {
   using V = simd::Vec<double, W>;
-  for (int i = steps; i > 0; --i) {
-    for (int j = 0; j <= i - 1; ++j) {
-      const V up = V::load(call + static_cast<std::size_t>(j + 1) * W);
-      const V dn = V::load(call + static_cast<std::size_t>(j) * W);
-      fmadd(pu, up, pd * dn).store(call + static_cast<std::size_t>(j) * W);
-    }
+  for (int j = 0; j <= i - 1; ++j) {
+    const V up = V::load(call + static_cast<std::size_t>(j + 1) * W);
+    const V dn = V::load(call + static_cast<std::size_t>(j) * W);
+    fmadd(pu, up, pd * dn).store(call + static_cast<std::size_t>(j) * W);
   }
 }
 
-// American reduction needs the node spot prices: keep per-lane S*d^i and
-// the u/d ratio so node prices are rebuilt incrementally per level.
 template <int W>
-void reduce_american(std::span<const core::OptionSpec> opts, std::size_t base, double* call,
-                     int steps, simd::Vec<double, W> pu, simd::Vec<double, W> pd) {
+void reduce_european(double* call, int steps, simd::Vec<double, W> pu, simd::Vec<double, W> pd) {
+  for (int i = steps; i > 0; --i) european_level<W>(call, i, pu, pd);
+}
+
+// The American level needs the node spot prices: node (i-1, j) is at
+// S·u^j·d^(i-1-j), rebuilt incrementally from the lane's `level` base
+// S·d^(i-1) and its u/d ratio.
+template <int W>
+void american_level(double* call, int i, simd::Vec<double, W> pu, simd::Vec<double, W> pd,
+                    simd::Vec<double, W> level, simd::Vec<double, W> ratio,
+                    simd::Vec<double, W> strike, simd::Vec<double, W> sign,
+                    simd::Vec<double, W> am) {
   using V = simd::Vec<double, W>;
-  alignas(64) double ratio_a[W], strike_a[W], sign_a[W], base_s_a[W], am_a[W];
+  V node_s = level;
+  for (int j = 0; j <= i - 1; ++j) {
+    const V up = V::load(call + static_cast<std::size_t>(j + 1) * W);
+    const V dn = V::load(call + static_cast<std::size_t>(j) * W);
+    const V cont = fmadd(pu, up, pd * dn);
+    // European lanes get exercise value 0; continuation values are always
+    // >= 0 for vanilla payoffs, so max(cont, 0) leaves them untouched.
+    const V exercise = am * max(sign * (node_s - strike), V(0.0));
+    max(cont, exercise).store(call + static_cast<std::size_t>(j) * W);
+    node_s *= ratio;
+  }
+}
+
+// One pack: W options side by side, one per lane, Call[j] a W-wide vector.
+// Lane l prices *opt[l] over a depth[l]-deep lattice; depths ascend across
+// the lanes and the deepest, S = depth[W-1], is where the induction
+// starts. When it reaches level depth[l], lane l gets its payoff leaves
+// and its S·d^s node base written in; whatever the lane computed above
+// that level is overwritten, so no mask is needed and a lane's arithmetic
+// depends on its own option alone. An equal-depth pack is the paper's
+// one-option-per-lane batch. `call` holds (S+1) x W doubles; the prices
+// come back in call[0..W).
+template <int W>
+void reduce_pack(const core::OptionSpec* const* opt, const int* depth, double* call) {
+  using V = simd::Vec<double, W>;
+  alignas(64) double pu_a[W], pd_a[W], ratio_a[W], invd_a[W], strike_a[W], sign_a[W], am_a[W];
+  alignas(64) double base_a[W], level_a[W];
+  bool any_american = false;
   for (int l = 0; l < W; ++l) {
-    const core::OptionSpec& o = opts[base + l];
-    const CrrParams p = crr(o, steps);
+    const core::OptionSpec& o = *opt[l];
+    const CrrParams p = crr(o, depth[l]);
+    pu_a[l] = p.pu_by_df;
+    pd_a[l] = p.pd_by_df;
     ratio_a[l] = p.up / p.down;
+    invd_a[l] = 1.0 / p.down;
     strike_a[l] = o.strike;
     sign_a[l] = o.type == core::OptionType::kCall ? 1.0 : -1.0;
-    base_s_a[l] = o.spot * std::pow(p.down, steps);
     am_a[l] = o.style == core::ExerciseStyle::kAmerican ? 1.0 : 0.0;
+    any_american |= o.style == core::ExerciseStyle::kAmerican;
+    base_a[l] = o.spot * std::pow(p.down, depth[l]);
+    level_a[l] = 0.0;
   }
-  const V ratio = V::load(ratio_a), strike = V::load(strike_a), sign = V::load(sign_a);
-  // European lanes get exercise value 0; continuation values are always
-  // >= 0 for vanilla payoffs, so max(cont, 0) leaves them untouched.
+  const V pu = V::load(pu_a), pd = V::load(pd_a), ratio = V::load(ratio_a);
+  const V invd = V::load(invd_a), strike = V::load(strike_a), sign = V::load(sign_a);
   const V am = V::load(am_a);
-  V level_base = V::load(base_s_a);  // S * d^i for current level i
 
-  alignas(64) double inv_down[W];
-  for (int l = 0; l < W; ++l) {
-    inv_down[l] = 1.0 / crr(opts[base + l], steps).down;
-  }
-  const V invd = V::load(inv_down);
-
-  for (int i = steps; i > 0; --i) {
-    level_base *= invd;  // now S * d^(i-1)
-    V node_s = level_base;
-    for (int j = 0; j <= i - 1; ++j) {
-      const V up = V::load(call + static_cast<std::size_t>(j + 1) * W);
-      const V dn = V::load(call + static_cast<std::size_t>(j) * W);
-      const V cont = fmadd(pu, up, pd * dn);
-      const V exercise = am * max(sign * (node_s - strike), V(0.0));
-      max(cont, exercise).store(call + static_cast<std::size_t>(j) * W);
-      node_s *= ratio;
+  const int top = depth[W - 1];
+  // Lanes that start below the top compute from zeroed cells until then:
+  // finite and never denormal, whatever the buffer held before.
+  if (depth[0] < top) std::fill(call, call + static_cast<std::size_t>(top + 1) * W, 0.0);
+  V level(0.0);  // S·d^i per lane at the current level i
+  int next = W - 1;  // deepest lane not yet started
+  for (int i = top;; --i) {
+    if (next >= 0 && depth[next] == i) {
+      level.store(level_a);
+      for (; next >= 0 && depth[next] == i; --next) {
+        const core::OptionSpec& o = *opt[next];
+        // Leaves: S * u^j * d^(i-j), j = 0..i.
+        double s = base_a[next];
+        for (int j = 0; j <= i; ++j) {
+          call[static_cast<std::size_t>(j) * W + next] =
+              o.type == core::OptionType::kCall ? std::max(s - o.strike, 0.0)
+                                                : std::max(o.strike - s, 0.0);
+          s *= ratio_a[next];
+        }
+        level_a[next] = base_a[next];
+      }
+      level = V::load(level_a);
+    }
+    if (i == 0) break;
+    if (any_american) {
+      level *= invd;  // now S * d^(i-1)
+      american_level<W>(call, i, pu, pd, level, ratio, strike, sign, am);
+    } else {
+      european_level<W>(call, i, pu, pd);
     }
   }
 }
@@ -263,17 +316,13 @@ void price_simd(std::span<const core::OptionSpec> opts, int steps, std::span<dou
 #pragma omp for schedule(static)
     for (std::ptrdiff_t g = 0; g < static_cast<std::ptrdiff_t>(groups); ++g) {
       const std::size_t base = static_cast<std::size_t>(g) * W;
-      LaneBatch<W> lanes;
-      lanes.init_leaves(opts, base, steps, call);
-      bool any_american = false;
+      const core::OptionSpec* lane[W];
+      int depth[W];
       for (int l = 0; l < W; ++l) {
-        any_american |= opts[base + l].style == core::ExerciseStyle::kAmerican;
+        lane[l] = &opts[base + l];
+        depth[l] = steps;
       }
-      if (any_american) {
-        reduce_american<W>(opts, base, call, steps, lanes.pu, lanes.pd);
-      } else {
-        reduce_european<W>(call, steps, lanes.pu, lanes.pd);
-      }
+      reduce_pack<W>(lane, depth, call);
       V::load(call).storeu(out.data() + base);
     }
   }
@@ -285,6 +334,46 @@ void price_simd(std::span<const core::OptionSpec> opts, int steps, std::span<dou
       out[o] = price_one_reference(opts[o], steps, lattice);
     }
   }
+}
+
+// Mixed depths: pack p holds order[lo, hi), counted from the deep end so
+// the one partial pack is the shallowest, and a partial pack repeats its
+// deepest lane (no scalar tail: every lane runs the same arithmetic).
+// Packs run deepest first across the OpenMP team; an exception (an
+// invalid CRR probability) is carried out of the parallel region.
+template <int W>
+void price_packed_w(std::span<const core::OptionSpec> opts, std::span<const std::uint64_t> order,
+                    std::span<double> out, core::ScratchPool* scratch) {
+  const std::size_t n = order.size();
+  if (n == 0) return;
+  const std::ptrdiff_t packs = static_cast<std::ptrdiff_t>((n + W - 1) / W);
+  const std::size_t lattice = static_cast<std::size_t>(key_steps(order[n - 1]) + 1) * W;
+  std::exception_ptr error;
+#pragma omp parallel
+  {
+    LatticeBuf buf(scratch, lattice);
+#pragma omp for schedule(dynamic, 1)
+    for (std::ptrdiff_t p = 0; p < packs; ++p) {
+      const std::size_t hi = n - static_cast<std::size_t>(p) * W;
+      const std::size_t lo = hi > static_cast<std::size_t>(W) ? hi - W : 0;
+      const core::OptionSpec* lane[W];
+      int depth[W];
+      for (int l = 0; l < W; ++l) {
+        const std::uint64_t k = order[std::min(lo + l, hi - 1)];
+        lane[l] = &opts[key_index(k)];
+        depth[l] = key_steps(k);
+      }
+      try {
+        reduce_pack<W>(lane, depth, buf.data);
+      } catch (...) {
+#pragma omp critical(binomial_packed_error)
+        if (!error) error = std::current_exception();
+        continue;
+      }
+      for (std::size_t i = lo; i < hi; ++i) out[key_index(order[i])] = buf.data[i - lo];
+    }
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 // --- Register tiling (Lis. 3) -----------------------------------------------
@@ -396,6 +485,22 @@ void price_advanced(std::span<const core::OptionSpec> opts, int steps, std::span
 #else
     case Width::kAvx512:
     case Width::kAuto: price_tiled<4, kTileSize, false>(opts, steps, out, scratch); return;
+#endif
+  }
+}
+
+void price_packed(std::span<const core::OptionSpec> opts, std::span<const std::uint64_t> order,
+                  std::span<double> out, Width w, core::ScratchPool* scratch) {
+  assert(out.size() >= opts.size());
+  switch (w) {
+    case Width::kScalar: price_packed_w<1>(opts, order, out, scratch); return;
+    case Width::kAvx2: price_packed_w<4>(opts, order, out, scratch); return;
+#if defined(FINBENCH_HAVE_AVX512)
+    case Width::kAvx512:
+    case Width::kAuto: price_packed_w<8>(opts, order, out, scratch); return;
+#else
+    case Width::kAvx512:
+    case Width::kAuto: price_packed_w<4>(opts, order, out, scratch); return;
 #endif
   }
 }

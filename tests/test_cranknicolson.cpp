@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "finbench/core/analytic.hpp"
+#include "finbench/core/portfolio.hpp"
 #include "finbench/core/workload.hpp"
+#include "finbench/engine/registry.hpp"
 #include "finbench/kernels/binomial.hpp"
 #include "finbench/kernels/cranknicolson.hpp"
 
@@ -82,6 +85,43 @@ TEST(CrankNicolson, AmericanPutWorthAtLeastEuropeanAndIntrinsic) {
     EXPECT_GE(am, euro - 2e-3) << spot;
     EXPECT_GE(am, std::max(100.0 - spot, 0.0) - 1e-6) << spot;
   }
+}
+
+TEST(CrankNicolson, EuropeanPutSkipsEarlyExerciseInEveryVariant) {
+  // Every registered cn.* variant, on the exotic_book grid (129 x 128): a
+  // European put prices near the closed form and strictly below the same
+  // put with early exercise (deep in the money, where exercise pays).
+  std::vector<core::OptionSpec> eu, am;
+  for (double spot : {80.0, 100.0, 120.0}) {
+    core::OptionSpec o = am_put(spot, 110, 1.5, 0.05, 0.3);
+    am.push_back(o);
+    o.style = core::ExerciseStyle::kEuropean;
+    eu.push_back(o);
+  }
+  int variants = 0;
+  for (const engine::VariantInfo* v : engine::Registry::instance().all()) {
+    if (v->kernel != "cn") continue;
+    ++variants;
+    auto price = [&](const std::vector<core::OptionSpec>& book) {
+      engine::PricingRequest req;
+      req.kernel_id = v->id;
+      req.portfolio = core::view_of(std::span<const core::OptionSpec>(book));
+      req.steps = 128;
+      req.cn_num_prices = 129;
+      engine::PricingResult res;
+      v->run_batch(req, req.portfolio, res);
+      return res.values;
+    };
+    const std::vector<double> pe = price(eu), pa = price(am);
+    ASSERT_EQ(pe.size(), eu.size()) << v->id;
+    ASSERT_EQ(pa.size(), am.size()) << v->id;
+    for (std::size_t i = 0; i < eu.size(); ++i) {
+      EXPECT_NEAR(pe[i], core::black_scholes_price(eu[i]), 0.05) << v->id << " spot "
+                                                                 << eu[i].spot;
+      EXPECT_LT(pe[i], pa[i]) << v->id << " spot " << eu[i].spot;
+    }
+  }
+  EXPECT_GE(variants, 5);
 }
 
 TEST(CrankNicolson, ReferenceIterationCountIsSane) {

@@ -142,14 +142,17 @@ TEST(Engine, ChunkedExecutionMatchesWholeBatch) {
   struct Case {
     const char* id;
     bool american;
+    int steps_per_year;  // > 0: mixed depths, priced in depth packs
   };
-  for (const auto& c : std::initializer_list<Case>{{"binomial.intermediate.auto", true},
-                                                   {"cn.wavefront_split.auto", true},
-                                                   {"mc.optimized_computed.auto", false}}) {
+  for (const auto& c : std::initializer_list<Case>{{"binomial.intermediate.auto", true, 0},
+                                                   {"binomial.intermediate.auto", true, 96},
+                                                   {"cn.wavefront_split.auto", true, 0},
+                                                   {"mc.optimized_computed.auto", false, 0}}) {
     const auto workload = lattice_workload(33, 11, c.american);
     PricingRequest req;
     req.kernel_id = c.id;
     req.portfolio = core::view_of(std::span<const core::OptionSpec>(workload));
+    req.steps_per_year = c.steps_per_year;
     req.steps = 128;
     req.npath = 4096;
     req.cn_num_prices = 65;

@@ -219,7 +219,7 @@ TEST(EngineAlloc, BinomialLatticeScratchIsPooledAfterWarmup) {
 TEST(EngineAlloc, TaskedMixedExpiryBinomialIsAllocationFree) {
   const auto workload = core::make_option_workload(48, 11);  // European
   PricingRequest req;
-  req.kernel_id = "binomial.advanced.auto";
+  req.kernel_id = "binomial.reference.scalar";  // the variant that splits deep Europeans
   req.portfolio = core::view_of(std::span<const core::OptionSpec>(workload));
   req.steps_per_year = 512;  // years up to 3.0: depths cross kMinTaskSteps
   req.tasks = engine::TaskMode::kOn;
@@ -238,6 +238,40 @@ TEST(EngineAlloc, TaskedMixedExpiryBinomialIsAllocationFree) {
   ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   ASSERT_EQ(res.values.size(), workload.size());
   EXPECT_EQ(allocs, 0u) << "steady-state tasked binomial pricing allocated";
+}
+
+// Depth-packed SIMD lattices: each chunk sorts its depth keys in a slice
+// of the request's depth_order, sized by the prepare hook, and leases one
+// (deepest+1) x W lattice per worker — a mixed-style, mixed-depth book is
+// allocation-free after warm-up under both schedules.
+TEST(EngineAlloc, PackedMixedDepthBinomialIsAllocationFree) {
+  auto workload = core::make_option_workload(61, 12);
+  for (std::size_t i = 0; i < workload.size(); i += 2) {
+    workload[i].style = core::ExerciseStyle::kAmerican;
+  }
+  PricingRequest req;
+  req.kernel_id = "binomial.intermediate.auto";
+  req.portfolio = core::view_of(std::span<const core::OptionSpec>(workload));
+  req.steps_per_year = 256;
+  req.chunks_per_thread = 3;
+
+  engine::ThreadPool pool(4);
+  Engine eng(&pool);
+  for (auto sched : {arch::Schedule::kDynamic, arch::Schedule::kStatic}) {
+    req.schedule = sched;
+    PricingResult res;
+    eng.price(req, res);  // warm-up: lattice pool, depth keys, chunk bounds
+    eng.price(req, res);  // second warm-up: result buffers at capacity
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+
+    const std::size_t allocs = allocations_during([&] {
+      for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
+    });
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+    ASSERT_EQ(res.values.size(), workload.size());
+    EXPECT_EQ(allocs, 0u) << "steady-state packed binomial pricing allocated (schedule "
+                          << (sched == arch::Schedule::kDynamic ? "dynamic" : "static") << ")";
+  }
 }
 
 TEST(EngineAlloc, MonteCarloComputedRngScratchIsPooledAfterWarmup) {

@@ -78,7 +78,7 @@ TEST(EngineTasks, MixedExpiryBinomialBatchBitwiseEqualTaskedVsFlat) {
             });
   core::Portfolio pf = core::Portfolio::specs(std::span<const core::OptionSpec>(specs));
   PricingRequest req;
-  req.kernel_id = "binomial.advanced.auto";
+  req.kernel_id = "binomial.reference.scalar";
   req.portfolio = pf.view();
   req.steps_per_year = 512;  // years up to 3.0 -> depths up to ~1536
 

@@ -64,6 +64,15 @@ int main(int argc, char** argv) {
   const double split8 = measure("cn.split8", "cn.wavefront_split.auto");
   const double paired4 = measure("cn.paired4", "cn.wavefront_split_paired.avx2");
   const double paired8 = measure("cn.paired8", "cn.wavefront_split_paired.auto");
+  // Beyond the paper: options in the lanes, one direct solve per step.
+  // The registry variant is the widest build; the 4-wide row calls the
+  // kernel's batch driver.
+  const double packed8 = measure("cn.packed8", "cn.direct_packed.auto");
+  std::vector<double> out(nopt);
+  const double packed4 = bench::items_per_sec("cn.packed4", nopt, opts.reps, [&] {
+    cn::price_batch(workload, grid, cn::Variant::kDirectPacked, out, cn::Width::kAvx2);
+  });
+  const double direct_flops = cn::flops_per_option_direct(grid);
 
   report.add_row(proj.make_row("Reference (scalar GSOR, 1000-step equiv)", ref / scale, flops,
                                0, 1, 1, 2100.0, 2800.0));
@@ -79,6 +88,10 @@ int main(int argc, char** argv) {
                                4, 4));
   report.add_row(proj.make_row("  +ILP pairing (beyond paper) 8w", paired8 / scale, flops, 0,
                                8, 8));
+  report.add_row(proj.make_row("+direct LCP solve, option-packed (beyond paper) 4w",
+                               packed4 / scale, direct_flops, 0, 4, 4));
+  report.add_row(proj.make_row("+direct LCP solve, option-packed (beyond paper) 8w",
+                               packed8 / scale, direct_flops, 0, 8, 8));
 
   report.add_check("wavefront SIMD beats the scalar reference (paper: ~2.1x)", wf4 > ref,
                    std::to_string(wf4 / ref) + "x");
@@ -95,6 +108,11 @@ int main(int argc, char** argv) {
                    std::to_string(paired4 / ref) + "x (4-wide, with ILP pairing)");
   report.add_check("ILP pairing recovers the latency-bound wavefront (beyond paper)",
                    paired4 > 1.2 * split4, std::to_string(paired4 / split4) + "x");
+
+  report.add_check("packed direct beats ILP-paired wavefront (beyond paper)",
+                   packed4 > paired4 && packed8 > paired8,
+                   std::to_string(packed4 / paired4) + "x 4-wide, " +
+                       std::to_string(packed8 / paired8) + "x 8-wide");
 
   bench::finish(report, opts);
   return 0;

@@ -40,19 +40,28 @@
 //                     every wavefront access unit-stride ("Data structure
 //                     transform" bar)
 //
-// European pricing via a Thomas tridiagonal solve of the same
-// discretization is provided as the validation baseline (converges to the
-// closed-form Black–Scholes price).
+// The direct solve of the same discretization — a Thomas tridiagonal
+// solve for Europeans, its Brennan–Schwartz projection for the American
+// put — is exact for each step's linear-complementarity problem with no
+// iteration. The scalar forms are validation baselines (the Thomas price
+// converges to the closed-form Black–Scholes price); the option-packed
+// form (price_direct_packed, beyond the paper) is an engine path, W
+// options per SIMD vector.
 
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "finbench/core/option.hpp"
 #include "finbench/vecmath/array_math.hpp"
+
+namespace finbench::core {
+class ScratchPool;  // finbench/core/scratch_pool.hpp
+}
 
 namespace finbench::kernels::cn {
 
@@ -122,6 +131,41 @@ std::vector<double> exercise_boundary(const core::OptionSpec& opt, const GridSpe
 // non-iterative baseline PSOR is measured against. Throws for calls.
 SolveResult price_american_brennan_schwartz(const core::OptionSpec& opt, const GridSpec& grid);
 
+// --- Option-packed direct solve (beyond the paper) ---------------------------
+//
+// The wavefront variants put the *iterations* of one option in the SIMD
+// lanes, so they stay bound by its serial store->load chain. This path
+// puts W *options* in the lanes (8 with AVX-512, 4 with AVX2; storage SoA
+// [j][lane], every lane with its own mesh ratio, obstacle and transform)
+// and replaces the iteration by the exact direct solve. Each time step is
+// one explicit half-step, one obstacle fill, one right-to-left elimination
+// and one left-to-right substitution projected onto the obstacle — the
+// Brennan–Schwartz step above, lane by lane. The elimination factors
+// depend only on the mesh ratio, so they are computed once per option.
+//
+//   - Europeans take the same path: their interior obstacle is -inf, so
+//     the projection is a no-op and the step is exactly a Thomas solve.
+//   - Calls are stored mirrored (j -> m-1-j). The constant-coefficient CN
+//     operator is symmetric under the reversal, so a call's exercise
+//     interval sits at the low end like a put's and one sweep direction
+//     serves both; its price is read at m-1-mid.
+//   - A partial pack repeats its last real lane. No lane reads another,
+//     so every price depends on its own option alone: bitwise the same
+//     whichever options share its pack, however a caller splits the
+//     batch, and for W = 4 and W = 8.
+
+// Workspace doubles one pack needs on this grid, for any width.
+std::size_t direct_packed_doubles(const GridSpec& grid);
+
+// Prices opts[i] into out[i], W at a time, pack after pack on the calling
+// thread (no OpenMP team). The pack workspace is leased once from
+// `scratch` (a local allocation when it is null, too small or
+// exhausted). Any type, any style. Throws std::invalid_argument for an
+// option make_transform rejects, or a grid with fewer than 3 prices.
+void price_direct_packed(std::span<const core::OptionSpec> opts, const GridSpec& grid,
+                         std::span<double> out, Width w = Width::kAuto,
+                         core::ScratchPool* scratch = nullptr);
+
 // --- Pipelined GSOR sweeps: intra-option task parallelism --------------------
 //
 // The (k, j) <- (k, j-1), (k-1, j+1) dependence that the SIMD variants
@@ -183,14 +227,24 @@ enum class Variant {
   kWavefront,
   kWavefrontSplit,
   kWavefrontSplitPaired,  // options processed two at a time (ILP pairing)
+  kDirectPacked,          // price_direct_packed, one pack of W per task
 };
+// A kernel exception is rethrown on the calling thread after the team
+// joins. `scratch` feeds kDirectPacked's pack workspaces.
 void price_batch(std::span<const core::OptionSpec> opts, const GridSpec& grid, Variant v,
-                 std::span<double> out, Width w = Width::kAuto);
+                 std::span<double> out, Width w = Width::kAuto,
+                 core::ScratchPool* scratch = nullptr);
 
 // ~8 flops per PSOR point update + explicit step; used for rooflines.
 inline double flops_per_option_estimate(const GridSpec& g, double avg_iters_per_step) {
   const double interior = g.num_prices - 2;
   return g.num_steps * interior * (8.0 * avg_iters_per_step + 6.0);
+}
+
+// The direct solve: ~11 flops per interior point per step (explicit
+// half-step 4, elimination 3, obstacle 1, projected substitution 3).
+inline double flops_per_option_direct(const GridSpec& g) {
+  return g.num_steps * (g.num_prices - 2) * 11.0;
 }
 
 }  // namespace finbench::kernels::cn

@@ -98,6 +98,7 @@ struct Scratch {
   core::ScratchPool lattice_pool;  // binomial: (steps+1) x lane-width doubles
   core::ScratchPool rng_pool;      // mc computed: kRngChunk doubles
   core::ScratchPool vml_pool;      // bs advanced_vml: 4 x kVmlChunk doubles
+  core::ScratchPool pack_pool;     // cn direct_packed: one pack workspace
 
   // Binomial depth-packed chunks: each chunk sorts the depth keys of its
   // own options in depth_order[begin, end) (kernels::binomial::depth_key),

@@ -1,15 +1,17 @@
-// Registry adapters for the Crank–Nicolson PSOR kernel family (paper
-// Fig. 8). The grid is rebuilt from the request knobs (cn_num_prices,
-// steps); the per-option cost proxy scales with the transformed time
-// horizon sigma^2 T (more tau to march, and higher alpha means more PSOR
-// iterations per step), giving the engine's weighted chunking a handle on
-// mixed-expiry batches.
+// Registry adapters for the Crank–Nicolson kernel family (paper Fig. 8).
+// The grid is rebuilt from the request knobs (cn_num_prices, steps). For
+// the PSOR variants the per-option cost proxy scales with the transformed
+// time horizon sigma^2 T (more tau to march, and higher alpha means more
+// PSOR iterations per step), giving the engine's weighted chunking a
+// handle on mixed-expiry batches; the option-packed direct solve (beyond
+// the paper) does the same work per option at any sigma^2 T.
 
 #include <span>
 
 #include "finbench/engine/task_group.hpp"
 #include "finbench/kernels/cranknicolson.hpp"
 #include "finbench/obs/metrics.hpp"
+#include "finbench/vecmath/array_math.hpp"
 #include "variants.hpp"
 
 namespace finbench::engine {
@@ -28,9 +30,20 @@ GridSpec grid_of(const PricingRequest& req) {
   return g;
 }
 
+// PSOR iterations per time step, measured on perfbench's exotic_book
+// generator (seed 1, 1024 puts, 129 prices x 128 steps, AVX-512 host):
+// the reference, which checks convergence after every sweep, runs 4.3;
+// the wavefront variants check once per block of W sweeps and run 5.8 at
+// W = 4 and 8.0 at W = 8, as do the tasked variant's blocks of 8.
+// Lanes is the variant's SIMD width (0: the widest compiled in).
+template <int Lanes>
 double flops(const PricingRequest& req) {
-  // ~4 PSOR iterations/step is typical for the adaptive-omega solver.
-  return kernels::cn::flops_per_option_estimate(grid_of(req), 4.0);
+  const int w = Lanes == 0 ? vecmath::max_width() : Lanes;
+  const double iters = w == 1 ? 4.3 : w == 4 ? 5.8 : 8.0;
+  return kernels::cn::flops_per_option_estimate(grid_of(req), iters);
+}
+double flops_direct(const PricingRequest& req) {
+  return kernels::cn::flops_per_option_direct(grid_of(req));
 }
 double bytes(const PricingRequest&) { return 0.0; }  // grid resides in cache
 
@@ -113,6 +126,38 @@ void run_batch_tasked(const PricingRequest& req, const core::PortfolioView& view
   run_range_tasked(req, view, 0, n, res);
 }
 
+// --- Option-packed direct solve ----------------------------------------------
+// A chunk's packs of W options run on the participant's own thread
+// (kernels::cn::price_direct_packed), in one workspace leased from the
+// request's pack_pool; the prepare hook sizes the pool, so steady state
+// allocates nothing. A lane's price depends on its own option alone, so
+// any chunking, participant count or schedule gives the same bits.
+
+void reserve_packs(const PricingRequest& req, const core::PortfolioView&) {
+  Scratch& s = scratch_of(req);
+  s.pack_pool.reserve(s.kernel_arena, kernels::cn::direct_packed_doubles(grid_of(req)),
+                      scratch_slots());
+}
+
+void run_range_packed(const PricingRequest& req, const core::PortfolioView& view,
+                      std::size_t begin, std::size_t end, PricingResult& res) {
+  static obs::Counter& priced = obs::counter("cn.options_priced");
+  priced.add(end - begin);
+  kernels::cn::price_direct_packed(view.specs.subspan(begin, end - begin), grid_of(req),
+                                   {res.values.data() + begin, end - begin}, Width::kAuto,
+                                   &scratch_of(req).pack_pool);
+}
+
+void run_batch_packed(const PricingRequest& req, const core::PortfolioView& view,
+                      PricingResult& res) {
+  reserve_packs(req, view);
+  const std::size_t n = view.specs.size();
+  if (res.values.size() != n) res.values.assign(n, 0.0);
+  res.items = n;
+  kernels::cn::price_batch(view.specs, grid_of(req), Variant::kDirectPacked, res.values,
+                           Width::kAuto, &scratch_of(req).pack_pool);
+}
+
 VariantInfo base(const char* id, OptLevel level, int width, const char* desc) {
   VariantInfo v;
   v.id = id;
@@ -127,7 +172,7 @@ VariantInfo base(const char* id, OptLevel level, int width, const char* desc) {
   // (tests/test_cranknicolson.cpp); against the plain per-iteration-checked
   // GSOR reference the gap is the solver convergence tolerance (~3e-5).
   v.tolerance = 1e-4;
-  v.flops_per_item = flops;
+  v.flops_per_item = width == 1 ? flops<1> : width == 4 ? flops<4> : flops<0>;
   v.bytes_per_item = bytes;
   v.item_cost = item_cost;
   return v;
@@ -193,9 +238,22 @@ void register_cranknicolson(Registry& r) {
   {
     VariantInfo v = base("cn.wavefront_tasked.scalar", OptLevel::kAdvanced, 1,
                          "whole GSOR sweeps pipelined as fork-join tasks (block of 8)");
+    v.flops_per_item = flops<kWaveBlock>;
     v.fallback_id = "cn.wavefront_split.auto";  // -> wavefront -> reference
     v.run_batch = run_batch_tasked;
     v.run_range = run_range_tasked;
+    r.add(std::move(v));
+  }
+  {
+    VariantInfo v = base("cn.direct_packed.auto", OptLevel::kAdvanced, 0,
+                         "options in the SIMD lanes, one direct Brennan-Schwartz solve per "
+                         "step (beyond paper)");
+    v.fallback_id = "cn.wavefront_split_paired.auto";  // -> split -> wavefront -> reference
+    v.flops_per_item = flops_direct;
+    v.item_cost = nullptr;  // uniform: a direct step costs the same at any sigma^2 T
+    v.prepare = reserve_packs;
+    v.run_batch = run_batch_packed;
+    v.run_range = run_range_packed;
     r.add(std::move(v));
   }
 }

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <stdexcept>
 #include <thread>
 
 #include "finbench/arch/aligned.hpp"
+#include "finbench/core/scratch_pool.hpp"
 #include "finbench/obs/metrics.hpp"
 #include "finbench/obs/trace.hpp"
 #include "finbench/simd/vec.hpp"
@@ -872,6 +874,166 @@ SolveResult price_american_brennan_schwartz(const core::OptionSpec& opt, const G
   return result;
 }
 
+// --- Option-packed direct solve (see header) ---------------------------------
+
+namespace {
+
+// One pack's workspace, SoA [j][lane]: the iterate u, the eliminated and
+// scaled right-hand side c, the obstacle shape h, and the per-option
+// elimination factors r = 1/d and e = off/d (d the eliminated diagonal);
+// then 4 m doubles where one lane's obstacle is built.
+constexpr int kPackArrays = 5;
+
+std::size_t pack_doubles(int m, int w) {
+  return static_cast<std::size_t>(m) * (kPackArrays * static_cast<std::size_t>(w) + 4);
+}
+
+// Writes lane l's payoff u(x, 0) into u and its obstacle shape into h
+// (stride W, mirrored for calls): the ObstacleFiller shape, with the
+// exponentials of one lane computed in `tmp` (4 m doubles).
+template <int W>
+void fill_lane(const Transform& t, int l, double* tmp, double* u, double* h) {
+  const int m = t.m;
+  const std::span<double> ax{tmp, static_cast<std::size_t>(m)};
+  const std::span<double> bx{tmp + m, static_cast<std::size_t>(m)};
+  const std::span<double> e1{tmp + 2 * m, static_cast<std::size_t>(m)};
+  const std::span<double> e2{tmp + 3 * m, static_cast<std::size_t>(m)};
+  for (int j = 0; j < m; ++j) {
+    ax[j] = t.a * t.x_at(j);
+    bx[j] = t.b * t.x_at(j);
+  }
+  vecmath::exp(ax, e1);
+  vecmath::exp(bx, e2);
+  const double sign = t.call ? -1.0 : 1.0;
+  constexpr double kNoExercise = -std::numeric_limits<double>::infinity();
+  for (int j = 0; j < m; ++j) {
+    const double payoff = std::max(sign * (e1[j] - e2[j]), 0.0);
+    const std::size_t at = static_cast<std::size_t>(t.call ? m - 1 - j : j) * W + l;
+    u[at] = payoff;
+    h[at] = t.american || j == 0 || j == m - 1 ? payoff : kNoExercise;
+  }
+}
+
+// Prices the W options of one pack into price[0, W).
+template <int W>
+void solve_pack(const core::OptionSpec* const* lane, const GridSpec& grid, double* work,
+                double* price) {
+  using V = simd::Vec<double, W>;
+  const int m = grid.num_prices;
+  const std::size_t mw = static_cast<std::size_t>(m) * W;
+  double* const u = work;
+  double* const c = u + mw;
+  double* const h = c + mw;
+  double* const r = h + mw;
+  double* const e = r + mw;
+  double* const tmp = e + mw;
+  auto at = [](int j) { return static_cast<std::size_t>(j) * W; };
+
+  Transform t[W]{};
+  alignas(64) double a1s[W]{}, a2s[W]{}, offs[W]{}, diags[W]{}, scale[W]{};
+  for (int l = 0; l < W; ++l) {
+    t[l] = make_transform(*lane[l], grid);
+    fill_lane<W>(t[l], l, tmp, u, h);
+    a1s[l] = 1.0 - t[l].alpha;
+    a2s[l] = 0.5 * t[l].alpha;
+    offs[l] = -0.5 * t[l].alpha;
+    diags[l] = 1.0 + t[l].alpha;
+  }
+  const V a1 = V::load(a1s), a2 = V::load(a2s), off = V::load(offs);
+
+  // Elimination factors, once per option: d_{m-2} = diag and
+  // d_j = diag - off^2 / d_{j+1}; r_j = 1/d_j and e_j = off r_j.
+  {
+    const V diag = V::load(diags), one(1.0);
+    V d = diag, ej(0.0);
+    for (int j = m - 2; j >= 1; --j) {
+      if (j < m - 2) d = diag - off * ej;
+      const V rj = one / d;
+      ej = off * rj;
+      rj.store(r + at(j));
+      ej.store(e + at(j));
+    }
+  }
+
+  for (int n = 1; n <= grid.num_steps; ++n) {
+    for (int l = 0; l < W; ++l) scale[l] = std::exp(t[l].scale_coef * (t[l].dtau * n));
+    const V sc = V::load(scale);
+    const V lo = sc * V::load(h), hi = sc * V::load(h + at(m - 1));
+
+    // Explicit half-step from the old iterate and right-to-left
+    // elimination, fused: c_j = r_j (b_j - e_{j+1} (d_{j+1} c_{j+1})),
+    // the new Dirichlet values folded into b_1 and b_{m-2}.
+    V bb(0.0);
+    for (int j = m - 2; j >= 1; --j) {
+      const V uj = V::load(u + at(j));
+      V b = a1 * uj + a2 * (V::load(u + at(j + 1)) + V::load(u + at(j - 1)));
+      if (j == m - 2) b = b - off * hi;
+      if (j == 1) b = b - off * lo;
+      bb = j == m - 2 ? b : fnmadd(V::load(e + at(j + 1)), bb, b);
+      (bb * V::load(r + at(j))).store(c + at(j));
+    }
+    lo.store(u);
+    hi.store(u + at(m - 1));
+
+    // Left-to-right substitution projected onto the obstacle.
+    V prev = max(V::load(c + at(1)), sc * V::load(h + at(1)));
+    prev.store(u + at(1));
+    for (int j = 2; j <= m - 2; ++j) {
+      prev = max(fnmadd(V::load(e + at(j)), prev, V::load(c + at(j))), sc * V::load(h + at(j)));
+      prev.store(u + at(j));
+    }
+  }
+  for (int l = 0; l < W; ++l) {
+    const int mid = t[l].call ? m - 1 - t[l].mid : t[l].mid;
+    price[l] = t[l].to_price(u[at(mid) + l]);
+  }
+}
+
+template <int W>
+void price_packs(std::span<const core::OptionSpec> opts, const GridSpec& grid,
+                 std::span<double> out, core::ScratchPool* scratch) {
+  const std::size_t n = opts.size();
+  if (n == 0) return;
+  core::ScratchPool::Lease lease;
+  arch::AlignedVector<double> local;
+  const std::size_t doubles = pack_doubles(grid.num_prices, W);
+  if (scratch != nullptr) lease = scratch->claim(doubles);
+  if (!lease) local.resize(doubles);
+  double* const work = lease ? lease.data() : local.data();
+  for (std::size_t lo = 0; lo < n; lo += W) {
+    const core::OptionSpec* lane[W];
+    for (int l = 0; l < W; ++l) lane[l] = &opts[std::min(lo + l, n - 1)];
+    alignas(64) double price[W]{};
+    solve_pack<W>(lane, grid, work, price);
+    for (std::size_t i = lo; i < std::min(lo + W, n); ++i) out[i] = price[i - lo];
+  }
+}
+
+}  // namespace
+
+std::size_t direct_packed_doubles(const GridSpec& grid) {
+  return pack_doubles(grid.num_prices, 8);
+}
+
+void price_direct_packed(std::span<const core::OptionSpec> opts, const GridSpec& grid,
+                         std::span<double> out, Width w, core::ScratchPool* scratch) {
+  assert(out.size() >= opts.size());
+  if (grid.num_prices < 3) {
+    throw std::invalid_argument("crank-nicolson direct: the grid needs at least 3 prices");
+  }
+  switch (w) {
+    case Width::kScalar: price_packs<1>(opts, grid, out, scratch); return;
+    case Width::kAvx2: price_packs<4>(opts, grid, out, scratch); return;
+#if defined(FINBENCH_HAVE_AVX512)
+    case Width::kAvx512:
+    case Width::kAuto: price_packs<8>(opts, grid, out, scratch); return;
+#else
+    case Width::kAvx512:
+    case Width::kAuto: price_packs<4>(opts, grid, out, scratch); return;
+#endif
+  }
+}
+
 // --- Generalized theta scheme ---------------------------------------------------
 
 double mesh_ratio(const core::OptionSpec& opt, const GridSpec& grid) {
@@ -927,37 +1089,68 @@ double price_european_theta(const core::OptionSpec& opt, const GridSpec& grid, d
 
 // --- Batch driver -------------------------------------------------------------
 
+namespace {
+
+// Options per task of the batch driver: a pair for the ILP-paired
+// wavefront, a pack for the direct solve, one option otherwise.
+std::size_t unit_of(Variant v, Width w) {
+  switch (v) {
+    case Variant::kWavefrontSplitPaired: return 2;
+    case Variant::kDirectPacked: {
+      const int lanes = w == Width::kAuto ? vecmath::max_width() : static_cast<int>(w);
+      return static_cast<std::size_t>(lanes);
+    }
+    default: return 1;
+  }
+}
+
+void price_unit(std::span<const core::OptionSpec> opts, const GridSpec& grid, Variant v,
+                std::span<double> out, Width w, core::ScratchPool* scratch) {
+  if (v == Variant::kDirectPacked) {
+    price_direct_packed(opts, grid, out, w, scratch);
+  } else if (v == Variant::kWavefrontSplitPaired && opts.size() == 2) {
+    const auto [ra, rb] = price_wavefront_split_pair(opts[0], opts[1], grid, w);
+    out[0] = ra.price;
+    out[1] = rb.price;
+  } else {
+    for (std::size_t i = 0; i < opts.size(); ++i) {
+      switch (v) {
+        case Variant::kReference: out[i] = price_reference(opts[i], grid).price; break;
+        case Variant::kWavefront: out[i] = price_wavefront(opts[i], grid, w).price; break;
+        default:  // split, and the paired variant's odd last option
+          out[i] = price_wavefront_split(opts[i], grid, w).price;
+          break;
+      }
+    }
+  }
+}
+
+}  // namespace
+
 void price_batch(std::span<const core::OptionSpec> opts, const GridSpec& grid, Variant v,
-                 std::span<double> out, Width w) {
+                 std::span<double> out, Width w, core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(opts.size());
+  const std::size_t n = opts.size();
   static obs::Counter& priced = obs::counter("cn.options_priced");
   priced.add(static_cast<std::uint64_t>(n));
-  if (v == Variant::kWavefrontSplitPaired) {
-    const std::ptrdiff_t pairs = n / 2;
+  const std::size_t unit = unit_of(v, w);
+  const auto units = static_cast<std::ptrdiff_t>((n + unit - 1) / unit);
+  // An exception must not leave the parallel region (that terminates the
+  // process): the first one is kept and rethrown after the join.
+  std::exception_ptr error;
 #pragma omp parallel for schedule(dynamic, 1)
-    for (std::ptrdiff_t i = 0; i < pairs; ++i) {
-      FINBENCH_SPAN("cn.option_pair");
-      const auto [ra, rb] =
-          price_wavefront_split_pair(opts[2 * i], opts[2 * i + 1], grid, w);
-      out[2 * i] = ra.price;
-      out[2 * i + 1] = rb.price;
-    }
-    if (n % 2) out[n - 1] = price_wavefront_split(opts[n - 1], grid, w).price;
-    return;
-  }
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    FINBENCH_SPAN("cn.option");
-    switch (v) {
-      case Variant::kReference: out[i] = price_reference(opts[i], grid).price; break;
-      case Variant::kWavefront: out[i] = price_wavefront(opts[i], grid, w).price; break;
-      case Variant::kWavefrontSplit:
-      case Variant::kWavefrontSplitPaired:
-        out[i] = price_wavefront_split(opts[i], grid, w).price;
-        break;
+  for (std::ptrdiff_t k = 0; k < units; ++k) {
+    FINBENCH_SPAN("cn.unit");
+    const std::size_t lo = static_cast<std::size_t>(k) * unit;
+    const std::size_t m = std::min(unit, n - lo);
+    try {
+      price_unit(opts.subspan(lo, m), grid, v, out.subspan(lo, m), w, scratch);
+    } catch (...) {
+#pragma omp critical(cn_batch_error)
+      if (!error) error = std::current_exception();
     }
   }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace finbench::kernels::cn

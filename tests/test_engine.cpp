@@ -147,6 +147,7 @@ TEST(Engine, ChunkedExecutionMatchesWholeBatch) {
   for (const auto& c : std::initializer_list<Case>{{"binomial.intermediate.auto", true, 0},
                                                    {"binomial.intermediate.auto", true, 96},
                                                    {"cn.wavefront_split.auto", true, 0},
+                                                   {"cn.direct_packed.auto", true, 0},
                                                    {"mc.optimized_computed.auto", false, 0}}) {
     const auto workload = lattice_workload(33, 11, c.american);
     PricingRequest req;

@@ -274,6 +274,42 @@ TEST(EngineAlloc, PackedMixedDepthBinomialIsAllocationFree) {
   }
 }
 
+// Option-packed Crank–Nicolson: each participant leases one pack
+// workspace from the pool the prepare hook sized — a book of calls and
+// puts in both styles is allocation-free after warm-up under both
+// schedules.
+TEST(EngineAlloc, PackedCrankNicolsonIsAllocationFree) {
+  auto workload = core::make_option_workload(61, 14);
+  for (std::size_t i = 0; i < workload.size(); ++i) {
+    workload[i].style = i % 2 ? core::ExerciseStyle::kAmerican : core::ExerciseStyle::kEuropean;
+    workload[i].type = i % 3 ? core::OptionType::kPut : core::OptionType::kCall;
+  }
+  PricingRequest req;
+  req.kernel_id = "cn.direct_packed.auto";
+  req.portfolio = core::view_of(std::span<const core::OptionSpec>(workload));
+  req.steps = 64;
+  req.cn_num_prices = 65;
+  req.chunks_per_thread = 3;
+
+  engine::ThreadPool pool(4);
+  Engine eng(&pool);
+  for (auto sched : {arch::Schedule::kDynamic, arch::Schedule::kStatic}) {
+    req.schedule = sched;
+    PricingResult res;
+    eng.price(req, res);  // warm-up: pack pool, chunk bounds
+    eng.price(req, res);  // second warm-up: result buffers at capacity
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+
+    const std::size_t allocs = allocations_during([&] {
+      for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
+    });
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+    ASSERT_EQ(res.values.size(), workload.size());
+    EXPECT_EQ(allocs, 0u) << "steady-state packed Crank-Nicolson pricing allocated (schedule "
+                          << (sched == arch::Schedule::kDynamic ? "dynamic" : "static") << ")";
+  }
+}
+
 TEST(EngineAlloc, MonteCarloComputedRngScratchIsPooledAfterWarmup) {
   const auto workload = core::make_option_workload(48, 13);
   PricingRequest req;

@@ -26,22 +26,32 @@ int main(int argc, char** argv) {
   std::printf("===============================================================\n");
   std::printf("  %-28s %14s %14s\n", "variant", "4-wide opt/s", "8-wide opt/s");
 
-  const double untiled4 = bench::items_per_sec("binomial_tile.untiled4", nopt, opts.reps, [&] {
-    binomial::price_intermediate(workload, steps, out, binomial::Width::kAvx2);
+  // Every row spreads its kernel over the engine pool in ranges of whole
+  // lane groups of its width.
+  const std::size_t w8 = static_cast<std::size_t>(vecmath::max_width());
+  auto rate = [&](const char* label, std::size_t lanes, auto&& kernel) {
+    return bench::items_per_sec(label, nopt, opts.reps, [&] {
+      bench::on_pool(nopt, lanes, [&](std::size_t b, std::size_t e) {
+        kernel(std::span(workload).subspan(b, e - b), std::span(out).subspan(b, e - b));
+      });
+    });
+  };
+  const double untiled4 = rate("binomial_tile.untiled4", 4, [&](auto opts_, auto out_) {
+    binomial::price_intermediate(opts_, steps, out_, binomial::Width::kAvx2);
   });
-  const double untiled8 = bench::items_per_sec("binomial_tile.untiled8", nopt, opts.reps, [&] {
-    binomial::price_intermediate(workload, steps, out, binomial::Width::kAuto);
+  const double untiled8 = rate("binomial_tile.untiled8", w8, [&](auto opts_, auto out_) {
+    binomial::price_intermediate(opts_, steps, out_, binomial::Width::kAuto);
   });
   std::printf("  %-28s %14.0f %14.0f\n", "untiled (TS=1 equivalent)", untiled4, untiled8);
 
   double best8 = 0;
   int best_ts = 0;
   for (int ts : {4, 8, 16, 32, 64}) {
-    const double r4 = bench::items_per_sec("binomial_tile.r4", nopt, opts.reps, [&] {
-      binomial::price_advanced_tile(workload, steps, out, ts, binomial::Width::kAvx2);
+    const double r4 = rate("binomial_tile.r4", 4, [&](auto opts_, auto out_) {
+      binomial::price_advanced_tile(opts_, steps, out_, ts, binomial::Width::kAvx2);
     });
-    const double r8 = bench::items_per_sec("binomial_tile.r8", nopt, opts.reps, [&] {
-      binomial::price_advanced_tile(workload, steps, out, ts, binomial::Width::kAuto);
+    const double r8 = rate("binomial_tile.r8", w8, [&](auto opts_, auto out_) {
+      binomial::price_advanced_tile(opts_, steps, out_, ts, binomial::Width::kAuto);
     });
     std::printf("  tile depth TS=%-14d %14.0f %14.0f\n", ts, r4, r8);
     if (r8 > best8) {

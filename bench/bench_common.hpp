@@ -4,7 +4,7 @@
 //   --quick        smaller problem sizes (CI-friendly; default)
 //   --full         paper-scale problem sizes
 //   --reps N       repetitions per measurement (default 3, best-of)
-//   --threads N    OpenMP thread count (default: runtime's choice)
+//   --threads N    engine pool threads (default: OMP_NUM_THREADS or all CPUs)
 //   --csv PATH     append rows to a CSV file
 //   --trace PATH   write a Chrome trace_event JSON of per-thread spans
 //   --json PATH    write the structured run report (finbench.run_report/v2)
@@ -21,14 +21,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
-
-#include <omp.h>
 
 #include "finbench/arch/machine_model.hpp"
 #include "finbench/arch/parallel.hpp"
 #include "finbench/arch/timing.hpp"
 #include "finbench/engine/registry.hpp"
+#include "finbench/engine/thread_pool.hpp"
 #include "finbench/harness/report.hpp"
 #include "finbench/obs/histogram.hpp"
 #include "finbench/obs/metrics.hpp"
@@ -42,7 +42,7 @@ namespace finbench::bench {
 struct Options {
   bool full = false;
   int reps = 3;
-  int threads = 0;  // 0 = leave the OpenMP default alone
+  int threads = 0;  // 0 = leave the default thread count alone
   std::string csv;
   std::string trace;
   std::string json;
@@ -78,13 +78,13 @@ struct Options {
         std::exit(0);
       }
     }
-    // Through arch so the cached num_threads() value stays coherent with
-    // the override (finish_exports and the engine pool both read it).
+    // Before anything builds the shared engine pool, which is sized once
+    // from arch::num_threads().
     arch::set_num_threads(o.threads);
     if (!o.trace.empty()) obs::trace::enable();
     if (!o.trace.empty() || !o.json.empty()) {
       obs::enable_parallel_timing();
-      // Open the counters before the OpenMP pool exists so inherited
+      // Open the counters before the engine pool exists so inherited
       // per-thread counts cover the workers (no-op where the syscall is
       // forbidden — containers, hardened kernels).
       obs::perf_init();
@@ -143,6 +143,29 @@ inline double measure_variant(const char* label, const engine::PricingRequest& r
                        [&] { v->run_batch(req, req.portfolio, res); });
 }
 
+// Run fn(begin, end) over [0, n) in ranges whose size is a multiple of
+// `align`, on the shared engine pool — how an exhibit threads a kernel
+// call no registry variant covers (a tile-depth sweep, a 4-wide build of
+// an auto-width variant, a hand-rolled cache-blocked loop). The kernels
+// are serial loops; the pool is the one thread runtime.
+template <class F>
+void on_pool(std::size_t n, std::size_t align, F&& fn) {
+  if (n == 0) return;
+  engine::ThreadPool& pool = engine::ThreadPool::shared();
+  const std::size_t parts = static_cast<std::size_t>(pool.size()) * 8;
+  std::size_t per = (n + parts - 1) / parts;
+  per = (per + align - 1) / align * align;
+  const std::function<void(std::ptrdiff_t)> range = [&](std::ptrdiff_t c) {
+    const std::size_t begin = static_cast<std::size_t>(c) * per;
+    fn(begin, std::min(n, begin + per));
+  };
+  if (per >= n) {
+    engine::ThreadPool::run_inline(1, range);  // one range: no worker to wake
+  } else {
+    pool.run(static_cast<std::ptrdiff_t>((n + per - 1) / per), range);
+  }
+}
+
 // The DESIGN.md §1 projection: scale the host-measured throughput of a
 // W-wide code path to a modeled machine via the ratio of rooflines.
 //
@@ -196,9 +219,9 @@ struct Projector {
 // count into the report and JSON, noisy-measurement notes, then the
 // requested exports.
 inline void finish_exports(harness::Report& report, const Options& opts, bool print_table) {
-  const int threads = arch::num_threads();
+  const int threads = engine::ThreadPool::shared().size();
   report.add_note("threads = " + std::to_string(threads) +
-                  (opts.threads > 0 ? " (set via --threads)" : " (OpenMP default)"));
+                  (opts.threads > 0 ? " (set via --threads)" : " (OMP_NUM_THREADS or all CPUs)"));
   for (const auto& m : obs::measurement_snapshot()) {
     if (m.noisy()) {
       char buf[160];

@@ -55,13 +55,17 @@ int main(int argc, char** argv) {
   // so the loop is heap-allocation-free after the first conversion.
   core::Arena conv_arena;
   core::ConvertStats conv_stats;
+  const engine::VariantInfo& inter = *engine::Registry::instance().find("bs.intermediate.auto");
+  engine::PricingRequest req_conv;
+  engine::PricingResult res_conv;
   const double soa_conv = bench::items_per_sec("bs.soa_conv", nopt, opts.reps, [&] {
     conv_arena.reset();
     core::ConvertStats cs;
     core::PortfolioView v =
         core::convert(core::view_of(aos), core::Layout::kBsSoa, conv_arena, &cs);
     conv_stats = cs;
-    bs::price_intermediate(v.soa, bs::Width::kAuto);
+    req_conv.portfolio = v;
+    inter.run_batch(req_conv, v, res_conv);
     core::copy_outputs(v, core::view_of(aos));
   });
   report.add_note("AOS->SOA conversion: " + harness::eng(conv_stats.seconds) + " s, " +
@@ -97,8 +101,13 @@ int main(int argc, char** argv) {
   // written straight back to AOS — the composability the AoSoA layout
   // exists for (a materialized blocked array would cost two extra DRAM
   // passes; core::convert still provides that form for the engine path).
+  // No registry variant is the DP fused kernel, so the row spreads it
+  // over the engine pool in 64-option ranges.
   const double blk_conv = bench::items_per_sec("bs.blocked_conv", nopt, opts.reps, [&] {
-    bs::price_blocked_from_aos(core::view_of(aos).aos, bs::Width::kAuto);
+    bench::on_pool(nopt, 64, [&](std::size_t b, std::size_t e) {
+      bs::price_blocked_from_aos(core::subview(core::view_of(aos), b, e - b).aos,
+                                 bs::Width::kAuto);
+    });
   });
   // The SP twin of the fused row: same AOS-in / AOS-out accounting, but
   // the register tile narrows to f32 (16 lanes on AVX-512) before the

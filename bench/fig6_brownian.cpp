@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
   const std::size_t chunk = 512;
   arch::AlignedVector<double> z_chunk(chunk * zn);
   for (std::size_t i = 0; i < z_chunk.size(); ++i) z_chunk[i] = z8[i];
-  arch::AlignedVector<double> out_chunk(chunk * np);
 
   // Registry-dispatched rows: the adapters own the z streams (same seed, so
   // identical normals); the bespoke cache-chunked rows below keep their
@@ -76,28 +75,41 @@ int main(int argc, char** argv) {
   const double basic = measure("brownian.basic", "brownian.basic.scalar");
   const double inter4 = measure("brownian.inter4", "brownian.intermediate.avx2");
   const double inter8 = measure("brownian.inter8", "brownian.intermediate.auto");
+  // The two cache-chunked rows spread their 512-path blocks over the
+  // engine pool; each participant builds in its own buffers.
   // Interleaved-RNG effect: normals always hit in cache; paths to DRAM.
   const double cached_z = bench::items_per_sec("brownian.cached_z", nsim, opts.reps, [&] {
-    for (std::size_t base = 0; base + chunk <= nsim; base += chunk) {
-      brownian::construct_intermediate(sched, z_chunk, chunk,
-                                       {paths.data() + base * np, chunk * np});
-    }
+    bench::on_pool(nsim, chunk, [&](std::size_t b, std::size_t e) {
+      for (std::size_t base = b; base + chunk <= e; base += chunk) {
+        brownian::construct_intermediate(sched, z_chunk, chunk,
+                                         {paths.data() + base * np, chunk * np});
+      }
+    });
   });
   // Cache-to-cache: normals and paths both stay in cache; only the reduced
   // per-path average leaves.
-  arch::AlignedVector<double> acc(chunk);
+  const std::size_t participants =
+      static_cast<std::size_t>(engine::ThreadPool::shared().size());
+  std::vector<arch::AlignedVector<double>> outs(participants,
+                                                arch::AlignedVector<double>(chunk * np));
+  std::vector<arch::AlignedVector<double>> accs(participants, arch::AlignedVector<double>(chunk));
   const double fused = bench::items_per_sec("brownian.fused", nsim, opts.reps, [&] {
-    for (std::size_t base = 0; base + chunk <= nsim; base += chunk) {
-      brownian::construct_intermediate(sched, z_chunk, chunk, out_chunk);
-      for (std::size_t s = 0; s < chunk; ++s) acc[s] = 0.0;
-      for (std::size_t c = 1; c < np; ++c) {
-        const double* row = out_chunk.data() + c * chunk;
+    bench::on_pool(nsim, chunk, [&](std::size_t b, std::size_t e) {
+      const auto p = static_cast<std::size_t>(engine::ThreadPool::current_participant());
+      arch::AlignedVector<double>& out_chunk = outs[p];
+      arch::AlignedVector<double>& acc = accs[p];
+      for (std::size_t base = b; base + chunk <= e; base += chunk) {
+        brownian::construct_intermediate(sched, z_chunk, chunk, out_chunk);
+        for (std::size_t s = 0; s < chunk; ++s) acc[s] = 0.0;
+        for (std::size_t c = 1; c < np; ++c) {
+          const double* row = out_chunk.data() + c * chunk;
 #pragma omp simd
-        for (std::size_t s = 0; s < chunk; ++s) acc[s] += row[s];
+          for (std::size_t s = 0; s < chunk; ++s) acc[s] += row[s];
+        }
+        const double inv = 1.0 / static_cast<double>(np - 1);
+        for (std::size_t s = 0; s < chunk; ++s) avg[base + s] = acc[s] * inv;
       }
-      const double inv = 1.0 / static_cast<double>(np - 1);
-      for (std::size_t s = 0; s < chunk; ++s) avg[base + s] = acc[s] * inv;
-    }
+    });
   });
   // End-to-end variants with RNG included (supplementary).
   const double e2e_interleaved =

@@ -65,12 +65,15 @@ int main(int argc, char** argv) {
   const double paired4 = measure("cn.paired4", "cn.wavefront_split_paired.avx2");
   const double paired8 = measure("cn.paired8", "cn.wavefront_split_paired.auto");
   // Beyond the paper: options in the lanes, one direct solve per step.
-  // The registry variant is the widest build; the 4-wide row calls the
-  // kernel's batch driver.
+  // The registry variant is the widest build; the 4-wide row runs the
+  // kernel's batch driver over the engine pool, one 4-option pack a range.
   const double packed8 = measure("cn.packed8", "cn.direct_packed.auto");
   std::vector<double> out(nopt);
   const double packed4 = bench::items_per_sec("cn.packed4", nopt, opts.reps, [&] {
-    cn::price_batch(workload, grid, cn::Variant::kDirectPacked, out, cn::Width::kAvx2);
+    bench::on_pool(nopt, 4, [&](std::size_t b, std::size_t e) {
+      cn::price_batch(std::span(workload).subspan(b, e - b), grid, cn::Variant::kDirectPacked,
+                      std::span(out).subspan(b, e - b), cn::Width::kAvx2);
+    });
   });
   const double direct_flops = cn::flops_per_option_direct(grid);
 

@@ -36,7 +36,7 @@ struct MicroObs {
 
 // Removes --trace PATH / --json PATH from argv in place and arms the
 // telemetry they request. Must run before benchmark::Initialize and before
-// any OpenMP region (perf counters rely on inherit at pool creation).
+// the engine pool starts (perf counters rely on inherit at pool creation).
 inline MicroObs micro_obs_init(int& argc, char** argv) {
   MicroObs o;
   if (argc > 0) {

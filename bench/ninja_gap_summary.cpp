@@ -9,16 +9,11 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "finbench/core/portfolio.hpp"
 #include "finbench/core/workload.hpp"
 #include "finbench/kernels/binomial.hpp"
-#include "finbench/kernels/blackscholes.hpp"
-#include "finbench/kernels/brownian.hpp"
-#include "finbench/kernels/cranknicolson.hpp"
-#include "finbench/kernels/montecarlo.hpp"
-#include "finbench/rng/normal.hpp"
 
 using namespace finbench;
-using namespace finbench::kernels;
 
 namespace {
 
@@ -27,6 +22,29 @@ struct Gap {
   double gap4;  // best 4-wide / basic
   double gap8;  // best 8-wide / basic
 };
+
+// One kernel's basic, best 4-wide and best 8-wide rows, each timed through
+// its registry variant's run_batch, so the engine pool threads every
+// level alike. `basic` may carry a different layout than `best` (the AOS
+// pragma loop against the SOA SIMD kernels).
+Gap measure(const char* kernel, const char* tag_name, engine::PricingRequest basic,
+            engine::PricingRequest best, std::size_t items, int reps, const char* best4,
+            const char* best8) {
+  const std::string tag = std::string("ninja.") + tag_name;
+  const double base = bench::measure_variant((tag + ".basic").c_str(), basic, items, reps);
+  best.kernel_id = best4;
+  const double r4 = bench::measure_variant((tag + ".best4").c_str(), best, items, reps);
+  best.kernel_id = best8;
+  const double r8 = bench::measure_variant((tag + ".best8").c_str(), best, items, reps);
+  return {kernel, r4 / base, r8 / base};
+}
+
+engine::PricingRequest request(const char* id, core::PortfolioView view) {
+  engine::PricingRequest req;
+  req.kernel_id = id;
+  req.portfolio = view;
+  return req;
+}
 
 }  // namespace
 
@@ -38,84 +56,57 @@ int main(int argc, char** argv) {
     const std::size_t n = opts.full ? (1u << 22) : (1u << 19);
     auto aos = core::make_bs_workload_aos(n, 1);
     auto soa = core::make_bs_workload_soa(n, 1);
-    const double basic = bench::items_per_sec("ninja.bs.basic", n, opts.reps, [&] { bs::price_basic(aos); });
-    const double best4 = bench::items_per_sec("ninja.bs.best4", 
-        n, opts.reps, [&] { bs::price_intermediate(soa, bs::Width::kAvx2); });
-    const double best8 = bench::items_per_sec("ninja.bs.best8", 
-        n, opts.reps, [&] { bs::price_intermediate(soa, bs::Width::kAuto); });
-    gaps.push_back({"black-scholes", best4 / basic, best8 / basic});
+    gaps.push_back(measure("black-scholes", "bs", request("bs.basic.auto", core::view_of(aos)),
+                           request("", core::view_of(soa)), n, opts.reps,
+                           "bs.intermediate.avx2", "bs.intermediate.auto"));
   }
-  {  // Binomial tree
+  {  // Binomial tree. The unrolled tile loop is registered widest only, so
+     // its 4-wide row runs the kernel over the engine pool directly.
     const std::size_t n = opts.full ? 128 : 32;
     const int steps = 1024;
     const auto w = core::make_option_workload(n, 2);
+    engine::PricingRequest req = request("binomial.basic.auto", core::view_of(std::span(w)));
+    req.steps = steps;
+    const double basic = bench::measure_variant("ninja.binomial.basic", req, n, opts.reps);
     std::vector<double> out(n);
-    const double basic = bench::items_per_sec("ninja.binomial.basic", 
-        n, opts.reps, [&] { binomial::price_basic(w, steps, out); });
     const double best4 = bench::items_per_sec("ninja.binomial.best4", n, opts.reps, [&] {
-      binomial::price_advanced_unrolled(w, steps, out, binomial::Width::kAvx2);
+      bench::on_pool(n, 4, [&](std::size_t b, std::size_t e) {
+        kernels::binomial::price_advanced_unrolled(std::span(w).subspan(b, e - b), steps,
+                                                   std::span(out).subspan(b, e - b),
+                                                   kernels::binomial::Width::kAvx2);
+      });
     });
-    const double best8 = bench::items_per_sec("ninja.binomial.best8", n, opts.reps, [&] {
-      binomial::price_advanced_unrolled(w, steps, out, binomial::Width::kAuto);
-    });
+    req.kernel_id = "binomial.advanced_unrolled.auto";
+    const double best8 = bench::measure_variant("ninja.binomial.best8", req, n, opts.reps);
     gaps.push_back({"binomial-tree", best4 / basic, best8 / basic});
   }
   {  // Brownian bridge
     const std::size_t n = opts.full ? (1u << 18) : (1u << 15);
-    const auto sched = brownian::BridgeSchedule::uniform(6, 1.0);
-    arch::AlignedVector<double> z(n * sched.normals_per_path());
-    rng::NormalStream s(1);
-    s.fill(z);
-    const auto z4 = brownian::lane_block_normals(z, n, sched.normals_per_path(), 4);
-    const auto z8 = brownian::lane_block_normals(z, n, sched.normals_per_path(),
-                                                 vecmath::max_width());
-    std::vector<double> paths(n * sched.num_points());
-    const double basic = bench::items_per_sec("ninja.brownian.basic", 
-        n, opts.reps, [&] { brownian::construct_basic(sched, z, n, paths); });
-    const double best4 = bench::items_per_sec("ninja.brownian.best4", n, opts.reps, [&] {
-      brownian::construct_intermediate(sched, z4, n, paths, brownian::Width::kAvx2);
-    });
-    const double best8 = bench::items_per_sec("ninja.brownian.best8", n, opts.reps, [&] {
-      brownian::construct_intermediate(sched, z8, n, paths, brownian::Width::kAuto);
-    });
-    gaps.push_back({"brownian-bridge", best4 / basic, best8 / basic});
+    engine::PricingRequest req = request("brownian.basic.scalar", core::paths_view(n));
+    req.bridge_depth = 6;
+    req.seed = 1;
+    gaps.push_back(measure("brownian-bridge", "brownian", req, req, n, opts.reps,
+                           "brownian.intermediate.avx2", "brownian.intermediate.auto"));
   }
   {  // Monte Carlo (the paper's point: basic pragmas ~close the gap)
     const std::size_t n = opts.full ? 16 : 8;
-    const std::size_t npath = opts.full ? (1u << 17) : (1u << 15);
     const auto w = core::make_option_workload(n, 3);
-    std::vector<mc::McResult> res(n);
-    arch::AlignedVector<double> z(npath);
-    rng::NormalStream s(2);
-    s.fill(z);
-    const double basic = bench::items_per_sec("ninja.mc.basic", 
-        n, opts.reps, [&] { mc::price_basic_stream(w, z, npath, res); });
-    const double best4 = bench::items_per_sec("ninja.mc.best4", n, opts.reps, [&] {
-      mc::price_optimized_stream(w, z, npath, res, mc::Width::kAvx2);
-    });
-    const double best8 = bench::items_per_sec("ninja.mc.best8", n, opts.reps, [&] {
-      mc::price_optimized_stream(w, z, npath, res, mc::Width::kAuto);
-    });
-    gaps.push_back({"monte-carlo", best4 / basic, best8 / basic});
+    engine::PricingRequest req = request("mc.basic_stream.auto", core::view_of(std::span(w)));
+    req.npath = opts.full ? (1u << 17) : (1u << 15);
+    req.seed = 2;
+    gaps.push_back(measure("monte-carlo", "mc", req, req, n, opts.reps,
+                           "mc.optimized_stream.avx2", "mc.optimized_stream.auto"));
   }
   {  // Crank–Nicolson
     const std::size_t n = opts.full ? 8 : 4;
-    cn::GridSpec grid;
-    grid.num_prices = 257;
-    grid.num_steps = opts.full ? 500 : 150;
     core::SingleOptionWorkloadParams params;
     params.style = core::ExerciseStyle::kAmerican;
     const auto w = core::make_option_workload(n, 5, params);
-    std::vector<double> out(n);
-    const double basic = bench::items_per_sec("ninja.cn.basic", 
-        n, opts.reps, [&] { cn::price_batch(w, grid, cn::Variant::kReference, out); });
-    const double best4 = bench::items_per_sec("ninja.cn.best4", n, opts.reps, [&] {
-      cn::price_batch(w, grid, cn::Variant::kWavefrontSplit, out, cn::Width::kAvx2);
-    });
-    const double best8 = bench::items_per_sec("ninja.cn.best8", n, opts.reps, [&] {
-      cn::price_batch(w, grid, cn::Variant::kWavefrontSplit, out, cn::Width::kAuto);
-    });
-    gaps.push_back({"crank-nicolson", best4 / basic, best8 / basic});
+    engine::PricingRequest req = request("cn.reference.scalar", core::view_of(std::span(w)));
+    req.cn_num_prices = 257;
+    req.steps = opts.full ? 500 : 150;
+    gaps.push_back(measure("crank-nicolson", "cn", req, req, n, opts.reps,
+                           "cn.wavefront_split.avx2", "cn.wavefront_split.auto"));
   }
 
   std::printf("\n===============================================================\n");

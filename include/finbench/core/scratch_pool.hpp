@@ -1,22 +1,22 @@
 // finbench/core/scratch_pool.hpp
 //
 // Fixed-capacity pool of equally-sized, cache-line-aligned double slices
-// carved from a core::Arena. Kernels that need per-worker scratch (the
-// binomial lattice, Monte Carlo normal chunks, the VML-style temporaries)
-// lease a slice for the duration of one parallel region instead of
-// allocating: the engine sizes the pool once at negotiation time and every
-// steady-state repetition after that is heap-free
+// carved from a core::Arena, and ScratchBuf, the one way a kernel takes
+// scratch from it. A kernel call that needs temporaries (the binomial
+// lattices, Monte Carlo normal chunks, the VML-style d1/d2/xexp/qlog
+// arrays, the Crank–Nicolson pack workspace) leases one slice for the
+// call instead of allocating: the engine sizes the pool once per request,
+// and every steady-state repetition after that is heap-free
 // (tests/test_engine_alloc.cpp).
 //
-// Claim/release is a lock-free bitmask rather than an omp_get_thread_num()
-// index because the two execution modes see different thread identities:
-// inside a kernel's own `#pragma omp parallel` region thread numbers are
-// dense, but under the engine's chunked scheduler every pool worker pins
-// its OpenMP ICV to one thread and *all* of them report thread 0 while
-// calling kernels concurrently. A bitmask hands out distinct slices either
-// way. Exhaustion (more concurrent workers than slots) is not an error:
-// claim() returns an empty lease and the caller falls back to a local
-// allocation, trading the zero-alloc guarantee for correctness.
+// Concurrent callers are the participants of the engine's ThreadPool:
+// each runs its range calls one at a time, and while it helps join its
+// fork-join tasks it may hold a task's lease besides its own. Claim and
+// release are a lock-free bitmask, so slices are handed out without
+// knowing which participant asks. Exhaustion (more concurrent leases than
+// slots) is not an error: ScratchBuf falls back to a local allocation,
+// trading the zero-alloc guarantee for correctness, and so do standalone
+// kernel calls, which pass no pool.
 
 #pragma once
 
@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <span>
 
+#include "finbench/arch/aligned.hpp"
 #include "finbench/core/portfolio.hpp"
 
 namespace finbench::core {
@@ -131,6 +132,27 @@ class ScratchPool {
   std::size_t slot_doubles_ = 0;
   int slots_ = 0;
   std::atomic<std::uint64_t> free_{0};
+};
+
+// Scratch for one kernel call: a slice of at least `doubles` leased from
+// `pool`, or a local aligned allocation when there is no pool or no free
+// slice big enough. The lease returns to the pool on destruction.
+class ScratchBuf {
+ public:
+  ScratchBuf(ScratchPool* pool, std::size_t doubles) {
+    if (pool != nullptr) lease_ = pool->claim(doubles);
+    if (!lease_) local_.resize(doubles);
+    data_ = lease_ ? lease_.data() : local_.data();
+  }
+  ScratchBuf(const ScratchBuf&) = delete;
+  ScratchBuf& operator=(const ScratchBuf&) = delete;
+
+  double* data() const { return data_; }
+
+ private:
+  ScratchPool::Lease lease_;
+  arch::AlignedVector<double> local_;
+  double* data_ = nullptr;
 };
 
 }  // namespace finbench::core

@@ -10,11 +10,10 @@
 // AOS portfolio priced by an SOA variant) is *negotiated* per chunk
 // through a tile in the variant's layout — inputs copied in, outputs
 // copied back, inside the timed region, with the cost reported in
-// PricingResult::convert_seconds/convert_bytes. A one-chunk BS batch runs
-// inline on the caller. Variants without a run_range adapter (Brownian
-// path construction, the blocked binomial family) and one-option specs
-// batches are the one-chunk case: the same chunk executor calls the
-// kernel's native batch entry point once over [0, n).
+// PricingResult::convert_seconds/convert_bytes. Every variant prices a
+// chunk through its run_range adapter — specs values, Brownian paths,
+// blocked lattices and Black–Scholes tiles alike — and a batch that is
+// one chunk (a quote, a one-option book) runs inline on the caller.
 //
 // Steady state is allocation-free: re-pricing the same request through
 // the two-argument price() overload performs zero heap allocations per
@@ -73,6 +72,16 @@ class Engine {
   // the group will be priced at — and fuse only when they land on the
   // same concrete variant, schedule, and chunk granularity.
   bool fusable(const PricingRequest& a, const PricingRequest& b) const;
+
+  // The kernel-only batch path (what VariantInfo::run_batch runs on
+  // Engine::shared()): v's prepare hook, then its run_range over
+  // P x chunks_per_thread ranges of the view (P under kStatic), on this
+  // engine's pool — no sanitize, guard, fallback or telemetry, so no
+  // cache-sized Black–Scholes chunks either. Outputs are those of price()
+  // on a clean workload, bit for bit, on any pool. A kernel exception
+  // propagates.
+  void run_batch(const VariantInfo& v, const PricingRequest& req,
+                 const core::PortfolioView& view, PricingResult& res) const;
 
   // Participants the engine executes with (pool workers + caller). The
   // tuner keys plans on this: a plan raced at one pool size does not

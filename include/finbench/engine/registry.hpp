@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,36 +73,50 @@ struct VariantInfo {
   // cost-model-weighted chunking). Null = uniform cost.
   double (*item_cost)(const core::OptionSpec&, const PricingRequest&) = nullptr;
 
-  // Build the request's Scratch cache (pre-generated normal streams,
-  // lane-blocked layouts, pre-sized result buffers). Called once before
-  // any run_range chunk executes; run_batch prepares internally. Null =
-  // nothing to prepare.
+  // Interior chunk boundaries are multiples of this many items: a kernel
+  // that groups SIMD lanes by position within the range it is handed
+  // (binomial's lane groups, Black–Scholes tiles, Brownian path groups,
+  // the paired CN wavefront's pairs) then sees the lane groups of the
+  // whole batch, so any partition gives the same bits. Black–Scholes
+  // layouts chunk at multiples of 64 regardless.
+  std::size_t range_align = 8;
+
+  // Per-request setup, called once before any run_range of an execution:
+  // build the request's Scratch cache (pre-generated normal streams,
+  // lane-blocked layouts, scratch pools) and size the result's outputs
+  // where they differ from the default — one value per option of a specs
+  // workload, none for a Black–Scholes layout (priced in place), empty
+  // std_errors. A paths variant sizes its outputs here. Null = nothing
+  // to prepare.
   //
   // Every adapter hook receives the workload view to execute — this is the
   // request's own portfolio for a layout match, or the engine's negotiated
   // (arena-backed, converted) view on a mismatch. Adapters must read the
   // workload from the view, never from req.portfolio.
-  void (*prepare)(const PricingRequest&, const core::PortfolioView&) = nullptr;
+  void (*prepare)(const PricingRequest&, const core::PortfolioView&, PricingResult&) = nullptr;
 
-  // Execute the whole workload through the kernel's native batch entry
-  // point (kernel-internal OpenMP) — what the fig/tab benchmarks dispatch.
-  void (*run_batch)(const PricingRequest&, const core::PortfolioView&,
-                    PricingResult&) = nullptr;
-
-  // Execute items [begin, end) of the workload: a kSpecs adapter writes
-  // values[begin..end) (and std_errors for MC), a Black–Scholes adapter
-  // prices the range in place in the view's arrays. Must be safe to call
-  // concurrently for disjoint ranges; null = whole-batch only (the engine
-  // then falls back to run_batch). Must not allocate: chunks run in the
-  // engine's zero-steady-state-allocation loop (buffers come from prepare
-  // / the request Scratch). A Black–Scholes adapter runs before the chunk's
-  // sanitize scan, so it must take any input bits (NaN, Inf, zero,
-  // negative) without throwing or undefined behavior — what sanitize =
-  // kOff has always asked of it; the engine discards those outputs.
+  // Execute items [begin, end) of the workload: a specs or paths adapter
+  // writes its outputs for those items into the prepared result, a
+  // Black–Scholes-layout adapter prices the range in place in the view's
+  // arrays. The kernels behind it are serial; the engine pool runs
+  // disjoint ranges concurrently. Must not allocate: chunks run in the
+  // engine's zero-steady-state-allocation loop (buffers come from
+  // prepare / the request Scratch). A Black–Scholes adapter runs before
+  // the chunk's sanitize scan, so it must take any input bits (NaN, Inf,
+  // zero, negative) without throwing or undefined behavior — what
+  // sanitize = kOff has always asked of it; the engine discards those
+  // outputs.
   void (*run_range)(const PricingRequest&, const core::PortfolioView&, std::size_t begin,
                     std::size_t end, PricingResult&) = nullptr;
 
-  bool has_std_error = false;  // fills PricingResult::std_errors
+  // The whole workload in one call — what the fig/tab benchmarks, the
+  // self-validation and direct callers dispatch. Installed by
+  // Registry::add for every variant: Engine::shared().run_batch, i.e.
+  // prepare, then run_range over P x chunks_per_thread ranges on the
+  // shared ThreadPool (inline when called from inside a pool run), under
+  // the request's schedule.
+  std::function<void(const PricingRequest&, const core::PortfolioView&, PricingResult&)>
+      run_batch;
 };
 
 class Registry {
@@ -109,8 +124,9 @@ class Registry {
   // The process-wide registry, with all built-in variants registered.
   static Registry& instance();
 
-  // Register a variant. Throws std::invalid_argument on a duplicate or
-  // empty id. Thread-safe.
+  // Register a variant and install its run_batch. Throws
+  // std::invalid_argument on a duplicate or empty id or a missing
+  // run_range. Thread-safe.
   void add(VariantInfo v);
 
   // Null when the id is unknown. Returned pointers are stable for the

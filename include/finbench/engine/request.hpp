@@ -64,8 +64,8 @@ struct PricingRequest {
   int cn_num_prices = 257;   // CN spatial grid points
   std::uint64_t seed = 42;   // RNG seed (deterministic workloads)
 
-  // --- Scheduling (engine execution only; direct run_batch dispatch keeps
-  // each kernel's native OpenMP structure) ----------------------------------
+  // --- Scheduling (Engine::price, and run_batch's ranges; run_batch keeps
+  // tasks off) ---------------------------------------------------------------
   // Under `auto` dispatch (kernel_id = "<family>.auto", e.g.
   // "blackscholes.auto") these are *defaults the tuner may override*: the
   // resolved DispatchPlan's schedule / chunks_per_thread win unless the
@@ -190,10 +190,9 @@ struct PricingResult {
   // outputs by design.
   std::vector<std::uint8_t> option_faults;
 
-  // Outcome per engine chunk, aligned with the run's chunk partition. A
-  // workload the kernel prices in one whole-batch call (path
-  // construction, run_batch-only variants, specs batches of one option)
-  // is one chunk [0, n). Partial results after a deadline:
+  // Outcome per engine chunk, aligned with the run's chunk partition (a
+  // batch too small to split, such as one option, is one chunk [0, n)).
+  // Partial results after a deadline:
   // kDeadline/kNotRun chunks hold unpriced items (NaN).
   std::vector<std::uint8_t> chunk_status;  // ChunkStatus values
 

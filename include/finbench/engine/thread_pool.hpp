@@ -1,17 +1,17 @@
 // finbench/engine/thread_pool.hpp
 //
-// A persistent worker pool with dynamic chunk self-scheduling: chunks are
-// claimed through an atomic ticket counter, so a participant that finishes
-// cheap chunks early keeps pulling work — the load-balancing behavior the
-// per-call "#pragma omp parallel for schedule(static)" idiom lacks on
-// heterogeneous option batches. A static mode (participant p owns chunks
-// p, p+P, p+2P, ...) is kept for apples-to-apples imbalance comparisons.
+// The one thread runtime of finbench: a persistent worker pool with
+// dynamic chunk self-scheduling. Chunks are claimed through an atomic
+// ticket counter, so a participant that finishes cheap chunks early keeps
+// pulling work — the load balance heterogeneous option batches need. A
+// static mode (participant p owns chunks p, p+P, p+2P, ...) is kept for
+// apples-to-apples imbalance comparisons.
 //
-// The calling thread participates as participant 0, so a pool of size P
-// uses P-1 dedicated workers. Workers pin their OpenMP ICV to one thread
-// (and run() temporarily pins the caller's), so kernels with internal
-// "#pragma omp parallel" regions execute their chunk serially instead of
-// oversubscribing the machine with nested teams.
+// The kernels are serial loops over the options, packs, path groups or
+// blocks they are handed; every threaded path in the library (Engine::price
+// and every registry variant's run_batch) runs them here, one range per
+// chunk. The calling thread participates as participant 0, so a pool of
+// size P uses P-1 dedicated workers.
 //
 // Per-participant *CPU* time (not wall time) is recorded through
 // obs::record_parallel_region under "parallel.<site>.*" when
@@ -73,12 +73,12 @@ class ThreadPool {
            const robust::CancelToken* cancel = nullptr);
 
   // Execute fn(c) for c in [0, nchunks) serially on the calling thread,
-  // under the same policy a pool participant runs with: OpenMP ICV pinned
-  // to one thread, FTZ+DAZ (both restored on return), participant id 0
-  // (or the enclosing run's), the cancel token polled between chunks. No
-  // worker is woken. run() takes this path for nested submissions and
+  // under the same policy a pool participant runs with: FTZ+DAZ (restored
+  // on return), participant id 0 (or the enclosing run's), the cancel
+  // token polled between chunks, and a run() from inside fn inline too.
+  // No worker is woken. run() takes this path for nested submissions and
   // single-participant pools; the engine takes it for work too small to
-  // share (a one-chunk Black–Scholes quote).
+  // share (a one-chunk batch, such as a Black–Scholes quote).
   static void run_inline(std::ptrdiff_t nchunks, const std::function<void(std::ptrdiff_t)>& fn,
                          const robust::CancelToken* cancel = nullptr);
 

@@ -6,8 +6,7 @@
 //
 // Variants (paper's stacked-bar levels):
 //   reference     — Lis. 2: per-option scalar reduction, inner j-loop
-//   basic         — reference + pragmas: inner-loop autovectorization and
-//                   OpenMP across options
+//   basic         — reference + pragmas: inner-loop autovectorization
 //   intermediate  — SIMD across options: one option per lane (Vec classes);
 //                   every access is aligned and full-width. Mixed-depth
 //                   batches pack options of nearby depth (price_packed)
@@ -99,9 +98,8 @@ inline std::size_t key_index(std::uint64_t key) { return key & 0xffffffffu; }
 // out[key_index(k)] for every key of `order`, which must be sorted
 // ascending. Consecutive keys share a pack; the one partial pack repeats a
 // real lane instead of falling to a scalar tail. Packs run deepest first
-// across the kernel's OpenMP team, each worker leasing a lattice of
-// (deepest+1) x W doubles from `scratch` (lattice_doubles(deepest) covers
-// every width). Any exercise style.
+// in one lattice of (deepest+1) x W doubles leased from `scratch`
+// (lattice_doubles(deepest) covers every width). Any exercise style.
 void price_packed(std::span<const core::OptionSpec> opts, std::span<const std::uint64_t> order,
                   std::span<double> out, Width w = Width::kAuto,
                   core::ScratchPool* scratch = nullptr);

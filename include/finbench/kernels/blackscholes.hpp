@@ -7,7 +7,7 @@
 //
 // Variants (paper's stacked-bar levels):
 //   reference    — scalar AOS loop, exactly Lis. 1 (cnd via libm erfc)
-//   basic        — same AOS loop under "#pragma omp parallel for simd":
+//   basic        — same AOS loop under "#pragma omp simd":
 //                  the compiler vectorizes but every field access is a
 //                  gather/scatter across `width` cache lines
 //   intermediate — AOS->SOA + explicit SIMD across options (one option per

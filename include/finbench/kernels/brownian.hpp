@@ -15,10 +15,10 @@
 // Cov(v(t_i), v(t_j)) = min(t_i, t_j) — the property tests key on this.
 //
 // Variants (paper's stacked-bar levels, Fig. 6):
-//   reference / basic — Lis. 4 per-path scalar construction; basic adds
-//       OpenMP across paths + simd pragmas (all the compiler can do: the
-//       outer loop does not autovectorize because of how normals are
-//       consumed across iterations)
+//   reference / basic — Lis. 4 per-path scalar construction; the basic
+//       level adds nothing the compiler can use (the outer loop does not
+//       autovectorize because of how normals are consumed across
+//       iterations), so both run the same loop
 //   intermediate — SIMD across paths: W paths per lane; normals must be
 //       supplied lane-blocked (see lane_block_normals)
 //   advanced_interleaved — normals are generated on the fly in LLC-sized
@@ -79,23 +79,36 @@ class BridgeSchedule {
 arch::AlignedVector<double> lane_block_normals(std::span<const double> z, std::size_t nsim,
                                                std::size_t per_path, int width);
 
+// Every construction takes a path range [first, last) of the nsim-path
+// batch (default: all of it) and writes those paths into the batch's
+// point-major `out`, so disjoint ranges may run concurrently. first, and
+// last unless it reaches nsim, must be multiples of the SIMD width (8
+// covers every width): lane groups, their normals and the interleaved
+// Philox streams then stay those of the whole batch, bit for bit.
+inline constexpr std::size_t kAllPaths = ~std::size_t{0};
+
 // Scalar Lis. 4, one path at a time; z holds nsim * normals_per_path values.
 void construct_reference(const BridgeSchedule& sched, std::span<const double> z,
-                         std::size_t nsim, std::span<double> out);
-// + OpenMP across paths and simd pragmas on the per-level loop.
+                         std::size_t nsim, std::span<double> out, std::size_t first = 0,
+                         std::size_t last = kAllPaths);
+// The basic level: the same per-path loop (it does not vectorize).
 void construct_basic(const BridgeSchedule& sched, std::span<const double> z, std::size_t nsim,
-                     std::span<double> out);
+                     std::span<double> out, std::size_t first = 0,
+                     std::size_t last = kAllPaths);
 // SIMD across paths; z must be lane-blocked for width `w`.
 void construct_intermediate(const BridgeSchedule& sched, std::span<const double> z,
-                            std::size_t nsim, std::span<double> out, Width w = Width::kAuto);
+                            std::size_t nsim, std::span<double> out, Width w = Width::kAuto,
+                            std::size_t first = 0, std::size_t last = kAllPaths);
 // Generates its own normals (Philox/ICDF) in cache-resident chunks.
 void construct_advanced_interleaved(const BridgeSchedule& sched, std::uint64_t seed,
                                     std::size_t nsim, std::span<double> out,
-                                    Width w = Width::kAuto);
+                                    Width w = Width::kAuto, std::size_t first = 0,
+                                    std::size_t last = kAllPaths);
 // Fused consumer: returns per-path arithmetic average of the path points
 // (excluding the pinned start); paths never touch DRAM.
 void construct_advanced_fused(const BridgeSchedule& sched, std::uint64_t seed, std::size_t nsim,
-                              std::span<double> path_average_out, Width w = Width::kAuto);
+                              std::span<double> path_average_out, Width w = Width::kAuto,
+                              std::size_t first = 0, std::size_t last = kAllPaths);
 
 // Cost model: ~5 flops per constructed midpoint (2 mul + 2 fma-ish),
 // 2^depth midpoints per path.

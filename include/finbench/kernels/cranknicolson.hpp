@@ -158,7 +158,7 @@ SolveResult price_american_brennan_schwartz(const core::OptionSpec& opt, const G
 std::size_t direct_packed_doubles(const GridSpec& grid);
 
 // Prices opts[i] into out[i], W at a time, pack after pack on the calling
-// thread (no OpenMP team). The pack workspace is leased once from
+// thread. The pack workspace is leased once from
 // `scratch` (a local allocation when it is null, too small or
 // exhausted). Any type, any style. Throws std::invalid_argument for an
 // option make_transform rejects, or a grid with fewer than 3 prices.
@@ -221,16 +221,17 @@ void serial_wave_runner(void* ctx, WaveSweep* sweeps, int nsweeps);
 SolveResult price_wavefront_tasked(const core::OptionSpec& opt, const GridSpec& grid,
                                    int block, WaveRunner runner, void* ctx);
 
-// Batch drivers (OpenMP across options), matching Fig. 8's setup.
+// Batch driver, matching Fig. 8's setup: a serial loop over the options
+// (the engine's pool threads it, one range of options per call).
 enum class Variant {
   kReference,
   kWavefront,
   kWavefrontSplit,
   kWavefrontSplitPaired,  // options processed two at a time (ILP pairing)
-  kDirectPacked,          // price_direct_packed, one pack of W per task
+  kDirectPacked,          // price_direct_packed, W options per pack
 };
-// A kernel exception is rethrown on the calling thread after the team
-// joins. `scratch` feeds kDirectPacked's pack workspaces.
+// A kernel exception propagates to the caller. `scratch` feeds
+// kDirectPacked's pack workspace.
 void price_batch(std::span<const core::OptionSpec> opts, const GridSpec& grid, Variant v,
                  std::span<double> out, Width w = Width::kAuto,
                  core::ScratchPool* scratch = nullptr);

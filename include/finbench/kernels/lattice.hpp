@@ -63,7 +63,7 @@ LatticeGreeks greeks_crr(const core::OptionSpec& opt, int steps);
 // useful cross-check on the dense-lattice American value.
 double price_geske_johnson(const core::OptionSpec& opt, int steps);
 
-// Batch drivers (OpenMP across options).
+// Batch drivers: serial loops over the options.
 void price_leisen_reimer_batch(std::span<const core::OptionSpec> opts, int steps,
                                std::span<double> out);
 void price_trinomial_batch(std::span<const core::OptionSpec> opts, int steps,

@@ -15,9 +15,9 @@
 //
 // Variants:
 //   reference — scalar inner loop, exactly Lis. 5
-//   basic     — reference + "#pragma omp parallel for" over options and
-//               "#pragma omp simd reduction" + unroll on the path loop (the
-//               paper's point: basic pragmas get this kernel to peak)
+//   basic     — reference + "#pragma omp simd reduction" + unroll on the
+//               path loop (the paper's point: basic pragmas get this
+//               kernel to peak)
 //   optimized — explicit SIMD over paths with Vec classes + vecmath::exp,
 //               selectable width; computed-RNG flavor interleaves
 //               chunked Philox/ICDF generation with integration

@@ -88,7 +88,7 @@ namespace detail {
 extern std::atomic<bool> g_parallel_timing;
 }
 
-// Master switch for per-thread region timing in arch::parallel_for et al.
+// Master switch for per-participant region timing in engine::ThreadPool runs.
 // Off by default; the bench harness enables it alongside --trace/--json.
 void enable_parallel_timing(bool on = true);
 inline bool parallel_timing_enabled() {

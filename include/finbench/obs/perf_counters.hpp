@@ -10,7 +10,7 @@
 // perf_unavailable_reason() says why, samples come back with valid=false,
 // and the run report records {"available": false}.
 //
-// Events are opened once per process with inherit=1 *before* the OpenMP
+// Events are opened once per process with inherit=1 *before* the engine
 // worker pool exists (bench::Options::parse calls perf_init()), so worker
 // threads created afterwards are aggregated into the same counts. Counts
 // are read as deltas around a region — the events free-run — and scaled by
@@ -42,7 +42,7 @@ struct PerfSample {
 };
 
 // Open the counters (idempotent). Call early — before the first parallel
-// region — so inherited per-thread counts cover the OpenMP pool. Returns
+// region — so inherited per-thread counts cover the engine pool. Returns
 // whether at least cycles+instructions opened.
 bool perf_init();
 

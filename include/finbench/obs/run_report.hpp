@@ -45,7 +45,7 @@ struct RunContext {
   std::string binary;  // argv[0] basename
   bool full = false;
   int reps = 0;
-  int threads = 0;     // effective OpenMP thread count
+  int threads = 0;     // engine pool participants
 
   // Portfolio-layout provenance: the layout the workload was presented in
   // ("aos", "soa", ... or "native" when every measurement used its

@@ -42,7 +42,7 @@ struct DispatchPlan {
 
   // Race-time evidence: best measured throughput of this configuration and
   // the parallel.engine.<schedule>.imbalance mean observed while it ran
-  // (0 = unmeasured / whole-batch execution).
+  // (0 = unmeasured / a one-chunk run).
   double items_per_sec = 0.0;
   double imbalance = 0.0;
 

@@ -30,13 +30,6 @@ namespace {
 
 constexpr double kQuietNan = std::numeric_limits<double>::quiet_NaN();
 
-// SIMD-across-options kernels group lanes by position within the span they
-// are handed: an interior chunk boundary that is not a multiple of the
-// vector width would regroup lanes and perturb results in the last ulp.
-// Keeping boundaries 8-aligned (a multiple of every width we ship) makes
-// chunked execution bitwise identical to the whole-batch call.
-constexpr std::size_t kChunkAlign = 8;
-
 // Black–Scholes chunks are sized for the cache, not by a cost model: every
 // option costs the same, and the point of chunking is that a chunk's
 // sanitize scan, kernel, guard and (negotiated) writeback all hit L2. The
@@ -57,24 +50,34 @@ bool is_bs(Layout l) {
          l == Layout::kBsBlocked;
 }
 
-// Contiguous chunk boundaries over [0, n). Black–Scholes batches get
-// equal cache-sized chunks of ~n / nparts options (clamped to
-// [kBsMinChunk, kBsMaxChunk]). Specs batches are cost-model-weighted for
-// dynamic scheduling (each chunk carries ~total/K weight, so expensive
+// Contiguous chunk boundaries over [0, n) for a pool of P participants:
+// nparts = P chunks under the static schedule, P x chunks_per_thread under
+// the dynamic one. With `cache_sized` (Engine::price on a Black–Scholes
+// layout, whose chunk pipeline re-reads each chunk: scan, guard,
+// writeback) chunks hold ~n / nparts options clamped to [kBsMinChunk,
+// kBsMaxChunk]. Otherwise the partition is cost-model-weighted for
+// dynamic scheduling when the variant has a cost model and there are more
+// items than chunks (each chunk carries ~total/K weight, so expensive
 // long-dated options don't all land in one chunk), plain equal-count
-// stripes for static (the classic partition the imbalance experiment
-// compares against). Interior boundaries are aligned; duplicates are
-// dropped, so every chunk is non-empty. The result is cached in the
-// request Scratch — steady-state repetitions reuse it without touching
-// the heap.
-const std::vector<std::size_t>& chunk_bounds(const VariantInfo& v, const PricingRequest& req,
-                                             const core::PortfolioView& view, std::size_t n,
-                                             int nparts, arch::Schedule schedule) {
+// stripes otherwise (one item per chunk for a small batch; the classic
+// partition the imbalance experiment compares against). Interior
+// boundaries are multiples of the variant's range_align (64 for a
+// Black–Scholes layout); duplicates are dropped, so every chunk is
+// non-empty. The result is cached in the request Scratch — steady-state
+// repetitions reuse it without touching the heap.
+std::span<const std::size_t> chunk_bounds(const VariantInfo& v, const PricingRequest& req,
+                                          const core::PortfolioView& view, int P,
+                                          arch::Schedule schedule, int chunks_per_thread,
+                                          bool cache_sized) {
+  const int nparts =
+      schedule == arch::Schedule::kDynamic ? P * std::max(1, chunks_per_thread) : P;
   Scratch& s = scratch_of(req);
+  const std::size_t n = view.size();
   const int sched = static_cast<int>(schedule);
-  const bool bs = is_bs(v.layout);
+  const std::size_t align =
+      is_bs(v.layout) ? kBsChunkAlign : std::max<std::size_t>(1, v.range_align);
   if (s.bounds_n == n && s.bounds_nparts == nparts && s.bounds_sched == sched &&
-      s.bounds_bs == bs && !s.bounds.empty()) {
+      s.bounds_cache_sized == cache_sized && s.bounds_align == align && !s.bounds.empty()) {
     return s.bounds;
   }
   std::vector<std::size_t>& bounds = s.bounds;
@@ -83,15 +86,16 @@ const std::vector<std::size_t>& chunk_bounds(const VariantInfo& v, const Pricing
   std::size_t k = static_cast<std::size_t>(nparts);
   if (k > n) k = n;
   auto push_aligned = [&](std::size_t b) {
-    b -= b % kChunkAlign;
+    b -= b % align;
     if (b > bounds.back() && b < n) bounds.push_back(b);
   };
-  if (bs) {
+  if (cache_sized) {
     std::size_t per = (n + k - 1) / k;
-    per = (per + kBsChunkAlign - 1) / kBsChunkAlign * kBsChunkAlign;
+    per = (per + align - 1) / align * align;
     per = std::clamp(per, kBsMinChunk, kBsMaxChunk);
     for (std::size_t b = per; b < n; b += per) bounds.push_back(b);
-  } else if (v.item_cost && schedule == arch::Schedule::kDynamic && !view.specs.empty()) {
+  } else if (v.item_cost && schedule == arch::Schedule::kDynamic && k < n &&
+             !view.specs.empty()) {
     std::vector<double>& cost = s.item_cost;
     cost.resize(n);
     double total = 0.0;
@@ -115,8 +119,22 @@ const std::vector<std::size_t>& chunk_bounds(const VariantInfo& v, const Pricing
   s.bounds_n = n;
   s.bounds_nparts = nparts;
   s.bounds_sched = sched;
-  s.bounds_bs = bs;
+  s.bounds_cache_sized = cache_sized;
+  s.bounds_align = align;
   return bounds;
+}
+
+// The default outputs of a pricing: one value per option of a specs
+// workload (zeroed when the size changes), none for a Black–Scholes layout
+// (priced in place). A paths workload's outputs are the prepare hook's to
+// size, so a repeated pricing does not re-zero them.
+void size_outputs(const core::PortfolioView& view, PricingResult& res) {
+  if (view.layout == Layout::kSpecs) {
+    if (res.values.size() != view.size()) res.values.assign(view.size(), 0.0);
+  } else if (view.layout != Layout::kPaths) {
+    res.values.clear();
+  }
+  res.std_errors.clear();
 }
 
 // --- Robustness helpers -----------------------------------------------------
@@ -262,18 +280,17 @@ struct RunErrors {
 
 // --- The chunk executor -------------------------------------------------------
 
-// How chunks reach the kernel — the one thing that differs between runs.
-//   kWhole: one chunk [0, n) through the kernel's batch entry point (no
-//           range adapter, or a specs batch too small to split);
+// How a chunk reaches the kernel — the one thing that differs between runs.
 //   kBs:    Black–Scholes chunks priced in place, each sanitized, guarded
-//           and repaired while it is cache-resident;
-//   kSpecs: specs chunks writing values[begin, end) through run_range.
-enum class Shape : std::uint8_t { kWhole, kBs, kSpecs };
+//           and repaired while it is cache-resident (through a tile in the
+//           variant's layout on a mismatch);
+//   kItems: every other workload: run_range writes the chunk's outputs
+//           (specs values, paths) or prices its blocks in place (the
+//           blocked binomial family), after a whole-batch sanitize.
+enum class Shape : std::uint8_t { kBs, kItems };
 
-Shape shape_of(const VariantInfo& v, std::size_t n) {
-  if (v.run_range == nullptr) return Shape::kWhole;
-  if (is_bs(v.layout)) return Shape::kBs;
-  return n >= 2 ? Shape::kSpecs : Shape::kWhole;
+Shape shape_of(const VariantInfo& v) {
+  return is_bs(v.layout) && v.kernel == "bs" ? Shape::kBs : Shape::kItems;
 }
 
 // Everything one execution's chunks need, behind one pointer so the pool
@@ -295,42 +312,23 @@ struct ChunkRun {
   obs::FlightRecorder* flight;
 };
 
-// The values chunk [begin, end) writes (none for Black–Scholes chunks,
-// which price in place); a whole run owns every value the kernel produced
-// (path construction writes more values than items).
+// The values chunk [begin, end) writes: values[begin, end) for a specs
+// workload (point 0 of each path for a paths workload), none when the
+// workload is priced in place.
 std::span<double> chunk_values(const ChunkRun& r, std::size_t begin, std::size_t end) {
   const std::span<double> all(r.res->values);
-  if (r.shape == Shape::kWhole) return all;
   return end <= all.size() ? all.subspan(begin, end - begin) : std::span<double>{};
 }
 
-// Variant k prices chunk [begin, end) — the one place the shapes differ.
-// A whole run hands its view to the kernel's batch entry point (the
-// kernel's own OpenMP team); a Black–Scholes chunk is priced in place in
-// its chunk view; a specs chunk writes values[begin, end) through
-// run_range, and a fallback link (whose scratch nothing prepared) through
-// run_batch on the range alone, copied into place.
+// Variant k prices chunk [begin, end). A Black–Scholes chunk is priced in
+// place in its chunk view; every other chunk hands the whole view and its
+// range to run_range.
 void call_kernel(const ChunkRun& r, const VariantInfo& k, const PricingRequest& rq,
-                 const core::PortfolioView& chunk, std::size_t begin, std::size_t end,
-                 bool repair) {
-  PricingResult& res = *r.res;
-  if (r.shape == Shape::kWhole) {
-    k.run_batch(rq, chunk, res);
-  } else if (r.shape == Shape::kBs) {
-    k.run_range(rq, chunk, 0, chunk.size(), res);
-  } else if (!repair) {
-    k.run_range(rq, chunk, begin, end, res);
+                 const core::PortfolioView& chunk, std::size_t begin, std::size_t end) {
+  if (r.shape == Shape::kBs) {
+    k.run_range(rq, chunk, 0, chunk.size(), *r.res);
   } else {
-    const std::size_t m = end - begin;
-    PricingResult part;
-    k.run_batch(rq, core::view_of(chunk.specs.subspan(begin, m)), part);
-    if (part.values.size() != m) throw std::length_error("fallback priced a partial range");
-    std::copy(part.values.begin(), part.values.end(),
-              res.values.begin() + static_cast<std::ptrdiff_t>(begin));
-    if (!res.std_errors.empty() && part.std_errors.size() == m) {
-      std::copy(part.std_errors.begin(), part.std_errors.end(),
-                res.std_errors.begin() + static_cast<std::ptrdiff_t>(begin));
-    }
+    k.run_range(rq, chunk, begin, end, *r.res);
   }
 }
 
@@ -384,7 +382,7 @@ ChunkStatus attempt(const ChunkRun& r, const core::PortfolioView& chunk, std::si
     if (inject && resilience::chaos_active()) {
       resilience::maybe_inject(r.v->id.c_str(), r.res->request_id, static_cast<std::uint64_t>(c));
     }
-    call_kernel(r, *r.v, *r.req, chunk, r.bounds[c], r.bounds[c + 1], /*repair=*/false);
+    call_kernel(r, *r.v, *r.req, chunk, r.bounds[c], r.bounds[c + 1]);
     return ChunkStatus::kOk;
   } catch (const std::exception& e) {
     r.errors->record(e.what());
@@ -396,16 +394,18 @@ ChunkStatus attempt(const ChunkRun& r, const core::PortfolioView& chunk, std::si
 
 // The fallback walk for a failed chunk: each link of the variant's chain
 // re-prices the chunk in turn (never under fault injection) until one's
-// outputs pass the guard. A link must share the chunk's layout and have
-// the entry point the shape calls; a European-only link is skipped for a
-// range holding American options.
+// outputs pass the guard. A link must share the chunk's layout; a
+// European-only link is skipped for a range holding American options.
+// Each link prepares a Scratch of its own (nothing prepared it for this
+// request) and writes the chunk's outputs in place through run_range;
+// the result arrays it would size are the failed variant's, already
+// sized, so its prepare sizes a throwaway (a link whose outputs differ in
+// shape throws from run_range and the walk moves on).
 bool fall_back(const ChunkRun& r, const core::PortfolioView& chunk, std::size_t begin,
                std::size_t end) {
   const core::PortfolioView& view = *r.view;
   for (const VariantInfo* fb = fallback_of(*r.v); fb != nullptr; fb = fallback_of(*fb)) {
-    const bool no_entry = r.shape == Shape::kBs ? fb->run_range == nullptr
-                                                : fb->run_batch == nullptr;
-    if (fb->layout != chunk.layout || no_entry) break;
+    if (fb->layout != chunk.layout) break;
     if (fb->european_only && view.layout == Layout::kSpecs &&
         range_has_american(view.specs, begin, end)) {
       continue;
@@ -415,7 +415,11 @@ bool fall_back(const ChunkRun& r, const core::PortfolioView& chunk, std::size_t 
     sub.faults = {};
     sub.scratch.reset();
     try {
-      call_kernel(r, *fb, sub, chunk, begin, end, /*repair=*/true);
+      if (fb->prepare) {
+        PricingResult sized;
+        fb->prepare(sub, chunk, sized);
+      }
+      call_kernel(r, *fb, sub, chunk, begin, end);
     } catch (...) {
       continue;  // next link
     }
@@ -510,13 +514,17 @@ void run_chunk(const ChunkRun& r, std::ptrdiff_t idx) {
 }
 
 // Quiet NaN into the outputs of a chunk that did not price, so stale
-// prices never survive it.
+// prices never survive it. A paths chunk's outputs are strided: point c
+// of path s is values[c * npaths + s].
 void nan_unpriced(const ChunkRun& r, std::size_t begin, std::size_t end) {
-  if (robust::is_bs_layout(*r.view)) {
-    nan_bs_outputs(r.shape == Shape::kBs ? core::subview(*r.view, begin, end - begin) : *r.view);
+  const core::PortfolioView& view = *r.view;
+  if (robust::is_bs_layout(view)) nan_bs_outputs(core::subview(view, begin, end - begin));
+  const std::size_t n = view.size();
+  std::vector<double>& values = r.res->values;
+  for (std::size_t row = 0; (row + 1) * n <= values.size(); ++row) {
+    std::fill(values.begin() + static_cast<std::ptrdiff_t>(row * n + begin),
+              values.begin() + static_cast<std::ptrdiff_t>(row * n + end), kQuietNan);
   }
-  const std::span<double> values = chunk_values(r, begin, end);
-  std::fill(values.begin(), values.end(), kQuietNan);
 }
 
 // Serial post-pass over the chunk statuses: unpriced chunks get NaN
@@ -571,18 +579,33 @@ std::size_t post_pass(const ChunkRun& r, std::size_t nchunks, bool expired,
   return priced;
 }
 
+// Execute chunks [0, nchunks): one chunk (a quote, a one-option book)
+// inline on the caller, under the same FTZ policy as a pool participant,
+// without waking workers; more across the pool.
+void run_chunks(ThreadPool& pool, std::size_t nchunks,
+                const std::function<void(std::ptrdiff_t)>& fn, arch::Schedule schedule,
+                const char* site, const robust::CancelToken* cancel = nullptr) {
+  if (nchunks == 1) {
+    ThreadPool::run_inline(1, fn, cancel);
+  } else {
+    pool.run(static_cast<std::ptrdiff_t>(nchunks), fn, schedule, site, cancel);
+  }
+}
+
 // --- Stages of Engine::price ----------------------------------------------
 
 // The workload must be non-empty and in the variant's layout, or in one
-// the chunks convert through tiles: a Black–Scholes layout, for a variant
-// with a range adapter (a whole-batch variant prices its own layout only).
+// the chunks convert through tiles: a Black–Scholes layout, for a
+// Black–Scholes variant (the blocked binomial family prices its own
+// layout only).
 robust::Status check_workload(const VariantInfo& v, const core::PortfolioView& w) {
   if (w.size() == 0) {
     return robust::Status::invalid_argument("variant '" + v.id +
                                             "' got an empty workload (layout " +
                                             std::string(to_string(w.layout)) + ")");
   }
-  if (w.layout != v.layout && (!core::convertible(w.layout, v.layout) || v.run_range == nullptr)) {
+  if (w.layout != v.layout &&
+      (!core::convertible(w.layout, v.layout) || shape_of(v) != Shape::kBs)) {
     return robust::Status::invalid_argument(
         "variant '" + v.id + "' needs a " + std::string(to_string(v.layout)) +
         " workload; the request carries " + std::string(to_string(w.layout)) +
@@ -591,10 +614,11 @@ robust::Status check_workload(const VariantInfo& v, const core::PortfolioView& w
   return {};
 }
 
-// Per-request handles, re-stamped every pricing: the intra-option task
-// handoff (variant adapters may decompose expensive options into nested
-// fork-join tasks on the engine's pool, engine/task_group.hpp; the
-// resolved mode can change between repetitions), the per-kernel latency
+// Per-request handles, re-stamped every pricing: the executing pool (it
+// sizes the scratch pools) and the intra-option task handoff (variant
+// adapters may decompose expensive options into nested fork-join tasks on
+// that pool, engine/task_group.hpp; the resolved mode can change between
+// repetitions), the per-kernel latency
 // instruments and the executed variant's circuit breaker. The registry
 // lookups build label strings and take a mutex, so they run once per
 // kernel id and repeated pricings go through the cached handles (the
@@ -602,8 +626,8 @@ robust::Status check_workload(const VariantInfo& v, const core::PortfolioView& w
 // re-resolves after a registry reset (tests, chaos scenario boundaries) so
 // the handle never dangles.
 void bind_request(Scratch& s, const VariantInfo& v, const ResolvedDispatch& rd, ThreadPool* pool) {
+  s.pool = pool;
   s.tasks_on = rd.tasks;
-  s.task_pool = rd.tasks ? pool : nullptr;
   if (s.hist_kernel_id != v.id) {
     std::string labels = "kernel=\"";
     labels += v.id;
@@ -787,7 +811,7 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
     return finish(res, std::move(st));
   }
   const std::size_t n = req.portfolio.size();
-  const Shape shape = shape_of(v, n);
+  const Shape shape = shape_of(v);
   Scratch& s = scratch_of(req);
   bind_request(s, v, rd, pool_);
 
@@ -800,13 +824,13 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
   robust::Status verdict = sanitize_inputs(req, shape, working, s, res, shared);
 
   // --- Prepare ---------------------------------------------------------------
-  // The variant's request caches (normal streams, lattice and VML scratch
-  // pools), built once per request for the range adapters; run_batch
-  // prepares on its own. A rejected workload is never priced, so nothing
-  // is prepared for it.
-  if (verdict.ok() && shape != Shape::kWhole && v.prepare) {
+  // The result's outputs and the variant's request caches (normal
+  // streams, lattice, pack and VML scratch pools), built once per request.
+  // A rejected workload is never priced, so nothing is prepared for it.
+  if (verdict.ok()) {
+    size_outputs(working, res);
     try {
-      v.prepare(req, working);
+      if (v.prepare) v.prepare(req, working, res);
     } catch (const std::exception& e) {
       return finish(res, robust::Status::kernel_error("variant '" + v.id +
                                                       "' prepare failed: " + e.what()));
@@ -825,12 +849,8 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
   // resolved plan's for auto (pins keep the caller's value — see
   // PricingRequest::pin_schedule/pin_chunks).
   const int P = pool_->size();
-  const int nparts =
-      rd.schedule == arch::Schedule::kDynamic ? P * std::max(1, rd.chunks_per_thread) : P;
-  const std::size_t whole[2] = {0, n};
   const std::span<const std::size_t> bounds =
-      shape == Shape::kWhole ? std::span<const std::size_t>(whole)
-                             : chunk_bounds(v, req, working, n, nparts, rd.schedule);
+      chunk_bounds(v, req, working, P, rd.schedule, rd.chunks_per_thread, is_bs(v.layout));
   const std::size_t nchunks = bounds.size() - 1;
   res.chunk_status.assign(nchunks, static_cast<std::uint8_t>(ChunkStatus::kNotRun));
   s.tallies.resize(nchunks);
@@ -851,35 +871,16 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
   const core::PortfolioView* tiles =
       working.layout != v.layout ? carve_tiles(s, working, v.layout, bounds, ntiles) : nullptr;
   RunErrors errors;
-  if (shape == Shape::kSpecs) {
-    res.values.assign(n, 0.0);
-    if (v.has_std_error) res.std_errors.assign(n, 0.0);
-  }
   const bool scan = shape == Shape::kBs && req.sanitize != robust::SanitizePolicy::kOff &&
                     req.sanitize != robust::SanitizePolicy::kReject;
   const ChunkRun run{&v,    &req, &working,      tiles,           ntiles,
                      shape, scan, shared,        bounds.data(),   s.tallies.data(),
                      &res,  &errors, s.hist_chunk, s.flight};
-  if (shape == Shape::kWhole) {
-    // On the caller, under the kernel's own OpenMP team and the caller's
-    // FP state; the deadline is checked once, before the kernel runs.
-    if (cancel == nullptr || !cancel->expired()) run_chunk(run, 0);
-  } else {
-    // A one-chunk Black–Scholes batch runs inline on the caller, under the
-    // same one-thread OpenMP and FTZ policy as a pool participant, without
-    // waking workers. Kernel exceptions are contained per chunk, so the
-    // pool never sees a failure and the remaining chunks still execute.
-    const std::function<void(std::ptrdiff_t)> chunk_fn = [&run](std::ptrdiff_t c) {
-      run_chunk(run, c);
-    };
-    if (shape == Shape::kBs && nchunks == 1) {
-      ThreadPool::run_inline(1, chunk_fn, cancel);
-    } else {
-      const char* site =
-          rd.schedule == arch::Schedule::kDynamic ? "engine.dynamic" : "engine.static";
-      pool_->run(static_cast<std::ptrdiff_t>(nchunks), chunk_fn, rd.schedule, site, cancel);
-    }
-  }
+  // Kernel exceptions are contained per chunk, so the pool never sees a
+  // failure and the remaining chunks still execute.
+  run_chunks(*pool_, nchunks, [&run](std::ptrdiff_t c) { run_chunk(run, c); }, rd.schedule,
+             rd.schedule == arch::Schedule::kDynamic ? "engine.dynamic" : "engine.static",
+             cancel);
 
   // --- Post-pass -------------------------------------------------------------
   robust::SanitizeReport& san = s.sanitize_report;
@@ -898,6 +899,22 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
 
   // --- Aggregate -------------------------------------------------------------
   aggregate(req, s, res, errors, priced, n, t.seconds());
+}
+
+void Engine::run_batch(const VariantInfo& v, const PricingRequest& req,
+                       const core::PortfolioView& view, PricingResult& res) const {
+  Scratch& s = scratch_of(req);
+  s.pool = pool_;
+  s.tasks_on = false;
+  size_outputs(view, res);
+  if (v.prepare) v.prepare(req, view, res);
+  res.items = view.size();
+  if (view.size() == 0) return;
+  const std::span<const std::size_t> b = chunk_bounds(v, req, view, pool_->size(), req.schedule,
+                                                     req.chunks_per_thread, false);
+  run_chunks(
+      *pool_, b.size() - 1, [&](std::ptrdiff_t c) { v.run_range(req, view, b[c], b[c + 1], res); },
+      req.schedule, "batch");
 }
 
 }  // namespace finbench::engine

@@ -5,7 +5,7 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "finbench/arch/parallel.hpp"
+#include "finbench/engine/engine.hpp"
 #include "variants.hpp"
 
 namespace finbench::engine {
@@ -15,8 +15,8 @@ Scratch& scratch_of(const PricingRequest& req) {
   return *req.scratch;
 }
 
-int scratch_slots() {
-  return std::min(64, std::max(arch::num_threads(), 16));
+int scratch_slots(const Scratch& s) {
+  return s.pool != nullptr ? std::min(core::ScratchPool::kMaxSlots, 2 * s.pool->size()) : 1;
 }
 
 struct Registry::Impl {
@@ -40,10 +40,17 @@ Registry& Registry::instance() {
 
 void Registry::add(VariantInfo v) {
   if (v.id.empty()) throw std::invalid_argument("registry: empty variant id");
-  if (!v.run_batch) throw std::invalid_argument("registry: variant '" + v.id + "' has no run_batch");
+  if (!v.run_range) {
+    throw std::invalid_argument("registry: variant '" + v.id + "' has no run_range");
+  }
   std::lock_guard<std::mutex> lock(impl_->mu);
   auto [it, inserted] = impl_->variants.emplace(v.id, std::move(v));
   if (!inserted) throw std::invalid_argument("registry: duplicate variant id '" + it->first + "'");
+  const VariantInfo* self = &it->second;
+  it->second.run_batch = [self](const PricingRequest& req, const core::PortfolioView& view,
+                                PricingResult& res) {
+    Engine::shared().run_batch(*self, req, view, res);
+  };
 }
 
 const VariantInfo* Registry::find(std::string_view id) const {

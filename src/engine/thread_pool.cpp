@@ -1,7 +1,5 @@
 #include "finbench/engine/thread_pool.hpp"
 
-#include <omp.h>
-
 #include <stdexcept>
 #include <string>
 
@@ -187,11 +185,6 @@ void ThreadPool::participate(int participant) {
 }
 
 void ThreadPool::worker_main(int participant) {
-  // Each pool worker is an OpenMP "initial thread": without this, a kernel
-  // chunk containing "#pragma omp parallel" would spawn a full team per
-  // worker and oversubscribe the machine quadratically. One-thread teams
-  // keep kernel-internal regions serial inside the pool.
-  omp_set_num_threads(1);
   // One denormal policy for every participant: FTZ+DAZ, so a chunk's
   // result (and its latency, on denormal-producing inputs) never depends
   // on which thread claimed it. The caller gets the same policy scoped
@@ -215,18 +208,19 @@ void ThreadPool::worker_main(int participant) {
 void ThreadPool::run_inline(std::ptrdiff_t nchunks,
                             const std::function<void(std::ptrdiff_t)>& fn,
                             const robust::CancelToken* cancel) {
-  const int caller_omp = omp_get_max_threads();
   const std::uint32_t fp = robust::save_fp_state();
-  omp_set_num_threads(1);
   robust::install_denormal_ftz();
   // A nested submission keeps the outer run's participant id; otherwise
-  // the caller executes as participant 0.
+  // the caller executes as participant 0. Either way a run() from inside
+  // fn stays inline on this thread.
   const int prev_participant = t_pool_participant;
+  const bool prev_in_run = t_in_pool_run;
   if (prev_participant < 0) t_pool_participant = 0;
+  t_in_pool_run = true;
   auto restore = [&] {
     t_pool_participant = prev_participant;
+    t_in_pool_run = prev_in_run;
     robust::restore_fp_state(fp);
-    omp_set_num_threads(caller_omp);
   };
   for (std::ptrdiff_t c = 0; c < nchunks; ++c) {
     if (cancel != nullptr && cancel->expired()) break;
@@ -268,21 +262,16 @@ void ThreadPool::run(std::ptrdiff_t nchunks, const std::function<void(std::ptrdi
   }
   cv_work_.notify_all();
 
-  // The caller participates too — with its own OpenMP ICV pinned to one
-  // thread and the pool's denormal policy installed for the duration, so
-  // kernel-internal parallel regions stay serial per chunk and the
-  // caller's chunks compute under the same FP state as the workers'
-  // (both restored before returning).
-  const int caller_omp = omp_get_max_threads();
+  // The caller participates too, under the pool's denormal policy for the
+  // duration, so its chunks compute under the same FP state as the
+  // workers' (restored before returning).
   const std::uint32_t caller_fp = robust::save_fp_state();
-  omp_set_num_threads(1);
   robust::install_denormal_ftz();
   {
     FINBENCH_SPAN(site);
     participate(0);
   }
   robust::restore_fp_state(caller_fp);
-  omp_set_num_threads(caller_omp);
 
   {
     std::unique_lock<std::mutex> lock(mu_);

@@ -36,9 +36,9 @@ struct Scratch {
   // Monte Carlo stream flavor: one shared normal array of npath draws.
   arch::AlignedVector<double> z;
 
-  // Monte Carlo result buffer: whole-batch runs use it directly; chunked
-  // runs write disjoint [begin, end) slices of it (pre-sized by the
-  // variant's prepare hook so no chunk ever allocates).
+  // Monte Carlo result buffer: ranges write disjoint [begin, end) slices
+  // of it (pre-sized by the variant's prepare hook so no range ever
+  // allocates).
   std::vector<kernels::mc::McResult> mc;
 
   // Brownian bridge: schedule, per-path normals, and the lane-blocked
@@ -74,26 +74,27 @@ struct Scratch {
 
   // --- Chunk-partition cache (engine-owned) --------------------------------
   // chunk_bounds output + per-item cost buffer, rebuilt only when the
-  // (partition kind, n, nparts, schedule) key changes. The kind matters:
-  // one request (serve's fused group) prices Black–Scholes and specs
-  // groups of equal size in turn, and their partitions differ.
+  // (partition kind, alignment, n, nparts, schedule) key changes. The kind
+  // matters: one request (serve's fused group) prices Black–Scholes and
+  // specs groups of equal size in turn, and their partitions differ.
   std::vector<std::size_t> bounds;
   std::vector<double> item_cost;
   std::size_t bounds_n = 0;
   int bounds_nparts = -1;
   int bounds_sched = -1;
-  bool bounds_bs = false;
+  bool bounds_cache_sized = false;
+  std::size_t bounds_align = 0;
 
   // --- Kernel scratch pools (engine-owned) ---------------------------------
-  // Per-worker kernel temporaries — binomial lattices, Monte Carlo normal
-  // chunks, the VML variant's d1/d2/xexp/qlog arrays — lease slots from
-  // these pools instead of allocating, so steady-state repetitions of a
-  // request never touch the heap. Carved from kernel_arena, which is
-  // deliberately separate from the negotiation `arena` above: every
-  // negotiated pricing resets that arena, while pool slices must stay valid for the request's
-  // lifetime. reserve() is idempotent, so both the prepare hooks (chunked
-  // path) and the run_batch adapters (whole-batch path, bench harness) can
-  // size them.
+  // Kernel temporaries — binomial lattices, Monte Carlo normal chunks, the
+  // VML variant's d1/d2/xexp/qlog arrays, the CN pack workspace — lease
+  // one slot per range call from these pools (core::ScratchBuf) instead of
+  // allocating, so steady-state repetitions of a request never touch the
+  // heap. Carved from kernel_arena, which is deliberately separate from
+  // the negotiation `arena` above: every negotiated pricing resets that
+  // arena, while pool slices must stay valid for the request's lifetime.
+  // The prepare hooks size them (scratch_slots) before any range runs;
+  // reserve() is idempotent, so repetitions settle into zero work.
   core::Arena kernel_arena;
   core::ScratchPool lattice_pool;  // binomial: (steps+1) x lane-width doubles
   core::ScratchPool rng_pool;      // mc computed: kRngChunk doubles
@@ -161,13 +162,15 @@ struct Scratch {
   int plan_pin_cpt = -1;    // TuneKey::pinned_chunks
   int plan_tasks = -2;      // -2 = never resolved; else TuneKey::tasks
 
-  // --- Intra-option task handoff (engine-owned; engine/task_group.hpp) -----
-  // Set by Engine::price for the duration of one execution: when tasks_on,
-  // variant run_range adapters may decompose expensive options into nested
-  // fork-join tasks on task_pool. Null / false outside engine execution
-  // (direct run_batch dispatch stays flat).
+  // --- Executing pool (engine-owned) --------------------------------------
+  // The pool running this request's ranges, stamped before prepare by
+  // Engine::price and Engine::run_batch (the engine's pool): the
+  // prepare hooks size the scratch pools from its participants. With
+  // tasks_on, variant run_range adapters may decompose expensive options
+  // into nested fork-join tasks on it (engine/task_group.hpp); run_batch
+  // keeps tasks off.
+  ThreadPool* pool = nullptr;
   bool tasks_on = false;
-  ThreadPool* task_pool = nullptr;
 };
 
 // Ensure req.scratch exists; returns it.
@@ -209,12 +212,12 @@ struct ResolvedDispatch {
 // request's Scratch so steady-state repetitions skip the tuner entirely.
 ResolvedDispatch resolve_dispatch(const Engine& eng, const PricingRequest& req);
 
-// Slot count for the kernel scratch pools: covers both execution modes —
-// the kernel's own OpenMP team (arch::num_threads() workers with dense
-// thread ids) and the engine pool's run_range workers (which pin the OMP
-// ICV to 1, so every worker leases concurrently from the same pool). The
-// floor of 16 keeps an externally supplied ThreadPool safe on small hosts.
-int scratch_slots();
+// Slot count for the kernel scratch pools of a request about to run on
+// s.pool: two per participant — its range call's lease, and a task's it
+// may take while it helps join its own fork-join tasks. One without a
+// pool (a fallback link's fresh Scratch runs on the failing chunk's
+// participant alone).
+int scratch_slots(const Scratch& s);
 
 void register_blackscholes(Registry& r);
 void register_binomial(Registry& r);

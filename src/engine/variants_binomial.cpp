@@ -82,16 +82,16 @@ int max_steps(const PricingRequest& req, const core::PortfolioView& view) {
   return m;
 }
 
-// Carve the per-worker lattice slots once per request, and with mixed
-// depths size the depth-key buffer packed chunks sort in; both are
-// idempotent, so the chunked path (via the prepare hook) and the
-// whole-batch path (lazily, below) share this. Steady-state repetitions
-// never allocate.
-void reserve_lattice(const PricingRequest& req, const core::PortfolioView& view) {
+// The prepare hook: carve the per-participant lattice slots once per
+// request, and with mixed depths size the depth-key buffer packed chunks
+// sort in. Both are idempotent, so steady-state repetitions never
+// allocate.
+void reserve_lattice(const PricingRequest& req, const core::PortfolioView& view,
+                     PricingResult&) {
   Scratch& s = scratch_of(req);
   s.lattice_pool.reserve(s.kernel_arena,
                          kernels::binomial::lattice_doubles(max_steps(req, view)),
-                         scratch_slots());
+                         scratch_slots(s));
   if (req.steps_per_year > 0 && s.depth_order.size() < view.specs.size()) {
     s.depth_order.resize(view.specs.size());
   }
@@ -126,13 +126,8 @@ void tasked_segment_runner(void* ctx_p, const banded::Segment* segs, int nseg) {
     const banded::Segment seg = segs[i];
     group.spawn([seg, scratch] {
       const std::size_t need = banded::work_doubles(seg);
-      core::ScratchPool::Lease lease = scratch->claim(need);
-      if (lease) {
-        banded::reduce_segment(seg, {lease.data(), need});
-      } else {
-        arch::AlignedVector<double> local(need);
-        banded::reduce_segment(seg, {local.data(), need});
-      }
+      const core::ScratchBuf work(scratch, need);
+      banded::reduce_segment(seg, {work.data(), need});
     });
   }
   banded::reduce_segment(segs[0], ctx->spawner_work);
@@ -144,17 +139,9 @@ void tasked_segment_runner(void* ctx_p, const banded::Segment* segs, int nseg) {
 // spawner's work row: 3*(steps+1) doubles fits the (steps+1)*8 slot.
 double price_one_tasked(const core::OptionSpec& opt, int steps, Scratch& s) {
   const std::size_t lat = static_cast<std::size_t>(steps) + 1;
-  const std::size_t need = 3 * lat;
-  core::ScratchPool::Lease lease = s.lattice_pool.claim(need);
-  arch::AlignedVector<double> local;
-  double* base = nullptr;
-  if (lease) {
-    base = lease.data();
-  } else {
-    local.resize(need);
-    base = local.data();
-  }
-  TaskedSegCtx ctx{s.task_pool, &s.lattice_pool, {base + 2 * lat, lat}};
+  const core::ScratchBuf buf(&s.lattice_pool, 3 * lat);
+  double* const base = buf.data();
+  TaskedSegCtx ctx{s.pool, &s.lattice_pool, {base + 2 * lat, lat}};
   return banded::price_one_banded(opt, steps, {base, 2 * lat}, tasked_segment_runner, &ctx);
 }
 
@@ -182,7 +169,7 @@ template <BatchFn K, Width W>
 void run_each(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
               std::size_t end, PricingResult& res) {
   Scratch& s = scratch_of(req);
-  const bool tasks = s.tasks_on && s.task_pool != nullptr;
+  const bool tasks = s.tasks_on && s.pool != nullptr;
   for (std::size_t o = begin; o < end; ++o) {
     const core::OptionSpec& opt = view.specs[o];
     const int steps = steps_for(opt, req);
@@ -208,40 +195,30 @@ void run_range(const PricingRequest& req, const core::PortfolioView& view, std::
   }
 }
 
-template <BatchFn K, Width W, bool Packed>
-void run_batch(const PricingRequest& req, const core::PortfolioView& view,
-               PricingResult& res) {
-  reserve_lattice(req, view);
-  const std::size_t n = view.specs.size();
-  if (res.values.size() != n) res.values.assign(n, 0.0);
-  res.items = n;
-  run_range<K, W, Packed>(req, view, 0, n, res);
-}
-
 // --- Blocked-layout family (Layout::kBsBlocked AoSoA tiles) ------------------
-// Whole-batch only: the blocked view carries no per-option expiry scaling
-// and writes call+put straight back into tile fields 3/4, so outputs flow
-// through the layout (validate.cpp's blocked reader), not res.values.
+// Ranges of whole blocks (range boundaries are multiples of 64 options
+// for every Black–Scholes layout): the blocked view carries no
+// per-option expiry scaling and writes call+put straight back into tile
+// fields 3/4, so outputs flow through the layout (validate.cpp's blocked
+// reader), not res.values.
 
 double blocked_flops(const PricingRequest& req) {
   return 2.0 * kernels::binomial::flops_per_option(req.steps);  // call + put
 }
 
 // Reserve enough for the widest variant's dual lattice: 2*(steps+1)*8
-// doubles per worker == lattice_doubles(steps, 16).
-void reserve_blocked(const PricingRequest& req, const core::PortfolioView&) {
+// doubles per participant == lattice_doubles(steps, 16).
+void reserve_blocked(const PricingRequest& req, const core::PortfolioView&, PricingResult&) {
   Scratch& s = scratch_of(req);
   s.lattice_pool.reserve(s.kernel_arena, kernels::binomial::lattice_doubles(req.steps, 16),
-                         scratch_slots());
+                         scratch_slots(s));
 }
 
 template <Width W>
-void run_blocked(const PricingRequest& req, const core::PortfolioView& view,
-                 PricingResult& res) {
-  reserve_blocked(req, view);
-  kernels::binomial::price_blocked(view.blocked, req.steps, W,
+void run_blocked(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
+                 std::size_t end, PricingResult&) {
+  kernels::binomial::price_blocked(core::subview(view, begin, end - begin).blocked, req.steps, W,
                                    &scratch_of(req).lattice_pool);
-  res.items = view.blocked.size();
 }
 
 // Spec-gather baseline and blocked-layout validation anchor: each lane is
@@ -249,12 +226,11 @@ void run_blocked(const PricingRequest& req, const core::PortfolioView& view,
 // reference kernel. This is the comparison the CI lattice gate holds the
 // tile variants against (docs: the blocked family must beat the gather).
 void run_blocked_gather(const PricingRequest& req, const core::PortfolioView& view,
-                        PricingResult& res) {
-  reserve_blocked(req, view);
+                        std::size_t begin, std::size_t end, PricingResult&) {
   const core::BsBlockedView& b = view.blocked;
   core::ScratchPool* pool = &scratch_of(req).lattice_pool;
   const std::size_t bw = static_cast<std::size_t>(b.block);
-  for (std::size_t i = 0; i < b.size(); ++i) {
+  for (std::size_t i = begin; i < end; ++i) {
     const std::size_t blk = i / bw;
     const std::size_t ln = i % bw;
     core::OptionSpec o{};
@@ -270,7 +246,6 @@ void run_blocked_gather(const PricingRequest& req, const core::PortfolioView& vi
     o.type = core::OptionType::kPut;
     kernels::binomial::price_reference({&o, 1}, req.steps, {b.field(blk, 4) + ln, 1}, pool);
   }
-  res.items = b.size();
 }
 
 VariantInfo base(const char* id, OptLevel level, int width, const char* desc) {
@@ -294,8 +269,15 @@ VariantInfo base(const char* id, OptLevel level, int width, const char* desc) {
 template <BatchFn K, Width W, bool Packed>
 void wire(VariantInfo& v) {
   v.prepare = reserve_lattice;
-  v.run_batch = run_batch<K, W, Packed>;
   v.run_range = run_range<K, W, Packed>;
+}
+
+void wire_blocked(VariantInfo& v, decltype(VariantInfo::run_range) range) {
+  v.layout = Layout::kBsBlocked;
+  v.european_only = true;
+  v.flops_per_item = blocked_flops;
+  v.prepare = reserve_blocked;
+  v.run_range = range;
 }
 
 }  // namespace
@@ -310,7 +292,7 @@ void register_binomial(Registry& r) {
   }
   {
     VariantInfo v = base("binomial.basic.auto", OptLevel::kBasic, 0,
-                         "inner-loop autovectorization + OpenMP across options");
+                         "inner-loop autovectorization, scalar across options");
     v.tolerance = 1e-12;
     // price_basic's backward induction carries no early-exercise max —
     // the omp-simd inner loop is pure continuation value.
@@ -365,33 +347,24 @@ void register_binomial(Registry& r) {
   {
     VariantInfo v = base("binomial.blocked_gather.scalar", OptLevel::kReference, 1,
                          "per-lane OptionSpec gather through the scalar reference");
-    v.layout = Layout::kBsBlocked;
     v.reference_id = "";
-    v.european_only = true;
-    v.flops_per_item = blocked_flops;
-    v.run_batch = run_blocked_gather;
+    wire_blocked(v, run_blocked_gather);
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("binomial.blocked.4", OptLevel::kAdvanced, 4,
                          "AoSoA tiles, 4-wide DP, dual call+put lattices");
-    v.layout = Layout::kBsBlocked;
     v.reference_id = "binomial.blocked_gather.scalar";
-    v.european_only = true;
-    v.flops_per_item = blocked_flops;
     v.fallback_id = "binomial.blocked_gather.scalar";
-    v.run_batch = run_blocked<Width::kAvx2>;
+    wire_blocked(v, run_blocked<Width::kAvx2>);
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("binomial.blocked.8", OptLevel::kAdvanced, 8,
                          "AoSoA tiles, 8-wide DP (AVX-512), dual call+put lattices");
-    v.layout = Layout::kBsBlocked;
     v.reference_id = "binomial.blocked_gather.scalar";
-    v.european_only = true;
-    v.flops_per_item = blocked_flops;
     v.fallback_id = "binomial.blocked.4";
-    v.run_batch = run_blocked<Width::kAuto>;
+    wire_blocked(v, run_blocked<Width::kAuto>);
     r.add(std::move(v));
   }
 }

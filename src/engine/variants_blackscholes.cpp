@@ -3,11 +3,10 @@
 // These variants write prices into the Black–Scholes view's own arrays
 // (PricingResult::values stays empty: the kernel is bandwidth-bound, and
 // copying millions of outputs would distort exactly what Fig. 4
-// measures). run_batch prices a whole view under the kernel's internal
-// "#pragma omp parallel for" (the Fig. 4 experiment); run_range prices one
-// engine chunk on a pool participant. A request in the "wrong" BS layout
-// is not an error: the engine negotiates each chunk into the layout these
-// adapters receive.
+// measures). run_range prices one range of the view on a pool
+// participant — a cache-sized engine chunk, or one of run_batch's ranges
+// (the Fig. 4 experiment). A request in the "wrong" BS layout is not an error:
+// the engine negotiates each chunk into the layout these adapters receive.
 
 #include "finbench/kernels/blackscholes.hpp"
 #include "variants.hpp"
@@ -38,18 +37,17 @@ void price_intermediate(const PricingRequest&, const core::PortfolioView& view) 
   kernels::bs::price_intermediate(view.soa, W);
 }
 
-// The chunk temporaries (d1/d2/xexp/qlog) lease from the request's vml
-// pool; reserve() is an idempotent no-op after the first pricing, so
-// steady-state repetitions never allocate. Chunks run concurrently, so
-// the engine sizes the pool up front through the prepare hook.
-void prepare_vml(const PricingRequest& req, const core::PortfolioView&) {
+// The temporaries (d1/d2/xexp/qlog) lease from the request's vml pool,
+// which this prepare hook sizes before any range runs; reserve() is an
+// idempotent no-op after the first pricing, so steady-state repetitions
+// never allocate.
+void prepare_vml(const PricingRequest& req, const core::PortfolioView&, PricingResult&) {
   Scratch& s = scratch_of(req);
-  s.vml_pool.reserve(s.kernel_arena, 4 * kernels::bs::kVmlChunk, scratch_slots());
+  s.vml_pool.reserve(s.kernel_arena, 4 * kernels::bs::kVmlChunk, scratch_slots(s));
 }
 
 template <Width W>
 void price_advanced_vml(const PricingRequest& req, const core::PortfolioView& view) {
-  prepare_vml(req, view);
   kernels::bs::price_advanced_vml(view.soa, W, &scratch_of(req).vml_pool);
 }
 
@@ -72,18 +70,9 @@ void price_fused_sp(const PricingRequest&, const core::PortfolioView& view) {
   kernels::bs::price_blocked_from_aos_f32(view.aos, W);
 }
 
-// Whole-batch entry (benchmarks, validation): prices land in the view's
-// arrays, under the kernel's own OpenMP team.
-template <PriceFn F>
-void run_batch(const PricingRequest& req, const core::PortfolioView& view, PricingResult& res) {
-  F(req, view);
-  res.items = view.size();
-}
-
-// Chunk entry (Engine::price): one cache-sized range of the view, on a
-// pool participant whose OpenMP ICV is pinned to one thread. The engine
-// keeps interior chunk boundaries aligned to every lane tile and block
-// width, so chunked results equal the whole-batch call bit for bit.
+// One range of the view, priced in place. Every chunking keeps interior
+// boundaries aligned to every lane tile and block width, so ranged
+// results equal one call over the whole view bit for bit.
 template <PriceFn F>
 void run_range(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
                std::size_t end, PricingResult&) {
@@ -92,7 +81,6 @@ void run_range(const PricingRequest& req, const core::PortfolioView& view, std::
 
 template <PriceFn F>
 void set_kernel(VariantInfo& v) {
-  v.run_batch = run_batch<F>;
   v.run_range = run_range<F>;
 }
 
@@ -124,7 +112,7 @@ void register_blackscholes(Registry& r) {
   }
   {
     VariantInfo v = base("bs.basic.auto", OptLevel::kBasic, 0, Layout::kBsAos,
-                         "AOS loop under pragma omp parallel for simd");
+                         "AOS loop under pragma omp simd");
     v.tolerance = 1e-12;
     set_kernel<price_aos<kernels::bs::price_basic>>(v);
     r.add(std::move(v));

@@ -1,12 +1,18 @@
 // Registry adapters for the Brownian-bridge kernel family (paper Fig. 6).
 //
-// Path construction is a kPaths workload: run_batch builds nsim paths into
-// PricingResult::values in the kernels' point-major layout (point c of
-// simulation s at values[c * nsim + s]); the fused variant returns one
-// path average per simulation instead. Pre-generated normals (and their
-// lane-blocked reordering for the SIMD variants) live in the request
-// Scratch, so repeated pricings time only the construction — Fig. 6's
-// "timings do not account for random number generation".
+// Path construction is a kPaths workload: the variants build nsim paths
+// into PricingResult::values in the kernels' point-major layout (point c
+// of simulation s at values[c * nsim + s]); the fused variant returns one
+// path average per simulation instead. A range is a run of whole lane
+// groups (range_align 8 covers every width), so its normals — the
+// lane-blocked stream, or the per-group Philox streams of the interleaved
+// variants — and therefore its outputs are those of the whole batch.
+// Pre-generated normals (and their lane-blocked reordering for the SIMD
+// variants) live in the request Scratch, so repeated pricings time only
+// the construction — Fig. 6's "timings do not account for random number
+// generation".
+
+#include <stdexcept>
 
 #include "finbench/kernels/brownian.hpp"
 #include "finbench/rng/normal.hpp"
@@ -60,50 +66,65 @@ int lanes(Width w) {
   return w == Width::kAuto ? vecmath::max_width() : static_cast<int>(w);
 }
 
-void prep_out(const core::PortfolioView& view, const Scratch& s, PricingResult& res) {
-  const std::size_t need = view.npaths * s.sched->num_points();
+// Values per path: the whole path, or its average (the fused variant).
+std::size_t path_values(const Scratch& s, bool fused) {
+  return fused ? 1 : s.sched->num_points();
+}
+
+// The prepare hook: schedule, normals (lane-blocked for width W when
+// Blocked) and the point-major output.
+template <Width W, bool Blocked, bool Fused>
+void prepare_paths(const PricingRequest& req, const core::PortfolioView& view,
+                   PricingResult& res) {
+  const Scratch& s = prepared(req, view, Blocked ? lanes(W) : 1);
+  const std::size_t need = view.npaths * path_values(s, Fused);
   if (res.values.size() != need) res.values.assign(need, 0.0);
-  res.items = view.npaths;
+}
+
+// The output a range writes into. A fallback link whose outputs have
+// another shape (full paths for an averaging variant) refuses to write.
+std::span<double> path_out(const PricingRequest& req, const core::PortfolioView& view,
+                           PricingResult& res, bool fused) {
+  if (res.values.size() != view.npaths * path_values(*req.scratch, fused)) {
+    throw std::length_error("brownian: the result holds paths of another shape");
+  }
+  return res.values;
 }
 
 void run_reference(const PricingRequest& req, const core::PortfolioView& view,
-                   PricingResult& res) {
-  Scratch& s = prepared(req, view, 1);
-  prep_out(view, s, res);
-  kernels::brownian::construct_reference(*s.sched, s.bb_z, view.npaths, res.values);
+                   std::size_t begin, std::size_t end, PricingResult& res) {
+  const Scratch& s = *req.scratch;
+  kernels::brownian::construct_reference(*s.sched, s.bb_z, view.npaths,
+                                         path_out(req, view, res, false), begin, end);
 }
 
-void run_basic(const PricingRequest& req, const core::PortfolioView& view,
-               PricingResult& res) {
-  Scratch& s = prepared(req, view, 1);
-  prep_out(view, s, res);
-  kernels::brownian::construct_basic(*s.sched, s.bb_z, view.npaths, res.values);
+void run_basic(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
+               std::size_t end, PricingResult& res) {
+  const Scratch& s = *req.scratch;
+  kernels::brownian::construct_basic(*s.sched, s.bb_z, view.npaths,
+                                     path_out(req, view, res, false), begin, end);
 }
 
 template <Width W>
 void run_intermediate(const PricingRequest& req, const core::PortfolioView& view,
-                      PricingResult& res) {
-  Scratch& s = prepared(req, view, lanes(W));
-  prep_out(view, s, res);
-  kernels::brownian::construct_intermediate(*s.sched, s.bb_z_blocked, view.npaths, res.values,
-                                            W);
+                      std::size_t begin, std::size_t end, PricingResult& res) {
+  const Scratch& s = *req.scratch;
+  kernels::brownian::construct_intermediate(*s.sched, s.bb_z_blocked, view.npaths,
+                                            path_out(req, view, res, false), W, begin, end);
 }
 
 void run_interleaved(const PricingRequest& req, const core::PortfolioView& view,
-                     PricingResult& res) {
-  Scratch& s = prepared(req, view, 1);
-  prep_out(view, s, res);
-  kernels::brownian::construct_advanced_interleaved(*s.sched, req.seed, view.npaths,
-                                                    res.values, Width::kAuto);
+                     std::size_t begin, std::size_t end, PricingResult& res) {
+  kernels::brownian::construct_advanced_interleaved(*req.scratch->sched, req.seed, view.npaths,
+                                                    path_out(req, view, res, false),
+                                                    Width::kAuto, begin, end);
 }
 
-void run_fused(const PricingRequest& req, const core::PortfolioView& view,
-               PricingResult& res) {
-  Scratch& s = prepared(req, view, 1);
-  if (res.values.size() != view.npaths) res.values.assign(view.npaths, 0.0);
-  res.items = view.npaths;
-  kernels::brownian::construct_advanced_fused(*s.sched, req.seed, view.npaths, res.values,
-                                              Width::kAuto);
+void run_fused(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
+               std::size_t end, PricingResult& res) {
+  kernels::brownian::construct_advanced_fused(*req.scratch->sched, req.seed, view.npaths,
+                                              path_out(req, view, res, true), Width::kAuto,
+                                              begin, end);
 }
 
 VariantInfo base(const char* id, OptLevel level, int width, const char* desc) {
@@ -129,25 +150,29 @@ void register_brownian(Registry& r) {
     VariantInfo v = base("brownian.reference.scalar", OptLevel::kReference, 1,
                          "per-path scalar midpoint refinement (Lis. 4)");
     v.reference_id = "";
-    v.run_batch = run_reference;
+    v.prepare = prepare_paths<Width::kScalar, false, false>;
+    v.run_range = run_reference;
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("brownian.basic.scalar", OptLevel::kBasic, 1,
-                         "scalar construction + OpenMP across paths, simd pragmas");
-    v.run_batch = run_basic;
+                         "scalar construction (no vectorizable loop for pragmas)");
+    v.prepare = prepare_paths<Width::kScalar, false, false>;
+    v.run_range = run_basic;
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("brownian.intermediate.avx2", OptLevel::kIntermediate, 4,
                          "4 paths per SIMD lane group, lane-blocked normals");
-    v.run_batch = run_intermediate<Width::kAvx2>;
+    v.prepare = prepare_paths<Width::kAvx2, true, false>;
+    v.run_range = run_intermediate<Width::kAvx2>;
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("brownian.intermediate.auto", OptLevel::kIntermediate, 0,
                          "widest SIMD across paths, lane-blocked normals");
-    v.run_batch = run_intermediate<Width::kAuto>;
+    v.prepare = prepare_paths<Width::kAuto, true, false>;
+    v.run_range = run_intermediate<Width::kAuto>;
     r.add(std::move(v));
   }
   {
@@ -158,7 +183,8 @@ void register_brownian(Registry& r) {
     v.statistical = true;  // draws its own normals
     v.tolerance = 0.08;    // |mean| band at >= 4096 validation paths
     v.bytes_per_item = bytes_interleaved;
-    v.run_batch = run_interleaved;
+    v.prepare = prepare_paths<Width::kAuto, false, false>;
+    v.run_range = run_interleaved;
     r.add(std::move(v));
   }
   {
@@ -168,7 +194,8 @@ void register_brownian(Registry& r) {
     v.statistical = true;
     v.tolerance = 0.08;
     v.bytes_per_item = bytes_fused;
-    v.run_batch = run_fused;
+    v.prepare = prepare_paths<Width::kAuto, false, true>;
+    v.run_range = run_fused;
     r.add(std::move(v));
   }
 }

@@ -58,15 +58,6 @@ void run_range(const PricingRequest& req, const core::PortfolioView& view, std::
                            {res.values.data() + begin, end - begin}, W);
 }
 
-template <Variant V, Width W>
-void run_batch(const PricingRequest& req, const core::PortfolioView& view,
-               PricingResult& res) {
-  const std::size_t n = view.specs.size();
-  if (res.values.size() != n) res.values.assign(n, 0.0);
-  res.items = n;
-  kernels::cn::price_batch(view.specs, grid_of(req), V, res.values, W);
-}
-
 // --- Tasked wavefront: pipelined GSOR sweeps over the engine task pool -------
 // Each convergence sweep of a block is one task; sweep k spins on sweep
 // k-1's monotonic progress index (kernel contract: run_wave_sweep). The
@@ -108,7 +99,7 @@ void run_range_tasked(const PricingRequest& req, const core::PortfolioView& view
   static obs::Counter& priced = obs::counter("cn.options_priced");
   priced.add(end - begin);
   Scratch& s = scratch_of(req);
-  WaveCtx ctx{s.tasks_on ? s.task_pool : nullptr};
+  WaveCtx ctx{s.tasks_on ? s.pool : nullptr};
   const GridSpec grid = grid_of(req);
   for (std::size_t i = begin; i < end; ++i) {
     res.values[i] =
@@ -118,43 +109,23 @@ void run_range_tasked(const PricingRequest& req, const core::PortfolioView& view
   }
 }
 
-void run_batch_tasked(const PricingRequest& req, const core::PortfolioView& view,
-                      PricingResult& res) {
-  const std::size_t n = view.specs.size();
-  if (res.values.size() != n) res.values.assign(n, 0.0);
-  res.items = n;
-  run_range_tasked(req, view, 0, n, res);
-}
-
 // --- Option-packed direct solve ----------------------------------------------
-// A chunk's packs of W options run on the participant's own thread
+// A range's packs of W options run on the participant's own thread
 // (kernels::cn::price_direct_packed), in one workspace leased from the
 // request's pack_pool; the prepare hook sizes the pool, so steady state
 // allocates nothing. A lane's price depends on its own option alone, so
 // any chunking, participant count or schedule gives the same bits.
 
-void reserve_packs(const PricingRequest& req, const core::PortfolioView&) {
+void reserve_packs(const PricingRequest& req, const core::PortfolioView&, PricingResult&) {
   Scratch& s = scratch_of(req);
   s.pack_pool.reserve(s.kernel_arena, kernels::cn::direct_packed_doubles(grid_of(req)),
-                      scratch_slots());
+                      scratch_slots(s));
 }
 
 void run_range_packed(const PricingRequest& req, const core::PortfolioView& view,
                       std::size_t begin, std::size_t end, PricingResult& res) {
-  static obs::Counter& priced = obs::counter("cn.options_priced");
-  priced.add(end - begin);
-  kernels::cn::price_direct_packed(view.specs.subspan(begin, end - begin), grid_of(req),
-                                   {res.values.data() + begin, end - begin}, Width::kAuto,
-                                   &scratch_of(req).pack_pool);
-}
-
-void run_batch_packed(const PricingRequest& req, const core::PortfolioView& view,
-                      PricingResult& res) {
-  reserve_packs(req, view);
-  const std::size_t n = view.specs.size();
-  if (res.values.size() != n) res.values.assign(n, 0.0);
-  res.items = n;
-  kernels::cn::price_batch(view.specs, grid_of(req), Variant::kDirectPacked, res.values,
+  kernels::cn::price_batch(view.specs.subspan(begin, end - begin), grid_of(req),
+                           Variant::kDirectPacked, {res.values.data() + begin, end - begin},
                            Width::kAuto, &scratch_of(req).pack_pool);
 }
 
@@ -175,13 +146,14 @@ VariantInfo base(const char* id, OptLevel level, int width, const char* desc) {
   v.flops_per_item = width == 1 ? flops<1> : width == 4 ? flops<4> : flops<0>;
   v.bytes_per_item = bytes;
   v.item_cost = item_cost;
+  v.range_align = 1;  // options are independent (the paired variants: 2)
   return v;
 }
 
 template <Variant V, Width W>
 void wire(VariantInfo& v) {
-  v.run_batch = run_batch<V, W>;
   v.run_range = run_range<V, W>;
+  if (V == Variant::kWavefrontSplitPaired) v.range_align = 2;
 }
 
 }  // namespace
@@ -240,7 +212,6 @@ void register_cranknicolson(Registry& r) {
                          "whole GSOR sweeps pipelined as fork-join tasks (block of 8)");
     v.flops_per_item = flops<kWaveBlock>;
     v.fallback_id = "cn.wavefront_split.auto";  // -> wavefront -> reference
-    v.run_batch = run_batch_tasked;
     v.run_range = run_range_tasked;
     r.add(std::move(v));
   }
@@ -251,8 +222,8 @@ void register_cranknicolson(Registry& r) {
     v.fallback_id = "cn.wavefront_split_paired.auto";  // -> split -> wavefront -> reference
     v.flops_per_item = flops_direct;
     v.item_cost = nullptr;  // uniform: a direct step costs the same at any sigma^2 T
+    v.range_align = 8;      // whole packs: a narrower range leaves lanes idle
     v.prepare = reserve_packs;
-    v.run_batch = run_batch_packed;
     v.run_range = run_range_packed;
     r.add(std::move(v));
   }

@@ -4,13 +4,14 @@
 // option (built once into the request's Scratch, so repeated pricings of
 // the same request time only the integration, as Table II does). Computed-
 // flavor variants draw a fresh Philox substream per option; run_range
-// passes stream_base = begin so chunked execution consumes exactly the
-// same substreams as the whole batch.
+// passes stream_base = begin so any chunking consumes exactly the
+// substreams of the whole batch.
 //
-// Chunked execution writes per-option results into disjoint slices of the
-// Scratch-resident result buffer, pre-sized by the prepare hook — a chunk
+// Each range writes per-option results into its slice of the
+// Scratch-resident result buffer, pre-sized by the prepare hook — a range
 // never allocates, which the engine's zero-steady-state-allocation
-// guarantee depends on.
+// guarantee depends on. Options are independent, so ranges may start at
+// any option (range_align 1).
 
 #include <algorithm>
 #include <span>
@@ -59,22 +60,27 @@ std::vector<McResult>& result_buffer(const PricingRequest& req, std::size_t n) {
   return mc;
 }
 
-void prepare_stream(const PricingRequest& req, const core::PortfolioView& view) {
+// Every variant reports a standard error per option.
+void size_std_errors(const core::PortfolioView& view, PricingResult& res) {
+  res.std_errors.assign(view.specs.size(), 0.0);
+}
+
+void prepare_stream(const PricingRequest& req, const core::PortfolioView& view,
+                    PricingResult& res) {
   stream_normals(req);
   result_buffer(req, view.specs.size());
+  size_std_errors(view, res);
 }
 
-// Computed-flavor kernels lease their per-worker normal chunks from the
-// request's rng pool; carving it here (and lazily in computed_batch) keeps
-// steady-state repetitions allocation-free. reserve() is idempotent.
-void reserve_rng(const PricingRequest& req) {
+// Computed-flavor kernels lease their per-participant normal chunks from
+// the request's rng pool, carved here; reserve() is idempotent, so
+// steady-state repetitions stay allocation-free.
+void prepare_computed(const PricingRequest& req, const core::PortfolioView& view,
+                      PricingResult& res) {
   Scratch& s = scratch_of(req);
-  s.rng_pool.reserve(s.kernel_arena, kernels::mc::kRngChunk, scratch_slots());
-}
-
-void prepare_computed(const PricingRequest& req, const core::PortfolioView& view) {
   result_buffer(req, view.specs.size());
-  reserve_rng(req);
+  s.rng_pool.reserve(s.kernel_arena, kernels::mc::kRngChunk, scratch_slots(s));
+  size_std_errors(view, res);
 }
 
 void store(std::span<const McResult> mc, std::size_t begin, PricingResult& res) {
@@ -105,19 +111,6 @@ void stream_range(const PricingRequest& req, const core::PortfolioView& view,
   store(mc, begin, res);
 }
 
-template <StreamFn K, Width W>
-void stream_batch(const PricingRequest& req, const core::PortfolioView& view,
-                  PricingResult& res) {
-  const auto& z = stream_normals(req);
-  const std::size_t n = view.specs.size();
-  std::vector<McResult>& mc = result_buffer(req, n);
-  K(view.specs, z, req.npath, std::span<McResult>{mc.data(), n}, W);
-  if (res.values.size() != n) res.values.assign(n, 0.0);
-  if (res.std_errors.size() != n) res.std_errors.assign(n, 0.0);
-  store({mc.data(), n}, 0, res);
-  res.items = n;
-}
-
 // --- Path-block tasks (engine/task_group.hpp) --------------------------------
 // When the engine hands this execution a task pool, each option's path
 // integration splits into independent normal-array blocks; leaf tasks
@@ -135,7 +128,7 @@ void stream_range_tasked(const PricingRequest& req, const core::PortfolioView& v
                          std::size_t begin, std::size_t end, PricingResult& res) {
   Scratch& s = *req.scratch;  // built by prepare_stream
   const std::size_t npath = req.npath;
-  if (!s.tasks_on || s.task_pool == nullptr || npath < 2 * kMcTaskBlock) {
+  if (!s.tasks_on || s.pool == nullptr || npath < 2 * kMcTaskBlock) {
     stream_range<kernels::mc::price_optimized_stream, W>(req, view, begin, end, res);
     return;
   }
@@ -150,7 +143,7 @@ void stream_range_tasked(const PricingRequest& req, const core::PortfolioView& v
   for (std::size_t o = begin; o < end; ++o) {
     const core::OptionSpec& opt = view.specs[o];
     kernels::mc::McMoments parts[kMcMaxBlocks];
-    TaskGroup group(*s.task_pool);
+    TaskGroup group(*s.pool);
     for (int i = 1; i < nblk; ++i) {
       const std::size_t lo = static_cast<std::size_t>(i) * blksz;
       const std::size_t cnt = std::min(blksz, npath - lo);
@@ -202,20 +195,6 @@ void computed_range(const PricingRequest& req, const core::PortfolioView& view,
   store(mc, begin, res);
 }
 
-template <ComputedFn K, Width W>
-void computed_batch(const PricingRequest& req, const core::PortfolioView& view,
-                    PricingResult& res) {
-  reserve_rng(req);
-  const std::size_t n = view.specs.size();
-  std::vector<McResult>& mc = result_buffer(req, n);
-  K(view.specs, req.npath, req.seed, std::span<McResult>{mc.data(), n}, W, 0,
-    &scratch_of(req).rng_pool);
-  if (res.values.size() != n) res.values.assign(n, 0.0);
-  if (res.std_errors.size() != n) res.std_errors.assign(n, 0.0);
-  store({mc.data(), n}, 0, res);
-  res.items = n;
-}
-
 VariantInfo base(const char* id, OptLevel level, int width, const char* desc) {
   VariantInfo v;
   v.id = id;
@@ -227,8 +206,8 @@ VariantInfo base(const char* id, OptLevel level, int width, const char* desc) {
   v.description = desc;
   v.tolerance = 1e-9;
   v.flops_per_item = flops;
-  v.has_std_error = true;
   v.european_only = true;  // terminal-value MC: European payoffs only
+  v.range_align = 1;
   return v;
 }
 
@@ -241,17 +220,15 @@ void register_montecarlo(Registry& r) {
     v.reference_id = "";
     v.bytes_per_item = bytes_stream;
     v.prepare = prepare_stream;
-    v.run_batch = stream_batch<reference_stream_w, Width::kScalar>;
     v.run_range = stream_range<reference_stream_w, Width::kScalar>;
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("mc.basic_stream.auto", OptLevel::kBasic, 0,
-                         "omp across options + simd-reduction path loop, streamed normals");
+                         "simd-reduction path loop (omp simd), streamed normals");
     v.reference_id = "mc.reference_stream.scalar";
     v.bytes_per_item = bytes_stream;
     v.prepare = prepare_stream;
-    v.run_batch = stream_batch<basic_stream_w, Width::kAuto>;
     v.run_range = stream_range<basic_stream_w, Width::kAuto>;
     r.add(std::move(v));
   }
@@ -261,7 +238,6 @@ void register_montecarlo(Registry& r) {
     v.reference_id = "mc.reference_stream.scalar";
     v.bytes_per_item = bytes_stream;
     v.prepare = prepare_stream;
-    v.run_batch = stream_batch<kernels::mc::price_optimized_stream, Width::kAvx2>;
     v.run_range = stream_range_tasked<Width::kAvx2>;
     r.add(std::move(v));
   }
@@ -271,7 +247,6 @@ void register_montecarlo(Registry& r) {
     v.reference_id = "mc.reference_stream.scalar";
     v.bytes_per_item = bytes_stream;
     v.prepare = prepare_stream;
-    v.run_batch = stream_batch<kernels::mc::price_optimized_stream, Width::kAuto>;
     v.run_range = stream_range_tasked<Width::kAuto>;
     r.add(std::move(v));
   }
@@ -281,7 +256,6 @@ void register_montecarlo(Registry& r) {
     v.reference_id = "";
     v.bytes_per_item = bytes_computed;
     v.prepare = prepare_computed;
-    v.run_batch = computed_batch<reference_computed_w, Width::kScalar>;
     v.run_range = computed_range<reference_computed_w, Width::kScalar>;
     r.add(std::move(v));
   }
@@ -291,7 +265,6 @@ void register_montecarlo(Registry& r) {
     v.reference_id = "mc.reference_computed.scalar";
     v.bytes_per_item = bytes_computed;
     v.prepare = prepare_computed;
-    v.run_batch = computed_batch<optimized_computed_w, Width::kAvx2>;
     v.run_range = computed_range<optimized_computed_w, Width::kAvx2>;
     r.add(std::move(v));
   }
@@ -301,7 +274,6 @@ void register_montecarlo(Registry& r) {
     v.reference_id = "mc.reference_computed.scalar";
     v.bytes_per_item = bytes_computed;
     v.prepare = prepare_computed;
-    v.run_batch = computed_batch<optimized_computed_w, Width::kAuto>;
     v.run_range = computed_range<optimized_computed_w, Width::kAuto>;
     r.add(std::move(v));
   }
@@ -315,7 +287,6 @@ void register_montecarlo(Registry& r) {
     v.tolerance = 0.05;
     v.bytes_per_item = bytes_computed;
     v.prepare = prepare_computed;
-    v.run_batch = computed_batch<variance_reduced_w, Width::kAuto>;
     v.run_range = computed_range<variance_reduced_w, Width::kAuto>;
     r.add(std::move(v));
   }

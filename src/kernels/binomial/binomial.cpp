@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <exception>
 #include <stdexcept>
 
 #include "finbench/arch/aligned.hpp"
 #include "finbench/core/scratch_pool.hpp"
 #include "finbench/obs/metrics.hpp"
-#include "finbench/obs/trace.hpp"
 #include "finbench/simd/vec.hpp"
 
 namespace finbench::kernels::binomial {
@@ -44,26 +42,6 @@ double payoff(const core::OptionSpec& o, double s) {
   return o.type == core::OptionType::kCall ? std::max(s - o.strike, 0.0)
                                            : std::max(o.strike - s, 0.0);
 }
-
-// Per-worker lattice storage: lease from the engine's scratch pool when it
-// has a slice big enough, otherwise fall back to a local aligned
-// allocation. The fallback keeps standalone kernel calls (tests, benches,
-// exhausted pools) correct; the lease keeps engine steady state heap-free.
-struct LatticeBuf {
-  core::ScratchPool::Lease lease;
-  arch::AlignedVector<double> local;
-  double* data = nullptr;
-
-  LatticeBuf(core::ScratchPool* pool, std::size_t doubles) {
-    if (pool != nullptr) lease = pool->claim(doubles);
-    if (lease) {
-      data = lease.data();
-    } else {
-      local.resize(doubles);
-      data = local.data();
-    }
-  }
-};
 
 }  // namespace
 
@@ -122,8 +100,8 @@ void price_reference(std::span<const core::OptionSpec> opts, int steps, std::spa
   static obs::Counter& priced = obs::counter("binomial.options_priced");
   priced.add(opts.size());
   assert(out.size() >= opts.size());
-  LatticeBuf buf(scratch, static_cast<std::size_t>(steps) + 1);
-  const std::span<double> lattice{buf.data, static_cast<std::size_t>(steps) + 1};
+  core::ScratchBuf buf(scratch, static_cast<std::size_t>(steps) + 1);
+  const std::span<double> lattice{buf.data(), static_cast<std::size_t>(steps) + 1};
   for (std::size_t o = 0; o < opts.size(); ++o) {
     out[o] = price_one_reference(opts[o], steps, lattice);
   }
@@ -136,32 +114,26 @@ void price_basic(std::span<const core::OptionSpec> opts, int steps, std::span<do
   static obs::Counter& priced = obs::counter("binomial.options_priced");
   priced.add(opts.size());
   assert(out.size() >= opts.size());
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(opts.size());
-#pragma omp parallel
-  {
-    FINBENCH_SPAN("binomial.thread");
-    LatticeBuf buf(scratch, static_cast<std::size_t>(steps) + 1);
-    double* const call = buf.data;
-#pragma omp for schedule(static)
-    for (std::ptrdiff_t o = 0; o < n; ++o) {
-      const core::OptionSpec& opt = opts[o];
-      const CrrParams p = crr(opt, steps);
-      double s = opt.spot * std::pow(p.down, steps);
-      const double ratio = p.up / p.down;
-      for (int j = 0; j <= steps; ++j) {
-        call[j] = payoff(opt, s);
-        s *= ratio;
-      }
-      const double pu = p.pu_by_df, pd = p.pd_by_df;
-      double* c = call;
-      for (int i = steps; i > 0; --i) {
-        // Inner-loop autovectorization — c[j+1] is the unaligned load the
-        // paper notes; this is all the "basic" level is allowed to do.
-#pragma omp simd
-        for (int j = 0; j <= i - 1; ++j) c[j] = pu * c[j + 1] + pd * c[j];
-      }
-      out[o] = c[0];
+  core::ScratchBuf buf(scratch, static_cast<std::size_t>(steps) + 1);
+  double* const call = buf.data();
+  for (std::size_t o = 0; o < opts.size(); ++o) {
+    const core::OptionSpec& opt = opts[o];
+    const CrrParams p = crr(opt, steps);
+    double s = opt.spot * std::pow(p.down, steps);
+    const double ratio = p.up / p.down;
+    for (int j = 0; j <= steps; ++j) {
+      call[j] = payoff(opt, s);
+      s *= ratio;
     }
+    const double pu = p.pu_by_df, pd = p.pd_by_df;
+    double* c = call;
+    for (int i = steps; i > 0; --i) {
+      // Inner-loop autovectorization — c[j+1] is the unaligned load the
+      // paper notes; this is all the "basic" level is allowed to do.
+#pragma omp simd
+      for (int j = 0; j <= i - 1; ++j) c[j] = pu * c[j + 1] + pd * c[j];
+    }
+    out[o] = c[0];
   }
 }
 
@@ -308,81 +280,60 @@ void price_simd(std::span<const core::OptionSpec> opts, int steps, std::span<dou
   using V = simd::Vec<double, W>;
   const std::size_t n = opts.size();
   const std::size_t groups = n / W;
-
-#pragma omp parallel
-  {
-    LatticeBuf buf(scratch, static_cast<std::size_t>(steps + 1) * W);
-    double* const call = buf.data;
-#pragma omp for schedule(static)
-    for (std::ptrdiff_t g = 0; g < static_cast<std::ptrdiff_t>(groups); ++g) {
-      const std::size_t base = static_cast<std::size_t>(g) * W;
-      const core::OptionSpec* lane[W];
-      int depth[W];
-      for (int l = 0; l < W; ++l) {
-        lane[l] = &opts[base + l];
-        depth[l] = steps;
-      }
-      reduce_pack<W>(lane, depth, call);
-      V::load(call).storeu(out.data() + base);
+  core::ScratchBuf buf(scratch, static_cast<std::size_t>(steps + 1) * W);
+  double* const call = buf.data();
+  for (std::size_t base = 0; base < groups * W; base += W) {
+    const core::OptionSpec* lane[W];
+    int depth[W];
+    for (int l = 0; l < W; ++l) {
+      lane[l] = &opts[base + l];
+      depth[l] = steps;
     }
+    reduce_pack<W>(lane, depth, call);
+    V::load(call).storeu(out.data() + base);
   }
   // Tail options: scalar reference through the same leased lattice.
-  if (groups * W < n) {
-    LatticeBuf tail(scratch, static_cast<std::size_t>(steps) + 1);
-    const std::span<double> lattice{tail.data, static_cast<std::size_t>(steps) + 1};
-    for (std::size_t o = groups * W; o < n; ++o) {
-      out[o] = price_one_reference(opts[o], steps, lattice);
-    }
+  const std::span<double> lattice{call, static_cast<std::size_t>(steps) + 1};
+  for (std::size_t o = groups * W; o < n; ++o) {
+    out[o] = price_one_reference(opts[o], steps, lattice);
   }
 }
 
 // Mixed depths: pack p holds order[lo, hi), counted from the deep end so
 // the one partial pack is the shallowest, and a partial pack repeats its
 // deepest lane (no scalar tail: every lane runs the same arithmetic).
-// Packs run deepest first across the OpenMP team; an exception (an
-// invalid CRR probability) is carried out of the parallel region.
+// Packs run deepest first, all in one leased lattice sized for the
+// deepest.
 template <int W>
 void price_packed_w(std::span<const core::OptionSpec> opts, std::span<const std::uint64_t> order,
                     std::span<double> out, core::ScratchPool* scratch) {
   const std::size_t n = order.size();
   if (n == 0) return;
-  const std::ptrdiff_t packs = static_cast<std::ptrdiff_t>((n + W - 1) / W);
-  const std::size_t lattice = static_cast<std::size_t>(key_steps(order[n - 1]) + 1) * W;
-  std::exception_ptr error;
-#pragma omp parallel
-  {
-    LatticeBuf buf(scratch, lattice);
-#pragma omp for schedule(dynamic, 1)
-    for (std::ptrdiff_t p = 0; p < packs; ++p) {
-      const std::size_t hi = n - static_cast<std::size_t>(p) * W;
-      const std::size_t lo = hi > static_cast<std::size_t>(W) ? hi - W : 0;
-      const core::OptionSpec* lane[W];
-      int depth[W];
-      for (int l = 0; l < W; ++l) {
-        const std::uint64_t k = order[std::min(lo + l, hi - 1)];
-        lane[l] = &opts[key_index(k)];
-        depth[l] = key_steps(k);
-      }
-      try {
-        reduce_pack<W>(lane, depth, buf.data);
-      } catch (...) {
-#pragma omp critical(binomial_packed_error)
-        if (!error) error = std::current_exception();
-        continue;
-      }
-      for (std::size_t i = lo; i < hi; ++i) out[key_index(order[i])] = buf.data[i - lo];
+  core::ScratchBuf buf(scratch, static_cast<std::size_t>(key_steps(order[n - 1]) + 1) * W);
+  for (std::size_t hi = n; hi > 0;) {
+    const std::size_t lo = hi > static_cast<std::size_t>(W) ? hi - W : 0;
+    const core::OptionSpec* lane[W];
+    int depth[W];
+    for (int l = 0; l < W; ++l) {
+      const std::uint64_t k = order[std::min(lo + l, hi - 1)];
+      lane[l] = &opts[key_index(k)];
+      depth[l] = key_steps(k);
     }
+    reduce_pack<W>(lane, depth, buf.data());
+    for (std::size_t i = lo; i < hi; ++i) out[key_index(order[i])] = buf.data()[i - lo];
+    hi = lo;
   }
-  if (error) std::rethrow_exception(error);
 }
 
 // --- Register tiling (Lis. 3) -----------------------------------------------
 
 // One tile pass: reduce the W-wide Call array (length m+1) by TS time
 // steps. The TS-deep Tile lives in registers; each Call value is loaded
-// and stored exactly once per pass.
+// and stored exactly once per pass. Kept out of line: inlined into the
+// group loop, GCC 12 spills the tile (~25% slower at W = 8).
 template <int W, int TS, bool Unroll>
-void tile_pass(double* call, int m, simd::Vec<double, W> pu, simd::Vec<double, W> pd) {
+[[gnu::noinline]] void tile_pass(double* call, int m, simd::Vec<double, W> pu,
+                                 simd::Vec<double, W> pd) {
   using V = simd::Vec<double, W>;
   V tile[TS];
 
@@ -425,31 +376,22 @@ void price_tiled(std::span<const core::OptionSpec> opts, int steps, std::span<do
   using V = simd::Vec<double, W>;
   const std::size_t n = opts.size();
   const std::size_t groups = n / W;
+  core::ScratchBuf buf(scratch, static_cast<std::size_t>(steps + 1) * W);
+  double* const call = buf.data();
+  for (std::size_t base = 0; base < groups * W; base += W) {
+    LaneBatch<W> lanes;
+    lanes.init_leaves(opts, base, steps, call);
 
-#pragma omp parallel
-  {
-    LatticeBuf buf(scratch, static_cast<std::size_t>(steps + 1) * W);
-    double* const call = buf.data;
-#pragma omp for schedule(static)
-    for (std::ptrdiff_t g = 0; g < static_cast<std::ptrdiff_t>(groups); ++g) {
-      const std::size_t base = static_cast<std::size_t>(g) * W;
-      LaneBatch<W> lanes;
-      lanes.init_leaves(opts, base, steps, call);
+    int m = steps;
+    for (; m >= TS; m -= TS) tile_pass<W, TS, Unroll>(call, m, lanes.pu, lanes.pd);
+    // Remainder (< TS steps): plain in-place reduction.
+    reduce_european<W>(call, m, lanes.pu, lanes.pd);
 
-      int m = steps;
-      for (; m >= TS; m -= TS) tile_pass<W, TS, Unroll>(call, m, lanes.pu, lanes.pd);
-      // Remainder (< TS steps): plain in-place reduction.
-      reduce_european<W>(call, m, lanes.pu, lanes.pd);
-
-      V::load(call).storeu(out.data() + base);
-    }
+    V::load(call).storeu(out.data() + base);
   }
-  if (groups * W < n) {
-    LatticeBuf tail(scratch, static_cast<std::size_t>(steps) + 1);
-    const std::span<double> lattice{tail.data, static_cast<std::size_t>(steps) + 1};
-    for (std::size_t o = groups * W; o < n; ++o) {
-      out[o] = price_one_reference(opts[o], steps, lattice);
-    }
+  const std::span<double> lattice{call, static_cast<std::size_t>(steps) + 1};
+  for (std::size_t o = groups * W; o < n; ++o) {
+    out[o] = price_one_reference(opts[o], steps, lattice);
   }
 }
 

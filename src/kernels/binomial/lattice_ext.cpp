@@ -282,17 +282,13 @@ double price_geske_johnson(const core::OptionSpec& o, int steps) {
 void price_leisen_reimer_batch(std::span<const core::OptionSpec> opts, int steps,
                                std::span<double> out) {
   assert(out.size() >= opts.size());
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(opts.size());
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::ptrdiff_t i = 0; i < n; ++i) out[i] = price_leisen_reimer(opts[i], steps);
+  for (std::size_t i = 0; i < opts.size(); ++i) out[i] = price_leisen_reimer(opts[i], steps);
 }
 
 void price_trinomial_batch(std::span<const core::OptionSpec> opts, int steps,
                            std::span<double> out) {
   assert(out.size() >= opts.size());
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(opts.size());
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::ptrdiff_t i = 0; i < n; ++i) out[i] = price_trinomial(opts[i], steps);
+  for (std::size_t i = 0; i < opts.size(); ++i) out[i] = price_trinomial(opts[i], steps);
 }
 
 }  // namespace finbench::kernels::lattice

@@ -65,7 +65,7 @@ void price_basic(core::BsAosView batch) {
   // The pragma is the whole optimization: the compiler vectorizes, but the
   // strided AOS accesses become gathers/scatters (the paper's Fig. 4
   // "Basic" bar, and the 10x instruction blow-up on 8-wide SIMD).
-#pragma omp parallel for simd schedule(static)
+#pragma omp simd
   for (std::ptrdiff_t i = 0; i < nopt; ++i) {
     const double qlog = std::log(opts[i].spot / opts[i].strike);
     const double denom = 1.0 / (sig * std::sqrt(opts[i].years));
@@ -101,7 +101,6 @@ void price_soa_width(const core::BsSoaView& batch) {
   double* put = batch.put.data();
 
   const std::ptrdiff_t vec_end = nopt - nopt % W;
-#pragma omp parallel for schedule(static)
   for (std::ptrdiff_t i = 0; i < vec_end; i += W) {
     const V S = V::load(s + i);
     const V K = V::load(k + i);
@@ -171,49 +170,39 @@ void price_advanced_vml(core::BsSoaView batch, Width w, core::ScratchPool* scrat
   const double sig22 = sig * sig / 2;
 
   // Chunked so the temporaries stay in L2; each chunk makes VML-style
-  // whole-array calls (log, exp, cnd) through aligned scratch buffers.
-  // The buffers lease from the caller's pool when it has room (steady
-  // state: zero allocations); otherwise each worker allocates locally.
+  // whole-array calls (log, exp, cnd) through one scratch buffer, leased
+  // from the caller's pool when it has room (steady state: zero
+  // allocations), else allocated locally.
   constexpr std::size_t kChunk = kVmlChunk;
 
-#pragma omp parallel
-  {
-    core::ScratchPool::Lease lease =
-        scratch != nullptr ? scratch->claim(4 * kChunk) : core::ScratchPool::Lease{};
-    arch::AlignedVector<double> local;
-    if (!lease) local.resize(4 * kChunk);
-    double* const buf = lease ? lease.data() : local.data();
-    double* const d1 = buf;
-    double* const d2 = buf + kChunk;
-    double* const xexp = buf + 2 * kChunk;
-    double* const qlog = buf + 3 * kChunk;
-#pragma omp for schedule(static)
-    for (std::ptrdiff_t start = 0; start < static_cast<std::ptrdiff_t>(n);
-         start += static_cast<std::ptrdiff_t>(kChunk)) {
-      const std::size_t c =
-          std::min(kChunk, n - static_cast<std::size_t>(start));
-      const double* s = batch.spot.data() + start;
-      const double* k = batch.strike.data() + start;
-      const double* t = batch.years.data() + start;
-      double* call = batch.call.data() + start;
-      double* put = batch.put.data() + start;
+  core::ScratchBuf buf(scratch, 4 * kChunk);
+  double* const d1 = buf.data();
+  double* const d2 = d1 + kChunk;
+  double* const xexp = d1 + 2 * kChunk;
+  double* const qlog = d1 + 3 * kChunk;
+  for (std::size_t start = 0; start < n; start += kChunk) {
+    const std::size_t c = std::min(kChunk, n - start);
+    const double* s = batch.spot.data() + start;
+    const double* k = batch.strike.data() + start;
+    const double* t = batch.years.data() + start;
+    double* call = batch.call.data() + start;
+    double* put = batch.put.data() + start;
 
-      for (std::size_t i = 0; i < c; ++i) qlog[i] = s[i] / k[i];
-      vecmath::log({qlog, c}, {qlog, c}, w);
-      for (std::size_t i = 0; i < c; ++i) {
-        const double denom = 1.0 / (sig * std::sqrt(t[i]));
-        d1[i] = (qlog[i] + (r + sig22) * t[i]) * denom;
-        d2[i] = (qlog[i] + (r - sig22) * t[i]) * denom;
-        xexp[i] = -r * t[i];
-      }
-      vecmath::exp({xexp, c}, {xexp, c}, w);
-      vecmath::cnd({d1, c}, {d1, c}, w);
-      vecmath::cnd({d2, c}, {d2, c}, w);
-      for (std::size_t i = 0; i < c; ++i) {
-        const double disc_k = k[i] * xexp[i];
-        call[i] = s[i] * d1[i] - disc_k * d2[i];
-        put[i] = call[i] - s[i] + disc_k;
-      }
+    for (std::size_t i = 0; i < c; ++i) qlog[i] = s[i] / k[i];
+    vecmath::log({qlog, c}, {qlog, c}, w);
+    for (std::size_t i = 0; i < c; ++i) {
+      const double denom = 1.0 / (sig * std::sqrt(t[i]));
+      d1[i] = (qlog[i] + (r + sig22) * t[i]) * denom;
+      d2[i] = (qlog[i] + (r - sig22) * t[i]) * denom;
+      xexp[i] = -r * t[i];
+    }
+    vecmath::exp({xexp, c}, {xexp, c}, w);
+    vecmath::cnd({d1, c}, {d1, c}, w);
+    vecmath::cnd({d2, c}, {d2, c}, w);
+    for (std::size_t i = 0; i < c; ++i) {
+      const double disc_k = k[i] * xexp[i];
+      call[i] = s[i] * d1[i] - disc_k * d2[i];
+      put[i] = call[i] - s[i] + disc_k;
     }
   }
 }
@@ -240,7 +229,6 @@ void greeks_width(const core::BsSoaCView& batch, GreeksBatchSoa& out) {
   const double* t = batch.years.data();
 
   const std::ptrdiff_t vec_end = nopt - nopt % W;
-#pragma omp parallel for schedule(static)
   for (std::ptrdiff_t i = 0; i < vec_end; i += W) {
     const V S = V::load(s + i);
     const V K = V::load(k + i);
@@ -325,7 +313,6 @@ void implied_vol_width(const core::BsSoaCView& batch, std::span<const double> pr
   const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(batch.size());
   const std::ptrdiff_t vec_end = n - n % W;
 
-#pragma omp parallel for schedule(static)
   for (std::ptrdiff_t i = 0; i < vec_end; i += W) {
     const V S = V::loadu(batch.spot.data() + i);
     const V K = V::loadu(batch.strike.data() + i);
@@ -412,7 +399,6 @@ void price_sp_width(const core::BsSoaFView& batch) {
   float* put = batch.put.data();
 
   const std::ptrdiff_t vec_end = nopt - nopt % W;
-#pragma omp parallel for schedule(static)
   for (std::ptrdiff_t i = 0; i < vec_end; i += W) {
     const V S = V::load(s + i);
     const V K = V::load(k + i);

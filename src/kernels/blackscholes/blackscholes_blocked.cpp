@@ -107,7 +107,6 @@ void price_blocked_width(const core::BsBlockedView& batch) {
   if (static_cast<std::size_t>(W) == bw) {
     const std::size_t stride = 5 * static_cast<std::size_t>(W);
     const std::ptrdiff_t npairs = nblocks / 2;
-#pragma omp parallel for schedule(static)
     for (std::ptrdiff_t p = 0; p < npairs; ++p) {
       double* base = data + static_cast<std::size_t>(2 * p) * stride;
       tile(base, W);
@@ -119,7 +118,6 @@ void price_blocked_width(const core::BsBlockedView& batch) {
     return;
   }
   const std::size_t stride = 5 * bw;
-#pragma omp parallel for schedule(static)
   for (std::ptrdiff_t b = 0; b < nblocks; ++b) {
     double* const base = data + static_cast<std::size_t>(b) * stride;
     std::size_t off = 0;
@@ -165,7 +163,6 @@ void price_from_aos_width(const core::BsAosView& batch) {
   // Two blocks per iteration (same x2 unroll as the in-memory kernel):
   // the second tile's transpose overlaps the first tile's transcendentals.
   const std::ptrdiff_t npairs = nfull / 2;
-#pragma omp parallel for schedule(static)
   for (std::ptrdiff_t p = 0; p < npairs; ++p) {
     alignas(64) double buf[2][5 * W];
     core::BsOptionAos* const x = o + static_cast<std::size_t>(2 * p) * W;
@@ -341,7 +338,6 @@ void price_blocked_sp8(const core::BsBlockedView& batch) {
   // whole block, sub-runs within a block otherwise — increment-only indexing.
   if (bw == 8) {
     const std::ptrdiff_t npairs = nblocks / 2;
-#pragma omp parallel for schedule(static)
     for (std::ptrdiff_t p = 0; p < npairs; ++p) {
       tile(static_cast<std::size_t>(2 * p), 0);
       tile(static_cast<std::size_t>(2 * p + 1), 0);
@@ -349,7 +345,6 @@ void price_blocked_sp8(const core::BsBlockedView& batch) {
     if (nblocks % 2 != 0) tile(static_cast<std::size_t>(nblocks - 1), 0);
     return;
   }
-#pragma omp parallel for schedule(static)
   for (std::ptrdiff_t b = 0; b < nblocks; ++b) {
     const std::size_t blk = static_cast<std::size_t>(b);
     std::size_t off = 0;
@@ -396,14 +391,12 @@ void price_blocked_sp16(const core::BsBlockedView& batch) {
     // A 16-lane tile spans two adjacent blocks; an odd trailing block
     // finishes 8-wide.
     const std::ptrdiff_t npairs = nblocks / 2;
-#pragma omp parallel for schedule(static)
     for (std::ptrdiff_t p = 0; p < npairs; ++p) {
       tile16(static_cast<std::size_t>(2 * p), 0, static_cast<std::size_t>(2 * p + 1), 0);
     }
     if (nblocks % 2 != 0) tile8(static_cast<std::size_t>(nblocks - 1), 0);
     return;
   }
-#pragma omp parallel for schedule(static)
   for (std::ptrdiff_t b = 0; b < nblocks; ++b) {
     const std::size_t blk = static_cast<std::size_t>(b);
     std::size_t off = 0;
@@ -484,7 +477,6 @@ void price_from_aos_sp_width(const core::BsAosView& batch) {
   // x2 unroll, as in the DP fused path: the second tile's transpose
   // overlaps the first tile's transcendentals.
   const std::ptrdiff_t npairs = nfull / 2;
-#pragma omp parallel for schedule(static)
   for (std::ptrdiff_t p = 0; p < npairs; ++p) {
     core::BsOptionAos* const x = o + static_cast<std::size_t>(2 * p) * W;
     tile(x);

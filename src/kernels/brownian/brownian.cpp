@@ -1,10 +1,10 @@
 #include "finbench/kernels/brownian.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
 
-#include "finbench/arch/parallel.hpp"
 #include "finbench/simd/vec.hpp"
 
 namespace finbench::kernels::brownian {
@@ -104,31 +104,25 @@ void build_one(const BridgeSchedule& sched, const double* z, double* scratch, do
 }  // namespace
 
 void construct_reference(const BridgeSchedule& sched, std::span<const double> z,
-                         std::size_t nsim, std::span<double> out) {
+                         std::size_t nsim, std::span<double> out, std::size_t first,
+                         std::size_t last) {
   const std::size_t np = sched.num_points();
   const std::size_t zn = sched.normals_per_path();
+  last = std::min(last, nsim);
   assert(z.size() >= nsim * zn && out.size() >= nsim * np);
   arch::AlignedVector<double> a(np), b(np);
-  for (std::size_t s = 0; s < nsim; ++s) {
+  for (std::size_t s = first; s < last; ++s) {
     build_one(sched, z.data() + s * zn, a.data(), b.data());
     for (std::size_t c = 0; c < np; ++c) out[c * nsim + s] = a[c];
   }
 }
 
+// The basic level is the reference loop plus the pragmas the compiler can
+// use; path construction itself does not vectorize (see the header), so
+// it shares the reference's code.
 void construct_basic(const BridgeSchedule& sched, std::span<const double> z, std::size_t nsim,
-                     std::span<double> out) {
-  const std::size_t np = sched.num_points();
-  const std::size_t zn = sched.normals_per_path();
-  assert(z.size() >= nsim * zn && out.size() >= nsim * np);
-#pragma omp parallel
-  {
-    arch::AlignedVector<double> a(np), b(np);
-#pragma omp for schedule(static)
-    for (std::ptrdiff_t s = 0; s < static_cast<std::ptrdiff_t>(nsim); ++s) {
-      build_one(sched, z.data() + static_cast<std::size_t>(s) * zn, a.data(), b.data());
-      for (std::size_t c = 0; c < np; ++c) out[c * nsim + static_cast<std::size_t>(s)] = a[c];
-    }
-  }
+                     std::span<double> out, std::size_t first, std::size_t last) {
+  construct_reference(sched, z, nsim, out, first, last);
 }
 
 // --- SIMD across paths -------------------------------------------------------
@@ -171,22 +165,17 @@ void build_group(const BridgeSchedule& sched, const double* z, double* out, std:
 
 template <int W>
 void construct_simd(const BridgeSchedule& sched, std::span<const double> z, std::size_t nsim,
-                    std::span<double> out) {
+                    std::span<double> out, std::size_t first, std::size_t last) {
   const std::size_t np = sched.num_points();
   const std::size_t zn = sched.normals_per_path();
-  const std::size_t groups = nsim / W;
-#pragma omp parallel
-  {
-    arch::AlignedVector<double> a(np * W), b(np * W);
-#pragma omp for schedule(static)
-    for (std::ptrdiff_t g = 0; g < static_cast<std::ptrdiff_t>(groups); ++g) {
-      build_group<W>(sched, z.data() + static_cast<std::size_t>(g) * zn * W, out.data(), nsim,
-                     static_cast<std::size_t>(g) * W, a.data(), b.data());
-    }
+  const std::size_t full = nsim / W * W;  // paths in whole lane groups
+  last = std::min(last, nsim);
+  arch::AlignedVector<double> a(np * W), b(np * W);
+  for (std::size_t s = first; s < std::min(last, full); s += W) {
+    build_group<W>(sched, z.data() + s * zn, out.data(), nsim, s, a.data(), b.data());
   }
   // Tail paths: scalar (their z kept per-path layout).
-  arch::AlignedVector<double> a(np), b(np);
-  for (std::size_t s = groups * W; s < nsim; ++s) {
+  for (std::size_t s = std::max(first, full); s < last; ++s) {
     build_one(sched, z.data() + s * zn, a.data(), b.data());
     for (std::size_t c = 0; c < np; ++c) out[c * nsim + s] = a[c];
   }
@@ -198,54 +187,50 @@ void construct_simd(const BridgeSchedule& sched, std::span<const double> z, std:
 // reproducible regardless of thread count.
 template <int W, class Consume>
 void run_interleaved(const BridgeSchedule& sched, std::uint64_t seed, std::size_t nsim,
-                     Consume&& consume) {
+                     std::size_t first, std::size_t last, Consume&& consume) {
   const std::size_t np = sched.num_points();
   const std::size_t zn = sched.normals_per_path();
-  const std::size_t groups = (nsim + W - 1) / W;
-#pragma omp parallel
-  {
-    arch::AlignedVector<double> zbuf(zn * W);
-    arch::AlignedVector<double> a(np * W), b(np * W);
-#pragma omp for schedule(static)
-    for (std::ptrdiff_t g = 0; g < static_cast<std::ptrdiff_t>(groups); ++g) {
-      rng::NormalStream stream(seed, static_cast<std::uint64_t>(g));
-      stream.fill(zbuf);
-      const std::size_t base = static_cast<std::size_t>(g) * W;
-      const std::size_t lanes = std::min<std::size_t>(W, nsim - base);
-      if (lanes == W) {
-        // Full group: vector construction straight from the cache buffer.
-        double* src = a.data();
-        double* dst = b.data();
-        using V = simd::Vec<double, W>;
-        std::size_t zi = 0;
-        V(0.0).store(src);
-        (V::load(zbuf.data()) * V(sched.terminal_sig())).store(src + W);
-        ++zi;
-        for (int d = 0; d < sched.depth(); ++d) {
-          const double* wl = sched.w_l(d);
-          const double* wr = sched.w_r(d);
-          const double* sg = sched.sig(d);
-          V::load(src).store(dst);
-          for (std::size_t c = 0; c < (std::size_t{1} << d); ++c) {
-            const V left = V::load(src + c * W);
-            const V right = V::load(src + (c + 1) * W);
-            const V zv = V::load(zbuf.data() + (zi++) * W);
-            fmadd(left, V(wl[c]), fmadd(right, V(wr[c]), V(sg[c]) * zv))
-                .store(dst + (2 * c + 1) * W);
-            right.store(dst + (2 * c + 2) * W);
-          }
-          std::swap(src, dst);
+  const std::size_t groups = (std::min(last, nsim) + W - 1) / W;
+  arch::AlignedVector<double> zbuf(zn * W);
+  arch::AlignedVector<double> a(np * W), b(np * W);
+  for (std::size_t g = first / W; g < groups; ++g) {
+    rng::NormalStream stream(seed, static_cast<std::uint64_t>(g));
+    stream.fill(zbuf);
+    const std::size_t base = static_cast<std::size_t>(g) * W;
+    const std::size_t lanes = std::min<std::size_t>(W, nsim - base);
+    if (lanes == W) {
+      // Full group: vector construction straight from the cache buffer.
+      double* src = a.data();
+      double* dst = b.data();
+      using V = simd::Vec<double, W>;
+      std::size_t zi = 0;
+      V(0.0).store(src);
+      (V::load(zbuf.data()) * V(sched.terminal_sig())).store(src + W);
+      ++zi;
+      for (int d = 0; d < sched.depth(); ++d) {
+        const double* wl = sched.w_l(d);
+        const double* wr = sched.w_r(d);
+        const double* sg = sched.sig(d);
+        V::load(src).store(dst);
+        for (std::size_t c = 0; c < (std::size_t{1} << d); ++c) {
+          const V left = V::load(src + c * W);
+          const V right = V::load(src + (c + 1) * W);
+          const V zv = V::load(zbuf.data() + (zi++) * W);
+          fmadd(left, V(wl[c]), fmadd(right, V(wr[c]), V(sg[c]) * zv))
+              .store(dst + (2 * c + 1) * W);
+          right.store(dst + (2 * c + 2) * W);
         }
-        consume(src, base, W);
-      } else {
-        // Ragged final group: scalar per lane, reading lane-strided normals.
-        for (std::size_t l = 0; l < lanes; ++l) {
-          arch::AlignedVector<double> zs(zn);
-          for (std::size_t i = 0; i < zn; ++i) zs[i] = zbuf[i * W + l];
-          arch::AlignedVector<double> pa(np), pb(np);
-          build_one(sched, zs.data(), pa.data(), pb.data());
-          consume(pa.data(), base + l, 1);
-        }
+        std::swap(src, dst);
+      }
+      consume(src, base, W);
+    } else {
+      // Ragged final group: scalar per lane, reading lane-strided normals.
+      for (std::size_t l = 0; l < lanes; ++l) {
+        arch::AlignedVector<double> zs(zn);
+        for (std::size_t i = 0; i < zn; ++i) zs[i] = zbuf[i * W + l];
+        arch::AlignedVector<double> pa(np), pb(np);
+        build_one(sched, zs.data(), pa.data(), pb.data());
+        consume(pa.data(), base + l, 1);
       }
     }
   }
@@ -254,17 +239,18 @@ void run_interleaved(const BridgeSchedule& sched, std::uint64_t seed, std::size_
 }  // namespace
 
 void construct_intermediate(const BridgeSchedule& sched, std::span<const double> z,
-                            std::size_t nsim, std::span<double> out, Width w) {
+                            std::size_t nsim, std::span<double> out, Width w, std::size_t first,
+                            std::size_t last) {
   assert(out.size() >= nsim * sched.num_points());
   switch (w) {
-    case Width::kScalar: construct_simd<1>(sched, z, nsim, out); return;
-    case Width::kAvx2: construct_simd<4>(sched, z, nsim, out); return;
+    case Width::kScalar: construct_simd<1>(sched, z, nsim, out, first, last); return;
+    case Width::kAvx2: construct_simd<4>(sched, z, nsim, out, first, last); return;
 #if defined(FINBENCH_HAVE_AVX512)
     case Width::kAvx512:
-    case Width::kAuto: construct_simd<8>(sched, z, nsim, out); return;
+    case Width::kAuto: construct_simd<8>(sched, z, nsim, out, first, last); return;
 #else
     case Width::kAvx512:
-    case Width::kAuto: construct_simd<4>(sched, z, nsim, out); return;
+    case Width::kAuto: construct_simd<4>(sched, z, nsim, out, first, last); return;
 #endif
   }
 }
@@ -273,9 +259,10 @@ namespace {
 
 template <int W>
 void advanced_interleaved_width(const BridgeSchedule& sched, std::uint64_t seed,
-                                std::size_t nsim, std::span<double> out) {
+                                std::size_t nsim, std::span<double> out, std::size_t first,
+                                std::size_t last) {
   const std::size_t np = sched.num_points();
-  run_interleaved<W>(sched, seed, nsim,
+  run_interleaved<W>(sched, seed, nsim, first, last,
                      [&](const double* path, std::size_t base, std::size_t lanes) {
                        // path is [point][lane] for `lanes` paths.
                        for (std::size_t c = 0; c < np; ++c) {
@@ -288,10 +275,10 @@ void advanced_interleaved_width(const BridgeSchedule& sched, std::uint64_t seed,
 
 template <int W>
 void advanced_fused_width(const BridgeSchedule& sched, std::uint64_t seed, std::size_t nsim,
-                          std::span<double> avg_out) {
+                          std::span<double> avg_out, std::size_t first, std::size_t last) {
   const std::size_t np = sched.num_points();
   const double inv = 1.0 / static_cast<double>(np - 1);
-  run_interleaved<W>(sched, seed, nsim,
+  run_interleaved<W>(sched, seed, nsim, first, last,
                      [&](const double* path, std::size_t base, std::size_t lanes) {
                        for (std::size_t l = 0; l < lanes; ++l) {
                          double acc = 0.0;
@@ -304,33 +291,36 @@ void advanced_fused_width(const BridgeSchedule& sched, std::uint64_t seed, std::
 }  // namespace
 
 void construct_advanced_interleaved(const BridgeSchedule& sched, std::uint64_t seed,
-                                    std::size_t nsim, std::span<double> out, Width w) {
+                                    std::size_t nsim, std::span<double> out, Width w,
+                                    std::size_t first, std::size_t last) {
   assert(out.size() >= nsim * sched.num_points());
   switch (w) {
-    case Width::kScalar: advanced_interleaved_width<1>(sched, seed, nsim, out); return;
-    case Width::kAvx2: advanced_interleaved_width<4>(sched, seed, nsim, out); return;
+    case Width::kScalar: advanced_interleaved_width<1>(sched, seed, nsim, out, first, last); return;
+    case Width::kAvx2: advanced_interleaved_width<4>(sched, seed, nsim, out, first, last); return;
 #if defined(FINBENCH_HAVE_AVX512)
     case Width::kAvx512:
-    case Width::kAuto: advanced_interleaved_width<8>(sched, seed, nsim, out); return;
+    case Width::kAuto: advanced_interleaved_width<8>(sched, seed, nsim, out, first, last); return;
 #else
     case Width::kAvx512:
-    case Width::kAuto: advanced_interleaved_width<4>(sched, seed, nsim, out); return;
+    case Width::kAuto: advanced_interleaved_width<4>(sched, seed, nsim, out, first, last); return;
 #endif
   }
 }
 
 void construct_advanced_fused(const BridgeSchedule& sched, std::uint64_t seed, std::size_t nsim,
-                              std::span<double> path_average_out, Width w) {
+                              std::span<double> path_average_out, Width w, std::size_t first,
+                              std::size_t last) {
   assert(path_average_out.size() >= nsim);
+  auto& out = path_average_out;
   switch (w) {
-    case Width::kScalar: advanced_fused_width<1>(sched, seed, nsim, path_average_out); return;
-    case Width::kAvx2: advanced_fused_width<4>(sched, seed, nsim, path_average_out); return;
+    case Width::kScalar: advanced_fused_width<1>(sched, seed, nsim, out, first, last); return;
+    case Width::kAvx2: advanced_fused_width<4>(sched, seed, nsim, out, first, last); return;
 #if defined(FINBENCH_HAVE_AVX512)
     case Width::kAvx512:
-    case Width::kAuto: advanced_fused_width<8>(sched, seed, nsim, path_average_out); return;
+    case Width::kAuto: advanced_fused_width<8>(sched, seed, nsim, out, first, last); return;
 #else
     case Width::kAvx512:
-    case Width::kAuto: advanced_fused_width<4>(sched, seed, nsim, path_average_out); return;
+    case Width::kAuto: advanced_fused_width<4>(sched, seed, nsim, out, first, last); return;
 #endif
   }
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <exception>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -994,17 +993,12 @@ void price_packs(std::span<const core::OptionSpec> opts, const GridSpec& grid,
                  std::span<double> out, core::ScratchPool* scratch) {
   const std::size_t n = opts.size();
   if (n == 0) return;
-  core::ScratchPool::Lease lease;
-  arch::AlignedVector<double> local;
-  const std::size_t doubles = pack_doubles(grid.num_prices, W);
-  if (scratch != nullptr) lease = scratch->claim(doubles);
-  if (!lease) local.resize(doubles);
-  double* const work = lease ? lease.data() : local.data();
+  core::ScratchBuf work(scratch, pack_doubles(grid.num_prices, W));
   for (std::size_t lo = 0; lo < n; lo += W) {
     const core::OptionSpec* lane[W];
     for (int l = 0; l < W; ++l) lane[l] = &opts[std::min(lo + l, n - 1)];
     alignas(64) double price[W]{};
-    solve_pack<W>(lane, grid, work, price);
+    solve_pack<W>(lane, grid, work.data(), price);
     for (std::size_t i = lo; i < std::min(lo + W, n); ++i) out[i] = price[i - lo];
   }
 }
@@ -1091,24 +1085,13 @@ double price_european_theta(const core::OptionSpec& opt, const GridSpec& grid, d
 
 namespace {
 
-// Options per task of the batch driver: a pair for the ILP-paired
-// wavefront, a pack for the direct solve, one option otherwise.
-std::size_t unit_of(Variant v, Width w) {
-  switch (v) {
-    case Variant::kWavefrontSplitPaired: return 2;
-    case Variant::kDirectPacked: {
-      const int lanes = w == Width::kAuto ? vecmath::max_width() : static_cast<int>(w);
-      return static_cast<std::size_t>(lanes);
-    }
-    default: return 1;
-  }
-}
+// Options per unit of the batch driver: a pair for the ILP-paired
+// wavefront, one option otherwise.
+std::size_t unit_of(Variant v) { return v == Variant::kWavefrontSplitPaired ? 2 : 1; }
 
 void price_unit(std::span<const core::OptionSpec> opts, const GridSpec& grid, Variant v,
-                std::span<double> out, Width w, core::ScratchPool* scratch) {
-  if (v == Variant::kDirectPacked) {
-    price_direct_packed(opts, grid, out, w, scratch);
-  } else if (v == Variant::kWavefrontSplitPaired && opts.size() == 2) {
+                std::span<double> out, Width w) {
+  if (v == Variant::kWavefrontSplitPaired && opts.size() == 2) {
     const auto [ra, rb] = price_wavefront_split_pair(opts[0], opts[1], grid, w);
     out[0] = ra.price;
     out[1] = rb.price;
@@ -1133,24 +1116,18 @@ void price_batch(std::span<const core::OptionSpec> opts, const GridSpec& grid, V
   const std::size_t n = opts.size();
   static obs::Counter& priced = obs::counter("cn.options_priced");
   priced.add(static_cast<std::uint64_t>(n));
-  const std::size_t unit = unit_of(v, w);
-  const auto units = static_cast<std::ptrdiff_t>((n + unit - 1) / unit);
-  // An exception must not leave the parallel region (that terminates the
-  // process): the first one is kept and rethrown after the join.
-  std::exception_ptr error;
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::ptrdiff_t k = 0; k < units; ++k) {
+  if (v == Variant::kDirectPacked) {
+    // One call over every pack: one leased workspace for the batch.
     FINBENCH_SPAN("cn.unit");
-    const std::size_t lo = static_cast<std::size_t>(k) * unit;
-    const std::size_t m = std::min(unit, n - lo);
-    try {
-      price_unit(opts.subspan(lo, m), grid, v, out.subspan(lo, m), w, scratch);
-    } catch (...) {
-#pragma omp critical(cn_batch_error)
-      if (!error) error = std::current_exception();
-    }
+    price_direct_packed(opts, grid, out, w, scratch);
+    return;
   }
-  if (error) std::rethrow_exception(error);
+  const std::size_t unit = unit_of(v);
+  for (std::size_t lo = 0; lo < n; lo += unit) {
+    FINBENCH_SPAN("cn.unit");
+    const std::size_t m = std::min(unit, n - lo);
+    price_unit(opts.subspan(lo, m), grid, v, out.subspan(lo, m), w);
+  }
 }
 
 }  // namespace finbench::kernels::cn

@@ -76,10 +76,8 @@ void price_reference_stream(std::span<const core::OptionSpec> opts, std::span<co
 void price_basic_stream(std::span<const core::OptionSpec> opts, std::span<const double> z,
                         std::size_t npath, std::span<McResult> out) {
   assert(z.size() >= npath && out.size() >= opts.size());
-  const std::ptrdiff_t nopt = static_cast<std::ptrdiff_t>(opts.size());
   detail::count_paths(opts.size() * npath);
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::ptrdiff_t o = 0; o < nopt; ++o) {
+  for (std::size_t o = 0; o < opts.size(); ++o) {
     FINBENCH_SPAN("mc.option");
     const PathParams p = path_params(opts[o]);
     const double spot = opts[o].spot, strike = opts[o].strike;
@@ -140,75 +138,48 @@ McResult integrate_paths(const core::OptionSpec& opt, const double* z, std::size
 template <int W>
 void optimized_stream_width(std::span<const core::OptionSpec> opts, std::span<const double> z,
                             std::size_t npath, std::span<McResult> out) {
-  const std::ptrdiff_t nopt = static_cast<std::ptrdiff_t>(opts.size());
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::ptrdiff_t o = 0; o < nopt; ++o) {
+  for (std::size_t o = 0; o < opts.size(); ++o) {
     FINBENCH_SPAN("mc.option");
     out[o] = integrate_paths<W>(opts[o], z.data(), npath);
   }
 }
-
-// Per-worker normal-chunk storage: lease from the engine's scratch pool
-// when it has room, local aligned allocation otherwise (standalone calls,
-// exhausted pools). kRngChunk lives in the header so engines can size
-// their pools.
-struct ZBuf {
-  core::ScratchPool::Lease lease;
-  arch::AlignedVector<double> local;
-  double* data = nullptr;
-
-  explicit ZBuf(core::ScratchPool* pool) {
-    if (pool != nullptr) lease = pool->claim(kRngChunk);
-    if (lease) {
-      data = lease.data();
-    } else {
-      local.resize(kRngChunk);
-      data = local.data();
-    }
-  }
-};
 
 template <int W>
 void optimized_computed_width(std::span<const core::OptionSpec> opts, std::size_t npath,
                               std::uint64_t seed, std::span<McResult> out,
                               std::uint64_t stream_base, core::ScratchPool* scratch) {
   using V = simd::Vec<double, W>;
-  const std::ptrdiff_t nopt = static_cast<std::ptrdiff_t>(opts.size());
-#pragma omp parallel
-  {
-    ZBuf zb(scratch);
-    double* const zbuf = zb.data;
-#pragma omp for schedule(dynamic, 1)
-    for (std::ptrdiff_t o = 0; o < nopt; ++o) {
-      FINBENCH_SPAN("mc.option");
-      const core::OptionSpec& opt = opts[o];
-      const PathParams p = path_params(opt);
-      const V spot(opt.spot), strike(opt.strike), vrt(p.v_rt_t), mu(p.mu_t), sign(p.sign);
-      rng::NormalStream stream(seed, stream_base + static_cast<std::uint64_t>(o));
-      V v0v(0.0), v1v(0.0);
-      double v0 = 0.0, v1 = 0.0;
-      std::size_t done = 0;
-      while (done < npath) {
-        const std::size_t chunk = std::min(kRngChunk, npath - done);
-        stream.fill({zbuf, chunk});
-        std::size_t i = 0;
-        for (; i + W <= chunk; i += W) {
-          const V zv = V::load(zbuf + i);
-          const V st = spot * vecmath::exp(fmadd(vrt, zv, mu));
-          const V res = max(V(0.0), sign * (st - strike));
-          v0v += res;
-          v1v = fmadd(res, res, v1v);
-        }
-        for (; i < chunk; ++i) {
-          const double st = opt.spot * std::exp(p.v_rt_t * zbuf[i] + p.mu_t);
-          const double res = std::max(0.0, p.sign * (st - opt.strike));
-          v0 += res;
-          v1 += res * res;
-        }
-        done += chunk;
+  core::ScratchBuf zb(scratch, kRngChunk);
+  double* const zbuf = zb.data();
+  for (std::size_t o = 0; o < opts.size(); ++o) {
+    FINBENCH_SPAN("mc.option");
+    const core::OptionSpec& opt = opts[o];
+    const PathParams p = path_params(opt);
+    const V spot(opt.spot), strike(opt.strike), vrt(p.v_rt_t), mu(p.mu_t), sign(p.sign);
+    rng::NormalStream stream(seed, stream_base + static_cast<std::uint64_t>(o));
+    V v0v(0.0), v1v(0.0);
+    double v0 = 0.0, v1 = 0.0;
+    std::size_t done = 0;
+    while (done < npath) {
+      const std::size_t chunk = std::min(kRngChunk, npath - done);
+      stream.fill({zbuf, chunk});
+      std::size_t i = 0;
+      for (; i + W <= chunk; i += W) {
+        const V zv = V::load(zbuf + i);
+        const V st = spot * vecmath::exp(fmadd(vrt, zv, mu));
+        const V res = max(V(0.0), sign * (st - strike));
+        v0v += res;
+        v1v = fmadd(res, res, v1v);
       }
-      out[o] = finalize(p, v0 + hsum(v0v), v1 + hsum(v1v), npath);
+      for (; i < chunk; ++i) {
+        const double st = opt.spot * std::exp(p.v_rt_t * zbuf[i] + p.mu_t);
+        const double res = std::max(0.0, p.sign * (st - opt.strike));
+        v0 += res;
+        v1 += res * res;
+      }
+      done += chunk;
     }
+    out[o] = finalize(p, v0 + hsum(v0v), v1 + hsum(v1v), npath);
   }
 }
 
@@ -256,8 +227,8 @@ void price_reference_computed(std::span<const core::OptionSpec> opts, std::size_
                               std::uint64_t stream_base, core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
   detail::count_paths(opts.size() * npath);
-  ZBuf zb(scratch);
-  double* const zbuf = zb.data;
+  core::ScratchBuf zb(scratch, kRngChunk);
+  double* const zbuf = zb.data();
   for (std::size_t o = 0; o < opts.size(); ++o) {
     const PathParams p = path_params(opts[o]);
     rng::NormalStream stream(seed, stream_base + o);
@@ -312,65 +283,60 @@ void price_variance_reduced(std::span<const core::OptionSpec> opts, std::size_t 
                             core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
   detail::count_paths(opts.size() * npath);
-  const std::ptrdiff_t nopt = static_cast<std::ptrdiff_t>(opts.size());
-#pragma omp parallel
-  {
-    ZBuf zb(scratch);
-    double* const zbuf = zb.data;
-#pragma omp for schedule(dynamic, 1)
-    for (std::ptrdiff_t o = 0; o < nopt; ++o) {
-      const core::OptionSpec& opt = opts[o];
-      const PathParams p = path_params(opt);
-      rng::NormalStream stream(seed, stream_base + static_cast<std::uint64_t>(o));
+  core::ScratchBuf zb(scratch, kRngChunk);
+  double* const zbuf = zb.data();
+  for (std::size_t o = 0; o < opts.size(); ++o) {
+    const core::OptionSpec& opt = opts[o];
+    const PathParams p = path_params(opt);
+    rng::NormalStream stream(seed, stream_base + static_cast<std::uint64_t>(o));
 
-      // One observation per draw: the (pair-averaged, when antithetic)
-      // payoff and control. Pair averaging bakes the negative within-pair
-      // covariance into the sample variance, so the reported SE reflects
-      // the true variance reduction.
-      double sp = 0, spp = 0, sc = 0, scc = 0, spc = 0;
-      const std::size_t draws = antithetic ? (npath + 1) / 2 : npath;
-      std::size_t done = 0;
-      while (done < draws) {
-        const std::size_t chunk = std::min(kRngChunk, draws - done);
-        stream.fill({zbuf, chunk});
-        for (std::size_t i = 0; i < chunk; ++i) {
-          const double st_plus = opt.spot * std::exp(p.v_rt_t * zbuf[i] + p.mu_t);
-          double pay = std::max(0.0, p.sign * (st_plus - opt.strike));
-          double ctrl = st_plus;
-          if (antithetic) {
-            const double st_minus = opt.spot * std::exp(-p.v_rt_t * zbuf[i] + p.mu_t);
-            pay = 0.5 * (pay + std::max(0.0, p.sign * (st_minus - opt.strike)));
-            ctrl = 0.5 * (ctrl + st_minus);
-          }
-          sp += pay;
-          spp += pay * pay;
-          sc += ctrl;
-          scc += ctrl * ctrl;
-          spc += pay * ctrl;
+    // One observation per draw: the (pair-averaged, when antithetic)
+    // payoff and control. Pair averaging bakes the negative within-pair
+    // covariance into the sample variance, so the reported SE reflects
+    // the true variance reduction.
+    double sp = 0, spp = 0, sc = 0, scc = 0, spc = 0;
+    const std::size_t draws = antithetic ? (npath + 1) / 2 : npath;
+    std::size_t done = 0;
+    while (done < draws) {
+      const std::size_t chunk = std::min(kRngChunk, draws - done);
+      stream.fill({zbuf, chunk});
+      for (std::size_t i = 0; i < chunk; ++i) {
+        const double st_plus = opt.spot * std::exp(p.v_rt_t * zbuf[i] + p.mu_t);
+        double pay = std::max(0.0, p.sign * (st_plus - opt.strike));
+        double ctrl = st_plus;
+        if (antithetic) {
+          const double st_minus = opt.spot * std::exp(-p.v_rt_t * zbuf[i] + p.mu_t);
+          pay = 0.5 * (pay + std::max(0.0, p.sign * (st_minus - opt.strike)));
+          ctrl = 0.5 * (ctrl + st_minus);
         }
-        done += chunk;
+        sp += pay;
+        spp += pay * pay;
+        sc += ctrl;
+        scc += ctrl * ctrl;
+        spc += pay * ctrl;
       }
-      const double n = static_cast<double>(draws);
-      const double mean_p = sp / n, mean_c = sc / n;
-      double var_p = std::max(spp / n - mean_p * mean_p, 0.0);
-      double est = mean_p;
-      if (control_variate) {
-        const double var_c = std::max(scc / n - mean_c * mean_c, 0.0);
-        const double cov = spc / n - mean_p * mean_c;
-        if (var_c > 1e-300) {
-          const double beta = cov / var_c;
-          // E[control] = S e^{(r-q)T} exactly (also the mean of the pair
-          // average): subtract the correlated component.
-          const double e_st = opt.spot * std::exp((opt.rate - opt.dividend) * opt.years);
-          est = mean_p - beta * (mean_c - e_st);
-          var_p = std::max(var_p - cov * cov / var_c, 0.0);
-        }
-      }
-      McResult r;
-      r.price = p.df * est;
-      r.std_error = p.df * std::sqrt(var_p / n);
-      out[o] = r;
+      done += chunk;
     }
+    const double n = static_cast<double>(draws);
+    const double mean_p = sp / n, mean_c = sc / n;
+    double var_p = std::max(spp / n - mean_p * mean_p, 0.0);
+    double est = mean_p;
+    if (control_variate) {
+      const double var_c = std::max(scc / n - mean_c * mean_c, 0.0);
+      const double cov = spc / n - mean_p * mean_c;
+      if (var_c > 1e-300) {
+        const double beta = cov / var_c;
+        // E[control] = S e^{(r-q)T} exactly (also the mean of the pair
+        // average): subtract the correlated component.
+        const double e_st = opt.spot * std::exp((opt.rate - opt.dividend) * opt.years);
+        est = mean_p - beta * (mean_c - e_st);
+        var_p = std::max(var_p - cov * cov / var_c, 0.0);
+      }
+    }
+    McResult r;
+    r.price = p.df * est;
+    r.std_error = p.df * std::sqrt(var_p / n);
+    out[o] = r;
   }
 }
 
@@ -379,62 +345,57 @@ void price_variance_reduced(std::span<const core::OptionSpec> opts, std::size_t 
 void greeks_pathwise(std::span<const core::OptionSpec> opts, std::size_t npath,
                      std::uint64_t seed, std::span<McGreeks> out) {
   assert(out.size() >= opts.size());
-  const std::ptrdiff_t nopt = static_cast<std::ptrdiff_t>(opts.size());
-#pragma omp parallel
-  {
-    arch::AlignedVector<double> zbuf(kRngChunk);
-#pragma omp for schedule(dynamic, 1)
-    for (std::ptrdiff_t o = 0; o < nopt; ++o) {
-      const core::OptionSpec& opt = opts[o];
-      const PathParams p = path_params(opt);
-      const bool call = opt.type == core::OptionType::kCall;
-      const double sig_rt = p.v_rt_t;
-      const double drift_vega = (opt.rate - opt.dividend + 0.5 * opt.vol * opt.vol) *
-                                opt.years;  // d S_T / d sigma uses this
-      rng::NormalStream stream(seed, static_cast<std::uint64_t>(o));
+  arch::AlignedVector<double> zbuf(kRngChunk);
+  for (std::size_t o = 0; o < opts.size(); ++o) {
+    const core::OptionSpec& opt = opts[o];
+    const PathParams p = path_params(opt);
+    const bool call = opt.type == core::OptionType::kCall;
+    const double sig_rt = p.v_rt_t;
+    const double drift_vega = (opt.rate - opt.dividend + 0.5 * opt.vol * opt.vol) *
+                              opt.years;  // d S_T / d sigma uses this
+    rng::NormalStream stream(seed, static_cast<std::uint64_t>(o));
 
-      double sp = 0, sd = 0, sdd = 0, sv = 0, svv = 0, sg = 0;
-      std::size_t done = 0;
-      while (done < npath) {
-        const std::size_t chunk = std::min(kRngChunk, npath - done);
-        stream.fill({zbuf.data(), chunk});
-        for (std::size_t i = 0; i < chunk; ++i) {
-          const double z = zbuf[i];
-          const double st = opt.spot * std::exp(p.v_rt_t * z + p.mu_t);
-          const bool itm = call ? st > opt.strike : st < opt.strike;
-          const double sign = call ? 1.0 : -1.0;
-          const double pay = std::max(0.0, sign * (st - opt.strike));
-          sp += pay;
-          if (itm) {
-            // Pathwise delta: d payoff / d S0 = sign * S_T / S0 on ITM paths.
-            const double d = sign * st / opt.spot;
-            sd += d;
-            sdd += d * d;
-            // Pathwise vega: d S_T / d sigma = S_T (ln(S_T/S0) - drift)/sigma.
-            const double dst_dsig =
-                st * (std::log(st / opt.spot) - drift_vega) / opt.vol;
-            const double v = sign * dst_dsig;
-            sv += v;
-            svv += v * v;
-          }
-          // Likelihood-ratio gamma (payoff-kink-safe, unbiased).
-          const double w = ((z * z - 1.0) / (opt.spot * opt.spot * sig_rt * sig_rt)) -
-                           z / (opt.spot * opt.spot * sig_rt);
-          sg += pay * w;
+    double sp = 0, sd = 0, sdd = 0, sv = 0, svv = 0, sg = 0;
+    std::size_t done = 0;
+    while (done < npath) {
+      const std::size_t chunk = std::min(kRngChunk, npath - done);
+      stream.fill({zbuf.data(), chunk});
+      for (std::size_t i = 0; i < chunk; ++i) {
+        const double z = zbuf[i];
+        const double st = opt.spot * std::exp(p.v_rt_t * z + p.mu_t);
+        const bool itm = call ? st > opt.strike : st < opt.strike;
+        const double sign = call ? 1.0 : -1.0;
+        const double pay = std::max(0.0, sign * (st - opt.strike));
+        sp += pay;
+        if (itm) {
+          // Pathwise delta: d payoff / d S0 = sign * S_T / S0 on ITM paths.
+          const double d = sign * st / opt.spot;
+          sd += d;
+          sdd += d * d;
+          // Pathwise vega: d S_T / d sigma = S_T (ln(S_T/S0) - drift)/sigma.
+          const double dst_dsig =
+              st * (std::log(st / opt.spot) - drift_vega) / opt.vol;
+          const double v = sign * dst_dsig;
+          sv += v;
+          svv += v * v;
         }
-        done += chunk;
+        // Likelihood-ratio gamma (payoff-kink-safe, unbiased).
+        const double w = ((z * z - 1.0) / (opt.spot * opt.spot * sig_rt * sig_rt)) -
+                         z / (opt.spot * opt.spot * sig_rt);
+        sg += pay * w;
       }
-      const double n = static_cast<double>(npath);
-      McGreeks g;
-      g.price = p.df * sp / n;
-      g.delta = p.df * sd / n;
-      g.vega = p.df * sv / n;
-      g.gamma = p.df * sg / n;
-      const double md = sd / n, mv = sv / n;
-      g.delta_se = p.df * std::sqrt(std::max(sdd / n - md * md, 0.0) / n);
-      g.vega_se = p.df * std::sqrt(std::max(svv / n - mv * mv, 0.0) / n);
-      out[o] = g;
+      done += chunk;
     }
+    const double n = static_cast<double>(npath);
+    McGreeks g;
+    g.price = p.df * sp / n;
+    g.delta = p.df * sd / n;
+    g.vega = p.df * sv / n;
+    g.gamma = p.df * sg / n;
+    const double md = sd / n, mv = sv / n;
+    g.delta_se = p.df * std::sqrt(std::max(sdd / n - md * md, 0.0) / n);
+    g.vega_se = p.df * std::sqrt(std::max(svv / n - mv * mv, 0.0) / n);
+    out[o] = g;
   }
 }
 

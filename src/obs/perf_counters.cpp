@@ -73,7 +73,7 @@ int open_event(std::uint32_t type, std::uint64_t config) {
   attr.type = type;
   attr.config = config;
   attr.disabled = 0;  // free-running; regions read deltas
-  attr.inherit = 1;   // aggregate OpenMP workers spawned after init
+  attr.inherit = 1;   // aggregate pool workers spawned after init
   attr.exclude_kernel = 1;
   attr.exclude_hv = 1;
   attr.read_format = PERF_FORMAT_TOTAL_TIME_ENABLED | PERF_FORMAT_TOTAL_TIME_RUNNING;

@@ -228,9 +228,9 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
   // Phase 2 — schedule / chunks_per_thread grid on the winning variant.
   // Only the cost-weighted kSpecs partition is worth racing. Black–Scholes
   // chunks are cache-sized (the knobs only change mid-size books) and
-  // Brownian runs whole-batch: both keep the seed configuration.
+  // Brownian path groups cost the same: both keep the seed configuration.
   const engine::VariantInfo* wv = engine::Registry::instance().find(phase1->id);
-  if (wv != nullptr && wv->run_range != nullptr && wv->layout == core::Layout::kSpecs &&
+  if (wv != nullptr && wv->layout == core::Layout::kSpecs &&
       req.portfolio.size() >= 2) {
     std::vector<std::pair<arch::Schedule, int>> grid = {
         {arch::Schedule::kDynamic, 4},
@@ -260,7 +260,7 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
         pick_best(rep.candidates, [](const CandidateResult&) { return true; });
     if (sofar != nullptr) {
       const engine::VariantInfo* tv = engine::Registry::instance().find(sofar->id);
-      if (tv != nullptr && tv->run_range != nullptr) {
+      if (tv != nullptr) {
         rep.candidates.push_back(
             probe(tv, sofar->schedule, sofar->chunks_per_thread, !sofar->tasks));
       }

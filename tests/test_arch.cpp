@@ -1,9 +1,8 @@
-// Tests for the platform layer: aligned storage, parallel helpers, timers,
+// Tests for the platform layer: aligned storage, the thread count, timers,
 // CPU detection, machine models (Table I numbers), and roofline math.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -47,54 +46,17 @@ TEST(Aligned, ZeroSizedAllocation) {
   EXPECT_EQ(a.allocate(0), nullptr);
 }
 
-TEST(Parallel, ForCoversAllIndicesExactlyOnce) {
-  constexpr int kN = 10000;
-  std::vector<std::atomic<int>> hits(kN);
-  parallel_for(kN, [&](std::ptrdiff_t i) { hits[i].fetch_add(1); });
-  for (int i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(Parallel, ForBlockedCoversRange) {
-  constexpr int kN = 1037;  // deliberately not a multiple of the block
-  std::vector<std::atomic<int>> hits(kN);
-  parallel_for_blocked(kN, 64, [&](std::ptrdiff_t lo, std::ptrdiff_t hi) {
-    EXPECT_LE(hi - lo, 64);
-    for (std::ptrdiff_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  });
-  for (int i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
 TEST(Parallel, NumThreadsPositive) { EXPECT_GE(num_threads(), 1); }
 
 TEST(Parallel, NumThreadsIsCachedAndOverridable) {
   const int before = num_threads();
-  // The cached value must be stable across calls (no OpenMP region spun up
-  // per query) ...
+  // The cached value must be stable across calls ...
   EXPECT_EQ(num_threads(), before);
   // ... and stay coherent with an explicit override.
   set_num_threads(3);
   EXPECT_EQ(num_threads(), 3);
   set_num_threads(before);
   EXPECT_EQ(num_threads(), before);
-}
-
-TEST(Parallel, DynamicScheduleCoversRange) {
-  constexpr int kN = 501;
-  std::vector<std::atomic<int>> hits(kN);
-  parallel_for(kN, [&](std::ptrdiff_t i) { hits[i].fetch_add(1); }, Schedule::kDynamic);
-  for (int i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(Parallel, DynamicForBlockedCoversRange) {
-  constexpr int kN = 1037;
-  std::vector<std::atomic<int>> hits(kN);
-  parallel_for_blocked(
-      kN, 64,
-      [&](std::ptrdiff_t lo, std::ptrdiff_t hi) {
-        for (std::ptrdiff_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-      },
-      Schedule::kDynamic);
-  for (int i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(Timing, WallTimerMeasuresElapsed) {

@@ -1,8 +1,9 @@
 // Tests for the kernel registry and batched pricing engine: id hygiene and
-// metadata invariants, registry self-validation, chunked-vs-whole-batch
-// equivalence (the RNG-substream and lattice adapters must make chunking
-// invisible), scheduling knobs, and the dynamic-schedule imbalance win on a
-// maturity-sorted heterogeneous portfolio.
+// metadata invariants, registry self-validation, chunked-vs-serial
+// equivalence over every variant (the RNG-substream, lattice and path
+// adapters must make chunking invisible), scheduling knobs, and the
+// dynamic-schedule imbalance win on a maturity-sorted heterogeneous
+// portfolio.
 
 #include <algorithm>
 #include <cmath>
@@ -131,47 +132,95 @@ TEST(Engine, MissingWorkloadIsAnError) {
   EXPECT_FALSE(res.status.to_string().empty());
 }
 
-// Chunked engine execution must be numerically invisible: the same values
-// as one whole-batch call, for both schedules. Lattice and PDE kernels are
-// deterministic per option; the computed-RNG MC adapter re-bases its Philox
-// substreams on the chunk offset to draw identical numbers.
+// The outputs of one execution of variant v on a per-variant workload,
+// flattened for bitwise comparison: the layout's call/put for a
+// Black–Scholes layout (blocked binomial included), values and std errors
+// otherwise (paths in their point-major layout).
+struct Probe {
+  PricingRequest req;
+  core::Portfolio pf;  // Black–Scholes layouts: outputs land here
+  std::vector<core::OptionSpec> specs;
+
+  Probe(const engine::VariantInfo& v, std::uint64_t seed) {
+    req.kernel_id = v.id;
+    req.seed = seed;
+    req.steps = 64;
+    req.npath = 2048;
+    req.cn_num_prices = 33;
+    req.bridge_depth = 4;
+    req.tasks = engine::TaskMode::kOff;
+    switch (v.layout) {
+      case core::Layout::kSpecs: {
+        // Odd sizes leave SIMD tails; every other seed mixes depths.
+        specs = lattice_workload(29 + 4 * (seed % 5), seed, !v.european_only);
+        req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
+        if (v.kernel == "binomial" && seed % 2 == 0) req.steps_per_year = 48;
+        break;
+      }
+      case core::Layout::kPaths:
+        req.portfolio = core::paths_view(101 + 16 * seed);
+        break;
+      default:
+        // Past kBsMinChunk, so the engine partition has several chunks.
+        pf = core::Portfolio::bs(2500 + 37 * seed, v.layout, seed);
+        req.portfolio = pf.view();
+        break;
+    }
+  }
+
+  std::vector<double> outputs(const PricingResult& res) const {
+    std::vector<double> out = robust::is_bs_layout(req.portfolio) ? bs_outputs(req.portfolio)
+                                                                  : res.values;
+    out.insert(out.end(), res.std_errors.begin(), res.std_errors.end());
+    return out;
+  }
+
+  // Poison the in-place outputs, so a range nobody priced shows.
+  void clear() {
+    if (!robust::is_bs_layout(req.portfolio)) return;
+    for (std::size_t i = 0; i < req.portfolio.size(); ++i) {
+      robust::bs_store_outputs(req.portfolio, i, -1.0, -1.0);
+    }
+  }
+};
+
+// Chunked execution must be numerically invisible, for every registered
+// variant: the serial kernel result (a pool of one), run_batch on pools of
+// two and of every hardware thread (and the registry's run_batch on the
+// shared pool), and Engine::price under both schedules are bitwise-equal. Lattice and PDE kernels are deterministic
+// per option, SIMD lane groups stay aligned to the chunk boundaries, and
+// the RNG adapters re-base their substreams on the range offset.
 TEST(Engine, ChunkedExecutionMatchesWholeBatch) {
-  engine::ThreadPool pool(4);
-  Engine eng(&pool);
-
-  struct Case {
-    const char* id;
-    bool american;
-    int steps_per_year;  // > 0: mixed depths, priced in depth packs
-  };
-  for (const auto& c : std::initializer_list<Case>{{"binomial.intermediate.auto", true, 0},
-                                                   {"binomial.intermediate.auto", true, 96},
-                                                   {"cn.wavefront_split.auto", true, 0},
-                                                   {"cn.direct_packed.auto", true, 0},
-                                                   {"mc.optimized_computed.auto", false, 0}}) {
-    const auto workload = lattice_workload(33, 11, c.american);
-    PricingRequest req;
-    req.kernel_id = c.id;
-    req.portfolio = core::view_of(std::span<const core::OptionSpec>(workload));
-    req.steps_per_year = c.steps_per_year;
-    req.steps = 128;
-    req.npath = 4096;
-    req.cn_num_prices = 65;
-    req.chunks_per_thread = 3;  // force several chunks over 33 options
-
-    const engine::VariantInfo* v = Registry::instance().find(c.id);
-    ASSERT_NE(v, nullptr);
-    PricingResult whole;
-    v->run_batch(req, req.portfolio, whole);
-    ASSERT_TRUE(whole.status.ok());
-
-    for (auto sched : {arch::Schedule::kDynamic, arch::Schedule::kStatic}) {
-      req.schedule = sched;
-      const PricingResult res = eng.price(req);
-      ASSERT_TRUE(res.status.ok()) << c.id << ": " << res.status.to_string();
-      ASSERT_EQ(res.values.size(), workload.size()) << c.id;
-      for (std::size_t i = 0; i < workload.size(); ++i) {
-        EXPECT_EQ(res.values[i], whole.values[i]) << c.id << " item " << i;
+  const int nproc = std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
+  engine::ThreadPool one(1), two(2), all(nproc);
+  const Engine serial(&one), eng2(&two), eng(&all);
+  for (const engine::VariantInfo* v : Registry::instance().all()) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      const std::string what = v->id + " seed " + std::to_string(seed);
+      Probe p(*v, seed);
+      p.req.chunks_per_thread = 3;
+      PricingResult res;
+      p.clear();
+      serial.run_batch(*v, p.req, p.req.portfolio, res);
+      const std::vector<double> want = p.outputs(res);
+      ASSERT_FALSE(want.empty()) << what;
+      for (const Engine* e : {&eng2, &eng}) {
+        p.clear();
+        e->run_batch(*v, p.req, p.req.portfolio, res);
+        EXPECT_TRUE(bitwise_equal(p.outputs(res), want))
+            << what << ": run_batch on a pool of " << e->pool_size();
+      }
+      p.clear();
+      v->run_batch(p.req, p.req.portfolio, res);
+      EXPECT_TRUE(bitwise_equal(p.outputs(res), want)) << what << ": the registry's run_batch";
+      for (auto sched : {arch::Schedule::kDynamic, arch::Schedule::kStatic}) {
+        p.req.schedule = sched;
+        p.clear();
+        eng.price(p.req, res);
+        ASSERT_TRUE(res.status.ok()) << what << ": " << res.status.to_string();
+        EXPECT_TRUE(bitwise_equal(p.outputs(res), want))
+            << what << ": Engine::price, "
+            << (sched == arch::Schedule::kDynamic ? "dynamic" : "static");
       }
     }
   }
@@ -200,47 +249,58 @@ TEST(Engine, HeterogeneousStepsPerYearPricesEachExpiryAtItsOwnDepth) {
   EXPECT_TRUE(any_diff);
 }
 
-// Black–Scholes batches price in place: prices land in the request's
-// batch arrays and values stays empty.
-// A workload the kernel prices in one batch call — path construction, a
-// run_batch-only variant, a specs batch of one option — is the
-// executor's one-chunk case: one chunk status and one flight record
-// covering [0, n). A run_batch-only variant prices its own layout only:
-// another Black–Scholes layout is refused, not read as an empty view.
-TEST(Engine, RunBatchOnlyWorkloadsAreOneChunk) {
-  core::Portfolio blocked = core::Portfolio::bs(64, core::Layout::kBsBlocked, 5);
+// Work that used to be one whole-batch kernel call — path construction,
+// the blocked binomial family — runs as ranges like every other variant:
+// one chunk status and one flight record per range, covering [0, n)
+// without gaps. A one-option specs batch is one chunk. The blocked
+// binomial family prices its own layout only: another Black–Scholes
+// layout is refused, not read as an empty view.
+TEST(Engine, WholeBatchWorkloadsRunAsRanges) {
+  core::Portfolio blocked = core::Portfolio::bs(4096, core::Layout::kBsBlocked, 5);
   core::Portfolio aos = core::Portfolio::bs(64, core::Layout::kBsAos, 5);
   const auto one = lattice_workload(1, 7);
   struct Case {
     const char* id;
     core::PortfolioView view;
+    bool one_chunk;
   };
   const Case cases[] = {
-      {"brownian.intermediate.auto", core::paths_view(256)},
-      {"binomial.blocked.4", blocked.view()},
-      {"binomial.intermediate.auto", core::view_of(std::span<const core::OptionSpec>(one))},
+      {"brownian.intermediate.auto", core::paths_view(256), false},
+      {"binomial.blocked.4", blocked.view(), false},
+      {"binomial.intermediate.auto", core::view_of(std::span<const core::OptionSpec>(one)), true},
   };
+  engine::ThreadPool pool(4);
+  const Engine eng(&pool);
   for (const Case& c : cases) {
     const std::string what =
         std::string(c.id) + " on " + std::string(core::to_string(c.view.layout));
     PricingRequest req;
     req.kernel_id = c.id;
     req.portfolio = c.view;
-    req.steps = 128;
-    const PricingResult res = Engine::shared().price(req);
+    req.steps = 32;
+    const PricingResult res = eng.price(req);
     ASSERT_EQ(res.status.code(), robust::StatusCode::kOk) << what << ": " << res.status.to_string();
     EXPECT_EQ(res.items, c.view.size()) << what;
-    ASSERT_EQ(res.chunk_status.size(), 1u) << what;
-    EXPECT_EQ(static_cast<engine::ChunkStatus>(res.chunk_status[0]), engine::ChunkStatus::kOk)
-        << what;
-    std::size_t records = 0;
-    for (const auto& r : obs::flight_recorder().snapshot()) {
-      if (r.request_id != res.request_id) continue;
-      ++records;
-      EXPECT_EQ(r.begin, 0u) << what;
-      EXPECT_EQ(r.end, c.view.size()) << what;
+    if (c.one_chunk) {
+      EXPECT_EQ(res.chunk_status.size(), 1u) << what;
+    } else {
+      EXPECT_GT(res.chunk_status.size(), 1u) << what;
     }
-    EXPECT_EQ(records, 1u) << what;
+    for (std::uint8_t st : res.chunk_status) {
+      EXPECT_EQ(static_cast<engine::ChunkStatus>(st), engine::ChunkStatus::kOk) << what;
+    }
+    std::vector<std::pair<std::size_t, std::size_t>> ranges;
+    for (const auto& r : obs::flight_recorder().snapshot()) {
+      if (r.request_id == res.request_id) ranges.emplace_back(r.begin, r.end);
+    }
+    ASSERT_EQ(ranges.size(), res.chunk_status.size()) << what;
+    std::sort(ranges.begin(), ranges.end());
+    std::size_t next = 0;
+    for (const auto& [begin, end] : ranges) {
+      EXPECT_EQ(begin, next) << what;
+      next = end;
+    }
+    EXPECT_EQ(next, c.view.size()) << what;
   }
 
   PricingRequest neg;
@@ -249,6 +309,8 @@ TEST(Engine, RunBatchOnlyWorkloadsAreOneChunk) {
   EXPECT_EQ(Engine::shared().price(neg).status.code(), robust::StatusCode::kInvalidArgument);
 }
 
+// Black–Scholes batches price in place: prices land in the request's
+// batch arrays and values stays empty.
 TEST(Engine, BatchLayoutPricesIntoTheBatchArrays) {
   auto soa = core::make_bs_workload_soa(512, 21);
   PricingRequest req;

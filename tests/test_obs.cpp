@@ -15,8 +15,8 @@
 #include <thread>
 #include <vector>
 
-#include "finbench/arch/parallel.hpp"
 #include "finbench/arch/timing.hpp"
+#include "finbench/engine/thread_pool.hpp"
 #include "finbench/obs/obs.hpp"
 
 namespace {
@@ -282,7 +282,8 @@ TEST_F(ObsGlobals, SpansFromWorkerThreadsGetDistinctTids) {
 TEST_F(ObsGlobals, CounterIsExactUnderParallelFor) {
   obs::Counter& c = obs::counter("test.parallel_adds");
   constexpr std::ptrdiff_t kN = 100000;
-  arch::parallel_for(kN, [&](std::ptrdiff_t) { c.add(3); });
+  engine::ThreadPool pool(4);
+  pool.run(kN, [&](std::ptrdiff_t) { c.add(3); });
   EXPECT_EQ(c.value(), 3u * static_cast<std::uint64_t>(kN));
 }
 
@@ -328,9 +329,11 @@ TEST_F(ObsGlobals, SnapshotSeesRegisteredMetrics) {
 TEST_F(ObsGlobals, ParallelTimingRecordsImbalance) {
   obs::enable_parallel_timing();
   std::atomic<int> sink{0};
-  arch::parallel_for(1000, [&](std::ptrdiff_t i) {
-    sink.fetch_add(static_cast<int>(i), std::memory_order_relaxed);
-  });
+  engine::ThreadPool pool(4);
+  pool.run(
+      1000,
+      [&](std::ptrdiff_t i) { sink.fetch_add(static_cast<int>(i), std::memory_order_relaxed); },
+      arch::Schedule::kDynamic, "for");
   obs::enable_parallel_timing(false);
   const auto snap = obs::snapshot_metrics();
   bool saw = false;

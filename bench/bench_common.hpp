@@ -55,6 +55,19 @@ struct Options {
   std::string layout = "native";
   double convert_seconds = 0.0;
 
+  // Values a flag that parse() knows takes (0 or 1), or -1 for a flag it
+  // does not know. A binary with flags of its own (pricectl) uses it to
+  // tell these shared flags from unknown ones.
+  static int flag_values(const char* flag) {
+    for (const char* f : {"--full", "--quick"}) {
+      if (!std::strcmp(flag, f)) return 0;
+    }
+    for (const char* f : {"--reps", "--threads", "--csv", "--trace", "--json"}) {
+      if (!std::strcmp(flag, f)) return 1;
+    }
+    return -1;
+  }
+
   static Options parse(int argc, char** argv) {
     Options o;
     if (argc > 0) {

@@ -1,10 +1,10 @@
 // finbench/arch/parallel.hpp
 //
-// The thread count and the loop schedule. Threads are started by one
-// runtime only, the engine's ThreadPool (finbench/engine/thread_pool.hpp);
-// the kernels are serial loops over the units they are handed, and the
-// pool runs them range by range. num_threads() sizes the pool (and the
-// one OpenMP region left, the mini-STREAM triad of arch::machine_model).
+// The thread count. Threads are started by one runtime only, the
+// engine's ThreadPool (finbench/engine/thread_pool.hpp); the kernels are
+// serial loops over the units they are handed, and the pool runs them
+// range by range. num_threads() sizes the pool (and the one OpenMP region
+// left, the mini-STREAM triad of arch::machine_model).
 
 #pragma once
 
@@ -14,10 +14,13 @@
 
 namespace finbench::arch {
 
-// How a pool run hands out its chunks.
+// How a pool run hands out its chunks: always the atomic ticket counter
+// (chunk self-scheduling). The one-enumerator enum exists only for
+// PricingRequest::schedule and tune::DispatchPlan::schedule, which
+// perfbench/src/books.cpp still assigns one to the other; nothing in the
+// library reads either field.
 enum class Schedule {
-  kStatic,   // participant p owns chunks p, p+P, p+2P, ...
-  kDynamic,  // atomic-ticket chunk self-scheduling
+  kDynamic,
 };
 
 namespace detail {

@@ -2,8 +2,7 @@
 //
 // The batched pricing engine: looks the requested variant up in the
 // registry, partitions the workload into chunks and executes them on a
-// persistent thread pool with dynamic chunk self-scheduling
-// (PricingRequest::schedule selects dynamic/static). Specs-layout
+// persistent thread pool with dynamic chunk self-scheduling. Specs-layout
 // portfolios get cost-model-weighted chunks. Black–Scholes batches get
 // cache-sized chunks, each of which is priced, sanitized, guarded and
 // repaired while it sits in L2; a convertible layout mismatch (e.g. an
@@ -26,7 +25,7 @@
 // "engine.requests" / "engine.items" / "engine.layout_converts" /
 // "engine.convert.bytes" counters, the "engine.convert.seconds" stat, and
 // — when parallel timing is enabled — per-participant CPU-time imbalance
-// under "parallel.engine.<schedule>.*".
+// under "parallel.engine.dynamic.*".
 
 #pragma once
 
@@ -70,12 +69,13 @@ class Engine {
   // Auto-intent requests ("blackscholes.auto") compare by *resolved plan*:
   // both resolve through the tuner at this engine's pool size — the size
   // the group will be priced at — and fuse only when they land on the
-  // same concrete variant, schedule, and chunk granularity.
+  // same concrete variant, chunk granularity and task mode. Concrete ids
+  // must also ask for the same task mode.
   bool fusable(const PricingRequest& a, const PricingRequest& b) const;
 
   // The kernel-only batch path (what VariantInfo::run_batch runs on
   // Engine::shared()): v's prepare hook, then its run_range over
-  // P x chunks_per_thread ranges of the view (P under kStatic), on this
+  // P x chunks_per_thread ranges of the view, on this
   // engine's pool — no sanitize, guard, fallback or telemetry, so no
   // cache-sized Black–Scholes chunks either. Outputs are those of price()
   // on a clean workload, bit for bit, on any pool. A kernel exception

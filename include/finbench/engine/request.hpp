@@ -38,8 +38,8 @@ struct Scratch;
 
 // Intra-option task parallelism (engine/task_group.hpp): whether expensive
 // options may decompose into nested fork-join tasks inside their chunk.
-// kAuto defers to the tuner (which races tasked vs. flat execution under
-// auto dispatch) or a threads > 1 heuristic for explicit kernel ids.
+// For a concrete kernel id, kAuto means "on when the pool has more than
+// one participant"; an auto id runs the task mode its plan raced to.
 enum class TaskMode : int { kAuto = -1, kOff = 0, kOn = 1 };
 
 struct PricingRequest {
@@ -66,19 +66,16 @@ struct PricingRequest {
 
   // --- Scheduling (Engine::price, and run_batch's ranges; run_batch keeps
   // tasks off) ---------------------------------------------------------------
-  // Under `auto` dispatch (kernel_id = "<family>.auto", e.g.
-  // "blackscholes.auto") these are *defaults the tuner may override*: the
-  // resolved DispatchPlan's schedule / chunks_per_thread win unless the
-  // matching pin below is set. Concrete kernel_ids use them verbatim.
-  arch::Schedule schedule = arch::Schedule::kDynamic;
-  int chunks_per_thread = 8;  // dynamic chunk granularity target
+  // A concrete kernel_id runs these verbatim. An auto kernel_id
+  // ("<family>.auto", e.g. "blackscholes.auto") ignores them: it runs the
+  // resolved DispatchPlan's variant, chunks_per_thread and task mode.
+  int chunks_per_thread = 8;  // chunks per participant (ticket-claimed)
   TaskMode tasks = TaskMode::kAuto;  // intra-option fork-join tasks
 
-  // Pins: the caller insists on the value above even under auto dispatch.
-  // The tuner still races the full grid and bumps engine.tune.pinned_losing
-  // (once per key) when the pinned choice loses the tuned one by >10%.
-  bool pin_schedule = false;
-  bool pin_chunks = false;
+  // Single-valued (arch::Schedule has one enumerator) and read nowhere in
+  // the library; kept only because perfbench/src/books.cpp assigns
+  // DispatchPlan::schedule to it.
+  arch::Schedule schedule = arch::Schedule::kDynamic;
 
   // --- Robustness (finbench/robust; docs/robustness.md) --------------------
   // Input sanitization policy. The default masks faulty options out

@@ -3,9 +3,7 @@
 // The one thread runtime of finbench: a persistent worker pool with
 // dynamic chunk self-scheduling. Chunks are claimed through an atomic
 // ticket counter, so a participant that finishes cheap chunks early keeps
-// pulling work — the load balance heterogeneous option batches need. A
-// static mode (participant p owns chunks p, p+P, p+2P, ...) is kept for
-// apples-to-apples imbalance comparisons.
+// pulling work — the load balance heterogeneous option batches need.
 //
 // The kernels are serial loops over the options, packs, path groups or
 // blocks they are handed; every threaded path in the library (Engine::price
@@ -49,19 +47,17 @@ class ThreadPool {
   int size() const { return static_cast<int>(workers_.size()) + 1; }
 
   // Execute fn(c) for every chunk c in [0, nchunks); blocks until all
-  // chunks completed. kDynamic claims chunks via the ticket counter;
-  // kStatic assigns chunk c to participant c % P. The first exception is
-  // rethrown here (remaining chunks are skipped under kDynamic, visited
-  // but not executed under kStatic); further exceptions from other
-  // participants are counted under the "pool.exceptions.suppressed"
-  // counter and noted in the rethrown message. When `cancel` is non-null
-  // it is polled at every chunk boundary: once expired, remaining chunks
-  // complete as not-run (fn is never called for them), so a run under a
-  // deadline returns within one chunk's wall time per participant — the
-  // caller (the engine) knows which chunks ran from its own per-chunk
-  // bookkeeping. Concurrent run() calls from different threads serialize;
-  // run() from inside fn executes the nested loop inline on the calling
-  // participant.
+  // chunks completed. Participants claim chunks via the ticket counter.
+  // The first exception is rethrown here (remaining chunks are skipped);
+  // further exceptions from other participants are counted under the
+  // "pool.exceptions.suppressed" counter and noted in the rethrown
+  // message. When `cancel` is non-null it is polled at every chunk
+  // boundary: once expired, remaining chunks complete as not-run (fn is
+  // never called for them), so a run under a deadline returns within one
+  // chunk's wall time per participant — the caller (the engine) knows
+  // which chunks ran from its own per-chunk bookkeeping. Concurrent run()
+  // calls from different threads serialize; run() from inside fn executes
+  // the nested loop inline on the calling participant.
   //
   // Every participant — dedicated workers at startup, the caller for the
   // scope of its participation — computes under the pool's denormal
@@ -69,8 +65,7 @@ class ThreadPool {
   // depend on which participant claimed a chunk. The caller's FP state is
   // restored before run() returns.
   void run(std::ptrdiff_t nchunks, const std::function<void(std::ptrdiff_t)>& fn,
-           arch::Schedule sched = arch::Schedule::kDynamic, const char* site = "pool",
-           const robust::CancelToken* cancel = nullptr);
+           const char* site = "pool", const robust::CancelToken* cancel = nullptr);
 
   // Execute fn(c) for c in [0, nchunks) serially on the calling thread,
   // under the same policy a pool participant runs with: FTZ+DAZ (restored
@@ -144,7 +139,6 @@ class ThreadPool {
   // State of the active run (valid while run_live_).
   const std::function<void(std::ptrdiff_t)>* fn_ = nullptr;
   std::ptrdiff_t nchunks_ = 0;
-  arch::Schedule sched_ = arch::Schedule::kDynamic;
   std::atomic<std::ptrdiff_t> ticket_{0};
   std::atomic<std::ptrdiff_t> completed_{0};
   std::atomic<int> active_workers_{0};

@@ -3,7 +3,7 @@
 // PlanCache — the persistent variant-selection cache behind the engine's
 // `auto` dispatch mode (docs/autotuning.md). In memory it is a strict-
 // ordered map TuneKey -> RaceReport behind a mutex; on disk it is a JSON
-// document (`finbench.tune_cache/v1`) fingerprinted by the host CPU
+// document (`finbench.tune_cache/v2`) fingerprinted by the host CPU
 // (brand string, ISA flags, logical CPU count, hostname) so a cache raced
 // on one machine never mis-dispatches another.
 //
@@ -38,7 +38,7 @@
 
 namespace finbench::tune {
 
-inline constexpr std::string_view kTuneCacheSchema = "finbench.tune_cache/v1";
+inline constexpr std::string_view kTuneCacheSchema = "finbench.tune_cache/v2";
 
 // Environment identity a cache file is only valid for. Equality is exact:
 // a different flag set, core count, or host re-races from scratch rather

@@ -5,7 +5,7 @@
 // shape and hardware (the source paper's central finding), so the engine's
 // `auto` mode does not name a variant; it names an *intent* — a kernel
 // family plus the parameters that change which concrete variant, layout
-// path, and schedule win:
+// path, and chunk granularity win:
 //
 //   family          canonical registry family ("bs", "binomial", ...)
 //   layout          the layout the workload arrives in (negotiation cost
@@ -17,13 +17,12 @@
 //   threads         engine pool size the plan was raced at
 //   accuracy knobs  steps / steps_per_year / npath / bridge_depth /
 //                   cn_num_prices — they change per-item cost and thus the
-//                   schedule trade-off
-//   pins            caller-pinned schedule / chunks_per_thread (a pinned
-//                   request is a different tuning problem: the race only
-//                   picks among configurations that honor the pin)
+//                   chunking trade-off
 //   american        exercise style present in a kSpecs workload (excludes
 //                   european_only candidates)
 //
+// Only what describes the call belongs in a key: the request's own
+// chunks_per_thread and task mode do not (an auto id runs the plan's).
 // Keys order strictly (std::tie over every field) so they can live in a
 // std::map and serialize deterministically.
 
@@ -52,20 +51,11 @@ struct TuneKey {
   int bridge_depth = 0;
   int cn_num_prices = 0;
 
-  // Caller pins: -1 / 0 mean "unpinned — the plan decides".
-  int pinned_schedule = -1;  // else static_cast<int>(arch::Schedule)
-  int pinned_chunks = 0;     // else the pinned chunks_per_thread
-
-  // Intra-option task mode pinned by the caller: -1 = auto (the race
-  // decides, trying tasks on and off), 0 = forced off, 1 = forced on.
-  int tasks = -1;
-
   bool american = false;  // kSpecs workload carries American exercise
 
   auto tie() const {
     return std::tie(family, layout, size_bucket, threads, steps, steps_per_year, npath,
-                    bridge_depth, cn_num_prices, pinned_schedule, pinned_chunks, tasks,
-                    american);
+                    bridge_depth, cn_num_prices, american);
   }
 
   friend bool operator<(const TuneKey& a, const TuneKey& b) { return a.tie() < b.tie(); }

@@ -4,8 +4,9 @@
 // kernel id names an intent ("blackscholes.auto"), race the registry's
 // candidate variants — every variant of the family whose layout the
 // workload matches or can negotiate to — through the real Engine::price
-// path, then race the schedule/chunks_per_thread grid on the winning
-// variant (chunked kSpecs execution only), and return the evidence as a
+// path, then race the chunks_per_thread grid on the winning variant
+// (chunked kSpecs execution only) and the intra-option task mode (binomial,
+// CN and MC on a pool of more than one), and return the evidence as a
 // RaceReport. resolve() is the cache-through entry the engine calls: hit
 // the PlanCache, else race once and persist.
 //
@@ -19,15 +20,12 @@
 //    never observes race side effects.
 //  - Timing is warm-up + best-of-reps of PricingResult::seconds — the same
 //    discipline as bench::measure_variant, without leaving the engine.
-//  - Load-imbalance telemetry (parallel.engine.<schedule>.imbalance, the
-//    PR2 measurement) is sampled per configuration and used as the
-//    tie-breaker between configurations within 3% of the best rate — and
-//    recorded on the plan for --explain.
-//  - A pinned schedule / chunks_per_thread restricts which configuration
-//    may win, but the full grid still races: when the pinned best loses
-//    the unconstrained best by >10%, RaceReport::pinned_losing is set and
-//    the engine bumps engine.tune.pinned_losing once (the race runs once
-//    per key by construction).
+//  - Load-imbalance telemetry (parallel.engine.dynamic.imbalance) is
+//    sampled per configuration and used as the tie-breaker between
+//    configurations within 3% of the best rate — and recorded on the plan
+//    for --explain.
+//  - The request's own chunks_per_thread and task mode play no part: an
+//    auto id runs whatever the race picks.
 //  - The request's deadline does not govern the race: resolution is a
 //    once-per-key warm-up cost, not part of the priced run.
 
@@ -71,10 +69,10 @@ struct Resolution {
 
 // Cache-through resolution: PlanCache hit (validated against the registry
 // — a plan naming a variant this build does not ship re-races instead of
-// mis-dispatching), else race + put. Bumps engine.tune.{hit,miss,race,
-// pinned_losing}. A hit whose winner is breaker-rejected substitutes the
-// first allowed link of the winner's fallback chain (substituted = true,
-// not persisted); an exhausted chain fails open to the winner.
+// mis-dispatching), else race + put. Bumps engine.tune.{hit,miss,race}.
+// A hit whose winner is breaker-rejected substitutes the first allowed
+// link of the winner's fallback chain (substituted = true, not
+// persisted); an exhausted chain fails open to the winner.
 Resolution resolve(const engine::Engine& eng, const engine::PricingRequest& req,
                    const TuneKey& key);
 

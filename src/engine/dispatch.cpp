@@ -2,8 +2,8 @@
 // Explicit kernel ids pass straight through to the registry; auto-intent
 // ids ("<family>.auto", e.g. "blackscholes.auto") resolve to a concrete
 // DispatchPlan through finbench::tune — PlanCache hit or a one-time race —
-// and the plan's schedule / chunks_per_thread override the request's
-// defaults unless the caller pinned them.
+// and run the plan's variant, chunks_per_thread and task mode. The
+// request's own chunks_per_thread and tasks apply to concrete ids only.
 //
 // The resolution is cached in the request's Scratch keyed on every
 // TuneKey ingredient, so a steady-state repetition of the same request
@@ -21,14 +21,11 @@ namespace finbench::engine {
 
 ResolvedDispatch resolve_dispatch(const Engine& eng, const PricingRequest& req) {
   ResolvedDispatch out;
-  out.schedule = req.schedule;
-  out.chunks_per_thread = req.chunks_per_thread;
-  // Explicit task mode wins everywhere; kAuto falls back to a threads > 1
-  // heuristic here, and to the raced plan's verdict under auto dispatch.
-  out.tasks = req.tasks == TaskMode::kOn ||
-              (req.tasks == TaskMode::kAuto && eng.pool_size() > 1);
-
   if (!tune::is_auto_id(req.kernel_id)) {
+    // A concrete id runs verbatim; its kAuto task mode means threads > 1.
+    out.chunks_per_thread = req.chunks_per_thread;
+    out.tasks = req.tasks == TaskMode::kOn ||
+                (req.tasks == TaskMode::kAuto && eng.pool_size() > 1);
     out.v = Registry::instance().find(req.kernel_id);
     if (out.v == nullptr) {
       out.error = robust::Status::not_found("unknown kernel id '" + req.kernel_id +
@@ -57,15 +54,11 @@ ResolvedDispatch resolve_dispatch(const Engine& eng, const PricingRequest& req) 
   Scratch& s = scratch_of(req);
   const int threads = eng.pool_size();
   const void* src = workload_data_key(req.portfolio);
-  const int pin_sched = req.pin_schedule ? static_cast<int>(req.schedule) : -1;
-  const int pin_cpt = req.pin_chunks ? req.chunks_per_thread : 0;
-  const int pin_tasks = static_cast<int>(req.tasks);
   bool cached = s.has_plan && s.plan_src == src && s.plan_n == req.portfolio.size() &&
                 s.plan_layout == req.portfolio.layout && s.plan_threads == threads &&
                 s.plan_steps == req.steps && s.plan_spy == req.steps_per_year &&
                 s.plan_npath == req.npath && s.plan_bridge == req.bridge_depth &&
-                s.plan_cn == req.cn_num_prices && s.plan_pin_sched == pin_sched &&
-                s.plan_pin_cpt == pin_cpt && s.plan_tasks == pin_tasks;
+                s.plan_cn == req.cn_num_prices;
 
   // Even a scratch-cached plan must pass the winner's circuit breaker: a
   // variant that trips mid-stream re-routes steady-state request loops
@@ -119,9 +112,6 @@ ResolvedDispatch resolve_dispatch(const Engine& eng, const PricingRequest& req) 
       s.plan_npath = req.npath;
       s.plan_bridge = req.bridge_depth;
       s.plan_cn = req.cn_num_prices;
-      s.plan_pin_sched = pin_sched;
-      s.plan_pin_cpt = pin_cpt;
-      s.plan_tasks = pin_tasks;
       s.plan_breaker = nullptr;  // re-resolve against the new winner
     }
   }
@@ -136,10 +126,8 @@ ResolvedDispatch resolve_dispatch(const Engine& eng, const PricingRequest& req) 
     return out;
   }
   out.tuned = true;
-  // Pinned knobs keep the caller's value; unpinned ones take the plan's.
-  out.schedule = req.pin_schedule ? req.schedule : plan->schedule;
-  out.chunks_per_thread = req.pin_chunks ? req.chunks_per_thread : plan->chunks_per_thread;
-  if (req.tasks == TaskMode::kAuto) out.tasks = plan->tasks;
+  out.chunks_per_thread = plan->chunks_per_thread;
+  out.tasks = plan->tasks;
   return out;
 }
 

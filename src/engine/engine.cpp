@@ -51,33 +51,28 @@ bool is_bs(Layout l) {
 }
 
 // Contiguous chunk boundaries over [0, n) for a pool of P participants:
-// nparts = P chunks under the static schedule, P x chunks_per_thread under
-// the dynamic one. With `cache_sized` (Engine::price on a Black–Scholes
-// layout, whose chunk pipeline re-reads each chunk: scan, guard,
-// writeback) chunks hold ~n / nparts options clamped to [kBsMinChunk,
-// kBsMaxChunk]. Otherwise the partition is cost-model-weighted for
-// dynamic scheduling when the variant has a cost model and there are more
-// items than chunks (each chunk carries ~total/K weight, so expensive
-// long-dated options don't all land in one chunk), plain equal-count
-// stripes otherwise (one item per chunk for a small batch; the classic
-// partition the imbalance experiment compares against). Interior
-// boundaries are multiples of the variant's range_align (64 for a
-// Black–Scholes layout); duplicates are dropped, so every chunk is
+// nparts = P x chunks_per_thread. With `cache_sized` (Engine::price on a
+// Black–Scholes layout, whose chunk pipeline re-reads each chunk: scan,
+// guard, writeback) chunks hold ~n / nparts options clamped to
+// [kBsMinChunk, kBsMaxChunk]. Otherwise the partition is
+// cost-model-weighted when the variant has a cost model and there are
+// more items than chunks (each chunk carries ~total/K weight, so
+// expensive long-dated options don't all land in one chunk), plain
+// equal-count stripes otherwise (one item per chunk for a small batch).
+// Interior boundaries are multiples of the variant's range_align (64 for
+// a Black–Scholes layout); duplicates are dropped, so every chunk is
 // non-empty. The result is cached in the request Scratch — steady-state
 // repetitions reuse it without touching the heap.
 std::span<const std::size_t> chunk_bounds(const VariantInfo& v, const PricingRequest& req,
                                           const core::PortfolioView& view, int P,
-                                          arch::Schedule schedule, int chunks_per_thread,
-                                          bool cache_sized) {
-  const int nparts =
-      schedule == arch::Schedule::kDynamic ? P * std::max(1, chunks_per_thread) : P;
+                                          int chunks_per_thread, bool cache_sized) {
+  const int nparts = P * std::max(1, chunks_per_thread);
   Scratch& s = scratch_of(req);
   const std::size_t n = view.size();
-  const int sched = static_cast<int>(schedule);
   const std::size_t align =
       is_bs(v.layout) ? kBsChunkAlign : std::max<std::size_t>(1, v.range_align);
-  if (s.bounds_n == n && s.bounds_nparts == nparts && s.bounds_sched == sched &&
-      s.bounds_cache_sized == cache_sized && s.bounds_align == align && !s.bounds.empty()) {
+  if (s.bounds_n == n && s.bounds_nparts == nparts && s.bounds_cache_sized == cache_sized &&
+      s.bounds_align == align && !s.bounds.empty()) {
     return s.bounds;
   }
   std::vector<std::size_t>& bounds = s.bounds;
@@ -94,8 +89,7 @@ std::span<const std::size_t> chunk_bounds(const VariantInfo& v, const PricingReq
     per = (per + align - 1) / align * align;
     per = std::clamp(per, kBsMinChunk, kBsMaxChunk);
     for (std::size_t b = per; b < n; b += per) bounds.push_back(b);
-  } else if (v.item_cost && schedule == arch::Schedule::kDynamic && k < n &&
-             !view.specs.empty()) {
+  } else if (v.item_cost && k < n && !view.specs.empty()) {
     std::vector<double>& cost = s.item_cost;
     cost.resize(n);
     double total = 0.0;
@@ -118,7 +112,6 @@ std::span<const std::size_t> chunk_bounds(const VariantInfo& v, const PricingReq
   bounds.push_back(n);
   s.bounds_n = n;
   s.bounds_nparts = nparts;
-  s.bounds_sched = sched;
   s.bounds_cache_sized = cache_sized;
   s.bounds_align = align;
   return bounds;
@@ -583,12 +576,12 @@ std::size_t post_pass(const ChunkRun& r, std::size_t nchunks, bool expired,
 // inline on the caller, under the same FTZ policy as a pool participant,
 // without waking workers; more across the pool.
 void run_chunks(ThreadPool& pool, std::size_t nchunks,
-                const std::function<void(std::ptrdiff_t)>& fn, arch::Schedule schedule,
-                const char* site, const robust::CancelToken* cancel = nullptr) {
+                const std::function<void(std::ptrdiff_t)>& fn, const char* site,
+                const robust::CancelToken* cancel = nullptr) {
   if (nchunks == 1) {
     ThreadPool::run_inline(1, fn, cancel);
   } else {
-    pool.run(static_cast<std::ptrdiff_t>(nchunks), fn, schedule, site, cancel);
+    pool.run(static_cast<std::ptrdiff_t>(nchunks), fn, site, cancel);
   }
 }
 
@@ -798,7 +791,7 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
   // --- Resolve ---------------------------------------------------------------
   // A concrete registry id passes through; an auto intent
   // ("blackscholes.auto") resolves to a DispatchPlan (cache hit or a
-  // one-time race) whose schedule/chunks_per_thread govern execution.
+  // one-time race) whose chunks_per_thread and task mode govern execution.
   // Resolution, like sanitization and prepare, happens before the deadline
   // is armed: it is once-per-key warm-up, not part of the priced run.
   ResolvedDispatch rd = resolve_dispatch(*this, req);
@@ -845,12 +838,11 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
   arch::WallTimer t;
 
   // --- Partition -------------------------------------------------------------
-  // Effective scheduling: the request's values for explicit dispatch, the
-  // resolved plan's for auto (pins keep the caller's value — see
-  // PricingRequest::pin_schedule/pin_chunks).
+  // Chunk granularity: the request's for a concrete id, the resolved
+  // plan's for an auto id.
   const int P = pool_->size();
   const std::span<const std::size_t> bounds =
-      chunk_bounds(v, req, working, P, rd.schedule, rd.chunks_per_thread, is_bs(v.layout));
+      chunk_bounds(v, req, working, P, rd.chunks_per_thread, is_bs(v.layout));
   const std::size_t nchunks = bounds.size() - 1;
   res.chunk_status.assign(nchunks, static_cast<std::uint8_t>(ChunkStatus::kNotRun));
   s.tallies.resize(nchunks);
@@ -878,8 +870,7 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
                      &res,  &errors, s.hist_chunk, s.flight};
   // Kernel exceptions are contained per chunk, so the pool never sees a
   // failure and the remaining chunks still execute.
-  run_chunks(*pool_, nchunks, [&run](std::ptrdiff_t c) { run_chunk(run, c); }, rd.schedule,
-             rd.schedule == arch::Schedule::kDynamic ? "engine.dynamic" : "engine.static",
+  run_chunks(*pool_, nchunks, [&run](std::ptrdiff_t c) { run_chunk(run, c); }, "engine.dynamic",
              cancel);
 
   // --- Post-pass -------------------------------------------------------------
@@ -910,11 +901,11 @@ void Engine::run_batch(const VariantInfo& v, const PricingRequest& req,
   if (v.prepare) v.prepare(req, view, res);
   res.items = view.size();
   if (view.size() == 0) return;
-  const std::span<const std::size_t> b = chunk_bounds(v, req, view, pool_->size(), req.schedule,
-                                                     req.chunks_per_thread, false);
+  const std::span<const std::size_t> b =
+      chunk_bounds(v, req, view, pool_->size(), req.chunks_per_thread, false);
   run_chunks(
       *pool_, b.size() - 1, [&](std::ptrdiff_t c) { v.run_range(req, view, b[c], b[c + 1], res); },
-      req.schedule, "batch");
+      "batch");
 }
 
 }  // namespace finbench::engine

@@ -154,14 +154,16 @@ bool Engine::fusable(const PricingRequest& a, const PricingRequest& b) const {
   }
   // Auto-intent pairs fuse on their *resolved* plans, not the intent
   // string: both must land on the same concrete variant with the same
-  // effective schedule and chunk granularity (each member resolves through
-  // its own scratch, so steady-state checks are cache hits, not races).
+  // chunk granularity and task mode (each member resolves through its own
+  // scratch, so steady-state checks are cache hits, not races).
   if (tune::is_auto_id(a.kernel_id)) {
     const ResolvedDispatch ra = resolve_dispatch(*this, a);
     const ResolvedDispatch rb = resolve_dispatch(*this, b);
     return ra.v != nullptr && ra.v == rb.v && !ra.v->statistical &&
-           ra.schedule == rb.schedule && ra.chunks_per_thread == rb.chunks_per_thread;
+           ra.chunks_per_thread == rb.chunks_per_thread && ra.tasks == rb.tasks;
   }
+  // One fused batch runs one task mode.
+  if (a.tasks != b.tasks) return false;
   // Statistical estimators key their per-option RNG substreams by batch
   // index — fusing would change a member's answer depending on who it
   // shares a batch with. Deterministic kernels are element-wise across
@@ -207,24 +209,21 @@ void Engine::price_group(std::span<const GroupJob> group, GroupScratch& gs) cons
   f.bridge_depth = proto.bridge_depth;
   f.cn_num_prices = proto.cn_num_prices;
   f.seed = proto.seed;
-  f.schedule = proto.schedule;
   f.chunks_per_thread = proto.chunks_per_thread;
-  f.pin_schedule = proto.pin_schedule;
-  f.pin_chunks = proto.pin_chunks;
+  f.tasks = proto.tasks;
   // An auto group fuses on the plan the members resolved to at *their*
   // size: re-resolving at the fused size could land in a different size
   // bucket, pick a different variant, and break bitwise parity between a
-  // coalesced member and the same request priced solo. Pin the concrete
-  // id and the plan's scheduling onto the fused request instead.
+  // coalesced member and the same request priced solo. The fused request
+  // carries the plan's concrete id, chunk granularity and task mode
+  // instead, which a concrete id runs verbatim.
   bool group_tuned = false;
   if (tune::is_auto_id(proto.kernel_id)) {
     ResolvedDispatch rd = resolve_dispatch(*this, proto);
     if (rd.v != nullptr) {
       f.kernel_id = rd.v->id;
-      f.schedule = rd.schedule;
       f.chunks_per_thread = rd.chunks_per_thread;
-      f.pin_schedule = true;
-      f.pin_chunks = true;
+      f.tasks = rd.tasks ? TaskMode::kOn : TaskMode::kOff;
       group_tuned = true;
     }
   }

@@ -157,16 +157,9 @@ void ThreadPool::participate(int participant) {
   arch::ThreadCpuTimer cpu;
   t_in_pool_run = true;
   t_pool_participant = participant;
-  if (sched_ == arch::Schedule::kDynamic) {
-    std::ptrdiff_t c;
-    while ((c = ticket_.fetch_add(1, std::memory_order_relaxed)) < nchunks_) {
-      execute_chunk(c);
-    }
-  } else {
-    const int P = size();
-    for (std::ptrdiff_t c = participant; c < nchunks_; c += P) {
-      execute_chunk(c);
-    }
+  std::ptrdiff_t c;
+  while ((c = ticket_.fetch_add(1, std::memory_order_relaxed)) < nchunks_) {
+    execute_chunk(c);
   }
   // Out of chunk tickets: drain intra-option tasks spawned by still-running
   // chunks until the run completes, so a mixed-expiry batch's deep tail
@@ -235,7 +228,7 @@ void ThreadPool::run_inline(std::ptrdiff_t nchunks,
 }
 
 void ThreadPool::run(std::ptrdiff_t nchunks, const std::function<void(std::ptrdiff_t)>& fn,
-                     arch::Schedule sched, const char* site, const robust::CancelToken* cancel) {
+                     const char* site, const robust::CancelToken* cancel) {
   if (nchunks <= 0) return;
   if (t_in_pool_run || workers_.empty()) {
     run_inline(nchunks, fn, cancel);
@@ -245,7 +238,6 @@ void ThreadPool::run(std::ptrdiff_t nchunks, const std::function<void(std::ptrdi
   std::lock_guard<std::mutex> submit(submit_mu_);
   fn_ = &fn;
   nchunks_ = nchunks;
-  sched_ = sched;
   cancel_ = cancel;
   ticket_.store(0, std::memory_order_relaxed);
   completed_.store(0, std::memory_order_relaxed);

@@ -74,14 +74,13 @@ struct Scratch {
 
   // --- Chunk-partition cache (engine-owned) --------------------------------
   // chunk_bounds output + per-item cost buffer, rebuilt only when the
-  // (partition kind, alignment, n, nparts, schedule) key changes. The kind
+  // (partition kind, alignment, n, nparts) key changes. The kind
   // matters: one request (serve's fused group) prices Black–Scholes and
   // specs groups of equal size in turn, and their partitions differ.
   std::vector<std::size_t> bounds;
   std::vector<double> item_cost;
   std::size_t bounds_n = 0;
   int bounds_nparts = -1;
-  int bounds_sched = -1;
   bool bounds_cache_sized = false;
   std::size_t bounds_align = 0;
 
@@ -158,9 +157,6 @@ struct Scratch {
   std::size_t plan_npath = 0;
   int plan_bridge = 0;
   int plan_cn = 0;
-  int plan_pin_sched = -2;  // -2 = never resolved; else TuneKey::pinned_schedule
-  int plan_pin_cpt = -1;    // TuneKey::pinned_chunks
-  int plan_tasks = -2;      // -2 = never resolved; else TuneKey::tasks
 
   // --- Executing pool (engine-owned) --------------------------------------
   // The pool running this request's ranges, stamped before prepare by
@@ -193,15 +189,14 @@ inline const void* workload_data_key(const core::PortfolioView& view) {
 class Engine;
 
 // Outcome of resolving a request's kernel_id to a concrete variant plus
-// effective scheduling — the first step of Engine::price/price_group.
-// Explicit ids pass through (tuned = false, scheduling = the request's);
-// auto-intent ids ("<family>.auto") resolve through tune::resolve, with
-// the winning plan's schedule/chunks_per_thread overriding the request
-// defaults unless pinned. `error` reports an unknown id / family / no
-// runnable candidate; v is null in that case.
+// its chunk granularity and task mode — the first step of
+// Engine::price/price_group. A concrete id runs the request's values
+// verbatim (tuned = false); an auto-intent id ("<family>.auto") resolves
+// through tune::resolve and runs the plan's variant, chunks_per_thread and
+// task mode, whatever the request carries. `error` reports an unknown id /
+// family / no runnable candidate; v is null in that case.
 struct ResolvedDispatch {
   const VariantInfo* v = nullptr;
-  arch::Schedule schedule = arch::Schedule::kDynamic;
   int chunks_per_thread = 8;
   bool tasks = false;  // effective intra-option task mode
   bool tuned = false;

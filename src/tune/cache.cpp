@@ -45,15 +45,6 @@ bool get_bool(const Value& v, const char* key) {
   return m.boolean;
 }
 
-arch::Schedule get_schedule(const Value& v, const char* key) {
-  arch::Schedule s{};
-  const std::string text = get_string(v, key);
-  if (!schedule_from_string(text, s)) {
-    throw std::runtime_error(std::string(key) + ": unknown schedule '" + text + "'");
-  }
-  return s;
-}
-
 TuneKey parse_key(const Value& v) {
   TuneKey k;
   k.family = get_string(v, "family");
@@ -68,18 +59,6 @@ TuneKey parse_key(const Value& v) {
   k.npath = static_cast<std::uint64_t>(get_number(v, "npath"));
   k.bridge_depth = get_int(v, "bridge_depth");
   k.cn_num_prices = get_int(v, "cn_num_prices");
-  const std::string pinned = get_string(v, "pinned_schedule");
-  if (pinned == "none") {
-    k.pinned_schedule = -1;
-  } else {
-    arch::Schedule s{};
-    if (!schedule_from_string(pinned, s)) {
-      throw std::runtime_error("key.pinned_schedule: unknown value '" + pinned + "'");
-    }
-    k.pinned_schedule = static_cast<int>(s);
-  }
-  k.pinned_chunks = get_int(v, "pinned_chunks");
-  k.tasks = get_int(v, "tasks");
   k.american = get_bool(v, "american");
   return k;
 }
@@ -88,7 +67,6 @@ DispatchPlan parse_plan(const Value& v) {
   DispatchPlan p;
   p.variant_id = get_string(v, "variant");
   if (p.variant_id.empty()) throw std::runtime_error("plan.variant: empty");
-  p.schedule = get_schedule(v, "schedule");
   p.chunks_per_thread = get_int(v, "chunks_per_thread");
   if (p.chunks_per_thread < 1) throw std::runtime_error("plan.chunks_per_thread: < 1");
   p.tasks = get_bool(v, "tasks");
@@ -100,7 +78,6 @@ DispatchPlan parse_plan(const Value& v) {
 CandidateResult parse_candidate(const Value& v) {
   CandidateResult c;
   c.id = get_string(v, "id");
-  c.schedule = get_schedule(v, "schedule");
   c.chunks_per_thread = get_int(v, "chunks_per_thread");
   c.tasks = get_bool(v, "tasks");
   c.items_per_sec = get_number(v, "items_per_sec");
@@ -121,12 +98,6 @@ void write_key(obs::json::Writer& w, const TuneKey& k) {
   w.kv("npath", static_cast<std::uint64_t>(k.npath));
   w.kv("bridge_depth", k.bridge_depth);
   w.kv("cn_num_prices", k.cn_num_prices);
-  w.kv("pinned_schedule",
-       k.pinned_schedule < 0
-           ? std::string_view("none")
-           : to_string(static_cast<arch::Schedule>(k.pinned_schedule)));
-  w.kv("pinned_chunks", k.pinned_chunks);
-  w.kv("tasks", k.tasks);
   w.kv("american", k.american);
   w.end_object();
 }
@@ -134,7 +105,6 @@ void write_key(obs::json::Writer& w, const TuneKey& k) {
 void write_plan(obs::json::Writer& w, const DispatchPlan& p) {
   w.begin_object();
   w.kv("variant", p.variant_id);
-  w.kv("schedule", to_string(p.schedule));
   w.kv("chunks_per_thread", p.chunks_per_thread);
   w.kv("tasks", p.tasks);
   w.kv("items_per_sec", p.items_per_sec);
@@ -266,8 +236,6 @@ robust::Status PlanCache::load_locked(const std::string& path) {
       rep.winner = parse_plan(member(e, "plan"));
       const Value& race = member(e, "race");
       rep.race_seconds = get_number(race, "seconds");
-      rep.best_items_per_sec = get_number(race, "best_items_per_sec");
-      rep.pinned_losing = get_bool(race, "pinned_losing");
       const Value& cands = member(race, "candidates");
       if (!cands.is_array()) throw std::runtime_error("race.candidates: not an array");
       for (const Value& c : cands.array) rep.candidates.push_back(parse_candidate(c));
@@ -334,14 +302,11 @@ bool PlanCache::save_locked(const std::string& path) const {
       w.key("race");
       w.begin_object();
       w.kv("seconds", rep.race_seconds);
-      w.kv("best_items_per_sec", rep.best_items_per_sec);
-      w.kv("pinned_losing", rep.pinned_losing);
       w.key("candidates");
       w.begin_array();
       for (const CandidateResult& c : rep.candidates) {
         w.begin_object();
         w.kv("id", c.id);
-        w.kv("schedule", to_string(c.schedule));
         w.kv("chunks_per_thread", c.chunks_per_thread);
         w.kv("tasks", c.tasks);
         w.kv("items_per_sec", c.items_per_sec);

@@ -86,18 +86,6 @@ std::string TuneKey::to_string() const {
   s += std::to_string(bridge_depth);
   s += " cn_num_prices=";
   s += std::to_string(cn_num_prices);
-  if (pinned_schedule >= 0) {
-    s += " pinned_schedule=";
-    s += pinned_schedule == 0 ? "static" : "dynamic";
-  }
-  if (pinned_chunks > 0) {
-    s += " pinned_chunks=";
-    s += std::to_string(pinned_chunks);
-  }
-  if (tasks != -1) {
-    s += " tasks=";
-    s += tasks == 1 ? "on" : "off";
-  }
   if (american) s += " american";
   s += "}";
   return s;

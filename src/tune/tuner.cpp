@@ -19,13 +19,9 @@ namespace {
 // the one with the lower measured imbalance wins the tie.
 constexpr double kTieBand = 0.97;
 
-// A pinned configuration losing the unconstrained best by more than this
-// factor flips RaceReport::pinned_losing.
-constexpr double kPinnedLossFactor = 1.10;
-
 // Delta-sampler over an obs::Stat: mean of the observations recorded
 // between construction and delta_mean() — how the race attributes
-// parallel.engine.<schedule>.imbalance samples to one configuration.
+// parallel.engine.dynamic.imbalance samples to one configuration.
 class StatProbe {
  public:
   explicit StatProbe(const char* name) : stat_(&obs::stat(name)) {
@@ -46,40 +42,24 @@ class StatProbe {
   std::uint64_t count0_ = 0;
 };
 
-bool satisfies_pins(const TuneKey& key, const CandidateResult& c) {
-  if (key.pinned_schedule >= 0 &&
-      static_cast<int>(c.schedule) != key.pinned_schedule) {
-    return false;
-  }
-  // chunks_per_thread only matters under dynamic scheduling; a static
-  // configuration trivially honors a chunk pin.
-  if (key.pinned_chunks > 0 && c.schedule == arch::Schedule::kDynamic &&
-      c.chunks_per_thread != key.pinned_chunks) {
-    return false;
-  }
-  if (key.tasks >= 0 && c.tasks != (key.tasks == 1)) return false;
-  return true;
-}
-
 // Families whose variants can decompose options into intra-option tasks —
 // the only ones where racing tasks on vs. off can change the answer.
 bool family_has_tasks(std::string_view family) {
   return family == "binomial" || family == "cn" || family == "mc";
 }
 
-// Best candidate by rate among `cands` passing `pred`, with the imbalance
-// tie-break: a config within kTieBand of the best whose measured imbalance
-// is lower replaces it. Returns nullptr when nothing passes.
-template <class Pred>
-const CandidateResult* pick_best(const std::vector<CandidateResult>& cands, Pred pred) {
+// Best candidate by rate, with the imbalance tie-break: a config within
+// kTieBand of the best whose measured imbalance is lower replaces it.
+// Returns nullptr when no candidate priced cleanly.
+const CandidateResult* pick_best(const std::vector<CandidateResult>& cands) {
   const CandidateResult* best = nullptr;
   for (const CandidateResult& c : cands) {
-    if (!c.ok || !pred(c)) continue;
+    if (!c.ok) continue;
     if (best == nullptr || c.items_per_sec > best->items_per_sec) best = &c;
   }
   if (best == nullptr) return nullptr;
   for (const CandidateResult& c : cands) {
-    if (!c.ok || !pred(c) || &c == best) continue;
+    if (!c.ok || &c == best) continue;
     if (c.items_per_sec >= kTieBand * best->items_per_sec && c.imbalance > 0.0 &&
         (best->imbalance <= 0.0 || c.imbalance < best->imbalance)) {
       best = &c;
@@ -101,9 +81,6 @@ TuneKey key_for(const engine::PricingRequest& req, std::string_view family, int 
   k.npath = req.npath;
   k.bridge_depth = req.bridge_depth;
   k.cn_num_prices = req.cn_num_prices;
-  k.pinned_schedule = req.pin_schedule ? static_cast<int>(req.schedule) : -1;
-  k.pinned_chunks = req.pin_chunks ? req.chunks_per_thread : 0;
-  k.tasks = static_cast<int>(req.tasks);
   if (req.portfolio.layout == core::Layout::kSpecs) {
     for (const core::OptionSpec& s : req.portfolio.specs) {
       if (s.style == core::ExerciseStyle::kAmerican) {
@@ -151,30 +128,22 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
   // One configuration probe through the real engine path: warm-up (builds
   // the candidate's own Scratch — negotiation, streams, pools) plus
   // best-of-reps on PricingResult::seconds.
-  auto probe = [&](const engine::VariantInfo* v, arch::Schedule sched, int cpt,
-                   bool tasks) -> CandidateResult {
+  auto probe = [&](const engine::VariantInfo* v, int cpt, bool tasks) -> CandidateResult {
     CandidateResult c;
     c.id = v->id;
-    c.schedule = sched;
     c.chunks_per_thread = cpt;
     c.tasks = tasks;
     engine::PricingRequest r = req;
     r.kernel_id = v->id;
-    r.schedule = sched;
     r.chunks_per_thread = cpt;
     r.tasks = tasks ? engine::TaskMode::kOn : engine::TaskMode::kOff;
-    r.pin_schedule = false;
-    r.pin_chunks = false;
     // The race is a warm-up, not the priced run: never inject faults into
     // it, and never let the caller's deadline abort candidate timing.
     r.faults = {};
     r.deadline_seconds = 0.0;
     r.cancel = nullptr;
     r.scratch.reset();  // candidate-private caches, dropped after the race
-    const char* site = sched == arch::Schedule::kDynamic
-                           ? "parallel.engine.dynamic.imbalance"
-                           : "parallel.engine.static.imbalance";
-    StatProbe imbalance(site);
+    StatProbe imbalance("parallel.engine.dynamic.imbalance");
     engine::PricingResult res;
     try {
       eng.price(r, res);  // warm-up
@@ -206,89 +175,51 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
     return c;
   };
 
-  // Phase 1 — race the variants at the key's (possibly pinned) seed
-  // configuration; unpinned keys seed with the PricingRequest defaults.
-  const arch::Schedule seed_sched = key.pinned_schedule >= 0
-                                        ? static_cast<arch::Schedule>(key.pinned_schedule)
-                                        : arch::Schedule::kDynamic;
-  const int seed_cpt = key.pinned_chunks > 0 ? key.pinned_chunks : 8;
-  const bool seed_tasks = key.tasks == 1;
+  // Phase 1 — race the variants at the PricingRequest defaults: 8 chunks
+  // per participant, tasks off.
+  constexpr int kSeedCpt = 8;
   for (const engine::VariantInfo* v : candidates) {
-    rep.candidates.push_back(probe(v, seed_sched, seed_cpt, seed_tasks));
+    rep.candidates.push_back(probe(v, kSeedCpt, false));
   }
 
-  const CandidateResult* phase1 =
-      pick_best(rep.candidates, [](const CandidateResult&) { return true; });
+  const CandidateResult* phase1 = pick_best(rep.candidates);
   if (phase1 == nullptr) {
     if (opt.imbalance && !timing_was_on) obs::enable_parallel_timing(false);
     rep.race_seconds = race_timer.seconds();
     return rep;  // winner stays !valid()
   }
 
-  // Phase 2 — schedule / chunks_per_thread grid on the winning variant.
-  // Only the cost-weighted kSpecs partition is worth racing. Black–Scholes
-  // chunks are cache-sized (the knobs only change mid-size books) and
-  // Brownian path groups cost the same: both keep the seed configuration.
+  // Phase 2 — chunks_per_thread grid on the winning variant. Only the
+  // cost-weighted kSpecs partition is worth racing. Black–Scholes chunks
+  // are cache-sized (the knob only changes mid-size books) and Brownian
+  // path groups cost the same: both keep the seed configuration. One
+  // chunk per participant is the large-chunk end: depth-packed SIMD
+  // lattices pack tighter in big chunks, and it wins shuffled mixed-depth
+  // binomial books.
   const engine::VariantInfo* wv = engine::Registry::instance().find(phase1->id);
-  if (wv != nullptr && wv->layout == core::Layout::kSpecs &&
-      req.portfolio.size() >= 2) {
-    std::vector<std::pair<arch::Schedule, int>> grid = {
-        {arch::Schedule::kDynamic, 4},
-        {arch::Schedule::kDynamic, 8},
-        {arch::Schedule::kDynamic, 16},
-        {arch::Schedule::kStatic, seed_cpt},
-    };
-    if (key.pinned_chunks > 0) {
-      grid.emplace_back(arch::Schedule::kDynamic, key.pinned_chunks);
-    }
-    for (const auto& [sched, cpt] : grid) {
-      const bool already =
-          std::any_of(rep.candidates.begin(), rep.candidates.end(),
-                      [&, s = sched, c = cpt](const CandidateResult& r) {
-                        return r.id == wv->id && r.schedule == s && r.tasks == seed_tasks &&
-                               (s == arch::Schedule::kStatic || r.chunks_per_thread == c);
-                      });
-      if (!already) rep.candidates.push_back(probe(wv, sched, cpt, seed_tasks));
-    }
+  if (wv != nullptr && wv->layout == core::Layout::kSpecs && req.portfolio.size() >= 2) {
+    for (const int cpt : {1, 4, 16}) rep.candidates.push_back(probe(wv, cpt, false));
   }
 
-  // Phase 3 — race the intra-option task mode on the winning configuration
-  // when the caller left it to auto. Only lattice/path families consume the
-  // knob, and a single-participant pool has nobody to steal tasks.
-  if (key.tasks < 0 && key.threads > 1 && family_has_tasks(key.family)) {
-    const CandidateResult* sofar =
-        pick_best(rep.candidates, [](const CandidateResult&) { return true; });
-    if (sofar != nullptr) {
-      const engine::VariantInfo* tv = engine::Registry::instance().find(sofar->id);
-      if (tv != nullptr) {
-        rep.candidates.push_back(
-            probe(tv, sofar->schedule, sofar->chunks_per_thread, !sofar->tasks));
-      }
+  // Phase 3 — race the intra-option task mode on the winning configuration.
+  // Only lattice/path families consume the knob, and a single-participant
+  // pool has nobody to steal tasks.
+  if (key.threads > 1 && family_has_tasks(key.family)) {
+    const CandidateResult* sofar = pick_best(rep.candidates);
+    const engine::VariantInfo* tv = engine::Registry::instance().find(sofar->id);
+    if (tv != nullptr) {
+      rep.candidates.push_back(probe(tv, sofar->chunks_per_thread, !sofar->tasks));
     }
   }
 
   if (opt.imbalance && !timing_was_on) obs::enable_parallel_timing(false);
 
-  // Winner: best configuration honoring the pins. The unconstrained best
-  // across the whole grid prices what the pins cost.
-  const bool pinned = key.pinned_schedule >= 0 || key.pinned_chunks > 0 || key.tasks >= 0;
-  const CandidateResult* constrained =
-      pick_best(rep.candidates, [&](const CandidateResult& c) { return satisfies_pins(key, c); });
-  const CandidateResult* unconstrained =
-      pick_best(rep.candidates, [](const CandidateResult&) { return true; });
-  if (unconstrained != nullptr) rep.best_items_per_sec = unconstrained->items_per_sec;
-  const CandidateResult* winner = constrained != nullptr ? constrained : unconstrained;
-  if (winner != nullptr) {
+  if (const CandidateResult* winner = pick_best(rep.candidates)) {
     rep.winner.variant_id = winner->id;
-    rep.winner.schedule = winner->schedule;
     rep.winner.chunks_per_thread = winner->chunks_per_thread;
     rep.winner.tasks = winner->tasks;
     rep.winner.items_per_sec = winner->items_per_sec;
     rep.winner.imbalance = winner->imbalance;
-    if (pinned && constrained != nullptr && unconstrained != nullptr &&
-        unconstrained->items_per_sec > kPinnedLossFactor * constrained->items_per_sec) {
-      rep.pinned_losing = true;
-    }
   }
   rep.race_seconds = race_timer.seconds();
   return rep;
@@ -362,7 +293,6 @@ Resolution resolve(const engine::Engine& eng, const engine::PricingRequest& req,
   RaceReport rep = race(eng, req, key);
   obs::counter("engine.tune.race").add(1);
   out.raced = true;
-  if (rep.pinned_losing) obs::counter("engine.tune.pinned_losing").add(1);
   if (!rep.winner.valid()) return out;
   if (rep.breaker_excluded > 0) {
     // Breakers kept candidates out of this race: the winner is the best of

@@ -11,7 +11,7 @@
 //   - through the engine it stays within its registered tolerance of
 //     cn.reference.scalar on exotic_book-shaped put books;
 //   - its outputs are bitwise the same for any participant count, chunk
-//     granularity and schedule, for W = 4 and W = 8, and whichever
+//     granularity, for W = 4 and W = 8, and whichever
 //     options share a lane's pack;
 //   - an option the heat-equation transform rejects fails the engine
 //     request exactly as it does for cn.wavefront_split_paired.auto.
@@ -202,20 +202,16 @@ TEST(CnDirectPacked, OutputsAreBitwiseInvariantAcrossExecutionShapes) {
     ASSERT_EQ(want.values, packed(b)) << "seed " << seed;
     for (std::size_t p = 0; p < engines.size(); ++p) {
       for (const int cpt : {1, 3, 8}) {
-        for (const auto sched : {arch::Schedule::kDynamic, arch::Schedule::kStatic}) {
-          PricingRequest req = request_for(kPacked, b);
-          req.chunks_per_thread = cpt;
-          req.schedule = sched;
-          PricingResult res;
-          engines[p]->price(req, res);
-          ASSERT_TRUE(res.status.ok()) << "seed " << seed << ": " << res.status.to_string();
-          ASSERT_EQ(res.values.size(), want.values.size());
-          for (std::size_t i = 0; i < want.values.size(); ++i) {
-            ASSERT_EQ(res.values[i], want.values[i])
-                << "seed " << seed << " option " << i << " participants " << p + 1
-                << " chunks_per_thread " << cpt << " schedule "
-                << (sched == arch::Schedule::kDynamic ? "dynamic" : "static");
-          }
+        PricingRequest req = request_for(kPacked, b);
+        req.chunks_per_thread = cpt;
+        PricingResult res;
+        engines[p]->price(req, res);
+        ASSERT_TRUE(res.status.ok()) << "seed " << seed << ": " << res.status.to_string();
+        ASSERT_EQ(res.values.size(), want.values.size());
+        for (std::size_t i = 0; i < want.values.size(); ++i) {
+          ASSERT_EQ(res.values[i], want.values[i])
+              << "seed " << seed << " option " << i << " participants " << p + 1
+              << " chunks_per_thread " << cpt;
         }
       }
     }

@@ -1,9 +1,7 @@
 // Tests for the kernel registry and batched pricing engine: id hygiene and
 // metadata invariants, registry self-validation, chunked-vs-serial
 // equivalence over every variant (the RNG-substream, lattice and path
-// adapters must make chunking invisible), scheduling knobs, and the
-// dynamic-schedule imbalance win on a maturity-sorted heterogeneous
-// portfolio.
+// adapters must make chunking invisible), and the scheduling knobs.
 
 #include <algorithm>
 #include <cmath>
@@ -187,9 +185,10 @@ struct Probe {
 // Chunked execution must be numerically invisible, for every registered
 // variant: the serial kernel result (a pool of one), run_batch on pools of
 // two and of every hardware thread (and the registry's run_batch on the
-// shared pool), and Engine::price under both schedules are bitwise-equal. Lattice and PDE kernels are deterministic
-// per option, SIMD lane groups stay aligned to the chunk boundaries, and
-// the RNG adapters re-base their substreams on the range offset.
+// shared pool), and Engine::price at two chunk granularities are
+// bitwise-equal. Lattice and PDE kernels are deterministic per option,
+// SIMD lane groups stay aligned to the chunk boundaries, and the RNG
+// adapters re-base their substreams on the range offset.
 TEST(Engine, ChunkedExecutionMatchesWholeBatch) {
   const int nproc = std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
   engine::ThreadPool one(1), two(2), all(nproc);
@@ -213,14 +212,13 @@ TEST(Engine, ChunkedExecutionMatchesWholeBatch) {
       p.clear();
       v->run_batch(p.req, p.req.portfolio, res);
       EXPECT_TRUE(bitwise_equal(p.outputs(res), want)) << what << ": the registry's run_batch";
-      for (auto sched : {arch::Schedule::kDynamic, arch::Schedule::kStatic}) {
-        p.req.schedule = sched;
+      for (const int cpt : {1, 3}) {
+        p.req.chunks_per_thread = cpt;
         p.clear();
         eng.price(p.req, res);
         ASSERT_TRUE(res.status.ok()) << what << ": " << res.status.to_string();
         EXPECT_TRUE(bitwise_equal(p.outputs(res), want))
-            << what << ": Engine::price, "
-            << (sched == arch::Schedule::kDynamic ? "dynamic" : "static");
+            << what << ": Engine::price, chunks_per_thread " << cpt;
       }
     }
   }
@@ -339,46 +337,6 @@ TEST(Engine, RepeatedPricingOfOneRequestIsDeterministic) {
   for (std::size_t i = 0; i < a.values.size(); ++i) EXPECT_EQ(a.values[i], b.values[i]) << i;
 }
 
-// The acceptance demonstration: on a maturity-sorted lattice portfolio with
-// per-option depth (cost ramps quadratically across the batch), dynamic
-// ticket scheduling spreads the heavy tail while static contiguous stripes
-// pin it to the last participants.
-TEST(Engine, DynamicScheduleReducesImbalanceOnSortedMixedExpiryPortfolio) {
-  auto workload = lattice_workload(256, 29);
-  std::sort(workload.begin(), workload.end(),
-            [](const core::OptionSpec& a, const core::OptionSpec& b) { return a.years < b.years; });
-
-  engine::ThreadPool pool(4);
-  Engine eng(&pool);
-  PricingRequest req;
-  req.kernel_id = "binomial.intermediate.auto";
-  req.portfolio = core::view_of(std::span<const core::OptionSpec>(workload));
-  // Deep enough that one pricing spans several OS scheduling quanta — on a
-  // single-core host a too-short run lets whichever thread holds the CPU
-  // drain the ticket counter alone, which says nothing about the schedule.
-  req.steps_per_year = 512;
-
-  obs::enable_parallel_timing();
-  obs::reset_metrics();
-  for (int rep = 0; rep < 2; ++rep) {
-    req.schedule = arch::Schedule::kStatic;
-    ASSERT_TRUE(eng.price(req).status.ok());
-    req.schedule = arch::Schedule::kDynamic;
-    ASSERT_TRUE(eng.price(req).status.ok());
-  }
-  obs::enable_parallel_timing(false);
-
-  double stat = 0.0, dyn = 0.0;
-  for (const auto& [name, s] : obs::snapshot_metrics().stats) {
-    if (name == "parallel.engine.static.imbalance" && s.count > 0) stat = s.mean;
-    if (name == "parallel.engine.dynamic.imbalance" && s.count > 0) dyn = s.mean;
-  }
-  ASSERT_GT(stat, 0.0);
-  ASSERT_GT(dyn, 0.0);
-  if (stat < 1.3) GTEST_SKIP() << "static skew did not manifest (imbalance " << stat << ")";
-  EXPECT_LT(dyn, stat) << "dynamic=" << dyn << " static=" << stat;
-}
-
 // The Black–Scholes chunk pipeline must be invisible in the outputs: every
 // registered bs variant, priced from every BS layout (native or
 // negotiated), gives bit-identical prices for any participant count and
@@ -457,7 +415,7 @@ TEST(Engine, NegotiatedRequestReusedAcrossAnInPlaceTickPricesTheNewSpots) {
 }
 
 // One GroupScratch prices specs and Black–Scholes groups of the same fused
-// size in turn (a server's dispatcher does), under the same schedule. Each
+// size in turn (a server's dispatcher does), at the same granularity. Each
 // family must get its own partition: the BS group one inline chunk with
 // solo-identical prices, the lattice group its cost-weighted chunks again.
 TEST(Engine, GroupScratchKeepsBlackScholesAndSpecsPartitionsApart) {

@@ -9,8 +9,8 @@
 //   - Black–Scholes with layout negotiation (AOS request, SOA kernel):
 //     each chunk converts through a tile carved from the request arena,
 //     which keeps its blocks across repetitions,
-//   - chunked Monte Carlo (stream flavor) across a thread pool, both
-//     schedules: chunks write into pre-sized scratch slices and the
+//   - chunked Monte Carlo (stream flavor) across a thread pool: chunks
+//     write into pre-sized scratch slices and the
 //     dispatch closure fits std::function's small-buffer optimization,
 //   - a run_batch-only variant, the one-chunk case.
 //
@@ -161,21 +161,17 @@ TEST(EngineAlloc, ChunkedMonteCarloAcrossThePoolIsAllocationFree) {
 
   engine::ThreadPool pool(4);
   Engine eng(&pool);
-  for (auto sched : {arch::Schedule::kDynamic, arch::Schedule::kStatic}) {
-    req.schedule = sched;
-    PricingResult res;
-    eng.price(req, res);  // warm-up: normals, chunk bounds, mc buffer
-    eng.price(req, res);  // second warm-up: res buffers at final capacity
-    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+  PricingResult res;
+  eng.price(req, res);  // warm-up: normals, chunk bounds, mc buffer
+  eng.price(req, res);  // second warm-up: res buffers at final capacity
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
-    const std::size_t allocs = allocations_during([&] {
-      for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
-    });
-    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
-    ASSERT_EQ(res.values.size(), workload.size());
-    EXPECT_EQ(allocs, 0u) << "steady-state chunked MC allocated (schedule "
-                          << (sched == arch::Schedule::kDynamic ? "dynamic" : "static") << ")";
-  }
+  const std::size_t allocs = allocations_during([&] {
+    for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
+  });
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+  ASSERT_EQ(res.values.size(), workload.size());
+  EXPECT_EQ(allocs, 0u) << "steady-state chunked MC allocated";
 }
 
 // The arena-backed kernel scratch pools (PR5): lattice buffers for the
@@ -194,21 +190,17 @@ TEST(EngineAlloc, BinomialLatticeScratchIsPooledAfterWarmup) {
 
   engine::ThreadPool pool(4);
   Engine eng(&pool);
-  for (auto sched : {arch::Schedule::kDynamic, arch::Schedule::kStatic}) {
-    req.schedule = sched;
-    PricingResult res;
-    eng.price(req, res);  // warm-up: lattice pool, chunk bounds
-    eng.price(req, res);  // second warm-up: result buffers at capacity
-    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+  PricingResult res;
+  eng.price(req, res);  // warm-up: lattice pool, chunk bounds
+  eng.price(req, res);  // second warm-up: result buffers at capacity
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
-    const std::size_t allocs = allocations_during([&] {
-      for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
-    });
-    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
-    ASSERT_EQ(res.values.size(), workload.size());
-    EXPECT_EQ(allocs, 0u) << "steady-state binomial pricing allocated (schedule "
-                          << (sched == arch::Schedule::kDynamic ? "dynamic" : "static") << ")";
-  }
+  const std::size_t allocs = allocations_during([&] {
+    for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
+  });
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+  ASSERT_EQ(res.values.size(), workload.size());
+  EXPECT_EQ(allocs, 0u) << "steady-state binomial pricing allocated";
 }
 
 // The nested fork-join layer must preserve the guarantee: deep European
@@ -243,7 +235,7 @@ TEST(EngineAlloc, TaskedMixedExpiryBinomialIsAllocationFree) {
 // Depth-packed SIMD lattices: each chunk sorts its depth keys in a slice
 // of the request's depth_order, sized by the prepare hook, and leases one
 // (deepest+1) x W lattice per worker — a mixed-style, mixed-depth book is
-// allocation-free after warm-up under both schedules.
+// allocation-free after warm-up.
 TEST(EngineAlloc, PackedMixedDepthBinomialIsAllocationFree) {
   auto workload = core::make_option_workload(61, 12);
   for (std::size_t i = 0; i < workload.size(); i += 2) {
@@ -257,27 +249,22 @@ TEST(EngineAlloc, PackedMixedDepthBinomialIsAllocationFree) {
 
   engine::ThreadPool pool(4);
   Engine eng(&pool);
-  for (auto sched : {arch::Schedule::kDynamic, arch::Schedule::kStatic}) {
-    req.schedule = sched;
-    PricingResult res;
-    eng.price(req, res);  // warm-up: lattice pool, depth keys, chunk bounds
-    eng.price(req, res);  // second warm-up: result buffers at capacity
-    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+  PricingResult res;
+  eng.price(req, res);  // warm-up: lattice pool, depth keys, chunk bounds
+  eng.price(req, res);  // second warm-up: result buffers at capacity
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
-    const std::size_t allocs = allocations_during([&] {
-      for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
-    });
-    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
-    ASSERT_EQ(res.values.size(), workload.size());
-    EXPECT_EQ(allocs, 0u) << "steady-state packed binomial pricing allocated (schedule "
-                          << (sched == arch::Schedule::kDynamic ? "dynamic" : "static") << ")";
-  }
+  const std::size_t allocs = allocations_during([&] {
+    for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
+  });
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+  ASSERT_EQ(res.values.size(), workload.size());
+  EXPECT_EQ(allocs, 0u) << "steady-state packed binomial pricing allocated";
 }
 
 // Option-packed Crank–Nicolson: each participant leases one pack
 // workspace from the pool the prepare hook sized — a book of calls and
-// puts in both styles is allocation-free after warm-up under both
-// schedules.
+// puts in both styles is allocation-free after warm-up.
 TEST(EngineAlloc, PackedCrankNicolsonIsAllocationFree) {
   auto workload = core::make_option_workload(61, 14);
   for (std::size_t i = 0; i < workload.size(); ++i) {
@@ -293,21 +280,17 @@ TEST(EngineAlloc, PackedCrankNicolsonIsAllocationFree) {
 
   engine::ThreadPool pool(4);
   Engine eng(&pool);
-  for (auto sched : {arch::Schedule::kDynamic, arch::Schedule::kStatic}) {
-    req.schedule = sched;
-    PricingResult res;
-    eng.price(req, res);  // warm-up: pack pool, chunk bounds
-    eng.price(req, res);  // second warm-up: result buffers at capacity
-    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+  PricingResult res;
+  eng.price(req, res);  // warm-up: pack pool, chunk bounds
+  eng.price(req, res);  // second warm-up: result buffers at capacity
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
-    const std::size_t allocs = allocations_during([&] {
-      for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
-    });
-    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
-    ASSERT_EQ(res.values.size(), workload.size());
-    EXPECT_EQ(allocs, 0u) << "steady-state packed Crank-Nicolson pricing allocated (schedule "
-                          << (sched == arch::Schedule::kDynamic ? "dynamic" : "static") << ")";
-  }
+  const std::size_t allocs = allocations_during([&] {
+    for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
+  });
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+  ASSERT_EQ(res.values.size(), workload.size());
+  EXPECT_EQ(allocs, 0u) << "steady-state packed Crank-Nicolson pricing allocated";
 }
 
 TEST(EngineAlloc, MonteCarloComputedRngScratchIsPooledAfterWarmup) {
@@ -320,21 +303,17 @@ TEST(EngineAlloc, MonteCarloComputedRngScratchIsPooledAfterWarmup) {
 
   engine::ThreadPool pool(4);
   Engine eng(&pool);
-  for (auto sched : {arch::Schedule::kDynamic, arch::Schedule::kStatic}) {
-    req.schedule = sched;
-    PricingResult res;
-    eng.price(req, res);  // warm-up: rng pool, chunk bounds
-    eng.price(req, res);
-    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+  PricingResult res;
+  eng.price(req, res);  // warm-up: rng pool, chunk bounds
+  eng.price(req, res);
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
-    const std::size_t allocs = allocations_during([&] {
-      for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
-    });
-    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
-    ASSERT_EQ(res.values.size(), workload.size());
-    EXPECT_EQ(allocs, 0u) << "steady-state computed MC allocated (schedule "
-                          << (sched == arch::Schedule::kDynamic ? "dynamic" : "static") << ")";
-  }
+  const std::size_t allocs = allocations_during([&] {
+    for (int rep = 0; rep < 10; ++rep) eng.price(req, res);
+  });
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+  ASSERT_EQ(res.values.size(), workload.size());
+  EXPECT_EQ(allocs, 0u) << "steady-state computed MC allocated";
 }
 
 // A run_batch-only variant (the blocked binomial family) is the

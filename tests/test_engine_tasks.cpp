@@ -7,6 +7,8 @@
 //     reference lattice, serial or tasked, at any depth/segmentation,
 //   - a mixed-expiry binomial batch priced through the engine with tasks
 //     on is bitwise-equal to the same batch with tasks off,
+//   - a fused group (Engine::price_group) runs the task mode its members
+//     asked for,
 //   - the pipelined CN wavefront solve reproduces price AND iteration
 //     count of price_reference_blocked exactly (same arithmetic, same
 //     order, only overlapped in time),
@@ -112,6 +114,52 @@ TEST(EngineTasks, MixedExpiryBinomialBatchBitwiseEqualTaskedVsFlat) {
   for (std::size_t i = 0; i < flat.values.size(); ++i) {
     EXPECT_EQ(tasked.values[i], flat.values[i]) << "option " << i;  // bitwise
   }
+}
+
+// --- Engine::price_group: a fused group runs its members' task mode ----------
+
+// A coalesced group prices as one fused request, which must carry the task
+// mode its members asked for: tasks = kOff stays flat on a pool of two,
+// where kAuto would turn tasks on.
+TEST(EngineTasks, FusedGroupRunsItsMembersTaskMode) {
+  engine::ThreadPool pool(2);
+  Engine eng(&pool);
+  constexpr std::size_t kMembers = 2;
+  std::vector<core::OptionSpec> books[kMembers];
+  PricingRequest reqs[kMembers];
+  PricingResult results[kMembers];
+  engine::GroupJob group[kMembers];
+  int deep = 0;
+  for (std::size_t m = 0; m < kMembers; ++m) {
+    books[m] = core::make_option_workload(16, 40 + m);  // European by default
+    reqs[m].kernel_id = "binomial.reference.scalar";  // splits deep Europeans when tasked
+    reqs[m].portfolio = core::view_of(std::span<const core::OptionSpec>(books[m]));
+    reqs[m].steps_per_year = 512;  // years up to 3.0 -> depths up to ~1536
+    reqs[m].tasks = TaskMode::kOff;
+    group[m] = {&reqs[m], &results[m]};
+    for (const auto& o : books[m]) {
+      if (static_cast<int>(o.years * reqs[m].steps_per_year) >=
+          kernels::binomial::banded::kMinTaskSteps) {
+        ++deep;
+      }
+    }
+  }
+  ASSERT_GT(deep, 0);
+  ASSERT_TRUE(eng.fusable(reqs[0], reqs[1]));
+
+  engine::GroupScratch gs;
+  const std::uint64_t before = tasks_spawned();
+  eng.price_group(group, gs);
+  for (const PricingResult& r : results) ASSERT_TRUE(r.status.ok()) << r.status.to_string();
+  EXPECT_EQ(tasks_spawned(), before) << "a tasks = kOff group spawned intra-option tasks";
+
+  // The same group asking for tasks spawns them, so the check above can
+  // tell the two modes apart.
+  for (PricingRequest& r : reqs) r.tasks = TaskMode::kOn;
+  const std::uint64_t before_on = tasks_spawned();
+  eng.price_group(group, gs);
+  for (const PricingResult& r : results) ASSERT_TRUE(r.status.ok()) << r.status.to_string();
+  EXPECT_GT(tasks_spawned(), before_on) << "a tasks = kOn group spawned no tasks";
 }
 
 // --- CN: pipelined sweeps reproduce the blocked reference exactly ------------

@@ -5,7 +5,7 @@
 //   - every binomial specs variant stays within its registered tolerance
 //     of binomial.reference.scalar;
 //   - every variant's outputs are bitwise the same for any participant
-//     count, chunk granularity, schedule and task mode, and equal to its
+//     count, chunk granularity and task mode, and equal to its
 //     own whole-batch run_batch;
 //   - a depth-packed lane's price does not depend on its pack-mates.
 //
@@ -134,27 +134,23 @@ TEST(MixedDepthLattice, OutputsAreBitwiseInvariantAcrossExecutionShapes) {
       const std::vector<double> want = run_batch(*v, b, specs);
       for (std::size_t p = 0; p < engines.size(); ++p) {
         for (const int cpt : {1, 3, 8}) {
-          for (const auto sched : {arch::Schedule::kDynamic, arch::Schedule::kStatic}) {
-            for (const auto tasks : {engine::TaskMode::kOff, engine::TaskMode::kOn}) {
-              PricingRequest req;
-              req.kernel_id = v->id;
-              req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
-              req.steps_per_year = b.steps_per_year;
-              req.chunks_per_thread = cpt;
-              req.schedule = sched;
-              req.tasks = tasks;
-              PricingResult res;
-              engines[p]->price(req, res);
-              ASSERT_TRUE(res.status.ok()) << v->id << " seed " << seed << ": "
-                                           << res.status.to_string();
-              ASSERT_EQ(res.values.size(), want.size());
-              for (std::size_t i = 0; i < want.size(); ++i) {
-                ASSERT_EQ(res.values[i], want[i])
-                    << v->id << " seed " << seed << " option " << i << " participants "
-                    << p + 1 << " chunks_per_thread " << cpt << " schedule "
-                    << (sched == arch::Schedule::kDynamic ? "dynamic" : "static") << " tasks "
-                    << (tasks == engine::TaskMode::kOn ? "on" : "off");
-              }
+          for (const auto tasks : {engine::TaskMode::kOff, engine::TaskMode::kOn}) {
+            PricingRequest req;
+            req.kernel_id = v->id;
+            req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
+            req.steps_per_year = b.steps_per_year;
+            req.chunks_per_thread = cpt;
+            req.tasks = tasks;
+            PricingResult res;
+            engines[p]->price(req, res);
+            ASSERT_TRUE(res.status.ok()) << v->id << " seed " << seed << ": "
+                                         << res.status.to_string();
+            ASSERT_EQ(res.values.size(), want.size());
+            for (std::size_t i = 0; i < want.size(); ++i) {
+              ASSERT_EQ(res.values[i], want[i])
+                  << v->id << " seed " << seed << " option " << i << " participants "
+                  << p + 1 << " chunks_per_thread " << cpt << " tasks "
+                  << (tasks == engine::TaskMode::kOn ? "on" : "off");
             }
           }
         }

@@ -333,7 +333,7 @@ TEST_F(ObsGlobals, ParallelTimingRecordsImbalance) {
   pool.run(
       1000,
       [&](std::ptrdiff_t i) { sink.fetch_add(static_cast<int>(i), std::memory_order_relaxed); },
-      arch::Schedule::kDynamic, "for");
+      "for");
   obs::enable_parallel_timing(false);
   const auto snap = obs::snapshot_metrics();
   bool saw = false;

@@ -1,6 +1,6 @@
-// Tests for the persistent engine thread pool: chunk coverage under both
-// schedules, nested and concurrent submission, exception propagation, and
-// the CPU-time imbalance telemetry that motivates dynamic self-scheduling.
+// Tests for the persistent engine thread pool: chunk coverage under ticket
+// self-scheduling, nested and concurrent submission, exception propagation
+// and cancellation.
 
 #include <atomic>
 #include <cstddef>
@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "finbench/arch/timing.hpp"
 #include "finbench/engine/thread_pool.hpp"
 #include "finbench/obs/metrics.hpp"
 #include "finbench/robust/deadline.hpp"
@@ -20,44 +19,12 @@
 using namespace finbench;
 using engine::ThreadPool;
 
-namespace {
-
-// Burn roughly `seconds` of *CPU* time on the calling thread, yielding
-// periodically so sibling participants stay schedulable on few-core hosts.
-void burn_cpu(double seconds) {
-  arch::ThreadCpuTimer t;
-  volatile double sink = 1.0;
-  while (t.seconds() < seconds) {
-    for (int i = 0; i < 2000; ++i) sink = sink * 1.0000001 + 1e-9;
-    std::this_thread::yield();
-  }
-  (void)sink;
-}
-
-double imbalance_of(const char* site) {
-  const std::string want = std::string("parallel.") + site + ".imbalance";
-  for (const auto& [name, s] : obs::snapshot_metrics().stats) {
-    if (name == want && s.count > 0) return s.max;
-  }
-  return 0.0;
-}
-
-}  // namespace
-
 TEST(ThreadPool, EveryChunkRunsExactlyOnceDynamic) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4);
   constexpr std::ptrdiff_t n = 1000;
   std::vector<std::atomic<int>> hits(n);
-  pool.run(n, [&](std::ptrdiff_t c) { hits[c].fetch_add(1); }, arch::Schedule::kDynamic);
-  for (std::ptrdiff_t c = 0; c < n; ++c) EXPECT_EQ(hits[c].load(), 1) << c;
-}
-
-TEST(ThreadPool, EveryChunkRunsExactlyOnceStatic) {
-  ThreadPool pool(3);
-  constexpr std::ptrdiff_t n = 101;  // not a multiple of the pool size
-  std::vector<std::atomic<int>> hits(n);
-  pool.run(n, [&](std::ptrdiff_t c) { hits[c].fetch_add(1); }, arch::Schedule::kStatic);
+  pool.run(n, [&](std::ptrdiff_t c) { hits[c].fetch_add(1); });
   for (std::ptrdiff_t c = 0; c < n; ++c) EXPECT_EQ(hits[c].load(), 1) << c;
 }
 
@@ -119,30 +86,6 @@ TEST(ThreadPool, ExceptionPropagatesAndPoolStaysUsable) {
   for (int c = 0; c < 50; ++c) EXPECT_EQ(hits[c].load(), 1) << c;
 }
 
-TEST(ThreadPool, DynamicBeatsStaticOnSkewedChunks) {
-  ThreadPool pool(4);
-  obs::enable_parallel_timing();
-  obs::reset_metrics();
-
-  // Static assignment gives chunk c to participant c % P, so making every
-  // (c % 4 == 0) chunk heavy loads participant 0 with *all* the heavy work
-  // — the worst case for a fixed schedule. Dynamic ticket claiming spreads
-  // the same chunks across whoever is free.
-  auto skewed = [](std::ptrdiff_t c) { burn_cpu(c % 4 == 0 ? 2000e-6 : 100e-6); };
-  constexpr std::ptrdiff_t n = 32;
-
-  pool.run(n, skewed, arch::Schedule::kStatic, "tp.static");
-  pool.run(n, skewed, arch::Schedule::kDynamic, "tp.dynamic");
-
-  const double stat = imbalance_of("tp.static");
-  const double dyn = imbalance_of("tp.dynamic");
-  ASSERT_GT(stat, 0.0);
-  ASSERT_GT(dyn, 0.0);
-  if (stat < 1.5) GTEST_SKIP() << "static skew did not manifest (imbalance " << stat << ")";
-  EXPECT_LT(dyn, stat) << "dynamic=" << dyn << " static=" << stat;
-  obs::enable_parallel_timing(false);
-}
-
 namespace {
 
 std::uint64_t suppressed_counter() {
@@ -200,18 +143,18 @@ TEST(ThreadPool, CancelTokenStopsRemainingChunks) {
   pool.run(1000, [&](std::ptrdiff_t) {
     ran.fetch_add(1);
     token.cancel();
-  }, arch::Schedule::kDynamic, "pool", &token);
+  }, "pool", &token);
   EXPECT_GE(ran.load(), 1);
   EXPECT_LE(ran.load(), pool.size());
 
   // The token is sticky: a fresh run with the same expired token runs
   // nothing until reset().
   pool.run(10, [&](std::ptrdiff_t) { ran.fetch_add(1000); },
-           arch::Schedule::kDynamic, "pool", &token);
+           "pool", &token);
   EXPECT_LE(ran.load(), pool.size());
   token.reset();
   std::atomic<int> after{0};
   pool.run(10, [&](std::ptrdiff_t) { after.fetch_add(1); },
-           arch::Schedule::kDynamic, "pool", &token);
+           "pool", &token);
   EXPECT_EQ(after.load(), 10);
 }

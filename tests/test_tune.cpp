@@ -2,7 +2,7 @@
 //
 //   - intent parsing: "<family>.auto" with exactly one dot is an intent;
 //     "bs.intermediate.auto" is a concrete variant (".auto" is its width)
-//   - TuneKey: strict ordering, map round-trips, pins separate keys
+//   - TuneKey: strict ordering, map round-trips
 //   - PlanCache: put/find/explain/erase, file round-trip determinism
 //     (save → load into a second cache → identical winner plans)
 //   - corrupt-cache degradation: truncated / garbage / wrong-schema /
@@ -11,7 +11,9 @@
 //   - engine auto dispatch: first price races (engine.tune.race +1) and
 //     stamps resolved_id/tuned; repetitions hit the scratch/plan cache
 //     with the race count unchanged; auto outputs are BITWISE the outputs
-//     of pricing the resolved id explicitly on a replica portfolio
+//     of pricing the resolved id explicitly on a replica portfolio; the
+//     request's own chunks_per_thread and task mode neither change the
+//     key nor the execution of an auto id
 //   - serve coalescing: two auto requests resolving to the same plan fuse
 //     (coalesced == 2) and stay bitwise identical to an explicit solo run
 
@@ -50,17 +52,15 @@ tune::RaceReport make_report(const tune::TuneKey& key, const std::string& varian
   tune::RaceReport rep;
   rep.key = key;
   rep.winner.variant_id = variant;
-  rep.winner.schedule = arch::Schedule::kStatic;
   rep.winner.chunks_per_thread = 4;
+  rep.winner.tasks = true;
   rep.winner.items_per_sec = 1.25e7;
   rep.winner.imbalance = 1.5;
   rep.race_seconds = 0.25;
-  rep.best_items_per_sec = 1.5e7;
-  rep.pinned_losing = true;
   tune::CandidateResult c;
   c.id = variant;
-  c.schedule = arch::Schedule::kStatic;
   c.chunks_per_thread = 4;
+  c.tasks = true;
   c.items_per_sec = 1.25e7;
   c.ok = true;
   rep.candidates.push_back(c);
@@ -140,16 +140,12 @@ TEST(TuneKeyParse, KeysOrderStrictlyAndPinsSeparate) {
   EXPECT_NE(a, b);
   EXPECT_EQ(a, make_key(10));
 
-  tune::TuneKey pinned = a;
-  pinned.pinned_schedule = static_cast<int>(arch::Schedule::kStatic);
-  EXPECT_NE(a, pinned) << "a pinned request is a different tuning problem";
-
   std::map<tune::TuneKey, int> m;
   m[a] = 1;
   m[b] = 2;
-  m[pinned] = 3;
-  EXPECT_EQ(m.size(), 3u);
-  EXPECT_EQ(m[a], 1);
+  m[make_key(10)] = 3;
+  EXPECT_EQ(m.size(), 2u);
+  EXPECT_EQ(m[a], 3);
   EXPECT_FALSE(a.to_string().empty());
 }
 
@@ -164,13 +160,12 @@ TEST(PlanCache, PutFindExplainErase) {
   const auto plan = cache.find(key);
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->variant_id, "bs.intermediate.avx2");
-  EXPECT_EQ(plan->schedule, arch::Schedule::kStatic);
   EXPECT_EQ(plan->chunks_per_thread, 4);
+  EXPECT_TRUE(plan->tasks);
 
   const auto rep = cache.explain(key);
   ASSERT_TRUE(rep.has_value());
   EXPECT_EQ(rep->candidates.size(), 2u);
-  EXPECT_TRUE(rep->pinned_losing);
 
   EXPECT_TRUE(cache.erase(key));
   EXPECT_FALSE(cache.erase(key));
@@ -185,8 +180,6 @@ TEST(PlanCache, FileRoundTripIsDeterministic) {
   k2.family = "binomial";
   k2.layout = core::Layout::kSpecs;
   k2.american = true;
-  k2.pinned_schedule = static_cast<int>(arch::Schedule::kDynamic);
-  k2.pinned_chunks = 16;
   a.put(k1, make_report(k1, "bs.intermediate.avx2"));
   a.put(k2, make_report(k2, "binomial.advanced.auto"));
   ASSERT_TRUE(a.save_as(path));
@@ -200,8 +193,8 @@ TEST(PlanCache, FileRoundTripIsDeterministic) {
     const auto pb = b.find(k);
     ASSERT_TRUE(pa && pb) << k.to_string();
     EXPECT_EQ(pa->variant_id, pb->variant_id);
-    EXPECT_EQ(pa->schedule, pb->schedule);
     EXPECT_EQ(pa->chunks_per_thread, pb->chunks_per_thread);
+    EXPECT_EQ(pa->tasks, pb->tasks);
     EXPECT_EQ(pa->items_per_sec, pb->items_per_sec);  // exact: JSON round-trip
     EXPECT_EQ(pa->imbalance, pb->imbalance);
   }
@@ -210,7 +203,7 @@ TEST(PlanCache, FileRoundTripIsDeterministic) {
   EXPECT_EQ(rep->candidates.size(), 2u);
   EXPECT_EQ(rep->candidates[1].note, "kernel_error: it broke");
   EXPECT_TRUE(rep->key.american);
-  EXPECT_EQ(rep->key.pinned_chunks, 16);
+  EXPECT_TRUE(rep->candidates[0].tasks);
 
   // Determinism: a second save of the reloaded cache is byte-identical.
   const std::string path2 = temp_path("tune_roundtrip2.json");
@@ -317,18 +310,23 @@ TEST(PlanCache, WrongSchemaAndForeignFingerprintDegrade) {
   good.put(make_key(), make_report(make_key(), "bs.intermediate.avx2"));
   ASSERT_TRUE(good.save_as(path));
 
-  // Wrong schema string: reject wholesale.
+  // Wrong schema string — a future one, or a v1 file whose keys still
+  // carried caller pins: reject wholesale, counted as a rejection.
   std::ifstream in(path);
   std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   in.close();
-  std::string wrong = text;
-  const auto at = wrong.find("finbench.tune_cache/v1");
-  ASSERT_NE(at, std::string::npos);
-  wrong.replace(at, 22, "finbench.tune_cache/v9");
-  write_file(path, wrong);
-  tune::PlanCache c1;
-  EXPECT_EQ(c1.load(path).code(), robust::StatusCode::kDegraded);
-  EXPECT_EQ(c1.size(), 0u);
+  for (const char* schema : {"finbench.tune_cache/v9", "finbench.tune_cache/v1"}) {
+    std::string wrong = text;
+    const auto at = wrong.find(tune::kTuneCacheSchema);
+    ASSERT_NE(at, std::string::npos);
+    wrong.replace(at, tune::kTuneCacheSchema.size(), schema);
+    write_file(path, wrong);
+    const std::uint64_t rejected0 = obs::counter("engine.tune.cache_rejected").value();
+    tune::PlanCache c1;
+    EXPECT_EQ(c1.load(path).code(), robust::StatusCode::kDegraded) << schema;
+    EXPECT_EQ(c1.size(), 0u) << schema;
+    EXPECT_EQ(obs::counter("engine.tune.cache_rejected").value(), rejected0 + 1) << schema;
+  }
 
   // Foreign host: same schema, different fingerprint. Plans raced on
   // another machine must not dispatch this one.
@@ -462,20 +460,63 @@ TEST(AutoDispatch, UnknownFamilyAndEmptyWorkloadFailCleanly) {
       << res2.status.to_string();
 }
 
-TEST(AutoDispatch, PinnedScheduleIsHonoredByThePlan) {
-  core::Portfolio pf = core::Portfolio::bs(1024, core::Layout::kBsAos, 7005);
-  engine::PricingRequest req;
-  req.kernel_id = "bs.auto";
-  req.portfolio = pf.view();
-  req.schedule = arch::Schedule::kStatic;
-  req.pin_schedule = true;
+// An auto id runs its plan: a request that asks for two chunks per
+// participant (a granularity the race never tries) and tasks on resolves
+// to the same key as a default request (no second race), and prices
+// exactly as the resolved id does under the plan's chunks_per_thread and
+// task mode.
+TEST(AutoDispatch, AutoRunsThePlansChunksAndTasksWhateverTheRequestAsks) {
+  engine::ThreadPool pool(2);
+  engine::Engine eng(&pool);
+  const auto specs = core::make_option_workload(16, 7008);  // European by default
+  const auto price = [&](const std::string& id, int cpt, engine::TaskMode tasks,
+                         std::uint64_t& spawned) {
+    engine::PricingRequest req;
+    req.kernel_id = id;
+    req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
+    req.steps_per_year = 512;  // years up to 3.0: depths cross kMinTaskSteps
+    req.chunks_per_thread = cpt;
+    req.tasks = tasks;
+    const std::uint64_t spawned0 = obs::counter("engine.tasks.spawned").value();
+    engine::PricingResult res = eng.price(req);
+    spawned = obs::counter("engine.tasks.spawned").value() - spawned0;
+    EXPECT_TRUE(res.status.ok()) << id << ": " << res.status.to_string();
+    return res;
+  };
+  std::uint64_t spawned = 0;
 
   const std::uint64_t races0 = obs::counter("engine.tune.race").value();
-  const engine::PricingResult res = engine::Engine::shared().price(req);
-  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
-  EXPECT_TRUE(res.tuned);
-  // The pinned key is distinct from the unpinned one raced by other tests.
+  const engine::PricingResult def = price("binomial.auto", 8, engine::TaskMode::kAuto, spawned);
+  ASSERT_TRUE(def.tuned);
   EXPECT_EQ(obs::counter("engine.tune.race").value(), races0 + 1);
+
+  std::uint64_t spawned_auto = 0;
+  const engine::PricingResult odd =
+      price("binomial.auto", 2, engine::TaskMode::kOn, spawned_auto);
+  EXPECT_EQ(obs::counter("engine.tune.race").value(), races0 + 1)
+      << "the request's chunks and tasks made a second tuning key";
+  EXPECT_EQ(odd.resolved_id, def.resolved_id);
+
+  engine::PricingRequest key_req;
+  key_req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
+  key_req.steps_per_year = 512;
+  const auto plan =
+      tune::PlanCache::instance().find(tune::key_for(key_req, "binomial", eng.pool_size()));
+  ASSERT_TRUE(plan.has_value());
+  std::uint64_t spawned_explicit = 0;
+  const engine::PricingResult expl =
+      price(odd.resolved_id, plan->chunks_per_thread,
+            plan->tasks ? engine::TaskMode::kOn : engine::TaskMode::kOff, spawned_explicit);
+  EXPECT_EQ(odd.chunk_status.size(), expl.chunk_status.size())
+      << "the auto request did not run the plan's chunks_per_thread ("
+      << plan->chunks_per_thread << ")";
+  EXPECT_EQ(spawned_auto, spawned_explicit)
+      << "the auto request did not run the plan's task mode (tasks "
+      << (plan->tasks ? "on" : "off") << ")";
+  ASSERT_EQ(odd.values.size(), expl.values.size());
+  for (std::size_t i = 0; i < odd.values.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&odd.values[i], &expl.values[i], sizeof(double)), 0) << "option " << i;
+  }
 }
 
 TEST(AutoDispatch, CorruptBoundCacheFileStillResolves) {

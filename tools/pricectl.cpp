@@ -5,40 +5,43 @@
 //   pricectl --validate [--nopt N]       self-validate variants vs references
 //   pricectl --kernel ID --nopt N        price a workload through variant ID
 //            [--auto] [--tune] [--explain] [--tune-cache PATH]
-//            [--layout aos|soa|blocked|auto] [--schedule dynamic|static]
-//            [--chunks N] [--steps N] [--npath N] [--prices N] [--depth N]
+//            [--layout aos|soa|blocked|auto] [--chunks N] [--tasks on|off|auto]
+//            [--steps N] [--npath N] [--prices N] [--depth N]
 //            [--seed N] [--spy N] [--reps N] [--threads N] [--json PATH]
 //            [--csv PATH] [--trace PATH] [--sanitize off|reject|clamp|skip]
 //            [--guard off|finite|full] [--deadline-ms N] [--inject SPEC]
 //            [--metrics PATH|-] [--watch MS] [--flight-dump PATH]
 //            [--serve N] [--no-coalesce] [--chaos SPEC] [--breaker on|off]
 //            [--retry N] [--brownout on|off]
+//   pricectl --help                      print the usage
+//
+// An unknown flag (or a flag missing its value) is a usage error: exit 2,
+// naming the flag.
 //
 // Auto dispatch (docs/autotuning.md): --kernel also accepts an *intent* id
 // "<family>.auto" (bs/blackscholes, binomial, mc/montecarlo, brownian,
 // cn/cranknicolson) — the engine races the family's candidate variants,
-// layouts, and schedule settings once per workload shape and dispatches
-// the winner; --auto turns a bare family name into that intent ("--auto
-// --kernel bs" == "--kernel bs.auto"). --tune-cache PATH persists the
-// raced plans (schema finbench.tune_cache/v1, fingerprinted by host CPU)
-// so later runs resolve without racing; --tune forces a re-race of this
-// workload's key; --explain prints the cached race evidence — every
-// candidate's measured rate and imbalance — after the run. --chunks pins
-// chunks_per_thread (and --schedule now pins the schedule) even under
-// auto dispatch; the tuner warns via the engine.tune.pinned_losing counter
-// when a pin costs >10% against the tuned choice.
+// chunk granularities and task modes once per workload shape and
+// dispatches the winner; --auto turns a bare family name into that intent
+// ("--auto --kernel bs" == "--kernel bs.auto"). --tune-cache PATH persists
+// the raced plans (schema finbench.tune_cache/v2, fingerprinted by host
+// CPU) so later runs resolve without racing; --tune forces a re-race of
+// this workload's key; --explain prints the cached race evidence — every
+// candidate's measured rate and imbalance — after the run. The plan
+// decides chunks_per_thread and the task mode of an auto id, so --chunks
+// and --tasks are usage errors there; with a concrete id they are run
+// verbatim.
 //
 // --kernel runs kSpecs workloads through the batched engine (persistent
-// thread pool, cost-model-weighted chunks, --schedule selects dynamic
-// self-scheduling or static stripes) and batch-layout workloads through
-// the kernel's native entry point. --layout forces the Black–Scholes
-// request layout: `auto` (default) builds the variant's native layout,
-// `aos`/`soa`/`blocked` build that layout regardless and let the engine
-// negotiate —
-// the per-call conversion cost is printed and lands in the run report's
+// thread pool, cost-model-weighted chunks claimed by ticket) and
+// batch-layout workloads through the kernel's native entry point.
+// --layout forces the Black–Scholes request layout: `auto` (default)
+// builds the variant's native layout, `aos`/`soa`/`blocked` build that
+// layout regardless and let the engine negotiate — the per-call
+// conversion cost is printed and lands in the run report's
 // `layout`/`convert_seconds` fields. --spy N prices a mixed-expiry lattice
 // portfolio at N steps/year of expiry — the heterogeneous workload whose
-// imbalance the dynamic schedule exists to absorb. The run report (--json)
+// imbalance chunk self-scheduling exists to absorb. The run report (--json)
 // follows finbench.run_report/v2, identical to the fig/tab binaries.
 //
 // Robustness controls (docs/robustness.md): --sanitize picks the input
@@ -329,9 +332,34 @@ int run_serve(const engine::VariantInfo* v, const std::string& family,
   return 0;
 }
 
+constexpr const char* kUsage =
+    "usage: pricectl --list | --validate | --kernel ID --nopt N [--json PATH]\n"
+    "               [--auto] [--tune] [--explain] [--tune-cache PATH]\n"
+    "               [--layout aos|soa|blocked|auto] [--chunks N] [--tasks on|off|auto]\n"
+    "               [--steps N] [--npath N] [--prices N] [--depth N]\n"
+    "               [--seed N] [--spy N] [--reps N] [--threads N] [--quick|--full]\n"
+    "               [--csv PATH] [--trace PATH]\n"
+    "               [--sanitize off|reject|clamp|skip] [--guard off|finite|full]\n"
+    "               [--deadline-ms N] [--inject SPEC]\n"
+    "               [--metrics PATH|-] [--watch MS] [--flight-dump PATH]\n"
+    "               [--serve N] [--no-coalesce]\n"
+    "               [--chaos \"variant=<id>,<faultplan-spec>\"] [--breaker on|off]\n"
+    "               [--retry N] [--brownout on|off]\n"
+    "       ID is a concrete variant (--list) or an auto intent '<family>.auto'\n"
+    "       (bs/blackscholes, binomial, mc/montecarlo, brownian, cn/cranknicolson);\n"
+    "       an auto intent's plan decides chunks and tasks, so --chunks and --tasks\n"
+    "       need a concrete ID\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  // pricectl's own usage, before bench::Options::parse prints the shared one.
+  for (int i = 1; i < argc; ++i) {
+    if (!std::strcmp(argv[i], "--help")) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    }
+  }
   auto opts = bench::Options::parse(argc, argv);
 
   bool list = false, validate = false;
@@ -351,6 +379,7 @@ int main(int argc, char** argv) {
   bool auto_mode = false;
   bool force_tune = false;
   bool explain = false;
+  bool chunks_set = false, tasks_set = false;
   std::string tune_cache_path;
 
   for (int i = 1; i < argc; ++i) {
@@ -376,14 +405,11 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "pricectl: --layout takes aos, soa, blocked, or auto\n");
         return 2;
       }
-    } else if (!std::strcmp(argv[i], "--schedule") && i + 1 < argc) {
-      req.schedule = !std::strcmp(argv[++i], "static") ? arch::Schedule::kStatic
-                                                       : arch::Schedule::kDynamic;
-      req.pin_schedule = true;  // an explicit schedule wins over a tuned plan
     } else if (!std::strcmp(argv[i], "--chunks")) {
       req.chunks_per_thread = static_cast<int>(next(req.chunks_per_thread));
-      req.pin_chunks = true;
+      chunks_set = true;
     } else if (!std::strcmp(argv[i], "--tasks") && i + 1 < argc) {
+      tasks_set = true;
       const std::string t = argv[++i];
       if (t == "on") req.tasks = engine::TaskMode::kOn;
       else if (t == "off") req.tasks = engine::TaskMode::kOff;
@@ -457,6 +483,13 @@ int main(int argc, char** argv) {
         req.degrade.min_npath_fraction = 0.25;
         req.degrade.min_steps_fraction = 0.25;
       }
+    } else if (const int nvals = bench::Options::flag_values(argv[i]);
+               nvals >= 0 && i + nvals < argc) {
+      i += nvals;  // already consumed by bench::Options::parse
+    } else {
+      std::fprintf(stderr, "pricectl: unknown flag or missing value: '%s' (see --help)\n",
+                   argv[i]);
+      return 2;
     }
   }
 
@@ -492,21 +525,7 @@ int main(int argc, char** argv) {
   if (validate) return run_validate(nopt ? nopt : 64);
   if (kernel_id.empty() && auto_mode) kernel_id = "bs.auto";
   if (kernel_id.empty()) {
-    std::fprintf(stderr,
-                 "usage: pricectl --list | --validate | --kernel ID --nopt N [--json PATH]\n"
-                 "               [--auto] [--tune] [--explain] [--tune-cache PATH]\n"
-                 "               [--layout aos|soa|blocked|auto] [--schedule dynamic|static]\n"
-                 "               [--chunks N] [--steps N] [--npath N] [--prices N] [--depth N]\n"
-                 "               [--seed N] [--spy N] [--reps N] [--threads N] [--tasks on|off|auto]\n"
-                 "               [--csv PATH] [--trace PATH]\n"
-                 "               [--sanitize off|reject|clamp|skip] [--guard off|finite|full]\n"
-                 "               [--deadline-ms N] [--inject SPEC]\n"
-                 "               [--metrics PATH|-] [--watch MS] [--flight-dump PATH]\n"
-                 "               [--serve N] [--no-coalesce]\n"
-                 "               [--chaos \"variant=<id>,<faultplan-spec>\"] [--breaker on|off]\n"
-                 "               [--retry N] [--brownout on|off]\n"
-                 "       ID is a concrete variant (--list) or an auto intent '<family>.auto'\n"
-                 "       (bs/blackscholes, binomial, mc/montecarlo, brownian, cn/cranknicolson)\n");
+    std::fputs(kUsage, stderr);
     return 2;
   }
   // --auto turns a bare family name into the auto intent: "--auto --kernel
@@ -536,6 +555,13 @@ int main(int argc, char** argv) {
   const bool auto_id = tune::is_auto_id(kernel_id);
   std::string family;
   const engine::VariantInfo* v = nullptr;
+  if (auto_id && (chunks_set || tasks_set)) {
+    std::fprintf(stderr,
+                 "pricectl: %s decides chunks and tasks from its plan; --%s needs a concrete "
+                 "kernel id\n",
+                 kernel_id.c_str(), chunks_set ? "chunks" : "tasks");
+    return 2;
+  }
   if (auto_id) {
     family = std::string(tune::auto_family(kernel_id));
     if (family.empty()) {
@@ -695,7 +721,7 @@ int main(int argc, char** argv) {
       v != nullptr ? v : engine::Registry::instance().find(last.resolved_id);
   const engine::Layout rv_layout = rv != nullptr ? rv->layout : last.layout;
 
-  // The plan a tuned run dispatched through (for the schedule note and
+  // The plan a tuned run dispatched through (for the chunks note and
   // --explain); the cache holds it under the request's own key.
   std::optional<tune::DispatchPlan> plan;
   tune::TuneKey key;
@@ -735,12 +761,11 @@ int main(int argc, char** argv) {
     }
     report.add_note(counters);
   }
-  const arch::Schedule eff_sched =
-      last.tuned && plan && !req.pin_schedule ? plan->schedule : req.schedule;
-  report.add_note("schedule = " + std::string(eff_sched == arch::Schedule::kDynamic
-                                                  ? "dynamic (ticket self-scheduling)"
-                                                  : "static (equal-count stripes)") +
-                  (last.tuned && !req.pin_schedule ? " [tuned]" : ""));
+  // A tuned run executes its plan's chunks and task mode, not the request's.
+  if (last.tuned && plan) {
+    report.add_note("chunks_per_thread = " + std::to_string(plan->chunks_per_thread) +
+                    ", tasks = " + (plan->tasks ? "on" : "off") + " [tuned]");
+  }
   // Intra-option fork-join provenance: the requested mode plus whatever the
   // nested task layer actually did (the run report's `tasks` object carries
   // the same counters in machine form).
@@ -813,22 +838,16 @@ int main(int argc, char** argv) {
     FILE* out = metrics_path == "-" ? stderr : stdout;
     if (const auto rep = tune::PlanCache::instance().explain(key)) {
       std::fprintf(out, "tune: key %s\n", key.to_string().c_str());
-      std::fprintf(out, "tune: winner %s sched=%s cpt=%d %.4g items/s imbalance=%.3f (race %.2f s)\n",
-                   rep->winner.variant_id.c_str(),
-                   std::string(tune::to_string(rep->winner.schedule)).c_str(),
-                   rep->winner.chunks_per_thread, rep->winner.items_per_sec,
+      std::fprintf(out,
+                   "tune: winner %s cpt=%d tasks=%s %.4g items/s imbalance=%.3f (race %.2f s)\n",
+                   rep->winner.variant_id.c_str(), rep->winner.chunks_per_thread,
+                   rep->winner.tasks ? "on" : "off", rep->winner.items_per_sec,
                    rep->winner.imbalance, rep->race_seconds);
-      if (rep->pinned_losing) {
-        std::fprintf(out,
-                     "tune: WARNING pinned schedule/chunks lose >10%% to the unconstrained "
-                     "best (%.4g items/s)\n",
-                     rep->best_items_per_sec);
-      }
       for (const auto& c : rep->candidates) {
-        std::fprintf(out, "tune:   %-34s %-8s cpt=%-3d %12.4g items/s imbalance=%.3f%s%s\n",
-                     c.id.c_str(), std::string(tune::to_string(c.schedule)).c_str(),
-                     c.chunks_per_thread, c.items_per_sec, c.imbalance,
-                     c.ok ? "" : "  FAILED: ", c.ok ? "" : c.note.c_str());
+        std::fprintf(out, "tune:   %-34s cpt=%-3d tasks=%-3s %12.4g items/s imbalance=%.3f%s%s\n",
+                     c.id.c_str(), c.chunks_per_thread, c.tasks ? "on" : "off",
+                     c.items_per_sec, c.imbalance, c.ok ? "" : "  FAILED: ",
+                     c.ok ? "" : c.note.c_str());
       }
     } else {
       std::fprintf(out, "tune: no cache entry for key %s\n", key.to_string().c_str());

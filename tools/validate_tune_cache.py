@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a finbench.tune_cache/v1 plan-cache file (docs/autotuning.md).
+"""Validate a finbench.tune_cache/v2 plan-cache file (docs/autotuning.md).
 
 Usage:
     validate_tune_cache.py CACHE.json [--max-loss X]
@@ -9,11 +9,9 @@ Structural checks (always): the schema string, the host fingerprint block,
 and every entry's key / plan / race report — including that the winning
 plan names a candidate that actually raced and succeeded.
 
-`--max-loss X` additionally gates plan quality: for every *unpinned* entry
-the winner's measured rate must be within X of the best successful
-candidate (winner >= (1 - X) * best). Pinned entries are exempt — a pinned
-schedule or chunk count constrains the winner by design, and the race
-report records the loss separately (pinned_losing).
+`--max-loss X` additionally gates plan quality: for every entry the
+winner's measured rate must be within X of the best successful candidate
+(winner >= (1 - X) * best).
 
 `--report RUN.json` reads a pricectl `--json` v2 run report and asserts
 the engine.tune.* counters tell the right story:
@@ -29,7 +27,7 @@ import argparse
 import json
 import sys
 
-SCHEMA = "finbench.tune_cache/v1"
+SCHEMA = "finbench.tune_cache/v2"
 
 FINGERPRINT_FIELDS = {
     "brand": str,
@@ -51,31 +49,26 @@ KEY_FIELDS = {
     "npath": (int, float),
     "bridge_depth": int,
     "cn_num_prices": int,
-    "pinned_schedule": str,
-    "pinned_chunks": int,
     "american": bool,
 }
 
 PLAN_FIELDS = {
     "variant": str,
-    "schedule": str,
     "chunks_per_thread": int,
+    "tasks": bool,
     "items_per_sec": (int, float),
     "imbalance": (int, float),
 }
 
 CANDIDATE_FIELDS = {
     "id": str,
-    "schedule": str,
     "chunks_per_thread": int,
+    "tasks": bool,
     "items_per_sec": (int, float),
     "imbalance": (int, float),
     "ok": bool,
     "note": str,
 }
-
-SCHEDULES = ("static", "dynamic")
-
 
 def fail(msg):
     print(f"validate_tune_cache: FAIL: {msg}", file=sys.stderr)
@@ -101,10 +94,6 @@ def check_entry(entry, i, max_loss):
     key, plan, race = entry["key"], entry["plan"], entry["race"]
     check_fields(key, KEY_FIELDS, f"{where}.key")
     check_fields(plan, PLAN_FIELDS, f"{where}.plan")
-    if key["pinned_schedule"] not in SCHEDULES + ("none",):
-        fail(f"{where}.key.pinned_schedule: '{key['pinned_schedule']}'")
-    if plan["schedule"] not in SCHEDULES:
-        fail(f"{where}.plan.schedule: '{plan['schedule']}'")
     if not plan["variant"]:
         fail(f"{where}.plan.variant: empty")
     if plan["chunks_per_thread"] < 1:
@@ -112,8 +101,7 @@ def check_entry(entry, i, max_loss):
     if plan["items_per_sec"] <= 0:
         fail(f"{where}.plan.items_per_sec: {plan['items_per_sec']}")
 
-    check_fields(race, {"seconds": (int, float), "best_items_per_sec": (int, float),
-                        "pinned_losing": bool, "candidates": list}, f"{where}.race")
+    check_fields(race, {"seconds": (int, float), "candidates": list}, f"{where}.race")
     candidates = race["candidates"]
     if not candidates:
         fail(f"{where}.race.candidates: empty — a plan with no race behind it")
@@ -121,8 +109,6 @@ def check_entry(entry, i, max_loss):
     winner_raced = False
     for j, cand in enumerate(candidates):
         check_fields(cand, CANDIDATE_FIELDS, f"{where}.race.candidates[{j}]")
-        if cand["schedule"] not in SCHEDULES:
-            fail(f"{where}.race.candidates[{j}].schedule: '{cand['schedule']}'")
         if cand["ok"]:
             ok_rates.append(cand["items_per_sec"])
             if cand["id"] == plan["variant"]:
@@ -132,15 +118,13 @@ def check_entry(entry, i, max_loss):
     if not winner_raced:
         fail(f"{where}: winner '{plan['variant']}' is not a successful candidate")
 
-    pinned = key["pinned_schedule"] != "none" or key["pinned_chunks"] > 0
-    if max_loss is not None and not pinned:
+    if max_loss is not None:
         best = max(ok_rates)
         floor = (1.0 - max_loss) * best
         if plan["items_per_sec"] < floor:
             fail(f"{where}: winner '{plan['variant']}' at {plan['items_per_sec']:.3e} "
                  f"items/s loses more than {max_loss:.0%} to the best candidate "
                  f"({best:.3e} items/s)")
-    return pinned
 
 
 def check_report(path, expect_hits, expect_race):
@@ -164,9 +148,9 @@ def check_report(path, expect_hits, expect_race):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("cache", help="finbench.tune_cache/v1 JSON file")
+    ap.add_argument("cache", help="finbench.tune_cache/v2 JSON file")
     ap.add_argument("--max-loss", type=float, default=None, metavar="X",
-                    help="gate: unpinned winners within X of the best candidate"
+                    help="gate: winners within X of the best candidate"
                          " (e.g. 0.15)")
     ap.add_argument("--report", default=None, metavar="RUN.json",
                     help="pricectl --json v2 run report to counter-check")
@@ -195,10 +179,11 @@ def main():
     if not entries:
         fail(f"{args.cache}: entries array is empty")
 
-    pinned = sum(check_entry(e, i, args.max_loss) for i, e in enumerate(entries))
+    for i, e in enumerate(entries):
+        check_entry(e, i, args.max_loss)
     gate = f", max-loss {args.max_loss:.0%} ok" if args.max_loss is not None else ""
     print(f"validate_tune_cache: {args.cache}: {len(entries)} entr"
-          f"{'y' if len(entries) == 1 else 'ies'} ({pinned} pinned){gate}")
+          f"{'y' if len(entries) == 1 else 'ies'}{gate}")
 
     if args.report:
         check_report(args.report, args.expect_hits, args.expect_race)

@@ -112,9 +112,9 @@ struct VariantInfo {
   // The whole workload in one call — what the fig/tab benchmarks, the
   // self-validation and direct callers dispatch. Installed by
   // Registry::add for every variant: Engine::shared().run_batch, i.e.
-  // prepare, then run_range over P x chunks_per_thread ranges on the
-  // shared ThreadPool (inline when called from inside a pool run), under
-  // the request's schedule.
+  // prepare, then run_range over P x chunks_per_thread ranges claimed
+  // from the shared ThreadPool's ticket counter (inline when called from
+  // inside a pool run).
   std::function<void(const PricingRequest&, const core::PortfolioView&, PricingResult&)>
       run_batch;
 };

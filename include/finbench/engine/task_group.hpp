@@ -4,26 +4,23 @@
 //
 // The pool's chunked scheduler balances *across* options; a TaskGroup
 // decomposes work *inside* one expensive option (binomial level bands,
-// Crank–Nicolson wavefront sweeps, Monte Carlo path blocks) without a
-// second thread pool. A chunk that spawns tasks publishes them to a
-// pool-global FIFO; participants that run out of chunk tickets drain that
-// queue until the run's chunks complete, and join() is help-first — the
-// joining thread executes queued tasks (its own group's or any other's)
-// instead of blocking, so a pool of size 1 (or a TaskGroup used outside
-// any run) degrades to serial in-spawn-order execution and can never
-// deadlock.
+// Monte Carlo path blocks) without a second thread pool. A chunk that
+// spawns tasks publishes them to a pool-global FIFO; participants that
+// run out of chunk tickets drain that queue until the run's chunks
+// complete, and join() is help-first — the joining thread executes
+// queued tasks (its own group's or any other's) instead of blocking, so a
+// pool of size 1 (or a TaskGroup used outside any run) degrades to serial
+// in-spawn-order execution and can never deadlock.
 //
 // Design constraints, in order:
 //   * Zero steady-state allocations: task closures are placement-new'd
 //     into fixed inline slots owned by the (stack-allocated) group, and
 //     the queue is intrusive. The counting-allocator harness
 //     (tests/test_engine_alloc.cpp) holds with tasking enabled.
-//   * Determinism: the queue pops in spawn (FIFO) order, so pipelined
-//     task waves (Crank–Nicolson) may busy-wait on an *earlier-spawned*
-//     task's monotonic progress — its executor was dispatched first, so
-//     the wait always makes progress. can_spawn() lets such callers
-//     verify up front that every wave will really be queued (never run
-//     inline out of order) and fall back to a serial schedule otherwise.
+//   * Independent leaf tasks: no task waits on another, only join() waits
+//     on its group. So any execution order, any thread and the inline
+//     overflow path give the same result, and the queue (popped in spawn
+//     order) carries no deadlock argument.
 //   * Exception safety: the first exception thrown by a task is captured
 //     and rethrown from join(); further ones land on the same
 //     "pool.exceptions.suppressed" counter the chunk scheduler uses.
@@ -52,8 +49,7 @@ class TaskGroup {
  public:
   // Inline capacity: tasks outstanding (spawned, not yet executed) per
   // group. spawn() beyond capacity executes the callable inline on the
-  // spawner — correct for independent tasks; pipelined callers must gate
-  // on can_spawn() instead.
+  // spawner, which is correct because tasks are independent.
   static constexpr int kMaxTasks = 64;
   static constexpr std::size_t kClosureBytes = 96;
 
@@ -71,17 +67,6 @@ class TaskGroup {
         ThreadPool::count_suppressed_exception();
       }
     }
-  }
-
-  // True when k more spawn() calls are guaranteed to enqueue (not run
-  // inline). Only the owning thread spawns, and executed tasks only
-  // *free* slots, so the answer cannot go stale in the false direction.
-  bool can_spawn(std::size_t k) const {
-    std::size_t free = 0;
-    for (const Slot& s : slots_) {
-      if (s.node.state.load(std::memory_order_acquire) == kFree) ++free;
-    }
-    return free >= k;
   }
 
   // Spawn fn() as a task. Must be called by one thread per group (the

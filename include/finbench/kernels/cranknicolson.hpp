@@ -50,7 +50,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <span>
 #include <utility>
@@ -165,61 +164,6 @@ std::size_t direct_packed_doubles(const GridSpec& grid);
 void price_direct_packed(std::span<const core::OptionSpec> opts, const GridSpec& grid,
                          std::span<double> out, Width w = Width::kAuto,
                          core::ScratchPool* scratch = nullptr);
-
-// --- Pipelined GSOR sweeps: intra-option task parallelism --------------------
-//
-// The (k, j) <- (k, j-1), (k-1, j+1) dependence that the SIMD variants
-// exploit diagonally also admits a coarser decomposition: each *whole
-// convergence sweep* is one unit of work, and sweep k may process point j
-// as soon as sweep k-1 has finished point j+1 (its read of u[j] is then in
-// the past, and u[j+1] holds the sweep-(k-1) value the GSOR recurrence
-// wants). A block of sweeps therefore pipelines over one shared in-place
-// u array — each sweep is a task, synchronized only through its
-// predecessor's monotonic progress index — and every point is computed by
-// the identical expression and in the identical order as
-// price_reference_blocked(block), so the result (price AND iteration
-// count) is bitwise-equal to that flat scalar variant.
-//
-// The executor contract matters for deadlock freedom: sweeps handed to a
-// WaveRunner must run either serially in index order, or concurrently
-// such that sweep k's executor only ever waits on an *earlier-spawned*
-// sweep (the engine's FIFO TaskGroup guarantees this; see
-// finbench/engine/task_group.hpp).
-
-// Hard cap on sweeps per pipelined block (engine TaskGroup capacity and
-// stack arrays bound this).
-inline constexpr int kMaxWaveBlock = 16;
-
-// One convergence sweep of the pipelined block.
-struct WaveSweep {
-  double* u;            // shared in-place iterate
-  const double* b;      // explicit half-step RHS
-  const double* g;      // obstacle
-  int m = 0;            // grid points
-  double alpha = 0.0;   // mesh ratio
-  double omega = 1.0;   // SOR relaxation
-  double* err_out = nullptr;           // squared-update error of this sweep
-  std::atomic<long>* progress = nullptr;       // published: last point done
-  const std::atomic<long>* prev = nullptr;     // predecessor (null: sweep 0)
-};
-
-// Execute one sweep: waits (spinning) for `prev` to pass each point before
-// touching it, publishes `progress` monotonically, and finishes by storing
-// m so successors drain. Safe to call in index order on one thread.
-void run_wave_sweep(const WaveSweep& s);
-
-// Executes sweeps[0..n) subject to the contract above; all complete on
-// return.
-using WaveRunner = void (*)(void* ctx, WaveSweep* sweeps, int nsweeps);
-
-// In-order serial runner (the flat fallback); ctx is unused.
-void serial_wave_runner(void* ctx, WaveSweep* sweeps, int nsweeps);
-
-// American PSOR solve with `block` pipelined sweeps per convergence check.
-// Bitwise-equal to price_reference_blocked(opt, grid, block) for any
-// conforming runner. block must be in [1, kMaxWaveBlock].
-SolveResult price_wavefront_tasked(const core::OptionSpec& opt, const GridSpec& grid,
-                                   int block, WaveRunner runner, void* ctx);
 
 // Batch driver, matching Fig. 8's setup: a serial loop over the options
 // (the engine's pool threads it, one range of options per call).

@@ -54,11 +54,15 @@ ResolvedDispatch resolve_dispatch(const Engine& eng, const PricingRequest& req) 
   Scratch& s = scratch_of(req);
   const int threads = eng.pool_size();
   const void* src = workload_data_key(req.portfolio);
+  // Styles can change in place under the same data pointer, and a European
+  // book's plan may name a European-only variant.
+  const bool american = req.portfolio.layout == core::Layout::kSpecs &&
+                        range_has_american(req.portfolio.specs, 0, req.portfolio.size());
   bool cached = s.has_plan && s.plan_src == src && s.plan_n == req.portfolio.size() &&
                 s.plan_layout == req.portfolio.layout && s.plan_threads == threads &&
                 s.plan_steps == req.steps && s.plan_spy == req.steps_per_year &&
                 s.plan_npath == req.npath && s.plan_bridge == req.bridge_depth &&
-                s.plan_cn == req.cn_num_prices;
+                s.plan_cn == req.cn_num_prices && s.plan_american == american;
 
   // Even a scratch-cached plan must pass the winner's circuit breaker: a
   // variant that trips mid-stream re-routes steady-state request loops
@@ -112,6 +116,7 @@ ResolvedDispatch resolve_dispatch(const Engine& eng, const PricingRequest& req) 
       s.plan_npath = req.npath;
       s.plan_bridge = req.bridge_depth;
       s.plan_cn = req.cn_num_prices;
+      s.plan_american = american;
       s.plan_breaker = nullptr;  // re-resolve against the new winner
     }
   }

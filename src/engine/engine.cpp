@@ -140,14 +140,6 @@ const VariantInfo* fallback_of(const VariantInfo& v) {
   return Registry::instance().find(id);
 }
 
-bool range_has_american(std::span<const core::OptionSpec> specs, std::size_t begin,
-                        std::size_t end) {
-  for (std::size_t i = begin; i < end; ++i) {
-    if (specs[i].style == core::ExerciseStyle::kAmerican) return true;
-  }
-  return false;
-}
-
 // Engine-side chunk faults (streams 2 and 3). The injected throw fires
 // *before* the kernel runs — the most adversarial ordering, since the
 // chunk's outputs are left untouched for the fallback chain to fill.
@@ -590,7 +582,8 @@ void run_chunks(ThreadPool& pool, std::size_t nchunks,
 // The workload must be non-empty and in the variant's layout, or in one
 // the chunks convert through tiles: a Black–Scholes layout, for a
 // Black–Scholes variant (the blocked binomial family prices its own
-// layout only).
+// layout only). A European-only variant refuses a book holding an
+// American option rather than price it as European.
 robust::Status check_workload(const VariantInfo& v, const core::PortfolioView& w) {
   if (w.size() == 0) {
     return robust::Status::invalid_argument("variant '" + v.id +
@@ -603,6 +596,12 @@ robust::Status check_workload(const VariantInfo& v, const core::PortfolioView& w
         "variant '" + v.id + "' needs a " + std::string(to_string(v.layout)) +
         " workload; the request carries " + std::string(to_string(w.layout)) +
         " (not convertible)");
+  }
+  if (v.european_only && w.layout == Layout::kSpecs &&
+      range_has_american(w.specs, 0, w.size())) {
+    return robust::Status::invalid_argument("variant '" + v.id +
+                                            "' prices European exercise only; the workload "
+                                            "holds an American option");
   }
   return {};
 }

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -157,6 +158,7 @@ struct Scratch {
   std::size_t plan_npath = 0;
   int plan_bridge = 0;
   int plan_cn = 0;
+  bool plan_american = false;
 
   // --- Executing pool (engine-owned) --------------------------------------
   // The pool running this request's ranges, stamped before prepare by
@@ -184,6 +186,15 @@ inline const void* workload_data_key(const core::PortfolioView& view) {
     case core::Layout::kPaths: return nullptr;
   }
   return nullptr;
+}
+
+// True when specs[begin, end) holds an American-exercise option.
+inline bool range_has_american(std::span<const core::OptionSpec> specs, std::size_t begin,
+                               std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) {
+    if (specs[i].style == core::ExerciseStyle::kAmerican) return true;
+  }
+  return false;
 }
 
 class Engine;

@@ -117,9 +117,9 @@ void tasked_segment_runner(void* ctx_p, const banded::Segment* segs, int nseg) {
     for (int i = 0; i < nseg; ++i) banded::reduce_segment(segs[i], ctx->spawner_work);
     return;
   }
-  // Independent segments: inline overflow execution is correct, so no
-  // can_spawn gate. The spawner keeps segs[0] for itself and helps in
-  // join() once it is done.
+  // Independent segments: a spawn past the group's capacity runs inline,
+  // which is just as correct. The spawner keeps segs[0] for itself and
+  // helps in join() once it is done.
   TaskGroup group(*ctx->pool);
   core::ScratchPool* scratch = ctx->scratch;
   for (int i = 1; i < nseg; ++i) {

@@ -8,9 +8,7 @@
 
 #include <span>
 
-#include "finbench/engine/task_group.hpp"
 #include "finbench/kernels/cranknicolson.hpp"
-#include "finbench/obs/metrics.hpp"
 #include "finbench/vecmath/array_math.hpp"
 #include "variants.hpp"
 
@@ -34,7 +32,7 @@ GridSpec grid_of(const PricingRequest& req) {
 // generator (seed 1, 1024 puts, 129 prices x 128 steps, AVX-512 host):
 // the reference, which checks convergence after every sweep, runs 4.3;
 // the wavefront variants check once per block of W sweeps and run 5.8 at
-// W = 4 and 8.0 at W = 8, as do the tasked variant's blocks of 8.
+// W = 4 and 8.0 at W = 8.
 // Lanes is the variant's SIMD width (0: the widest compiled in).
 template <int Lanes>
 double flops(const PricingRequest& req) {
@@ -56,57 +54,6 @@ void run_range(const PricingRequest& req, const core::PortfolioView& view, std::
                std::size_t end, PricingResult& res) {
   kernels::cn::price_batch(view.specs.subspan(begin, end - begin), grid_of(req), V,
                            {res.values.data() + begin, end - begin}, W);
-}
-
-// --- Tasked wavefront: pipelined GSOR sweeps over the engine task pool -------
-// Each convergence sweep of a block is one task; sweep k spins on sweep
-// k-1's monotonic progress index (kernel contract: run_wave_sweep). The
-// FIFO TaskGroup dispatches sweeps in spawn order, so a waiting sweep's
-// predecessor is always executing or done — no deadlock at any pool size.
-// With tasking off (or no free slots) the sweeps run serially in order;
-// either way the arithmetic is bitwise-equal to
-// price_reference_blocked(kWaveBlock).
-
-constexpr int kWaveBlock = 8;
-
-struct WaveCtx {
-  ThreadPool* pool = nullptr;  // null: serial sweeps
-};
-
-void tasked_wave_runner(void* ctx_p, kernels::cn::WaveSweep* sweeps, int n) {
-  auto* ctx = static_cast<WaveCtx*>(ctx_p);
-  if (n <= 1 || ctx->pool == nullptr) {
-    kernels::cn::serial_wave_runner(nullptr, sweeps, n);
-    return;
-  }
-  TaskGroup group(*ctx->pool);
-  // Pipelined tasks must really enqueue: an inline overflow spawn would
-  // execute a later sweep before its predecessor and spin forever.
-  if (!group.can_spawn(static_cast<std::size_t>(n) - 1)) {
-    kernels::cn::serial_wave_runner(nullptr, sweeps, n);
-    return;
-  }
-  for (int i = 1; i < n; ++i) {
-    const kernels::cn::WaveSweep s = sweeps[i];
-    group.spawn([s] { kernels::cn::run_wave_sweep(s); });
-  }
-  kernels::cn::run_wave_sweep(sweeps[0]);  // head of the pipeline
-  group.join();
-}
-
-void run_range_tasked(const PricingRequest& req, const core::PortfolioView& view,
-                      std::size_t begin, std::size_t end, PricingResult& res) {
-  static obs::Counter& priced = obs::counter("cn.options_priced");
-  priced.add(end - begin);
-  Scratch& s = scratch_of(req);
-  WaveCtx ctx{s.tasks_on ? s.pool : nullptr};
-  const GridSpec grid = grid_of(req);
-  for (std::size_t i = begin; i < end; ++i) {
-    res.values[i] =
-        kernels::cn::price_wavefront_tasked(view.specs[i], grid, kWaveBlock,
-                                            tasked_wave_runner, &ctx)
-            .price;
-  }
 }
 
 // --- Option-packed direct solve ----------------------------------------------
@@ -205,14 +152,6 @@ void register_cranknicolson(Registry& r) {
                          "parity split + two solves interleaved for ILP, widest");
     v.fallback_id = "cn.wavefront_split.auto";  // -> wavefront -> reference
     wire<Variant::kWavefrontSplitPaired, Width::kAuto>(v);
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("cn.wavefront_tasked.scalar", OptLevel::kAdvanced, 1,
-                         "whole GSOR sweeps pipelined as fork-join tasks (block of 8)");
-    v.flops_per_item = flops<kWaveBlock>;
-    v.fallback_id = "cn.wavefront_split.auto";  // -> wavefront -> reference
-    v.run_range = run_range_tasked;
     r.add(std::move(v));
   }
   {

@@ -260,15 +260,6 @@ void register_montecarlo(Registry& r) {
     r.add(std::move(v));
   }
   {
-    VariantInfo v = base("mc.optimized_computed.avx2", OptLevel::kIntermediate, 4,
-                         "4-wide SIMD, chunked Philox/ICDF interleaved with integration");
-    v.reference_id = "mc.reference_computed.scalar";
-    v.bytes_per_item = bytes_computed;
-    v.prepare = prepare_computed;
-    v.run_range = computed_range<optimized_computed_w, Width::kAvx2>;
-    r.add(std::move(v));
-  }
-  {
     VariantInfo v = base("mc.optimized_computed.auto", OptLevel::kIntermediate, 0,
                          "widest SIMD, chunked Philox/ICDF interleaved with integration");
     v.reference_id = "mc.reference_computed.scalar";

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 
 #include "finbench/arch/aligned.hpp"
 #include "finbench/core/scratch_pool.hpp"
@@ -221,73 +220,6 @@ SolveResult price_reference_blocked(const core::OptionSpec& opt, const GridSpec&
     double err;
     do {
       err = psor_iterations(u, b, g, t.m, t.alpha, omega, block);
-      loops += block;
-    } while (err > eps && loops < kMaxItersPerStep);
-    return loops;
-  });
-}
-
-// --- Pipelined GSOR sweeps (see header) --------------------------------------
-
-void run_wave_sweep(const WaveSweep& s) {
-  const double coeff = 1.0 / (1.0 + s.alpha);
-  const double a2 = 0.5 * s.alpha;
-  double err = 0.0;
-  for (int j = 1; j < s.m - 1; ++j) {
-    if (s.prev != nullptr) {
-      // Sweep k-1 must be past point j+1: u[j+1] then holds its value and
-      // it will never read u[j] again, so this sweep may overwrite it.
-      // The predecessor was dispatched first (FIFO contract), so the spin
-      // always makes progress; yield keeps an oversubscribed host live.
-      int spins = 0;
-      while (s.prev->load(std::memory_order_acquire) < j + 1) {
-        if (++spins >= 1024) {
-          std::this_thread::yield();
-          spins = 0;
-        }
-      }
-    }
-    const double y = coeff * (s.b[j] + a2 * (s.u[j - 1] + s.u[j + 1]));
-    const double un = std::max(s.g[j], s.u[j] + s.omega * (y - s.u[j]));
-    const double d = un - s.u[j];
-    err += d * d;
-    s.u[j] = un;
-    s.progress->store(j, std::memory_order_release);
-  }
-  // Past-the-end marker: the successor's wait for m-2+1 passes.
-  s.progress->store(s.m, std::memory_order_release);
-  *s.err_out = err;
-}
-
-void serial_wave_runner(void*, WaveSweep* sweeps, int nsweeps) {
-  for (int i = 0; i < nsweeps; ++i) run_wave_sweep(sweeps[i]);
-}
-
-SolveResult price_wavefront_tasked(const core::OptionSpec& opt, const GridSpec& grid,
-                                   int block, WaveRunner runner, void* ctx) {
-  if (block < 1 || block > kMaxWaveBlock) {
-    throw std::invalid_argument("crank-nicolson tasked: block outside [1, kMaxWaveBlock]");
-  }
-  const Transform t = make_transform(opt, grid);
-  const double eps = epsilon_abs(t, grid);
-  return run_time_loop(t, grid, [&](double* u, const double* b, const double* g, double omega) {
-    long loops = 0;
-    double err;
-    std::atomic<long> progress[kMaxWaveBlock];
-    double errs[kMaxWaveBlock];
-    WaveSweep sweeps[kMaxWaveBlock];
-    do {
-      for (int k = 0; k < block; ++k) {
-        progress[k].store(0, std::memory_order_relaxed);
-        errs[k] = 0.0;
-        sweeps[k] = WaveSweep{u,        b,
-                              g,        t.m,
-                              t.alpha,  omega,
-                              &errs[k], &progress[k],
-                              k > 0 ? &progress[k - 1] : nullptr};
-      }
-      runner(ctx, sweeps, block);
-      err = errs[block - 1];
       loops += block;
     } while (err > eps && loops < kMaxItersPerStep);
     return loops;

@@ -42,10 +42,11 @@ class StatProbe {
   std::uint64_t count0_ = 0;
 };
 
-// Families whose variants can decompose options into intra-option tasks —
-// the only ones where racing tasks on vs. off can change the answer.
+// Families whose variants can decompose options into intra-option tasks
+// (binomial level bands, MC path blocks) — the only ones where racing
+// tasks on vs. off can change the answer.
 bool family_has_tasks(std::string_view family) {
-  return family == "binomial" || family == "cn" || family == "mc";
+  return family == "binomial" || family == "mc";
 }
 
 // Best candidate by rate, with the imbalance tie-break: a config within
@@ -127,7 +128,11 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
 
   // One configuration probe through the real engine path: warm-up (builds
   // the candidate's own Scratch — negotiation, streams, pools) plus
-  // best-of-reps on PricingResult::seconds.
+  // best-of-reps on PricingResult::seconds. A tasks-on probe that spawned
+  // no task ran the tasks-off code, so its rate is noise and it cannot
+  // win. The counter is process-global: a concurrent spawn elsewhere only
+  // lets such a probe compete as it would without this check.
+  const obs::Counter& spawned = obs::counter("engine.tasks.spawned");
   auto probe = [&](const engine::VariantInfo* v, int cpt, bool tasks) -> CandidateResult {
     CandidateResult c;
     c.id = v->id;
@@ -144,6 +149,7 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
     r.cancel = nullptr;
     r.scratch.reset();  // candidate-private caches, dropped after the race
     StatProbe imbalance("parallel.engine.dynamic.imbalance");
+    const std::uint64_t spawned0 = spawned.value();
     engine::PricingResult res;
     try {
       eng.price(r, res);  // warm-up
@@ -162,7 +168,8 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
       }
       if (best > 0.0 && res.items > 0) {
         c.items_per_sec = static_cast<double>(res.items) / best;
-        c.ok = true;
+        c.ok = !tasks || spawned.value() != spawned0;
+        if (!c.ok) c.note = "tasks on spawned no task";
       } else {
         c.note = "no measurable rate";
       }

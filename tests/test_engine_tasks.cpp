@@ -1,7 +1,7 @@
 // Numerical-invisibility tests for the nested fork-join task layer: when
 // the engine decomposes work *inside* a single option (banded binomial
-// levels, pipelined GSOR sweeps, MC path blocks), the decomposition may
-// only change who computes, never what is computed.
+// levels, MC path blocks), the decomposition may only change who
+// computes, never what is computed.
 //
 //   - banded binomial segment reduction is bitwise-equal to the scalar
 //     reference lattice, serial or tasked, at any depth/segmentation,
@@ -9,9 +9,6 @@
 //     on is bitwise-equal to the same batch with tasks off,
 //   - a fused group (Engine::price_group) runs the task mode its members
 //     asked for,
-//   - the pipelined CN wavefront solve reproduces price AND iteration
-//     count of price_reference_blocked exactly (same arithmetic, same
-//     order, only overlapped in time),
 //   - tasked MC path blocks are deterministic run-to-run for a fixed
 //     split (bitwise vs the flat sweep is explicitly NOT promised — the
 //     reduction tree differs — so that check is a tolerance check).
@@ -27,7 +24,6 @@
 #include "finbench/engine/engine.hpp"
 #include "finbench/engine/thread_pool.hpp"
 #include "finbench/kernels/binomial.hpp"
-#include "finbench/kernels/cranknicolson.hpp"
 #include "finbench/obs/metrics.hpp"
 
 using namespace finbench;
@@ -160,58 +156,6 @@ TEST(EngineTasks, FusedGroupRunsItsMembersTaskMode) {
   eng.price_group(group, gs);
   for (const PricingResult& r : results) ASSERT_TRUE(r.status.ok()) << r.status.to_string();
   EXPECT_GT(tasks_spawned(), before_on) << "a tasks = kOn group spawned no tasks";
-}
-
-// --- CN: pipelined sweeps reproduce the blocked reference exactly ------------
-
-TEST(EngineTasks, CnWavefrontTaskedMatchesBlockedReferenceBitwise) {
-  core::SingleOptionWorkloadParams p;
-  p.style = core::ExerciseStyle::kAmerican;
-  p.vol_min = 0.2;
-  p.vol_max = 0.4;
-  const auto opts = core::make_option_workload(4, 31, p);
-  kernels::cn::GridSpec grid;
-  grid.num_prices = 129;
-  grid.num_steps = 200;
-  for (const core::OptionSpec& opt : opts) {
-    const kernels::cn::SolveResult ref = kernels::cn::price_reference_blocked(opt, grid, 8);
-    const kernels::cn::SolveResult ser = kernels::cn::price_wavefront_tasked(
-        opt, grid, 8, kernels::cn::serial_wave_runner, nullptr);
-    EXPECT_EQ(ser.price, ref.price);
-    EXPECT_EQ(ser.total_iterations, ref.total_iterations);
-  }
-}
-
-TEST(EngineTasks, CnEngineVariantBitwiseEqualTaskedVsSerial) {
-  core::SingleOptionWorkloadParams p;
-  p.style = core::ExerciseStyle::kAmerican;
-  p.vol_min = 0.2;
-  p.vol_max = 0.4;
-  const auto specs = core::make_option_workload(12, 37, p);
-  core::Portfolio pf = core::Portfolio::specs(std::span<const core::OptionSpec>(specs));
-  PricingRequest req;
-  req.kernel_id = "cn.wavefront_tasked.scalar";
-  req.portfolio = pf.view();
-  req.cn_num_prices = 129;
-  req.steps = 200;
-
-  engine::ThreadPool pool(4);
-  Engine eng(&pool);
-
-  req.tasks = TaskMode::kOff;  // runner falls back to in-order serial sweeps
-  PricingResult serial;
-  eng.price(req, serial);
-  ASSERT_TRUE(serial.status.ok()) << serial.status.to_string();
-
-  req.tasks = TaskMode::kOn;  // sweeps pipeline across the pool
-  PricingResult tasked;
-  eng.price(req, tasked);
-  ASSERT_TRUE(tasked.status.ok()) << tasked.status.to_string();
-
-  ASSERT_EQ(tasked.values.size(), serial.values.size());
-  for (std::size_t i = 0; i < serial.values.size(); ++i) {
-    EXPECT_EQ(tasked.values[i], serial.values[i]) << "option " << i;  // bitwise
-  }
 }
 
 // --- MC: tasked path blocks are deterministic, and close to the flat sweep ---

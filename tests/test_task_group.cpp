@@ -1,13 +1,12 @@
 // The nested fork-join shim (engine::TaskGroup over ThreadPool): spawn /
 // help-first join semantics, nesting from inside pool chunks, exception
 // propagation, and the no-deadlock guarantees the intra-option kernels
-// (banded binomial, pipelined Crank–Nicolson waves) rely on.
+// (banded binomial segments, Monte Carlo path blocks) rely on.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "finbench/engine/task_group.hpp"
@@ -54,9 +53,10 @@ TEST(TaskGroup, NoDeadlockWithPoolOfOne) {
 }
 
 TEST(TaskGroup, FifoOrderWhenJoinerExecutes) {
-  // The deadlock-freedom argument for pipelined waves requires pop order =
-  // spawn order. With a pool of one, the joiner is the only executor, so
-  // the observed order IS the queue order.
+  // With a pool of one, the joiner is the only executor, so the observed
+  // order IS the queue order: spawn order. Tasks are independent, so no
+  // result depends on it; a one-thread run simply executes a group's tasks
+  // in the order they were written.
   ThreadPool pool(1);
   std::vector<int> order;
   TaskGroup g(pool);
@@ -72,15 +72,15 @@ TEST(TaskGroup, SpawnBeyondCapacityRunsInline) {
   ThreadPool pool(1);
   std::atomic<int> ran{0};
   TaskGroup g(pool);
-  EXPECT_TRUE(g.can_spawn(TaskGroup::kMaxTasks));
-  EXPECT_FALSE(g.can_spawn(TaskGroup::kMaxTasks + 1));
   const int n = TaskGroup::kMaxTasks + 40;
   for (int i = 0; i < n; ++i) {
     g.spawn([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
   }
+  // No worker drains a pool of one before join: exactly the spawns past
+  // capacity have run, inline on the spawner.
+  EXPECT_EQ(ran.load(), n - TaskGroup::kMaxTasks);
   g.join();
   EXPECT_EQ(ran.load(), n);
-  EXPECT_TRUE(g.can_spawn(TaskGroup::kMaxTasks));  // slots all free again
 }
 
 TEST(TaskGroup, NestedSpawnFromPoolWorker) {
@@ -164,35 +164,6 @@ TEST(TaskGroup, ExceptionInsidePoolChunkPropagatesThroughRun) {
   std::atomic<int> ran{0};
   pool.run(4, [&](std::ptrdiff_t) { ++ran; });
   EXPECT_EQ(ran.load(), 4);
-}
-
-TEST(TaskGroup, PipelinedDependentWaves) {
-  // The Crank–Nicolson shape: task k busy-waits on task k-1's monotonic
-  // progress. FIFO pop order guarantees the predecessor is already
-  // executing (or done), so this terminates at any pool size — including 1.
-  for (int threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
-    constexpr int kWaves = 8;
-    constexpr long kSteps = 1000;
-    std::atomic<long> progress[kWaves];
-    for (auto& p : progress) p.store(-1);
-    TaskGroup g(pool);
-    ASSERT_TRUE(g.can_spawn(kWaves));
-    for (int w = 0; w < kWaves; ++w) {
-      const std::atomic<long>* prev = w > 0 ? &progress[w - 1] : nullptr;
-      std::atomic<long>* own = &progress[w];
-      g.spawn([prev, own] {
-        for (long s = 0; s < kSteps; ++s) {
-          if (prev != nullptr) {
-            while (prev->load(std::memory_order_acquire) < s) std::this_thread::yield();
-          }
-          own->store(s, std::memory_order_release);
-        }
-      });
-    }
-    g.join();
-    for (auto& p : progress) EXPECT_EQ(p.load(), kSteps - 1);
-  }
 }
 
 TEST(TaskGroup, SpawnAndStealCountersAdvance) {

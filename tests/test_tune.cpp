@@ -14,6 +14,10 @@
 //     of pricing the resolved id explicitly on a replica portfolio; the
 //     request's own chunks_per_thread and task mode neither change the
 //     key nor the execution of an auto id
+//   - a European-only variant refuses an American book, and an auto plan
+//     resolved on a European book re-resolves when its specs turn American
+//   - the race: a tasks-on probe that spawned no task cannot win, and CN
+//     races no task mode
 //   - serve coalescing: two auto requests resolving to the same plan fuse
 //     (coalesced == 2) and stay bitwise identical to an explicit solo run
 
@@ -517,6 +521,89 @@ TEST(AutoDispatch, AutoRunsThePlansChunksAndTasksWhateverTheRequestAsks) {
   for (std::size_t i = 0; i < odd.values.size(); ++i) {
     EXPECT_EQ(std::memcmp(&odd.values[i], &expl.values[i], sizeof(double)), 0) << "option " << i;
   }
+}
+
+// A European-only variant never prices an American option as European.
+// Named explicitly, it refuses the book. Through an auto id, a plan
+// resolved on a European book is not reused once the same specs turn
+// American in place: the request re-resolves to a variant that prices
+// early exercise.
+TEST(AutoDispatch, EuropeanOnlyVariantsNeverPriceAmericanOptions) {
+  engine::ThreadPool pool(2);
+  engine::Engine eng(&pool);
+  core::SingleOptionWorkloadParams p;
+  p.style = core::ExerciseStyle::kAmerican;
+  auto specs = core::make_option_workload(64, 7, p);
+  const auto request = [&](const char* id) {
+    engine::PricingRequest req;
+    req.kernel_id = id;
+    req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
+    req.steps = 512;
+    return req;
+  };
+
+  const engine::PricingResult ref = eng.price(request("binomial.reference.scalar"));
+  ASSERT_TRUE(ref.status.ok()) << ref.status.to_string();
+  for (const char* id : {"binomial.advanced.auto", "binomial.basic.auto"}) {
+    ASSERT_TRUE(engine::Registry::instance().find(id)->european_only) << id;
+    const engine::PricingResult res = eng.price(request(id));
+    EXPECT_EQ(res.status.code(), robust::StatusCode::kInvalidArgument) << id;
+    EXPECT_NE(res.status.to_string().find(id), std::string::npos) << res.status.to_string();
+  }
+
+  // Resolve binomial.auto on the European book to a European-only plan.
+  for (core::OptionSpec& o : specs) o.style = core::ExerciseStyle::kEuropean;
+  engine::PricingRequest req = request("binomial.auto");
+  tune::RaceReport seeded;
+  seeded.key = tune::key_for(req, "binomial", eng.pool_size());
+  seeded.winner.variant_id = "binomial.advanced.auto";
+  tune::PlanCache::instance().put(seeded.key, seeded);
+  engine::PricingResult res = eng.price(req);
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+  ASSERT_EQ(res.resolved_id, "binomial.advanced.auto");
+
+  // The same request over the same specs, now American.
+  for (core::OptionSpec& o : specs) o.style = core::ExerciseStyle::kAmerican;
+  eng.price(req, res);
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+  const engine::VariantInfo* v = engine::Registry::instance().find(res.resolved_id);
+  ASSERT_NE(v, nullptr);
+  EXPECT_FALSE(v->european_only) << res.resolved_id;
+  ASSERT_EQ(res.values.size(), ref.values.size());
+  for (std::size_t i = 0; i < ref.values.size(); ++i) {
+    EXPECT_NEAR(res.values[i], ref.values[i], v->tolerance) << res.resolved_id << " option " << i;
+  }
+  tune::PlanCache::instance().erase(seeded.key);
+}
+
+// A tasks-on probe that spawned no task ran the tasks-off code, so it
+// cannot win the race; a family without tasks is never probed tasks-on.
+TEST(TuneRace, TasksOnProbeThatSpawnedNoTaskCannotWin) {
+  engine::ThreadPool pool(2);
+  engine::Engine eng(&pool);
+  const auto specs = core::make_option_workload(16, 7011);
+  engine::PricingRequest req;
+  req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
+  req.steps = 64;  // steps_per_year = 0: no binomial variant spawns tasks
+  ASSERT_EQ(req.steps_per_year, 0);
+
+  tune::RaceReport rep = tune::race(eng, req, tune::key_for(req, "binomial", eng.pool_size()));
+  ASSERT_TRUE(rep.winner.valid());
+  int tasks_on = 0;
+  for (const tune::CandidateResult& c : rep.candidates) {
+    if (!c.tasks) continue;
+    ++tasks_on;
+    EXPECT_FALSE(c.ok) << c.id;
+    EXPECT_EQ(c.note, "tasks on spawned no task") << c.id;
+  }
+  EXPECT_EQ(tasks_on, 1) << "phase 3 probes tasks on once";
+  EXPECT_FALSE(rep.winner.tasks);
+
+  req.steps = 16;
+  req.cn_num_prices = 65;
+  rep = tune::race(eng, req, tune::key_for(req, "cn", eng.pool_size()));
+  ASSERT_TRUE(rep.winner.valid());
+  for (const tune::CandidateResult& c : rep.candidates) EXPECT_FALSE(c.tasks) << c.id;
 }
 
 TEST(AutoDispatch, CorruptBoundCacheFileStillResolves) {

@@ -178,6 +178,41 @@ inline PortfolioView paths_view(std::size_t npaths) {
   return v;
 }
 
+// --- Per-option access (Black–Scholes layouts) ------------------------------
+//
+// The one place that reads or writes option i, or the batch-shared
+// scalars, of any Black–Scholes layout. Values travel as doubles: a
+// kBsSoaF view widens on read and narrows to float on write. Index i may
+// reach a kBsBlocked view's padding lanes (up to num_blocks() * block).
+// These are for per-option slow paths (repair, fault injection, tests);
+// whole-range scans and conversions walk the arrays directly. The
+// accessors throw std::invalid_argument on a non-BS layout.
+
+constexpr bool is_bs(Layout l) {
+  return l == Layout::kBsAos || l == Layout::kBsSoa || l == Layout::kBsSoaF ||
+         l == Layout::kBsBlocked;
+}
+
+struct BsLane {
+  double spot, strike, years, call, put;
+};
+
+// Shared by every option of a batch. kBsSoaF carries no dividend (0).
+struct BsScalars {
+  double rate, vol, dividend;
+  friend bool operator==(const BsScalars&, const BsScalars&) = default;
+};
+
+BsLane bs_lane(const PortfolioView& v, std::size_t i);
+void set_bs_inputs(const PortfolioView& v, std::size_t i, double spot, double strike,
+                   double years);
+void set_bs_outputs(const PortfolioView& v, std::size_t i, double call, double put);
+
+BsScalars bs_scalars(const PortfolioView& v);
+// Writes the view's own scalar fields (the arrays are untouched); a
+// kBsSoaF view ignores s.dividend.
+void set_bs_scalars(PortfolioView& v, const BsScalars& s);
+
 // --- Layout conversion ------------------------------------------------------
 
 struct ConvertStats {
@@ -203,10 +238,12 @@ PortfolioView convert(const PortfolioView& src, Layout target, Arena& a,
 std::size_t copy_outputs(const PortfolioView& from, const PortfolioView& to);
 
 // The inputs-only counterpart of copy_outputs: copy spot/strike/years of
-// `from` into `to` (any Black–Scholes layout pair of equal size). A
-// lane-blocked target pads its ragged last block with the final option.
+// `from` into `to` (any Black–Scholes layout pair of equal size, the same
+// layout included). A lane-blocked target pads its ragged last block with
+// the final option.
 // The engine negotiates one chunk at a time as copy_inputs -> kernel ->
-// copy_outputs through a cache-resident tile. Returns bytes written.
+// copy_outputs through a cache-resident tile, and assembles a fused group
+// by copy_inputs of each member into its range. Returns bytes written.
 std::size_t copy_inputs(const PortfolioView& from, const PortfolioView& to);
 
 // Uninitialized storage for n options in Black–Scholes layout `target`,

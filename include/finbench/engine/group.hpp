@@ -13,15 +13,18 @@
 // individually, their per-request tail padding makes concatenation
 // non-trivial), agree on every accuracy and robustness knob, share the
 // batch scalars (rate/vol/dividend for Black–Scholes layouts), carry no
-// active fault plan, and the variant is deterministic. Statistical
-// estimators (Monte Carlo) never fuse: their per-option RNG substreams
-// are keyed by batch index, so coalescing would change the answer a
-// request gets depending on who it shares a batch with.
+// active fault plan, and the variant is deterministic. Monte Carlo never
+// fuses: its per-option RNG substreams are keyed by batch index, so
+// coalescing would change the answer a request gets depending on who it
+// shares a batch with.
 //
 // Determinism: for the layouts that do fuse, every shipped kernel is
-// element-wise across options (SIMD lanes are independent), so a member's
-// prices are bitwise identical whether it is priced alone or inside a
-// fused batch — tests/test_serve.cpp asserts this.
+// element-wise across options (SIMD lanes are independent, and a ragged
+// tail runs the vector code on padded lanes rather than a scalar path),
+// so a member's prices are bitwise identical whether it is priced alone
+// or inside a fused batch, whatever the member sizes —
+// tests/test_engine.cpp (every fusable variant) and tests/test_serve.cpp
+// assert this.
 //
 // Degradation is attributed per member: the fused run executes with the
 // engine's Black–Scholes output guard deferred, and price_group re-guards

@@ -63,26 +63,6 @@ std::size_t guard_specs_range(std::span<const core::OptionSpec> specs,
                               bool statistical, std::span<const std::uint8_t> mask,
                               std::size_t mask_offset, std::size_t* first = nullptr);
 
-// --- Black–Scholes layout access --------------------------------------------
-//
-// The BS guard/repair path needs per-option field access across every BS
-// layout (AOS, SOA, f32 SOA, lane-blocked AoSoA). These helpers are the
-// one place that layout fan-out lives.
-
-struct BsElem {
-  double spot = 0.0, strike = 0.0, years = 0.0;
-  double call = 0.0, put = 0.0;
-  double rate = 0.0, vol = 0.0, dividend = 0.0;
-};
-
-// True when `view` is one of the BS batch layouts these helpers handle.
-bool is_bs_layout(const core::PortfolioView& view);
-
-BsElem bs_elem(const core::PortfolioView& view, std::size_t i);
-void bs_store_outputs(const core::PortfolioView& view, std::size_t i, double call, double put);
-void bs_store_inputs(const core::PortfolioView& view, std::size_t i, double spot, double strike,
-                     double years);
-
 // Guard the outputs of a whole BS batch view and repair every violating
 // option in place with the scalar Black–Scholes closed form (the fallback
 // chain's terminal reference). Masked options are exempt. Returns the

@@ -1,4 +1,4 @@
-// Portfolio / Arena / layout-conversion implementation.
+// Portfolio / Arena / per-option access / layout-conversion implementation.
 //
 // Conversion pairs: any ordered pair of the Black–Scholes layouts
 // (kBsAos, kBsSoa, kBsSoaF, kBsBlocked). The AOS<->SOA pairs — the ones
@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "finbench/arch/timing.hpp"
 
@@ -63,36 +64,17 @@ Arena::Block& Arena::grow(std::size_t at_least) {
   return blocks_.back();
 }
 
-// --- Conversion -------------------------------------------------------------
+// --- Per-option access -----------------------------------------------------
 
 namespace {
 
-bool is_bs(Layout l) {
-  return l == Layout::kBsAos || l == Layout::kBsSoa || l == Layout::kBsSoaF ||
-         l == Layout::kBsBlocked;
+[[noreturn]] void not_bs(const char* fn) {
+  throw std::invalid_argument(std::string(fn) + ": not a Black-Scholes layout");
 }
 
-struct BsScalars {
-  double rate, vol, dividend;
-};
+}  // namespace
 
-BsScalars scalars_of(const PortfolioView& v) {
-  switch (v.layout) {
-    case Layout::kBsAos: return {v.aos.rate, v.aos.vol, v.aos.dividend};
-    case Layout::kBsSoa: return {v.soa.rate, v.soa.vol, v.soa.dividend};
-    case Layout::kBsSoaF:
-      return {static_cast<double>(v.sp.rate), static_cast<double>(v.sp.vol), 0.0};
-    case Layout::kBsBlocked: return {v.blocked.rate, v.blocked.vol, v.blocked.dividend};
-    default: break;
-  }
-  throw std::invalid_argument("scalars_of: not a Black-Scholes layout");
-}
-
-struct BsLane {
-  double spot, strike, years, call, put;
-};
-
-BsLane lane_of(const PortfolioView& v, std::size_t i) {
+BsLane bs_lane(const PortfolioView& v, std::size_t i) {
   switch (v.layout) {
     case Layout::kBsAos: {
       const BsOptionAos& o = v.aos.options[i];
@@ -113,76 +95,116 @@ BsLane lane_of(const PortfolioView& v, std::size_t i) {
     }
     default: break;
   }
-  throw std::invalid_argument("lane_of: not a Black-Scholes layout");
+  not_bs("bs_lane");
 }
 
-void store_lane(const PortfolioView& v, std::size_t i, const BsLane& l) {
-  switch (v.layout) {
-    case Layout::kBsAos:
-      v.aos.options[i] = {l.spot, l.strike, l.years, l.call, l.put};
-      return;
-    case Layout::kBsSoa:
-      v.soa.spot[i] = l.spot;
-      v.soa.strike[i] = l.strike;
-      v.soa.years[i] = l.years;
-      v.soa.call[i] = l.call;
-      v.soa.put[i] = l.put;
-      return;
-    case Layout::kBsSoaF:
-      v.sp.spot[i] = static_cast<float>(l.spot);
-      v.sp.strike[i] = static_cast<float>(l.strike);
-      v.sp.years[i] = static_cast<float>(l.years);
-      v.sp.call[i] = static_cast<float>(l.call);
-      v.sp.put[i] = static_cast<float>(l.put);
-      return;
-    case Layout::kBsBlocked: {
-      const BsBlockedView& b = v.blocked;
-      const std::size_t w = static_cast<std::size_t>(b.block);
-      const std::size_t blk = i / w, ln = i % w;
-      b.field(blk, 0)[ln] = l.spot;
-      b.field(blk, 1)[ln] = l.strike;
-      b.field(blk, 2)[ln] = l.years;
-      b.field(blk, 3)[ln] = l.call;
-      b.field(blk, 4)[ln] = l.put;
-      return;
-    }
-    default: break;
-  }
-  throw std::invalid_argument("store_lane: not a Black-Scholes layout");
-}
-
-// Input fields only: the outputs of `v` are left as they are.
-void store_inputs(const PortfolioView& v, std::size_t i, const BsLane& l) {
+void set_bs_inputs(const PortfolioView& v, std::size_t i, double spot, double strike,
+                   double years) {
   switch (v.layout) {
     case Layout::kBsAos: {
       BsOptionAos& o = v.aos.options[i];
-      o.spot = l.spot;
-      o.strike = l.strike;
-      o.years = l.years;
+      o.spot = spot;
+      o.strike = strike;
+      o.years = years;
       return;
     }
     case Layout::kBsSoa:
-      v.soa.spot[i] = l.spot;
-      v.soa.strike[i] = l.strike;
-      v.soa.years[i] = l.years;
+      v.soa.spot[i] = spot;
+      v.soa.strike[i] = strike;
+      v.soa.years[i] = years;
       return;
     case Layout::kBsSoaF:
-      v.sp.spot[i] = static_cast<float>(l.spot);
-      v.sp.strike[i] = static_cast<float>(l.strike);
-      v.sp.years[i] = static_cast<float>(l.years);
+      v.sp.spot[i] = static_cast<float>(spot);
+      v.sp.strike[i] = static_cast<float>(strike);
+      v.sp.years[i] = static_cast<float>(years);
       return;
     case Layout::kBsBlocked: {
       const BsBlockedView& b = v.blocked;
       const std::size_t w = static_cast<std::size_t>(b.block);
       const std::size_t blk = i / w, ln = i % w;
-      b.field(blk, 0)[ln] = l.spot;
-      b.field(blk, 1)[ln] = l.strike;
-      b.field(blk, 2)[ln] = l.years;
+      b.field(blk, 0)[ln] = spot;
+      b.field(blk, 1)[ln] = strike;
+      b.field(blk, 2)[ln] = years;
       return;
     }
     default: break;
   }
-  throw std::invalid_argument("store_inputs: not a Black-Scholes layout");
+  not_bs("set_bs_inputs");
+}
+
+void set_bs_outputs(const PortfolioView& v, std::size_t i, double call, double put) {
+  switch (v.layout) {
+    case Layout::kBsAos:
+      v.aos.options[i].call = call;
+      v.aos.options[i].put = put;
+      return;
+    case Layout::kBsSoa:
+      v.soa.call[i] = call;
+      v.soa.put[i] = put;
+      return;
+    case Layout::kBsSoaF:
+      v.sp.call[i] = static_cast<float>(call);
+      v.sp.put[i] = static_cast<float>(put);
+      return;
+    case Layout::kBsBlocked: {
+      const BsBlockedView& b = v.blocked;
+      const std::size_t w = static_cast<std::size_t>(b.block);
+      b.field(i / w, 3)[i % w] = call;
+      b.field(i / w, 4)[i % w] = put;
+      return;
+    }
+    default: break;
+  }
+  not_bs("set_bs_outputs");
+}
+
+BsScalars bs_scalars(const PortfolioView& v) {
+  switch (v.layout) {
+    case Layout::kBsAos: return {v.aos.rate, v.aos.vol, v.aos.dividend};
+    case Layout::kBsSoa: return {v.soa.rate, v.soa.vol, v.soa.dividend};
+    case Layout::kBsSoaF:
+      return {static_cast<double>(v.sp.rate), static_cast<double>(v.sp.vol), 0.0};
+    case Layout::kBsBlocked: return {v.blocked.rate, v.blocked.vol, v.blocked.dividend};
+    default: break;
+  }
+  not_bs("bs_scalars");
+}
+
+void set_bs_scalars(PortfolioView& v, const BsScalars& s) {
+  switch (v.layout) {
+    case Layout::kBsAos:
+      v.aos.rate = s.rate;
+      v.aos.vol = s.vol;
+      v.aos.dividend = s.dividend;
+      return;
+    case Layout::kBsSoa:
+      v.soa.rate = s.rate;
+      v.soa.vol = s.vol;
+      v.soa.dividend = s.dividend;
+      return;
+    case Layout::kBsSoaF:
+      v.sp.rate = static_cast<float>(s.rate);
+      v.sp.vol = static_cast<float>(s.vol);
+      return;
+    case Layout::kBsBlocked:
+      v.blocked.rate = s.rate;
+      v.blocked.vol = s.vol;
+      v.blocked.dividend = s.dividend;
+      return;
+    default: break;
+  }
+  not_bs("set_bs_scalars");
+}
+
+// --- Conversion -------------------------------------------------------------
+
+namespace {
+
+// Inputs and outputs of option i of `src` into option j of `dst`.
+void copy_lane(const PortfolioView& src, std::size_t i, const PortfolioView& dst, std::size_t j) {
+  const BsLane l = bs_lane(src, i);
+  set_bs_inputs(dst, j, l.spot, l.strike, l.years);
+  set_bs_outputs(dst, j, l.call, l.put);
 }
 
 // Carve an empty target-layout view of n options from the arena. Returns
@@ -296,14 +318,13 @@ void fill(const PortfolioView& src, const PortfolioView& dst) {
     }
     return;
   }
-  for (std::size_t i = 0; i < n; ++i) store_lane(dst, i, lane_of(src, i));
+  for (std::size_t i = 0; i < n; ++i) copy_lane(src, i, dst, i);
   // Lane-blocked targets pad the trailing lanes of the last block by
   // replicating the final option, so block kernels never read garbage.
   if (dst.layout == Layout::kBsBlocked && n > 0) {
     const std::size_t w = static_cast<std::size_t>(dst.blocked.block);
     const std::size_t ceil_n = dst.blocked.num_blocks() * w;
-    const BsLane last = lane_of(src, n - 1);
-    for (std::size_t i = n; i < ceil_n; ++i) store_lane(dst, i, last);
+    for (std::size_t i = n; i < ceil_n; ++i) copy_lane(src, n - 1, dst, i);
   }
 }
 
@@ -322,7 +343,7 @@ PortfolioView clone_into(const PortfolioView& src, Arena& a, std::size_t* bytes)
     return src;
   }
   std::size_t sz = 0;
-  PortfolioView dst = carve(src.layout, src.size(), scalars_of(src), a, &sz);
+  PortfolioView dst = carve(src.layout, src.size(), bs_scalars(src), a, &sz);
   if (src.layout == Layout::kBsBlocked) {
     dst.blocked.block = src.blocked.block;  // preserve width before copy
     std::copy(src.blocked.data.begin(), src.blocked.data.end(), dst.blocked.data.begin());
@@ -353,7 +374,7 @@ PortfolioView convert(const PortfolioView& src, Layout target, Arena& a,
   }
   arch::WallTimer t;
   std::size_t bytes = 0;
-  PortfolioView dst = carve(target, src.size(), scalars_of(src), a, &bytes);
+  PortfolioView dst = carve(target, src.size(), bs_scalars(src), a, &bytes);
   fill(src, dst);
   if (stats) *stats = {t.seconds(), bytes};
   return dst;
@@ -419,11 +440,8 @@ std::size_t copy_outputs(const PortfolioView& from, const PortfolioView& to) {
     }
   } else {
     for (std::size_t i = 0; i < n; ++i) {
-      BsLane l = lane_of(to, i);
-      const BsLane f = lane_of(from, i);
-      l.call = f.call;
-      l.put = f.put;
-      store_lane(to, i, l);
+      const BsLane f = bs_lane(from, i);
+      set_bs_outputs(to, i, f.call, f.put);
     }
   }
   const std::size_t elem = to.layout == Layout::kBsSoaF ? sizeof(float) : sizeof(double);
@@ -438,7 +456,26 @@ std::size_t copy_inputs(const PortfolioView& from, const PortfolioView& to) {
     throw std::invalid_argument("copy_inputs: size mismatch");
   }
   const std::size_t n = to.size();
-  if (from.layout == Layout::kBsAos && to.layout == Layout::kBsSoa) {
+  if (from.layout == to.layout && from.layout != Layout::kBsBlocked) {
+    // Same layout (fused-group assembly): straight array copies.
+    if (from.layout == Layout::kBsAos) {
+      const BsOptionAos* o = from.aos.options.data();
+      BsOptionAos* t = to.aos.options.data();
+      for (std::size_t i = 0; i < n; ++i) {
+        t[i].spot = o[i].spot;
+        t[i].strike = o[i].strike;
+        t[i].years = o[i].years;
+      }
+    } else if (from.layout == Layout::kBsSoa) {
+      std::copy_n(from.soa.spot.data(), n, to.soa.spot.data());
+      std::copy_n(from.soa.strike.data(), n, to.soa.strike.data());
+      std::copy_n(from.soa.years.data(), n, to.soa.years.data());
+    } else {
+      std::copy_n(from.sp.spot.data(), n, to.sp.spot.data());
+      std::copy_n(from.sp.strike.data(), n, to.sp.strike.data());
+      std::copy_n(from.sp.years.data(), n, to.sp.years.data());
+    }
+  } else if (from.layout == Layout::kBsAos && to.layout == Layout::kBsSoa) {
     const BsOptionAos* o = from.aos.options.data();
     for (std::size_t i = 0; i < n; ++i) {
       to.soa.spot[i] = o[i].spot;
@@ -470,11 +507,14 @@ std::size_t copy_inputs(const PortfolioView& from, const PortfolioView& to) {
       }
     }
   } else {
-    for (std::size_t i = 0; i < n; ++i) store_inputs(to, i, lane_of(from, i));
+    const auto copy_in = [&](std::size_t i, std::size_t j) {
+      const BsLane l = bs_lane(from, i);
+      set_bs_inputs(to, j, l.spot, l.strike, l.years);
+    };
+    for (std::size_t i = 0; i < n; ++i) copy_in(i, i);
     if (to.layout == Layout::kBsBlocked && n > 0) {
       const std::size_t ceil_n = to.blocked.num_blocks() * static_cast<std::size_t>(to.blocked.block);
-      const BsLane last = lane_of(from, n - 1);
-      for (std::size_t i = n; i < ceil_n; ++i) store_inputs(to, i, last);
+      for (std::size_t i = n; i < ceil_n; ++i) copy_in(n - 1, i);
     }
   }
   const std::size_t elem = to.layout == Layout::kBsSoaF ? sizeof(float) : sizeof(double);
@@ -484,7 +524,7 @@ std::size_t copy_inputs(const PortfolioView& from, const PortfolioView& to) {
 PortfolioView allocate_like(const PortfolioView& like, Layout target, std::size_t n, Arena& a,
                             std::size_t* bytes) {
   std::size_t sz = 0;
-  PortfolioView v = carve(target, n, scalars_of(like), a, &sz);
+  PortfolioView v = carve(target, n, bs_scalars(like), a, &sz);
   if (bytes) *bytes = sz;
   return v;
 }

@@ -5,10 +5,12 @@
 // and run the plan's variant, chunks_per_thread and task mode. The
 // request's own chunks_per_thread and tasks apply to concrete ids only.
 //
-// The resolution is cached in the request's Scratch keyed on every
-// TuneKey ingredient, so a steady-state repetition of the same request
-// neither rebuilds the key (a string allocation) nor takes the PlanCache
-// mutex: re-pricing a resolved auto request stays allocation-free.
+// The resolution is cached in the request's Scratch beside the TuneKey it
+// was resolved for. Each pricing rebuilds the key (no allocation: every
+// family name fits std::string's small buffer) and compares it whole, so
+// a steady-state repetition of the same request skips the PlanCache
+// mutex and stays allocation-free, while a change to any key ingredient
+// (the intent family included) re-resolves.
 
 #include <string>
 
@@ -52,17 +54,8 @@ ResolvedDispatch resolve_dispatch(const Engine& eng, const PricingRequest& req) 
   }
 
   Scratch& s = scratch_of(req);
-  const int threads = eng.pool_size();
-  const void* src = workload_data_key(req.portfolio);
-  // Styles can change in place under the same data pointer, and a European
-  // book's plan may name a European-only variant.
-  const bool american = req.portfolio.layout == core::Layout::kSpecs &&
-                        range_has_american(req.portfolio.specs, 0, req.portfolio.size());
-  bool cached = s.has_plan && s.plan_src == src && s.plan_n == req.portfolio.size() &&
-                s.plan_layout == req.portfolio.layout && s.plan_threads == threads &&
-                s.plan_steps == req.steps && s.plan_spy == req.steps_per_year &&
-                s.plan_npath == req.npath && s.plan_bridge == req.bridge_depth &&
-                s.plan_cn == req.cn_num_prices && s.plan_american == american;
+  const tune::TuneKey key = tune::key_for(req, family, eng.pool_size());
+  bool cached = s.has_plan && s.plan_key == key;
 
   // Even a scratch-cached plan must pass the winner's circuit breaker: a
   // variant that trips mid-stream re-routes steady-state request loops
@@ -92,7 +85,6 @@ ResolvedDispatch resolve_dispatch(const Engine& eng, const PricingRequest& req) 
     static obs::Counter& c_hit = obs::counter("engine.tune.hit");
     c_hit.add(1);
   } else {
-    const tune::TuneKey key = tune::key_for(req, family, threads);
     tune::Resolution r = tune::resolve(eng, req, key);
     if (!r.plan.valid()) {
       out.error = robust::Status::not_found(
@@ -107,17 +99,11 @@ ResolvedDispatch resolve_dispatch(const Engine& eng, const PricingRequest& req) 
     } else {
       s.plan = std::move(r.plan);
       s.has_plan = true;
-      s.plan_src = src;
-      s.plan_n = req.portfolio.size();
-      s.plan_layout = req.portfolio.layout;
-      s.plan_threads = threads;
-      s.plan_steps = req.steps;
-      s.plan_spy = req.steps_per_year;
-      s.plan_npath = req.npath;
-      s.plan_bridge = req.bridge_depth;
-      s.plan_cn = req.cn_num_prices;
-      s.plan_american = american;
-      s.plan_breaker = nullptr;  // re-resolve against the new winner
+      s.plan_key = key;
+      // Bind the new winner's breaker now (a lookup builds a string), so
+      // the first cached hit allocates nothing either.
+      s.plan_breaker = &brk.of(s.plan.variant_id);
+      s.plan_breaker_gen = brk.generation();
     }
   }
 

@@ -45,11 +45,6 @@ constexpr std::size_t kBsChunkAlign = 64;
 constexpr std::size_t kBsMinChunk = 1024;
 constexpr std::size_t kBsMaxChunk = 16384;
 
-bool is_bs(Layout l) {
-  return l == Layout::kBsAos || l == Layout::kBsSoa || l == Layout::kBsSoaF ||
-         l == Layout::kBsBlocked;
-}
-
 // Contiguous chunk boundaries over [0, n) for a pool of P participants:
 // nparts = P x chunks_per_thread. With `cache_sized` (Engine::price on a
 // Black–Scholes layout, whose chunk pipeline re-reads each chunk: scan,
@@ -70,7 +65,7 @@ std::span<const std::size_t> chunk_bounds(const VariantInfo& v, const PricingReq
   Scratch& s = scratch_of(req);
   const std::size_t n = view.size();
   const std::size_t align =
-      is_bs(v.layout) ? kBsChunkAlign : std::max<std::size_t>(1, v.range_align);
+      core::is_bs(v.layout) ? kBsChunkAlign : std::max<std::size_t>(1, v.range_align);
   if (s.bounds_n == n && s.bounds_nparts == nparts && s.bounds_cache_sized == cache_sized &&
       s.bounds_align == align && !s.bounds.empty()) {
     return s.bounds;
@@ -162,7 +157,7 @@ void inject_chunk_faults(const robust::FaultPlan& plan, std::size_t chunk) {
 void nan_bs_outputs(const core::PortfolioView& view, std::span<const std::uint8_t> mask = {}) {
   for (std::size_t i = 0; i < view.size(); ++i) {
     if (mask.empty() || (mask[i] & robust::kFaultSkipped) != 0) {
-      robust::bs_store_outputs(view, i, kQuietNan, kQuietNan);
+      core::set_bs_outputs(view, i, kQuietNan, kQuietNan);
     }
   }
 }
@@ -275,7 +270,7 @@ struct RunErrors {
 enum class Shape : std::uint8_t { kBs, kItems };
 
 Shape shape_of(const VariantInfo& v) {
-  return is_bs(v.layout) && v.kernel == "bs" ? Shape::kBs : Shape::kItems;
+  return core::is_bs(v.layout) && v.kernel == "bs" ? Shape::kBs : Shape::kItems;
 }
 
 // Everything one execution's chunks need, behind one pointer so the pool
@@ -332,7 +327,7 @@ void inject_corrupt(const ChunkRun& r, const core::PortfolioView& chunk, std::si
   for (std::size_t i = 0; i < m; ++i) {
     if (!plan.hits(1, begin + i, plan.corrupt)) continue;
     if (bs) {
-      robust::bs_store_outputs(chunk, i, kQuietNan, robust::bs_elem(chunk, i).put);
+      core::set_bs_outputs(chunk, i, kQuietNan, core::bs_lane(chunk, i).put);
     } else {
       values[i] = kQuietNan;
     }
@@ -503,7 +498,7 @@ void run_chunk(const ChunkRun& r, std::ptrdiff_t idx) {
 // of path s is values[c * npaths + s].
 void nan_unpriced(const ChunkRun& r, std::size_t begin, std::size_t end) {
   const core::PortfolioView& view = *r.view;
-  if (robust::is_bs_layout(view)) nan_bs_outputs(core::subview(view, begin, end - begin));
+  if (core::is_bs(view.layout)) nan_bs_outputs(core::subview(view, begin, end - begin));
   const std::size_t n = view.size();
   std::vector<double>& values = r.res->values;
   for (std::size_t row = 0; (row + 1) * n <= values.size(); ++row) {
@@ -841,7 +836,7 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
   // plan's for an auto id.
   const int P = pool_->size();
   const std::span<const std::size_t> bounds =
-      chunk_bounds(v, req, working, P, rd.chunks_per_thread, is_bs(v.layout));
+      chunk_bounds(v, req, working, P, rd.chunks_per_thread, core::is_bs(v.layout));
   const std::size_t nchunks = bounds.size() - 1;
   res.chunk_status.assign(nchunks, static_cast<std::uint8_t>(ChunkStatus::kNotRun));
   s.tallies.resize(nchunks);

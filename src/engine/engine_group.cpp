@@ -31,80 +31,38 @@ bool fusable_layout(Layout l) {
          l == Layout::kBsSoaF;
 }
 
+// Deterministic kernels are element-wise across options, so fusion is
+// bitwise-neutral. Monte Carlo never fuses: its statistical estimators
+// and its computed-normals variants key per-option RNG substreams by
+// batch index, so fusing would change a member's answer depending on who
+// it shares a batch with.
+bool fuses(const VariantInfo* v) { return v != nullptr && !v->statistical && v->kernel != "mc"; }
+
 // Concatenate the members' inputs into one arena-backed batch in the
-// members' (shared) layout. Outputs are left uninitialized — the kernel
-// writes every call/put, and nothing is scattered back on paths that
-// never ran.
+// members' (shared) layout. Black–Scholes outputs are left uninitialized —
+// the kernel writes every call/put, and nothing is scattered back on paths
+// that never ran.
 core::PortfolioView build_fused(std::span<const GroupJob> group, core::Arena& arena,
                                 std::vector<std::size_t>& offsets, std::size_t total) {
   const core::PortfolioView& p0 = group[0].req->portfolio;
-  core::PortfolioView out;
-  out.layout = p0.layout;
-  switch (p0.layout) {
-    case Layout::kSpecs: {
-      std::span<core::OptionSpec> all = arena.make_span<core::OptionSpec>(total);
-      std::size_t off = 0;
-      for (const GroupJob& j : group) {
-        const std::span<const core::OptionSpec> s = j.req->portfolio.specs;
-        std::copy(s.begin(), s.end(), all.begin() + static_cast<std::ptrdiff_t>(off));
-        offsets.push_back(off);
-        off += s.size();
-      }
-      out.specs = {all.data(), all.size()};
-      break;
+  if (p0.layout == Layout::kSpecs) {
+    std::span<core::OptionSpec> all = arena.make_span<core::OptionSpec>(total);
+    std::size_t off = 0;
+    for (const GroupJob& j : group) {
+      const std::span<const core::OptionSpec> s = j.req->portfolio.specs;
+      std::copy(s.begin(), s.end(), all.begin() + static_cast<std::ptrdiff_t>(off));
+      offsets.push_back(off);
+      off += s.size();
     }
-    case Layout::kBsAos: {
-      std::span<core::BsOptionAos> all = arena.make_span<core::BsOptionAos>(total);
-      std::size_t off = 0;
-      for (const GroupJob& j : group) {
-        const std::span<core::BsOptionAos> s = j.req->portfolio.aos.options;
-        std::copy(s.begin(), s.end(), all.begin() + static_cast<std::ptrdiff_t>(off));
-        offsets.push_back(off);
-        off += s.size();
-      }
-      out.aos = {{all.data(), all.size()}, p0.aos.rate, p0.aos.vol, p0.aos.dividend};
-      break;
-    }
-    case Layout::kBsSoa: {
-      std::span<double> spot = arena.make_span<double>(total);
-      std::span<double> strike = arena.make_span<double>(total);
-      std::span<double> years = arena.make_span<double>(total);
-      std::span<double> call = arena.make_span<double>(total);
-      std::span<double> put = arena.make_span<double>(total);
-      std::size_t off = 0;
-      for (const GroupJob& j : group) {
-        const core::BsSoaView& s = j.req->portfolio.soa;
-        const std::size_t m = s.size();
-        std::copy_n(s.spot.data(), m, spot.data() + off);
-        std::copy_n(s.strike.data(), m, strike.data() + off);
-        std::copy_n(s.years.data(), m, years.data() + off);
-        offsets.push_back(off);
-        off += m;
-      }
-      out.soa = {spot, strike, years, call, put, p0.soa.rate, p0.soa.vol, p0.soa.dividend};
-      break;
-    }
-    case Layout::kBsSoaF: {
-      std::span<float> spot = arena.make_span<float>(total);
-      std::span<float> strike = arena.make_span<float>(total);
-      std::span<float> years = arena.make_span<float>(total);
-      std::span<float> call = arena.make_span<float>(total);
-      std::span<float> put = arena.make_span<float>(total);
-      std::size_t off = 0;
-      for (const GroupJob& j : group) {
-        const core::BsSoaFView& s = j.req->portfolio.sp;
-        const std::size_t m = s.size();
-        std::copy_n(s.spot.data(), m, spot.data() + off);
-        std::copy_n(s.strike.data(), m, strike.data() + off);
-        std::copy_n(s.years.data(), m, years.data() + off);
-        offsets.push_back(off);
-        off += m;
-      }
-      out.sp = {spot, strike, years, call, put, p0.sp.rate, p0.sp.vol};
-      break;
-    }
-    default:
-      break;
+    return core::view_of(std::span<const core::OptionSpec>(all));
+  }
+  const core::PortfolioView out = core::allocate_like(p0, p0.layout, total, arena);
+  std::size_t off = 0;
+  for (const GroupJob& j : group) {
+    const core::PortfolioView& m = j.req->portfolio;
+    core::copy_inputs(m, core::subview(out, off, m.size()));
+    offsets.push_back(off);
+    off += m.size();
   }
   return out;
 }
@@ -128,29 +86,8 @@ bool Engine::fusable(const PricingRequest& a, const PricingRequest& b) const {
     return false;
   }
   // One fused batch carries one set of shared scalars.
-  switch (la) {
-    case Layout::kBsAos:
-      if (a.portfolio.aos.rate != b.portfolio.aos.rate ||
-          a.portfolio.aos.vol != b.portfolio.aos.vol ||
-          a.portfolio.aos.dividend != b.portfolio.aos.dividend) {
-        return false;
-      }
-      break;
-    case Layout::kBsSoa:
-      if (a.portfolio.soa.rate != b.portfolio.soa.rate ||
-          a.portfolio.soa.vol != b.portfolio.soa.vol ||
-          a.portfolio.soa.dividend != b.portfolio.soa.dividend) {
-        return false;
-      }
-      break;
-    case Layout::kBsSoaF:
-      if (a.portfolio.sp.rate != b.portfolio.sp.rate ||
-          a.portfolio.sp.vol != b.portfolio.sp.vol) {
-        return false;
-      }
-      break;
-    default:
-      break;
+  if (core::is_bs(la) && core::bs_scalars(a.portfolio) != core::bs_scalars(b.portfolio)) {
+    return false;
   }
   // Auto-intent pairs fuse on their *resolved* plans, not the intent
   // string: both must land on the same concrete variant with the same
@@ -159,17 +96,11 @@ bool Engine::fusable(const PricingRequest& a, const PricingRequest& b) const {
   if (tune::is_auto_id(a.kernel_id)) {
     const ResolvedDispatch ra = resolve_dispatch(*this, a);
     const ResolvedDispatch rb = resolve_dispatch(*this, b);
-    return ra.v != nullptr && ra.v == rb.v && !ra.v->statistical &&
-           ra.chunks_per_thread == rb.chunks_per_thread && ra.tasks == rb.tasks;
+    return fuses(ra.v) && ra.v == rb.v && ra.chunks_per_thread == rb.chunks_per_thread && ra.tasks == rb.tasks;
   }
   // One fused batch runs one task mode.
   if (a.tasks != b.tasks) return false;
-  // Statistical estimators key their per-option RNG substreams by batch
-  // index — fusing would change a member's answer depending on who it
-  // shares a batch with. Deterministic kernels are element-wise across
-  // options, so fusion is bitwise-neutral.
-  const VariantInfo* v = Registry::instance().find(a.kernel_id);
-  return v != nullptr && !v->statistical;
+  return fuses(Registry::instance().find(a.kernel_id));
 }
 
 void Engine::price_group(std::span<const GroupJob> group, GroupScratch& gs) const {
@@ -235,7 +166,7 @@ void Engine::price_group(std::span<const GroupJob> group, GroupScratch& gs) cons
   // below, so a guardrail trip is repaired and attributed to the member
   // whose range tripped it (kSpecs keeps the engine's chunk-level guard —
   // chunk quarantine/fallback machinery lives there).
-  const bool bs = robust::is_bs_layout(fused_view);
+  const bool bs = core::is_bs(fused_view.layout);
   if (bs) f.guard.mode = robust::GuardMode::kOff;
   // Group deadline: explicit override, else the most urgent member.
   f.cancel = gs.cancel;

@@ -70,37 +70,10 @@ Outputs run_bs(const VariantInfo& v, std::size_t n) {
   req.portfolio = pf.view();
   v.run_batch(req, req.portfolio, res);
   const core::PortfolioView& view = pf.view();
-  switch (v.layout) {
-    case Layout::kBsAos:
-      for (const auto& o : view.aos.options) {
-        out.values.push_back(o.call);
-        out.values.push_back(o.put);
-      }
-      break;
-    case Layout::kBsSoa:
-      for (std::size_t i = 0; i < view.soa.size(); ++i) {
-        out.values.push_back(view.soa.call[i]);
-        out.values.push_back(view.soa.put[i]);
-      }
-      break;
-    case Layout::kBsSoaF:
-      for (std::size_t i = 0; i < view.sp.size(); ++i) {
-        out.values.push_back(view.sp.call[i]);
-        out.values.push_back(view.sp.put[i]);
-      }
-      break;
-    case Layout::kBsBlocked: {
-      const core::BsBlockedView& b = view.blocked;
-      for (std::size_t i = 0; i < b.size(); ++i) {
-        const std::size_t blk = i / static_cast<std::size_t>(b.block);
-        const std::size_t ln = i % static_cast<std::size_t>(b.block);
-        out.values.push_back(b.field(blk, 3)[ln]);  // call
-        out.values.push_back(b.field(blk, 4)[ln]);  // put
-      }
-      break;
-    }
-    default:
-      throw std::logic_error("run_bs: not a bs layout");
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    const core::BsLane l = core::bs_lane(view, i);
+    out.values.push_back(l.call);
+    out.values.push_back(l.put);
   }
   return out;
 }
@@ -108,10 +81,7 @@ Outputs run_bs(const VariantInfo& v, std::size_t n) {
 // Run `v` on the canonical workload for comparison subject `subject` (the
 // non-reference variant, which decides workload restrictions).
 Outputs run_one(const VariantInfo& v, const VariantInfo& subject, std::size_t n) {
-  if (v.layout == Layout::kBsAos || v.layout == Layout::kBsSoa || v.layout == Layout::kBsSoaF ||
-      v.layout == Layout::kBsBlocked) {
-    return run_bs(v, n);
-  }
+  if (core::is_bs(v.layout)) return run_bs(v, n);
   PricingRequest req = knobs_for(subject);
   req.kernel_id = v.id;
   PricingResult res;

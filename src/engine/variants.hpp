@@ -142,23 +142,13 @@ struct Scratch {
   std::uint64_t plan_breaker_gen = 0;
 
   // --- Auto-dispatch plan cache (engine-owned; finbench/tune) --------------
-  // The DispatchPlan an auto-intent request resolved to, cached so a
-  // steady-state repetition never re-derives the TuneKey (which allocates
-  // a family string) or takes the PlanCache mutex. The key mirrors every
-  // TuneKey ingredient; any change invalidates the cached plan and
-  // resolution goes back through tune::resolve.
+  // The DispatchPlan an auto-intent request resolved to and the TuneKey
+  // it was resolved for, so a steady-state repetition skips the PlanCache
+  // mutex. A request whose key differs in any field re-resolves through
+  // tune::resolve.
   tune::DispatchPlan plan{};
+  tune::TuneKey plan_key{};
   bool has_plan = false;
-  const void* plan_src = nullptr;  // workload data pointer
-  std::size_t plan_n = 0;
-  core::Layout plan_layout = core::Layout::kSpecs;
-  int plan_threads = 0;
-  int plan_steps = 0;
-  int plan_spy = 0;
-  std::size_t plan_npath = 0;
-  int plan_bridge = 0;
-  int plan_cn = 0;
-  bool plan_american = false;
 
   // --- Executing pool (engine-owned) --------------------------------------
   // The pool running this request's ranges, stamped before prepare by
@@ -173,20 +163,6 @@ struct Scratch {
 
 // Ensure req.scratch exists; returns it.
 Scratch& scratch_of(const PricingRequest& req);
-
-// Identity pointer of a view's workload data — the cache-invalidation key
-// for scratch-cached derived state (resolved plans).
-inline const void* workload_data_key(const core::PortfolioView& view) {
-  switch (view.layout) {
-    case core::Layout::kSpecs: return view.specs.data();
-    case core::Layout::kBsAos: return view.aos.options.data();
-    case core::Layout::kBsSoa: return view.soa.spot.data();
-    case core::Layout::kBsSoaF: return view.sp.spot.data();
-    case core::Layout::kBsBlocked: return view.blocked.data.data();
-    case core::Layout::kPaths: return nullptr;
-  }
-  return nullptr;
-}
 
 // True when specs[begin, end) holds an American-exercise option.
 inline bool range_has_american(std::span<const core::OptionSpec> specs, std::size_t begin,

@@ -143,6 +143,7 @@ namespace {
 
 // Lane setup of the register-tiled path: W options side by side, Call[j]
 // is a W-wide vector; `base` indexes the block of W consecutive options.
+// Lanes past the end of `opts` repeat its last option.
 template <int W>
 struct LaneBatch {
   using V = simd::Vec<double, W>;
@@ -151,7 +152,7 @@ struct LaneBatch {
                    double* call /* (steps+1) x W */) {
     alignas(64) double pu_a[W], pd_a[W];
     for (int l = 0; l < W; ++l) {
-      const core::OptionSpec& o = opts[base + l];
+      const core::OptionSpec& o = opts[std::min(base + l, opts.size() - 1)];
       const CrrParams p = crr(o, steps);
       pu_a[l] = p.pu_by_df;
       pd_a[l] = p.pd_by_df;
@@ -274,28 +275,24 @@ void reduce_pack(const core::OptionSpec* const* opt, const int* depth, double* c
   }
 }
 
+// A ragged last pack repeats its final option rather than running a
+// scalar tail, so every option runs the same arithmetic wherever it sits
+// in the batch (a coalesced member prices as it does alone).
 template <int W>
 void price_simd(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
                 core::ScratchPool* scratch) {
-  using V = simd::Vec<double, W>;
   const std::size_t n = opts.size();
-  const std::size_t groups = n / W;
   core::ScratchBuf buf(scratch, static_cast<std::size_t>(steps + 1) * W);
   double* const call = buf.data();
-  for (std::size_t base = 0; base < groups * W; base += W) {
+  for (std::size_t base = 0; base < n; base += W) {
     const core::OptionSpec* lane[W];
     int depth[W];
     for (int l = 0; l < W; ++l) {
-      lane[l] = &opts[base + l];
+      lane[l] = &opts[std::min(base + l, n - 1)];
       depth[l] = steps;
     }
     reduce_pack<W>(lane, depth, call);
-    V::load(call).storeu(out.data() + base);
-  }
-  // Tail options: scalar reference through the same leased lattice.
-  const std::span<double> lattice{call, static_cast<std::size_t>(steps) + 1};
-  for (std::size_t o = groups * W; o < n; ++o) {
-    out[o] = price_one_reference(opts[o], steps, lattice);
+    std::copy_n(call, std::min<std::size_t>(W, n - base), out.data() + base);
   }
 }
 
@@ -370,15 +367,14 @@ template <int W, int TS, bool Unroll>
   }
 }
 
+// A ragged last block repeats its final option, as in price_simd.
 template <int W, int TS, bool Unroll>
 void price_tiled(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
                  core::ScratchPool* scratch) {
-  using V = simd::Vec<double, W>;
   const std::size_t n = opts.size();
-  const std::size_t groups = n / W;
   core::ScratchBuf buf(scratch, static_cast<std::size_t>(steps + 1) * W);
   double* const call = buf.data();
-  for (std::size_t base = 0; base < groups * W; base += W) {
+  for (std::size_t base = 0; base < n; base += W) {
     LaneBatch<W> lanes;
     lanes.init_leaves(opts, base, steps, call);
 
@@ -387,11 +383,7 @@ void price_tiled(std::span<const core::OptionSpec> opts, int steps, std::span<do
     // Remainder (< TS steps): plain in-place reduction.
     reduce_european<W>(call, m, lanes.pu, lanes.pd);
 
-    V::load(call).storeu(out.data() + base);
-  }
-  const std::span<double> lattice{call, static_cast<std::size_t>(steps) + 1};
-  for (std::size_t o = groups * W; o < n; ++o) {
-    out[o] = price_one_reference(opts[o], steps, lattice);
+    std::copy_n(call, std::min<std::size_t>(W, n - base), out.data() + base);
   }
 }
 

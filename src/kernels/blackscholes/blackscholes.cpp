@@ -1,9 +1,11 @@
 #include "finbench/kernels/blackscholes.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
+#include <utility>
 
 #include "finbench/arch/aligned.hpp"
 #include "finbench/core/analytic.hpp"
@@ -18,6 +20,31 @@ namespace finbench::kernels::bs {
 namespace {
 
 inline double cnd_scalar(double x) { return 0.5 * std::erfc(-x * 0.70710678118654752440); }
+
+// Options [begin, n) of a SOA batch, fewer than one vector, through the
+// vector body `price` on a copy padded with the last option. No scalar
+// tail: an option's price does not depend on where it sits in the batch,
+// so a coalesced member prices as it does alone.
+template <class V, class T, class Price>
+void price_padded_tail(const T* s, const T* k, const T* t, T* call, T* put, std::ptrdiff_t begin,
+                       std::ptrdiff_t n, const Price& price) {
+  constexpr int W = V::width;
+  alignas(64) T in[3][W] = {};
+  alignas(64) T out[2][W] = {};
+  for (std::ptrdiff_t ln = 0; ln < W; ++ln) {
+    const std::ptrdiff_t j = std::min(begin + ln, n - 1);
+    in[0][ln] = s[j];
+    in[1][ln] = k[j];
+    in[2][ln] = t[j];
+  }
+  const auto [c, p] = price(V::load(in[0]), V::load(in[1]), V::load(in[2]));
+  c.storeu(out[0]);
+  p.storeu(out[1]);
+  for (std::ptrdiff_t i = begin; i < n; ++i) {
+    call[i] = out[0][i - begin];
+    put[i] = out[1][i - begin];
+  }
+}
 
 }  // namespace
 
@@ -100,11 +127,8 @@ void price_soa_width(const core::BsSoaView& batch) {
   double* call = batch.call.data();
   double* put = batch.put.data();
 
-  const std::ptrdiff_t vec_end = nopt - nopt % W;
-  for (std::ptrdiff_t i = 0; i < vec_end; i += W) {
-    const V S = V::load(s + i);
-    const V K = V::load(k + i);
-    const V T = V::load(t + i);
+  // Call and put of one vector of options; the put from call/put parity.
+  const auto price = [&](const V S, const V K, const V T) {
     const V qlog = vecmath::log(S / K);
     const V denom = one / (sig * sqrt(T));
     V drift = r;
@@ -120,16 +144,16 @@ void price_soa_width(const core::BsSoaView& batch) {
     const V nd1 = fmadd(vecmath::erf(d1 * inv_sqrt2), half, half);
     const V nd2 = fmadd(vecmath::erf(d2 * inv_sqrt2), half, half);
     const V c = fmsub(sq, nd1, xexp * nd2);
+    return std::pair{c, c - sq + xexp};
+  };
+
+  const std::ptrdiff_t vec_end = nopt - nopt % W;
+  for (std::ptrdiff_t i = 0; i < vec_end; i += W) {
+    const auto [c, p] = price(V::load(s + i), V::load(k + i), V::load(t + i));
     c.stream(call + i);
-    (c - sq + xexp).stream(put + i);  // put from call/put parity
+    p.stream(put + i);
   }
-  // Scalar tail.
-  for (std::ptrdiff_t i = vec_end; i < nopt; ++i) {
-    const core::BsPrice p = core::black_scholes(s[i], k[i], t[i], batch.rate, batch.vol,
-                                                batch.dividend);
-    call[i] = p.call;
-    put[i] = p.put;
-  }
+  if (vec_end < nopt) price_padded_tail<V>(s, k, t, call, put, vec_end, nopt, price);
 }
 
 template <int W>
@@ -398,11 +422,7 @@ void price_sp_width(const core::BsSoaFView& batch) {
   float* call = batch.call.data();
   float* put = batch.put.data();
 
-  const std::ptrdiff_t vec_end = nopt - nopt % W;
-  for (std::ptrdiff_t i = 0; i < vec_end; i += W) {
-    const V S = V::load(s + i);
-    const V K = V::load(k + i);
-    const V T = V::load(t + i);
+  const auto price = [&](const V S, const V K, const V T) {
     const V qlog = vecmath::logf(S / K);
     const V denom = one / (sig * sqrt(T));
     const V d1 = (qlog + (r + sig22) * T) * denom;
@@ -411,21 +431,16 @@ void price_sp_width(const core::BsSoaFView& batch) {
     const V nd1 = vecmath::cndf(d1);
     const V nd2 = vecmath::cndf(d2);
     const V c = S * nd1 - xexp * nd2;
+    return std::pair{c, c - S + xexp};  // put from call/put parity
+  };
+
+  const std::ptrdiff_t vec_end = nopt - nopt % W;
+  for (std::ptrdiff_t i = 0; i < vec_end; i += W) {
+    const auto [c, p] = price(V::load(s + i), V::load(k + i), V::load(t + i));
     c.stream(call + i);
-    (c - S + xexp).stream(put + i);  // call/put parity
+    p.stream(put + i);
   }
-  for (std::ptrdiff_t i = vec_end; i < nopt; ++i) {
-    using V1 = simd::Vec<float, 1>;
-    const V1 qlog = vecmath::logf(V1(s[i] / k[i]));
-    const float denom = 1.0f / (batch.vol * std::sqrt(t[i]));
-    const float d1 = (qlog.v + (batch.rate + batch.vol * batch.vol / 2) * t[i]) * denom;
-    const float d2 = d1 - batch.vol * std::sqrt(t[i]);
-    const float xexp = k[i] * std::exp(-batch.rate * t[i]);
-    const float nd1 = vecmath::cndf(V1(d1)).v;
-    const float nd2 = vecmath::cndf(V1(d2)).v;
-    call[i] = s[i] * nd1 - xexp * nd2;
-    put[i] = call[i] - s[i] + xexp;
-  }
+  if (vec_end < nopt) price_padded_tail<V>(s, k, t, call, put, vec_end, nopt, price);
 }
 
 }  // namespace

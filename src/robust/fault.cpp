@@ -10,7 +10,6 @@
 #include <limits>
 
 #include "finbench/obs/metrics.hpp"
-#include "finbench/robust/guards.hpp"
 
 namespace finbench::robust {
 
@@ -113,14 +112,14 @@ std::size_t inject_input_faults(std::span<core::OptionSpec> specs, const FaultPl
 }
 
 std::size_t inject_input_faults(const core::PortfolioView& bs_view, const FaultPlan& plan) {
-  if (!is_bs_layout(bs_view)) return 0;
+  if (!core::is_bs(bs_view.layout)) return 0;
   std::size_t poisoned = 0;
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t n = bs_view.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (!plan.hits(0, i, plan.poison)) continue;
-    BsElem e = bs_elem(bs_view, i);
+    core::BsLane e = core::bs_lane(bs_view, i);
     switch (splitmix64(plan.seed ^ (i * 2 + 1)) % kNumPoisons) {
       case kNanSpot: e.spot = kNan; break;
       case kInfStrike: e.strike = kInf; break;
@@ -129,7 +128,7 @@ std::size_t inject_input_faults(const core::PortfolioView& bs_view, const FaultP
       case kDenormalSpot: e.spot = kDenormal; break;
       default: break;
     }
-    bs_store_inputs(bs_view, i, e.spot, e.strike, e.years);
+    core::set_bs_inputs(bs_view, i, e.spot, e.strike, e.years);
     ++poisoned;
   }
   static obs::Counter& c = obs::counter("robust.inject.poisoned");

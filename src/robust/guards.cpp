@@ -36,8 +36,7 @@ bool masked_out(std::span<const std::uint8_t> mask, std::size_t i) {
 // where fwd_lo = S e^{-qT} - K e^{-rT}. Returns true when `price` of the
 // given type is inside its band.
 bool in_bounds(double price, bool is_call, double spot, double strike, double years, double rate,
-               double vol, double dividend, double slack) {
-  (void)vol;
+               double dividend, double slack) {
   const double df_s = spot * std::exp(-dividend * years);
   const double df_k = strike * std::exp(-rate * years);
   const double tol = slack * (std::abs(df_s) + std::abs(df_k) + 1.0);
@@ -66,7 +65,7 @@ std::size_t guard_specs_range(std::span<const core::OptionSpec> specs,
       const core::OptionSpec& o = specs[i];
       if (o.style == core::ExerciseStyle::kEuropean) {
         bad = !in_bounds(values[i], o.type == core::OptionType::kCall, o.spot, o.strike, o.years,
-                         o.rate, o.vol, o.dividend, policy.bound_slack);
+                         o.rate, o.dividend, policy.bound_slack);
       }
     }
     if (bad) {
@@ -76,112 +75,6 @@ std::size_t guard_specs_range(std::span<const core::OptionSpec> specs,
   }
   count_guard(violations, 0);
   return violations;
-}
-
-// --- Black–Scholes layout access --------------------------------------------
-
-bool is_bs_layout(const core::PortfolioView& view) {
-  switch (view.layout) {
-    case core::Layout::kBsAos:
-    case core::Layout::kBsSoa:
-    case core::Layout::kBsSoaF:
-    case core::Layout::kBsBlocked:
-      return true;
-    default:
-      return false;
-  }
-}
-
-BsElem bs_elem(const core::PortfolioView& view, std::size_t i) {
-  BsElem e;
-  switch (view.layout) {
-    case core::Layout::kBsAos: {
-      const auto& o = view.aos.options[i];
-      e = {o.spot, o.strike, o.years, o.call, o.put,
-           view.aos.rate, view.aos.vol, view.aos.dividend};
-      break;
-    }
-    case core::Layout::kBsSoa:
-      e = {view.soa.spot[i], view.soa.strike[i], view.soa.years[i],
-           view.soa.call[i], view.soa.put[i],
-           view.soa.rate, view.soa.vol, view.soa.dividend};
-      break;
-    case core::Layout::kBsSoaF:
-      e = {view.sp.spot[i], view.sp.strike[i], view.sp.years[i],
-           view.sp.call[i], view.sp.put[i],
-           view.sp.rate, view.sp.vol, 0.0};
-      break;
-    case core::Layout::kBsBlocked: {
-      const auto& v = view.blocked;
-      const std::size_t b = static_cast<std::size_t>(v.block);
-      const std::size_t blk = i / b, lane = i % b;
-      e = {v.field(blk, 0)[lane], v.field(blk, 1)[lane], v.field(blk, 2)[lane],
-           v.field(blk, 3)[lane], v.field(blk, 4)[lane], v.rate, v.vol, v.dividend};
-      break;
-    }
-    default:
-      break;
-  }
-  return e;
-}
-
-void bs_store_outputs(const core::PortfolioView& view, std::size_t i, double call, double put) {
-  switch (view.layout) {
-    case core::Layout::kBsAos:
-      view.aos.options[i].call = call;
-      view.aos.options[i].put = put;
-      break;
-    case core::Layout::kBsSoa:
-      view.soa.call[i] = call;
-      view.soa.put[i] = put;
-      break;
-    case core::Layout::kBsSoaF:
-      view.sp.call[i] = static_cast<float>(call);
-      view.sp.put[i] = static_cast<float>(put);
-      break;
-    case core::Layout::kBsBlocked: {
-      const auto& v = view.blocked;
-      const std::size_t b = static_cast<std::size_t>(v.block);
-      v.field(i / b, 3)[i % b] = call;
-      v.field(i / b, 4)[i % b] = put;
-      break;
-    }
-    default:
-      break;
-  }
-}
-
-void bs_store_inputs(const core::PortfolioView& view, std::size_t i, double spot, double strike,
-                     double years) {
-  switch (view.layout) {
-    case core::Layout::kBsAos: {
-      auto& o = view.aos.options[i];
-      o.spot = spot;
-      o.strike = strike;
-      o.years = years;
-      break;
-    }
-    case core::Layout::kBsSoa:
-      view.soa.spot[i] = spot;
-      view.soa.strike[i] = strike;
-      view.soa.years[i] = years;
-      break;
-    case core::Layout::kBsSoaF:
-      view.sp.spot[i] = static_cast<float>(spot);
-      view.sp.strike[i] = static_cast<float>(strike);
-      view.sp.years[i] = static_cast<float>(years);
-      break;
-    case core::Layout::kBsBlocked: {
-      const auto& v = view.blocked;
-      const std::size_t b = static_cast<std::size_t>(v.block);
-      v.field(i / b, 0)[i % b] = spot;
-      v.field(i / b, 1)[i % b] = strike;
-      v.field(i / b, 2)[i % b] = years;
-      break;
-    }
-    default:
-      break;
-  }
 }
 
 namespace {
@@ -231,7 +124,7 @@ bool outputs_finite(const core::PortfolioView& v) {
 
 std::size_t guard_and_repair_bs(const core::PortfolioView& view, const GuardPolicy& policy,
                                 std::span<const std::uint8_t> mask) {
-  if (policy.mode == GuardMode::kOff || !is_bs_layout(view)) return 0;
+  if (policy.mode == GuardMode::kOff || !core::is_bs(view.layout)) return 0;
   // BS batch kernels price both legs of a European vanilla analytically:
   // deterministic, so kFull bounds apply. The f32 layout's extra rounding
   // is orders of magnitude inside the default slack.
@@ -241,23 +134,24 @@ std::size_t guard_and_repair_bs(const core::PortfolioView& view, const GuardPoli
   // honors the mask.
   if (!bounds && outputs_finite(view)) return 0;
   const std::size_t n = view.size();
+  const core::BsScalars s = core::bs_scalars(view);
   std::size_t violations = 0, repaired = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (masked_out(mask, i)) continue;
-    const BsElem e = bs_elem(view, i);
+    const core::BsLane e = core::bs_lane(view, i);
     bool bad = !std::isfinite(e.call) || !std::isfinite(e.put);
     if (!bad && bounds) {
-      bad = !in_bounds(e.call, /*is_call=*/true, e.spot, e.strike, e.years, e.rate, e.vol,
-                       e.dividend, policy.bound_slack) ||
-            !in_bounds(e.put, /*is_call=*/false, e.spot, e.strike, e.years, e.rate, e.vol,
-                       e.dividend, policy.bound_slack);
+      bad = !in_bounds(e.call, /*is_call=*/true, e.spot, e.strike, e.years, s.rate, s.dividend,
+                       policy.bound_slack) ||
+            !in_bounds(e.put, /*is_call=*/false, e.spot, e.strike, e.years, s.rate, s.dividend,
+                       policy.bound_slack);
     }
     if (!bad) continue;
     ++violations;
-    const core::BsPrice p = core::black_scholes(e.spot, e.strike, e.years, e.rate, e.vol,
-                                                e.dividend);
+    const core::BsPrice p = core::black_scholes(e.spot, e.strike, e.years, s.rate, s.vol,
+                                                s.dividend);
     if (std::isfinite(p.call) && std::isfinite(p.put)) {
-      bs_store_outputs(view, i, p.call, p.put);
+      core::set_bs_outputs(view, i, p.call, p.put);
       ++repaired;
     }
   }

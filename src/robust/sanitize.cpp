@@ -14,7 +14,6 @@
 #include "bs_scan.hpp"
 #include "finbench/obs/metrics.hpp"
 #include "finbench/robust/denormal.hpp"
-#include "finbench/robust/guards.hpp"
 
 namespace finbench::robust {
 
@@ -121,32 +120,30 @@ bool inputs_clean(const core::PortfolioView& v, double floor, const SanitizeEnve
 }
 
 // Shared batch parameters: a faulty rate/vol poisons every option.
-std::uint8_t sanitize_scalars(double& rate, double& vol, double* dividend, SanitizePolicy policy,
+std::uint8_t sanitize_scalars(core::BsScalars& s, SanitizePolicy policy,
                               const SanitizeEnvelope& env) {
-  std::uint8_t shared = classify_rate(rate, env.max_abs_rate);
-  shared |= classify_positive(vol, env.max_vol, env.min_positive);
-  if (dividend != nullptr) shared |= classify_rate(*dividend, env.max_abs_rate);
+  std::uint8_t shared = classify_rate(s.rate, env.max_abs_rate);
+  shared |= classify_positive(s.vol, env.max_vol, env.min_positive);
+  shared |= classify_rate(s.dividend, env.max_abs_rate);
   const bool repair = policy == SanitizePolicy::kClamp || policy == SanitizePolicy::kSkip;
   if (shared != kFaultNone && repair) {
     // Finite shared params clamp into the envelope; non-finite ones take
     // placeholder values so the kernel runs safely — but a fabricated vol
     // prices nothing honestly, so in that case every option is also
     // skipped (outputs forced to NaN after the run).
-    if (std::isfinite(rate)) {
-      rate = std::clamp(rate, -env.max_abs_rate, env.max_abs_rate);
+    if (std::isfinite(s.rate)) {
+      s.rate = std::clamp(s.rate, -env.max_abs_rate, env.max_abs_rate);
     } else {
-      rate = kPlaceholder.rate;
+      s.rate = kPlaceholder.rate;
     }
-    if (std::isfinite(vol) && vol > 0.0) {
-      vol = clamp_positive(vol, env.max_vol, env.min_positive);
+    if (std::isfinite(s.vol) && s.vol > 0.0) {
+      s.vol = clamp_positive(s.vol, env.max_vol, env.min_positive);
     } else {
-      vol = kPlaceholder.vol;
+      s.vol = kPlaceholder.vol;
     }
-    if (dividend != nullptr) {
-      *dividend = std::isfinite(*dividend)
-                      ? std::clamp(*dividend, -env.max_abs_rate, env.max_abs_rate)
-                      : 0.0;
-    }
+    s.dividend = std::isfinite(s.dividend)
+                     ? std::clamp(s.dividend, -env.max_abs_rate, env.max_abs_rate)
+                     : 0.0;
   }
   return shared;
 }
@@ -173,7 +170,7 @@ void scan_bs(const core::PortfolioView& v, std::uint8_t shared, SanitizePolicy p
   const bool shared_nonfinite = (shared & kFaultNonFinite) != 0;
   const bool repair = policy == SanitizePolicy::kClamp || policy == SanitizePolicy::kSkip;
   for (std::size_t i = 0; i < n; ++i) {
-    const BsElem e = bs_elem(v, i);
+    const core::BsLane e = core::bs_lane(v, i);
     std::uint8_t bits = shared;
     bits |= classify_positive(e.spot, env.max_magnitude, floor);
     bits |= classify_positive(e.strike, env.max_magnitude, floor);
@@ -184,13 +181,13 @@ void scan_bs(const core::PortfolioView& v, std::uint8_t shared, SanitizePolicy p
     std::uint8_t* mask = mask_for(out, n);
     const bool nonfinite = ((bits & kFaultNonFinite) != 0) || shared_nonfinite;
     if (policy == SanitizePolicy::kClamp && !nonfinite) {
-      bs_store_inputs(v, i, clamp_positive(e.spot, env.max_magnitude, floor),
-                      clamp_positive(e.strike, env.max_magnitude, floor),
-                      clamp_positive(e.years, env.max_years, floor));
+      core::set_bs_inputs(v, i, clamp_positive(e.spot, env.max_magnitude, floor),
+                          clamp_positive(e.strike, env.max_magnitude, floor),
+                          clamp_positive(e.years, env.max_years, floor));
       bits |= kFaultClamped;
       ++out.clamped;
     } else if (repair) {
-      bs_store_inputs(v, i, kPlaceholder.spot, kPlaceholder.strike, kPlaceholder.years);
+      core::set_bs_inputs(v, i, kPlaceholder.spot, kPlaceholder.strike, kPlaceholder.years);
       bits |= kFaultSkipped;
       ++out.skipped;
     }
@@ -225,32 +222,18 @@ std::uint8_t classify(const core::OptionSpec& o, const SanitizeEnvelope& env) {
 
 std::uint8_t sanitize_shared(core::PortfolioView& view, SanitizePolicy policy,
                              const SanitizeEnvelope& env) {
-  if (policy == SanitizePolicy::kOff) return kFaultNone;
-  switch (view.layout) {
-    case core::Layout::kBsAos:
-      return sanitize_scalars(view.aos.rate, view.aos.vol, &view.aos.dividend, policy, env);
-    case core::Layout::kBsSoa:
-      return sanitize_scalars(view.soa.rate, view.soa.vol, &view.soa.dividend, policy, env);
-    case core::Layout::kBsSoaF: {
-      double rate = view.sp.rate, vol = view.sp.vol;
-      const std::uint8_t bits = sanitize_scalars(rate, vol, nullptr, policy, env);
-      view.sp.rate = static_cast<float>(rate);
-      view.sp.vol = static_cast<float>(vol);
-      return bits;
-    }
-    case core::Layout::kBsBlocked:
-      return sanitize_scalars(view.blocked.rate, view.blocked.vol, &view.blocked.dividend, policy,
-                              env);
-    default:
-      return kFaultNone;
-  }
+  if (policy == SanitizePolicy::kOff || !core::is_bs(view.layout)) return kFaultNone;
+  core::BsScalars s = core::bs_scalars(view);
+  const std::uint8_t bits = sanitize_scalars(s, policy, env);
+  core::set_bs_scalars(view, s);
+  return bits;
 }
 
 void sanitize_range(const core::PortfolioView& view, std::uint8_t shared, SanitizePolicy policy,
                     SanitizeReport& out, const SanitizeEnvelope& env) {
   out.reset();
   if (policy == SanitizePolicy::kOff) return;
-  if (is_bs_layout(view)) scan_bs(view, shared, policy, out, env);
+  if (core::is_bs(view.layout)) scan_bs(view, shared, policy, out, env);
 }
 
 void sanitize(core::PortfolioView& view, SanitizePolicy policy, SanitizeReport& out,

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,7 +21,6 @@
 #include "finbench/engine/validate.hpp"
 #include "finbench/obs/flight_recorder.hpp"
 #include "finbench/obs/metrics.hpp"
-#include "finbench/robust/guards.hpp"
 
 using namespace finbench;
 using engine::Engine;
@@ -39,7 +39,7 @@ std::vector<double> bs_outputs(const core::PortfolioView& v) {
   std::vector<double> out;
   out.reserve(2 * v.size());
   for (std::size_t i = 0; i < v.size(); ++i) {
-    const robust::BsElem e = robust::bs_elem(v, i);
+    const core::BsLane e = core::bs_lane(v, i);
     out.push_back(e.call);
     out.push_back(e.put);
   }
@@ -167,7 +167,7 @@ struct Probe {
   }
 
   std::vector<double> outputs(const PricingResult& res) const {
-    std::vector<double> out = robust::is_bs_layout(req.portfolio) ? bs_outputs(req.portfolio)
+    std::vector<double> out = core::is_bs(req.portfolio.layout) ? bs_outputs(req.portfolio)
                                                                   : res.values;
     out.insert(out.end(), res.std_errors.begin(), res.std_errors.end());
     return out;
@@ -175,9 +175,9 @@ struct Probe {
 
   // Poison the in-place outputs, so a range nobody priced shows.
   void clear() {
-    if (!robust::is_bs_layout(req.portfolio)) return;
+    if (!core::is_bs(req.portfolio.layout)) return;
     for (std::size_t i = 0; i < req.portfolio.size(); ++i) {
-      robust::bs_store_outputs(req.portfolio, i, -1.0, -1.0);
+      core::set_bs_outputs(req.portfolio, i, -1.0, -1.0);
     }
   }
 };
@@ -468,4 +468,99 @@ TEST(Engine, GroupScratchKeepsBlackScholesAndSpecsPartitionsApart) {
   eng.price_group(specs_group, gs);
   EXPECT_EQ(gs.fused_res.chunk_status.size(), specs_chunks);
   price_bs_group();
+}
+
+// Coalesced pricing equals solo pricing bit for bit for every variant on
+// a fusable layout (specs, AOS, SOA, SOA-F), with members of unequal
+// sizes that are not multiples of any SIMD width: the fused book is
+// assembled by copy_inputs into each member's range, priced once, and
+// scattered back. Monte Carlo keys its RNG substreams by batch index, so
+// it never fuses.
+TEST(Engine, FusedGroupEqualsSoloForEveryFusableVariant) {
+  engine::ThreadPool pool(2);
+  Engine eng(&pool);
+  constexpr std::size_t kBsSizes[] = {130, 67, 1100};  // 1297: two BS chunks
+  constexpr std::size_t kSpecsSizes[] = {17, 9, 38};
+  constexpr std::size_t kMembers = std::size(kBsSizes);
+  int fused = 0;
+  for (const engine::VariantInfo* v : Registry::instance().all()) {
+    const core::Layout layout = v->layout;
+    if (layout == core::Layout::kPaths || layout == core::Layout::kBsBlocked) continue;
+    const bool specs = layout == core::Layout::kSpecs;
+    std::vector<core::Portfolio> fused_books, solo_books;
+    PricingRequest req[kMembers];
+    PricingResult res[kMembers];
+    engine::GroupJob group[kMembers];
+    for (std::size_t i = 0; i < kMembers; ++i) {
+      for (auto* books : {&fused_books, &solo_books}) {
+        books->push_back(specs ? core::Portfolio::specs(kSpecsSizes[i], 90 + i)
+                               : core::Portfolio::bs(kBsSizes[i], layout, 90 + i));
+      }
+    }
+    for (std::size_t i = 0; i < kMembers; ++i) {
+      req[i].kernel_id = v->id;
+      req[i].steps = 64;
+      req[i].cn_num_prices = 65;
+      req[i].npath = 1024;
+      req[i].portfolio = fused_books[i].view();
+      group[i] = {&req[i], &res[i]};
+    }
+    if (v->kernel == "mc") {
+      EXPECT_FALSE(eng.fusable(req[0], req[1])) << v->id;
+      continue;
+    }
+    for (std::size_t i = 1; i < kMembers; ++i) ASSERT_TRUE(eng.fusable(req[0], req[i])) << v->id;
+    engine::GroupScratch gs;
+    eng.price_group(group, gs);
+    for (std::size_t i = 0; i < kMembers; ++i) {
+      ASSERT_TRUE(res[i].status.ok()) << v->id << " member " << i << ": "
+                                      << res[i].status.to_string();
+      PricingRequest solo = req[i];
+      solo.scratch.reset();
+      solo.portfolio = solo_books[i].view();
+      const PricingResult want = eng.price(solo);
+      ASSERT_TRUE(want.status.ok()) << v->id;
+      EXPECT_TRUE(specs ? bitwise_equal(res[i].values, want.values)
+                        : bitwise_equal(bs_outputs(fused_books[i].view()),
+                                        bs_outputs(solo_books[i].view())))
+          << v->id << " member " << i;
+    }
+    ++fused;
+  }
+  EXPECT_GE(fused, 20);
+}
+
+// One fused batch carries one set of shared scalars: members that differ
+// in rate, vol or dividend never fuse, on any Black–Scholes layout
+// (lane-blocked members never fuse at all).
+TEST(Engine, FusableRefusesMembersWithDifferentSharedScalars) {
+  Engine& eng = Engine::shared();
+  struct Case {
+    core::Layout layout;
+    const char* id;
+  };
+  for (const Case c : {Case{core::Layout::kBsAos, "bs.basic.auto"},
+                       Case{core::Layout::kBsSoa, "bs.intermediate.auto"},
+                       Case{core::Layout::kBsSoaF, "bs.intermediate_sp.auto"},
+                       Case{core::Layout::kBsBlocked, "blackscholes.blocked.4"}}) {
+    core::Portfolio pa = core::Portfolio::bs(64, c.layout, 1);
+    core::Portfolio pb = core::Portfolio::bs(96, c.layout, 2);
+    PricingRequest a, b;
+    a.kernel_id = b.kernel_id = c.id;
+    a.portfolio = pa.view();
+    b.portfolio = pb.view();
+    const bool fusable_layout = c.layout != core::Layout::kBsBlocked;
+    EXPECT_EQ(eng.fusable(a, b), fusable_layout) << c.id;
+    const core::BsScalars base = core::bs_scalars(a.portfolio);
+    for (int field = 0; field < 3; ++field) {
+      if (field == 2 && c.layout == core::Layout::kBsSoaF) continue;  // no dividend
+      core::BsScalars s = base;
+      (field == 0 ? s.rate : field == 1 ? s.vol : s.dividend) += 0.015625;
+      core::set_bs_scalars(b.portfolio, s);
+      EXPECT_FALSE(eng.fusable(a, b)) << c.id << " scalar " << field;
+      EXPECT_FALSE(eng.fusable(b, a)) << c.id << " scalar " << field;
+    }
+    core::set_bs_scalars(b.portfolio, base);
+    EXPECT_EQ(eng.fusable(a, b), fusable_layout) << c.id;
+  }
 }

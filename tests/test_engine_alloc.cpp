@@ -12,7 +12,9 @@
 //   - chunked Monte Carlo (stream flavor) across a thread pool: chunks
 //     write into pre-sized scratch slices and the
 //     dispatch closure fits std::function's small-buffer optimization,
-//   - a run_batch-only variant, the one-chunk case.
+//   - a run_batch-only variant, the one-chunk case,
+//   - a resolved <family>.auto request, which rebuilds and compares its
+//     TuneKey every pricing.
 //
 // The counter intercepts ::operator new (plain and aligned) only — the
 // arena and AlignedAllocator route through these on purpose (see
@@ -24,6 +26,7 @@
 #include <cstdlib>
 #include <new>
 #include <span>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -338,6 +341,37 @@ TEST(EngineAlloc, WholeBatchRunBatchOnlyVariantIsAllocationFree) {
   });
   ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   EXPECT_EQ(allocs, 0u) << "steady-state whole-batch pricing allocated";
+}
+
+// Re-pricing a resolved <family>.auto request rebuilds its TuneKey and
+// compares it with the one its scratch holds: no heap traffic, for a
+// Black–Scholes book and for a specs book (whose key scans the styles).
+TEST(EngineAlloc, AutoIntentRepricingIsAllocationFree) {
+  engine::ThreadPool pool(2);
+  Engine eng(&pool);
+  auto aos = core::make_bs_workload_aos(4096, 6);
+  const auto specs = core::make_option_workload(16, 6);
+  PricingRequest bs, lattice;
+  bs.kernel_id = "bs.auto";
+  bs.portfolio = core::view_of(aos);
+  lattice.kernel_id = "binomial.auto";
+  lattice.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
+  lattice.steps = 32;
+  for (PricingRequest* req : {&bs, &lattice}) {
+    PricingResult res;
+    eng.price(*req, res);  // warm-up: the race, scratch, obs handles
+    eng.price(*req, res);  // first scratch hit registers its process-wide counter
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+    ASSERT_TRUE(res.tuned);
+    const std::string resolved = res.resolved_id;
+
+    const std::size_t allocs = allocations_during([&] {
+      for (int rep = 0; rep < 10; ++rep) eng.price(*req, res);
+    });
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+    EXPECT_EQ(res.resolved_id, resolved);
+    EXPECT_EQ(allocs, 0u) << req->kernel_id << ": steady-state auto re-pricing allocated";
+  }
 }
 
 TEST(EngineAlloc, SwitchingWorkloadsRebuildsThenSettles) {

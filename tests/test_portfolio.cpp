@@ -1,12 +1,14 @@
 // Tests for the layout-tagged Portfolio data model: the Arena's alignment
-// and block-reuse guarantees, zero-copy view semantics, bitwise layout
-// round trips (AOS <-> SOA <-> blocked), output writeback, the
+// and block-reuse guarantees, zero-copy view semantics, the per-option
+// Black–Scholes accessors, bitwise layout round trips (AOS <-> SOA <->
+// blocked), output writeback, the
 // single-generator coupling between the AOS and SOA workload builders, and
 // the convertibility matrix the engine's negotiation relies on.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -112,6 +114,125 @@ TEST(PortfolioView, ConvertedViewsAreCacheAlignedArenaMemory) {
   EXPECT_GE(a.bytes_in_use(), stats.bytes);
 }
 
+// --- Per-option access ------------------------------------------------------
+
+namespace {
+
+constexpr Layout kBsLayouts[] = {Layout::kBsAos, Layout::kBsSoa, Layout::kBsSoaF,
+                                 Layout::kBsBlocked};
+
+// What a BS layout stores for a double: itself, or its float rounding.
+double stored(Layout l, double x) {
+  return l == Layout::kBsSoaF ? static_cast<double>(static_cast<float>(x)) : x;
+}
+
+}  // namespace
+
+// Every layout of one (n, seed) holds the AOS draw, so the accessors must
+// read the AOS records back from each (float-rounded on kBsSoaF), and a
+// ragged kBsBlocked tail's padding lanes read as the final option.
+TEST(PortfolioView, BsAccessorsReadEveryLayoutAsTheAosDraw) {
+  constexpr std::size_t n = 37;  // 4 * 8 + 5: ragged blocked tail
+  Portfolio aos = Portfolio::bs(n, Layout::kBsAos, 5);
+  const core::BsAosView& ref = aos.view().aos;
+  for (const Layout l : kBsLayouts) {
+    Portfolio pf = Portfolio::bs(n, l, 5);
+    const PortfolioView& v = pf.view();
+    for (std::size_t i = 0; i < n; ++i) {
+      const core::BsLane got = core::bs_lane(v, i);
+      EXPECT_EQ(got.spot, stored(l, ref.options[i].spot)) << to_string(l) << " " << i;
+      EXPECT_EQ(got.strike, stored(l, ref.options[i].strike)) << to_string(l) << " " << i;
+      EXPECT_EQ(got.years, stored(l, ref.options[i].years)) << to_string(l) << " " << i;
+    }
+    const core::BsScalars s = core::bs_scalars(v);
+    EXPECT_EQ(s.rate, stored(l, ref.rate)) << to_string(l);
+    EXPECT_EQ(s.vol, stored(l, ref.vol)) << to_string(l);
+    EXPECT_EQ(s.dividend, l == Layout::kBsSoaF ? 0.0 : ref.dividend) << to_string(l);
+    if (l == Layout::kBsBlocked) {
+      for (std::size_t i = n; i < v.blocked.num_blocks() * 8; ++i) {
+        EXPECT_EQ(core::bs_lane(v, i).spot, ref.options[n - 1].spot) << i;
+        EXPECT_EQ(core::bs_lane(v, i).years, ref.options[n - 1].years) << i;
+      }
+    }
+  }
+}
+
+// Inputs and outputs are written independently, and read back exactly
+// (every value below is a float). Writing the last option of a ragged
+// kBsBlocked view leaves its padding lanes alone.
+TEST(PortfolioView, BsAccessorsRoundTripInputsOutputsAndScalars) {
+  constexpr std::size_t n = 37;
+  for (const Layout l : kBsLayouts) {
+    Portfolio pf = Portfolio::bs(n, l, 6);
+    PortfolioView v = pf.view();
+    const core::BsLane pad = core::bs_lane(v, n - 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double x = static_cast<double>(i);
+      core::set_bs_outputs(v, i, 1000.0 + x, 2000.0 + x);
+      core::set_bs_inputs(v, i, 100.0 + x, 50.0 + 0.5 * x, 0.25 * (x + 1.0));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const double x = static_cast<double>(i);
+      const core::BsLane got = core::bs_lane(v, i);
+      EXPECT_EQ(got.spot, 100.0 + x) << to_string(l) << " " << i;
+      EXPECT_EQ(got.strike, 50.0 + 0.5 * x) << to_string(l) << " " << i;
+      EXPECT_EQ(got.years, 0.25 * (x + 1.0)) << to_string(l) << " " << i;
+      EXPECT_EQ(got.call, 1000.0 + x) << to_string(l) << " " << i;
+      EXPECT_EQ(got.put, 2000.0 + x) << to_string(l) << " " << i;
+    }
+    core::set_bs_outputs(v, 3, -1.0, -2.0);
+    EXPECT_EQ(core::bs_lane(v, 3).spot, 103.0) << to_string(l);
+    if (l == Layout::kBsBlocked) {
+      for (std::size_t i = n; i < v.blocked.num_blocks() * 8; ++i) {
+        EXPECT_EQ(core::bs_lane(v, i).spot, pad.spot) << i;
+        EXPECT_EQ(core::bs_lane(v, i).call, pad.call) << i;
+      }
+    }
+
+    const core::BsScalars s{0.03125, 0.375, l == Layout::kBsSoaF ? 0.0 : 0.0625};
+    core::set_bs_scalars(v, s);
+    EXPECT_EQ(core::bs_scalars(v), s) << to_string(l);
+    EXPECT_EQ(core::bs_lane(v, 0).spot, 100.0) << to_string(l) << ": scalars touched the arrays";
+  }
+}
+
+TEST(PortfolioView, SinglePrecisionAccessorsNarrowToFloat) {
+  Portfolio pf = Portfolio::bs(16, Layout::kBsSoaF, 7);
+  PortfolioView v = pf.view();
+  core::set_bs_inputs(v, 0, 0.1, 1e-50, 1e40);
+  core::set_bs_outputs(v, 0, 1.0 / 3.0, -1e-50);
+  const core::BsLane got = core::bs_lane(v, 0);
+  EXPECT_EQ(got.spot, static_cast<double>(0.1f));
+  EXPECT_NE(got.spot, 0.1);
+  EXPECT_EQ(got.strike, 0.0);  // underflows the float range
+  EXPECT_EQ(got.years, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(got.call, static_cast<double>(1.0f / 3.0f));
+  EXPECT_EQ(got.put, 0.0);
+  EXPECT_EQ(v.sp.spot[0], 0.1f);
+
+  core::set_bs_scalars(v, {0.1, 0.3, 0.07});
+  EXPECT_EQ(v.sp.rate, 0.1f);
+  EXPECT_EQ(v.sp.vol, 0.3f);
+  const core::BsScalars s = core::bs_scalars(v);
+  EXPECT_EQ(s.rate, static_cast<double>(0.1f));
+  EXPECT_EQ(s.vol, static_cast<double>(0.3f));
+  EXPECT_EQ(s.dividend, 0.0) << "the f32 layout has no dividend";
+}
+
+TEST(PortfolioView, BsAccessorsRejectNonBsLayouts) {
+  for (const Layout l : kBsLayouts) EXPECT_TRUE(core::is_bs(l));
+  const std::vector<core::OptionSpec> specs = core::make_option_workload(4, 1);
+  for (PortfolioView v : {core::view_of(std::span<const core::OptionSpec>(specs)),
+                          core::paths_view(4)}) {
+    EXPECT_FALSE(core::is_bs(v.layout));
+    EXPECT_THROW(core::bs_lane(v, 0), std::invalid_argument);
+    EXPECT_THROW(core::set_bs_inputs(v, 0, 1.0, 1.0, 1.0), std::invalid_argument);
+    EXPECT_THROW(core::set_bs_outputs(v, 0, 1.0, 1.0), std::invalid_argument);
+    EXPECT_THROW(core::bs_scalars(v), std::invalid_argument);
+    EXPECT_THROW(core::set_bs_scalars(v, {0.0, 0.2, 0.0}), std::invalid_argument);
+  }
+}
+
 // --- Round trips ------------------------------------------------------------
 
 TEST(Convert, AosSoaRoundTripIsBitwise) {
@@ -206,6 +327,31 @@ TEST(Convert, RangeCopiesComposeIntoConvert) {
   const PortfolioView blk = core::convert(src, Layout::kBsBlocked, a);
   EXPECT_EQ(core::subview(blk, 64, 22).size(), 22u);
   EXPECT_THROW(core::subview(blk, 3, 8), std::invalid_argument);
+}
+
+// A same-layout copy_inputs (how a fused group is assembled) copies the
+// three inputs and nothing else; a blocked target still pads its tail.
+TEST(Convert, SameLayoutCopyInputsLeavesTheOutputs) {
+  constexpr std::size_t n = 37;
+  for (const Layout l : kBsLayouts) {
+    Portfolio src = Portfolio::bs(n, l, 1);
+    Portfolio dst = Portfolio::bs(n, l, 2);
+    for (std::size_t i = 0; i < n; ++i) core::set_bs_outputs(dst.view(), i, -3.0, -4.0);
+    EXPECT_EQ(core::copy_inputs(src.view(), dst.view()),
+              n * 3 * (l == Layout::kBsSoaF ? sizeof(float) : sizeof(double)));
+    const std::size_t lanes = l == Layout::kBsBlocked ? dst.view().blocked.num_blocks() * 8 : n;
+    for (std::size_t i = 0; i < lanes; ++i) {
+      const core::BsLane want = core::bs_lane(src.view(), std::min(i, n - 1));
+      const core::BsLane got = core::bs_lane(dst.view(), i);
+      EXPECT_EQ(got.spot, want.spot) << to_string(l) << " " << i;
+      EXPECT_EQ(got.strike, want.strike) << to_string(l) << " " << i;
+      EXPECT_EQ(got.years, want.years) << to_string(l) << " " << i;
+      if (i < n) {
+        EXPECT_EQ(got.call, -3.0) << to_string(l) << " " << i;
+        EXPECT_EQ(got.put, -4.0) << to_string(l) << " " << i;
+      }
+    }
+  }
 }
 
 // --- Convertibility matrix --------------------------------------------------

@@ -60,6 +60,21 @@ std::uint64_t counter_value(const char* name) {
   return 0;
 }
 
+// Option i of a BS view with the batch's shared scalars, as the spec the
+// per-option classifier takes.
+core::OptionSpec bs_option(const core::PortfolioView& v, std::size_t i) {
+  const core::BsLane l = core::bs_lane(v, i);
+  const core::BsScalars s = core::bs_scalars(v);
+  core::OptionSpec o;
+  o.spot = l.spot;
+  o.strike = l.strike;
+  o.years = l.years;
+  o.rate = s.rate;
+  o.vol = s.vol;
+  o.dividend = s.dividend;
+  return o;
+}
+
 }  // namespace
 
 // --- Status / Expected ------------------------------------------------------
@@ -221,20 +236,12 @@ TEST(Sanitize, CallerEnvelopesWithoutAPositiveFloorStillFlagEveryFault) {
     for (const robust::SanitizeEnvelope& env : {zero_floor, inverted}) {
       core::Portfolio pf = core::Portfolio::bs(37, layout, 9);
       const core::PortfolioView& view = pf.view();
-      robust::bs_store_inputs(view, 3, 0.0, 100.0, 1.0);
-      robust::bs_store_inputs(view, 20, 100.0, -5.0, 1.0);
-      robust::bs_store_inputs(view, 36, kNan, 100.0, 1.0);
+      core::set_bs_inputs(view, 3, 0.0, 100.0, 1.0);
+      core::set_bs_inputs(view, 20, 100.0, -5.0, 1.0);
+      core::set_bs_inputs(view, 36, kNan, 100.0, 1.0);
       std::vector<std::uint8_t> want(view.size());
       for (std::size_t i = 0; i < view.size(); ++i) {
-        const robust::BsElem e = robust::bs_elem(view, i);
-        core::OptionSpec o;
-        o.spot = e.spot;
-        o.strike = e.strike;
-        o.years = e.years;
-        o.rate = e.rate;
-        o.vol = e.vol;
-        o.dividend = e.dividend;
-        want[i] = robust::classify(o, env);
+        want[i] = robust::classify(bs_option(view, i), env);
       }
       const std::string what = std::string(core::to_string(layout)) +
                                (&env == &zero_floor ? " zero floor" : " inverted");
@@ -706,7 +713,7 @@ TEST(EngineRobust, GroupDeadlineScattersBlackScholesMembersFromTheirChunks) {
   core::Portfolio book_b = core::Portfolio::bs(3072, core::Layout::kBsAos, 43);
   for (core::Portfolio* pf : {&book_a, &book_b}) {
     for (std::size_t i = 0; i < pf->size(); ++i) {
-      robust::bs_store_outputs(pf->view(), i, 123.0, 123.0);
+      core::set_bs_outputs(pf->view(), i, 123.0, 123.0);
     }
   }
   PricingRequest req_a, req_b;
@@ -739,8 +746,8 @@ TEST(EngineRobust, GroupDeadlineScattersBlackScholesMembersFromTheirChunks) {
   solo.portfolio = solo_a.view();
   ASSERT_TRUE(eng.price(solo).status.ok());
   for (std::size_t i = 0; i < book_a.size(); ++i) {
-    const robust::BsElem got = robust::bs_elem(book_a.view(), i);
-    const robust::BsElem want = robust::bs_elem(solo_a.view(), i);
+    const core::BsLane got = core::bs_lane(book_a.view(), i);
+    const core::BsLane want = core::bs_lane(solo_a.view(), i);
     ASSERT_TRUE(got.call == want.call && got.put == want.put) << i;
   }
 
@@ -749,7 +756,7 @@ TEST(EngineRobust, GroupDeadlineScattersBlackScholesMembersFromTheirChunks) {
   EXPECT_EQ(res_b.items, 0u);
   EXPECT_EQ(res_b.chunks_deadline, 3u);
   for (std::size_t i = 0; i < book_b.size(); ++i) {
-    const robust::BsElem got = robust::bs_elem(book_b.view(), i);
+    const core::BsLane got = core::bs_lane(book_b.view(), i);
     ASSERT_TRUE(std::isnan(got.call) && std::isnan(got.put)) << i;
   }
 }
@@ -804,17 +811,7 @@ constexpr std::size_t kBookN = 4999;  // several chunks, ragged SIMD tail
 // (the reference the chunked scans must reproduce).
 std::vector<std::uint8_t> expected_faults(const core::PortfolioView& v) {
   std::vector<std::uint8_t> bits(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    const robust::BsElem e = robust::bs_elem(v, i);
-    core::OptionSpec o;
-    o.spot = e.spot;
-    o.strike = e.strike;
-    o.years = e.years;
-    o.rate = e.rate;
-    o.vol = e.vol;
-    o.dividend = e.dividend;
-    bits[i] = robust::classify(o);
-  }
+  for (std::size_t i = 0; i < v.size(); ++i) bits[i] = robust::classify(bs_option(v, i));
   return bits;
 }
 
@@ -847,7 +844,7 @@ TEST(BsChunkPipeline, SanitizePoliciesMatchThePerOptionScan) {
             static_cast<std::size_t>(std::count_if(want.begin(), want.end(),
                                                    [](std::uint8_t b) { return b != 0; }));
         ASSERT_GT(nfaulty, 0u);
-        for (std::size_t i = 0; i < kBookN; ++i) robust::bs_store_outputs(view, i, -7.0, -7.0);
+        for (std::size_t i = 0; i < kBookN; ++i) core::set_bs_outputs(view, i, -7.0, -7.0);
 
         PricingRequest req;
         req.kernel_id = id;
@@ -862,7 +859,7 @@ TEST(BsChunkPipeline, SanitizePoliciesMatchThePerOptionScan) {
           EXPECT_EQ(res.options_skipped + res.options_clamped, 0u) << what;
           for (std::size_t i = 0; i < kBookN; ++i) {
             ASSERT_EQ(res.option_faults[i], want[i]) << what << " option " << i;
-            const robust::BsElem e = robust::bs_elem(view, i);
+            const core::BsLane e = core::bs_lane(view, i);
             ASSERT_TRUE(e.call == -7.0 && e.put == -7.0)
                 << what << ": rejection wrote option " << i;
           }
@@ -872,7 +869,7 @@ TEST(BsChunkPipeline, SanitizePoliciesMatchThePerOptionScan) {
         EXPECT_EQ(res.status.code(), StatusCode::kDegraded) << what;
         std::size_t skipped = 0, clamped = 0;
         for (std::size_t i = 0; i < kBookN; ++i) {
-          const robust::BsElem e = robust::bs_elem(view, i);
+          const core::BsLane e = core::bs_lane(view, i);
           if (want[i] == 0) {
             ASSERT_EQ(res.option_faults[i], 0u) << what << " option " << i;
             ASSERT_TRUE(std::isfinite(e.call) && std::isfinite(e.put)) << what << " option " << i;
@@ -934,8 +931,8 @@ TEST(BsChunkPipeline, EveryVariantPricesAPoisonedBookAsIfSanitizedFirst) {
 
         const core::PortfolioView& got = pf.view();
         for (std::size_t i = 0; i < kBookN; ++i) {
-          if (rep.mask[i] & robust::kFaultSkipped) robust::bs_store_outputs(ref, i, kNan, kNan);
-          const robust::BsElem g = robust::bs_elem(got, i), w = robust::bs_elem(ref, i);
+          if (rep.mask[i] & robust::kFaultSkipped) core::set_bs_outputs(ref, i, kNan, kNan);
+          const core::BsLane g = core::bs_lane(got, i), w = core::bs_lane(ref, i);
           ASSERT_EQ(std::memcmp(&g.call, &w.call, sizeof g.call), 0) << what << " option " << i;
           ASSERT_EQ(std::memcmp(&g.put, &w.put, sizeof g.put), 0) << what << " option " << i;
         }
@@ -1028,8 +1025,8 @@ TEST(BsChunkPipeline, ThrowingChunksFallBackChunkByChunk) {
   want_req.portfolio = want_pf.view();
   ASSERT_TRUE(eng.price(want_req).status.ok());
   for (std::size_t i = 0; i < kBookN; ++i) {
-    const robust::BsElem got = robust::bs_elem(pf.view(), i);
-    const robust::BsElem want = robust::bs_elem(want_pf.view(), i);
+    const core::BsLane got = core::bs_lane(pf.view(), i);
+    const core::BsLane want = core::bs_lane(want_pf.view(), i);
     ASSERT_TRUE(got.call == want.call && got.put == want.put) << i;
   }
 

@@ -576,6 +576,103 @@ TEST(AutoDispatch, EuropeanOnlyVariantsNeverPriceAmericanOptions) {
   tune::PlanCache::instance().erase(seeded.key);
 }
 
+// A request object reused with a new intent follows the new intent: the
+// scratch-cached plan of "binomial.auto" must not answer "cn.auto". Both
+// keys are seeded, so no race runs.
+TEST(AutoDispatch, ReusedRequestFollowsANewIntent) {
+  engine::ThreadPool pool(2);
+  engine::Engine eng(&pool);
+  const auto specs = core::make_option_workload(64, 7);
+  engine::PricingRequest req;
+  req.kernel_id = "binomial.auto";
+  req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
+  req.steps = 128;
+  tune::RaceReport bin, cn;
+  bin.key = tune::key_for(req, "binomial", eng.pool_size());
+  bin.winner.variant_id = "binomial.intermediate.avx2";
+  cn.key = tune::key_for(req, "cn", eng.pool_size());
+  cn.winner.variant_id = "cn.direct_packed.auto";
+  tune::PlanCache::instance().put(bin.key, bin);
+  tune::PlanCache::instance().put(cn.key, cn);
+
+  engine::PricingResult res = eng.price(req);
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+  EXPECT_EQ(res.resolved_id, "binomial.intermediate.avx2");
+
+  req.kernel_id = "cn.auto";
+  eng.price(req, res);
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+  EXPECT_EQ(res.resolved_id, "cn.direct_packed.auto");
+
+  engine::PricingRequest fresh;
+  fresh.kernel_id = "cn.auto";
+  fresh.portfolio = req.portfolio;
+  fresh.steps = req.steps;
+  const engine::PricingResult want = eng.price(fresh);
+  ASSERT_TRUE(want.status.ok()) << want.status.to_string();
+  EXPECT_EQ(want.resolved_id, res.resolved_id);
+  ASSERT_EQ(res.values.size(), want.values.size());
+  EXPECT_EQ(std::memcmp(res.values.data(), want.values.data(),
+                        want.values.size() * sizeof(double)),
+            0);
+  tune::PlanCache::instance().erase(bin.key);
+  tune::PlanCache::instance().erase(cn.key);
+}
+
+// Changing any TuneKey ingredient of a resolved request in place
+// re-resolves it: each step below seeds a different winner for the new
+// key and expects the request to run it, not the plan its scratch holds.
+TEST(AutoDispatch, ReusedRequestReresolvesWhenAnyKeyIngredientChanges) {
+  engine::ThreadPool pool2(2), pool3(3);
+  engine::Engine eng2(&pool2), eng3(&pool3);
+  engine::Engine* eng = &eng2;
+  auto specs = core::make_option_workload(64, 7012);  // European
+  core::Portfolio blocked = core::Portfolio::bs(64, core::Layout::kBsBlocked, 7012);
+  engine::PricingRequest req;
+  req.kernel_id = "binomial.auto";
+  req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
+  req.steps = 32;
+  req.cn_num_prices = 33;
+
+  std::vector<tune::TuneKey> seeded;
+  const auto expect_resolves_to = [&](const char* change, const char* winner) {
+    tune::RaceReport rep;
+    rep.key = tune::key_for(req, tune::auto_family(req.kernel_id), eng->pool_size());
+    rep.winner.variant_id = winner;
+    tune::PlanCache::instance().put(rep.key, rep);
+    seeded.push_back(rep.key);
+    const engine::PricingResult res = eng->price(req);
+    EXPECT_TRUE(res.status.ok()) << change << ": " << res.status.to_string();
+    EXPECT_EQ(res.resolved_id, winner) << "changing " << change << " did not re-resolve";
+  };
+  const char* const a = "binomial.reference.scalar";
+  const char* const b = "binomial.intermediate.auto";
+  expect_resolves_to("nothing (first pricing)", a);
+  req.steps = 48;
+  expect_resolves_to("steps", b);
+  req.steps_per_year = 64;
+  expect_resolves_to("steps_per_year", a);
+  req.npath = 4096;
+  expect_resolves_to("npath", b);
+  req.bridge_depth = 4;
+  expect_resolves_to("bridge_depth", a);
+  req.cn_num_prices = 65;
+  expect_resolves_to("cn_num_prices", b);
+  for (core::OptionSpec& o : specs) o.style = core::ExerciseStyle::kAmerican;
+  expect_resolves_to("american", a);
+  req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs).first(32));
+  expect_resolves_to("size bucket", b);
+  eng = &eng3;
+  expect_resolves_to("threads", a);
+  req.kernel_id = "cn.auto";
+  expect_resolves_to("family", "cn.reference.scalar");
+  req.kernel_id = "binomial.auto";
+  req.portfolio = blocked.view();
+  expect_resolves_to("layout", "binomial.blocked_gather.scalar");
+  ASSERT_EQ(seeded.size(), 11u);
+  for (const tune::TuneKey& k : seeded) tune::PlanCache::instance().erase(k);
+}
+
 // A tasks-on probe that spawned no task ran the tasks-off code, so it
 // cannot win the race; a family without tasks is never probed tasks-on.
 TEST(TuneRace, TasksOnProbeThatSpawnedNoTaskCannotWin) {

@@ -230,7 +230,8 @@ struct Projector {
 
 // Telemetry epilogue shared by finish()/finish_quiet(): effective thread
 // count into the report and JSON, noisy-measurement notes, then the
-// requested exports.
+// requested exports. An export that cannot be written exits 1 naming its
+// path, once every export has been tried.
 inline void finish_exports(harness::Report& report, const Options& opts, bool print_table) {
   const int threads = engine::ThreadPool::shared().size();
   report.add_note("threads = " + std::to_string(threads) +
@@ -246,7 +247,12 @@ inline void finish_exports(harness::Report& report, const Options& opts, bool pr
     }
   }
   const int failed = print_table ? report.print() : report.failed_checks();
-  if (!opts.csv.empty()) report.write_csv(opts.csv);
+  bool written = true;
+  const auto check = [&written](bool ok, const char* what, const std::string& path) {
+    if (!ok) std::fprintf(stderr, "error: could not write %s to %s\n", what, path.c_str());
+    written = written && ok;
+  };
+  if (!opts.csv.empty()) check(report.write_csv(opts.csv), "CSV rows", opts.csv);
   if (!opts.json.empty()) {
     obs::RunContext ctx;
     ctx.binary = opts.binary;
@@ -256,17 +262,14 @@ inline void finish_exports(harness::Report& report, const Options& opts, bool pr
     ctx.layout = opts.layout;
     ctx.convert_seconds = opts.convert_seconds;
     ctx.denormal_mode = std::string(robust::denormal_mode_string());
-    if (!obs::write_run_report(opts.json, report, ctx)) {
-      std::fprintf(stderr, "warning: could not write run report to %s\n", opts.json.c_str());
-    }
+    check(obs::write_run_report(opts.json, report, ctx), "run report", opts.json);
   }
-  if (!opts.trace.empty() && !obs::trace::write_chrome_trace(opts.trace)) {
-    std::fprintf(stderr, "warning: could not write trace to %s\n", opts.trace.c_str());
-  }
+  if (!opts.trace.empty()) check(obs::trace::write_chrome_trace(opts.trace), "trace", opts.trace);
   // Shape-check failures are reported but do not fail the binary: on a
   // 1-core container the absolute numbers are far from a 2012 dual-socket
   // server, and the checks are advisory diagnostics.
   (void)failed;
+  if (!written) std::exit(1);
 }
 
 inline void finish(harness::Report& report, const Options& opts) {

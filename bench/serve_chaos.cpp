@@ -29,7 +29,7 @@
 //                        the backlog (and p99) grows with the stream.
 //
 // The run writes a finbench.chaos_report/v1 JSON document;
-// tools/validate_chaos.py asserts the resilience contract over it
+// tools/validate.py chaos asserts the resilience contract over it
 // (availability >= 99% with breakers on and measurably worse off, >= 1
 // trip, bounded hysteretic brownout transitions, p99_on < p99_off,
 // degraded results marked). A crash anywhere is a nonzero exit, which the

@@ -56,8 +56,9 @@ class Report {
   // Render to stdout; returns the number of failed shape checks.
   int print() const;
 
-  // Append rows as CSV to `path` (one line per row, exhibit tagged).
-  void write_csv(const std::string& path) const;
+  // Append rows as CSV to `path` (one line per row, exhibit tagged);
+  // false when the file could not be opened or written.
+  bool write_csv(const std::string& path) const;
 
   int failed_checks() const;
 

@@ -12,7 +12,7 @@
 // One function, no server: callers scrape on their own schedule —
 // `pricectl --metrics PATH` for a one-shot scrape, `pricectl --watch MS`
 // for a periodic live view, or any embedding that wants to serve the text
-// over HTTP. Validated by tools/validate_openmetrics.py in CI.
+// over HTTP. Validated by tools/validate.py openmetrics in CI.
 
 #pragma once
 

@@ -8,7 +8,7 @@
 // latency histogram (count/sum, percentiles, sparse buckets), and
 // hardware-counter samples per region. Schema "finbench.run_report/v2";
 // documented in docs/observability.md and validated by
-// tools/validate_report_json.py.
+// tools/validate.py report.
 
 #pragma once
 

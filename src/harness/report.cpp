@@ -86,13 +86,14 @@ double Projector::project(double host_measured, double flops_per_item, double by
          width_adjusted_roofline(target_, flops_per_item, bytes_per_item, width);
 }
 
-void Report::write_csv(const std::string& path) const {
+bool Report::write_csv(const std::string& path) const {
   std::ofstream f(path, std::ios::app);
   for (const auto& r : rows_) {
     f << exhibit_ << ',' << r.label << ',' << r.host_items_per_sec << ',' << r.snb_projected
       << ',' << r.knc_projected << ',' << (r.paper_snb ? *r.paper_snb : 0.0) << ','
       << (r.paper_knc ? *r.paper_knc : 0.0) << '\n';
   }
+  return static_cast<bool>(f.flush());
 }
 
 }  // namespace finbench::harness

@@ -253,8 +253,8 @@ void write_histograms(json::Writer& w) {
 // under, plus every robust.* counter the sanitizer / guards / fallback /
 // deadline / fault-injection machinery bumped. The keys are fixed — a
 // clean run reports explicit zeros, so report consumers can diff runs
-// without probing for key presence (tools/validate_report_json.py
-// requires the object).
+// without probing for key presence (tools/validate.py report requires
+// the object).
 void write_robust(json::Writer& w, const std::string& denormal_mode) {
   static constexpr const char* kCounters[] = {
       "robust.sanitize.scanned",  "robust.sanitize.faulty",

@@ -58,7 +58,7 @@ TEST(Report, CsvAppendsRows) {
   Report r("CSV exhibit", "u/s");
   r.add_row({"v1", 1.0, 2.0, 3.0, 4.0, 5.0});
   r.add_row({"v2", 10.0, 20.0, 30.0, std::nullopt, std::nullopt});
-  r.write_csv(path);
+  EXPECT_TRUE(r.write_csv(path));
   std::ifstream f(path);
   std::string line;
   int lines = 0;

@@ -16,7 +16,8 @@
 //   pricectl --help                      print the usage
 //
 // An unknown flag (or a flag missing its value) is a usage error: exit 2,
-// naming the flag.
+// naming the flag. An output that was asked for (--json, --csv, --trace,
+// --metrics, --flight-dump) and cannot be written exits 1, naming the path.
 //
 // Auto dispatch (docs/autotuning.md): --kernel also accepts an *intent* id
 // "<family>.auto" (bs/blackscholes, binomial, mc/montecarlo, brownian,
@@ -326,7 +327,8 @@ int run_serve(const engine::VariantInfo* v, const std::string& family,
   } else {
     bench::finish(report, opts);
     if (!metrics_path.empty() && !obs::write_openmetrics_file(metrics_path)) {
-      std::fprintf(stderr, "warning: could not write OpenMetrics to %s\n", metrics_path.c_str());
+      std::fprintf(stderr, "error: could not write OpenMetrics to %s\n", metrics_path.c_str());
+      return 1;
     }
   }
   return 0;
@@ -823,11 +825,13 @@ int main(int argc, char** argv) {
   }
 
   // One-shot OpenMetrics scrape of everything the run recorded.
+  int rc = 0;
   if (!metrics_path.empty()) {
     if (metrics_path == "-") {
       obs::write_openmetrics(std::cout);
     } else if (!obs::write_openmetrics_file(metrics_path)) {
-      std::fprintf(stderr, "warning: could not write OpenMetrics to %s\n", metrics_path.c_str());
+      std::fprintf(stderr, "error: could not write OpenMetrics to %s\n", metrics_path.c_str());
+      rc = 1;
     }
   }
 
@@ -858,7 +862,8 @@ int main(int argc, char** argv) {
   // same path on a deadline / kernel error; this rewrite includes every
   // record up to now, so it is strictly fresher).
   if (!flight_path.empty() && !obs::write_flight_dump(flight_path, "on_demand")) {
-    std::fprintf(stderr, "warning: could not write flight dump to %s\n", flight_path.c_str());
+    std::fprintf(stderr, "error: could not write flight dump to %s\n", flight_path.c_str());
+    rc = 1;
   }
-  return 0;
+  return rc;
 }

@@ -8,7 +8,6 @@
 #include "bench_common.hpp"
 #include "finbench/core/analytic.hpp"
 #include "finbench/core/portfolio.hpp"
-#include "finbench/core/workload.hpp"
 #include "finbench/kernels/blackscholes.hpp"
 
 using namespace finbench;
@@ -18,12 +17,12 @@ int main(int argc, char** argv) {
   const auto opts = bench::Options::parse(argc, argv);
   const std::size_t nopt = opts.full ? (1u << 22) : (1u << 19);
 
-  auto dp = core::make_bs_workload_soa(nopt, 1);
-  auto sp = core::to_single(dp);
+  core::Portfolio dp = core::Portfolio::bs(nopt, core::Layout::kBsSoa, 1);
+  core::Portfolio sp = core::Portfolio::bs(nopt, core::Layout::kBsSoaF, 1);
 
   // Each row spreads the kernel over the engine pool in 64-option ranges
   // (the 8-wide SP build has no registry variant of its own).
-  const core::PortfolioView dpv = core::view_of(dp), spv = core::view_of(sp);
+  const core::PortfolioView dpv = dp.view(), spv = sp.view();
   auto dp_rate = [&](const char* label, bs::Width w) {
     return bench::items_per_sec(label, nopt, opts.reps, [&] {
       bench::on_pool(nopt, 64, [&](std::size_t b, std::size_t e) {
@@ -49,8 +48,8 @@ int main(int argc, char** argv) {
   double worst_rel = 0.0, mean_rel = 0.0;
   std::size_t counted = 0;
   for (std::size_t i = 0; i < nopt; i += 17) {
-    const double scale = std::max(dp.call[i], 0.01 * dp.spot[i]);
-    const double rel = std::fabs(sp.call[i] - dp.call[i]) / scale;
+    const double scale = std::max(dpv.soa.call[i], 0.01 * dpv.soa.spot[i]);
+    const double rel = std::fabs(spv.sp.call[i] - dpv.soa.call[i]) / scale;
     worst_rel = std::max(worst_rel, rel);
     mean_rel += rel;
     ++counted;

@@ -11,7 +11,6 @@
 
 #include "bench_common.hpp"
 #include "finbench/core/portfolio.hpp"
-#include "finbench/core/workload.hpp"
 #include "finbench/kernels/blackscholes.hpp"
 
 using namespace finbench;
@@ -26,14 +25,14 @@ int main(int argc, char** argv) {
   report.add_note("nopt = " + std::to_string(nopt) +
                   "; 200 flops, 40 bytes DRAM traffic per option");
 
-  auto aos = core::make_bs_workload_aos(nopt, 1);
-  auto soa = core::make_bs_workload_soa(nopt, 1);
+  core::Portfolio aos = core::Portfolio::bs(nopt, core::Layout::kBsAos, 1);
+  core::Portfolio soa = core::Portfolio::bs(nopt, core::Layout::kBsSoa, 1);
   const double flops = bs::kFlopsPerOption, bytes = bs::kBytesPerOption;
 
   // Registry-dispatched: one request per layout, variant selected by id.
   engine::PricingRequest req_aos, req_soa;
-  req_aos.portfolio = core::view_of(aos);
-  req_soa.portfolio = core::view_of(soa);
+  req_aos.portfolio = aos.view();
+  req_soa.portfolio = soa.view();
 
   req_aos.kernel_id = "bs.reference.scalar";
   const double ref = bench::measure_variant("bs.ref", req_aos, nopt, opts.reps);
@@ -61,12 +60,11 @@ int main(int argc, char** argv) {
   const double soa_conv = bench::items_per_sec("bs.soa_conv", nopt, opts.reps, [&] {
     conv_arena.reset();
     core::ConvertStats cs;
-    core::PortfolioView v =
-        core::convert(core::view_of(aos), core::Layout::kBsSoa, conv_arena, &cs);
+    core::PortfolioView v = core::convert(aos.view(), core::Layout::kBsSoa, conv_arena, &cs);
     conv_stats = cs;
     req_conv.portfolio = v;
     inter.run_batch(req_conv, v, res_conv);
-    core::copy_outputs(v, core::view_of(aos));
+    core::copy_outputs(v, aos.view());
   });
   report.add_note("AOS->SOA conversion: " + harness::eng(conv_stats.seconds) + " s, " +
                   std::to_string(conv_stats.bytes) + " bytes carved per rep");
@@ -105,7 +103,7 @@ int main(int argc, char** argv) {
   // over the engine pool in 64-option ranges.
   const double blk_conv = bench::items_per_sec("bs.blocked_conv", nopt, opts.reps, [&] {
     bench::on_pool(nopt, 64, [&](std::size_t b, std::size_t e) {
-      bs::price_blocked_from_aos(core::subview(core::view_of(aos), b, e - b).aos,
+      bs::price_blocked_from_aos(core::subview(aos.view(), b, e - b).aos,
                                  bs::Width::kAuto);
     });
   });
@@ -126,8 +124,8 @@ int main(int argc, char** argv) {
                                flops, bytes + 2 * sizeof(double), 8, 8));
 
   // Single-precision extension: double the lanes (Table I's SP peak rows).
-  // The portfolio constructor derives the f32 arrays from the same seed-1
-  // AOS draw the other rows use, through the engine's own layout machinery.
+  // Portfolio::bs writes the same seed-1 draw the other rows price, rounded
+  // to float.
   core::Portfolio sp_pf = core::Portfolio::bs(nopt, core::Layout::kBsSoaF, 1);
   engine::PricingRequest req_sp;
   req_sp.portfolio = sp_pf.view();

@@ -7,6 +7,7 @@
 #include "micro_common.hpp"
 
 #include "finbench/core/analytic.hpp"
+#include "finbench/core/portfolio.hpp"
 #include "finbench/core/workload.hpp"
 #include "finbench/kernels/binomial.hpp"
 #include "finbench/kernels/blackscholes.hpp"
@@ -49,7 +50,8 @@ void BM_ImpliedVol(benchmark::State& state) {
 BENCHMARK(BM_ImpliedVol);
 
 void BM_BatchImpliedVolSimd(benchmark::State& state) {
-  auto soa = core::make_bs_workload_soa(4096, 3);
+  core::Portfolio book = core::Portfolio::bs(4096, core::Layout::kBsSoa, 3);
+  const core::BsSoaView soa = book.view().soa;
   bs::price_intermediate(soa);
   std::vector<double> vols(soa.size());
   for (auto _ : state) {

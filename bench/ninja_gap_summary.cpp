@@ -54,10 +54,10 @@ int main(int argc, char** argv) {
 
   {  // Black–Scholes
     const std::size_t n = opts.full ? (1u << 22) : (1u << 19);
-    auto aos = core::make_bs_workload_aos(n, 1);
-    auto soa = core::make_bs_workload_soa(n, 1);
-    gaps.push_back(measure("black-scholes", "bs", request("bs.basic.auto", core::view_of(aos)),
-                           request("", core::view_of(soa)), n, opts.reps,
+    core::Portfolio aos = core::Portfolio::bs(n, core::Layout::kBsAos, 1);
+    core::Portfolio soa = core::Portfolio::bs(n, core::Layout::kBsSoa, 1);
+    gaps.push_back(measure("black-scholes", "bs", request("bs.basic.auto", aos.view()),
+                           request("", soa.view()), n, opts.reps,
                            "bs.intermediate.avx2", "bs.intermediate.auto"));
   }
   {  // Binomial tree. The unrolled tile loop is registered widest only, so

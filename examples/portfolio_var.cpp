@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "finbench/core/analytic.hpp"
+#include "finbench/core/portfolio.hpp"
 #include "finbench/kernels/blackscholes.hpp"
 #include "finbench/rng/normal.hpp"
 
@@ -56,12 +57,15 @@ int main() {
   const double mu = (rate - 0.5 * vol * vol) * horizon;
   const double sig = vol * std::sqrt(horizon);
 
-  // Batch-reprice: one SOA batch per position across all scenarios.
+  // Batch-reprice: one SOA batch per position across all scenarios. The
+  // book's drawn inputs are overwritten; only its storage and the shared
+  // rate and vol are kept.
   std::vector<double> pnl(nscenarios, -value_today);
-  core::BsBatchSoa batch;
-  batch.rate = rate;
-  batch.vol = vol;
-  batch.resize(nscenarios);
+  core::WorkloadParams params;
+  params.rate = rate;
+  params.vol = vol;
+  core::Portfolio scenarios = core::Portfolio::bs(nscenarios, core::Layout::kBsSoa, 0, params);
+  const core::BsSoaView batch = scenarios.view().soa;
   for (const auto& p : book) {
     for (std::size_t s = 0; s < nscenarios; ++s) {
       batch.spot[s] = spot * std::exp(mu + sig * z[s]);

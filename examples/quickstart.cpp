@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "finbench/core/analytic.hpp"
-#include "finbench/core/workload.hpp"
+#include "finbench/core/portfolio.hpp"
 #include "finbench/kernels/blackscholes.hpp"
 #include "finbench/kernels/montecarlo.hpp"
 
@@ -36,7 +36,8 @@ int main() {
               greeks.gamma, greeks.vega, greeks.theta, greeks.rho);
 
   // --- A batch, through the SIMD kernel ------------------------------------
-  core::BsBatchSoa batch = core::make_bs_workload_soa(1'000'000, /*seed=*/42);
+  core::Portfolio book = core::Portfolio::bs(1'000'000, core::Layout::kBsSoa, /*seed=*/42);
+  const core::BsSoaView batch = book.view().soa;
   kernels::bs::price_intermediate(batch);  // widest SIMD path available
   double sum = 0.0;
   for (std::size_t i = 0; i < batch.size(); ++i) sum += batch.call[i];

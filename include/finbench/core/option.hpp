@@ -1,17 +1,17 @@
 // finbench/core/option.hpp
 //
 // Core option vocabulary shared by every kernel: single-option specs, the
-// Black–Scholes batch layouts whose contrast drives the paper's Fig. 4
-// experiment (AOS — the "reference data" layout costing a gather per SIMD
-// access — versus SOA — the SIMD-friendly layout the advanced optimization
-// converts to), and the non-owning *views* the kernels actually consume.
+// Black–Scholes batch record layouts whose contrast drives the paper's
+// Fig. 4 experiment (AOS — the "reference data" layout costing a gather
+// per SIMD access — versus SOA — the SIMD-friendly layout the advanced
+// optimization converts to), and the non-owning *views* the kernels
+// consume.
 //
-// Kernels take views (BsAosView / BsSoaView / BsSoaFView ...), never the
-// owning containers: a view is two-pointer-per-field cheap, so the same
-// kernel prices a heap-backed BsBatchSoa, an arena-backed converted
-// portfolio (finbench/core/portfolio.hpp), or a caller's own arrays. The
-// owning BsBatch* types remain as the convenient generator output and
-// convert to views implicitly.
+// Kernels take views (BsAosView / BsSoaView / BsSoaFView ...), never an
+// owning container: a view is two-pointer-per-field cheap, so the same
+// kernel prices a core::Portfolio's arena (finbench/core/portfolio.hpp),
+// an engine-negotiated tile, or a caller's own arrays. core::Portfolio is
+// the owner of a generated Black–Scholes book in any layout.
 
 #pragma once
 
@@ -127,8 +127,12 @@ struct BsBlockedView {
   }
 };
 
-// --- Owning batch containers ------------------------------------------------
+// --- Caller-owned AOS slots --------------------------------------------------
 
+// A growable AOS batch for callers that keep and refill their own option
+// slots (perfbench's quote stream prices each quote in one). Generated
+// books live in core::Portfolio; this stays only until that benchmark
+// moves to Portfolio storage.
 struct BsBatchAos {
   arch::AlignedVector<BsOptionAos> options;
   double rate = 0.05;
@@ -138,83 +142,6 @@ struct BsBatchAos {
   std::size_t size() const { return options.size(); }
 
   BsAosView view() { return {{options.data(), options.size()}, rate, vol, dividend}; }
-  operator BsAosView() { return view(); }  // NOLINT(google-explicit-constructor)
 };
-
-// SOA: one contiguous array per field — unit-stride SIMD loads and
-// streaming stores. The paper's AOS->SOA conversion (Fig. 4, intermediate).
-struct BsBatchSoa {
-  arch::AlignedVector<double> spot;
-  arch::AlignedVector<double> strike;
-  arch::AlignedVector<double> years;
-  arch::AlignedVector<double> call;  // output
-  arch::AlignedVector<double> put;   // output
-  double rate = 0.05;
-  double vol = 0.2;
-  double dividend = 0.0;  // shared continuous yield (extension; 0 = paper setup)
-
-  std::size_t size() const { return spot.size(); }
-  void resize(std::size_t n) {
-    spot.resize(n);
-    strike.resize(n);
-    years.resize(n);
-    call.resize(n);
-    put.resize(n);
-  }
-
-  BsSoaView view() {
-    return {{spot.data(), spot.size()},   {strike.data(), strike.size()},
-            {years.data(), years.size()}, {call.data(), call.size()},
-            {put.data(), put.size()},     rate,
-            vol,                          dividend};
-  }
-  BsSoaCView cview() const {
-    return {{spot.data(), spot.size()},
-            {strike.data(), strike.size()},
-            {years.data(), years.size()},
-            rate,
-            vol,
-            dividend};
-  }
-  operator BsSoaView() { return view(); }         // NOLINT(google-explicit-constructor)
-  operator BsSoaCView() const { return cview(); }  // NOLINT(google-explicit-constructor)
-};
-
-// Layout conversions (the "advanced" optimization's data restructuring).
-// finbench/core/portfolio.hpp has the arena-backed, cost-reporting form.
-BsBatchSoa to_soa(const BsBatchAos& aos);
-BsBatchAos to_aos(const BsBatchSoa& soa);
-
-// Single-precision SOA batch for the SP kernel variants (Table I quotes
-// separate SP peaks; SP doubles the SIMD lane count).
-struct BsBatchSoaF {
-  arch::AlignedVector<float> spot;
-  arch::AlignedVector<float> strike;
-  arch::AlignedVector<float> years;
-  arch::AlignedVector<float> call;  // output
-  arch::AlignedVector<float> put;   // output
-  float rate = 0.05f;
-  float vol = 0.2f;
-
-  std::size_t size() const { return spot.size(); }
-  void resize(std::size_t n) {
-    spot.resize(n);
-    strike.resize(n);
-    years.resize(n);
-    call.resize(n);
-    put.resize(n);
-  }
-
-  BsSoaFView view() {
-    return {{spot.data(), spot.size()},   {strike.data(), strike.size()},
-            {years.data(), years.size()}, {call.data(), call.size()},
-            {put.data(), put.size()},     rate,
-            vol};
-  }
-  operator BsSoaFView() { return view(); }  // NOLINT(google-explicit-constructor)
-};
-
-// Narrowing conversion for SP experiments.
-BsBatchSoaF to_single(const BsBatchSoa& soa);
 
 }  // namespace finbench::core

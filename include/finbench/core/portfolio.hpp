@@ -146,7 +146,8 @@ struct PortfolioView {
   bool empty() const { return size() == 0; }
 };
 
-// View constructors, one per workload form.
+// View constructors, one per caller-owned workload form (a Portfolio
+// hands out its own view).
 inline PortfolioView view_of(std::span<const OptionSpec> specs) {
   PortfolioView v;
   v.layout = Layout::kSpecs;
@@ -157,18 +158,6 @@ inline PortfolioView view_of(BsBatchAos& b) {
   PortfolioView v;
   v.layout = Layout::kBsAos;
   v.aos = b.view();
-  return v;
-}
-inline PortfolioView view_of(BsBatchSoa& b) {
-  PortfolioView v;
-  v.layout = Layout::kBsSoa;
-  v.soa = b.view();
-  return v;
-}
-inline PortfolioView view_of(BsBatchSoaF& b) {
-  PortfolioView v;
-  v.layout = Layout::kBsSoaF;
-  v.sp = b.view();
   return v;
 }
 inline PortfolioView paths_view(std::size_t npaths) {
@@ -260,10 +249,8 @@ PortfolioView subview(const PortfolioView& v, std::size_t off, std::size_t m);
 
 // --- Portfolio --------------------------------------------------------------
 //
-// The owning form: one arena holding the workload in one layout. All
-// layouts of one (n, seed) derive from a single AOS-ordered Philox draw,
-// so Portfolio::bs(n, kBsSoa, seed) is bitwise-equal to converting
-// Portfolio::bs(n, kBsAos, seed) — asserted in tests/test_portfolio.cpp.
+// The owning form: one arena holding the workload in one layout, and the
+// only owner of a generated Black–Scholes book.
 
 class Portfolio {
  public:
@@ -273,8 +260,14 @@ class Portfolio {
   Portfolio(const Portfolio&) = delete;
   Portfolio& operator=(const Portfolio&) = delete;
 
-  // Black–Scholes batch workload in any BS layout (kBsAos, kBsSoa,
-  // kBsSoaF, kBsBlocked), drawn by the single shared generator.
+  // Black–Scholes book in any BS layout (kBsAos, kBsSoa, kBsSoaF,
+  // kBsBlocked): the one generator. Carves the layout in the portfolio's
+  // arena and writes one AOS-ordered Philox pass (spot, strike, years per
+  // option) in place with zeroed outputs; a kBsBlocked book pads its
+  // ragged last block with the final option. Every layout of one (n,
+  // seed) therefore holds the same options (float-rounded on kBsSoaF),
+  // bitwise-equal to core::convert of the kBsAos book — asserted in
+  // tests/test_portfolio.cpp, with the draw itself pinned there too.
   static Portfolio bs(std::size_t n, Layout layout, std::uint64_t seed = 0,
                       const WorkloadParams& p = {});
 
@@ -293,9 +286,6 @@ class Portfolio {
   // Non-owning view over this portfolio's storage (mutable outputs).
   const PortfolioView& view() { return view_; }
   operator const PortfolioView&() { return view_; }
-
-  // Deep copy into a new Portfolio in `target` layout (inputs + outputs).
-  Portfolio converted(Layout target, ConvertStats* stats = nullptr) const;
 
   std::size_t arena_bytes() const { return arena_.bytes_in_use(); }
 

@@ -1,6 +1,7 @@
 // finbench/core/workload.hpp
 //
-// Deterministic random workload generators. Parameter ranges follow the
+// Deterministic random workloads: the heterogeneous option-spec generator
+// and the Black–Scholes book parameters. Parameter ranges follow the
 // common financial-benchmark convention the paper's kernels assume (spot
 // and strike of the same magnitude, expiries from months to years,
 // moderate vols) so that every kernel's numerical path — deep in/out of
@@ -15,6 +16,10 @@
 
 namespace finbench::core {
 
+// Parameter ranges of a Black–Scholes book. The book itself is drawn by
+// core::Portfolio::bs (finbench/core/portfolio.hpp), the one generator:
+// one AOS-ordered Philox pass written in place in any layout, so layout
+// choice never changes the workload.
 struct WorkloadParams {
   double spot_min = 10.0, spot_max = 200.0;
   double strike_min = 10.0, strike_max = 200.0;
@@ -22,19 +27,6 @@ struct WorkloadParams {
   double rate = 0.05;   // shared across the batch (as in Lis. 1)
   double vol = 0.25;    // shared across the batch
 };
-
-// Batch workloads for the Black–Scholes kernel (shared r, sigma).
-//
-// Coupling guarantee: there is exactly ONE generator — the AOS-ordered
-// Philox draw. make_bs_workload_soa(n, seed) is defined as
-// to_soa(make_bs_workload_aos(n, seed)) and is therefore bitwise-equal to
-// it field-for-field (asserted in tests/test_portfolio.cpp), as is every
-// layout produced by core::Portfolio::bs(n, layout, seed). Layout choice
-// never changes the workload.
-BsBatchAos make_bs_workload_aos(std::size_t n, std::uint64_t seed = 0,
-                                const WorkloadParams& p = {});
-BsBatchSoa make_bs_workload_soa(std::size_t n, std::uint64_t seed = 0,
-                                const WorkloadParams& p = {});
 
 // Heterogeneous single-option workloads (per-option r and sigma) for the
 // lattice / PDE / Monte Carlo kernels.

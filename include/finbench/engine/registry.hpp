@@ -144,4 +144,13 @@ class Registry {
   Impl* impl_;
 };
 
+// Next link of v's fallback chain: fallback_id, else reference_id. Null
+// at the chain end (an empty or unregistered id, or v itself) and once
+// one walk has taken 8 links, so a mis-registered cycle cannot spin.
+// `hops` counts the walk's links; start it at 0 and pass it to every
+// step:
+//   int hops = 0;
+//   for (auto* fb = fallback_of(v, hops); fb; fb = fallback_of(*fb, hops))
+const VariantInfo* fallback_of(const VariantInfo& v, int& hops);
+
 }  // namespace finbench::engine

@@ -42,10 +42,9 @@ inline constexpr double kFlopsPerOption = 200.0;
 inline constexpr double kBytesPerOption = 40.0;  // 24 in + 16 out
 
 // All pricing entry points take non-owning views (pass-by-value: a view
-// is a handful of span headers). The owning BsBatch* containers convert
-// implicitly, so `price_intermediate(my_batch)` still reads naturally —
-// but the same kernels now also price arena-backed converted portfolios
-// (core::Portfolio / core::convert) with zero copies.
+// is a handful of span headers): a core::Portfolio's own view
+// (`price_intermediate(book.view().soa)`), an arena tile from
+// core::convert, or a caller's arrays — never a copy.
 void price_reference(core::BsAosView batch);
 void price_basic(core::BsAosView batch);
 void price_intermediate(core::BsSoaView batch, Width w = Width::kAuto);

@@ -18,8 +18,9 @@
 //    Losing candidates may scribble the workload's output arrays; the
 //    winner's subsequent real run overwrites every output, so the caller
 //    never observes race side effects.
-//  - Timing is warm-up + best-of-reps of PricingResult::seconds — the same
-//    discipline as bench::measure_variant, without leaving the engine.
+//  - Timing is the best PricingResult::seconds of two runs, the warm-up
+//    included — the same discipline as bench::measure_variant, without
+//    leaving the engine.
 //  - Load-imbalance telemetry (parallel.engine.dynamic.imbalance) is
 //    sampled per configuration and used as the tie-breaker between
 //    configurations within 3% of the best rate — and recorded on the plan
@@ -44,16 +45,11 @@ namespace finbench::tune {
 // size. Scans kSpecs workloads for American exercise.
 TuneKey key_for(const engine::PricingRequest& req, std::string_view family, int threads);
 
-struct RaceOptions {
-  int reps = 2;           // timed repetitions per configuration (plus one warm-up)
-  bool imbalance = true;  // sample parallel imbalance during the race
-};
-
 // Race every candidate configuration for `key` on the live workload of
 // `req`. Never throws; a key with no runnable candidate returns a report
 // whose winner is !valid().
 RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
-                const TuneKey& key, const RaceOptions& opt = {});
+                const TuneKey& key);
 
 struct Resolution {
   DispatchPlan plan;   // valid() false: no runnable candidate

@@ -1,4 +1,5 @@
 // Portfolio / Arena / per-option access / layout-conversion implementation.
+// Portfolio::bs is the one Black–Scholes book generator.
 //
 // Conversion pairs: any ordered pair of the Black–Scholes layouts
 // (kBsAos, kBsSoa, kBsSoaF, kBsBlocked). The AOS<->SOA pairs — the ones
@@ -9,11 +10,12 @@
 #include "finbench/core/portfolio.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <array>
 #include <stdexcept>
 #include <string>
 
 #include "finbench/arch/timing.hpp"
+#include "finbench/rng/philox.hpp"
 
 namespace finbench::core {
 
@@ -207,8 +209,19 @@ void copy_lane(const PortfolioView& src, std::size_t i, const PortfolioView& dst
   set_bs_outputs(dst, j, l.call, l.put);
 }
 
-// Carve an empty target-layout view of n options from the arena. Returns
-// the view plus the bytes it occupies.
+// The five SOA field arrays of n Ts, carved as one arena allocation so a
+// fresh arena commits exactly one block for them; each field starts on
+// its own cache line.
+template <class T>
+std::array<std::span<T>, 5> carve_fields(std::size_t n, Arena& a) {
+  const std::size_t stride = round_to_line(n * sizeof(T)) / sizeof(T);
+  const std::span<T> all = a.make_span<T>(5 * stride);
+  return {all.subspan(0, n), all.subspan(stride, n), all.subspan(2 * stride, n),
+          all.subspan(3 * stride, n), all.subspan(4 * stride, n)};
+}
+
+// Carve an empty target-layout view of n options from the arena in one
+// allocation. Returns the view plus the bytes it occupies.
 PortfolioView carve(Layout target, std::size_t n, const BsScalars& s, Arena& a,
                     std::size_t* bytes) {
   PortfolioView v;
@@ -221,20 +234,16 @@ PortfolioView carve(Layout target, std::size_t n, const BsScalars& s, Arena& a,
       return v;
     }
     case Layout::kBsSoa: {
-      auto spot = a.make_span<double>(n), strike = a.make_span<double>(n),
-           years = a.make_span<double>(n), call = a.make_span<double>(n),
-           put = a.make_span<double>(n);
-      v.soa = {spot, strike, years, call, put, s.rate, s.vol, s.dividend};
-      *bytes = 5 * spot.size_bytes();
+      const auto f = carve_fields<double>(n, a);
+      v.soa = {f[0], f[1], f[2], f[3], f[4], s.rate, s.vol, s.dividend};
+      *bytes = 5 * n * sizeof(double);
       return v;
     }
     case Layout::kBsSoaF: {
-      auto spot = a.make_span<float>(n), strike = a.make_span<float>(n),
-           years = a.make_span<float>(n), call = a.make_span<float>(n),
-           put = a.make_span<float>(n);
-      v.sp = {spot,  strike, years, call, put, static_cast<float>(s.rate),
+      const auto f = carve_fields<float>(n, a);
+      v.sp = {f[0], f[1], f[2], f[3], f[4], static_cast<float>(s.rate),
               static_cast<float>(s.vol)};
-      *bytes = 5 * spot.size_bytes();
+      *bytes = 5 * n * sizeof(float);
       return v;
     }
     case Layout::kBsBlocked: {
@@ -326,32 +335,6 @@ void fill(const PortfolioView& src, const PortfolioView& dst) {
     const std::size_t ceil_n = dst.blocked.num_blocks() * w;
     for (std::size_t i = n; i < ceil_n; ++i) copy_lane(src, n - 1, dst, i);
   }
-}
-
-// Deep copy of a view into arena storage (same layout). Used for identity
-// "conversions" that must not alias, and Portfolio's owning constructors.
-PortfolioView clone_into(const PortfolioView& src, Arena& a, std::size_t* bytes) {
-  if (src.layout == Layout::kSpecs) {
-    auto dst = a.make_span<OptionSpec>(src.specs.size());
-    std::copy(src.specs.begin(), src.specs.end(), dst.begin());
-    *bytes = dst.size_bytes();
-    PortfolioView v = view_of(std::span<const OptionSpec>(dst));
-    return v;
-  }
-  if (src.layout == Layout::kPaths) {
-    *bytes = 0;
-    return src;
-  }
-  std::size_t sz = 0;
-  PortfolioView dst = carve(src.layout, src.size(), bs_scalars(src), a, &sz);
-  if (src.layout == Layout::kBsBlocked) {
-    dst.blocked.block = src.blocked.block;  // preserve width before copy
-    std::copy(src.blocked.data.begin(), src.blocked.data.end(), dst.blocked.data.begin());
-  } else {
-    fill(src, dst);
-  }
-  *bytes = sz;
-  return dst;
 }
 
 }  // namespace
@@ -575,14 +558,29 @@ Portfolio Portfolio::bs(std::size_t n, Layout layout, std::uint64_t seed,
   if (!is_bs(layout)) {
     throw std::invalid_argument("Portfolio::bs: layout must be a Black-Scholes layout");
   }
-  // Every layout derives from the one AOS-ordered Philox draw, so the
-  // same (n, seed) yields bitwise-identical option data in any layout.
-  BsBatchAos gen = make_bs_workload_aos(n, seed, p);
   Portfolio out;
-  PortfolioView src = view_of(gen);
   std::size_t bytes = 0;
-  out.view_ = layout == Layout::kBsAos ? clone_into(src, out.arena_, &bytes)
-                                       : convert(src, layout, out.arena_, nullptr);
+  out.view_ = carve(layout, n, {p.rate, p.vol, 0.0}, out.arena_, &bytes);
+  // One AOS-ordered Philox pass, written in place: option i's spot, strike
+  // and years are the draw's 3i-th to (3i+2)-th uniforms in every layout.
+  rng::Philox4x32 gen(seed, /*stream=*/0xB5);
+  const auto uniform_in = [&gen](double lo, double hi) {
+    return lo + (hi - lo) * gen.next_u01();
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const double spot = uniform_in(p.spot_min, p.spot_max);
+    const double strike = uniform_in(p.strike_min, p.strike_max);
+    const double years = uniform_in(p.years_min, p.years_max);
+    set_bs_inputs(out.view_, i, spot, strike, years);
+    set_bs_outputs(out.view_, i, 0.0, 0.0);
+  }
+  // Lane-blocked padding replicates the final option, as convert() does.
+  if (layout == Layout::kBsBlocked) {
+    const BsBlockedView& b = out.view_.blocked;
+    for (std::size_t i = n; i < b.num_blocks() * static_cast<std::size_t>(b.block); ++i) {
+      copy_lane(out.view_, n - 1, out.view_, i);
+    }
+  }
   return out;
 }
 
@@ -594,27 +592,15 @@ Portfolio Portfolio::specs(std::size_t n, std::uint64_t seed,
 
 Portfolio Portfolio::specs(std::span<const OptionSpec> copy_from) {
   Portfolio out;
-  std::size_t bytes = 0;
-  out.view_ = clone_into(view_of(copy_from), out.arena_, &bytes);
+  const std::span<OptionSpec> dst = out.arena_.make_span<OptionSpec>(copy_from.size());
+  std::copy(copy_from.begin(), copy_from.end(), dst.begin());
+  out.view_ = view_of(std::span<const OptionSpec>(dst));
   return out;
 }
 
 Portfolio Portfolio::paths(std::size_t n) {
   Portfolio out;
   out.view_ = paths_view(n);
-  return out;
-}
-
-Portfolio Portfolio::converted(Layout target, ConvertStats* stats) const {
-  Portfolio out;
-  if (target == view_.layout) {
-    arch::WallTimer t;
-    std::size_t bytes = 0;
-    out.view_ = clone_into(view_, out.arena_, &bytes);
-    if (stats) *stats = {t.seconds(), bytes};
-    return out;
-  }
-  out.view_ = convert(view_, target, out.arena_, stats);
   return out;
 }
 

@@ -12,67 +12,6 @@ double uniform_in(rng::Philox4x32& gen, double lo, double hi) {
 
 }  // namespace
 
-BsBatchAos make_bs_workload_aos(std::size_t n, std::uint64_t seed, const WorkloadParams& p) {
-  rng::Philox4x32 gen(seed, /*stream=*/0xB5);
-  BsBatchAos batch;
-  batch.rate = p.rate;
-  batch.vol = p.vol;
-  batch.options.resize(n);
-  for (auto& o : batch.options) {
-    o.spot = uniform_in(gen, p.spot_min, p.spot_max);
-    o.strike = uniform_in(gen, p.strike_min, p.strike_max);
-    o.years = uniform_in(gen, p.years_min, p.years_max);
-    o.call = 0.0;
-    o.put = 0.0;
-  }
-  return batch;
-}
-
-BsBatchSoa make_bs_workload_soa(std::size_t n, std::uint64_t seed, const WorkloadParams& p) {
-  return to_soa(make_bs_workload_aos(n, seed, p));
-}
-
-BsBatchSoa to_soa(const BsBatchAos& aos) {
-  BsBatchSoa soa;
-  soa.rate = aos.rate;
-  soa.vol = aos.vol;
-  soa.dividend = aos.dividend;
-  soa.resize(aos.size());
-  for (std::size_t i = 0; i < aos.size(); ++i) {
-    soa.spot[i] = aos.options[i].spot;
-    soa.strike[i] = aos.options[i].strike;
-    soa.years[i] = aos.options[i].years;
-    soa.call[i] = aos.options[i].call;
-    soa.put[i] = aos.options[i].put;
-  }
-  return soa;
-}
-
-BsBatchAos to_aos(const BsBatchSoa& soa) {
-  BsBatchAos aos;
-  aos.rate = soa.rate;
-  aos.vol = soa.vol;
-  aos.dividend = soa.dividend;
-  aos.options.resize(soa.size());
-  for (std::size_t i = 0; i < soa.size(); ++i) {
-    aos.options[i] = {soa.spot[i], soa.strike[i], soa.years[i], soa.call[i], soa.put[i]};
-  }
-  return aos;
-}
-
-BsBatchSoaF to_single(const BsBatchSoa& soa) {
-  BsBatchSoaF f;
-  f.rate = static_cast<float>(soa.rate);
-  f.vol = static_cast<float>(soa.vol);
-  f.resize(soa.size());
-  for (std::size_t i = 0; i < soa.size(); ++i) {
-    f.spot[i] = static_cast<float>(soa.spot[i]);
-    f.strike[i] = static_cast<float>(soa.strike[i]);
-    f.years[i] = static_cast<float>(soa.years[i]);
-  }
-  return f;
-}
-
 std::vector<OptionSpec> make_option_workload(std::size_t n, std::uint64_t seed,
                                              const SingleOptionWorkloadParams& p) {
   rng::Philox4x32 gen(seed, /*stream=*/0xA0);

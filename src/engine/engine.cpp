@@ -127,14 +127,6 @@ void size_outputs(const core::PortfolioView& view, PricingResult& res) {
 
 // --- Robustness helpers -----------------------------------------------------
 
-// Next link of a variant's fallback chain: explicit fallback_id first,
-// else the self-validation reference, else end-of-chain.
-const VariantInfo* fallback_of(const VariantInfo& v) {
-  const std::string& id = !v.fallback_id.empty() ? v.fallback_id : v.reference_id;
-  if (id.empty() || id == v.id) return nullptr;
-  return Registry::instance().find(id);
-}
-
 // Engine-side chunk faults (streams 2 and 3). The injected throw fires
 // *before* the kernel runs — the most adversarial ordering, since the
 // chunk's outputs are left untouched for the fallback chain to fill.
@@ -384,7 +376,9 @@ ChunkStatus attempt(const ChunkRun& r, const core::PortfolioView& chunk, std::si
 bool fall_back(const ChunkRun& r, const core::PortfolioView& chunk, std::size_t begin,
                std::size_t end) {
   const core::PortfolioView& view = *r.view;
-  for (const VariantInfo* fb = fallback_of(*r.v); fb != nullptr; fb = fallback_of(*fb)) {
+  int hops = 0;
+  for (const VariantInfo* fb = fallback_of(*r.v, hops); fb != nullptr;
+       fb = fallback_of(*fb, hops)) {
     if (fb->layout != chunk.layout) break;
     if (fb->european_only && view.layout == Layout::kSpecs &&
         range_has_american(view.specs, begin, end)) {

@@ -59,6 +59,15 @@ const VariantInfo* Registry::find(std::string_view id) const {
   return it == impl_->variants.end() ? nullptr : &it->second;
 }
 
+const VariantInfo* fallback_of(const VariantInfo& v, int& hops) {
+  constexpr int kMaxHops = 8;
+  const std::string& id = !v.fallback_id.empty() ? v.fallback_id : v.reference_id;
+  if (hops >= kMaxHops || id.empty() || id == v.id) return nullptr;
+  const VariantInfo* next = Registry::instance().find(id);
+  if (next != nullptr) ++hops;
+  return next;
+}
+
 std::vector<const VariantInfo*> Registry::all() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   std::vector<const VariantInfo*> out;

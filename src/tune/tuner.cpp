@@ -94,7 +94,7 @@ TuneKey key_for(const engine::PricingRequest& req, std::string_view family, int 
 }
 
 RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
-                const TuneKey& key, const RaceOptions& opt) {
+                const TuneKey& key) {
   RaceReport rep;
   rep.key = key;
   arch::WallTimer race_timer;
@@ -103,7 +103,7 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
   // wants the data (it is the tie-breaker), so enable it for the duration
   // and restore the caller's setting after.
   const bool timing_was_on = obs::parallel_timing_enabled();
-  if (opt.imbalance && !timing_was_on) obs::enable_parallel_timing(true);
+  if (!timing_was_on) obs::enable_parallel_timing(true);
 
   // Candidates: every registry variant of the family whose layout the
   // workload matches or can negotiate to, minus european_only variants
@@ -127,12 +127,14 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
   }
 
   // One configuration probe through the real engine path: warm-up (builds
-  // the candidate's own Scratch — negotiation, streams, pools) plus
-  // best-of-reps on PricingResult::seconds. A tasks-on probe that spawned
-  // no task ran the tasks-off code, so its rate is noise and it cannot
-  // win. The counter is process-global: a concurrent spawn elsewhere only
-  // lets such a probe compete as it would without this check.
+  // the candidate's own Scratch — negotiation, streams, pools) plus one
+  // more run, best PricingResult::seconds of the two. A tasks-on probe
+  // that spawned no task ran the tasks-off code, so its rate is noise and
+  // it cannot win. The counter is process-global: a concurrent spawn
+  // elsewhere only lets such a probe compete as it would without this
+  // check.
   const obs::Counter& spawned = obs::counter("engine.tasks.spawned");
+  constexpr int kRuns = 2;  // per configuration, the warm-up included
   auto probe = [&](const engine::VariantInfo* v, int cpt, bool tasks) -> CandidateResult {
     CandidateResult c;
     c.id = v->id;
@@ -158,7 +160,7 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
         return c;
       }
       double best = res.seconds;
-      for (int i = 1; i < std::max(1, opt.reps); ++i) {
+      for (int i = 1; i < kRuns; ++i) {
         eng.price(r, res);
         if (!res.status.ok()) {
           c.note = res.status.to_string();
@@ -191,7 +193,7 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
 
   const CandidateResult* phase1 = pick_best(rep.candidates);
   if (phase1 == nullptr) {
-    if (opt.imbalance && !timing_was_on) obs::enable_parallel_timing(false);
+    if (!timing_was_on) obs::enable_parallel_timing(false);
     rep.race_seconds = race_timer.seconds();
     return rep;  // winner stays !valid()
   }
@@ -219,7 +221,7 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
     }
   }
 
-  if (opt.imbalance && !timing_was_on) obs::enable_parallel_timing(false);
+  if (!timing_was_on) obs::enable_parallel_timing(false);
 
   if (const CandidateResult* winner = pick_best(rep.candidates)) {
     rep.winner.variant_id = winner->id;
@@ -234,15 +236,6 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
 
 namespace {
 
-// Mirror of the engine's fallback chain walk (fallback_id, else
-// reference_id, null at the chain end / self-reference), hop-capped so a
-// mis-registered cycle cannot spin.
-const engine::VariantInfo* chain_next(const engine::VariantInfo& v) {
-  const std::string& next = !v.fallback_id.empty() ? v.fallback_id : v.reference_id;
-  if (next.empty() || next == v.id) return nullptr;
-  return engine::Registry::instance().find(next);
-}
-
 // First fallback-chain link of `from` that is runnable for this key and
 // whose breaker admits traffic. allow() (consuming) is correct here: a
 // half-open substitute is probing too.
@@ -250,8 +243,9 @@ const engine::VariantInfo* first_allowed_fallback(const engine::VariantInfo& fro
                                                   const engine::PricingRequest& req,
                                                   const TuneKey& key,
                                                   resilience::BreakerRegistry& brk) {
-  const engine::VariantInfo* fb = chain_next(from);
-  for (int hops = 0; fb != nullptr && hops < 8; ++hops, fb = chain_next(*fb)) {
+  int hops = 0;
+  for (const engine::VariantInfo* fb = engine::fallback_of(from, hops); fb != nullptr;
+       fb = engine::fallback_of(*fb, hops)) {
     if (key.american && fb->european_only) continue;
     const core::Layout lay = req.portfolio.layout;
     if (fb->layout != lay && !core::convertible(lay, fb->layout)) continue;

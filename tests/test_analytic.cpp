@@ -9,6 +9,7 @@
 
 #include "finbench/core/analytic.hpp"
 #include "finbench/core/optlevel.hpp"
+#include "finbench/core/portfolio.hpp"
 #include "finbench/core/workload.hpp"
 
 namespace {
@@ -208,10 +209,13 @@ TEST(Workload, ParametersInRange) {
 }
 
 TEST(Workload, AosSoaRoundtrip) {
-  BsBatchAos aos = make_bs_workload_aos(257, 3);
-  aos.dividend = 0.015;
-  const BsBatchSoa soa = to_soa(aos);
-  const BsBatchAos back = to_aos(soa);
+  Portfolio book = Portfolio::bs(257, Layout::kBsAos, 3);
+  PortfolioView src = book.view();
+  src.aos.dividend = 0.015;
+  Arena arena;
+  const BsAosView back =
+      convert(convert(src, Layout::kBsSoa, arena), Layout::kBsAos, arena).aos;
+  const BsAosView& aos = src.aos;
   ASSERT_EQ(back.size(), aos.size());
   for (std::size_t i = 0; i < aos.size(); ++i) {
     EXPECT_EQ(back.options[i].spot, aos.options[i].spot);

@@ -7,7 +7,7 @@
 #include <cmath>
 
 #include "finbench/core/analytic.hpp"
-#include "finbench/core/workload.hpp"
+#include "finbench/core/portfolio.hpp"
 #include "finbench/kernels/blackscholes.hpp"
 
 namespace {
@@ -17,14 +17,18 @@ using namespace finbench::kernels;
 
 constexpr std::size_t kSizes[] = {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 100, 1001};
 
-core::BsBatchAos priced_reference(std::size_t n, std::uint64_t seed = 1) {
-  core::BsBatchAos batch = core::make_bs_workload_aos(n, seed);
-  bs::price_reference(batch);
-  return batch;
+using core::Layout;
+using core::Portfolio;
+
+Portfolio priced_reference(std::size_t n, std::uint64_t seed = 1) {
+  Portfolio book = Portfolio::bs(n, Layout::kBsAos, seed);
+  bs::price_reference(book.view().aos);
+  return book;
 }
 
 TEST(BlackScholesKernel, ReferenceMatchesAnalytic) {
-  const auto batch = priced_reference(500);
+  Portfolio book = priced_reference(500);
+  const core::BsAosView batch = book.view().aos;
   for (const auto& o : batch.options) {
     const core::BsPrice p =
         core::black_scholes(o.spot, o.strike, o.years, batch.rate, batch.vol);
@@ -35,8 +39,10 @@ TEST(BlackScholesKernel, ReferenceMatchesAnalytic) {
 
 TEST(BlackScholesKernel, BasicMatchesReference) {
   for (std::size_t n : kSizes) {
-    const auto ref = priced_reference(n);
-    auto batch = core::make_bs_workload_aos(n, 1);
+    Portfolio ref_book = priced_reference(n);
+    const core::BsAosView ref = ref_book.view().aos;
+    Portfolio book = Portfolio::bs(n, Layout::kBsAos, 1);
+    const core::BsAosView batch = book.view().aos;
     bs::price_basic(batch);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(batch.options[i].call, ref.options[i].call, 1e-12) << n << ":" << i;
@@ -52,8 +58,10 @@ INSTANTIATE_TEST_SUITE_P(Widths, BsWidthTest,
 
 TEST_P(BsWidthTest, IntermediateMatchesReference) {
   for (std::size_t n : kSizes) {
-    const auto ref = priced_reference(n);
-    auto soa = core::make_bs_workload_soa(n, 1);
+    Portfolio ref_book = priced_reference(n);
+    const core::BsAosView ref = ref_book.view().aos;
+    Portfolio book = Portfolio::bs(n, Layout::kBsSoa, 1);
+    const core::BsSoaView soa = book.view().soa;
     bs::price_intermediate(soa, GetParam());
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(soa.call[i], ref.options[i].call, 1e-9 * std::max(1.0, ref.options[i].call))
@@ -65,8 +73,10 @@ TEST_P(BsWidthTest, IntermediateMatchesReference) {
 
 TEST_P(BsWidthTest, AdvancedVmlMatchesReference) {
   for (std::size_t n : kSizes) {
-    const auto ref = priced_reference(n);
-    auto soa = core::make_bs_workload_soa(n, 1);
+    Portfolio ref_book = priced_reference(n);
+    const core::BsAosView ref = ref_book.view().aos;
+    Portfolio book = Portfolio::bs(n, Layout::kBsSoa, 1);
+    const core::BsSoaView soa = book.view().soa;
     bs::price_advanced_vml(soa, GetParam());
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(soa.call[i], ref.options[i].call, 1e-9 * std::max(1.0, ref.options[i].call))
@@ -77,7 +87,8 @@ TEST_P(BsWidthTest, AdvancedVmlMatchesReference) {
 }
 
 TEST_P(BsWidthTest, PutCallParityInOutputs) {
-  auto soa = core::make_bs_workload_soa(333, 7);
+  Portfolio book = Portfolio::bs(333, Layout::kBsSoa, 7);
+  const core::BsSoaView soa = book.view().soa;
   bs::price_intermediate(soa, GetParam());
   for (std::size_t i = 0; i < soa.size(); ++i) {
     const double rhs = soa.spot[i] - soa.strike[i] * std::exp(-soa.rate * soa.years[i]);
@@ -86,12 +97,12 @@ TEST_P(BsWidthTest, PutCallParityInOutputs) {
 }
 
 TEST(BlackScholesKernel, EmptyBatchIsFine) {
-  core::BsBatchAos aos;
-  bs::price_reference(aos);
-  bs::price_basic(aos);
-  core::BsBatchSoa soa;
-  bs::price_intermediate(soa);
-  bs::price_advanced_vml(soa);
+  Portfolio aos = Portfolio::bs(0, Layout::kBsAos);
+  bs::price_reference(aos.view().aos);
+  bs::price_basic(aos.view().aos);
+  Portfolio soa = Portfolio::bs(0, Layout::kBsSoa);
+  bs::price_intermediate(soa.view().soa);
+  bs::price_advanced_vml(soa.view().soa);
   SUCCEED();
 }
 
@@ -104,9 +115,11 @@ TEST(BlackScholesKernel, ExtremeParameterRanges) {
   p.strike_max = 500.0;
   p.years_min = 0.01;
   p.years_max = 10.0;
-  auto aos = core::make_bs_workload_aos(512, 3, p);
+  Portfolio aos_book = Portfolio::bs(512, Layout::kBsAos, 3, p);
+  const core::BsAosView aos = aos_book.view().aos;
   bs::price_reference(aos);
-  auto soa = core::make_bs_workload_soa(512, 3, p);
+  Portfolio soa_book = Portfolio::bs(512, Layout::kBsSoa, 3, p);
+  const core::BsSoaView soa = soa_book.view().soa;
   bs::price_intermediate(soa);
   for (std::size_t i = 0; i < soa.size(); ++i) {
     EXPECT_NEAR(soa.call[i], aos.options[i].call,
@@ -115,7 +128,8 @@ TEST(BlackScholesKernel, ExtremeParameterRanges) {
 }
 
 TEST(BlackScholesKernel, OutputsAreNonNegative) {
-  auto soa = core::make_bs_workload_soa(1000, 13);
+  Portfolio book = Portfolio::bs(1000, Layout::kBsSoa, 13);
+  const core::BsSoaView soa = book.view().soa;
   bs::price_advanced_vml(soa);
   for (std::size_t i = 0; i < soa.size(); ++i) {
     EXPECT_GE(soa.call[i], -1e-12);
@@ -125,7 +139,8 @@ TEST(BlackScholesKernel, OutputsAreNonNegative) {
 
 TEST_P(BsWidthTest, BatchImpliedVolRoundtrips) {
   for (std::size_t n : {1UL, 7UL, 8UL, 9UL, 130UL}) {
-    auto soa = core::make_bs_workload_soa(n, 19);
+    Portfolio book = Portfolio::bs(n, Layout::kBsSoa, 19);
+    core::BsSoaView soa = book.view().soa;
     soa.vol = 0.31;
     bs::price_intermediate(soa);
     std::vector<double> vols(n);
@@ -148,7 +163,8 @@ TEST_P(BsWidthTest, BatchImpliedVolRoundtrips) {
 }
 
 TEST(BlackScholesKernel, BatchImpliedVolFlagsArbitrageViolations) {
-  auto soa = core::make_bs_workload_soa(16, 20);
+  Portfolio book = Portfolio::bs(16, Layout::kBsSoa, 20);
+  const core::BsSoaView soa = book.view().soa;
   bs::price_intermediate(soa);
   std::vector<double> prices(soa.call.begin(), soa.call.end());
   prices[3] = soa.spot[3] + 1.0;   // above the upper bound
@@ -163,8 +179,9 @@ TEST(BlackScholesKernel, BatchImpliedVolFlagsArbitrageViolations) {
 TEST(BlackScholesKernel, WidthsProduceConsistentResults) {
   // Scalar/4/8-wide paths run the same generic code; only compiler FMA
   // contraction in the scalar instantiation may differ (a few ulp).
-  auto s1 = core::make_bs_workload_soa(64, 21);
-  auto s4 = core::make_bs_workload_soa(64, 21);
+  Portfolio b1 = Portfolio::bs(64, Layout::kBsSoa, 21);
+  Portfolio b4 = Portfolio::bs(64, Layout::kBsSoa, 21);
+  const core::BsSoaView s1 = b1.view().soa, s4 = b4.view().soa;
   bs::price_intermediate(s1, bs::Width::kScalar);
   bs::price_intermediate(s4, bs::Width::kAvx2);
   for (std::size_t i = 0; i < s1.size(); ++i) {
@@ -174,7 +191,8 @@ TEST(BlackScholesKernel, WidthsProduceConsistentResults) {
 #if defined(FINBENCH_HAVE_AVX512)
   // The two intrinsic paths contain no compiler-contracted arithmetic at
   // all, so 4-wide and 8-wide must agree bitwise.
-  auto s8 = core::make_bs_workload_soa(64, 21);
+  Portfolio b8 = Portfolio::bs(64, Layout::kBsSoa, 21);
+  const core::BsSoaView s8 = b8.view().soa;
   bs::price_intermediate(s8, bs::Width::kAvx512);
   for (std::size_t i = 0; i < s1.size(); ++i) EXPECT_EQ(s4.call[i], s8.call[i]) << i;
 #endif

@@ -14,7 +14,6 @@
 
 #include "finbench/core/analytic.hpp"
 #include "finbench/core/portfolio.hpp"
-#include "finbench/core/workload.hpp"
 #include "finbench/kernels/blackscholes.hpp"
 
 namespace {
@@ -60,8 +59,9 @@ TEST_P(BlockedWidthTest, BlockedMatchesAnalyticAcrossTailShapes) {
 
 TEST_P(BlockedWidthTest, FusedAosPathMatchesAnalyticAcrossTailShapes) {
   for (std::size_t n : kSizes) {
-    auto aos = core::make_bs_workload_aos(n, 1);
-    bs::price_blocked_from_aos(aos.view(), GetParam());
+    core::Portfolio book = core::Portfolio::bs(n, core::Layout::kBsAos, 1);
+    const core::BsAosView aos = book.view().aos;
+    bs::price_blocked_from_aos(aos, GetParam());
     for (std::size_t i = 0; i < n; ++i) {
       const auto& o = aos.options[i];
       const core::BsPrice p =
@@ -73,9 +73,10 @@ TEST_P(BlockedWidthTest, FusedAosPathMatchesAnalyticAcrossTailShapes) {
 }
 
 TEST_P(BlockedWidthTest, FusedAosPathHandlesDividendYield) {
-  auto aos = core::make_bs_workload_aos(77, 5);
+  core::Portfolio book = core::Portfolio::bs(77, core::Layout::kBsAos, 5);
+  core::BsAosView aos = book.view().aos;
   aos.dividend = 0.03;  // exercises the HasDividend tile specialization
-  bs::price_blocked_from_aos(aos.view(), GetParam());
+  bs::price_blocked_from_aos(aos, GetParam());
   for (std::size_t i = 0; i < aos.options.size(); ++i) {
     const auto& o = aos.options[i];
     const core::BsPrice p =
@@ -101,8 +102,9 @@ TEST_P(BlockedWidthFTest, BlockedSpMatchesAnalyticAtSinglePrecision) {
 
 TEST_P(BlockedWidthFTest, FusedAosSpMatchesAnalyticAcrossTailShapes) {
   for (std::size_t n : kSizes) {
-    auto aos = core::make_bs_workload_aos(n, 1);
-    bs::price_blocked_from_aos_f32(aos.view(), GetParam());
+    core::Portfolio book = core::Portfolio::bs(n, core::Layout::kBsAos, 1);
+    const core::BsAosView aos = book.view().aos;
+    bs::price_blocked_from_aos_f32(aos, GetParam());
     for (std::size_t i = 0; i < n; ++i) {
       const auto& o = aos.options[i];
       const core::BsPrice p =
@@ -114,9 +116,10 @@ TEST_P(BlockedWidthFTest, FusedAosSpMatchesAnalyticAcrossTailShapes) {
 }
 
 TEST_P(BlockedWidthFTest, FusedAosSpHandlesDividendYield) {
-  auto aos = core::make_bs_workload_aos(77, 5);
+  core::Portfolio book = core::Portfolio::bs(77, core::Layout::kBsAos, 5);
+  core::BsAosView aos = book.view().aos;
   aos.dividend = 0.03;
-  bs::price_blocked_from_aos_f32(aos.view(), GetParam());
+  bs::price_blocked_from_aos_f32(aos, GetParam());
   for (std::size_t i = 0; i < aos.options.size(); ++i) {
     const auto& o = aos.options[i];
     const core::BsPrice p =
@@ -135,8 +138,9 @@ TEST(BlockedKernel, FusedAndInMemoryPathsAgreeBitwise) {
   core::BsBlockedView b = pf.view().blocked;
   bs::price_blocked(b, bs::Width::kAvx2);
 
-  auto aos = core::make_bs_workload_aos(n, 9);
-  bs::price_blocked_from_aos(aos.view(), bs::Width::kAvx2);
+  core::Portfolio book = core::Portfolio::bs(n, core::Layout::kBsAos, 9);
+  const core::BsAosView aos = book.view().aos;
+  bs::price_blocked_from_aos(aos, bs::Width::kAvx2);
 
   const std::size_t w = static_cast<std::size_t>(b.block);
   // The fused tail (< one tile) prices through the scalar closed form, so

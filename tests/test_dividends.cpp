@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "finbench/core/analytic.hpp"
-#include "finbench/core/workload.hpp"
+#include "finbench/core/portfolio.hpp"
 #include "finbench/kernels/binomial.hpp"
 #include "finbench/kernels/blackscholes.hpp"
 #include "finbench/kernels/cranknicolson.hpp"
@@ -134,7 +134,8 @@ TEST(Dividends, BermudanStillBracketedWithYield) {
 }
 
 TEST(Dividends, BatchKernelsWithSharedYield) {
-  auto soa = core::make_bs_workload_soa(130, 91);
+  core::Portfolio book = core::Portfolio::bs(130, core::Layout::kBsSoa, 91);
+  core::BsSoaView soa = book.view().soa;
   soa.dividend = 0.035;
   bs::price_intermediate(soa);
   for (std::size_t i = 0; i < soa.size(); i += 7) {
@@ -169,11 +170,13 @@ TEST(Dividends, BatchKernelsWithSharedYield) {
 }
 
 TEST(Dividends, PaperFidelityKernelsRejectYield) {
-  auto aos = core::make_bs_workload_aos(8, 92);
-  aos.dividend = 0.02;
+  core::Portfolio aos_book = core::Portfolio::bs(8, core::Layout::kBsAos, 92);
+  core::Portfolio soa_book = core::Portfolio::bs(8, core::Layout::kBsSoa, 92);
+  core::BsAosView aos = aos_book.view().aos;
+  core::BsSoaView soa = soa_book.view().soa;
+  aos.dividend = soa.dividend = 0.02;
   EXPECT_THROW(bs::price_reference(aos), std::invalid_argument);
   EXPECT_THROW(bs::price_basic(aos), std::invalid_argument);
-  auto soa = core::to_soa(aos);
   EXPECT_THROW(bs::price_advanced_vml(soa), std::invalid_argument);
   // The intermediate kernel is the dividend-aware one.
   bs::price_intermediate(soa);

@@ -310,10 +310,11 @@ TEST(Engine, WholeBatchWorkloadsRunAsRanges) {
 // Black–Scholes batches price in place: prices land in the request's
 // batch arrays and values stays empty.
 TEST(Engine, BatchLayoutPricesIntoTheBatchArrays) {
-  auto soa = core::make_bs_workload_soa(512, 21);
+  core::Portfolio book = core::Portfolio::bs(512, core::Layout::kBsSoa, 21);
+  const core::BsSoaView soa = book.view().soa;
   PricingRequest req;
   req.kernel_id = "bs.intermediate.auto";
-  req.portfolio = core::view_of(soa);
+  req.portfolio = book.view();
   const PricingResult res = Engine::shared().price(req);
   ASSERT_TRUE(res.status.ok()) << res.status.to_string();
   EXPECT_EQ(res.items, 512u);

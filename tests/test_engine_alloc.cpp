@@ -16,6 +16,9 @@
 //   - a resolved <family>.auto request, which rebuilds and compares its
 //     TuneKey every pricing.
 //
+// The same counter, by bytes, proves that Portfolio::bs draws a book in
+// place: one book's storage per layout, no temporary beside it.
+//
 // The counter intercepts ::operator new (plain and aligned) only — the
 // arena and AlignedAllocator route through these on purpose (see
 // finbench/arch/aligned.hpp). malloc-level traffic from the OpenMP
@@ -38,17 +41,21 @@
 namespace {
 
 std::atomic<std::size_t> g_allocs{0};
+std::atomic<std::size_t> g_bytes{0};
 
 std::size_t alloc_count() { return g_allocs.load(std::memory_order_relaxed); }
+std::size_t alloc_bytes() { return g_bytes.load(std::memory_order_relaxed); }
 
 void* counted_alloc(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc{};
 }
 
 void* counted_alloc(std::size_t n, std::align_val_t al) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   const std::size_t a = static_cast<std::size_t>(al);
   const std::size_t size = (n + a - 1) / a * a;
   if (void* p = std::aligned_alloc(a, size ? size : a)) return p;
@@ -87,10 +94,10 @@ std::size_t allocations_during(F&& f) {
 }  // namespace
 
 TEST(EngineAlloc, BsWholeBatchNativeLayoutIsAllocationFree) {
-  auto soa = core::make_bs_workload_soa(4096, 1);
+  core::Portfolio soa = core::Portfolio::bs(4096, core::Layout::kBsSoa, 1);
   PricingRequest req;
   req.kernel_id = "bs.intermediate.auto";
-  req.portfolio = core::view_of(soa);
+  req.portfolio = soa.view();
 
   Engine& eng = Engine::shared();
   PricingResult res;
@@ -105,10 +112,10 @@ TEST(EngineAlloc, BsWholeBatchNativeLayoutIsAllocationFree) {
 }
 
 TEST(EngineAlloc, NegotiatedAosToSoaIsAllocationFreeAfterFirstConversion) {
-  auto aos = core::make_bs_workload_aos(4096, 2);
+  core::Portfolio aos = core::Portfolio::bs(4096, core::Layout::kBsAos, 2);
   PricingRequest req;
   req.kernel_id = "bs.intermediate.auto";  // SOA-native kernel, AOS request
-  req.portfolio = core::view_of(aos);
+  req.portfolio = aos.view();
 
   Engine& eng = Engine::shared();
   PricingResult res;
@@ -127,7 +134,7 @@ TEST(EngineAlloc, NegotiatedAosToSoaIsAllocationFreeAfterFirstConversion) {
   EXPECT_GT(res.convert_seconds, 0.0);
   // The writeback really happened: prices landed back in the AOS arrays.
   double sum = 0.0;
-  for (const auto& o : aos.options) sum += o.call;
+  for (const auto& o : aos.view().aos.options) sum += o.call;
   EXPECT_GT(sum, 0.0);
 }
 
@@ -137,10 +144,10 @@ TEST(EngineAlloc, ChunkedBsAcrossThePoolIsAllocationFree) {
   // Native (AOS kernel) and negotiated (AOS book, blocked kernel) books of
   // many chunks: chunk states, tiles and bounds settle after the warm-up.
   for (const char* id : {"blackscholes.blocked_fused.8f", "blackscholes.blocked.8"}) {
-    auto aos = core::make_bs_workload_aos(20000, 5);
+    core::Portfolio aos = core::Portfolio::bs(20000, core::Layout::kBsAos, 5);
     PricingRequest req;
     req.kernel_id = id;
-    req.portfolio = core::view_of(aos);
+    req.portfolio = aos.view();
     PricingResult res;
     eng.price(req, res);
     ASSERT_TRUE(res.status.ok()) << res.status.to_string();
@@ -349,11 +356,11 @@ TEST(EngineAlloc, WholeBatchRunBatchOnlyVariantIsAllocationFree) {
 TEST(EngineAlloc, AutoIntentRepricingIsAllocationFree) {
   engine::ThreadPool pool(2);
   Engine eng(&pool);
-  auto aos = core::make_bs_workload_aos(4096, 6);
+  core::Portfolio aos = core::Portfolio::bs(4096, core::Layout::kBsAos, 6);
   const auto specs = core::make_option_workload(16, 6);
   PricingRequest bs, lattice;
   bs.kernel_id = "bs.auto";
-  bs.portfolio = core::view_of(aos);
+  bs.portfolio = aos.view();
   lattice.kernel_id = "binomial.auto";
   lattice.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
   lattice.steps = 32;
@@ -378,24 +385,24 @@ TEST(EngineAlloc, SwitchingWorkloadsRebuildsThenSettles) {
   // A different workload may change the request's derived state (plan
   // key, chunk bounds): the next call may allocate, but the state must
   // settle again — the negotiation arena reuses its blocks.
-  auto aos_a = core::make_bs_workload_aos(1024, 3);
-  auto aos_b = core::make_bs_workload_aos(1024, 4);
+  core::Portfolio aos_a = core::Portfolio::bs(1024, core::Layout::kBsAos, 3);
+  core::Portfolio aos_b = core::Portfolio::bs(1024, core::Layout::kBsAos, 4);
   PricingRequest req;
   req.kernel_id = "bs.intermediate.auto";
 
   Engine& eng = Engine::shared();
   PricingResult res;
-  req.portfolio = core::view_of(aos_a);
+  req.portfolio = aos_a.view();
   eng.price(req, res);
-  req.portfolio = core::view_of(aos_b);
+  req.portfolio = aos_b.view();
   eng.price(req, res);  // same size: the reset arena's blocks fit this
   ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 
   const std::size_t allocs = allocations_during([&] {
     for (int rep = 0; rep < 4; ++rep) {
-      req.portfolio = core::view_of(aos_a);
+      req.portfolio = aos_a.view();
       eng.price(req, res);
-      req.portfolio = core::view_of(aos_b);
+      req.portfolio = aos_b.view();
       eng.price(req, res);
     }
   });
@@ -403,4 +410,28 @@ TEST(EngineAlloc, SwitchingWorkloadsRebuildsThenSettles) {
   // Each pricing converts its chunks into reused arena blocks — still no
   // heap traffic.
   EXPECT_EQ(allocs, 0u);
+}
+
+// Portfolio::bs carves the book in its own arena and draws into it: the
+// heap sees one book's bytes per layout (plus the arena's block list and
+// per-field cache-line rounding), never a second copy of the options.
+TEST(PortfolioOwner, BsAllocatesOneBookPerLayout) {
+  constexpr std::size_t n = 100003;  // ragged blocked tail; far above the 64 KiB min block
+  const std::size_t blocked_lanes = (n + 7) / 8 * 8;
+  const struct {
+    core::Layout layout;
+    std::size_t book;
+  } cases[] = {{core::Layout::kBsAos, n * sizeof(core::BsOptionAos)},
+               {core::Layout::kBsSoa, 5 * n * sizeof(double)},
+               {core::Layout::kBsSoaF, 5 * n * sizeof(float)},
+               {core::Layout::kBsBlocked, 5 * blocked_lanes * sizeof(double)}};
+  for (const auto& c : cases) {
+    const std::size_t before = alloc_bytes();
+    core::Portfolio pf = core::Portfolio::bs(n, c.layout, 42);
+    const std::size_t allocated = alloc_bytes() - before;
+    ASSERT_EQ(pf.size(), n);
+    EXPECT_GE(allocated, c.book) << to_string(c.layout);
+    EXPECT_LE(allocated, c.book + 1024)
+        << to_string(c.layout) << ": Portfolio::bs allocated beyond its one book";
+  }
 }

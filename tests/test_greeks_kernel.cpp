@@ -6,7 +6,7 @@
 #include <cmath>
 
 #include "finbench/core/analytic.hpp"
-#include "finbench/core/workload.hpp"
+#include "finbench/core/portfolio.hpp"
 #include "finbench/kernels/blackscholes.hpp"
 
 namespace {
@@ -21,7 +21,8 @@ INSTANTIATE_TEST_SUITE_P(Widths, GreeksWidthTest,
 
 TEST_P(GreeksWidthTest, MatchesAnalyticGreeks) {
   for (std::size_t n : {1UL, 5UL, 8UL, 9UL, 64UL, 333UL}) {
-    const auto batch = core::make_bs_workload_soa(n, 17);
+    core::Portfolio book = core::Portfolio::bs(n, core::Layout::kBsSoa, 17);
+    const core::BsSoaView batch = book.view().soa;
     bs::GreeksBatchSoa g;
     bs::greeks_intermediate(batch, g, GetParam());
     ASSERT_EQ(g.size(), n);
@@ -45,7 +46,8 @@ TEST_P(GreeksWidthTest, MatchesAnalyticGreeks) {
 }
 
 TEST_P(GreeksWidthTest, ParityRelationsHold) {
-  const auto batch = core::make_bs_workload_soa(256, 23);
+  core::Portfolio book = core::Portfolio::bs(256, core::Layout::kBsSoa, 23);
+  const core::BsSoaView batch = book.view().soa;
   bs::GreeksBatchSoa g;
   bs::greeks_intermediate(batch, g, GetParam());
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -62,9 +64,11 @@ TEST(GreeksKernel, GreeksAreFiniteDifferencesOfKernelPrices) {
   // price_intermediate should match the analytic deltas from
   // greeks_intermediate.
   const std::size_t n = 64;
-  auto base = core::make_bs_workload_soa(n, 29);
-  auto up = base;
-  auto dn = base;
+  core::Portfolio base_book = core::Portfolio::bs(n, core::Layout::kBsSoa, 29);
+  core::Portfolio up_book = core::Portfolio::bs(n, core::Layout::kBsSoa, 29);
+  core::Portfolio dn_book = core::Portfolio::bs(n, core::Layout::kBsSoa, 29);
+  const core::BsSoaView base = base_book.view().soa, up = up_book.view().soa,
+                        dn = dn_book.view().soa;
   const double h = 1e-4;
   for (std::size_t i = 0; i < n; ++i) {
     up.spot[i] += h;
@@ -83,7 +87,8 @@ TEST(GreeksKernel, GreeksAreFiniteDifferencesOfKernelPrices) {
 }
 
 TEST(GreeksKernel, DeltaBounds) {
-  const auto batch = core::make_bs_workload_soa(1000, 37);
+  core::Portfolio book = core::Portfolio::bs(1000, core::Layout::kBsSoa, 37);
+  const core::BsSoaView batch = book.view().soa;
   bs::GreeksBatchSoa g;
   bs::greeks_intermediate(batch, g);
   for (std::size_t i = 0; i < batch.size(); ++i) {

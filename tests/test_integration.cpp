@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "finbench/core/analytic.hpp"
+#include "finbench/core/portfolio.hpp"
 #include "finbench/core/workload.hpp"
 #include "finbench/kernels/binomial.hpp"
 #include "finbench/kernels/blackscholes.hpp"
@@ -125,7 +126,8 @@ TEST(Integration, FusedBridgeAverageVariance) {
 // The Black-Scholes kernel and the analytic module are two independent
 // implementations of the same formula — cross-check over a big batch.
 TEST(Integration, KernelAndAnalyticAgreeAtScale) {
-  auto soa = core::make_bs_workload_soa(10000, 31);
+  core::Portfolio book = core::Portfolio::bs(10000, core::Layout::kBsSoa, 31);
+  const core::BsSoaView soa = book.view().soa;
   bs::price_intermediate(soa);
   for (std::size_t i = 0; i < soa.size(); i += 97) {
     const auto p = core::black_scholes(soa.spot[i], soa.strike[i], soa.years[i], soa.rate,
@@ -138,7 +140,8 @@ TEST(Integration, KernelAndAnalyticAgreeAtScale) {
 // Implied-vol roundtrip through the *kernel* (not the analytic module):
 // price with the SIMD kernel, invert with the scalar solver.
 TEST(Integration, ImpliedVolRecoversKernelVol) {
-  auto soa = core::make_bs_workload_soa(64, 41);
+  core::Portfolio book = core::Portfolio::bs(64, core::Layout::kBsSoa, 41);
+  core::BsSoaView soa = book.view().soa;
   soa.vol = 0.37;
   bs::price_intermediate(soa);
   for (std::size_t i = 0; i < soa.size(); i += 7) {

@@ -1,9 +1,9 @@
 // Tests for the layout-tagged Portfolio data model: the Arena's alignment
 // and block-reuse guarantees, zero-copy view semantics, the per-option
 // Black–Scholes accessors, bitwise layout round trips (AOS <-> SOA <->
-// blocked), output writeback, the
-// single-generator coupling between the AOS and SOA workload builders, and
-// the convertibility matrix the engine's negotiation relies on.
+// blocked), output writeback, the convertibility matrix the engine's
+// negotiation relies on, and Portfolio::bs as the one generator: every
+// layout holds the same draw, and the draw itself is pinned.
 
 #include <algorithm>
 #include <cstdint>
@@ -72,17 +72,19 @@ TEST(Arena, GrowsWhenDemandExceedsReservation) {
 // --- Views ------------------------------------------------------------------
 
 TEST(PortfolioView, ViewsAliasTheOwningBatchArrays) {
-  auto soa = core::make_bs_workload_soa(64, 5);
-  PortfolioView v = core::view_of(soa);
+  Portfolio soa = Portfolio::bs(64, Layout::kBsSoa, 5);
+  PortfolioView v = soa.view();
   EXPECT_EQ(v.layout, Layout::kBsSoa);
-  EXPECT_EQ(v.soa.spot.data(), soa.spot.data());
-  EXPECT_EQ(v.soa.call.data(), soa.call.data());
-  // Writes through the view land in the batch: that's how kernels return
-  // prices without copying.
+  EXPECT_EQ(v.soa.spot.data(), soa.view().soa.spot.data());
+  EXPECT_EQ(v.soa.call.data(), soa.view().soa.call.data());
+  // Writes through a copied view land in the portfolio: that's how
+  // kernels return prices without copying.
   v.soa.call[7] = 42.0;
-  EXPECT_EQ(soa.call[7], 42.0);
+  EXPECT_EQ(soa.view().soa.call[7], 42.0);
 
-  auto aos = core::make_bs_workload_aos(64, 5);
+  // A caller's own AOS slots are viewed in place too.
+  core::BsBatchAos aos;
+  aos.options.resize(64);
   PortfolioView w = core::view_of(aos);
   EXPECT_EQ(w.layout, Layout::kBsAos);
   EXPECT_EQ(w.aos.options.data(), aos.options.data());
@@ -90,20 +92,20 @@ TEST(PortfolioView, ViewsAliasTheOwningBatchArrays) {
 }
 
 TEST(PortfolioView, IdentityConversionIsZeroCopy) {
-  auto soa = core::make_bs_workload_soa(32, 3);
+  Portfolio soa = Portfolio::bs(32, Layout::kBsSoa, 3);
   Arena a;
   ConvertStats stats;
-  PortfolioView v = core::convert(core::view_of(soa), Layout::kBsSoa, a, &stats);
-  EXPECT_EQ(v.soa.spot.data(), soa.spot.data());  // same memory, no copy
+  PortfolioView v = core::convert(soa.view(), Layout::kBsSoa, a, &stats);
+  EXPECT_EQ(v.soa.spot.data(), soa.view().soa.spot.data());  // same memory, no copy
   EXPECT_EQ(stats.bytes, 0u);
   EXPECT_EQ(a.bytes_in_use(), 0u);
 }
 
 TEST(PortfolioView, ConvertedViewsAreCacheAlignedArenaMemory) {
-  auto aos = core::make_bs_workload_aos(100, 7);
+  Portfolio aos = Portfolio::bs(100, Layout::kBsAos, 7);
   Arena a;
   ConvertStats stats;
-  PortfolioView v = core::convert(core::view_of(aos), Layout::kBsSoa, a, &stats);
+  PortfolioView v = core::convert(aos.view(), Layout::kBsSoa, a, &stats);
   EXPECT_TRUE(is_cache_aligned(v.soa.spot.data()));
   EXPECT_TRUE(is_cache_aligned(v.soa.strike.data()));
   EXPECT_TRUE(is_cache_aligned(v.soa.years.data()));
@@ -236,14 +238,15 @@ TEST(PortfolioView, BsAccessorsRejectNonBsLayouts) {
 // --- Round trips ------------------------------------------------------------
 
 TEST(Convert, AosSoaRoundTripIsBitwise) {
-  auto aos = core::make_bs_workload_aos(257, 11);  // odd n: exercises tails
+  Portfolio book = Portfolio::bs(257, Layout::kBsAos, 11);  // odd n: exercises tails
+  const core::BsAosView aos = book.view().aos;
   // Seed the outputs so the round trip must carry them too.
   for (std::size_t i = 0; i < aos.size(); ++i) {
     aos.options[i].call = 1.0 + static_cast<double>(i);
     aos.options[i].put = 2.0 + static_cast<double>(i);
   }
   Arena a;
-  PortfolioView soa = core::convert(core::view_of(aos), Layout::kBsSoa, a);
+  PortfolioView soa = core::convert(book.view(), Layout::kBsSoa, a);
   PortfolioView back = core::convert(soa, Layout::kBsAos, a);
   ASSERT_EQ(back.aos.size(), aos.size());
   EXPECT_EQ(back.aos.rate, aos.rate);
@@ -253,9 +256,10 @@ TEST(Convert, AosSoaRoundTripIsBitwise) {
 }
 
 TEST(Convert, AosBlockedRoundTripIsBitwiseAndTailIsPadded) {
-  auto aos = core::make_bs_workload_aos(21, 13);  // 21 = 2*8 + 5: ragged tail
+  Portfolio book = Portfolio::bs(21, Layout::kBsAos, 13);  // 21 = 2*8 + 5: ragged tail
+  const core::BsAosView aos = book.view().aos;
   Arena a;
-  PortfolioView blk = core::convert(core::view_of(aos), Layout::kBsBlocked, a);
+  PortfolioView blk = core::convert(book.view(), Layout::kBsBlocked, a);
   ASSERT_EQ(blk.blocked.n, 21u);
   const std::size_t b = static_cast<std::size_t>(blk.blocked.block);
   ASSERT_EQ(blk.blocked.num_blocks(), (21 + b - 1) / b);
@@ -276,14 +280,15 @@ TEST(Convert, AosBlockedRoundTripIsBitwiseAndTailIsPadded) {
 }
 
 TEST(Convert, CopyOutputsLandsPricesInTheCallersLayout) {
-  auto aos = core::make_bs_workload_aos(50, 19);
+  Portfolio book = Portfolio::bs(50, Layout::kBsAos, 19);
+  const core::BsAosView aos = book.view().aos;
   Arena a;
-  PortfolioView soa = core::convert(core::view_of(aos), Layout::kBsSoa, a);
+  PortfolioView soa = core::convert(book.view(), Layout::kBsSoa, a);
   for (std::size_t i = 0; i < 50; ++i) {
     soa.soa.call[i] = 10.0 + static_cast<double>(i);
     soa.soa.put[i] = 20.0 + static_cast<double>(i);
   }
-  const std::size_t bytes = core::copy_outputs(soa, core::view_of(aos));
+  const std::size_t bytes = core::copy_outputs(soa, book.view());
   EXPECT_EQ(bytes, 50u * 2 * sizeof(double));
   for (std::size_t i = 0; i < 50; ++i) {
     EXPECT_EQ(aos.options[i].call, 10.0 + static_cast<double>(i)) << i;
@@ -296,8 +301,9 @@ TEST(Convert, CopyOutputsLandsPricesInTheCallersLayout) {
 // they reproduce convert()'s inputs in every target layout, and a
 // blocked tile pads its ragged last block with the chunk's final option.
 TEST(Convert, RangeCopiesComposeIntoConvert) {
-  auto aos = core::make_bs_workload_aos(150, 23);  // chunks of 64, 64, 22
-  const PortfolioView src = core::view_of(aos);
+  Portfolio book = Portfolio::bs(150, Layout::kBsAos, 23);  // chunks of 64, 64, 22
+  const PortfolioView src = book.view();
+  const core::BsAosView& aos = src.aos;
   for (const Layout target : {Layout::kBsSoa, Layout::kBsSoaF, Layout::kBsBlocked}) {
     Arena a;
     const PortfolioView whole = core::convert(src, target, a);
@@ -372,13 +378,14 @@ TEST(Convert, OnlyBsLayoutsAreMutuallyConvertible) {
 
 // --- Workload-generator coupling --------------------------------------------
 
-// The SOA generator is defined as to_soa() of the AOS generator's draw:
-// every layout of one (n, seed) sees bitwise-identical inputs. This is
-// what makes cross-layout validation (AOS reference vs SOA kernel) exact.
+// The kBsSoa book holds the very options of the kBsAos book of the same
+// (n, seed), field by field — the AOS reference validates the SOA kernels.
 TEST(WorkloadCoupling, SoaGeneratorEqualsConvertedAosGeneratorBitwise) {
   const std::size_t n = 321;
-  const auto aos = core::make_bs_workload_aos(n, 77);
-  auto soa = core::make_bs_workload_soa(n, 77);
+  Portfolio aos_pf = Portfolio::bs(n, Layout::kBsAos, 77);
+  Portfolio soa_pf = Portfolio::bs(n, Layout::kBsSoa, 77);
+  const core::BsAosView& aos = aos_pf.view().aos;
+  const core::BsSoaView& soa = soa_pf.view().soa;
   ASSERT_EQ(soa.size(), n);
   EXPECT_EQ(soa.rate, aos.rate);
   EXPECT_EQ(soa.vol, aos.vol);
@@ -389,17 +396,66 @@ TEST(WorkloadCoupling, SoaGeneratorEqualsConvertedAosGeneratorBitwise) {
   }
 }
 
+// Portfolio::bs is the one generator: every layout of one (n, seed) holds
+// exactly what converting the kBsAos book gives — inputs, zeroed outputs
+// and the blocked padding lanes, bit for bit. This is what makes
+// cross-layout validation (AOS reference vs SOA kernel) exact.
 TEST(WorkloadCoupling, PortfolioBsIsBitwiseEqualAcrossLayouts) {
-  Portfolio p_aos = Portfolio::bs(129, Layout::kBsAos, 31);
-  Portfolio p_soa = Portfolio::bs(129, Layout::kBsSoa, 31);
-  Arena a;
-  PortfolioView conv = core::convert(p_aos.view(), Layout::kBsSoa, a);
-  const auto& soa = p_soa.view().soa;
-  ASSERT_EQ(conv.soa.size(), soa.size());
-  for (std::size_t i = 0; i < soa.size(); ++i) {
-    EXPECT_EQ(conv.soa.spot[i], soa.spot[i]) << i;
-    EXPECT_EQ(conv.soa.strike[i], soa.strike[i]) << i;
-    EXPECT_EQ(conv.soa.years[i], soa.years[i]) << i;
+  for (const std::size_t n : {1u, 7u, 8u, 37u, 129u}) {
+    Portfolio aos = Portfolio::bs(n, Layout::kBsAos, 31);
+    for (const Layout l : kBsLayouts) {
+      Portfolio pf = Portfolio::bs(n, l, 31);
+      Arena a;
+      const PortfolioView conv = core::convert(aos.view(), l, a);
+      const PortfolioView& v = pf.view();
+      ASSERT_EQ(v.size(), n) << to_string(l);
+      EXPECT_EQ(core::bs_scalars(v), core::bs_scalars(conv)) << to_string(l);
+      const std::size_t lanes = l == Layout::kBsBlocked ? v.blocked.num_blocks() * 8 : n;
+      for (std::size_t i = 0; i < lanes; ++i) {
+        const core::BsLane got = core::bs_lane(v, i), want = core::bs_lane(conv, i);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << to_string(l) << " n=" << n
+                                                           << " i=" << i;
+      }
+    }
+  }
+}
+
+// The draw itself, pinned: option i's (spot, strike, years) for seeds 0,
+// 1 and 42 as the generator has always produced them. Every exhibit and
+// test prices these books, so a changed draw changes every number.
+TEST(WorkloadCoupling, GoldenDrawIsPinned) {
+  struct Golden {
+    std::uint64_t seed;
+    std::size_t i;
+    double spot, strike, years;
+  };
+  constexpr Golden kGolden[] = {
+      {0, 0, 0x1.28b29d0941b77p+6, 0x1.c460e1de8b951p+6, 0x1.71a0a677f8b52p-1},
+      {0, 1, 0x1.516b092642132p+7, 0x1.19eb482a1ae14p+7, 0x1.1264c6e5da3cp+1},
+      {0, 7, 0x1.44acf3b8893e7p+7, 0x1.2cf9f509d7d6fp+7, 0x1.fc143df4ff2f7p+1},
+      {0, 999, 0x1.89589d94fcc89p+3, 0x1.6936aa5a39c1p+6, 0x1.952837de9bc5cp-1},
+      {1, 0, 0x1.9d987f2edbbc3p+6, 0x1.13f3a87f453fdp+7, 0x1.e3f9785b36f4p-1},
+      {1, 1, 0x1.38f03a944c029p+6, 0x1.50efb2a9bb872p+5, 0x1.065f4b0dcd872p+2},
+      {1, 7, 0x1.3a300f0aa09bp+7, 0x1.522e57b786cddp+5, 0x1.872dbb858dd1ep-2},
+      {1, 999, 0x1.b62c8c2f6e726p+6, 0x1.2e427b3a9b998p+7, 0x1.2876c0866df84p+2},
+      {42, 0, 0x1.031ac03b178bap+6, 0x1.5c91029218ac3p+5, 0x1.3dcbf785d37d1p+2},
+      {42, 1, 0x1.82f15ad0a1884p+6, 0x1.09d44053f0e89p+7, 0x1.0ccf62b1886bp+1},
+      {42, 7, 0x1.43ee9b1bcdde6p+7, 0x1.d68bfbbbfff42p+6, 0x1.001ae5f9c097ep+2},
+      {42, 999, 0x1.1446fe0d803acp+7, 0x1.7f43d2d33ad96p+7, 0x1.5a30287a06b0fp-1},
+  };
+  for (const Layout l : kBsLayouts) {
+    for (const std::uint64_t seed : {0u, 1u, 42u}) {
+      Portfolio pf = Portfolio::bs(1000, l, seed);
+      for (const Golden& g : kGolden) {
+        if (g.seed != seed) continue;
+        const core::BsLane got = core::bs_lane(pf.view(), g.i);
+        EXPECT_EQ(got.spot, stored(l, g.spot)) << to_string(l) << " " << seed << "/" << g.i;
+        EXPECT_EQ(got.strike, stored(l, g.strike)) << to_string(l) << " " << seed << "/" << g.i;
+        EXPECT_EQ(got.years, stored(l, g.years)) << to_string(l) << " " << seed << "/" << g.i;
+        EXPECT_EQ(got.call, 0.0);
+        EXPECT_EQ(got.put, 0.0);
+      }
+    }
   }
 }
 
@@ -415,20 +471,6 @@ TEST(PortfolioOwner, SpecsCopyIsDeepAndAligned) {
   const double spot0 = src[0].spot;
   src[0].spot = -1.0;  // mutating the source must not reach the portfolio
   EXPECT_EQ(p.view().specs[0].spot, spot0);
-}
-
-TEST(PortfolioOwner, ConvertedMakesAnIndependentDeepCopy) {
-  Portfolio p = Portfolio::bs(40, Layout::kBsAos, 9);
-  ConvertStats stats;
-  Portfolio q = p.converted(Layout::kBsSoa, &stats);
-  EXPECT_EQ(q.layout(), Layout::kBsSoa);
-  ASSERT_EQ(q.size(), 40u);
-  EXPECT_GT(stats.bytes, 0u);
-  // Identity "conversion" must also deep-copy: an owning Portfolio never
-  // aliases another's arena.
-  Portfolio r = p.converted(Layout::kBsAos);
-  EXPECT_NE(r.view().aos.options.data(), p.view().aos.options.data());
-  EXPECT_EQ(r.view().aos.options[3].spot, p.view().aos.options[3].spot);
 }
 
 TEST(PortfolioOwner, PathsCarriesOnlyACount) {

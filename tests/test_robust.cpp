@@ -176,10 +176,11 @@ TEST(Sanitize, SpecsCopyAppliesClampAndSkipPolicies) {
 }
 
 TEST(Sanitize, BsBatchIsRepairedInPlaceThroughTheMutableView) {
-  auto soa = core::make_bs_workload_soa(16, 3);
+  core::Portfolio book = core::Portfolio::bs(16, core::Layout::kBsSoa, 3);
+  core::PortfolioView view = book.view();
+  const core::BsSoaView& soa = view.soa;
   soa.spot[2] = kNan;
   soa.years[5] = -2.0;
-  core::PortfolioView view = core::view_of(soa);
 
   robust::SanitizeReport rep;
   robust::sanitize(view, SanitizePolicy::kSkip, rep);
@@ -196,9 +197,9 @@ TEST(Sanitize, BsBatchIsRepairedInPlaceThroughTheMutableView) {
 }
 
 TEST(Sanitize, NonFiniteSharedVolSkipsTheWholeBsBatch) {
-  auto soa = core::make_bs_workload_soa(8, 4);
-  soa.vol = kNan;  // batch-shared parameter: poisons every option
-  core::PortfolioView view = core::view_of(soa);
+  core::Portfolio book = core::Portfolio::bs(8, core::Layout::kBsSoa, 4);
+  core::PortfolioView view = book.view();
+  view.soa.vol = kNan;  // batch-shared parameter: poisons every option
 
   robust::SanitizeReport rep;
   robust::sanitize(view, SanitizePolicy::kSkip, rep);
@@ -211,9 +212,9 @@ TEST(Sanitize, NonFiniteSharedVolSkipsTheWholeBsBatch) {
 }
 
 TEST(Sanitize, FiniteSharedRateClampsWithoutSkipping) {
-  auto soa = core::make_bs_workload_soa(8, 4);
-  soa.rate = 2.5;  // finite but outside |r| <= 1
-  core::PortfolioView view = core::view_of(soa);
+  core::Portfolio book = core::Portfolio::bs(8, core::Layout::kBsSoa, 4);
+  core::PortfolioView view = book.view();
+  view.soa.rate = 2.5;  // finite but outside |r| <= 1
 
   robust::SanitizeReport rep;
   robust::sanitize(view, SanitizePolicy::kClamp, rep);
@@ -302,8 +303,9 @@ TEST(Guards, FullModeEnforcesNoArbitrageBoundsForDeterministicPricers) {
 }
 
 TEST(Guards, BsRepairReplacesViolatingOutputsWithTheClosedForm) {
-  auto soa = core::make_bs_workload_soa(8, 7);
-  core::PortfolioView view = core::view_of(soa);
+  core::Portfolio book = core::Portfolio::bs(8, core::Layout::kBsSoa, 7);
+  const core::PortfolioView view = book.view();
+  const core::BsSoaView& soa = view.soa;
   // Pretend the kernel produced garbage for two options.
   soa.call[1] = kNan;
   soa.put[6] = -kInf;

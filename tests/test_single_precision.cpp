@@ -7,7 +7,7 @@
 #include <random>
 
 #include "finbench/core/analytic.hpp"
-#include "finbench/core/workload.hpp"
+#include "finbench/core/portfolio.hpp"
 #include "finbench/kernels/blackscholes.hpp"
 #include "finbench/simd/vecf.hpp"
 #include "finbench/vecmath/vecmathf.hpp"
@@ -147,8 +147,10 @@ INSTANTIATE_TEST_SUITE_P(Widths, BsSpWidthTest,
 
 TEST_P(BsSpWidthTest, MatchesDoublePrecisionWithinSpTolerance) {
   for (std::size_t n : {1UL, 7UL, 16UL, 17UL, 333UL}) {
-    auto soa = core::make_bs_workload_soa(n, 11);
-    auto sp = core::to_single(soa);
+    core::Portfolio dp_book = core::Portfolio::bs(n, core::Layout::kBsSoa, 11);
+    core::Portfolio sp_book = core::Portfolio::bs(n, core::Layout::kBsSoaF, 11);
+    const core::BsSoaView soa = dp_book.view().soa;
+    const core::BsSoaFView sp = sp_book.view().sp;
     kernels::bs::price_intermediate(soa);
     kernels::bs::price_intermediate_sp(sp, GetParam());
     for (std::size_t i = 0; i < n; ++i) {
@@ -161,7 +163,8 @@ TEST_P(BsSpWidthTest, MatchesDoublePrecisionWithinSpTolerance) {
 }
 
 TEST_P(BsSpWidthTest, PutCallParityInSingle) {
-  auto sp = core::to_single(core::make_bs_workload_soa(128, 4));
+  core::Portfolio book = core::Portfolio::bs(128, core::Layout::kBsSoaF, 4);
+  const core::BsSoaFView sp = book.view().sp;
   kernels::bs::price_intermediate_sp(sp, GetParam());
   for (std::size_t i = 0; i < sp.size(); ++i) {
     const float rhs = sp.spot[i] - sp.strike[i] * std::exp(-sp.rate * sp.years[i]);
@@ -170,8 +173,9 @@ TEST_P(BsSpWidthTest, PutCallParityInSingle) {
 }
 
 TEST(BsSp, WidthsAgree) {
-  auto a = core::to_single(core::make_bs_workload_soa(64, 9));
-  auto b = core::to_single(core::make_bs_workload_soa(64, 9));
+  core::Portfolio a_book = core::Portfolio::bs(64, core::Layout::kBsSoaF, 9);
+  core::Portfolio b_book = core::Portfolio::bs(64, core::Layout::kBsSoaF, 9);
+  const core::BsSoaFView a = a_book.view().sp, b = b_book.view().sp;
   kernels::bs::price_intermediate_sp(a, kernels::bs::WidthF::kAvx2);
   kernels::bs::price_intermediate_sp(b, kernels::bs::WidthF::kAuto);
   for (std::size_t i = 0; i < a.size(); ++i) {

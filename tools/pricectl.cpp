@@ -4,7 +4,7 @@
 //   pricectl --list                      enumerate every registered variant
 //   pricectl --validate [--nopt N]       self-validate variants vs references
 //   pricectl --kernel ID --nopt N        price a workload through variant ID
-//            [--auto] [--tune] [--explain] [--tune-cache PATH]
+//            [--tune] [--explain] [--tune-cache PATH]
 //            [--layout aos|soa|blocked|auto] [--chunks N] [--tasks on|off|auto]
 //            [--steps N] [--npath N] [--prices N] [--depth N]
 //            [--seed N] [--spy N] [--reps N] [--threads N] [--json PATH]
@@ -23,14 +23,13 @@
 // "<family>.auto" (bs/blackscholes, binomial, mc/montecarlo, brownian,
 // cn/cranknicolson) — the engine races the family's candidate variants,
 // chunk granularities and task modes once per workload shape and
-// dispatches the winner; --auto turns a bare family name into that intent
-// ("--auto --kernel bs" == "--kernel bs.auto"). --tune-cache PATH persists
-// the raced plans (schema finbench.tune_cache/v2, fingerprinted by host
-// CPU) so later runs resolve without racing; --tune forces a re-race of
-// this workload's key; --explain prints the cached race evidence — every
-// candidate's measured rate and imbalance — after the run. The plan
-// decides chunks_per_thread and the task mode of an auto id, so --chunks
-// and --tasks are usage errors there; with a concrete id they are run
+// dispatches the winner. --tune-cache PATH persists the raced plans
+// (schema finbench.tune_cache/v2, fingerprinted by host CPU) so later
+// runs resolve without racing; --tune forces a re-race of this workload's
+// key; --explain prints the cached race evidence — every candidate's
+// measured rate and imbalance — after the run. The plan decides
+// chunks_per_thread and the task mode of an auto id, so --chunks and
+// --tasks are usage errors there; with a concrete id they are run
 // verbatim.
 //
 // --kernel runs kSpecs workloads through the batched engine (persistent
@@ -336,7 +335,7 @@ int run_serve(const engine::VariantInfo* v, const std::string& family,
 
 constexpr const char* kUsage =
     "usage: pricectl --list | --validate | --kernel ID --nopt N [--json PATH]\n"
-    "               [--auto] [--tune] [--explain] [--tune-cache PATH]\n"
+    "               [--tune] [--explain] [--tune-cache PATH]\n"
     "               [--layout aos|soa|blocked|auto] [--chunks N] [--tasks on|off|auto]\n"
     "               [--steps N] [--npath N] [--prices N] [--depth N]\n"
     "               [--seed N] [--spy N] [--reps N] [--threads N] [--quick|--full]\n"
@@ -378,7 +377,6 @@ int main(int argc, char** argv) {
   bool no_coalesce = false;
   bool brownout_on = false;
   std::string chaos_spec;
-  bool auto_mode = false;
   bool force_tune = false;
   bool explain = false;
   bool chunks_set = false, tasks_set = false;
@@ -420,8 +418,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "pricectl: --tasks takes on, off, or auto\n");
         return 2;
       }
-    } else if (!std::strcmp(argv[i], "--auto")) {
-      auto_mode = true;
     } else if (!std::strcmp(argv[i], "--tune")) {
       force_tune = true;
     } else if (!std::strcmp(argv[i], "--explain")) {
@@ -525,24 +521,9 @@ int main(int argc, char** argv) {
 
   if (list) return run_list();
   if (validate) return run_validate(nopt ? nopt : 64);
-  if (kernel_id.empty() && auto_mode) kernel_id = "bs.auto";
   if (kernel_id.empty()) {
     std::fputs(kUsage, stderr);
     return 2;
-  }
-  // --auto turns a bare family name into the auto intent: "--auto --kernel
-  // bs" prices "bs.auto". A concrete 3-part id with --auto is a
-  // contradiction worth flagging rather than guessing about.
-  if (auto_mode && !tune::is_auto_id(kernel_id)) {
-    if (kernel_id.find('.') == std::string::npos) {
-      kernel_id += ".auto";
-    } else {
-      std::fprintf(stderr,
-                   "pricectl: --auto needs a kernel family (e.g. --kernel bs), not the "
-                   "concrete variant id '%s'\n",
-                   kernel_id.c_str());
-      return 2;
-    }
   }
 
   if (!tune_cache_path.empty()) {

@@ -27,6 +27,7 @@
 #include "finbench/arch/machine_model.hpp"
 #include "finbench/arch/parallel.hpp"
 #include "finbench/arch/timing.hpp"
+#include "finbench/core/scratch_pool.hpp"
 #include "finbench/engine/registry.hpp"
 #include "finbench/engine/thread_pool.hpp"
 #include "finbench/harness/report.hpp"
@@ -158,9 +159,9 @@ inline double measure_variant(const char* label, const engine::PricingRequest& r
 
 // Run fn(begin, end) over [0, n) in ranges whose size is a multiple of
 // `align`, on the shared engine pool — how an exhibit threads a kernel
-// call no registry variant covers (a tile-depth sweep, a 4-wide build of
-// an auto-width variant, a hand-rolled cache-blocked loop). The kernels
-// are serial loops; the pool is the one thread runtime.
+// call no registry variant covers (a tile-depth sweep, a variant's 4-wide
+// build, a hand-rolled cache-blocked loop). The kernels are serial loops;
+// the pool is the one thread runtime.
 template <class F>
 void on_pool(std::size_t n, std::size_t align, F&& fn) {
   if (n == 0) return;
@@ -178,6 +179,19 @@ void on_pool(std::size_t n, std::size_t align, F&& fn) {
     pool.run(static_cast<std::ptrdiff_t>((n + per - 1) / per), range);
   }
 }
+
+// A kernel scratch pool for direct kernel calls spread by on_pool (the
+// binomial lattices, the VML temporaries, the CN pack workspace), carved
+// outside the timed region and sized as the registry adapters' prepare
+// hooks size theirs: two slots per pool participant. A row's repetitions
+// then lease their temporaries instead of allocating them.
+struct PoolScratch {
+  core::Arena arena;
+  core::ScratchPool pool;
+  explicit PoolScratch(std::size_t slot_doubles) {
+    pool.reserve(arena, slot_doubles, 2 * engine::ThreadPool::shared().size());
+  }
+};
 
 // The DESIGN.md §1 projection: scale the host-measured throughput of a
 // W-wide code path to a modeled machine via the ratio of rooflines.

@@ -30,20 +30,35 @@ int main(int argc, char** argv) {
   const double flops = bs::kFlopsPerOption, bytes = bs::kBytesPerOption;
 
   // Registry-dispatched: one request per layout, variant selected by id.
+  // The 4-wide (SNB-EP) rows call the SOA kernels' 4-wide path over the
+  // engine pool in the same 64-option ranges; the VML row leases its
+  // temporaries from a pool carved before timing, as the variant's
+  // prepare hook does.
   engine::PricingRequest req_aos, req_soa;
   req_aos.portfolio = aos.view();
   req_soa.portfolio = soa.view();
+  bench::PoolScratch vml_scratch(4 * bs::kVmlChunk);
+  const auto soa4 = [&](const char* label, bool vml) {
+    return bench::items_per_sec(label, nopt, opts.reps, [&] {
+      bench::on_pool(nopt, 64, [&](std::size_t b, std::size_t e) {
+        const core::BsSoaView v = core::subview(req_soa.portfolio, b, e - b).soa;
+        if (vml) {
+          bs::price_advanced_vml(v, bs::Width::kAvx2, &vml_scratch.pool);
+        } else {
+          bs::price_intermediate(v, bs::Width::kAvx2);
+        }
+      });
+    });
+  };
 
   req_aos.kernel_id = "bs.reference.scalar";
   const double ref = bench::measure_variant("bs.ref", req_aos, nopt, opts.reps);
   req_aos.kernel_id = "bs.basic.auto";
   const double basic = bench::measure_variant("bs.basic", req_aos, nopt, opts.reps);
-  req_soa.kernel_id = "bs.intermediate.avx2";
-  const double inter4 = bench::measure_variant("bs.inter4", req_soa, nopt, opts.reps);
+  const double inter4 = soa4("bs.inter4", false);
   req_soa.kernel_id = "bs.intermediate.auto";
   const double inter8 = bench::measure_variant("bs.inter8", req_soa, nopt, opts.reps);
-  req_soa.kernel_id = "bs.advanced_vml.avx2";
-  const double vml4 = bench::measure_variant("bs.vml4", req_soa, nopt, opts.reps);
+  const double vml4 = soa4("bs.vml4", true);
   req_soa.kernel_id = "bs.advanced_vml.auto";
   const double vml8 = bench::measure_variant("bs.vml8", req_soa, nopt, opts.reps);
 

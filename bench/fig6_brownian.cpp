@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   arch::AlignedVector<double> z(nsim * zn);
   rng::NormalStream stream(1);
   stream.fill(z);
-  const auto z8 = brownian::lane_block_normals(z, nsim, zn, maxw);
+  const auto z4 = brownian::lane_block_normals(z, nsim, zn, 4);
 
   std::vector<double> paths(nsim * np);
   std::vector<double> avg(nsim);
@@ -56,13 +56,14 @@ int main(int argc, char** argv) {
   const double bytes_fused = 8.0;               // one reduced value per path
 
   // Cache-resident chunks: small enough that z and the output stay in L2.
+  // Their normals are the first chunk of paths, lane-blocked at full width.
   const std::size_t chunk = 512;
-  arch::AlignedVector<double> z_chunk(chunk * zn);
-  for (std::size_t i = 0; i < z_chunk.size(); ++i) z_chunk[i] = z8[i];
+  const auto z_chunk = brownian::lane_block_normals(z, chunk, zn, maxw);
 
   // Registry-dispatched rows: the adapters own the z streams (same seed, so
-  // identical normals); the bespoke cache-chunked rows below keep their
-  // hand-rolled loops.
+  // identical normals). The 4-wide (SNB-EP) row and the bespoke
+  // cache-chunked rows run the kernel over the engine pool directly, on
+  // normals built above, outside the timed region.
   engine::PricingRequest req;
   req.portfolio = core::paths_view(nsim);
   req.bridge_depth = depth;
@@ -73,7 +74,11 @@ int main(int argc, char** argv) {
   };
 
   const double basic = measure("brownian.basic", "brownian.basic.scalar");
-  const double inter4 = measure("brownian.inter4", "brownian.intermediate.avx2");
+  const double inter4 = bench::items_per_sec("brownian.inter4", nsim, opts.reps, [&] {
+    bench::on_pool(nsim, 8, [&](std::size_t b, std::size_t e) {
+      brownian::construct_intermediate(sched, z4, nsim, paths, brownian::Width::kAvx2, b, e);
+    });
+  });
   const double inter8 = measure("brownian.inter8", "brownian.intermediate.auto");
   // The two cache-chunked rows spread their 512-path blocks over the
   // engine pool; each participant builds in its own buffers.

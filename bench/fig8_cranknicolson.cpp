@@ -47,7 +47,11 @@ int main(int argc, char** argv) {
   const double scale = opts.full ? 1.0 : 1000.0 / 250.0;  // step-count normalization
 
   // Registry-dispatched: the request mirrors the grid (cn_num_prices x
-  // steps); each row selects its wavefront variant by id.
+  // steps); each 8-wide row selects its variant by id. The 4-wide
+  // (SNB-EP) rows run the kernel's batch driver at 4 lanes over the
+  // engine pool, in the registry's ranges (one option; a pair for the
+  // paired solve; one 4-option pack for the direct solve, whose workspace
+  // comes from a pool carved before timing).
   engine::PricingRequest req;
   req.portfolio = core::view_of(std::span<const core::OptionSpec>(workload));
   req.cn_num_prices = grid.num_prices;
@@ -56,25 +60,27 @@ int main(int argc, char** argv) {
     req.kernel_id = id;
     return bench::measure_variant(label, req, nopt, opts.reps);
   };
+  bench::PoolScratch packs(cn::direct_packed_doubles(grid));
+  std::vector<double> out(nopt);
+  auto measure4 = [&](const char* label, cn::Variant v, std::size_t align) {
+    return bench::items_per_sec(label, nopt, opts.reps, [&] {
+      bench::on_pool(nopt, align, [&](std::size_t b, std::size_t e) {
+        cn::price_batch(std::span(workload).subspan(b, e - b), grid, v,
+                        std::span(out).subspan(b, e - b), cn::Width::kAvx2, &packs.pool);
+      });
+    });
+  };
 
   const double ref = measure("cn.ref", "cn.reference.scalar");
-  const double wf4 = measure("cn.wf4", "cn.wavefront.avx2");
+  const double wf4 = measure4("cn.wf4", cn::Variant::kWavefront, 1);
   const double wf8 = measure("cn.wf8", "cn.wavefront.auto");
-  const double split4 = measure("cn.split4", "cn.wavefront_split.avx2");
+  const double split4 = measure4("cn.split4", cn::Variant::kWavefrontSplit, 1);
   const double split8 = measure("cn.split8", "cn.wavefront_split.auto");
-  const double paired4 = measure("cn.paired4", "cn.wavefront_split_paired.avx2");
+  const double paired4 = measure4("cn.paired4", cn::Variant::kWavefrontSplitPaired, 2);
   const double paired8 = measure("cn.paired8", "cn.wavefront_split_paired.auto");
   // Beyond the paper: options in the lanes, one direct solve per step.
-  // The registry variant is the widest build; the 4-wide row runs the
-  // kernel's batch driver over the engine pool, one 4-option pack a range.
   const double packed8 = measure("cn.packed8", "cn.direct_packed.auto");
-  std::vector<double> out(nopt);
-  const double packed4 = bench::items_per_sec("cn.packed4", nopt, opts.reps, [&] {
-    bench::on_pool(nopt, 4, [&](std::size_t b, std::size_t e) {
-      cn::price_batch(std::span(workload).subspan(b, e - b), grid, cn::Variant::kDirectPacked,
-                      std::span(out).subspan(b, e - b), cn::Width::kAvx2);
-    });
-  });
+  const double packed4 = measure4("cn.packed4", cn::Variant::kDirectPacked, 4);
   const double direct_flops = cn::flops_per_option_direct(grid);
 
   report.add_row(proj.make_row("Reference (scalar GSOR, 1000-step equiv)", ref / scale, flops,

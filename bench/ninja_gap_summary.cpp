@@ -12,6 +12,11 @@
 #include "finbench/core/portfolio.hpp"
 #include "finbench/core/workload.hpp"
 #include "finbench/kernels/binomial.hpp"
+#include "finbench/kernels/blackscholes.hpp"
+#include "finbench/kernels/brownian.hpp"
+#include "finbench/kernels/cranknicolson.hpp"
+#include "finbench/kernels/montecarlo.hpp"
+#include "finbench/rng/normal.hpp"
 
 using namespace finbench;
 
@@ -23,19 +28,21 @@ struct Gap {
   double gap8;  // best 8-wide / basic
 };
 
-// One kernel's basic, best 4-wide and best 8-wide rows, each timed through
-// its registry variant's run_batch, so the engine pool threads every
-// level alike. `basic` may carry a different layout than `best` (the AOS
-// pragma loop against the SOA SIMD kernels).
-Gap measure(const char* kernel, const char* tag_name, engine::PricingRequest basic,
-            engine::PricingRequest best, std::size_t items, int reps, const char* best4,
-            const char* best8) {
+// One kernel's basic, best 4-wide and best 8-wide rows. Basic and best
+// 8-wide run their registry variants' run_batch; the best 4-wide row runs
+// `best4(begin, end)`, the kernel's 4-wide path, over the engine pool in
+// `align`-multiple ranges, so the pool threads every level alike. `basic`
+// may carry a different layout than `best8` (the AOS pragma loop against
+// the SOA SIMD kernels).
+template <class F>
+Gap measure(const char* kernel, const char* tag_name, const engine::PricingRequest& basic,
+            const engine::PricingRequest& best8, std::size_t items, int reps, std::size_t align,
+            F&& best4) {
   const std::string tag = std::string("ninja.") + tag_name;
   const double base = bench::measure_variant((tag + ".basic").c_str(), basic, items, reps);
-  best.kernel_id = best4;
-  const double r4 = bench::measure_variant((tag + ".best4").c_str(), best, items, reps);
-  best.kernel_id = best8;
-  const double r8 = bench::measure_variant((tag + ".best8").c_str(), best, items, reps);
+  const double r4 = bench::items_per_sec((tag + ".best4").c_str(), items, reps,
+                                         [&] { bench::on_pool(items, align, best4); });
+  const double r8 = bench::measure_variant((tag + ".best8").c_str(), best8, items, reps);
   return {kernel, r4 / base, r8 / base};
 }
 
@@ -57,56 +64,91 @@ int main(int argc, char** argv) {
     core::Portfolio aos = core::Portfolio::bs(n, core::Layout::kBsAos, 1);
     core::Portfolio soa = core::Portfolio::bs(n, core::Layout::kBsSoa, 1);
     gaps.push_back(measure("black-scholes", "bs", request("bs.basic.auto", aos.view()),
-                           request("", soa.view()), n, opts.reps,
-                           "bs.intermediate.avx2", "bs.intermediate.auto"));
+                           request("bs.intermediate.auto", soa.view()), n, opts.reps, 64,
+                           [&](std::size_t b, std::size_t e) {
+                             kernels::bs::price_intermediate(
+                                 core::subview(soa.view(), b, e - b).soa,
+                                 kernels::bs::Width::kAvx2);
+                           }));
   }
-  {  // Binomial tree. The unrolled tile loop is registered widest only, so
-     // its 4-wide row runs the kernel over the engine pool directly.
+  {  // Binomial tree
     const std::size_t n = opts.full ? 128 : 32;
     const int steps = 1024;
     const auto w = core::make_option_workload(n, 2);
-    engine::PricingRequest req = request("binomial.basic.auto", core::view_of(std::span(w)));
-    req.steps = steps;
-    const double basic = bench::measure_variant("ninja.binomial.basic", req, n, opts.reps);
+    engine::PricingRequest basic = request("binomial.basic.auto", core::view_of(std::span(w)));
+    basic.steps = steps;
+    engine::PricingRequest best8 = basic;
+    best8.kernel_id = "binomial.advanced_unrolled.auto";
+    bench::PoolScratch lattices(kernels::binomial::lattice_doubles(steps));
     std::vector<double> out(n);
-    const double best4 = bench::items_per_sec("ninja.binomial.best4", n, opts.reps, [&] {
-      bench::on_pool(n, 4, [&](std::size_t b, std::size_t e) {
-        kernels::binomial::price_advanced_unrolled(std::span(w).subspan(b, e - b), steps,
-                                                   std::span(out).subspan(b, e - b),
-                                                   kernels::binomial::Width::kAvx2);
-      });
-    });
-    req.kernel_id = "binomial.advanced_unrolled.auto";
-    const double best8 = bench::measure_variant("ninja.binomial.best8", req, n, opts.reps);
-    gaps.push_back({"binomial-tree", best4 / basic, best8 / basic});
+    gaps.push_back(measure("binomial-tree", "binomial", basic, best8, n, opts.reps, 4,
+                           [&](std::size_t b, std::size_t e) {
+                             kernels::binomial::price_advanced_unrolled(
+                                 std::span(w).subspan(b, e - b), steps,
+                                 std::span(out).subspan(b, e - b),
+                                 kernels::binomial::Width::kAvx2, &lattices.pool);
+                           }));
   }
-  {  // Brownian bridge
+  {  // Brownian bridge: the 4-wide row's lane-blocked normals are the
+     // adapters' draw (seed 1), blocked before timing.
     const std::size_t n = opts.full ? (1u << 18) : (1u << 15);
-    engine::PricingRequest req = request("brownian.basic.scalar", core::paths_view(n));
-    req.bridge_depth = 6;
-    req.seed = 1;
-    gaps.push_back(measure("brownian-bridge", "brownian", req, req, n, opts.reps,
-                           "brownian.intermediate.avx2", "brownian.intermediate.auto"));
+    const int depth = 6;
+    engine::PricingRequest basic = request("brownian.basic.scalar", core::paths_view(n));
+    basic.bridge_depth = depth;
+    basic.seed = 1;
+    engine::PricingRequest best8 = basic;
+    best8.kernel_id = "brownian.intermediate.auto";
+    const auto sched = kernels::brownian::BridgeSchedule::uniform(depth, 1.0);
+    arch::AlignedVector<double> z(n * sched.normals_per_path());
+    rng::NormalStream(basic.seed).fill(z);
+    const auto z4 = kernels::brownian::lane_block_normals(z, n, sched.normals_per_path(), 4);
+    std::vector<double> paths(n * sched.num_points());
+    gaps.push_back(measure("brownian-bridge", "brownian", basic, best8, n, opts.reps, 8,
+                           [&](std::size_t b, std::size_t e) {
+                             kernels::brownian::construct_intermediate(
+                                 sched, z4, n, paths, kernels::brownian::Width::kAvx2, b, e);
+                           }));
   }
-  {  // Monte Carlo (the paper's point: basic pragmas ~close the gap)
+  {  // Monte Carlo (the paper's point: basic pragmas ~close the gap). The
+     // 4-wide row streams the adapters' normals (seed 2), drawn before timing.
     const std::size_t n = opts.full ? 16 : 8;
     const auto w = core::make_option_workload(n, 3);
-    engine::PricingRequest req = request("mc.basic_stream.auto", core::view_of(std::span(w)));
-    req.npath = opts.full ? (1u << 17) : (1u << 15);
-    req.seed = 2;
-    gaps.push_back(measure("monte-carlo", "mc", req, req, n, opts.reps,
-                           "mc.optimized_stream.avx2", "mc.optimized_stream.auto"));
+    engine::PricingRequest basic = request("mc.basic_stream.auto", core::view_of(std::span(w)));
+    basic.npath = opts.full ? (1u << 17) : (1u << 15);
+    basic.seed = 2;
+    engine::PricingRequest best8 = basic;
+    best8.kernel_id = "mc.optimized_stream.auto";
+    arch::AlignedVector<double> z(basic.npath);
+    rng::NormalStream(basic.seed).fill(z);
+    std::vector<kernels::mc::McResult> out(n);
+    gaps.push_back(measure("monte-carlo", "mc", basic, best8, n, opts.reps, 1,
+                           [&](std::size_t b, std::size_t e) {
+                             kernels::mc::price_optimized_stream(
+                                 std::span(w).subspan(b, e - b), z, basic.npath,
+                                 std::span(out).subspan(b, e - b), kernels::mc::Width::kAvx2);
+                           }));
   }
   {  // Crank–Nicolson
     const std::size_t n = opts.full ? 8 : 4;
     core::SingleOptionWorkloadParams params;
     params.style = core::ExerciseStyle::kAmerican;
     const auto w = core::make_option_workload(n, 5, params);
-    engine::PricingRequest req = request("cn.reference.scalar", core::view_of(std::span(w)));
-    req.cn_num_prices = 257;
-    req.steps = opts.full ? 500 : 150;
-    gaps.push_back(measure("crank-nicolson", "cn", req, req, n, opts.reps,
-                           "cn.wavefront_split.avx2", "cn.wavefront_split.auto"));
+    engine::PricingRequest basic = request("cn.reference.scalar", core::view_of(std::span(w)));
+    basic.cn_num_prices = 257;
+    basic.steps = opts.full ? 500 : 150;
+    engine::PricingRequest best8 = basic;
+    best8.kernel_id = "cn.wavefront_split.auto";
+    kernels::cn::GridSpec grid;
+    grid.num_prices = basic.cn_num_prices;
+    grid.num_steps = basic.steps;
+    std::vector<double> out(n);
+    gaps.push_back(measure("crank-nicolson", "cn", basic, best8, n, opts.reps, 1,
+                           [&](std::size_t b, std::size_t e) {
+                             kernels::cn::price_batch(std::span(w).subspan(b, e - b), grid,
+                                                      kernels::cn::Variant::kWavefrontSplit,
+                                                      std::span(out).subspan(b, e - b),
+                                                      kernels::cn::Width::kAvx2);
+                           }));
   }
 
   std::printf("\n===============================================================\n");

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "finbench/core/option.hpp"
@@ -39,6 +40,12 @@ struct SingleOptionWorkloadParams {
   OptionType type = OptionType::kPut;
   ExerciseStyle style = ExerciseStyle::kEuropean;
 };
+
+// Draws out.size() options in place (Philox stream 0xA0): the one draw
+// loop behind make_option_workload and core::Portfolio::specs, so both
+// hold the same options for one (n, seed).
+void draw_option_workload(std::span<OptionSpec> out, std::uint64_t seed = 0,
+                          const SingleOptionWorkloadParams& p = {});
 
 std::vector<OptionSpec> make_option_workload(std::size_t n, std::uint64_t seed = 0,
                                              const SingleOptionWorkloadParams& p = {});

@@ -1,17 +1,20 @@
 // finbench/engine/registry.hpp
 //
-// The kernel registry: every kernel variant in the library (kernel x
-// OptLevel x SIMD width) is registered under a stable string id —
-// "bs.intermediate.avx2", "mc.optimized_computed.auto", ... — with a
-// uniform execution adapter over PricingRequest/PricingResult, cost-model
-// metadata for weighted chunking and rooflines, and a link to the
-// reference variant it must agree with (the self-validation anchor: see
-// validate_variant in finbench/engine/validate.hpp).
+// The kernel registry: every kernel variant the autotuner races, plus the
+// fallback links and references they lean on, is registered under a
+// stable string id — "bs.intermediate.auto", "mc.optimized_computed.auto",
+// ... — with a uniform execution adapter over PricingRequest/PricingResult,
+// cost-model metadata for weighted chunking and rooflines, and a link to
+// the reference variant it must agree with (the self-validation anchor:
+// see validate_variant in finbench/engine/validate.hpp).
 //
 // Id scheme: "<kernel>.<variant>.<width>" with width one of
 //   scalar — the W=1 reference path
-//   avx2   — the forced 4-wide (SNB-EP-class) path
 //   auto   — the widest path compiled into this build (8-wide with AVX-512)
+// The register-tiled blocked families name their lane count instead
+// ("blackscholes.blocked.8", "blackscholes.blocked_fused.16f",
+// "binomial.blocked.4"). The paper's 4-wide SNB-EP rows are exhibit rows:
+// the fig/tab binaries call the kernels' 4-wide paths directly.
 //
 // The built-in variants register on first Registry::instance() access, so
 // there is no static-initialization-order or archive-stripping hazard.
@@ -19,7 +22,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,7 +40,7 @@ using Layout = core::Layout;
 using core::to_string;
 
 struct VariantInfo {
-  std::string id;            // "binomial.advanced.avx2"
+  std::string id;            // "binomial.advanced.auto"
   std::string kernel;        // family: "bs", "binomial", "brownian", "mc", "cn"
   core::OptLevel level = core::OptLevel::kReference;
   int width = 1;             // nominal SIMD lanes; 0 = widest compiled in
@@ -110,13 +112,12 @@ struct VariantInfo {
                     std::size_t end, PricingResult&) = nullptr;
 
   // The whole workload in one call — what the fig/tab benchmarks, the
-  // self-validation and direct callers dispatch. Installed by
-  // Registry::add for every variant: Engine::shared().run_batch, i.e.
-  // prepare, then run_range over P x chunks_per_thread ranges claimed
-  // from the shared ThreadPool's ticket counter (inline when called from
-  // inside a pool run).
-  std::function<void(const PricingRequest&, const core::PortfolioView&, PricingResult&)>
-      run_batch;
+  // self-validation and direct callers dispatch:
+  // Engine::shared().run_batch(*this, ...), i.e. prepare, then run_range
+  // over P x chunks_per_thread ranges claimed from the shared ThreadPool's
+  // ticket counter (inline when called from inside a pool run).
+  void run_batch(const PricingRequest& req, const core::PortfolioView& view,
+                 PricingResult& res) const;
 };
 
 class Registry {
@@ -124,7 +125,7 @@ class Registry {
   // The process-wide registry, with all built-in variants registered.
   static Registry& instance();
 
-  // Register a variant and install its run_batch. Throws
+  // Register a variant. Throws
   // std::invalid_argument on a duplicate or empty id or a missing
   // run_range. Thread-safe.
   void add(VariantInfo v);

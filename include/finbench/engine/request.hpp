@@ -43,7 +43,7 @@ struct Scratch;
 enum class TaskMode : int { kAuto = -1, kOff = 0, kOn = 1 };
 
 struct PricingRequest {
-  // Registry id of the variant to run, e.g. "bs.intermediate.avx2".
+  // Registry id of the variant to run, e.g. "bs.intermediate.auto".
   std::string kernel_id;
 
   // --- Workload: one layout-tagged view (core::view_of / core::Portfolio).

@@ -5,8 +5,8 @@
 // candidate variants — every variant of the family whose layout the
 // workload matches or can negotiate to — through the real Engine::price
 // path, then race the chunks_per_thread grid on the winning variant
-// (chunked kSpecs execution only) and the intra-option task mode (binomial,
-// CN and MC on a pool of more than one), and return the evidence as a
+// (chunked kSpecs execution only) and the intra-option task mode (binomial
+// and MC on a pool of more than one), and return the evidence as a
 // RaceReport. resolve() is the cache-through entry the engine calls: hit
 // the PlanCache, else race once and persist.
 //

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -586,8 +587,14 @@ Portfolio Portfolio::bs(std::size_t n, Layout layout, std::uint64_t seed,
 
 Portfolio Portfolio::specs(std::size_t n, std::uint64_t seed,
                            const SingleOptionWorkloadParams& p) {
-  std::vector<OptionSpec> gen = make_option_workload(n, seed, p);
-  return specs(std::span<const OptionSpec>(gen));
+  Portfolio out;
+  const std::span<OptionSpec> dst = out.arena_.make_span<OptionSpec>(n);
+  // Value-initialized first, as make_option_workload's vector is: the
+  // draw leaves the dividend field and the padding bytes alone.
+  std::uninitialized_value_construct(dst.begin(), dst.end());
+  draw_option_workload(dst, seed, p);
+  out.view_ = view_of(std::span<const OptionSpec>(dst));
+  return out;
 }
 
 Portfolio Portfolio::specs(std::span<const OptionSpec> copy_from) {

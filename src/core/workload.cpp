@@ -12,10 +12,9 @@ double uniform_in(rng::Philox4x32& gen, double lo, double hi) {
 
 }  // namespace
 
-std::vector<OptionSpec> make_option_workload(std::size_t n, std::uint64_t seed,
-                                             const SingleOptionWorkloadParams& p) {
+void draw_option_workload(std::span<OptionSpec> out, std::uint64_t seed,
+                          const SingleOptionWorkloadParams& p) {
   rng::Philox4x32 gen(seed, /*stream=*/0xA0);
-  std::vector<OptionSpec> out(n);
   for (auto& o : out) {
     o.spot = uniform_in(gen, p.spot_min, p.spot_max);
     o.strike = uniform_in(gen, p.strike_min, p.strike_max);
@@ -25,6 +24,12 @@ std::vector<OptionSpec> make_option_workload(std::size_t n, std::uint64_t seed,
     o.type = p.type;
     o.style = p.style;
   }
+}
+
+std::vector<OptionSpec> make_option_workload(std::size_t n, std::uint64_t seed,
+                                             const SingleOptionWorkloadParams& p) {
+  std::vector<OptionSpec> out(n);
+  draw_option_workload(out, seed, p);
   return out;
 }
 

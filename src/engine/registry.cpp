@@ -25,6 +25,11 @@ struct Registry::Impl {
   std::map<std::string, VariantInfo, std::less<>> variants;
 };
 
+void VariantInfo::run_batch(const PricingRequest& req, const core::PortfolioView& view,
+                            PricingResult& res) const {
+  Engine::shared().run_batch(*this, req, view, res);
+}
+
 Registry::Registry() : impl_(new Impl) {
   register_blackscholes(*this);
   register_binomial(*this);
@@ -46,11 +51,6 @@ void Registry::add(VariantInfo v) {
   std::lock_guard<std::mutex> lock(impl_->mu);
   auto [it, inserted] = impl_->variants.emplace(v.id, std::move(v));
   if (!inserted) throw std::invalid_argument("registry: duplicate variant id '" + it->first + "'");
-  const VariantInfo* self = &it->second;
-  it->second.run_batch = [self](const PricingRequest& req, const core::PortfolioView& view,
-                                PricingResult& res) {
-    Engine::shared().run_batch(*self, req, view, res);
-  };
 }
 
 const VariantInfo* Registry::find(std::string_view id) const {

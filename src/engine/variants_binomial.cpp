@@ -59,18 +59,16 @@ double item_cost(const core::OptionSpec& o, const PricingRequest& req) {
   return s * (s + 1);
 }
 
-using BatchFn = void (*)(std::span<const core::OptionSpec>, int, std::span<double>, Width,
+using BatchFn = void (*)(std::span<const core::OptionSpec>, int, std::span<double>,
                          core::ScratchPool*);
 
-// Uniform-depth kernels take (opts, steps, out, width, scratch); wrap the
-// two width-less entry points into that shape.
-void reference_w(std::span<const core::OptionSpec> o, int s, std::span<double> out, Width,
-                 core::ScratchPool* scratch) {
-  kernels::binomial::price_reference(o, s, out, scratch);
-}
-void basic_w(std::span<const core::OptionSpec> o, int s, std::span<double> out, Width,
-             core::ScratchPool* scratch) {
-  kernels::binomial::price_basic(o, s, out, scratch);
+// Uniform-depth kernels take (opts, steps, out, scratch); the SIMD ones
+// run at the widest width compiled in.
+template <void (*K)(std::span<const core::OptionSpec>, int, std::span<double>, Width,
+                    core::ScratchPool*)>
+void widest(std::span<const core::OptionSpec> o, int s, std::span<double> out,
+            core::ScratchPool* scratch) {
+  K(o, s, out, Width::kAuto, scratch);
 }
 
 // Deepest lattice any option of this request needs — the scratch pool's
@@ -148,7 +146,6 @@ double price_one_tasked(const core::OptionSpec& opt, int steps, Scratch& s) {
 // Mixed depths in depth packs: the chunk sorts its own options' depth keys
 // in its slice of the request's depth_order, then prices them W lanes at a
 // time.
-template <Width W>
 void run_packed(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
                 std::size_t end, PricingResult& res) {
   Scratch& s = scratch_of(req);
@@ -159,13 +156,14 @@ void run_packed(const PricingRequest& req, const core::PortfolioView& view, std:
   }
   std::sort(order.begin(), order.end());
   kernels::binomial::price_packed(view.specs.subspan(begin, m), order,
-                                  {res.values.data() + begin, m}, W, &s.lattice_pool);
+                                  {res.values.data() + begin, m}, Width::kAuto,
+                                  &s.lattice_pool);
 }
 
 // Mixed depths one option at a time (the scalar variants); with tasks on,
 // deep European options go through the banded decomposition, which is
 // bitwise-neutral against the scalar reference.
-template <BatchFn K, Width W>
+template <BatchFn K>
 void run_each(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
               std::size_t end, PricingResult& res) {
   Scratch& s = scratch_of(req);
@@ -178,20 +176,20 @@ void run_each(const PricingRequest& req, const core::PortfolioView& view, std::s
       res.values[o] = price_one_tasked(opt, steps, s);
       continue;
     }
-    K(view.specs.subspan(o, 1), steps, {res.values.data() + o, 1}, W, &s.lattice_pool);
+    K(view.specs.subspan(o, 1), steps, {res.values.data() + o, 1}, &s.lattice_pool);
   }
 }
 
-template <BatchFn K, Width W, bool Packed>
+template <BatchFn K, bool Packed>
 void run_range(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
                std::size_t end, PricingResult& res) {
   if (req.steps_per_year <= 0) {
     K(view.specs.subspan(begin, end - begin), req.steps,
-      {res.values.data() + begin, end - begin}, W, &scratch_of(req).lattice_pool);
+      {res.values.data() + begin, end - begin}, &scratch_of(req).lattice_pool);
   } else if constexpr (Packed) {
-    run_packed<W>(req, view, begin, end, res);
+    run_packed(req, view, begin, end, res);
   } else {
-    run_each<K, W>(req, view, begin, end, res);
+    run_each<K>(req, view, begin, end, res);
   }
 }
 
@@ -266,10 +264,10 @@ VariantInfo base(const char* id, OptLevel level, int width, const char* desc) {
 }
 
 // Packed: the SIMD variants, whose mixed-depth chunks run in depth packs.
-template <BatchFn K, Width W, bool Packed>
+template <BatchFn K, bool Packed>
 void wire(VariantInfo& v) {
   v.prepare = reserve_lattice;
-  v.run_range = run_range<K, W, Packed>;
+  v.run_range = run_range<K, Packed>;
 }
 
 void wire_blocked(VariantInfo& v, decltype(VariantInfo::run_range) range) {
@@ -287,7 +285,7 @@ void register_binomial(Registry& r) {
     VariantInfo v = base("binomial.reference.scalar", OptLevel::kReference, 1,
                          "per-option scalar CRR reduction (Lis. 2)");
     v.reference_id = "";
-    wire<reference_w, Width::kScalar, false>(v);
+    wire<kernels::binomial::price_reference, false>(v);
     r.add(std::move(v));
   }
   {
@@ -297,36 +295,22 @@ void register_binomial(Registry& r) {
     // price_basic's backward induction carries no early-exercise max —
     // the omp-simd inner loop is pure continuation value.
     v.european_only = true;
-    wire<basic_w, Width::kAuto, false>(v);
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("binomial.intermediate.avx2", OptLevel::kIntermediate, 4,
-                         "4-wide SIMD across options, one option per lane");
-    wire<kernels::binomial::price_intermediate, Width::kAvx2, true>(v);
+    wire<kernels::binomial::price_basic, false>(v);
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("binomial.intermediate.auto", OptLevel::kIntermediate, 0,
                          "widest SIMD across options, one option per lane");
-    wire<kernels::binomial::price_intermediate, Width::kAuto, true>(v);
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("binomial.advanced.avx2", OptLevel::kAdvanced, 4,
-                         "register tiling (Lis. 3), 4-wide");
-    v.european_only = true;
-    // Fallback chain: advanced -> intermediate -> reference.
-    v.fallback_id = "binomial.intermediate.avx2";
-    wire<kernels::binomial::price_advanced, Width::kAvx2, true>(v);
+    wire<widest<kernels::binomial::price_intermediate>, true>(v);
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("binomial.advanced.auto", OptLevel::kAdvanced, 0,
                          "register tiling (Lis. 3), widest");
     v.european_only = true;
+    // Fallback chain: advanced -> intermediate -> reference.
     v.fallback_id = "binomial.intermediate.auto";
-    wire<kernels::binomial::price_advanced, Width::kAuto, true>(v);
+    wire<widest<kernels::binomial::price_advanced>, true>(v);
     r.add(std::move(v));
   }
   {
@@ -334,7 +318,7 @@ void register_binomial(Registry& r) {
                          "register tiling + manual tile-loop unrolling");
     v.european_only = true;
     v.fallback_id = "binomial.advanced.auto";  // -> intermediate -> reference
-    wire<kernels::binomial::price_advanced_unrolled, Width::kAuto, true>(v);
+    wire<widest<kernels::binomial::price_advanced_unrolled>, true>(v);
     r.add(std::move(v));
   }
   // --- Blocked (AoSoA) family ----------------------------------------------

@@ -32,9 +32,8 @@ void price_aos(const PricingRequest&, const core::PortfolioView& view) {
   K(view.aos);
 }
 
-template <Width W>
 void price_intermediate(const PricingRequest&, const core::PortfolioView& view) {
-  kernels::bs::price_intermediate(view.soa, W);
+  kernels::bs::price_intermediate(view.soa);
 }
 
 // The temporaries (d1/d2/xexp/qlog) lease from the request's vml pool,
@@ -46,9 +45,8 @@ void prepare_vml(const PricingRequest& req, const core::PortfolioView&, PricingR
   s.vml_pool.reserve(s.kernel_arena, 4 * kernels::bs::kVmlChunk, scratch_slots(s));
 }
 
-template <Width W>
 void price_advanced_vml(const PricingRequest& req, const core::PortfolioView& view) {
-  kernels::bs::price_advanced_vml(view.soa, W, &scratch_of(req).vml_pool);
+  kernels::bs::price_advanced_vml(view.soa, Width::kAuto, &scratch_of(req).vml_pool);
 }
 
 void price_intermediate_sp(const PricingRequest&, const core::PortfolioView& view) {
@@ -118,37 +116,21 @@ void register_blackscholes(Registry& r) {
     r.add(std::move(v));
   }
   {
-    VariantInfo v = base("bs.intermediate.avx2", OptLevel::kIntermediate, 4, Layout::kBsSoa,
-                         "SOA + 4-wide SIMD across options, erf substitution, put via parity");
-    v.tolerance = 1e-9;
-    set_kernel<price_intermediate<Width::kAvx2>>(v);
-    r.add(std::move(v));
-  }
-  {
     VariantInfo v = base("bs.intermediate.auto", OptLevel::kIntermediate, 0, Layout::kBsSoa,
                          "SOA + widest SIMD across options, erf substitution, put via parity");
     v.tolerance = 1e-9;
-    set_kernel<price_intermediate<Width::kAuto>>(v);
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("bs.advanced_vml.avx2", OptLevel::kAdvanced, 4, Layout::kBsSoa,
-                         "SOA + VML-style whole-array transcendental passes, 4-wide");
-    v.tolerance = 1e-8;
-    // Graceful degradation: a failed VML batch re-prices through the
-    // plain intermediate SOA kernel; the scalar closed form is the
-    // engine's terminal repair for any BS layout (docs/robustness.md).
-    v.fallback_id = "bs.intermediate.avx2";
-    set_kernel<price_advanced_vml<Width::kAvx2>>(v);
-    v.prepare = prepare_vml;
+    set_kernel<price_intermediate>(v);
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("bs.advanced_vml.auto", OptLevel::kAdvanced, 0, Layout::kBsSoa,
                          "SOA + VML-style whole-array transcendental passes, widest");
     v.tolerance = 1e-8;
+    // Graceful degradation: a failed VML batch re-prices through the
+    // plain intermediate SOA kernel; the scalar closed form is the
+    // engine's terminal repair for any BS layout (docs/robustness.md).
     v.fallback_id = "bs.intermediate.auto";
-    set_kernel<price_advanced_vml<Width::kAuto>>(v);
+    set_kernel<price_advanced_vml>(v);
     v.prepare = prepare_vml;
     r.add(std::move(v));
   }

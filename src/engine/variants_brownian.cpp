@@ -62,21 +62,17 @@ Scratch& prepared(const PricingRequest& req, const core::PortfolioView& view, in
   return s;
 }
 
-int lanes(Width w) {
-  return w == Width::kAuto ? vecmath::max_width() : static_cast<int>(w);
-}
-
 // Values per path: the whole path, or its average (the fused variant).
 std::size_t path_values(const Scratch& s, bool fused) {
   return fused ? 1 : s.sched->num_points();
 }
 
-// The prepare hook: schedule, normals (lane-blocked for width W when
-// Blocked) and the point-major output.
-template <Width W, bool Blocked, bool Fused>
+// The prepare hook: schedule, normals (lane-blocked for the widest width
+// when Blocked) and the point-major output.
+template <bool Blocked, bool Fused>
 void prepare_paths(const PricingRequest& req, const core::PortfolioView& view,
                    PricingResult& res) {
-  const Scratch& s = prepared(req, view, Blocked ? lanes(W) : 1);
+  const Scratch& s = prepared(req, view, Blocked ? vecmath::max_width() : 1);
   const std::size_t need = view.npaths * path_values(s, Fused);
   if (res.values.size() != need) res.values.assign(need, 0.0);
 }
@@ -105,12 +101,12 @@ void run_basic(const PricingRequest& req, const core::PortfolioView& view, std::
                                      path_out(req, view, res, false), begin, end);
 }
 
-template <Width W>
 void run_intermediate(const PricingRequest& req, const core::PortfolioView& view,
                       std::size_t begin, std::size_t end, PricingResult& res) {
   const Scratch& s = *req.scratch;
   kernels::brownian::construct_intermediate(*s.sched, s.bb_z_blocked, view.npaths,
-                                            path_out(req, view, res, false), W, begin, end);
+                                            path_out(req, view, res, false), Width::kAuto,
+                                            begin, end);
 }
 
 void run_interleaved(const PricingRequest& req, const core::PortfolioView& view,
@@ -150,29 +146,22 @@ void register_brownian(Registry& r) {
     VariantInfo v = base("brownian.reference.scalar", OptLevel::kReference, 1,
                          "per-path scalar midpoint refinement (Lis. 4)");
     v.reference_id = "";
-    v.prepare = prepare_paths<Width::kScalar, false, false>;
+    v.prepare = prepare_paths<false, false>;
     v.run_range = run_reference;
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("brownian.basic.scalar", OptLevel::kBasic, 1,
                          "scalar construction (no vectorizable loop for pragmas)");
-    v.prepare = prepare_paths<Width::kScalar, false, false>;
+    v.prepare = prepare_paths<false, false>;
     v.run_range = run_basic;
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("brownian.intermediate.avx2", OptLevel::kIntermediate, 4,
-                         "4 paths per SIMD lane group, lane-blocked normals");
-    v.prepare = prepare_paths<Width::kAvx2, true, false>;
-    v.run_range = run_intermediate<Width::kAvx2>;
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("brownian.intermediate.auto", OptLevel::kIntermediate, 0,
                          "widest SIMD across paths, lane-blocked normals");
-    v.prepare = prepare_paths<Width::kAuto, true, false>;
-    v.run_range = run_intermediate<Width::kAuto>;
+    v.prepare = prepare_paths<true, false>;
+    v.run_range = run_intermediate;
     r.add(std::move(v));
   }
   {
@@ -183,7 +172,7 @@ void register_brownian(Registry& r) {
     v.statistical = true;  // draws its own normals
     v.tolerance = 0.08;    // |mean| band at >= 4096 validation paths
     v.bytes_per_item = bytes_interleaved;
-    v.prepare = prepare_paths<Width::kAuto, false, false>;
+    v.prepare = prepare_paths<false, false>;
     v.run_range = run_interleaved;
     r.add(std::move(v));
   }
@@ -194,7 +183,7 @@ void register_brownian(Registry& r) {
     v.statistical = true;
     v.tolerance = 0.08;
     v.bytes_per_item = bytes_fused;
-    v.prepare = prepare_paths<Width::kAuto, false, true>;
+    v.prepare = prepare_paths<false, true>;
     v.run_range = run_fused;
     r.add(std::move(v));
   }

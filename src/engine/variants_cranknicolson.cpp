@@ -49,11 +49,14 @@ double item_cost(const core::OptionSpec& o, const PricingRequest&) {
   return 1.0 + o.vol * o.vol * o.years;
 }
 
-template <Variant V, Width W>
+// Every variant at the widest width compiled in. Only the direct solve
+// reads the scratch pool (the PSOR variants need no workspace).
+template <Variant V>
 void run_range(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
                std::size_t end, PricingResult& res) {
   kernels::cn::price_batch(view.specs.subspan(begin, end - begin), grid_of(req), V,
-                           {res.values.data() + begin, end - begin}, W);
+                           {res.values.data() + begin, end - begin}, Width::kAuto,
+                           &scratch_of(req).pack_pool);
 }
 
 // --- Option-packed direct solve ----------------------------------------------
@@ -67,13 +70,6 @@ void reserve_packs(const PricingRequest& req, const core::PortfolioView&, Pricin
   Scratch& s = scratch_of(req);
   s.pack_pool.reserve(s.kernel_arena, kernels::cn::direct_packed_doubles(grid_of(req)),
                       scratch_slots(s));
-}
-
-void run_range_packed(const PricingRequest& req, const core::PortfolioView& view,
-                      std::size_t begin, std::size_t end, PricingResult& res) {
-  kernels::cn::price_batch(view.specs.subspan(begin, end - begin), grid_of(req),
-                           Variant::kDirectPacked, {res.values.data() + begin, end - begin},
-                           Width::kAuto, &scratch_of(req).pack_pool);
 }
 
 VariantInfo base(const char* id, OptLevel level, int width, const char* desc) {
@@ -90,16 +86,16 @@ VariantInfo base(const char* id, OptLevel level, int width, const char* desc) {
   // (tests/test_cranknicolson.cpp); against the plain per-iteration-checked
   // GSOR reference the gap is the solver convergence tolerance (~3e-5).
   v.tolerance = 1e-4;
-  v.flops_per_item = width == 1 ? flops<1> : width == 4 ? flops<4> : flops<0>;
+  v.flops_per_item = width == 1 ? flops<1> : flops<0>;
   v.bytes_per_item = bytes;
   v.item_cost = item_cost;
   v.range_align = 1;  // options are independent (the paired variants: 2)
   return v;
 }
 
-template <Variant V, Width W>
+template <Variant V>
 void wire(VariantInfo& v) {
-  v.run_range = run_range<V, W>;
+  v.run_range = run_range<V>;
   if (V == Variant::kWavefrontSplitPaired) v.range_align = 2;
 }
 
@@ -110,48 +106,28 @@ void register_cranknicolson(Registry& r) {
     VariantInfo v = base("cn.reference.scalar", OptLevel::kReference, 1,
                          "scalar GSOR, convergence checked every iteration (Lis. 6/7)");
     v.reference_id = "";
-    wire<Variant::kReference, Width::kScalar>(v);
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("cn.wavefront.avx2", OptLevel::kIntermediate, 4,
-                         "SIMD lanes along the t = 2k + j wavefront, stride-2 gathers");
-    wire<Variant::kWavefront, Width::kAvx2>(v);
+    wire<Variant::kReference>(v);
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("cn.wavefront.auto", OptLevel::kIntermediate, 0,
                          "widest wavefront SIMD, stride-2 gathers");
-    wire<Variant::kWavefront, Width::kAuto>(v);
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("cn.wavefront_split.avx2", OptLevel::kAdvanced, 4,
-                         "parity-split storage: unit-stride wavefront accesses, 4-wide");
-    // Fallback chain: split(_paired) -> wavefront -> reference.
-    v.fallback_id = "cn.wavefront.avx2";
-    wire<Variant::kWavefrontSplit, Width::kAvx2>(v);
+    wire<Variant::kWavefront>(v);
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("cn.wavefront_split.auto", OptLevel::kAdvanced, 0,
                          "parity-split storage: unit-stride wavefront accesses, widest");
+    // Fallback chain: split(_paired) -> wavefront -> reference.
     v.fallback_id = "cn.wavefront.auto";
-    wire<Variant::kWavefrontSplit, Width::kAuto>(v);
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("cn.wavefront_split_paired.avx2", OptLevel::kAdvanced, 4,
-                         "parity split + two solves interleaved for ILP, 4-wide");
-    v.fallback_id = "cn.wavefront_split.avx2";  // -> wavefront -> reference
-    wire<Variant::kWavefrontSplitPaired, Width::kAvx2>(v);
+    wire<Variant::kWavefrontSplit>(v);
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("cn.wavefront_split_paired.auto", OptLevel::kAdvanced, 0,
                          "parity split + two solves interleaved for ILP, widest");
     v.fallback_id = "cn.wavefront_split.auto";  // -> wavefront -> reference
-    wire<Variant::kWavefrontSplitPaired, Width::kAuto>(v);
+    wire<Variant::kWavefrontSplitPaired>(v);
     r.add(std::move(v));
   }
   {
@@ -163,7 +139,7 @@ void register_cranknicolson(Registry& r) {
     v.item_cost = nullptr;  // uniform: a direct step costs the same at any sigma^2 T
     v.range_align = 8;      // whole packs: a narrower range leaves lanes idle
     v.prepare = reserve_packs;
-    v.run_range = run_range_packed;
+    v.run_range = run_range<Variant::kDirectPacked>;
     r.add(std::move(v));
   }
 }

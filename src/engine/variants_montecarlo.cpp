@@ -91,23 +91,20 @@ void store(std::span<const McResult> mc, std::size_t begin, PricingResult& res) 
 }
 
 using StreamFn = void (*)(std::span<const core::OptionSpec>, std::span<const double>,
-                          std::size_t, std::span<McResult>, Width);
+                          std::size_t, std::span<McResult>);
 
-void reference_stream_w(std::span<const core::OptionSpec> o, std::span<const double> z,
-                        std::size_t n, std::span<McResult> out, Width) {
-  kernels::mc::price_reference_stream(o, z, n, out);
-}
-void basic_stream_w(std::span<const core::OptionSpec> o, std::span<const double> z,
-                    std::size_t n, std::span<McResult> out, Width) {
-  kernels::mc::price_basic_stream(o, z, n, out);
+// The SIMD stream kernel at the widest width compiled in.
+void optimized_stream_w(std::span<const core::OptionSpec> o, std::span<const double> z,
+                        std::size_t n, std::span<McResult> out) {
+  kernels::mc::price_optimized_stream(o, z, n, out);
 }
 
-template <StreamFn K, Width W>
+template <StreamFn K>
 void stream_range(const PricingRequest& req, const core::PortfolioView& view,
                   std::size_t begin, std::size_t end, PricingResult& res) {
   Scratch& s = *req.scratch;  // built by prepare_stream
   std::span<McResult> mc{s.mc.data() + begin, end - begin};
-  K(view.specs.subspan(begin, end - begin), s.z, req.npath, mc, W);
+  K(view.specs.subspan(begin, end - begin), s.z, req.npath, mc);
   store(mc, begin, res);
 }
 
@@ -123,13 +120,12 @@ void stream_range(const PricingRequest& req, const core::PortfolioView& view,
 constexpr std::size_t kMcTaskBlock = 8192;  // min paths per leaf task
 constexpr int kMcMaxBlocks = 64;            // TaskGroup capacity
 
-template <Width W>
 void stream_range_tasked(const PricingRequest& req, const core::PortfolioView& view,
                          std::size_t begin, std::size_t end, PricingResult& res) {
   Scratch& s = *req.scratch;  // built by prepare_stream
   const std::size_t npath = req.npath;
   if (!s.tasks_on || s.pool == nullptr || npath < 2 * kMcTaskBlock) {
-    stream_range<kernels::mc::price_optimized_stream, W>(req, view, begin, end, res);
+    stream_range<optimized_stream_w>(req, view, begin, end, res);
     return;
   }
   static obs::Counter& paths = obs::counter("mc.paths");
@@ -151,10 +147,10 @@ void stream_range_tasked(const PricingRequest& req, const core::PortfolioView& v
       kernels::mc::McMoments* dst = &parts[i];
       const core::OptionSpec* op = &opt;
       group.spawn([op, zp, cnt, dst] {
-        *dst = kernels::mc::integrate_stream_partial(*op, {zp, cnt}, W);
+        *dst = kernels::mc::integrate_stream_partial(*op, {zp, cnt});
       });
     }
-    parts[0] = kernels::mc::integrate_stream_partial(opt, {z, blksz}, W);
+    parts[0] = kernels::mc::integrate_stream_partial(opt, {z, blksz});
     group.join();
     kernels::mc::McMoments total;
     for (int i = 0; i < nblk; ++i) {
@@ -167,31 +163,26 @@ void stream_range_tasked(const PricingRequest& req, const core::PortfolioView& v
 }
 
 using ComputedFn = void (*)(std::span<const core::OptionSpec>, std::size_t, std::uint64_t,
-                            std::span<McResult>, Width, std::uint64_t, core::ScratchPool*);
+                            std::span<McResult>, std::uint64_t, core::ScratchPool*);
 
-void reference_computed_w(std::span<const core::OptionSpec> o, std::size_t n, std::uint64_t seed,
-                          std::span<McResult> out, Width, std::uint64_t base,
-                          core::ScratchPool* scratch) {
-  kernels::mc::price_reference_computed(o, n, seed, out, base, scratch);
-}
 void optimized_computed_w(std::span<const core::OptionSpec> o, std::size_t n, std::uint64_t seed,
-                          std::span<McResult> out, Width w, std::uint64_t base,
+                          std::span<McResult> out, std::uint64_t base,
                           core::ScratchPool* scratch) {
-  kernels::mc::price_optimized_computed(o, n, seed, out, w, base, scratch);
+  kernels::mc::price_optimized_computed(o, n, seed, out, Width::kAuto, base, scratch);
 }
 void variance_reduced_w(std::span<const core::OptionSpec> o, std::size_t n, std::uint64_t seed,
-                        std::span<McResult> out, Width, std::uint64_t base,
+                        std::span<McResult> out, std::uint64_t base,
                         core::ScratchPool* scratch) {
   kernels::mc::price_variance_reduced(o, n, seed, out, /*antithetic=*/true,
                                       /*control_variate=*/true, base, scratch);
 }
 
-template <ComputedFn K, Width W>
+template <ComputedFn K>
 void computed_range(const PricingRequest& req, const core::PortfolioView& view,
                     std::size_t begin, std::size_t end, PricingResult& res) {
   Scratch& s = *req.scratch;  // built by prepare_computed
   std::span<McResult> mc{s.mc.data() + begin, end - begin};
-  K(view.specs.subspan(begin, end - begin), req.npath, req.seed, mc, W, begin, &s.rng_pool);
+  K(view.specs.subspan(begin, end - begin), req.npath, req.seed, mc, begin, &s.rng_pool);
   store(mc, begin, res);
 }
 
@@ -220,7 +211,7 @@ void register_montecarlo(Registry& r) {
     v.reference_id = "";
     v.bytes_per_item = bytes_stream;
     v.prepare = prepare_stream;
-    v.run_range = stream_range<reference_stream_w, Width::kScalar>;
+    v.run_range = stream_range<kernels::mc::price_reference_stream>;
     r.add(std::move(v));
   }
   {
@@ -229,16 +220,7 @@ void register_montecarlo(Registry& r) {
     v.reference_id = "mc.reference_stream.scalar";
     v.bytes_per_item = bytes_stream;
     v.prepare = prepare_stream;
-    v.run_range = stream_range<basic_stream_w, Width::kAuto>;
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("mc.optimized_stream.avx2", OptLevel::kIntermediate, 4,
-                         "explicit 4-wide SIMD over paths, streamed normals");
-    v.reference_id = "mc.reference_stream.scalar";
-    v.bytes_per_item = bytes_stream;
-    v.prepare = prepare_stream;
-    v.run_range = stream_range_tasked<Width::kAvx2>;
+    v.run_range = stream_range<kernels::mc::price_basic_stream>;
     r.add(std::move(v));
   }
   {
@@ -247,7 +229,7 @@ void register_montecarlo(Registry& r) {
     v.reference_id = "mc.reference_stream.scalar";
     v.bytes_per_item = bytes_stream;
     v.prepare = prepare_stream;
-    v.run_range = stream_range_tasked<Width::kAuto>;
+    v.run_range = stream_range_tasked;
     r.add(std::move(v));
   }
   {
@@ -256,7 +238,7 @@ void register_montecarlo(Registry& r) {
     v.reference_id = "";
     v.bytes_per_item = bytes_computed;
     v.prepare = prepare_computed;
-    v.run_range = computed_range<reference_computed_w, Width::kScalar>;
+    v.run_range = computed_range<kernels::mc::price_reference_computed>;
     r.add(std::move(v));
   }
   {
@@ -265,7 +247,7 @@ void register_montecarlo(Registry& r) {
     v.reference_id = "mc.reference_computed.scalar";
     v.bytes_per_item = bytes_computed;
     v.prepare = prepare_computed;
-    v.run_range = computed_range<optimized_computed_w, Width::kAuto>;
+    v.run_range = computed_range<optimized_computed_w>;
     r.add(std::move(v));
   }
   {
@@ -278,7 +260,7 @@ void register_montecarlo(Registry& r) {
     v.tolerance = 0.05;
     v.bytes_per_item = bytes_computed;
     v.prepare = prepare_computed;
-    v.run_range = computed_range<variance_reduced_w, Width::kAuto>;
+    v.run_range = computed_range<variance_reduced_w>;
     r.add(std::move(v));
   }
 }

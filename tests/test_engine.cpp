@@ -64,7 +64,7 @@ TEST(Registry, HasTheFullVariantCatalog) {
   EXPECT_GE(r.size(), 20u);  // the CI smoke gate
   // One family per paper exhibit.
   for (const char* id :
-       {"bs.intermediate.avx2", "binomial.advanced.auto", "mc.optimized_computed.auto",
+       {"bs.intermediate.auto", "binomial.advanced.auto", "mc.optimized_computed.auto",
         "brownian.intermediate.auto", "cn.wavefront_split.auto"}) {
     EXPECT_NE(r.find(id), nullptr) << id;
   }
@@ -73,10 +73,12 @@ TEST(Registry, HasTheFullVariantCatalog) {
 
 TEST(Registry, IdsAreWellFormedAndMetadataIsComplete) {
   for (const engine::VariantInfo* v : Registry::instance().all()) {
-    // id = "<kernel>.<variant>.<scalar|avx2|auto>". The register-tiled
+    // id = "<kernel>.<variant>.<scalar|auto>". The register-tiled
     // blocked families use the suffix for their lane count instead
     // (4/8 DP, 8f/16f SP), and the Black–Scholes one additionally spells
     // its kernel out ("blackscholes.blocked.*", "blackscholes.blocked_fused.*").
+    // No other width is an id: the 4-wide SNB-EP rows are exhibit rows
+    // that call the kernels directly, not race candidates.
     EXPECT_EQ(std::count(v->id.begin(), v->id.end(), '.'), 2) << v->id;
     const bool blocked_bs =
         v->kernel == "bs" && (v->id.rfind("blackscholes.blocked.", 0) == 0 ||
@@ -84,11 +86,10 @@ TEST(Registry, IdsAreWellFormedAndMetadataIsComplete) {
     const bool blocked = blocked_bs || v->id.rfind("binomial.blocked.", 0) == 0;
     if (!blocked_bs) EXPECT_EQ(v->id.rfind(v->kernel + ".", 0), 0u) << v->id;
     const std::string suffix = v->id.substr(v->id.rfind('.') + 1);
-    EXPECT_TRUE(suffix == "scalar" || suffix == "avx2" || suffix == "auto" ||
+    EXPECT_TRUE(suffix == "scalar" || suffix == "auto" ||
                 (blocked && (suffix == "4" || suffix == "8" || suffix == "8f" ||
                              suffix == "16f")))
         << v->id;
-    EXPECT_NE(v->run_batch, nullptr) << v->id;
     EXPECT_FALSE(v->description.empty()) << v->id;
     EXPECT_FALSE(v->exhibit.empty()) << v->id;
     EXPECT_NE(v->flops_per_item, nullptr) << v->id;
@@ -528,7 +529,7 @@ TEST(Engine, FusedGroupEqualsSoloForEveryFusableVariant) {
     }
     ++fused;
   }
-  EXPECT_GE(fused, 20);
+  EXPECT_GE(fused, 17);  // every non-MC variant on a fusable layout
 }
 
 // One fused batch carries one set of shared scalars: members that differ

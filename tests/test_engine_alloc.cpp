@@ -16,8 +16,9 @@
 //   - a resolved <family>.auto request, which rebuilds and compares its
 //     TuneKey every pricing.
 //
-// The same counter, by bytes, proves that Portfolio::bs draws a book in
-// place: one book's storage per layout, no temporary beside it.
+// The same counter, by bytes, proves that Portfolio::bs and
+// Portfolio::specs draw a book in place: one book's storage per layout,
+// no temporary beside it.
 //
 // The counter intercepts ::operator new (plain and aligned) only — the
 // arena and AlignedAllocator route through these on purpose (see
@@ -27,9 +28,11 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <span>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -412,9 +415,10 @@ TEST(EngineAlloc, SwitchingWorkloadsRebuildsThenSettles) {
   EXPECT_EQ(allocs, 0u);
 }
 
-// Portfolio::bs carves the book in its own arena and draws into it: the
-// heap sees one book's bytes per layout (plus the arena's block list and
-// per-field cache-line rounding), never a second copy of the options.
+// Portfolio::bs (and ::specs) carves the book in its own arena and draws
+// into it: the heap sees one book's bytes per layout (plus the arena's
+// block list and per-field cache-line rounding), never a second copy of
+// the options.
 TEST(PortfolioOwner, BsAllocatesOneBookPerLayout) {
   constexpr std::size_t n = 100003;  // ragged blocked tail; far above the 64 KiB min block
   const std::size_t blocked_lanes = (n + 7) / 8 * 8;
@@ -434,4 +438,18 @@ TEST(PortfolioOwner, BsAllocatesOneBookPerLayout) {
     EXPECT_LE(allocated, c.book + 1024)
         << to_string(c.layout) << ": Portfolio::bs allocated beyond its one book";
   }
+
+  // Portfolio::specs draws into its arena the same way: no temporary
+  // vector of the options beside the book, and the same options as
+  // make_option_workload.
+  const std::size_t book = n * sizeof(core::OptionSpec);
+  const std::size_t before = alloc_bytes();
+  core::Portfolio pf = core::Portfolio::specs(n, 42);
+  const std::size_t allocated = alloc_bytes() - before;
+  ASSERT_EQ(pf.size(), n);
+  EXPECT_GE(allocated, book);
+  EXPECT_LE(allocated, book + 1024) << "Portfolio::specs allocated beyond its one book";
+  const std::vector<core::OptionSpec> want = core::make_option_workload(n, 42);
+  EXPECT_EQ(std::memcmp(pf.view().specs.data(), want.data(), book), 0)
+      << "Portfolio::specs must draw what make_option_workload draws";
 }

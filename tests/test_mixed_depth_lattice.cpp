@@ -7,7 +7,8 @@
 //   - every variant's outputs are bitwise the same for any participant
 //     count, chunk granularity and task mode, and equal to its
 //     own whole-batch run_batch;
-//   - a depth-packed lane's price does not depend on its pack-mates.
+//   - a depth-packed lane's price does not depend on its pack-mates, and
+//     4-wide packs price as the widest ones do.
 //
 // A failure names the seed that produced it, so it can be replayed alone.
 
@@ -100,7 +101,7 @@ TEST(MixedDepthLattice, EveryVariantWithinToleranceOfReference) {
   const engine::VariantInfo* ref = engine::Registry::instance().find("binomial.reference.scalar");
   ASSERT_NE(ref, nullptr);
   const auto variants = specs_variants();
-  ASSERT_GE(variants.size(), 6u);
+  ASSERT_GE(variants.size(), 5u);  // reference, basic, intermediate, advanced(_unrolled)
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     const Book b = make_book(seed);
     for (const engine::VariantInfo* v : variants) {
@@ -190,5 +191,33 @@ TEST(MixedDepthLattice, PackedLaneIgnoresItsPackMates) {
     double alone = 0.0;
     bin::price_packed({&specs[i], 1}, {&solo, 1}, {&alone, 1});
     ASSERT_EQ(alone, packed[i]) << "seed " << seed << " option " << i;
+  }
+}
+
+// The 4-wide depth packs (the exhibits' SNB-EP rows) stay within the
+// registered 1e-8 of the scalar reference on every book, and bitwise
+// equal to the widest packs: a lane never reads its pack-mates, whatever
+// the pack width.
+TEST(MixedDepthLattice, FourWidePacksMatchTheReference) {
+  namespace bin = kernels::binomial;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    const Book b = make_book(seed);
+    const std::vector<core::OptionSpec>& specs = b.mixed;
+    std::vector<int> steps(specs.size());
+    std::vector<std::uint64_t> order(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      steps[i] = std::max(16, static_cast<int>(specs[i].years * b.steps_per_year));
+      order[i] = bin::depth_key(steps[i], i);
+    }
+    std::sort(order.begin(), order.end());
+    std::vector<double> w4(specs.size()), widest(specs.size());
+    bin::price_packed(specs, order, w4, bin::Width::kAvx2);
+    bin::price_packed(specs, order, widest);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      ASSERT_EQ(w4[i], widest[i]) << "seed " << seed << " option " << i;
+      const double want = bin::price_one_reference(specs[i], steps[i]);
+      ASSERT_LE(std::fabs(w4[i] - want), 1e-8 * std::max(1.0, std::fabs(want)))
+          << "seed " << seed << " option " << i;
+    }
   }
 }

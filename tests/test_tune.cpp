@@ -16,6 +16,8 @@
 //     key nor the execution of an auto id
 //   - a European-only variant refuses an American book, and an auto plan
 //     resolved on a European book re-resolves when its specs turn American
+//   - a cached plan naming a variant this build does not ship re-races
+//     once and is replaced, put directly or loaded from a v2 file
 //   - the race: a tasks-on probe that spawned no task cannot win, and CN
 //     races no task mode
 //   - serve coalescing: two auto requests resolving to the same plan fuse
@@ -160,10 +162,10 @@ TEST(PlanCache, PutFindExplainErase) {
   const tune::TuneKey key = make_key();
   EXPECT_FALSE(cache.find(key).has_value());
 
-  cache.put(key, make_report(key, "bs.intermediate.avx2"));
+  cache.put(key, make_report(key, "bs.intermediate.auto"));
   const auto plan = cache.find(key);
   ASSERT_TRUE(plan.has_value());
-  EXPECT_EQ(plan->variant_id, "bs.intermediate.avx2");
+  EXPECT_EQ(plan->variant_id, "bs.intermediate.auto");
   EXPECT_EQ(plan->chunks_per_thread, 4);
   EXPECT_TRUE(plan->tasks);
 
@@ -184,7 +186,7 @@ TEST(PlanCache, FileRoundTripIsDeterministic) {
   k2.family = "binomial";
   k2.layout = core::Layout::kSpecs;
   k2.american = true;
-  a.put(k1, make_report(k1, "bs.intermediate.avx2"));
+  a.put(k1, make_report(k1, "bs.intermediate.auto"));
   a.put(k2, make_report(k2, "binomial.advanced.auto"));
   ASSERT_TRUE(a.save_as(path));
 
@@ -231,8 +233,8 @@ TEST(PlanCache, ConcurrentSaversNeverTearTheFile) {
   const tune::TuneKey k1 = make_key(10);
   tune::TuneKey k2 = make_key(12);
   k2.family = "binomial";
-  w1.put(k1, make_report(k1, "bs.intermediate.avx2"));
-  w2.put(k1, make_report(k1, "bs.intermediate.avx2"));
+  w1.put(k1, make_report(k1, "bs.intermediate.auto"));
+  w2.put(k1, make_report(k1, "bs.intermediate.auto"));
   w2.put(k2, make_report(k2, "binomial.advanced.auto"));
 
   constexpr int kRounds = 200;
@@ -295,7 +297,7 @@ TEST(PlanCache, AbsentFileLoadsOkAndEmpty) {
 TEST(PlanCache, GarbageAndTruncatedFilesDegradeToEmpty) {
   const std::string path = temp_path("tune_corrupt.json");
   tune::PlanCache cache;
-  cache.put(make_key(), make_report(make_key(), "bs.intermediate.avx2"));
+  cache.put(make_key(), make_report(make_key(), "bs.intermediate.auto"));
 
   for (const char* text : {"this is not json {", "{\"schema\": \"finbench.tune_cache/v1\"",
                            "[1, 2, 3]", "{}", ""}) {
@@ -311,7 +313,7 @@ TEST(PlanCache, WrongSchemaAndForeignFingerprintDegrade) {
   const std::string path = temp_path("tune_foreign.json");
 
   tune::PlanCache good;
-  good.put(make_key(), make_report(make_key(), "bs.intermediate.avx2"));
+  good.put(make_key(), make_report(make_key(), "bs.intermediate.auto"));
   ASSERT_TRUE(good.save_as(path));
 
   // Wrong schema string — a future one, or a v1 file whose keys still
@@ -349,7 +351,7 @@ TEST(PlanCache, MalformedEntriesAreSkippedGoodOnesKept) {
   const std::string path = temp_path("tune_partial.json");
   tune::PlanCache good;
   const tune::TuneKey key = make_key();
-  good.put(key, make_report(key, "bs.intermediate.avx2"));
+  good.put(key, make_report(key, "bs.intermediate.auto"));
   ASSERT_TRUE(good.save_as(path));
 
   // Append a second, malformed entry (missing its plan) by hand.
@@ -589,7 +591,7 @@ TEST(AutoDispatch, ReusedRequestFollowsANewIntent) {
   req.steps = 128;
   tune::RaceReport bin, cn;
   bin.key = tune::key_for(req, "binomial", eng.pool_size());
-  bin.winner.variant_id = "binomial.intermediate.avx2";
+  bin.winner.variant_id = "binomial.intermediate.auto";
   cn.key = tune::key_for(req, "cn", eng.pool_size());
   cn.winner.variant_id = "cn.direct_packed.auto";
   tune::PlanCache::instance().put(bin.key, bin);
@@ -597,7 +599,7 @@ TEST(AutoDispatch, ReusedRequestFollowsANewIntent) {
 
   engine::PricingResult res = eng.price(req);
   ASSERT_TRUE(res.status.ok()) << res.status.to_string();
-  EXPECT_EQ(res.resolved_id, "binomial.intermediate.avx2");
+  EXPECT_EQ(res.resolved_id, "binomial.intermediate.auto");
 
   req.kernel_id = "cn.auto";
   eng.price(req, res);
@@ -727,6 +729,61 @@ TEST(AutoDispatch, CorruptBoundCacheFileStillResolves) {
   EXPECT_GE(reread.size(), 1u);
 
   tune::PlanCache::instance().set_path("");  // unbind for later tests
+}
+
+// A plan cache written by an older build can name a variant this build no
+// longer ships — here the retired 4-wide Black–Scholes width twin.
+// Resolving that key drops the stale plan, races once, and replaces the
+// entry with a registered winner, whether the plan was put directly or
+// loaded from a finbench.tune_cache/v2 file.
+TEST(AutoDispatch, StalePlanNamingAnUnshippedVariantReRacesOnce) {
+  constexpr const char* kStale = "bs.intermediate.avx2";
+  ASSERT_EQ(engine::Registry::instance().find(kStale), nullptr);
+  engine::Engine& eng = engine::Engine::shared();
+  const std::string path = temp_path("tune_stale_plan.json");
+  std::remove(path.c_str());
+
+  for (const bool from_file : {false, true}) {
+    const std::size_t n = from_file ? 8192 : 1024;  // one key per case
+    core::Portfolio pf = core::Portfolio::bs(n, core::Layout::kBsAos, 7300);
+    engine::PricingRequest req;
+    req.kernel_id = "blackscholes.auto";
+    req.portfolio = pf.view();
+    const tune::TuneKey key =
+        tune::key_for(req, tune::auto_family(req.kernel_id), eng.pool_size());
+    if (from_file) {
+      tune::PlanCache old_build;
+      old_build.put(key, make_report(key, kStale));
+      ASSERT_TRUE(old_build.save_as(path));
+      const robust::Status st = tune::PlanCache::instance().set_path(path);
+      ASSERT_EQ(st.code(), robust::StatusCode::kOk) << st.to_string();
+    } else {
+      tune::PlanCache::instance().put(key, make_report(key, kStale));
+    }
+    const auto stale = tune::PlanCache::instance().find(key);
+    ASSERT_TRUE(stale.has_value());
+    ASSERT_EQ(stale->variant_id, kStale);
+
+    const std::uint64_t races0 = obs::counter("engine.tune.race").value();
+    const engine::PricingResult res = eng.price(req);
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+    EXPECT_TRUE(res.tuned);
+    EXPECT_EQ(obs::counter("engine.tune.race").value(), races0 + 1) << from_file;
+    ASSERT_NE(engine::Registry::instance().find(res.resolved_id), nullptr) << res.resolved_id;
+    const auto plan = tune::PlanCache::instance().find(key);
+    ASSERT_TRUE(plan.has_value());
+    EXPECT_EQ(plan->variant_id, res.resolved_id) << "the race replaced the stale entry";
+    if (from_file) {
+      tune::PlanCache reread;
+      ASSERT_EQ(reread.load(path).code(), robust::StatusCode::kOk);
+      const auto on_disk = reread.find(key);
+      ASSERT_TRUE(on_disk.has_value());
+      EXPECT_EQ(on_disk->variant_id, res.resolved_id) << "the file holds the new winner";
+      tune::PlanCache::instance().set_path("");  // unbind for later tests
+    }
+    tune::PlanCache::instance().erase(key);
+  }
+  std::remove(path.c_str());
 }
 
 // --- Serve coalescing on the resolved plan -----------------------------------

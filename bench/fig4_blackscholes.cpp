@@ -104,9 +104,9 @@ int main(int argc, char** argv) {
   core::Portfolio blocked_pf = core::Portfolio::bs(nopt, core::Layout::kBsBlocked, 1);
   engine::PricingRequest req_blk;
   req_blk.portfolio = blocked_pf.view();
-  req_blk.kernel_id = "blackscholes.blocked.8";
+  req_blk.kernel_id = "bs.blocked.auto";
   const double blk8 = bench::measure_variant("bs.blocked8", req_blk, nopt, opts.reps);
-  req_blk.kernel_id = "blackscholes.blocked.16f";
+  req_blk.kernel_id = "bs.blocked_sp.auto";
   const double blk16f = bench::measure_variant("bs.blocked16f", req_blk, nopt, opts.reps);
 
   // The conversion here is fused block-locally into the kernel: each
@@ -124,8 +124,8 @@ int main(int argc, char** argv) {
   });
   // The SP twin of the fused row: same AOS-in / AOS-out accounting, but
   // the register tile narrows to f32 (16 lanes on AVX-512) before the
-  // transcendentals — via the registered blackscholes.blocked_fused.16f.
-  req_aos.kernel_id = "blackscholes.blocked_fused.16f";
+  // transcendentals — via the registered bs.blocked_fused_sp.auto.
+  req_aos.kernel_id = "bs.blocked_fused_sp.auto";
   const double blk_conv_sp =
       bench::measure_variant("bs.blocked_conv_sp", req_aos, nopt, opts.reps);
 

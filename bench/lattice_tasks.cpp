@@ -19,9 +19,10 @@
 // gate is vacuous — intra-option decomposition can only redistribute
 // work that has somewhere to go — and passes with an explicit note.
 //
-// Part 2: the AoSoA blocked binomial family. `binomial.blocked.{4,8}`
-// consume Layout::kBsBlocked tiles directly — W options per SIMD register
-// across the lattice, dual call+put reduction, zero gather — while
+// Part 2: the AoSoA blocked binomial family. `binomial.blocked.auto` and
+// the kernel's 4-wide path consume Layout::kBsBlocked tiles directly — W
+// options per SIMD register across the lattice, dual call+put reduction,
+// zero gather — while
 // `binomial.blocked_gather.scalar` prices the same tiles by gathering
 // each lane back into an OptionSpec for the scalar reference. The gate:
 // the SIMD family must beat the gather path.
@@ -161,17 +162,28 @@ int main(int argc, char** argv) {
   const double bflops = 2.0 * kernels::binomial::flops_per_option(steps);
 
   const int w = vecmath::max_width();
-  double gather = 0.0, best_simd = 0.0;
-  for (const char* id :
-       {"binomial.blocked_gather.scalar", "binomial.blocked.4", "binomial.blocked.8"}) {
-    breq.kernel_id = id;
-    const engine::VariantInfo* v = engine::Registry::instance().find(id);
-    const double rate = bench::measure_variant(id, breq, nblk, opts.reps);
-    report.add_row(proj.make_row(v->description, rate, bflops, 0.0,
-                                 v->width > 0 ? v->width : w, v->width > 0 ? v->width : w));
-    if (!std::strcmp(id, "binomial.blocked_gather.scalar")) gather = rate;
-    else best_simd = std::max(best_simd, rate);
-  }
+  breq.kernel_id = "binomial.blocked_gather.scalar";
+  const double gather =
+      bench::measure_variant("binomial.blocked_gather.scalar", breq, nblk, opts.reps);
+  // The 4-wide (SNB-EP) row calls the kernel's AVX2 path over the pool in
+  // whole-block ranges, leasing dual lattices carved before timing; the
+  // widest row is the registered variant.
+  bench::PoolScratch lattices(kernels::binomial::lattice_doubles(steps, 16));
+  const double blk4 = bench::items_per_sec("binomial.blocked4", nblk, opts.reps, [&] {
+    bench::on_pool(nblk, 64, [&](std::size_t b, std::size_t e) {
+      kernels::binomial::price_blocked(core::subview(bpf.view(), b, e - b).blocked, steps,
+                                       kernels::binomial::Width::kAvx2, &lattices.pool);
+    });
+  });
+  breq.kernel_id = "binomial.blocked.auto";
+  const double blk8 = bench::measure_variant("binomial.blocked8", breq, nblk, opts.reps);
+  report.add_row(proj.make_row("per-lane OptionSpec gather through the scalar reference", gather,
+                               bflops, 0.0, 1, 1));
+  report.add_row(
+      proj.make_row("AoSoA tiles, 4-wide DP, dual call+put lattices", blk4, bflops, 0.0, 4, 4));
+  report.add_row(proj.make_row("AoSoA tiles, 8-wide DP (AVX-512), dual call+put lattices", blk8,
+                               bflops, 0.0, w, w));
+  const double best_simd = std::max(blk4, blk8);
   // >= 1.0x floor: the width-matched blocked variant wins on FMA (the
   // gather anchor's autovectorized reference loop contracts nothing under
   // -ffp-contract=off) plus the absent per-lane gather; the margin grows

@@ -50,7 +50,7 @@ namespace {
 // server exists for (a whole-batch caller would just use Engine::price).
 constexpr std::size_t kOptionsPerRequest = 32;
 constexpr int kTrials = 3;  // best-of trials per (mode, load) point
-const char* kKernelId = "blackscholes.blocked_fused.8f";  // AOS-native: no negotiation
+const char* kKernelId = "bs.blocked_fused_sp.auto";  // AOS-native: no negotiation
 
 double quantile(std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;

@@ -17,8 +17,8 @@
 //   kBsSoa      Black–Scholes structure-of-arrays (unit-stride SIMD)
 //   kBsSoaF     single-precision SOA (twice the lanes, half the bytes)
 //   kBsBlocked  lane-blocked AoSoA: W-option blocks, each field a W-vector
-//               (native layout of the blackscholes.blocked.* register-tiled
-//               kernels)
+//               (native layout of the bs.blocked{,_sp}.auto register-tiled
+//               kernels and of binomial.blocked.auto)
 //   kPaths      a path-construction job (a count, no per-item data)
 //
 // Lifetime rules: a PortfolioView never owns memory. Views obtained from

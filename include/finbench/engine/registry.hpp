@@ -8,13 +8,13 @@
 // the reference variant it must agree with (the self-validation anchor:
 // see validate_variant in finbench/engine/validate.hpp).
 //
-// Id scheme: "<kernel>.<variant>.<width>" with width one of
-//   scalar — the W=1 reference path
-//   auto   — the widest path compiled into this build (8-wide with AVX-512)
-// The register-tiled blocked families name their lane count instead
-// ("blackscholes.blocked.8", "blackscholes.blocked_fused.16f",
-// "binomial.blocked.4"). The paper's 4-wide SNB-EP rows are exhibit rows:
-// the fig/tab binaries call the kernels' 4-wide paths directly.
+// Id scheme, with no exception: "<kernel>.<variant>.<width>" with width
+// one of
+//   scalar — the W=1 reference path (registered width 1)
+//   auto   — the widest path compiled into this build (8-wide DP and
+//            16-wide SP with AVX-512; registered width 0)
+// No lane count is an id: the paper's 4-wide SNB-EP rows are exhibit rows,
+// and the fig/tab binaries call the kernels' 4-wide paths directly.
 //
 // The built-in variants register on first Registry::instance() access, so
 // there is no static-initialization-order or archive-stripping hazard.

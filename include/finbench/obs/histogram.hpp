@@ -107,7 +107,7 @@ class Histogram {
 
 // Look up (creating on first use) a histogram by name. `labels`, when
 // given, is a pre-formatted OpenMetrics label list without braces, e.g.
-// `kernel="blackscholes.blocked.8",layout="bs_blocked"` — it becomes part
+// `kernel="bs.blocked.auto",layout="bs_blocked"` — it becomes part
 // of the registry key, the run report key, and the exported label set.
 // References are stable for the process lifetime.
 Histogram& histogram(std::string_view name);

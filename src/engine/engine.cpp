@@ -46,8 +46,8 @@ constexpr std::size_t kBsMinChunk = 1024;
 constexpr std::size_t kBsMaxChunk = 16384;
 
 // Contiguous chunk boundaries over [0, n) for a pool of P participants:
-// nparts = P x chunks_per_thread. With `cache_sized` (Engine::price on a
-// Black–Scholes layout, whose chunk pipeline re-reads each chunk: scan,
+// nparts = P x chunks_per_thread. With `cache_sized` (Engine::price of a
+// Black–Scholes kernel, whose chunk pipeline re-reads each chunk: scan,
 // guard, writeback) chunks hold ~n / nparts options clamped to
 // [kBsMinChunk, kBsMaxChunk]. Otherwise the partition is
 // cost-model-weighted when the variant has a cost model and there are
@@ -830,7 +830,7 @@ void Engine::price(const PricingRequest& req, PricingResult& res) const {
   // plan's for an auto id.
   const int P = pool_->size();
   const std::span<const std::size_t> bounds =
-      chunk_bounds(v, req, working, P, rd.chunks_per_thread, core::is_bs(v.layout));
+      chunk_bounds(v, req, working, P, rd.chunks_per_thread, shape == Shape::kBs);
   const std::size_t nchunks = bounds.size() - 1;
   res.chunk_status.assign(nchunks, static_cast<std::uint8_t>(ChunkStatus::kNotRun));
   s.tallies.resize(nchunks);

@@ -204,7 +204,7 @@ double blocked_flops(const PricingRequest& req) {
   return 2.0 * kernels::binomial::flops_per_option(req.steps);  // call + put
 }
 
-// Reserve enough for the widest variant's dual lattice: 2*(steps+1)*8
+// Reserve enough for the dual lattice at the widest width: 2*(steps+1)*8
 // doubles per participant == lattice_doubles(steps, 16).
 void reserve_blocked(const PricingRequest& req, const core::PortfolioView&, PricingResult&) {
   Scratch& s = scratch_of(req);
@@ -212,11 +212,10 @@ void reserve_blocked(const PricingRequest& req, const core::PortfolioView&, Pric
                          scratch_slots(s));
 }
 
-template <Width W>
 void run_blocked(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
                  std::size_t end, PricingResult&) {
-  kernels::binomial::price_blocked(core::subview(view, begin, end - begin).blocked, req.steps, W,
-                                   &scratch_of(req).lattice_pool);
+  kernels::binomial::price_blocked(core::subview(view, begin, end - begin).blocked, req.steps,
+                                   Width::kAuto, &scratch_of(req).lattice_pool);
 }
 
 // Spec-gather baseline and blocked-layout validation anchor: each lane is
@@ -324,10 +323,10 @@ void register_binomial(Registry& r) {
   // --- Blocked (AoSoA) family ----------------------------------------------
   // European CRR straight off Layout::kBsBlocked tiles: aligned unit-stride
   // lane setup (no OptionSpec gather) and dual call+put lattices reducing
-  // together for ILP. Fallback chain steps 8 -> 4 -> gather without leaving
-  // the blocked layout; the gather baseline is the family's validation
-  // anchor (cross-layout comparison against the specs reference would
-  // mismatch output shapes — blocked emits call+put pairs).
+  // together for ILP. The gather baseline is the family's validation anchor
+  // (cross-layout comparison against the specs reference would mismatch
+  // output shapes — blocked emits call+put pairs) and, sharing the blocked
+  // layout, the tile variant's fallback link.
   {
     VariantInfo v = base("binomial.blocked_gather.scalar", OptLevel::kReference, 1,
                          "per-lane OptionSpec gather through the scalar reference");
@@ -336,19 +335,10 @@ void register_binomial(Registry& r) {
     r.add(std::move(v));
   }
   {
-    VariantInfo v = base("binomial.blocked.4", OptLevel::kAdvanced, 4,
-                         "AoSoA tiles, 4-wide DP, dual call+put lattices");
+    VariantInfo v = base("binomial.blocked.auto", OptLevel::kAdvanced, 0,
+                         "AoSoA tiles, widest DP, dual call+put lattices");
     v.reference_id = "binomial.blocked_gather.scalar";
-    v.fallback_id = "binomial.blocked_gather.scalar";
-    wire_blocked(v, run_blocked<Width::kAvx2>);
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("binomial.blocked.8", OptLevel::kAdvanced, 8,
-                         "AoSoA tiles, 8-wide DP (AVX-512), dual call+put lattices");
-    v.reference_id = "binomial.blocked_gather.scalar";
-    v.fallback_id = "binomial.blocked.4";
-    wire_blocked(v, run_blocked<Width::kAuto>);
+    wire_blocked(v, run_blocked);
     r.add(std::move(v));
   }
 }

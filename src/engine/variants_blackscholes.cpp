@@ -53,19 +53,16 @@ void price_intermediate_sp(const PricingRequest&, const core::PortfolioView& vie
   kernels::bs::price_intermediate_sp(view.sp, WidthF::kAuto);
 }
 
-template <Width W>
 void price_blocked(const PricingRequest&, const core::PortfolioView& view) {
-  kernels::bs::price_blocked(view.blocked, W);
+  kernels::bs::price_blocked(view.blocked, Width::kAuto);
 }
 
-template <WidthF W>
 void price_blocked_sp(const PricingRequest&, const core::PortfolioView& view) {
-  kernels::bs::price_blocked_sp(view.blocked, W);
+  kernels::bs::price_blocked_sp(view.blocked, WidthF::kAuto);
 }
 
-template <WidthF W>
 void price_fused_sp(const PricingRequest&, const core::PortfolioView& view) {
-  kernels::bs::price_blocked_from_aos_f32(view.aos, W);
+  kernels::bs::price_blocked_from_aos_f32(view.aos, WidthF::kAuto);
 }
 
 // One range of the view, priced in place. Every chunking keeps interior
@@ -144,63 +141,38 @@ void register_blackscholes(Registry& r) {
   }
   // --- Register-tiled blocked (AoSoA) family ------------------------------
   // One lane-block sub-run per register tile straight off the blocked
-  // layout: no gathers, streaming stores, x2 unroll. The 8-wide DP and
-  // 16-wide SP entries need AVX-512 at runtime; their fallback chain steps
-  // down to the 4-/8-wide flavors on narrower hosts without leaving the
-  // blocked layout (fallbacks must share the layout).
+  // layout: no gathers, streaming stores, x2 unroll, at the widest width
+  // compiled into this build. The SP entry falls back to the DP kernel on
+  // the same layout (fallbacks must share the layout), which does not
+  // share its f32 failure mode; the DP entry ends at the engine's
+  // terminal closed-form repair.
   {
-    VariantInfo v = base("blackscholes.blocked.4", OptLevel::kAdvanced, 4, Layout::kBsBlocked,
-                         "AoSoA register tiles, 4-wide DP, streaming stores");
+    VariantInfo v = base("bs.blocked.auto", OptLevel::kAdvanced, 0, Layout::kBsBlocked,
+                         "AoSoA register tiles, widest DP, streaming stores");
     v.tolerance = 1e-9;
-    set_kernel<price_blocked<Width::kAvx2>>(v);
+    set_kernel<price_blocked>(v);
     r.add(std::move(v));
   }
   {
-    VariantInfo v = base("blackscholes.blocked.8", OptLevel::kAdvanced, 8, Layout::kBsBlocked,
-                         "AoSoA register tiles, 8-wide DP (AVX-512), streaming stores");
-    v.tolerance = 1e-9;
-    v.fallback_id = "blackscholes.blocked.4";
-    set_kernel<price_blocked<Width::kAuto>>(v);
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("blackscholes.blocked.8f", OptLevel::kAdvanced, 8, Layout::kBsBlocked,
-                         "AoSoA register tiles, 8-wide SP compute in register");
+    VariantInfo v = base("bs.blocked_sp.auto", OptLevel::kAdvanced, 0, Layout::kBsBlocked,
+                         "AoSoA register tiles, widest SP compute in register");
     v.tolerance = 1e-3;  // SP arithmetic vs the DP reference
     v.bytes_per_item = bytes;  // storage stays f64: full 40 B/option move
-    set_kernel<price_blocked_sp<WidthF::kAvx2>>(v);
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("blackscholes.blocked.16f", OptLevel::kAdvanced, 16, Layout::kBsBlocked,
-                         "AoSoA register tiles, 16-wide SP (AVX-512) compute in register");
-    v.tolerance = 1e-3;
-    v.bytes_per_item = bytes;
-    v.fallback_id = "blackscholes.blocked.8f";
-    set_kernel<price_blocked_sp<WidthF::kAuto>>(v);
+    v.fallback_id = "bs.blocked.auto";
+    set_kernel<price_blocked_sp>(v);
     r.add(std::move(v));
   }
   // --- Fused AOS -> f32 register tile (incl. conversion) -------------------
   // The SP analog of the fused DP pipeline: the request stays in its
   // native AOS layout (no negotiation, no blocked array in DRAM) and the
-  // f64 -> f32 narrowing rides the register tile. Fallbacks stay in the
-  // AOS layout as required.
+  // f64 -> f32 narrowing rides the register tile. Its fallback is the
+  // reference link (bs.reference.scalar, also AOS).
   {
-    VariantInfo v = base("blackscholes.blocked_fused.8f", OptLevel::kAdvanced, 8, Layout::kBsAos,
-                         "fused AOS -> f32 register tile incl. conversion, 8-wide SP");
+    VariantInfo v = base("bs.blocked_fused_sp.auto", OptLevel::kAdvanced, 0, Layout::kBsAos,
+                         "fused AOS -> f32 register tile incl. conversion, widest SP");
     v.tolerance = 1e-3;  // SP arithmetic vs the DP reference
     v.bytes_per_item = bytes;  // storage stays f64 AOS: full 40 B/option move
-    set_kernel<price_fused_sp<WidthF::kAvx2>>(v);
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("blackscholes.blocked_fused.16f", OptLevel::kAdvanced, 16,
-                         Layout::kBsAos,
-                         "fused AOS -> f32 register tile incl. conversion, 16-wide SP (AVX-512)");
-    v.tolerance = 1e-3;
-    v.bytes_per_item = bytes;
-    v.fallback_id = "blackscholes.blocked_fused.8f";
-    set_kernel<price_fused_sp<WidthF::kAuto>>(v);
+    set_kernel<price_fused_sp>(v);
     r.add(std::move(v));
   }
 }

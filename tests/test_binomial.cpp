@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "finbench/core/analytic.hpp"
+#include "finbench/core/portfolio.hpp"
 #include "finbench/core/workload.hpp"
 #include "finbench/kernels/binomial.hpp"
 
@@ -168,6 +169,37 @@ TEST(Binomial, TilingAgreesAcrossWidths) {
   binomial::price_advanced(opts, 500, w1, binomial::Width::kScalar);
   for (std::size_t i = 0; i < opts.size(); ++i) {
     EXPECT_NEAR(w1[i], w4[i], 1e-11 * std::max(1.0, std::fabs(w4[i]))) << i;
+  }
+}
+
+// The AoSoA blocked path at every width: call and put of each lane match
+// the scalar reference on ragged books, so the padded tail lanes of the
+// last block (and of a lane group narrower than the block) are exercised.
+class BinomialBlocked : public ::testing::TestWithParam<binomial::Width> {};
+INSTANTIATE_TEST_SUITE_P(Widths, BinomialBlocked,
+                         ::testing::Values(binomial::Width::kScalar, binomial::Width::kAvx2,
+                                           binomial::Width::kAvx512, binomial::Width::kAuto));
+
+TEST_P(BinomialBlocked, CallAndPutMatchReferenceOnRaggedBooks) {
+  constexpr int kSteps = 200;
+  for (std::size_t n : {1UL, 7UL, 8UL, 9UL, 37UL}) {
+    core::Portfolio pf = core::Portfolio::bs(n, core::Layout::kBsBlocked, 23 + n);
+    const core::BsBlockedView& b = pf.view().blocked;
+    binomial::price_blocked(b, kSteps, GetParam());
+    const std::size_t w = static_cast<std::size_t>(b.block);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t blk = i / w, ln = i % w;
+      core::OptionSpec o = euro_put(b.field(blk, 0)[ln], b.field(blk, 1)[ln],
+                                    b.field(blk, 2)[ln], b.rate, b.vol);
+      o.dividend = b.dividend;
+      const double put = binomial::price_one_reference(o, kSteps);
+      o.type = core::OptionType::kCall;
+      const double call = binomial::price_one_reference(o, kSteps);
+      EXPECT_NEAR(b.field(blk, 3)[ln], call, 1e-8 * std::max(1.0, std::fabs(call)))
+          << "n=" << n << " i=" << i;
+      EXPECT_NEAR(b.field(blk, 4)[ln], put, 1e-8 * std::max(1.0, std::fabs(put)))
+          << "n=" << n << " i=" << i;
+    }
   }
 }
 

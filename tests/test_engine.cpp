@@ -73,23 +73,16 @@ TEST(Registry, HasTheFullVariantCatalog) {
 
 TEST(Registry, IdsAreWellFormedAndMetadataIsComplete) {
   for (const engine::VariantInfo* v : Registry::instance().all()) {
-    // id = "<kernel>.<variant>.<scalar|auto>". The register-tiled
-    // blocked families use the suffix for their lane count instead
-    // (4/8 DP, 8f/16f SP), and the Black–Scholes one additionally spells
-    // its kernel out ("blackscholes.blocked.*", "blackscholes.blocked_fused.*").
-    // No other width is an id: the 4-wide SNB-EP rows are exhibit rows
-    // that call the kernels directly, not race candidates.
+    // id = "<kernel>.<variant>.<scalar|auto>", with no exception: the
+    // scalar references register width 1, every other variant the widest
+    // path compiled in (width 0). No lane count is an id: the 4-wide
+    // SNB-EP rows are exhibit rows that call the kernels directly, not
+    // race candidates.
     EXPECT_EQ(std::count(v->id.begin(), v->id.end(), '.'), 2) << v->id;
-    const bool blocked_bs =
-        v->kernel == "bs" && (v->id.rfind("blackscholes.blocked.", 0) == 0 ||
-                              v->id.rfind("blackscholes.blocked_fused.", 0) == 0);
-    const bool blocked = blocked_bs || v->id.rfind("binomial.blocked.", 0) == 0;
-    if (!blocked_bs) EXPECT_EQ(v->id.rfind(v->kernel + ".", 0), 0u) << v->id;
+    EXPECT_EQ(v->id.rfind(v->kernel + ".", 0), 0u) << v->id;
     const std::string suffix = v->id.substr(v->id.rfind('.') + 1);
-    EXPECT_TRUE(suffix == "scalar" || suffix == "auto" ||
-                (blocked && (suffix == "4" || suffix == "8" || suffix == "8f" ||
-                             suffix == "16f")))
-        << v->id;
+    EXPECT_TRUE((suffix == "scalar" && v->width == 1) || (suffix == "auto" && v->width == 0))
+        << v->id << " width " << v->width;
     EXPECT_FALSE(v->description.empty()) << v->id;
     EXPECT_FALSE(v->exhibit.empty()) << v->id;
     EXPECT_NE(v->flops_per_item, nullptr) << v->id;
@@ -265,7 +258,7 @@ TEST(Engine, WholeBatchWorkloadsRunAsRanges) {
   };
   const Case cases[] = {
       {"brownian.intermediate.auto", core::paths_view(256), false},
-      {"binomial.blocked.4", blocked.view(), false},
+      {"binomial.blocked.auto", blocked.view(), false},
       {"binomial.intermediate.auto", core::view_of(std::span<const core::OptionSpec>(one)), true},
   };
   engine::ThreadPool pool(4);
@@ -303,9 +296,32 @@ TEST(Engine, WholeBatchWorkloadsRunAsRanges) {
   }
 
   PricingRequest neg;
-  neg.kernel_id = "binomial.blocked.4";
+  neg.kernel_id = "binomial.blocked.auto";
   neg.portfolio = aos.view();
   EXPECT_EQ(Engine::shared().price(neg).status.code(), robust::StatusCode::kInvalidArgument);
+}
+
+// A blocked binomial book is lattice work, not a bandwidth-bound BS
+// chunk: it is split across the whole pool like any specs batch (not
+// held to the Black–Scholes cache-sized minimum of 1024 options per
+// chunk), and the split leaves the outputs bit for bit unchanged.
+TEST(Engine, BlockedBinomialBookSpansThePoolBitwiseInvariantly) {
+  constexpr std::size_t kN = 1024;
+  engine::ThreadPool pool4(4), pool1(1);
+  std::vector<std::vector<double>> outs;
+  for (engine::ThreadPool* pool : {&pool4, &pool1}) {
+    core::Portfolio book = core::Portfolio::bs(kN, core::Layout::kBsBlocked, 31);
+    const Engine eng(pool);
+    PricingRequest req;
+    req.kernel_id = "binomial.blocked.auto";
+    req.portfolio = book.view();
+    req.steps = 64;
+    const PricingResult res = eng.price(req);
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+    if (pool == &pool4) EXPECT_GE(res.chunk_status.size(), 4u);
+    outs.push_back(bs_outputs(book.view()));
+  }
+  EXPECT_TRUE(bitwise_equal(outs[0], outs[1]));
 }
 
 // Black–Scholes batches price in place: prices land in the request's
@@ -389,7 +405,7 @@ TEST(Engine, BsChunkedOutputsAreBitwiseInvariantAcrossParticipantsAndChunkSizes)
 TEST(Engine, NegotiatedRequestReusedAcrossAnInPlaceTickPricesTheNewSpots) {
   engine::ThreadPool pool(2);
   Engine eng(&pool);
-  for (const char* id : {"bs.intermediate.auto", "blackscholes.blocked.8", "bs.reference.scalar"}) {
+  for (const char* id : {"bs.intermediate.auto", "bs.blocked.auto", "bs.reference.scalar"}) {
     core::Portfolio book = core::Portfolio::bs(5000, core::Layout::kBsAos, 43);
     core::Portfolio fresh_book = core::Portfolio::bs(5000, core::Layout::kBsAos, 43);
     PricingRequest req;
@@ -438,7 +454,7 @@ TEST(Engine, GroupScratchKeepsBlackScholesAndSpecsPartitionsApart) {
     specs_req[i].kernel_id = "binomial.intermediate.auto";
     specs_req[i].steps = 64;
     specs_req[i].portfolio = core::view_of(std::span<const core::OptionSpec>(books[i]));
-    bs_req[i].kernel_id = "blackscholes.blocked_fused.16f";
+    bs_req[i].kernel_id = "bs.blocked_fused_sp.auto";
     bs_req[i].portfolio = bs_books[i].view();
     specs_group[i] = {&specs_req[i], &specs_res[i]};
     bs_group[i] = {&bs_req[i], &bs_res[i]};
@@ -529,7 +545,7 @@ TEST(Engine, FusedGroupEqualsSoloForEveryFusableVariant) {
     }
     ++fused;
   }
-  EXPECT_GE(fused, 17);  // every non-MC variant on a fusable layout
+  EXPECT_GE(fused, 16);  // every non-MC variant on a fusable layout
 }
 
 // One fused batch carries one set of shared scalars: members that differ
@@ -544,7 +560,7 @@ TEST(Engine, FusableRefusesMembersWithDifferentSharedScalars) {
   for (const Case c : {Case{core::Layout::kBsAos, "bs.basic.auto"},
                        Case{core::Layout::kBsSoa, "bs.intermediate.auto"},
                        Case{core::Layout::kBsSoaF, "bs.intermediate_sp.auto"},
-                       Case{core::Layout::kBsBlocked, "blackscholes.blocked.4"}}) {
+                       Case{core::Layout::kBsBlocked, "bs.blocked.auto"}}) {
     core::Portfolio pa = core::Portfolio::bs(64, c.layout, 1);
     core::Portfolio pb = core::Portfolio::bs(96, c.layout, 2);
     PricingRequest a, b;

@@ -449,7 +449,7 @@ TEST(TuneResolve, TrippedWinnerIsSubstitutedAndRecoversAfterReset) {
 
 namespace {
 
-constexpr const char* kServeKernel = "blackscholes.blocked_fused.8f";
+constexpr const char* kServeKernel = "bs.blocked_fused_sp.auto";
 
 struct ServeWave {
   std::vector<core::Portfolio> pfs;

@@ -833,7 +833,7 @@ TEST(BsChunkPipeline, SanitizePoliciesMatchThePerOptionScan) {
   Engine eng(&pool);
   for (const core::Layout layout : {core::Layout::kBsAos, core::Layout::kBsSoa,
                                     core::Layout::kBsSoaF, core::Layout::kBsBlocked}) {
-    for (const char* id : {"bs.intermediate.auto", "blackscholes.blocked.8"}) {
+    for (const char* id : {"bs.intermediate.auto", "bs.blocked.auto"}) {
       for (const SanitizePolicy policy :
            {SanitizePolicy::kSkip, SanitizePolicy::kClamp, SanitizePolicy::kReject}) {
         const std::string what = std::string(id) + " from " +
@@ -951,7 +951,7 @@ TEST(BsChunkPipeline, FaultySharedVolFlagsEveryOption) {
     core::PortfolioView view = pf.view();
     view.aos.vol = kNan;
     PricingRequest req;
-    req.kernel_id = "blackscholes.blocked_fused.16f";
+    req.kernel_id = "bs.blocked_fused_sp.auto";
     req.portfolio = view;
     req.sanitize = policy;
     const PricingResult res = eng.price(req);
@@ -1011,7 +1011,7 @@ TEST(BsChunkPipeline, ThrowingChunksFallBackChunkByChunk) {
   core::Portfolio pf = core::Portfolio::bs(kBookN, core::Layout::kBsBlocked, 73);
   core::Portfolio want_pf = core::Portfolio::bs(kBookN, core::Layout::kBsBlocked, 73);
   PricingRequest req;
-  req.kernel_id = "blackscholes.blocked.16f";  // chain: -> blackscholes.blocked.8f
+  req.kernel_id = "bs.blocked_sp.auto";  // chain: -> bs.blocked.auto (DP, same layout)
   req.portfolio = pf.view();
   req.faults.seed = 3;
   req.faults.throw_rate = 1.0;  // every chunk throws before its kernel runs
@@ -1023,7 +1023,7 @@ TEST(BsChunkPipeline, ThrowingChunksFallBackChunkByChunk) {
   EXPECT_EQ(res.options_repaired, 0u);
 
   PricingRequest want_req;
-  want_req.kernel_id = "blackscholes.blocked.8f";
+  want_req.kernel_id = "bs.blocked.auto";
   want_req.portfolio = want_pf.view();
   ASSERT_TRUE(eng.price(want_req).status.ok());
   for (std::size_t i = 0; i < kBookN; ++i) {
@@ -1032,19 +1032,27 @@ TEST(BsChunkPipeline, ThrowingChunksFallBackChunkByChunk) {
     ASSERT_TRUE(got.call == want.call && got.put == want.put) << i;
   }
 
-  // The end of the chain is the scalar closed form, repairing every option.
-  core::Portfolio aos = core::Portfolio::bs(kBookN, core::Layout::kBsAos, 73);
-  req.kernel_id = "bs.reference.scalar";
-  req.portfolio = aos.view();
-  req.scratch.reset();
-  const PricingResult term = eng.price(req);
-  ASSERT_EQ(term.status.code(), StatusCode::kDegraded) << term.status.to_string();
-  EXPECT_EQ(term.options_repaired, kBookN);
-  for (const core::BsOptionAos& o : aos.view().aos.options) {
-    const core::BsPrice p = core::black_scholes(o.spot, o.strike, o.years, aos.view().aos.rate,
-                                                aos.view().aos.vol, aos.view().aos.dividend);
-    ASSERT_EQ(o.call, p.call);
-    ASSERT_EQ(o.put, p.put);
+  // The chain ends at the scalar closed form, repairing every option: the
+  // DP blocked kernel's reference link is AOS, off the chunk's layout,
+  // and the reference itself has nothing left to fall back to.
+  for (const core::Layout layout : {core::Layout::kBsBlocked, core::Layout::kBsAos}) {
+    const char* id = layout == core::Layout::kBsBlocked ? "bs.blocked.auto" : "bs.reference.scalar";
+    core::Portfolio book = core::Portfolio::bs(kBookN, layout, 73);
+    req.kernel_id = id;
+    req.portfolio = book.view();
+    req.scratch.reset();
+    const PricingResult term = eng.price(req);
+    ASSERT_EQ(term.status.code(), StatusCode::kDegraded) << id << ": " << term.status.to_string();
+    EXPECT_EQ(term.chunks_degraded, term.chunk_status.size()) << id;
+    EXPECT_EQ(term.options_repaired, kBookN) << id;
+    const core::BsScalars sc = core::bs_scalars(book.view());
+    for (std::size_t i = 0; i < kBookN; ++i) {
+      const core::BsLane o = core::bs_lane(book.view(), i);
+      const core::BsPrice p =
+          core::black_scholes(o.spot, o.strike, o.years, sc.rate, sc.vol, sc.dividend);
+      ASSERT_EQ(o.call, p.call) << id << " " << i;
+      ASSERT_EQ(o.put, p.put) << id << " " << i;
+    }
   }
 }
 

@@ -76,7 +76,7 @@ using namespace finbench;
 
 namespace {
 
-constexpr const char* kKernel = "blackscholes.blocked_fused.8f";
+constexpr const char* kKernel = "bs.blocked_fused_sp.auto";
 constexpr std::size_t kPer = 64;
 
 // A wave of same-kernel AOS jobs over freshly generated portfolios.

@@ -140,21 +140,26 @@ double items_per_sec(std::size_t items, int reps, F&& fn) {
   return items_per_sec("measure", items, reps, static_cast<F&&>(fn));
 }
 
-// Registry-driven dispatch for the exhibit binaries: measure a variant's
-// native batch entry point (the same kernel call the pre-registry code
-// made, resolved by id) under the items_per_sec timing protocol. The
-// request's scratch cache is built during the warm-up call, so stream-RNG
-// inputs stay outside the timed region exactly as before.
-inline double measure_variant(const char* label, const engine::PricingRequest& req,
-                              std::size_t items, int reps) {
+// Registry-driven dispatch for the exhibit binaries: a thunk that runs the
+// registered variant req.kernel_id's batch entry point over req's own
+// portfolio (resolved by id; an unknown id aborts). `req` must outlive it.
+inline auto variant_batch(const engine::PricingRequest& req) {
   const engine::VariantInfo* v = engine::Registry::instance().find(req.kernel_id);
   if (!v) {
     std::fprintf(stderr, "unknown registry variant '%s'\n", req.kernel_id.c_str());
     std::abort();
   }
-  engine::PricingResult res;
-  return items_per_sec(label, items, reps,
-                       [&] { v->run_batch(req, req.portfolio, res); });
+  return [v, &req, res = engine::PricingResult{}]() mutable {
+    v->run_batch(req, req.portfolio, res);
+  };
+}
+
+// variant_batch(req) under the items_per_sec timing protocol. The
+// request's scratch cache is built during the warm-up call, so stream-RNG
+// inputs stay outside the timed region.
+inline double measure_variant(const char* label, const engine::PricingRequest& req,
+                              std::size_t items, int reps) {
+  return items_per_sec(label, items, reps, variant_batch(req));
 }
 
 // Run fn(begin, end) over [0, n) in ranges whose size is a multiple of

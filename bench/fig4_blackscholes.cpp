@@ -30,8 +30,9 @@ int main(int argc, char** argv) {
   const double flops = bs::kFlopsPerOption, bytes = bs::kBytesPerOption;
 
   // Registry-dispatched: one request per layout, variant selected by id.
-  // The 4-wide (SNB-EP) rows call the SOA kernels' 4-wide path over the
-  // engine pool in the same 64-option ranges; the VML row leases its
+  // The rows no registry variant covers — the basic pragma loop on AOS
+  // and the 4-wide (SNB-EP) rows — call their kernels over the engine
+  // pool in the registry's 64-option ranges; the VML row leases its
   // temporaries from a pool carved before timing, as the variant's
   // prepare hook does.
   engine::PricingRequest req_aos, req_soa;
@@ -53,8 +54,11 @@ int main(int argc, char** argv) {
 
   req_aos.kernel_id = "bs.reference.scalar";
   const double ref = bench::measure_variant("bs.ref", req_aos, nopt, opts.reps);
-  req_aos.kernel_id = "bs.basic.auto";
-  const double basic = bench::measure_variant("bs.basic", req_aos, nopt, opts.reps);
+  const double basic = bench::items_per_sec("bs.basic", nopt, opts.reps, [&] {
+    bench::on_pool(nopt, 64, [&](std::size_t b, std::size_t e) {
+      bs::price_basic(core::subview(req_aos.portfolio, b, e - b).aos);
+    });
+  });
   const double inter4 = soa4("bs.inter4", false);
   req_soa.kernel_id = "bs.intermediate.auto";
   const double inter8 = bench::measure_variant("bs.inter8", req_soa, nopt, opts.reps);

@@ -39,27 +39,31 @@ int main(int argc, char** argv) {
       req.kernel_id = id;
       return bench::measure_variant(label, req, nopt, opts.reps);
     };
-    // The 4-wide (SNB-EP) rows: the kernel's 4-wide path over the engine
-    // pool in the registry's 8-option ranges, leasing lattices from a
-    // pool carved before timing.
+    // The rows no registry variant covers — the 4-wide (SNB-EP) rows and
+    // the unrolled tiles — run the kernel at width w over the engine pool
+    // in the registry's 8-option ranges, leasing lattices from a pool
+    // carved before timing.
     bench::PoolScratch lattices(binomial::lattice_doubles(steps));
     std::vector<double> out(nopt);
-    auto measure4 = [&](const char* label, auto kernel) {
+    auto direct = [&](const char* label, auto kernel, binomial::Width w) {
       return bench::items_per_sec(label, nopt, opts.reps, [&] {
         bench::on_pool(nopt, 8, [&](std::size_t b, std::size_t e) {
           kernel(std::span(workload).subspan(b, e - b), steps, std::span(out).subspan(b, e - b),
-                 binomial::Width::kAvx2, &lattices.pool);
+                 w, &lattices.pool);
         });
       });
     };
 
     const double ref = measure("binomial.ref", "binomial.reference.scalar");
     const double basic = measure("binomial.basic", "binomial.basic.auto");
-    const double inter4 = measure4("binomial.inter4", binomial::price_intermediate);
+    const double inter4 =
+        direct("binomial.inter4", binomial::price_intermediate, binomial::Width::kAvx2);
     const double inter8 = measure("binomial.inter8", "binomial.intermediate.auto");
-    const double adv4 = measure4("binomial.adv4", binomial::price_advanced);
+    const double adv4 =
+        direct("binomial.adv4", binomial::price_advanced, binomial::Width::kAvx2);
     const double adv8 = measure("binomial.adv8", "binomial.advanced.auto");
-    const double unroll8 = measure("binomial.unroll8", "binomial.advanced_unrolled.auto");
+    const double unroll8 =
+        direct("binomial.unroll8", binomial::price_advanced_unrolled, binomial::Width::kAuto);
 
     report.add_row(proj.make_row("Reference (scalar)", ref, flops, 0, 1, 1));
     report.add_row(proj.make_row("Basic (inner-loop autovec + omp)", basic, flops, 0, 4, 8));

@@ -60,26 +60,28 @@ int main(int argc, char** argv) {
   const std::size_t chunk = 512;
   const auto z_chunk = brownian::lane_block_normals(z, chunk, zn, maxw);
 
-  // Registry-dispatched rows: the adapters own the z streams (same seed, so
-  // identical normals). The 4-wide (SNB-EP) row and the bespoke
-  // cache-chunked rows run the kernel over the engine pool directly, on
-  // normals built above, outside the timed region.
+  // The registry-dispatched row: the adapter owns its z stream (same seed,
+  // so identical normals). The rows no registry variant covers — basic,
+  // the 4-wide (SNB-EP) row, the bespoke cache-chunked rows and the
+  // end-to-end RNG-interleaved ones — run the kernel over the engine pool
+  // directly in the registry's 8-path ranges, on normals built above,
+  // outside the timed region.
   engine::PricingRequest req;
   req.portfolio = core::paths_view(nsim);
   req.bridge_depth = depth;
   req.seed = 1;
-  auto measure = [&](const char* label, const char* id) {
-    req.kernel_id = id;
-    return bench::measure_variant(label, req, nsim, opts.reps);
+  req.kernel_id = "brownian.intermediate.auto";
+  auto direct = [&](const char* label, auto&& range) {
+    return bench::items_per_sec(label, nsim, opts.reps, [&] { bench::on_pool(nsim, 8, range); });
   };
 
-  const double basic = measure("brownian.basic", "brownian.basic.scalar");
-  const double inter4 = bench::items_per_sec("brownian.inter4", nsim, opts.reps, [&] {
-    bench::on_pool(nsim, 8, [&](std::size_t b, std::size_t e) {
-      brownian::construct_intermediate(sched, z4, nsim, paths, brownian::Width::kAvx2, b, e);
-    });
+  const double basic = direct("brownian.basic", [&](std::size_t b, std::size_t e) {
+    brownian::construct_basic(sched, z, nsim, paths, b, e);
   });
-  const double inter8 = measure("brownian.inter8", "brownian.intermediate.auto");
+  const double inter4 = direct("brownian.inter4", [&](std::size_t b, std::size_t e) {
+    brownian::construct_intermediate(sched, z4, nsim, paths, brownian::Width::kAvx2, b, e);
+  });
+  const double inter8 = bench::measure_variant("brownian.inter8", req, nsim, opts.reps);
   // The two cache-chunked rows spread their 512-path blocks over the
   // engine pool; each participant builds in its own buffers.
   // Interleaved-RNG effect: normals always hit in cache; paths to DRAM.
@@ -118,8 +120,13 @@ int main(int argc, char** argv) {
   });
   // End-to-end variants with RNG included (supplementary).
   const double e2e_interleaved =
-      measure("brownian.e2e_interleaved", "brownian.advanced_interleaved.auto");
-  const double e2e_fused = measure("brownian.e2e_fused", "brownian.advanced_fused.auto");
+      direct("brownian.e2e_interleaved", [&](std::size_t b, std::size_t e) {
+        brownian::construct_advanced_interleaved(sched, req.seed, nsim, paths,
+                                                 brownian::Width::kAuto, b, e);
+      });
+  const double e2e_fused = direct("brownian.e2e_fused", [&](std::size_t b, std::size_t e) {
+    brownian::construct_advanced_fused(sched, req.seed, nsim, avg, brownian::Width::kAuto, b, e);
+  });
 
   report.add_row(proj.make_row("Basic (scalar per path, omp)", basic, flops, bytes_stream, 1, 1));
   report.add_row(

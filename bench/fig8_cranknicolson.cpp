@@ -47,11 +47,12 @@ int main(int argc, char** argv) {
   const double scale = opts.full ? 1.0 : 1000.0 / 250.0;  // step-count normalization
 
   // Registry-dispatched: the request mirrors the grid (cn_num_prices x
-  // steps); each 8-wide row selects its variant by id. The 4-wide
-  // (SNB-EP) rows run the kernel's batch driver at 4 lanes over the
-  // engine pool, in the registry's ranges (one option; a pair for the
-  // paired solve; one 4-option pack for the direct solve, whose workspace
-  // comes from a pool carved before timing).
+  // steps); the reference and the 8-wide direct solve select their
+  // variant by id. The wavefront rows and the 4-wide (SNB-EP) rows run
+  // the kernel's batch driver at width w over the engine pool, in
+  // ranges of one option (a pair for the paired solve; one 4-option pack
+  // for the direct solve, whose workspace comes from a pool carved
+  // before timing).
   engine::PricingRequest req;
   req.portfolio = core::view_of(std::span<const core::OptionSpec>(workload));
   req.cn_num_prices = grid.num_prices;
@@ -62,25 +63,26 @@ int main(int argc, char** argv) {
   };
   bench::PoolScratch packs(cn::direct_packed_doubles(grid));
   std::vector<double> out(nopt);
-  auto measure4 = [&](const char* label, cn::Variant v, std::size_t align) {
+  auto direct = [&](const char* label, cn::Variant v, std::size_t align, cn::Width w) {
     return bench::items_per_sec(label, nopt, opts.reps, [&] {
       bench::on_pool(nopt, align, [&](std::size_t b, std::size_t e) {
         cn::price_batch(std::span(workload).subspan(b, e - b), grid, v,
-                        std::span(out).subspan(b, e - b), cn::Width::kAvx2, &packs.pool);
+                        std::span(out).subspan(b, e - b), w, &packs.pool);
       });
     });
   };
+  constexpr cn::Width k4 = cn::Width::kAvx2, k8 = cn::Width::kAuto;
 
   const double ref = measure("cn.ref", "cn.reference.scalar");
-  const double wf4 = measure4("cn.wf4", cn::Variant::kWavefront, 1);
-  const double wf8 = measure("cn.wf8", "cn.wavefront.auto");
-  const double split4 = measure4("cn.split4", cn::Variant::kWavefrontSplit, 1);
-  const double split8 = measure("cn.split8", "cn.wavefront_split.auto");
-  const double paired4 = measure4("cn.paired4", cn::Variant::kWavefrontSplitPaired, 2);
-  const double paired8 = measure("cn.paired8", "cn.wavefront_split_paired.auto");
+  const double wf4 = direct("cn.wf4", cn::Variant::kWavefront, 1, k4);
+  const double wf8 = direct("cn.wf8", cn::Variant::kWavefront, 1, k8);
+  const double split4 = direct("cn.split4", cn::Variant::kWavefrontSplit, 1, k4);
+  const double split8 = direct("cn.split8", cn::Variant::kWavefrontSplit, 1, k8);
+  const double paired4 = direct("cn.paired4", cn::Variant::kWavefrontSplitPaired, 2, k4);
+  const double paired8 = direct("cn.paired8", cn::Variant::kWavefrontSplitPaired, 2, k8);
   // Beyond the paper: options in the lanes, one direct solve per step.
   const double packed8 = measure("cn.packed8", "cn.direct_packed.auto");
-  const double packed4 = measure4("cn.packed4", cn::Variant::kDirectPacked, 4);
+  const double packed4 = direct("cn.packed4", cn::Variant::kDirectPacked, 4, k4);
   const double direct_flops = cn::flops_per_option_direct(grid);
 
   report.add_row(proj.make_row("Reference (scalar GSOR, 1000-step equiv)", ref / scale, flops,

@@ -28,21 +28,19 @@ struct Gap {
   double gap8;  // best 8-wide / basic
 };
 
-// One kernel's basic, best 4-wide and best 8-wide rows. Basic and best
-// 8-wide run their registry variants' run_batch; the best 4-wide row runs
-// `best4(begin, end)`, the kernel's 4-wide path, over the engine pool in
-// `align`-multiple ranges, so the pool threads every level alike. `basic`
-// may carry a different layout than `best8` (the AOS pragma loop against
-// the SOA SIMD kernels).
-template <class F>
-Gap measure(const char* kernel, const char* tag_name, const engine::PricingRequest& basic,
-            const engine::PricingRequest& best8, std::size_t items, int reps, std::size_t align,
-            F&& best4) {
+// One kernel's basic, best 4-wide and best 8-wide rows, each a thunk that
+// prices the whole batch once: a registry variant's run_batch
+// (`bench::variant_batch`), or a kernel call no registry variant covers
+// spread over the engine pool in the registry's ranges (`pooled`), so the
+// pool threads every level alike. `basic` may carry a different layout
+// than `best8` (the AOS pragma loop against the SOA SIMD kernels).
+template <class B, class F4, class F8>
+Gap measure(const char* kernel, const char* tag_name, std::size_t items, int reps, B&& basic,
+            F4&& best4, F8&& best8) {
   const std::string tag = std::string("ninja.") + tag_name;
-  const double base = bench::measure_variant((tag + ".basic").c_str(), basic, items, reps);
-  const double r4 = bench::items_per_sec((tag + ".best4").c_str(), items, reps,
-                                         [&] { bench::on_pool(items, align, best4); });
-  const double r8 = bench::measure_variant((tag + ".best8").c_str(), best8, items, reps);
+  const double base = bench::items_per_sec((tag + ".basic").c_str(), items, reps, basic);
+  const double r4 = bench::items_per_sec((tag + ".best4").c_str(), items, reps, best4);
+  const double r8 = bench::items_per_sec((tag + ".best8").c_str(), items, reps, best8);
   return {kernel, r4 / base, r8 / base};
 }
 
@@ -53,82 +51,101 @@ engine::PricingRequest request(const char* id, core::PortfolioView view) {
   return req;
 }
 
+// fn(begin, end) over [0, n) on the engine pool, in align-multiple ranges.
+template <class F>
+auto pooled(std::size_t n, std::size_t align, F fn) {
+  return [n, align, fn] { bench::on_pool(n, align, fn); };
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto opts = bench::Options::parse(argc, argv);
   std::vector<Gap> gaps;
 
-  {  // Black–Scholes
+  {  // Black–Scholes: the basic pragma loop prices the AOS book in place.
     const std::size_t n = opts.full ? (1u << 22) : (1u << 19);
     core::Portfolio aos = core::Portfolio::bs(n, core::Layout::kBsAos, 1);
     core::Portfolio soa = core::Portfolio::bs(n, core::Layout::kBsSoa, 1);
-    gaps.push_back(measure("black-scholes", "bs", request("bs.basic.auto", aos.view()),
-                           request("bs.intermediate.auto", soa.view()), n, opts.reps, 64,
-                           [&](std::size_t b, std::size_t e) {
-                             kernels::bs::price_intermediate(
-                                 core::subview(soa.view(), b, e - b).soa,
-                                 kernels::bs::Width::kAvx2);
-                           }));
+    const engine::PricingRequest best8 = request("bs.intermediate.auto", soa.view());
+    const auto basic = pooled(n, 64, [&](std::size_t b, std::size_t e) {
+      kernels::bs::price_basic(core::subview(aos.view(), b, e - b).aos);
+    });
+    const auto best4 = pooled(n, 64, [&](std::size_t b, std::size_t e) {
+      kernels::bs::price_intermediate(core::subview(soa.view(), b, e - b).soa,
+                                      kernels::bs::Width::kAvx2);
+    });
+    gaps.push_back(measure("black-scholes", "bs", n, opts.reps, basic, best4,
+                           bench::variant_batch(best8)));
   }
-  {  // Binomial tree
+  {  // Binomial tree: the unrolled register tiles at 4 and 8 lanes, in
+     // ranges of whole lane groups, leasing lattices carved before timing.
     const std::size_t n = opts.full ? 128 : 32;
     const int steps = 1024;
     const auto w = core::make_option_workload(n, 2);
     engine::PricingRequest basic = request("binomial.basic.auto", core::view_of(std::span(w)));
     basic.steps = steps;
-    engine::PricingRequest best8 = basic;
-    best8.kernel_id = "binomial.advanced_unrolled.auto";
     bench::PoolScratch lattices(kernels::binomial::lattice_doubles(steps));
     std::vector<double> out(n);
-    gaps.push_back(measure("binomial-tree", "binomial", basic, best8, n, opts.reps, 4,
-                           [&](std::size_t b, std::size_t e) {
-                             kernels::binomial::price_advanced_unrolled(
-                                 std::span(w).subspan(b, e - b), steps,
-                                 std::span(out).subspan(b, e - b),
-                                 kernels::binomial::Width::kAvx2, &lattices.pool);
-                           }));
+    const auto unrolled = [&](kernels::binomial::Width width, std::size_t align) {
+      return pooled(n, align, [&, width](std::size_t b, std::size_t e) {
+        kernels::binomial::price_advanced_unrolled(std::span(w).subspan(b, e - b), steps,
+                                                   std::span(out).subspan(b, e - b), width,
+                                                   &lattices.pool);
+      });
+    };
+    gaps.push_back(measure("binomial-tree", "binomial", n, opts.reps, bench::variant_batch(basic),
+                           unrolled(kernels::binomial::Width::kAvx2, 4),
+                           unrolled(kernels::binomial::Width::kAuto, 8)));
   }
-  {  // Brownian bridge: the 4-wide row's lane-blocked normals are the
-     // adapters' draw (seed 1), blocked before timing.
+  {  // Brownian bridge: the basic and 4-wide rows build from the adapters'
+     // draw (seed 1), the 4-wide row's normals lane-blocked before timing.
     const std::size_t n = opts.full ? (1u << 18) : (1u << 15);
     const int depth = 6;
-    engine::PricingRequest basic = request("brownian.basic.scalar", core::paths_view(n));
-    basic.bridge_depth = depth;
-    basic.seed = 1;
-    engine::PricingRequest best8 = basic;
-    best8.kernel_id = "brownian.intermediate.auto";
+    engine::PricingRequest best8 = request("brownian.intermediate.auto", core::paths_view(n));
+    best8.bridge_depth = depth;
+    best8.seed = 1;
     const auto sched = kernels::brownian::BridgeSchedule::uniform(depth, 1.0);
     arch::AlignedVector<double> z(n * sched.normals_per_path());
-    rng::NormalStream(basic.seed).fill(z);
+    rng::NormalStream(best8.seed).fill(z);
     const auto z4 = kernels::brownian::lane_block_normals(z, n, sched.normals_per_path(), 4);
     std::vector<double> paths(n * sched.num_points());
-    gaps.push_back(measure("brownian-bridge", "brownian", basic, best8, n, opts.reps, 8,
-                           [&](std::size_t b, std::size_t e) {
-                             kernels::brownian::construct_intermediate(
-                                 sched, z4, n, paths, kernels::brownian::Width::kAvx2, b, e);
-                           }));
+    const auto basic = pooled(n, 8, [&](std::size_t b, std::size_t e) {
+      kernels::brownian::construct_basic(sched, z, n, paths, b, e);
+    });
+    const auto best4 = pooled(n, 8, [&](std::size_t b, std::size_t e) {
+      kernels::brownian::construct_intermediate(sched, z4, n, paths,
+                                                kernels::brownian::Width::kAvx2, b, e);
+    });
+    gaps.push_back(measure("brownian-bridge", "brownian", n, opts.reps, basic, best4,
+                           bench::variant_batch(best8)));
   }
   {  // Monte Carlo (the paper's point: basic pragmas ~close the gap). The
-     // 4-wide row streams the adapters' normals (seed 2), drawn before timing.
+     // basic and 4-wide rows stream the adapters' normals (seed 2), drawn
+     // before timing.
     const std::size_t n = opts.full ? 16 : 8;
     const auto w = core::make_option_workload(n, 3);
-    engine::PricingRequest basic = request("mc.basic_stream.auto", core::view_of(std::span(w)));
-    basic.npath = opts.full ? (1u << 17) : (1u << 15);
-    basic.seed = 2;
-    engine::PricingRequest best8 = basic;
-    best8.kernel_id = "mc.optimized_stream.auto";
-    arch::AlignedVector<double> z(basic.npath);
-    rng::NormalStream(basic.seed).fill(z);
+    engine::PricingRequest best8 =
+        request("mc.optimized_stream.auto", core::view_of(std::span(w)));
+    best8.npath = opts.full ? (1u << 17) : (1u << 15);
+    best8.seed = 2;
+    arch::AlignedVector<double> z(best8.npath);
+    rng::NormalStream(best8.seed).fill(z);
     std::vector<kernels::mc::McResult> out(n);
-    gaps.push_back(measure("monte-carlo", "mc", basic, best8, n, opts.reps, 1,
-                           [&](std::size_t b, std::size_t e) {
-                             kernels::mc::price_optimized_stream(
-                                 std::span(w).subspan(b, e - b), z, basic.npath,
-                                 std::span(out).subspan(b, e - b), kernels::mc::Width::kAvx2);
-                           }));
+    const auto basic = pooled(n, 1, [&](std::size_t b, std::size_t e) {
+      kernels::mc::price_basic_stream(std::span(w).subspan(b, e - b), z, best8.npath,
+                                      std::span(out).subspan(b, e - b));
+    });
+    const auto best4 = pooled(n, 1, [&](std::size_t b, std::size_t e) {
+      kernels::mc::price_optimized_stream(std::span(w).subspan(b, e - b), z, best8.npath,
+                                          std::span(out).subspan(b, e - b),
+                                          kernels::mc::Width::kAvx2);
+    });
+    gaps.push_back(measure("monte-carlo", "mc", n, opts.reps, basic, best4,
+                           bench::variant_batch(best8)));
   }
-  {  // Crank–Nicolson
+  {  // Crank–Nicolson: the parity-split wavefront at 4 and 8 lanes, one
+     // option per range.
     const std::size_t n = opts.full ? 8 : 4;
     core::SingleOptionWorkloadParams params;
     params.style = core::ExerciseStyle::kAmerican;
@@ -136,19 +153,19 @@ int main(int argc, char** argv) {
     engine::PricingRequest basic = request("cn.reference.scalar", core::view_of(std::span(w)));
     basic.cn_num_prices = 257;
     basic.steps = opts.full ? 500 : 150;
-    engine::PricingRequest best8 = basic;
-    best8.kernel_id = "cn.wavefront_split.auto";
     kernels::cn::GridSpec grid;
     grid.num_prices = basic.cn_num_prices;
     grid.num_steps = basic.steps;
     std::vector<double> out(n);
-    gaps.push_back(measure("crank-nicolson", "cn", basic, best8, n, opts.reps, 1,
-                           [&](std::size_t b, std::size_t e) {
-                             kernels::cn::price_batch(std::span(w).subspan(b, e - b), grid,
-                                                      kernels::cn::Variant::kWavefrontSplit,
-                                                      std::span(out).subspan(b, e - b),
-                                                      kernels::cn::Width::kAvx2);
-                           }));
+    const auto split = [&](kernels::cn::Width width) {
+      return pooled(n, 1, [&, width](std::size_t b, std::size_t e) {
+        kernels::cn::price_batch(std::span(w).subspan(b, e - b), grid,
+                                 kernels::cn::Variant::kWavefrontSplit,
+                                 std::span(out).subspan(b, e - b), width);
+      });
+    };
+    gaps.push_back(measure("crank-nicolson", "cn", n, opts.reps, bench::variant_batch(basic),
+                           split(kernels::cn::Width::kAvx2), split(kernels::cn::Width::kAuto)));
   }
 
   std::printf("\n===============================================================\n");

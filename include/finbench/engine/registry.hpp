@@ -14,7 +14,10 @@
 //   auto   — the widest path compiled into this build (8-wide DP and
 //            16-wide SP with AVX-512; registered width 0)
 // No lane count is an id: the paper's 4-wide SNB-EP rows are exhibit rows,
-// and the fig/tab binaries call the kernels' 4-wide paths directly.
+// and the fig/tab binaries call the kernels' 4-wide paths directly. Nor
+// is a paper level that loses every race on this platform (basic AOS
+// Black–Scholes, the unrolled binomial tiles, the CN wavefronts, ...):
+// the exhibits time those kernels directly too.
 //
 // The built-in variants register on first Registry::instance() access, so
 // there is no static-initialization-order or archive-stripping hazard.
@@ -50,9 +53,9 @@ struct VariantInfo {
 
   // Self-validation: the variant this one must agree with ("" for the
   // family reference itself). `tolerance` is relative for element-wise
-  // comparison; when `statistical` is set the variant draws its own random
-  // numbers, so validation compares standard-error bands / batch means
-  // instead of elements (tolerance becomes the absolute mean band).
+  // comparison; when `statistical` is set the variant is a different
+  // estimator that reports standard errors, so validation widens each
+  // element's band by six of them.
   std::string reference_id;
   double tolerance = 1e-9;
   bool statistical = false;

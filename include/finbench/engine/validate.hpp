@@ -3,8 +3,9 @@
 // Registry self-validation: price a canonical workload through a variant
 // and through the reference variant it links to, and compare within the
 // variant's registered tolerance. Deterministic variants compare
-// element-wise (relative error); statistical variants (own RNG draws)
-// compare batch means within max(tolerance, k standard errors).
+// element-wise (relative error); statistical variants (different
+// estimators) compare element-wise within the tolerance plus six standard
+// errors of the two estimates.
 //
 // Shared by tests/test_engine.cpp and `pricectl --validate`.
 

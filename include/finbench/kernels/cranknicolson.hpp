@@ -70,8 +70,11 @@ struct GridSpec {
   int num_prices = 257;       // spatial points (including boundaries)
   int num_steps = 1000;       // time steps
   double halfwidth = 0.0;     // x half-width; 0 => auto (5 sigma sqrt(T) + moneyness)
-  double epsilon = 1e-12;     // PSOR convergence: sum of squared updates,
-                              // relative to the squared payoff scale
+  double epsilon = 1e-16;     // PSOR convergence: sum of squared updates,
+                              // relative to the squared payoff scale. The
+                              // scale is the grid's largest payoff, far
+                              // above the price at mid: 1e-12 stops the
+                              // reference up to 3e-4 from converged.
   double omega0 = 1.0;        // initial SOR relaxation
   double domega = 0.05;       // relaxation adaptation step (Lis. 6)
 };

@@ -40,11 +40,12 @@ constexpr std::string_view to_string(GuardMode m) {
   return "?";
 }
 
+// Relative slack on the kFull no-arbitrage bounds (lattice/PDE
+// discretization legitimately sags slightly below the hard bound).
+inline constexpr double kBoundSlack = 5e-3;
+
 struct GuardPolicy {
   GuardMode mode = GuardMode::kFinite;
-  // Relative slack on the kFull no-arbitrage bounds (lattice/PDE
-  // discretization legitimately sags slightly below the hard bound).
-  double bound_slack = 5e-3;
   // kFull bound checks only apply to deterministic European vanilla
   // pricers; statistical estimators (Monte Carlo) get kFinite regardless,
   // since a finite-sample mean can legally poke past the bounds.

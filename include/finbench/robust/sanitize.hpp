@@ -57,8 +57,9 @@ enum OptionFault : std::uint8_t {
   kFaultSkipped = 1u << 5,    // sanitizer masked the option out entirely
 };
 
-// The sane envelope clamped values land in. Wide on purpose: the
-// sanitizer polices representability, not market plausibility.
+// The sane envelope clamped values land in, one for every workload. Wide
+// on purpose: the sanitizer polices representability, not market
+// plausibility.
 struct SanitizeEnvelope {
   double min_positive = 1e-12;  // spot/strike/vol/years floor
   double max_magnitude = 1e15;  // spot/strike ceiling
@@ -66,6 +67,7 @@ struct SanitizeEnvelope {
   double max_years = 200.0;
   double max_abs_rate = 1.0;    // +-100% rates
 };
+inline constexpr SanitizeEnvelope kEnvelope{};
 
 struct SanitizeReport {
   std::size_t scanned = 0;
@@ -90,8 +92,7 @@ struct SanitizeReport {
 // caller's own view object is never touched (array data is, by design).
 // kSpecs views are scanned but never mutated — use sanitize_specs for the
 // policy-applying copy. Updates the "robust.sanitize.*" counters.
-void sanitize(core::PortfolioView& view, SanitizePolicy policy, SanitizeReport& out,
-              const SanitizeEnvelope& env = {});
+void sanitize(core::PortfolioView& view, SanitizePolicy policy, SanitizeReport& out);
 
 // --- Black–Scholes range scans -----------------------------------------------
 //
@@ -104,8 +105,7 @@ void sanitize(core::PortfolioView& view, SanitizePolicy policy, SanitizeReport& 
 // Classify the shared scalars of a BS view, repairing them in place on
 // `view` under kClamp/kSkip. Returns the fault bits every option of the
 // batch inherits (kFaultNone when the scalars are sane or policy is kOff).
-std::uint8_t sanitize_shared(core::PortfolioView& view, SanitizePolicy policy,
-                             const SanitizeEnvelope& env = {});
+std::uint8_t sanitize_shared(core::PortfolioView& view, SanitizePolicy policy);
 
 // Scan (and under kClamp/kSkip repair in place) the options of a BS view,
 // typically a chunk subview, given the bits sanitize_shared returned.
@@ -115,7 +115,7 @@ std::uint8_t sanitize_shared(core::PortfolioView& view, SanitizePolicy policy,
 // classification runs; masks and counts are exactly those of the
 // per-option scan. Touches no counters (see record_sanitize).
 void sanitize_range(const core::PortfolioView& view, std::uint8_t shared, SanitizePolicy policy,
-                    SanitizeReport& out, const SanitizeEnvelope& env = {});
+                    SanitizeReport& out);
 
 // Add a report's counts to the "robust.sanitize.*" counters. sanitize()
 // does this itself; range callers do it once for their merged report.
@@ -126,10 +126,9 @@ void record_sanitize(const SanitizeReport& r);
 // Clamped options are repaired, skipped options are replaced by a benign
 // placeholder; `out.mask` says which is which.
 void sanitize_specs(std::span<const core::OptionSpec> src, std::span<core::OptionSpec> dst,
-                    SanitizePolicy policy, SanitizeReport& out,
-                    const SanitizeEnvelope& env = {});
+                    SanitizePolicy policy, SanitizeReport& out);
 
 // Fault bits for one spec (no mutation, no counters) — the scan primitive.
-std::uint8_t classify(const core::OptionSpec& o, const SanitizeEnvelope& env = {});
+std::uint8_t classify(const core::OptionSpec& o);
 
 }  // namespace finbench::robust

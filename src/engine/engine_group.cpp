@@ -81,8 +81,7 @@ bool Engine::fusable(const PricingRequest& a, const PricingRequest& b) const {
       a.seed != b.seed) {
     return false;
   }
-  if (a.sanitize != b.sanitize || a.fallback != b.fallback ||
-      a.guard.mode != b.guard.mode || a.guard.bound_slack != b.guard.bound_slack) {
+  if (a.sanitize != b.sanitize || a.fallback != b.fallback || a.guard.mode != b.guard.mode) {
     return false;
   }
   // One fused batch carries one set of shared scalars.

@@ -86,8 +86,7 @@ Outputs run_one(const VariantInfo& v, const VariantInfo& subject, std::size_t n)
   req.kernel_id = v.id;
   PricingResult res;
   if (v.layout == Layout::kPaths) {
-    req.portfolio =
-        core::paths_view(subject.statistical ? 8192 : std::max<std::size_t>(n, 256));
+    req.portfolio = core::paths_view(std::max<std::size_t>(n, 256));
     v.run_batch(req, req.portfolio, res);
     return {std::move(res.values), std::move(res.std_errors)};
   }
@@ -132,32 +131,30 @@ ValidationReport validate_variant(const std::string& id, std::size_t nopt) {
   }
 
   if (v->statistical) {
-    if (!got.std_errors.empty() && !want.std_errors.empty()) {
-      // Different estimator, same quantity: agree within error bands.
-      double worst = 0.0;
-      std::size_t worst_i = 0;
-      for (std::size_t i = 0; i < got.values.size(); ++i) {
-        const double band = v->tolerance * std::max(1.0, std::fabs(want.values[i])) +
-                            6.0 * (got.std_errors[i] + want.std_errors[i]);
-        const double excess = std::fabs(got.values[i] - want.values[i]) - band;
-        if (excess > worst) {
-          worst = excess;
-          worst_i = i;
-        }
-      }
-      rep.mean_abs_err = std::fabs(mean(got.values) - mean(want.values));
-      rep.ok = worst <= 0.0;
-      if (!rep.ok) {
-        char buf[160];
-        std::snprintf(buf, sizeof buf, "item %zu outside 6-sigma band by %.3g", worst_i, worst);
-        rep.detail = buf;
-      }
+    // Different estimator, same quantity: agree within error bands.
+    if (got.std_errors.size() != got.values.size() ||
+        want.std_errors.size() != want.values.size()) {
+      rep.detail = "statistical variant without per-item standard errors";
       return rep;
     }
-    // Own random draws, no per-item error estimate: batch means agree.
+    double worst = 0.0;
+    std::size_t worst_i = 0;
+    for (std::size_t i = 0; i < got.values.size(); ++i) {
+      const double band = v->tolerance * std::max(1.0, std::fabs(want.values[i])) +
+                          6.0 * (got.std_errors[i] + want.std_errors[i]);
+      const double excess = std::fabs(got.values[i] - want.values[i]) - band;
+      if (excess > worst) {
+        worst = excess;
+        worst_i = i;
+      }
+    }
     rep.mean_abs_err = std::fabs(mean(got.values) - mean(want.values));
-    rep.ok = rep.mean_abs_err <= v->tolerance;
-    if (!rep.ok) rep.detail = "batch means differ beyond the tolerance band";
+    rep.ok = worst <= 0.0;
+    if (!rep.ok) {
+      char buf[160];
+      std::snprintf(buf, sizeof buf, "item %zu outside 6-sigma band by %.3g", worst_i, worst);
+      rep.detail = buf;
+    }
     return rep;
   }
 

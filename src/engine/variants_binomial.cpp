@@ -7,7 +7,7 @@
 // costs ~3 s(s+1)/2 flops at depth s, so a 3-year option costs two orders
 // of magnitude more than a 1-month one — the skew cost-weighted chunking
 // and dynamic self-scheduling absorb. Inside a chunk:
-//   - the SIMD variants (intermediate, advanced, advanced_unrolled) sort
+//   - the SIMD variants (intermediate, advanced) sort
 //     the chunk's options by depth and price them in depth packs of W
 //     lanes (kernels::binomial::price_packed); register tiling stays the
 //     uniform-depth path. Lanes never interact, so outputs are bitwise the
@@ -310,14 +310,6 @@ void register_binomial(Registry& r) {
     // Fallback chain: advanced -> intermediate -> reference.
     v.fallback_id = "binomial.intermediate.auto";
     wire<widest<kernels::binomial::price_advanced>, true>(v);
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("binomial.advanced_unrolled.auto", OptLevel::kAdvanced, 0,
-                         "register tiling + manual tile-loop unrolling");
-    v.european_only = true;
-    v.fallback_id = "binomial.advanced.auto";  // -> intermediate -> reference
-    wire<widest<kernels::binomial::price_advanced_unrolled>, true>(v);
     r.add(std::move(v));
   }
   // --- Blocked (AoSoA) family ----------------------------------------------

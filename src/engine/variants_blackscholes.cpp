@@ -27,9 +27,8 @@ double bytes_sp(const PricingRequest&) { return kernels::bs::kBytesPerOption / 2
 // entry points below wrap it for the two ways it is driven.
 using PriceFn = void (*)(const PricingRequest&, const core::PortfolioView&);
 
-template <void (*K)(core::BsAosView)>
-void price_aos(const PricingRequest&, const core::PortfolioView& view) {
-  K(view.aos);
+void price_reference(const PricingRequest&, const core::PortfolioView& view) {
+  kernels::bs::price_reference(view.aos);
 }
 
 void price_intermediate(const PricingRequest&, const core::PortfolioView& view) {
@@ -102,14 +101,7 @@ void register_blackscholes(Registry& r) {
     VariantInfo v = base("bs.reference.scalar", OptLevel::kReference, 1, Layout::kBsAos,
                          "scalar AOS loop, cnd via libm erfc (Lis. 1)");
     v.reference_id = "";
-    set_kernel<price_aos<kernels::bs::price_reference>>(v);
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("bs.basic.auto", OptLevel::kBasic, 0, Layout::kBsAos,
-                         "AOS loop under pragma omp simd");
-    v.tolerance = 1e-12;
-    set_kernel<price_aos<kernels::bs::price_basic>>(v);
+    set_kernel<price_reference>(v);
     r.add(std::move(v));
   }
   {

@@ -2,17 +2,15 @@
 //
 // Path construction is a kPaths workload: the variants build nsim paths
 // into PricingResult::values in the kernels' point-major layout (point c
-// of simulation s at values[c * nsim + s]); the fused variant returns one
-// path average per simulation instead. A range is a run of whole lane
-// groups (range_align 8 covers every width), so its normals — the
-// lane-blocked stream, or the per-group Philox streams of the interleaved
-// variants — and therefore its outputs are those of the whole batch.
-// Pre-generated normals (and their lane-blocked reordering for the SIMD
-// variants) live in the request Scratch, so repeated pricings time only
-// the construction — Fig. 6's "timings do not account for random number
-// generation".
-
-#include <stdexcept>
+// of simulation s at values[c * nsim + s]), every variant from the same
+// normals, so every one returns the same paths. A range is a run of whole
+// lane groups (range_align 8 covers every width), so its normals — the
+// lane-blocked stream — and therefore its outputs are those of the whole
+// batch. Pre-generated normals (and their lane-blocked reordering for the
+// SIMD variant) live in the request Scratch, so repeated pricings time
+// only the construction — Fig. 6's "timings do not account for random
+// number generation". The paper's basic and RNG-interleaved levels are
+// Fig. 6 exhibit rows that call the kernels directly.
 
 #include "finbench/kernels/brownian.hpp"
 #include "finbench/rng/normal.hpp"
@@ -33,10 +31,6 @@ double bytes_stream(const PricingRequest& req) {
   const double zn = static_cast<double>(std::size_t{1} << req.bridge_depth);
   return 8.0 * (2.0 * zn + 1.0);  // normals in, path out
 }
-double bytes_interleaved(const PricingRequest& req) {
-  return 8.0 * static_cast<double>((std::size_t{1} << req.bridge_depth) + 1);
-}
-double bytes_fused(const PricingRequest&) { return 8.0; }
 
 Scratch& prepared(const PricingRequest& req, const core::PortfolioView& view, int blocked_width) {
   Scratch& s = scratch_of(req);
@@ -62,65 +56,27 @@ Scratch& prepared(const PricingRequest& req, const core::PortfolioView& view, in
   return s;
 }
 
-// Values per path: the whole path, or its average (the fused variant).
-std::size_t path_values(const Scratch& s, bool fused) {
-  return fused ? 1 : s.sched->num_points();
-}
-
 // The prepare hook: schedule, normals (lane-blocked for the widest width
 // when Blocked) and the point-major output.
-template <bool Blocked, bool Fused>
+template <bool Blocked>
 void prepare_paths(const PricingRequest& req, const core::PortfolioView& view,
                    PricingResult& res) {
   const Scratch& s = prepared(req, view, Blocked ? vecmath::max_width() : 1);
-  const std::size_t need = view.npaths * path_values(s, Fused);
+  const std::size_t need = view.npaths * s.sched->num_points();
   if (res.values.size() != need) res.values.assign(need, 0.0);
-}
-
-// The output a range writes into. A fallback link whose outputs have
-// another shape (full paths for an averaging variant) refuses to write.
-std::span<double> path_out(const PricingRequest& req, const core::PortfolioView& view,
-                           PricingResult& res, bool fused) {
-  if (res.values.size() != view.npaths * path_values(*req.scratch, fused)) {
-    throw std::length_error("brownian: the result holds paths of another shape");
-  }
-  return res.values;
 }
 
 void run_reference(const PricingRequest& req, const core::PortfolioView& view,
                    std::size_t begin, std::size_t end, PricingResult& res) {
   const Scratch& s = *req.scratch;
-  kernels::brownian::construct_reference(*s.sched, s.bb_z, view.npaths,
-                                         path_out(req, view, res, false), begin, end);
-}
-
-void run_basic(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
-               std::size_t end, PricingResult& res) {
-  const Scratch& s = *req.scratch;
-  kernels::brownian::construct_basic(*s.sched, s.bb_z, view.npaths,
-                                     path_out(req, view, res, false), begin, end);
+  kernels::brownian::construct_reference(*s.sched, s.bb_z, view.npaths, res.values, begin, end);
 }
 
 void run_intermediate(const PricingRequest& req, const core::PortfolioView& view,
                       std::size_t begin, std::size_t end, PricingResult& res) {
   const Scratch& s = *req.scratch;
-  kernels::brownian::construct_intermediate(*s.sched, s.bb_z_blocked, view.npaths,
-                                            path_out(req, view, res, false), Width::kAuto,
-                                            begin, end);
-}
-
-void run_interleaved(const PricingRequest& req, const core::PortfolioView& view,
-                     std::size_t begin, std::size_t end, PricingResult& res) {
-  kernels::brownian::construct_advanced_interleaved(*req.scratch->sched, req.seed, view.npaths,
-                                                    path_out(req, view, res, false),
-                                                    Width::kAuto, begin, end);
-}
-
-void run_fused(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
-               std::size_t end, PricingResult& res) {
-  kernels::brownian::construct_advanced_fused(*req.scratch->sched, req.seed, view.npaths,
-                                              path_out(req, view, res, true), Width::kAuto,
-                                              begin, end);
+  kernels::brownian::construct_intermediate(*s.sched, s.bb_z_blocked, view.npaths, res.values,
+                                            Width::kAuto, begin, end);
 }
 
 VariantInfo base(const char* id, OptLevel level, int width, const char* desc) {
@@ -146,45 +102,15 @@ void register_brownian(Registry& r) {
     VariantInfo v = base("brownian.reference.scalar", OptLevel::kReference, 1,
                          "per-path scalar midpoint refinement (Lis. 4)");
     v.reference_id = "";
-    v.prepare = prepare_paths<false, false>;
+    v.prepare = prepare_paths<false>;
     v.run_range = run_reference;
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("brownian.basic.scalar", OptLevel::kBasic, 1,
-                         "scalar construction (no vectorizable loop for pragmas)");
-    v.prepare = prepare_paths<false, false>;
-    v.run_range = run_basic;
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("brownian.intermediate.auto", OptLevel::kIntermediate, 0,
                          "widest SIMD across paths, lane-blocked normals");
-    v.prepare = prepare_paths<true, false>;
+    v.prepare = prepare_paths<true>;
     v.run_range = run_intermediate;
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("brownian.advanced_interleaved.auto", OptLevel::kAdvanced, 0,
-                         "normals generated on the fly in cache-resident chunks");
-    // Fallback chain: advanced_* -> intermediate -> reference.
-    v.fallback_id = "brownian.intermediate.auto";
-    v.statistical = true;  // draws its own normals
-    v.tolerance = 0.08;    // |mean| band at >= 4096 validation paths
-    v.bytes_per_item = bytes_interleaved;
-    v.prepare = prepare_paths<false, false>;
-    v.run_range = run_interleaved;
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("brownian.advanced_fused.auto", OptLevel::kAdvanced, 0,
-                         "cache-to-cache: path consumed (averaged) without touching DRAM");
-    v.fallback_id = "brownian.intermediate.auto";
-    v.statistical = true;
-    v.tolerance = 0.08;
-    v.bytes_per_item = bytes_fused;
-    v.prepare = prepare_paths<false, true>;
-    v.run_range = run_fused;
     r.add(std::move(v));
   }
 }

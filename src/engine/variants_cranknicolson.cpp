@@ -1,15 +1,16 @@
 // Registry adapters for the Crank–Nicolson kernel family (paper Fig. 8).
 // The grid is rebuilt from the request knobs (cn_num_prices, steps). For
-// the PSOR variants the per-option cost proxy scales with the transformed
-// time horizon sigma^2 T (more tau to march, and higher alpha means more
-// PSOR iterations per step), giving the engine's weighted chunking a
-// handle on mixed-expiry batches; the option-packed direct solve (beyond
-// the paper) does the same work per option at any sigma^2 T.
+// the PSOR reference the per-option cost proxy scales with the
+// transformed time horizon sigma^2 T (more tau to march, and higher alpha
+// means more PSOR iterations per step), giving the engine's weighted
+// chunking a handle on mixed-expiry batches; the option-packed direct
+// solve (beyond the paper) does the same work per option at any
+// sigma^2 T. The paper's wavefront levels are Fig. 8 exhibit rows that
+// call the kernels directly.
 
 #include <span>
 
 #include "finbench/kernels/cranknicolson.hpp"
-#include "finbench/vecmath/array_math.hpp"
 #include "variants.hpp"
 
 namespace finbench::engine {
@@ -28,17 +29,11 @@ GridSpec grid_of(const PricingRequest& req) {
   return g;
 }
 
-// PSOR iterations per time step, measured on perfbench's exotic_book
-// generator (seed 1, 1024 puts, 129 prices x 128 steps, AVX-512 host):
-// the reference, which checks convergence after every sweep, runs 4.3;
-// the wavefront variants check once per block of W sweeps and run 5.8 at
-// W = 4 and 8.0 at W = 8.
-// Lanes is the variant's SIMD width (0: the widest compiled in).
-template <int Lanes>
-double flops(const PricingRequest& req) {
-  const int w = Lanes == 0 ? vecmath::max_width() : Lanes;
-  const double iters = w == 1 ? 4.3 : w == 4 ? 5.8 : 8.0;
-  return kernels::cn::flops_per_option_estimate(grid_of(req), iters);
+// PSOR iterations per time step of the reference, which checks
+// convergence after every sweep, measured on perfbench's exotic_book
+// generator (seed 1, 1024 puts, 129 prices x 128 steps).
+double flops_reference(const PricingRequest& req) {
+  return kernels::cn::flops_per_option_estimate(grid_of(req), 8.7);
 }
 double flops_direct(const PricingRequest& req) {
   return kernels::cn::flops_per_option_direct(grid_of(req));
@@ -49,8 +44,9 @@ double item_cost(const core::OptionSpec& o, const PricingRequest&) {
   return 1.0 + o.vol * o.vol * o.years;
 }
 
-// Every variant at the widest width compiled in. Only the direct solve
-// reads the scratch pool (the PSOR variants need no workspace).
+// One range of options through the batch driver at the widest width
+// compiled in. Only the direct solve reads the scratch pool (PSOR needs
+// no workspace).
 template <Variant V>
 void run_range(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
                std::size_t end, PricingResult& res) {
@@ -82,21 +78,13 @@ VariantInfo base(const char* id, OptLevel level, int width, const char* desc) {
   v.exhibit = "Fig. 8";
   v.description = desc;
   v.reference_id = "cn.reference.scalar";
-  // The wavefront variants agree with the *blocked* reference to 1e-9
-  // (tests/test_cranknicolson.cpp); against the plain per-iteration-checked
-  // GSOR reference the gap is the solver convergence tolerance (~3e-5).
+  // Against the reference the gap is its PSOR convergence tolerance.
   v.tolerance = 1e-4;
-  v.flops_per_item = width == 1 ? flops<1> : flops<0>;
+  v.flops_per_item = flops_reference;
   v.bytes_per_item = bytes;
   v.item_cost = item_cost;
-  v.range_align = 1;  // options are independent (the paired variants: 2)
+  v.range_align = 1;  // options are independent
   return v;
-}
-
-template <Variant V>
-void wire(VariantInfo& v) {
-  v.run_range = run_range<V>;
-  if (V == Variant::kWavefrontSplitPaired) v.range_align = 2;
 }
 
 }  // namespace
@@ -106,35 +94,14 @@ void register_cranknicolson(Registry& r) {
     VariantInfo v = base("cn.reference.scalar", OptLevel::kReference, 1,
                          "scalar GSOR, convergence checked every iteration (Lis. 6/7)");
     v.reference_id = "";
-    wire<Variant::kReference>(v);
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("cn.wavefront.auto", OptLevel::kIntermediate, 0,
-                         "widest wavefront SIMD, stride-2 gathers");
-    wire<Variant::kWavefront>(v);
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("cn.wavefront_split.auto", OptLevel::kAdvanced, 0,
-                         "parity-split storage: unit-stride wavefront accesses, widest");
-    // Fallback chain: split(_paired) -> wavefront -> reference.
-    v.fallback_id = "cn.wavefront.auto";
-    wire<Variant::kWavefrontSplit>(v);
-    r.add(std::move(v));
-  }
-  {
-    VariantInfo v = base("cn.wavefront_split_paired.auto", OptLevel::kAdvanced, 0,
-                         "parity split + two solves interleaved for ILP, widest");
-    v.fallback_id = "cn.wavefront_split.auto";  // -> wavefront -> reference
-    wire<Variant::kWavefrontSplitPaired>(v);
+    v.run_range = run_range<Variant::kReference>;
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("cn.direct_packed.auto", OptLevel::kAdvanced, 0,
                          "options in the SIMD lanes, one direct Brennan-Schwartz solve per "
                          "step (beyond paper)");
-    v.fallback_id = "cn.wavefront_split_paired.auto";  // -> split -> wavefront -> reference
+    // No fallback_id: a failed chunk re-prices through the reference.
     v.flops_per_item = flops_direct;
     v.item_cost = nullptr;  // uniform: a direct step costs the same at any sigma^2 T
     v.range_align = 8;      // whole packs: a narrower range leaves lanes idle

@@ -215,15 +215,6 @@ void register_montecarlo(Registry& r) {
     r.add(std::move(v));
   }
   {
-    VariantInfo v = base("mc.basic_stream.auto", OptLevel::kBasic, 0,
-                         "simd-reduction path loop (omp simd), streamed normals");
-    v.reference_id = "mc.reference_stream.scalar";
-    v.bytes_per_item = bytes_stream;
-    v.prepare = prepare_stream;
-    v.run_range = stream_range<kernels::mc::price_basic_stream>;
-    r.add(std::move(v));
-  }
-  {
     VariantInfo v = base("mc.optimized_stream.auto", OptLevel::kIntermediate, 0,
                          "explicit widest SIMD over paths, streamed normals");
     v.reference_id = "mc.reference_stream.scalar";

@@ -36,10 +36,10 @@ bool masked_out(std::span<const std::uint8_t> mask, std::size_t i) {
 // where fwd_lo = S e^{-qT} - K e^{-rT}. Returns true when `price` of the
 // given type is inside its band.
 bool in_bounds(double price, bool is_call, double spot, double strike, double years, double rate,
-               double dividend, double slack) {
+               double dividend) {
   const double df_s = spot * std::exp(-dividend * years);
   const double df_k = strike * std::exp(-rate * years);
-  const double tol = slack * (std::abs(df_s) + std::abs(df_k) + 1.0);
+  const double tol = kBoundSlack * (std::abs(df_s) + std::abs(df_k) + 1.0);
   const double fwd = df_s - df_k;
   if (is_call) {
     const double lo = fwd > 0.0 ? fwd : 0.0;
@@ -65,7 +65,7 @@ std::size_t guard_specs_range(std::span<const core::OptionSpec> specs,
       const core::OptionSpec& o = specs[i];
       if (o.style == core::ExerciseStyle::kEuropean) {
         bad = !in_bounds(values[i], o.type == core::OptionType::kCall, o.spot, o.strike, o.years,
-                         o.rate, o.dividend, policy.bound_slack);
+                         o.rate, o.dividend);
       }
     }
     if (bad) {
@@ -127,7 +127,7 @@ std::size_t guard_and_repair_bs(const core::PortfolioView& view, const GuardPoli
   if (policy.mode == GuardMode::kOff || !core::is_bs(view.layout)) return 0;
   // BS batch kernels price both legs of a European vanilla analytically:
   // deterministic, so kFull bounds apply. The f32 layout's extra rounding
-  // is orders of magnitude inside the default slack.
+  // is orders of magnitude inside the slack.
   const bool bounds = policy.mode == GuardMode::kFull;
   // A range with a non-finite output (including a sanitizer-skipped
   // option already NaN) falls through to the per-option scan, which
@@ -141,10 +141,8 @@ std::size_t guard_and_repair_bs(const core::PortfolioView& view, const GuardPoli
     const core::BsLane e = core::bs_lane(view, i);
     bool bad = !std::isfinite(e.call) || !std::isfinite(e.put);
     if (!bad && bounds) {
-      bad = !in_bounds(e.call, /*is_call=*/true, e.spot, e.strike, e.years, s.rate, s.dividend,
-                       policy.bound_slack) ||
-            !in_bounds(e.put, /*is_call=*/false, e.spot, e.strike, e.years, s.rate, s.dividend,
-                       policy.bound_slack);
+      bad = !in_bounds(e.call, /*is_call=*/true, e.spot, e.strike, e.years, s.rate, s.dividend) ||
+            !in_bounds(e.put, /*is_call=*/false, e.spot, e.strike, e.years, s.rate, s.dividend);
     }
     if (!bad) continue;
     ++violations;

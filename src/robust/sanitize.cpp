@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "bs_scan.hpp"
 #include "finbench/obs/metrics.hpp"
@@ -46,14 +47,14 @@ double clamp_positive(double x, double ceiling, double floor) {
 
 // Repair a finite-but-out-of-domain spec into the envelope. Only called
 // when the spec has no non-finite field.
-core::OptionSpec clamp_spec(const core::OptionSpec& o, const SanitizeEnvelope& env) {
+core::OptionSpec clamp_spec(const core::OptionSpec& o) {
   core::OptionSpec r = o;
-  r.spot = clamp_positive(o.spot, env.max_magnitude, env.min_positive);
-  r.strike = clamp_positive(o.strike, env.max_magnitude, env.min_positive);
-  r.years = clamp_positive(o.years, env.max_years, env.min_positive);
-  r.vol = clamp_positive(o.vol, env.max_vol, env.min_positive);
-  r.rate = std::clamp(o.rate, -env.max_abs_rate, env.max_abs_rate);
-  r.dividend = std::clamp(o.dividend, -env.max_abs_rate, env.max_abs_rate);
+  r.spot = clamp_positive(o.spot, kEnvelope.max_magnitude, kEnvelope.min_positive);
+  r.strike = clamp_positive(o.strike, kEnvelope.max_magnitude, kEnvelope.min_positive);
+  r.years = clamp_positive(o.years, kEnvelope.max_years, kEnvelope.min_positive);
+  r.vol = clamp_positive(o.vol, kEnvelope.max_vol, kEnvelope.min_positive);
+  r.rate = std::clamp(o.rate, -kEnvelope.max_abs_rate, kEnvelope.max_abs_rate);
+  r.dividend = std::clamp(o.dividend, -kEnvelope.max_abs_rate, kEnvelope.max_abs_rate);
   return r;
 }
 
@@ -73,10 +74,10 @@ std::uint8_t* mask_for(SanitizeReport& out, std::size_t n) {
 // Clean path of a range scan: one branch-free pass accepting exactly the
 // options classify_positive passes against `floor` (detail::outside),
 // given 0 < floor <= max_magnitude, max_years < inf.
-bool inputs_clean(const core::PortfolioView& v, double floor, const SanitizeEnvelope& env) {
+bool inputs_clean(const core::PortfolioView& v, double floor) {
   const std::uint64_t lo = std::bit_cast<std::uint64_t>(floor);
-  const std::uint64_t mag = std::bit_cast<std::uint64_t>(env.max_magnitude) - lo;
-  const std::uint64_t yrs = std::bit_cast<std::uint64_t>(env.max_years) - lo;
+  const std::uint64_t mag = std::bit_cast<std::uint64_t>(kEnvelope.max_magnitude) - lo;
+  const std::uint64_t yrs = std::bit_cast<std::uint64_t>(kEnvelope.max_years) - lo;
   const auto bad = [&](double spot, double strike, double years) {
     return detail::outside(spot, lo, mag) | detail::outside(strike, lo, mag) |
            detail::outside(years, lo, yrs);
@@ -120,11 +121,10 @@ bool inputs_clean(const core::PortfolioView& v, double floor, const SanitizeEnve
 }
 
 // Shared batch parameters: a faulty rate/vol poisons every option.
-std::uint8_t sanitize_scalars(core::BsScalars& s, SanitizePolicy policy,
-                              const SanitizeEnvelope& env) {
-  std::uint8_t shared = classify_rate(s.rate, env.max_abs_rate);
-  shared |= classify_positive(s.vol, env.max_vol, env.min_positive);
-  shared |= classify_rate(s.dividend, env.max_abs_rate);
+std::uint8_t sanitize_scalars(core::BsScalars& s, SanitizePolicy policy) {
+  std::uint8_t shared = classify_rate(s.rate, kEnvelope.max_abs_rate);
+  shared |= classify_positive(s.vol, kEnvelope.max_vol, kEnvelope.min_positive);
+  shared |= classify_rate(s.dividend, kEnvelope.max_abs_rate);
   const bool repair = policy == SanitizePolicy::kClamp || policy == SanitizePolicy::kSkip;
   if (shared != kFaultNone && repair) {
     // Finite shared params clamp into the envelope; non-finite ones take
@@ -132,36 +132,39 @@ std::uint8_t sanitize_scalars(core::BsScalars& s, SanitizePolicy policy,
     // prices nothing honestly, so in that case every option is also
     // skipped (outputs forced to NaN after the run).
     if (std::isfinite(s.rate)) {
-      s.rate = std::clamp(s.rate, -env.max_abs_rate, env.max_abs_rate);
+      s.rate = std::clamp(s.rate, -kEnvelope.max_abs_rate, kEnvelope.max_abs_rate);
     } else {
       s.rate = kPlaceholder.rate;
     }
     if (std::isfinite(s.vol) && s.vol > 0.0) {
-      s.vol = clamp_positive(s.vol, env.max_vol, env.min_positive);
+      s.vol = clamp_positive(s.vol, kEnvelope.max_vol, kEnvelope.min_positive);
     } else {
       s.vol = kPlaceholder.vol;
     }
     s.dividend = std::isfinite(s.dividend)
-                     ? std::clamp(s.dividend, -env.max_abs_rate, env.max_abs_rate)
+                     ? std::clamp(s.dividend, -kEnvelope.max_abs_rate, kEnvelope.max_abs_rate)
                      : 0.0;
   }
   return shared;
 }
 
 void scan_bs(const core::PortfolioView& v, std::uint8_t shared, SanitizePolicy policy,
-             SanitizeReport& out, const SanitizeEnvelope& env) {
+             SanitizeReport& out) {
   const std::size_t n = v.size();
   out.scanned = n;
   // The float layout's floor: below ~1e-38 a float is denormal; classify
   // against the wider of the envelope floor and the float normal minimum.
-  const double floor = v.layout == core::Layout::kBsSoaF ? std::max(env.min_positive, 1.2e-38)
-                                                         : env.min_positive;
-  // The bit-range test is exact only for 0 < floor <= ceiling < inf; a
-  // caller envelope outside that goes straight to classification.
-  const bool bit_test = floor > 0.0 && std::isfinite(env.max_magnitude) &&
-                        std::isfinite(env.max_years) && env.max_magnitude >= floor &&
-                        env.max_years >= floor;
-  if (shared == kFaultNone && bit_test && inputs_clean(v, floor, env)) return;
+  constexpr double kFloatFloor = 1.2e-38;
+  const double floor = v.layout == core::Layout::kBsSoaF
+                           ? std::max(kEnvelope.min_positive, kFloatFloor)
+                           : kEnvelope.min_positive;
+  // The bit-range test is exact only for 0 < floor <= ceiling < inf.
+  static_assert(kEnvelope.min_positive > 0.0 && kFloatFloor > 0.0);
+  static_assert(kEnvelope.max_magnitude >= std::max(kEnvelope.min_positive, kFloatFloor) &&
+                kEnvelope.max_years >= std::max(kEnvelope.min_positive, kFloatFloor));
+  static_assert(kEnvelope.max_magnitude < std::numeric_limits<double>::infinity() &&
+                kEnvelope.max_years < std::numeric_limits<double>::infinity());
+  if (shared == kFaultNone && inputs_clean(v, floor)) return;
 
   // IEEE subnormals for the classification: under a pool participant's
   // DAZ a denormal input would read as zero (a domain fault instead of a
@@ -172,18 +175,18 @@ void scan_bs(const core::PortfolioView& v, std::uint8_t shared, SanitizePolicy p
   for (std::size_t i = 0; i < n; ++i) {
     const core::BsLane e = core::bs_lane(v, i);
     std::uint8_t bits = shared;
-    bits |= classify_positive(e.spot, env.max_magnitude, floor);
-    bits |= classify_positive(e.strike, env.max_magnitude, floor);
-    bits |= classify_positive(e.years, env.max_years, floor);
+    bits |= classify_positive(e.spot, kEnvelope.max_magnitude, floor);
+    bits |= classify_positive(e.strike, kEnvelope.max_magnitude, floor);
+    bits |= classify_positive(e.years, kEnvelope.max_years, floor);
     if (bits == kFaultNone) continue;
 
     ++out.faulty;
     std::uint8_t* mask = mask_for(out, n);
     const bool nonfinite = ((bits & kFaultNonFinite) != 0) || shared_nonfinite;
     if (policy == SanitizePolicy::kClamp && !nonfinite) {
-      core::set_bs_inputs(v, i, clamp_positive(e.spot, env.max_magnitude, floor),
-                          clamp_positive(e.strike, env.max_magnitude, floor),
-                          clamp_positive(e.years, env.max_years, floor));
+      core::set_bs_inputs(v, i, clamp_positive(e.spot, kEnvelope.max_magnitude, floor),
+                          clamp_positive(e.strike, kEnvelope.max_magnitude, floor),
+                          clamp_positive(e.years, kEnvelope.max_years, floor));
       bits |= kFaultClamped;
       ++out.clamped;
     } else if (repair) {
@@ -209,35 +212,33 @@ void record_sanitize(const SanitizeReport& r) {
   skipped.add(r.skipped);
 }
 
-std::uint8_t classify(const core::OptionSpec& o, const SanitizeEnvelope& env) {
+std::uint8_t classify(const core::OptionSpec& o) {
   std::uint8_t bits = kFaultNone;
-  bits |= classify_positive(o.spot, env.max_magnitude, env.min_positive);
-  bits |= classify_positive(o.strike, env.max_magnitude, env.min_positive);
-  bits |= classify_positive(o.years, env.max_years, env.min_positive);
-  bits |= classify_positive(o.vol, env.max_vol, env.min_positive);
-  bits |= classify_rate(o.rate, env.max_abs_rate);
-  bits |= classify_rate(o.dividend, env.max_abs_rate);
+  bits |= classify_positive(o.spot, kEnvelope.max_magnitude, kEnvelope.min_positive);
+  bits |= classify_positive(o.strike, kEnvelope.max_magnitude, kEnvelope.min_positive);
+  bits |= classify_positive(o.years, kEnvelope.max_years, kEnvelope.min_positive);
+  bits |= classify_positive(o.vol, kEnvelope.max_vol, kEnvelope.min_positive);
+  bits |= classify_rate(o.rate, kEnvelope.max_abs_rate);
+  bits |= classify_rate(o.dividend, kEnvelope.max_abs_rate);
   return bits;
 }
 
-std::uint8_t sanitize_shared(core::PortfolioView& view, SanitizePolicy policy,
-                             const SanitizeEnvelope& env) {
+std::uint8_t sanitize_shared(core::PortfolioView& view, SanitizePolicy policy) {
   if (policy == SanitizePolicy::kOff || !core::is_bs(view.layout)) return kFaultNone;
   core::BsScalars s = core::bs_scalars(view);
-  const std::uint8_t bits = sanitize_scalars(s, policy, env);
+  const std::uint8_t bits = sanitize_scalars(s, policy);
   core::set_bs_scalars(view, s);
   return bits;
 }
 
 void sanitize_range(const core::PortfolioView& view, std::uint8_t shared, SanitizePolicy policy,
-                    SanitizeReport& out, const SanitizeEnvelope& env) {
+                    SanitizeReport& out) {
   out.reset();
   if (policy == SanitizePolicy::kOff) return;
-  if (core::is_bs(view.layout)) scan_bs(view, shared, policy, out, env);
+  if (core::is_bs(view.layout)) scan_bs(view, shared, policy, out);
 }
 
-void sanitize(core::PortfolioView& view, SanitizePolicy policy, SanitizeReport& out,
-              const SanitizeEnvelope& env) {
+void sanitize(core::PortfolioView& view, SanitizePolicy policy, SanitizeReport& out) {
   out.reset();
   if (policy == SanitizePolicy::kOff) return;
 
@@ -248,7 +249,7 @@ void sanitize(core::PortfolioView& view, SanitizePolicy policy, SanitizeReport& 
       const std::size_t n = view.specs.size();
       out.scanned = n;
       for (std::size_t i = 0; i < n; ++i) {
-        const std::uint8_t bits = classify(view.specs[i], env);
+        const std::uint8_t bits = classify(view.specs[i]);
         if (bits == kFaultNone) continue;
         ++out.faulty;
         mask_for(out, n)[i] = bits;
@@ -259,19 +260,19 @@ void sanitize(core::PortfolioView& view, SanitizePolicy policy, SanitizeReport& 
       // A path count carries no per-item data to sanitize.
       break;
     default:
-      sanitize_range(view, sanitize_shared(view, policy, env), policy, out, env);
+      sanitize_range(view, sanitize_shared(view, policy), policy, out);
       break;
   }
   record_sanitize(out);
 }
 
 void sanitize_specs(std::span<const core::OptionSpec> src, std::span<core::OptionSpec> dst,
-                    SanitizePolicy policy, SanitizeReport& out, const SanitizeEnvelope& env) {
+                    SanitizePolicy policy, SanitizeReport& out) {
   out.reset();
   const std::size_t n = src.size();
   out.scanned = n;
   for (std::size_t i = 0; i < n; ++i) {
-    std::uint8_t bits = classify(src[i], env);
+    std::uint8_t bits = classify(src[i]);
     if (bits == kFaultNone || policy == SanitizePolicy::kOff ||
         policy == SanitizePolicy::kReject) {
       dst[i] = src[i];
@@ -283,7 +284,7 @@ void sanitize_specs(std::span<const core::OptionSpec> src, std::span<core::Optio
     }
     ++out.faulty;
     if (policy == SanitizePolicy::kClamp && (bits & kFaultNonFinite) == 0) {
-      dst[i] = clamp_spec(src[i], env);
+      dst[i] = clamp_spec(src[i]);
       bits |= kFaultClamped;
       ++out.clamped;
     } else {

@@ -9,12 +9,14 @@
 //     (price_reference at epsilon 1e-24) to 1e-8: the packed solve is the
 //     exact solution of the discrete problem, mirrored calls included;
 //   - through the engine it stays within its registered tolerance of
-//     cn.reference.scalar on exotic_book-shaped put books;
+//     cn.reference.scalar on exotic_book-shaped put books, and on a book
+//     of American calls and puts on which the reference (its only
+//     fallback link) is itself within 1e-5 of a converged PSOR;
 //   - its outputs are bitwise the same for any participant count, chunk
 //     granularity, for W = 4 and W = 8, and whichever
 //     options share a lane's pack;
 //   - an option the heat-equation transform rejects fails the engine
-//     request exactly as it does for cn.wavefront_split_paired.auto.
+//     request exactly as it does for cn.reference.scalar.
 //
 // A failure names the seed that produced it, so it can be replayed alone.
 
@@ -252,10 +254,56 @@ TEST(CnDirectPacked, PackedLaneIgnoresItsPackMates) {
   }
 }
 
+// 256 American options alternating call and put, with dividends, on the
+// exotic_book grid: the reference's PSOR stops within 1e-5 of converged
+// (epsilon 1e-24), and the packed solve, whose only fallback link it is,
+// passes its registered band against it. A PSOR stop at epsilon 1e-12
+// fails both (up to 3e-4 from converged, 9 options off the band).
+TEST(CnDirectPacked, ReferenceConvergesOnAnAmericanCallPutBook) {
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> u01(0.0, 1.0);
+  Book b;
+  b.grid.num_prices = 129;
+  b.grid.num_steps = 128;
+  for (int i = 0; i < 256; ++i) {
+    core::OptionSpec o;
+    o.spot = 80.0 + 40.0 * u01(rng);
+    o.strike = 80.0 + 40.0 * u01(rng);
+    o.years = 0.1 + 2.0 * u01(rng);
+    o.rate = 0.01 + 0.05 * u01(rng);
+    o.vol = 0.15 + 0.30 * u01(rng);
+    o.dividend = 0.06 * u01(rng);
+    o.type = i % 2 ? core::OptionType::kPut : core::OptionType::kCall;
+    o.style = core::ExerciseStyle::kAmerican;
+    b.specs.push_back(o);
+  }
+  const engine::VariantInfo* v = engine::Registry::instance().find(kPacked);
+  const engine::VariantInfo* ref = engine::Registry::instance().find("cn.reference.scalar");
+  ASSERT_NE(v, nullptr);
+  ASSERT_NE(ref, nullptr);
+  PricingRequest rq = request_for(ref->id.c_str(), b);
+  PricingResult want;
+  ref->run_batch(rq, rq.portfolio, want);
+  PricingRequest req = request_for(kPacked, b);
+  PricingResult got;
+  v->run_batch(req, req.portfolio, got);
+  ASSERT_EQ(want.values.size(), b.specs.size());
+  ASSERT_EQ(got.values.size(), b.specs.size());
+  cn::GridSpec converged = b.grid;
+  converged.epsilon = 1e-24;
+  for (std::size_t i = 0; i < b.specs.size(); ++i) {
+    const double exact = cn::price_reference(b.specs[i], converged).price;
+    EXPECT_LE(rel_err(want.values[i], exact), 1e-5)
+        << "option " << i << " reference " << want.values[i] << " converged " << exact;
+    EXPECT_LE(rel_err(got.values[i], want.values[i]), v->tolerance)
+        << "option " << i << " packed " << got.values[i] << " reference " << want.values[i];
+  }
+}
+
 // |2r/sigma^2| > 60 makes the transformed obstacle overflow, so every CN
 // solver rejects the option; the chunk holding it fails through the whole
 // fallback chain and only that chunk is NaN'd.
-TEST(CnDirectPacked, IllConditionedOptionFailsLikeThePairedWavefront) {
+TEST(CnDirectPacked, IllConditionedOptionFailsLikeTheReference) {
   Book b = exotic_book(3, 24);
   b.grid.num_prices = 65;
   b.grid.num_steps = 32;
@@ -265,9 +313,9 @@ TEST(CnDirectPacked, IllConditionedOptionFailsLikeThePairedWavefront) {
   engine::ThreadPool pool(4);
   Engine eng(&pool);
   PricingResult want, got;
-  PricingRequest paired = request_for("cn.wavefront_split_paired.auto", b);
-  paired.chunks_per_thread = 3;
-  eng.price(paired, want);
+  PricingRequest ref = request_for("cn.reference.scalar", b);
+  ref.chunks_per_thread = 3;
+  eng.price(ref, want);
   PricingRequest req = request_for(kPacked, b);
   req.chunks_per_thread = 3;
   eng.price(req, got);
@@ -279,7 +327,7 @@ TEST(CnDirectPacked, IllConditionedOptionFailsLikeThePairedWavefront) {
   ASSERT_EQ(got.values.size(), b.specs.size());
   EXPECT_TRUE(std::isnan(got.values[bad]));
   EXPECT_TRUE(std::isnan(want.values[bad]));
-  // Everything the packed run priced is within tolerance of the paired run.
+  // Everything the packed run priced is within tolerance of the reference.
   std::size_t priced = 0;
   for (std::size_t i = 0; i < b.specs.size(); ++i) {
     if (std::isnan(got.values[i]) || std::isnan(want.values[i])) continue;

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "finbench/core/analytic.hpp"
@@ -88,9 +89,10 @@ TEST(CrankNicolson, AmericanPutWorthAtLeastEuropeanAndIntrinsic) {
 }
 
 TEST(CrankNicolson, EuropeanPutSkipsEarlyExerciseInEveryVariant) {
-  // Every registered cn.* variant, on the exotic_book grid (129 x 128): a
-  // European put prices near the closed form and strictly below the same
-  // put with early exercise (deep in the money, where exercise pays).
+  // Every registered cn.* variant and the paper's wavefront levels (Fig. 8
+  // rows, through the batch driver), on the exotic_book grid (129 x 128):
+  // a European put prices near the closed form and strictly below the
+  // same put with early exercise (deep in the money, where exercise pays).
   std::vector<core::OptionSpec> eu, am;
   for (double spot : {80.0, 100.0, 120.0}) {
     core::OptionSpec o = am_put(spot, 110, 1.5, 0.05, 0.3);
@@ -98,28 +100,42 @@ TEST(CrankNicolson, EuropeanPutSkipsEarlyExerciseInEveryVariant) {
     o.style = core::ExerciseStyle::kEuropean;
     eu.push_back(o);
   }
+  cn::GridSpec grid;
+  grid.num_prices = 129;
+  grid.num_steps = 128;
   int variants = 0;
+  const auto check = [&](const std::string& name, auto&& price) {
+    ++variants;
+    const std::vector<double> pe = price(eu), pa = price(am);
+    ASSERT_EQ(pe.size(), eu.size()) << name;
+    ASSERT_EQ(pa.size(), am.size()) << name;
+    for (std::size_t i = 0; i < eu.size(); ++i) {
+      EXPECT_NEAR(pe[i], core::black_scholes_price(eu[i]), 0.05) << name << " spot "
+                                                                 << eu[i].spot;
+      EXPECT_LT(pe[i], pa[i]) << name << " spot " << eu[i].spot;
+    }
+  };
   for (const engine::VariantInfo* v : engine::Registry::instance().all()) {
     if (v->kernel != "cn") continue;
-    ++variants;
-    auto price = [&](const std::vector<core::OptionSpec>& book) {
+    check(v->id, [&](const std::vector<core::OptionSpec>& book) {
       engine::PricingRequest req;
       req.kernel_id = v->id;
       req.portfolio = core::view_of(std::span<const core::OptionSpec>(book));
-      req.steps = 128;
-      req.cn_num_prices = 129;
+      req.steps = grid.num_steps;
+      req.cn_num_prices = grid.num_prices;
       engine::PricingResult res;
       v->run_batch(req, req.portfolio, res);
       return res.values;
-    };
-    const std::vector<double> pe = price(eu), pa = price(am);
-    ASSERT_EQ(pe.size(), eu.size()) << v->id;
-    ASSERT_EQ(pa.size(), am.size()) << v->id;
-    for (std::size_t i = 0; i < eu.size(); ++i) {
-      EXPECT_NEAR(pe[i], core::black_scholes_price(eu[i]), 0.05) << v->id << " spot "
-                                                                 << eu[i].spot;
-      EXPECT_LT(pe[i], pa[i]) << v->id << " spot " << eu[i].spot;
-    }
+    });
+  }
+  for (const cn::Variant kv : {cn::Variant::kWavefront, cn::Variant::kWavefrontSplit,
+                               cn::Variant::kWavefrontSplitPaired}) {
+    check("cn::Variant " + std::to_string(static_cast<int>(kv)),
+          [&](const std::vector<core::OptionSpec>& book) {
+            std::vector<double> out(book.size());
+            cn::price_batch(book, grid, kv, out);
+            return out;
+          });
   }
   EXPECT_GE(variants, 5);
 }

@@ -224,39 +224,29 @@ TEST(Sanitize, FiniteSharedRateClampsWithoutSkipping) {
   EXPECT_LE(std::abs(view.soa.rate), 1.0);
 }
 
-TEST(Sanitize, CallerEnvelopesWithoutAPositiveFloorStillFlagEveryFault) {
-  // min_positive = 0 admits nothing new: zero and negative inputs are
-  // domain faults whatever the floor. An inverted envelope (ceiling below
-  // floor) flags every option, NaN included.
-  robust::SanitizeEnvelope zero_floor;
-  zero_floor.min_positive = 0.0;
-  robust::SanitizeEnvelope inverted;
-  inverted.max_magnitude = inverted.min_positive / 2;
+TEST(Sanitize, ZeroNegativeAndNanInputsAreFlaggedInEveryBsLayout) {
+  // The range scan's branch-free clean test must hand zero, negative and
+  // NaN inputs to the per-option classifier in every layout, and the
+  // verdicts are exactly classify()'s.
   for (const core::Layout layout : {core::Layout::kBsAos, core::Layout::kBsSoa,
                                     core::Layout::kBsSoaF, core::Layout::kBsBlocked}) {
-    for (const robust::SanitizeEnvelope& env : {zero_floor, inverted}) {
-      core::Portfolio pf = core::Portfolio::bs(37, layout, 9);
-      const core::PortfolioView& view = pf.view();
-      core::set_bs_inputs(view, 3, 0.0, 100.0, 1.0);
-      core::set_bs_inputs(view, 20, 100.0, -5.0, 1.0);
-      core::set_bs_inputs(view, 36, kNan, 100.0, 1.0);
-      std::vector<std::uint8_t> want(view.size());
-      for (std::size_t i = 0; i < view.size(); ++i) {
-        want[i] = robust::classify(bs_option(view, i), env);
-      }
-      const std::string what = std::string(core::to_string(layout)) +
-                               (&env == &zero_floor ? " zero floor" : " inverted");
+    core::Portfolio pf = core::Portfolio::bs(37, layout, 9);
+    const core::PortfolioView& view = pf.view();
+    core::set_bs_inputs(view, 3, 0.0, 100.0, 1.0);
+    core::set_bs_inputs(view, 20, 100.0, -5.0, 1.0);
+    core::set_bs_inputs(view, 36, kNan, 100.0, 1.0);
+    const std::string what(core::to_string(layout));
 
-      robust::SanitizeReport rep;
-      robust::sanitize_range(view, robust::kFaultNone, SanitizePolicy::kReject, rep, env);
-      ASSERT_EQ(rep.mask.size(), view.size()) << what;
-      for (std::size_t i = 0; i < view.size(); ++i) {
-        EXPECT_EQ(rep.mask[i], want[i]) << what << " option " << i;
-      }
-      EXPECT_TRUE(rep.mask[3] & robust::kFaultDomain) << what;
-      EXPECT_TRUE(rep.mask[20] & robust::kFaultDomain) << what;
-      EXPECT_TRUE(rep.mask[36] & robust::kFaultNonFinite) << what;
+    robust::SanitizeReport rep;
+    robust::sanitize_range(view, robust::kFaultNone, SanitizePolicy::kReject, rep);
+    ASSERT_EQ(rep.mask.size(), view.size()) << what;
+    for (std::size_t i = 0; i < view.size(); ++i) {
+      EXPECT_EQ(rep.mask[i], robust::classify(bs_option(view, i))) << what << " option " << i;
     }
+    EXPECT_EQ(rep.faulty, 3u) << what;
+    EXPECT_TRUE(rep.mask[3] & robust::kFaultDomain) << what;
+    EXPECT_TRUE(rep.mask[20] & robust::kFaultDomain) << what;
+    EXPECT_TRUE(rep.mask[36] & robust::kFaultNonFinite) << what;
   }
 }
 

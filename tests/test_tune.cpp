@@ -70,7 +70,7 @@ tune::RaceReport make_report(const tune::TuneKey& key, const std::string& varian
   c.items_per_sec = 1.25e7;
   c.ok = true;
   rep.candidates.push_back(c);
-  c.id = "bs.basic.auto";
+  c.id = "bs.advanced_vml.auto";
   c.ok = false;
   c.note = "kernel_error: it broke";
   rep.candidates.push_back(c);
@@ -111,7 +111,7 @@ TEST(TuneKeyParse, AutoIdIsFamilyDotAutoWithExactlyOneDot) {
   EXPECT_TRUE(tune::is_auto_id("binomial.auto"));
   // Three-part concrete ids use ".auto" as a *width*, not an intent.
   EXPECT_FALSE(tune::is_auto_id("bs.intermediate.auto"));
-  EXPECT_FALSE(tune::is_auto_id("binomial.advanced_unrolled.auto"));
+  EXPECT_FALSE(tune::is_auto_id("binomial.advanced.auto"));
   EXPECT_FALSE(tune::is_auto_id(".auto"));
   EXPECT_FALSE(tune::is_auto_id("auto"));
   EXPECT_FALSE(tune::is_auto_id("bs.scalar"));

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
 
   // Every row spreads its kernel over the engine pool in ranges of whole
   // lane groups of its width.
-  const std::size_t w8 = static_cast<std::size_t>(vecmath::max_width());
+  const std::size_t w8 = static_cast<std::size_t>(simd::kMaxVectorWidth);
   auto rate = [&](const char* label, std::size_t lanes, auto&& kernel) {
     return bench::items_per_sec(label, nopt, opts.reps, [&] {
       bench::on_pool(nopt, lanes, [&](std::size_t b, std::size_t e) {

@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "finbench/arch/aligned.hpp"
 #include "finbench/rng/normal.hpp"
-#include "finbench/vecmath/array_math.hpp"
+#include "finbench/simd/width.hpp"
 
 using namespace finbench;
 using namespace finbench::rng;
@@ -46,6 +46,6 @@ int main(int argc, char** argv) {
   });
   std::printf("  %-34s %12.3f M uniforms/s\n", "uniform baseline (Philox u01)", uni / 1e6);
   std::printf("  [%s] vectorized ICDF beats the scalar ziggurat at width %d\n",
-              icdf_rate > zig_rate ? "PASS" : "FAIL", finbench::vecmath::max_width());
+              icdf_rate > zig_rate ? "PASS" : "FAIL", finbench::simd::kMaxVectorWidth);
   return 0;
 }

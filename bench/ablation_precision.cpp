@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
       });
     });
   };
-  auto sp_rate = [&](const char* label, bs::WidthF w) {
+  auto sp_rate = [&](const char* label, bs::Width w) {
     return bench::items_per_sec(label, nopt, opts.reps, [&] {
       bench::on_pool(nopt, 64, [&](std::size_t b, std::size_t e) {
         bs::price_intermediate_sp(core::subview(spv, b, e - b).sp, w);
@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
   };
   const double r4 = dp_rate("precision.r4", bs::Width::kAvx2);
   const double r8 = dp_rate("precision.r8", bs::Width::kAuto);
-  const double r8f = sp_rate("precision.r8f", bs::WidthF::kAvx2);
-  const double r16f = sp_rate("precision.r16f", bs::WidthF::kAuto);
+  const double r8f = sp_rate("precision.r8f", bs::Width::kAvx2);
+  const double r16f = sp_rate("precision.r16f", bs::Width::kAuto);
 
   // Accuracy of the SP result against the DP one. Tiny premiums make raw
   // relative error meaningless (a 1e-5 absolute error on a 1e-3 premium is

@@ -4,7 +4,8 @@
 //   --quick        smaller problem sizes (CI-friendly; default)
 //   --full         paper-scale problem sizes
 //   --reps N       repetitions per measurement (default 3, best-of)
-//   --threads N    engine pool threads (default: OMP_NUM_THREADS or all CPUs)
+//   --threads N    engine pool threads, at most kMaxThreads (default:
+//                  OMP_NUM_THREADS or all CPUs)
 //   --csv PATH     append rows to a CSV file
 //   --trace PATH   write a Chrome trace_event JSON of per-thread spans
 //   --json PATH    write the structured run report (finbench.run_report/v2)
@@ -18,10 +19,14 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "finbench/arch/machine_model.hpp"
@@ -39,6 +44,33 @@
 #include "finbench/robust/denormal.hpp"
 
 namespace finbench::bench {
+
+// The value of a numeric flag: plain decimal digits (no sign, no spaces,
+// nothing after them) no greater than `max`; nullopt for anything else.
+inline std::optional<std::uint64_t> parse_count(const char* s, std::uint64_t max) {
+  if (s == nullptr) return std::nullopt;
+  const char* const end = s + std::strlen(s);
+  std::uint64_t v = 0;
+  const auto [stop, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc() || stop != end || v > max) return std::nullopt;
+  return v;
+}
+
+// The numeric value of flag argv[i], read from argv[i + 1] by parse_count
+// (i then indexes the value), or exit 2 naming the flag.
+inline std::uint64_t count_arg(const char* prog, int argc, char** argv, int& i,
+                               std::uint64_t max) {
+  const char* const flag = argv[i];
+  const char* const value = i + 1 < argc ? argv[++i] : nullptr;
+  if (const auto v = parse_count(value, max)) return *v;
+  std::fprintf(stderr, "%s: %s takes a whole number from 0 to %llu, not '%s'\n", prog, flag,
+               static_cast<unsigned long long>(max), value == nullptr ? "" : value);
+  std::exit(2);
+}
+
+// --threads above this is a typo, not a pool size: it would start that
+// many OS threads.
+inline constexpr int kMaxThreads = 1024;
 
 struct Options {
   bool full = false;
@@ -78,9 +110,10 @@ struct Options {
     for (int i = 1; i < argc; ++i) {
       if (!std::strcmp(argv[i], "--full")) o.full = true;
       else if (!std::strcmp(argv[i], "--quick")) o.full = false;
-      else if (!std::strcmp(argv[i], "--reps") && i + 1 < argc) o.reps = std::atoi(argv[++i]);
-      else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc)
-        o.threads = std::atoi(argv[++i]);
+      else if (!std::strcmp(argv[i], "--reps"))
+        o.reps = static_cast<int>(count_arg(o.binary.c_str(), argc, argv, i, INT_MAX));
+      else if (!std::strcmp(argv[i], "--threads"))
+        o.threads = static_cast<int>(count_arg(o.binary.c_str(), argc, argv, i, kMaxThreads));
       else if (!std::strcmp(argv[i], "--csv") && i + 1 < argc) o.csv = argv[++i];
       else if (!std::strcmp(argv[i], "--trace") && i + 1 < argc) o.trace = argv[++i];
       else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) o.json = argv[++i];

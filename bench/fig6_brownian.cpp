@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   const auto sched = brownian::BridgeSchedule::uniform(depth, 1.0);
   const std::size_t zn = sched.normals_per_path();
   const std::size_t np = sched.num_points();
-  const int maxw = vecmath::max_width();
+  const int maxw = simd::kMaxVectorWidth;
 
   bench::Projector proj;
   harness::Report report("Fig. 6: 64-step Brownian bridge construction", "paths/s");

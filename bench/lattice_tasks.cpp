@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
   breq.steps = steps;
   const double bflops = 2.0 * kernels::binomial::flops_per_option(steps);
 
-  const int w = vecmath::max_width();
+  const int w = simd::kMaxVectorWidth;
   breq.kernel_id = "binomial.blocked_gather.scalar";
   const double gather =
       bench::measure_variant("binomial.blocked_gather.scalar", breq, nblk, opts.reps);

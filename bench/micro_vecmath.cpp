@@ -25,19 +25,20 @@ arch::AlignedVector<double> inputs(double lo, double hi) {
   return v;
 }
 
+// The Width whose lane count for element type T the benchmark argument
+// names; the widest row runs kAuto.
+template <class T>
 vecmath::Width width_arg(const benchmark::State& state) {
-  switch (state.range(0)) {
-    case 1: return vecmath::Width::kScalar;
-    case 4: return vecmath::Width::kAvx2;
-    default: return vecmath::Width::kAuto;
-  }
+  if (state.range(0) == 1) return vecmath::Width::kScalar;
+  if (state.range(0) == simd::lanes<T>(vecmath::Width::kAvx2)) return vecmath::Width::kAvx2;
+  return vecmath::Width::kAuto;
 }
 
 void BM_Exp(benchmark::State& state) {
   const auto in = inputs(-30, 30);
   arch::AlignedVector<double> out(kN);
   for (auto _ : state) {
-    vecmath::exp(in, out, width_arg(state));
+    vecmath::exp(in, out, width_arg<double>(state));
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kN);
@@ -59,7 +60,7 @@ void BM_Log(benchmark::State& state) {
   const auto in = inputs(1e-6, 1e6);
   arch::AlignedVector<double> out(kN);
   for (auto _ : state) {
-    vecmath::log(in, out, width_arg(state));
+    vecmath::log(in, out, width_arg<double>(state));
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kN);
@@ -70,7 +71,7 @@ void BM_Erf(benchmark::State& state) {
   const auto in = inputs(-6, 6);
   arch::AlignedVector<double> out(kN);
   for (auto _ : state) {
-    vecmath::erf(in, out, width_arg(state));
+    vecmath::erf(in, out, width_arg<double>(state));
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kN);
@@ -81,7 +82,7 @@ void BM_Cnd(benchmark::State& state) {
   const auto in = inputs(-8, 8);
   arch::AlignedVector<double> out(kN);
   for (auto _ : state) {
-    vecmath::cnd(in, out, width_arg(state));
+    vecmath::cnd(in, out, width_arg<double>(state));
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kN);
@@ -92,7 +93,7 @@ void BM_InverseCnd(benchmark::State& state) {
   const auto in = inputs(1e-6, 1.0 - 1e-6);
   arch::AlignedVector<double> out(kN);
   for (auto _ : state) {
-    vecmath::inverse_cnd(in, out, width_arg(state));
+    vecmath::inverse_cnd(in, out, width_arg<double>(state));
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kN);
@@ -103,7 +104,7 @@ void BM_SinCos(benchmark::State& state) {
   const auto in = inputs(-100, 100);
   arch::AlignedVector<double> s(kN), c(kN);
   for (auto _ : state) {
-    vecmath::sincos(in, s, c, width_arg(state));
+    vecmath::sincos(in, s, c, width_arg<double>(state));
     benchmark::DoNotOptimize(s.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kN);
@@ -120,19 +121,11 @@ arch::AlignedVector<float> inputs_f(float lo, float hi) {
   return v;
 }
 
-vecmath::WidthF width_arg_f(const benchmark::State& state) {
-  switch (state.range(0)) {
-    case 1: return vecmath::WidthF::kScalar;
-    case 8: return vecmath::WidthF::kAvx2;
-    default: return vecmath::WidthF::kAuto;
-  }
-}
-
 void BM_ExpF(benchmark::State& state) {
   const auto in = inputs_f(-30, 30);
   arch::AlignedVector<float> out(kN);
   for (auto _ : state) {
-    vecmath::expf(in, out, width_arg_f(state));
+    vecmath::expf(in, out, width_arg<float>(state));
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kN);
@@ -143,7 +136,7 @@ void BM_CndF(benchmark::State& state) {
   const auto in = inputs_f(-8, 8);
   arch::AlignedVector<float> out(kN);
   for (auto _ : state) {
-    vecmath::cndf(in, out, width_arg_f(state));
+    vecmath::cndf(in, out, width_arg<float>(state));
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kN);

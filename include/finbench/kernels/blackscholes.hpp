@@ -72,18 +72,18 @@ void price_blocked(core::BsBlockedView batch, Width w = Width::kAuto);
 void price_blocked_from_aos(core::BsAosView batch, Width w = Width::kAuto);
 
 // Single-precision variant of the intermediate kernel: one option per
-// float lane (8 on AVX2, 16 on AVX-512). Accuracy ~1e-6 relative — the
-// precision/lane-count trade Table I's SP peak rows quantify.
-using WidthF = vecmath::WidthF;
-void price_intermediate_sp(core::BsSoaFView batch, WidthF w = WidthF::kAuto);
-void price_blocked_sp(core::BsBlockedView batch, WidthF w = WidthF::kAuto);
+// float lane, twice the double lanes at each Width (8 at kAvx2, 16 at
+// kAvx512). Accuracy ~1e-6 relative — the precision/lane-count trade
+// Table I's SP peak rows quantify.
+void price_intermediate_sp(core::BsSoaFView batch, Width w = Width::kAuto);
+void price_blocked_sp(core::BsBlockedView batch, Width w = Width::kAuto);
 
 // SP twin of price_blocked_from_aos: the f64 AOS inputs narrow to f32 in
 // register (cvtpd_ps on a stack-resident tile), price through the shared
 // SP model, and widen back into the AOS records — the fused "incl.
 // conversion" pipeline with twice the lanes per tile (8 on AVX2, 16 on
 // AVX-512). Accuracy matches the other SP rows (~1e-7 absolute).
-void price_blocked_from_aos_f32(core::BsAosView batch, WidthF w = WidthF::kAuto);
+void price_blocked_from_aos_f32(core::BsAosView batch, Width w = Width::kAuto);
 
 // --- Batch greeks (extension): the full sensitivity set, SIMD across
 // options. Call and put greeks come from one d1/d2 evaluation per option

@@ -22,18 +22,13 @@
 #include <cstring>
 #include <immintrin.h>
 
+#include "finbench/simd/width.hpp"
+
 namespace finbench::simd {
 
 template <class T, int W> struct Vec;
 template <class T, int W> struct Mask;
 template <int W> struct VecI64;
-
-inline constexpr int kMaxVectorWidth =
-#if defined(FINBENCH_HAVE_AVX512)
-    8;
-#else
-    4;
-#endif
 
 // ---------------------------------------------------------------------------
 // Scalar specialization (W = 1)

@@ -11,21 +11,13 @@
 #include <cstddef>
 #include <span>
 
+#include "finbench/simd/width.hpp"
+
 namespace finbench::vecmath {
 
-// Vector-width selection for the array routines (and for kernels).
-enum class Width {
-  kScalar = 1,   // W=1 reference path
-  kAvx2 = 4,     // W=4, 256-bit (SNB-EP-class)
-  kAvx512 = 8,   // W=8, 512-bit (KNC-class)
-  kAuto = 0,     // widest path compiled in
-};
-
-// Single-precision width selection (float lanes are twice as many).
-enum class WidthF { kScalar = 1, kAvx2 = 8, kAvx512 = 16, kAuto = 0 };
-
-// Widest width compiled into this build (8 with AVX-512, else 4).
-int max_width() noexcept;
+// Vector-width selection for the array routines (and for kernels); the
+// float routines run twice the lanes at each width.
+using simd::Width;
 
 // out[i] = f(in[i]); in and out may alias exactly (in == out) but must not
 // partially overlap. All routines are thread-safe and allocation-free.
@@ -39,10 +31,11 @@ void sincos(std::span<const double> in, std::span<double> sin_out, std::span<dou
             Width w = Width::kAuto);
 void sqrt(std::span<const double> in, std::span<double> out, Width w = Width::kAuto);
 
-// Single-precision array routines (same aliasing rules).
-void expf(std::span<const float> in, std::span<float> out, WidthF w = WidthF::kAuto);
-void logf(std::span<const float> in, std::span<float> out, WidthF w = WidthF::kAuto);
-void erff(std::span<const float> in, std::span<float> out, WidthF w = WidthF::kAuto);
-void cndf(std::span<const float> in, std::span<float> out, WidthF w = WidthF::kAuto);
+// Single-precision array routines (same aliasing rules): 8 float lanes at
+// kAvx2, 16 at kAvx512 (8 without AVX-512).
+void expf(std::span<const float> in, std::span<float> out, Width w = Width::kAuto);
+void logf(std::span<const float> in, std::span<float> out, Width w = Width::kAuto);
+void erff(std::span<const float> in, std::span<float> out, Width w = Width::kAuto);
+void cndf(std::span<const float> in, std::span<float> out, Width w = Width::kAuto);
 
 }  // namespace finbench::vecmath

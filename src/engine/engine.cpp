@@ -61,7 +61,9 @@ constexpr std::size_t kBsMaxChunk = 16384;
 std::span<const std::size_t> chunk_bounds(const VariantInfo& v, const PricingRequest& req,
                                           const core::PortfolioView& view, int P,
                                           int chunks_per_thread, bool cache_sized) {
-  const int nparts = P * std::max(1, chunks_per_thread);
+  // In size_t: a plan's chunks_per_thread may be as large as INT_MAX.
+  const std::size_t nparts =
+      static_cast<std::size_t>(P) * static_cast<std::size_t>(std::max(1, chunks_per_thread));
   Scratch& s = scratch_of(req);
   const std::size_t n = view.size();
   const std::size_t align =
@@ -73,8 +75,7 @@ std::span<const std::size_t> chunk_bounds(const VariantInfo& v, const PricingReq
   std::vector<std::size_t>& bounds = s.bounds;
   bounds.clear();
   bounds.push_back(0);
-  std::size_t k = static_cast<std::size_t>(nparts);
-  if (k > n) k = n;
+  const std::size_t k = std::min(nparts, n);
   auto push_aligned = [&](std::size_t b) {
     b -= b % align;
     if (b > bounds.back() && b < n) bounds.push_back(b);

@@ -81,7 +81,7 @@ struct Scratch {
   std::vector<std::size_t> bounds;
   std::vector<double> item_cost;
   std::size_t bounds_n = 0;
-  int bounds_nparts = -1;
+  std::size_t bounds_nparts = 0;
   bool bounds_cache_sized = false;
   std::size_t bounds_align = 0;
 

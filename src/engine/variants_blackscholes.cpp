@@ -17,7 +17,6 @@ namespace {
 
 using core::OptLevel;
 using kernels::bs::Width;
-using kernels::bs::WidthF;
 
 double flops(const PricingRequest&) { return kernels::bs::kFlopsPerOption; }
 double bytes(const PricingRequest&) { return kernels::bs::kBytesPerOption; }
@@ -49,7 +48,7 @@ void price_advanced_vml(const PricingRequest& req, const core::PortfolioView& vi
 }
 
 void price_intermediate_sp(const PricingRequest&, const core::PortfolioView& view) {
-  kernels::bs::price_intermediate_sp(view.sp, WidthF::kAuto);
+  kernels::bs::price_intermediate_sp(view.sp, Width::kAuto);
 }
 
 void price_blocked(const PricingRequest&, const core::PortfolioView& view) {
@@ -57,11 +56,11 @@ void price_blocked(const PricingRequest&, const core::PortfolioView& view) {
 }
 
 void price_blocked_sp(const PricingRequest&, const core::PortfolioView& view) {
-  kernels::bs::price_blocked_sp(view.blocked, WidthF::kAuto);
+  kernels::bs::price_blocked_sp(view.blocked, Width::kAuto);
 }
 
 void price_fused_sp(const PricingRequest&, const core::PortfolioView& view) {
-  kernels::bs::price_blocked_from_aos_f32(view.aos, WidthF::kAuto);
+  kernels::bs::price_blocked_from_aos_f32(view.aos, Width::kAuto);
 }
 
 // One range of the view, priced in place. Every chunking keeps interior

@@ -61,7 +61,7 @@ Scratch& prepared(const PricingRequest& req, const core::PortfolioView& view, in
 template <bool Blocked>
 void prepare_paths(const PricingRequest& req, const core::PortfolioView& view,
                    PricingResult& res) {
-  const Scratch& s = prepared(req, view, Blocked ? vecmath::max_width() : 1);
+  const Scratch& s = prepared(req, view, Blocked ? simd::kMaxVectorWidth : 1);
   const std::size_t need = view.npaths * s.sched->num_points();
   if (res.values.size() != need) res.values.assign(need, 0.0);
 }

@@ -394,49 +394,20 @@ constexpr int kTileSize = 16;  // fits the zmm/ymm register file with room to sp
 void price_intermediate(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
                         Width w, core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
-  switch (w) {
-    case Width::kScalar: price_simd<1>(opts, steps, out, scratch); return;
-    case Width::kAvx2: price_simd<4>(opts, steps, out, scratch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: price_simd<8>(opts, steps, out, scratch); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: price_simd<4>(opts, steps, out, scratch); return;
-#endif
-  }
+  simd::with_lanes<double>(w, [&](auto L) { price_simd<L>(opts, steps, out, scratch); });
 }
 
 void price_advanced(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
                     Width w, core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
-  switch (w) {
-    case Width::kScalar: price_tiled<1, kTileSize, false>(opts, steps, out, scratch); return;
-    case Width::kAvx2: price_tiled<4, kTileSize, false>(opts, steps, out, scratch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: price_tiled<8, kTileSize, false>(opts, steps, out, scratch); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: price_tiled<4, kTileSize, false>(opts, steps, out, scratch); return;
-#endif
-  }
+  simd::with_lanes<double>(
+      w, [&](auto L) { price_tiled<L, kTileSize, false>(opts, steps, out, scratch); });
 }
 
 void price_packed(std::span<const core::OptionSpec> opts, std::span<const std::uint64_t> order,
                   std::span<double> out, Width w, core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
-  switch (w) {
-    case Width::kScalar: price_packed_w<1>(opts, order, out, scratch); return;
-    case Width::kAvx2: price_packed_w<4>(opts, order, out, scratch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: price_packed_w<8>(opts, order, out, scratch); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: price_packed_w<4>(opts, order, out, scratch); return;
-#endif
-  }
+  simd::with_lanes<double>(w, [&](auto L) { price_packed_w<L>(opts, order, out, scratch); });
 }
 
 namespace {
@@ -444,17 +415,8 @@ namespace {
 template <int TS>
 void price_tiled_dispatch(std::span<const core::OptionSpec> opts, int steps,
                           std::span<double> out, Width w, core::ScratchPool* scratch) {
-  switch (w) {
-    case Width::kScalar: price_tiled<1, TS, false>(opts, steps, out, scratch); return;
-    case Width::kAvx2: price_tiled<4, TS, false>(opts, steps, out, scratch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: price_tiled<8, TS, false>(opts, steps, out, scratch); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: price_tiled<4, TS, false>(opts, steps, out, scratch); return;
-#endif
-  }
+  simd::with_lanes<double>(
+      w, [&](auto L) { price_tiled<L, TS, false>(opts, steps, out, scratch); });
 }
 
 }  // namespace
@@ -476,17 +438,8 @@ void price_advanced_tile(std::span<const core::OptionSpec> opts, int steps,
 void price_advanced_unrolled(std::span<const core::OptionSpec> opts, int steps,
                              std::span<double> out, Width w, core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
-  switch (w) {
-    case Width::kScalar: price_tiled<1, kTileSize, true>(opts, steps, out, scratch); return;
-    case Width::kAvx2: price_tiled<4, kTileSize, true>(opts, steps, out, scratch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: price_tiled<8, kTileSize, true>(opts, steps, out, scratch); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: price_tiled<4, kTileSize, true>(opts, steps, out, scratch); return;
-#endif
-  }
+  simd::with_lanes<double>(
+      w, [&](auto L) { price_tiled<L, kTileSize, true>(opts, steps, out, scratch); });
 }
 
 }  // namespace finbench::kernels::binomial

@@ -88,29 +88,12 @@ void price_blocked(const core::BsBlockedView& view, int steps, Width w,
                    core::ScratchPool* scratch) {
   static obs::Counter& priced = obs::counter("binomial.options_priced");
   priced.add(view.size());
-  int width;
-  switch (w) {
-    case Width::kScalar: width = 1; break;
-    case Width::kAvx2: width = 4; break;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: width = 8; break;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: width = 4; break;
-#endif
-    default: width = 1; break;
-  }
   // A block width that is not a multiple of the lane count would regroup
   // lanes mid-block: fall back to scalar lanes (correct for any block).
-  if (width > 1 && view.block % width != 0) width = 1;
-  switch (width) {
-    case 4: price_blocked_width<4>(view, steps, scratch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case 8: price_blocked_width<8>(view, steps, scratch); return;
-#endif
-    default: price_blocked_width<1>(view, steps, scratch); return;
-  }
+  simd::with_lanes<double>(w, [&](auto L) {
+    if (view.block % L == 0) price_blocked_width<L>(view, steps, scratch);
+    else price_blocked_width<1>(view, steps, scratch);
+  });
 }
 
 }  // namespace finbench::kernels::binomial

@@ -167,17 +167,7 @@ void price_soa_dispatch_q(const core::BsSoaView& batch) {
 void price_intermediate(core::BsSoaView batch, Width w) {
   static obs::Counter& priced = obs::counter("bs.options_priced");
   priced.add(batch.size());
-  switch (w) {
-    case Width::kScalar: price_soa_dispatch_q<1>(batch); return;
-    case Width::kAvx2: price_soa_dispatch_q<4>(batch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: price_soa_dispatch_q<8>(batch); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: price_soa_dispatch_q<4>(batch); return;
-#endif
-  }
+  simd::with_lanes<double>(w, [&](auto L) { price_soa_dispatch_q<L>(batch); });
 }
 
 // --- Advanced: VML-style whole-array passes --------------------------------
@@ -304,17 +294,7 @@ void greeks_width(const core::BsSoaCView& batch, GreeksBatchSoa& out) {
 
 void greeks_intermediate(core::BsSoaCView batch, GreeksBatchSoa& out, Width w) {
   out.resize(batch.size());
-  switch (w) {
-    case Width::kScalar: greeks_width<1>(batch, out); return;
-    case Width::kAvx2: greeks_width<4>(batch, out); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: greeks_width<8>(batch, out); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: greeks_width<4>(batch, out); return;
-#endif
-  }
+  simd::with_lanes<double>(w, [&](auto L) { greeks_width<L>(batch, out); });
 }
 
 // --- Batch implied volatility ---------------------------------------------------
@@ -390,17 +370,8 @@ void implied_vol_intermediate(core::BsSoaCView batch,
                               std::span<const double> call_prices, std::span<double> vols_out,
                               Width w) {
   assert(call_prices.size() >= batch.size() && vols_out.size() >= batch.size());
-  switch (w) {
-    case Width::kScalar: implied_vol_width<1>(batch, call_prices, vols_out); return;
-    case Width::kAvx2: implied_vol_width<4>(batch, call_prices, vols_out); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: implied_vol_width<8>(batch, call_prices, vols_out); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: implied_vol_width<4>(batch, call_prices, vols_out); return;
-#endif
-  }
+  simd::with_lanes<double>(
+      w, [&](auto L) { implied_vol_width<L>(batch, call_prices, vols_out); });
 }
 
 // --- Single precision ---------------------------------------------------------
@@ -445,18 +416,8 @@ void price_sp_width(const core::BsSoaFView& batch) {
 
 }  // namespace
 
-void price_intermediate_sp(core::BsSoaFView batch, WidthF w) {
-  switch (w) {
-    case WidthF::kScalar: price_sp_width<1>(batch); return;
-    case WidthF::kAvx2: price_sp_width<8>(batch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case WidthF::kAvx512:
-    case WidthF::kAuto: price_sp_width<16>(batch); return;
-#else
-    case WidthF::kAvx512:
-    case WidthF::kAuto: price_sp_width<8>(batch); return;
-#endif
-  }
+void price_intermediate_sp(core::BsSoaFView batch, Width w) {
+  simd::with_lanes<float>(w, [&](auto L) { price_sp_width<L>(batch); });
 }
 
 }  // namespace finbench::kernels::bs

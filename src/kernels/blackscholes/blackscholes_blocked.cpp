@@ -295,9 +295,14 @@ inline SpOut<VF> sp_tile(VF S, VF K, VF T, float rate, float vol, float div) {
   return {c, c - sq + xexp};
 }
 
+// The SP blocked kernel at L float lanes per register tile.
+template <int L>
+void price_blocked_sp_lanes(const core::BsBlockedView& batch);
+
 // Fallback for block sizes the 8-lane converters cannot tile: scalar SP
 // per lane (still the SP model, so tolerances match the vector paths).
-void price_blocked_sp_scalar(const core::BsBlockedView& batch) {
+template <>
+void price_blocked_sp_lanes<1>(const core::BsBlockedView& batch) {
   using V1 = simd::Vec<float, 1>;
   const float rate = static_cast<float>(batch.rate);
   const float vol = static_cast<float>(batch.vol);
@@ -316,7 +321,8 @@ void price_blocked_sp_scalar(const core::BsBlockedView& batch) {
 }
 
 // 8 SP lanes per tile: one 8-lane sub-run of a block per register tile.
-void price_blocked_sp8(const core::BsBlockedView& batch) {
+template <>
+void price_blocked_sp_lanes<8>(const core::BsBlockedView& batch) {
   using VF = simd::Vec<float, 8>;
   const float rate = static_cast<float>(batch.rate);
   const float vol = static_cast<float>(batch.vol);
@@ -358,7 +364,8 @@ void price_blocked_sp8(const core::BsBlockedView& batch) {
 
 #if defined(FINBENCH_HAVE_AVX512)
 // 16 SP lanes per tile: two 8-lane sub-runs fused per register tile.
-void price_blocked_sp16(const core::BsBlockedView& batch) {
+template <>
+void price_blocked_sp_lanes<16>(const core::BsBlockedView& batch) {
   using VF = simd::Vec<float, 16>;
   const float rate = static_cast<float>(batch.rate);
   const float vol = static_cast<float>(batch.vol);
@@ -494,73 +501,35 @@ void price_from_aos_sp_width(const core::BsAosView& batch) {
 void price_blocked(core::BsBlockedView batch, Width w) {
   static obs::Counter& priced = obs::counter("bs.options_priced");
   priced.add(batch.size());
-  switch (w) {
-    case Width::kScalar: price_blocked_dispatch<1>(batch); return;
-    case Width::kAvx2: price_blocked_dispatch<4>(batch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: price_blocked_dispatch<8>(batch); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: price_blocked_dispatch<4>(batch); return;
-#endif
-  }
+  simd::with_lanes<double>(w, [&](auto L) { price_blocked_dispatch<L>(batch); });
 }
 
 void price_blocked_from_aos(core::BsAosView batch, Width w) {
   static obs::Counter& priced = obs::counter("bs.options_priced");
   priced.add(batch.size());
-  switch (w) {
-    case Width::kScalar: price_from_aos_dispatch<1>(batch); return;
-    case Width::kAvx2: price_from_aos_dispatch<4>(batch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: price_from_aos_dispatch<8>(batch); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: price_from_aos_dispatch<4>(batch); return;
-#endif
-  }
+  simd::with_lanes<double>(w, [&](auto L) { price_from_aos_dispatch<L>(batch); });
 }
 
-void price_blocked_from_aos_f32(core::BsAosView batch, WidthF w) {
+void price_blocked_from_aos_f32(core::BsAosView batch, Width w) {
   static obs::Counter& priced = obs::counter("bs.options_priced");
   priced.add(batch.size());
-  switch (w) {
-    case WidthF::kScalar:
+  simd::with_lanes<float>(w, [&](auto L) {
+    if constexpr (L == 1) {
       price_from_aos_sp_scalar(batch.options.data(), 0, batch.size(),
                                static_cast<float>(batch.rate), static_cast<float>(batch.vol),
                                static_cast<float>(batch.dividend));
-      return;
-    case WidthF::kAvx2: price_from_aos_sp_width<8>(batch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case WidthF::kAvx512:
-    case WidthF::kAuto: price_from_aos_sp_width<16>(batch); return;
-#else
-    case WidthF::kAvx512:
-    case WidthF::kAuto: price_from_aos_sp_width<8>(batch); return;
-#endif
-  }
+    } else {
+      price_from_aos_sp_width<L>(batch);
+    }
+  });
 }
 
-void price_blocked_sp(core::BsBlockedView batch, WidthF w) {
+void price_blocked_sp(core::BsBlockedView batch, Width w) {
   static obs::Counter& priced = obs::counter("bs.options_priced");
   priced.add(batch.size());
-  if (batch.block % 8 != 0) {
-    price_blocked_sp_scalar(batch);
-    return;
-  }
-  switch (w) {
-    case WidthF::kScalar: price_blocked_sp_scalar(batch); return;
-    case WidthF::kAvx2: price_blocked_sp8(batch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case WidthF::kAvx512:
-    case WidthF::kAuto: price_blocked_sp16(batch); return;
-#else
-    case WidthF::kAvx512:
-    case WidthF::kAuto: price_blocked_sp8(batch); return;
-#endif
-  }
+  // The 8-lane converters tile whole 8-double field runs.
+  if (batch.block % 8 != 0) w = Width::kScalar;
+  simd::with_lanes<float>(w, [&](auto L) { price_blocked_sp_lanes<L>(batch); });
 }
 
 }  // namespace finbench::kernels::bs

@@ -242,17 +242,8 @@ void construct_intermediate(const BridgeSchedule& sched, std::span<const double>
                             std::size_t nsim, std::span<double> out, Width w, std::size_t first,
                             std::size_t last) {
   assert(out.size() >= nsim * sched.num_points());
-  switch (w) {
-    case Width::kScalar: construct_simd<1>(sched, z, nsim, out, first, last); return;
-    case Width::kAvx2: construct_simd<4>(sched, z, nsim, out, first, last); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: construct_simd<8>(sched, z, nsim, out, first, last); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: construct_simd<4>(sched, z, nsim, out, first, last); return;
-#endif
-  }
+  simd::with_lanes<double>(
+      w, [&](auto L) { construct_simd<L>(sched, z, nsim, out, first, last); });
 }
 
 namespace {
@@ -294,17 +285,9 @@ void construct_advanced_interleaved(const BridgeSchedule& sched, std::uint64_t s
                                     std::size_t nsim, std::span<double> out, Width w,
                                     std::size_t first, std::size_t last) {
   assert(out.size() >= nsim * sched.num_points());
-  switch (w) {
-    case Width::kScalar: advanced_interleaved_width<1>(sched, seed, nsim, out, first, last); return;
-    case Width::kAvx2: advanced_interleaved_width<4>(sched, seed, nsim, out, first, last); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: advanced_interleaved_width<8>(sched, seed, nsim, out, first, last); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: advanced_interleaved_width<4>(sched, seed, nsim, out, first, last); return;
-#endif
-  }
+  simd::with_lanes<double>(w, [&](auto L) {
+    advanced_interleaved_width<L>(sched, seed, nsim, out, first, last);
+  });
 }
 
 void construct_advanced_fused(const BridgeSchedule& sched, std::uint64_t seed, std::size_t nsim,
@@ -312,17 +295,8 @@ void construct_advanced_fused(const BridgeSchedule& sched, std::uint64_t seed, s
                               std::size_t last) {
   assert(path_average_out.size() >= nsim);
   auto& out = path_average_out;
-  switch (w) {
-    case Width::kScalar: advanced_fused_width<1>(sched, seed, nsim, out, first, last); return;
-    case Width::kAvx2: advanced_fused_width<4>(sched, seed, nsim, out, first, last); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: advanced_fused_width<8>(sched, seed, nsim, out, first, last); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: advanced_fused_width<4>(sched, seed, nsim, out, first, last); return;
-#endif
-  }
+  simd::with_lanes<double>(
+      w, [&](auto L) { advanced_fused_width<L>(sched, seed, nsim, out, first, last); });
 }
 
 }  // namespace finbench::kernels::brownian

@@ -635,52 +635,31 @@ SolveResult price_wavefront_split_width(const core::OptionSpec& opt, const GridS
 
 }  // namespace
 
+// At kScalar the wavefronts run the iteration-identical scalar reference.
 SolveResult price_wavefront(const core::OptionSpec& opt, const GridSpec& grid, Width w) {
-  switch (w) {
-    case Width::kScalar: return price_reference_blocked(opt, grid, 1);
-    case Width::kAvx2: return price_wavefront_width<4>(opt, grid);
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: return price_wavefront_width<8>(opt, grid);
-#else
-    case Width::kAvx512:
-    case Width::kAuto: return price_wavefront_width<4>(opt, grid);
-#endif
-  }
-  return {};
+  return simd::with_lanes<double>(w, [&](auto L) {
+    if constexpr (L == 1) return price_reference_blocked(opt, grid, 1);
+    else return price_wavefront_width<L>(opt, grid);
+  });
 }
 
 SolveResult price_wavefront_split(const core::OptionSpec& opt, const GridSpec& grid, Width w) {
-  switch (w) {
-    case Width::kScalar: return price_reference_blocked(opt, grid, 1);
-    case Width::kAvx2: return price_wavefront_split_width<4>(opt, grid);
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: return price_wavefront_split_width<8>(opt, grid);
-#else
-    case Width::kAvx512:
-    case Width::kAuto: return price_wavefront_split_width<4>(opt, grid);
-#endif
-  }
-  return {};
+  return simd::with_lanes<double>(w, [&](auto L) {
+    if constexpr (L == 1) return price_reference_blocked(opt, grid, 1);
+    else return price_wavefront_split_width<L>(opt, grid);
+  });
 }
 
 std::pair<SolveResult, SolveResult> price_wavefront_split_pair(const core::OptionSpec& a,
                                                                const core::OptionSpec& b,
                                                                const GridSpec& grid, Width w) {
-  switch (w) {
-    case Width::kScalar:
-      return {price_reference_blocked(a, grid, 1), price_reference_blocked(b, grid, 1)};
-    case Width::kAvx2: return price_pair_width<4>(a, b, grid);
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: return price_pair_width<8>(a, b, grid);
-#else
-    case Width::kAvx512:
-    case Width::kAuto: return price_pair_width<4>(a, b, grid);
-#endif
-  }
-  return {};
+  return simd::with_lanes<double>(w, [&](auto L) {
+    if constexpr (L == 1) {
+      return std::pair{price_reference_blocked(a, grid, 1), price_reference_blocked(b, grid, 1)};
+    } else {
+      return price_pair_width<L>(a, b, grid);
+    }
+  });
 }
 
 // --- European baseline: Thomas tridiagonal solve -----------------------------
@@ -947,17 +926,7 @@ void price_direct_packed(std::span<const core::OptionSpec> opts, const GridSpec&
   if (grid.num_prices < 3) {
     throw std::invalid_argument("crank-nicolson direct: the grid needs at least 3 prices");
   }
-  switch (w) {
-    case Width::kScalar: price_packs<1>(opts, grid, out, scratch); return;
-    case Width::kAvx2: price_packs<4>(opts, grid, out, scratch); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: price_packs<8>(opts, grid, out, scratch); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: price_packs<4>(opts, grid, out, scratch); return;
-#endif
-  }
+  simd::with_lanes<double>(w, [&](auto L) { price_packs<L>(opts, grid, out, scratch); });
 }
 
 // --- Generalized theta scheme ---------------------------------------------------

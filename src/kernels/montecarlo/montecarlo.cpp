@@ -189,33 +189,13 @@ void price_optimized_stream(std::span<const core::OptionSpec> opts, std::span<co
                             std::size_t npath, std::span<McResult> out, Width w) {
   assert(z.size() >= npath && out.size() >= opts.size());
   detail::count_paths(opts.size() * npath);
-  switch (w) {
-    case Width::kScalar: optimized_stream_width<1>(opts, z, npath, out); return;
-    case Width::kAvx2: optimized_stream_width<4>(opts, z, npath, out); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: optimized_stream_width<8>(opts, z, npath, out); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: optimized_stream_width<4>(opts, z, npath, out); return;
-#endif
-  }
+  simd::with_lanes<double>(w, [&](auto L) { optimized_stream_width<L>(opts, z, npath, out); });
 }
 
 McMoments integrate_stream_partial(const core::OptionSpec& opt, std::span<const double> z,
                                    Width w) {
-  switch (w) {
-    case Width::kScalar: return integrate_moments<1>(opt, z.data(), z.size());
-    case Width::kAvx2: return integrate_moments<4>(opt, z.data(), z.size());
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: return integrate_moments<8>(opt, z.data(), z.size());
-#else
-    case Width::kAvx512:
-    case Width::kAuto: return integrate_moments<4>(opt, z.data(), z.size());
-#endif
-  }
-  return {};
+  return simd::with_lanes<double>(
+      w, [&](auto L) { return integrate_moments<L>(opt, z.data(), z.size()); });
 }
 
 McResult finalize_moments(const core::OptionSpec& opt, const McMoments& m, std::size_t npath) {
@@ -254,25 +234,9 @@ void price_optimized_computed(std::span<const core::OptionSpec> opts, std::size_
                               std::uint64_t stream_base, core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
   detail::count_paths(opts.size() * npath);
-  switch (w) {
-    case Width::kScalar:
-      optimized_computed_width<1>(opts, npath, seed, out, stream_base, scratch);
-      return;
-    case Width::kAvx2:
-      optimized_computed_width<4>(opts, npath, seed, out, stream_base, scratch);
-      return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto:
-      optimized_computed_width<8>(opts, npath, seed, out, stream_base, scratch);
-      return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto:
-      optimized_computed_width<4>(opts, npath, seed, out, stream_base, scratch);
-      return;
-#endif
-  }
+  simd::with_lanes<double>(w, [&](auto L) {
+    optimized_computed_width<L>(opts, npath, seed, out, stream_base, scratch);
+  });
 }
 
 // --- Variance reduction ---------------------------------------------------------

@@ -6,6 +6,7 @@
 #include "finbench/robust/fault.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 
@@ -26,6 +27,10 @@ std::uint64_t splitmix64(std::uint64_t x) {
 double to_unit(std::uint64_t h) { return static_cast<double>(h >> 11) * 0x1.0p-53; }
 
 constexpr double kDenormal = 4.9e-324;  // smallest positive subnormal double
+
+// Longest slow_ms a plan accepts (~32 years): its sleep converts to the
+// clock's int64 nanoseconds (at most ~9.2e12 ms) without overflow.
+constexpr double kMaxSlowMs = 1e12;
 
 // The rotation of input poisons: every adversarial class the sanitizer
 // must catch — NaN, +Inf, negative domain, denormal magnitude.
@@ -72,7 +77,8 @@ Expected<FaultPlan> FaultPlan::parse(std::string_view spec) {
         return Status::invalid_argument("fault spec: unknown key '" + std::string(key) + "'");
       }
       auto [p, ec] = std::from_chars(vb, ve, *target);
-      parsed = ec == std::errc{} && p == ve && *target >= 0.0;
+      parsed = ec == std::errc{} && p == ve && std::isfinite(*target) && *target >= 0.0 &&
+               (target != &plan.slow_ms || *target <= kMaxSlowMs);
     }
     if (!parsed) {
       return Status::invalid_argument("fault spec: bad value for '" + std::string(key) + "': '" +

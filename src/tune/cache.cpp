@@ -3,6 +3,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -37,7 +39,14 @@ double get_number(const Value& v, const char* key) {
   return m.number;
 }
 
-int get_int(const Value& v, const char* key) { return static_cast<int>(get_number(v, key)); }
+// A whole number in int range; anything else (2.5, 1e300) is malformed.
+int get_int(const Value& v, const char* key) {
+  const double x = get_number(v, key);
+  if (!(x >= INT_MIN && x <= INT_MAX) || x != std::trunc(x)) {
+    throw std::runtime_error(std::string(key) + ": not an int");
+  }
+  return static_cast<int>(x);
+}
 
 bool get_bool(const Value& v, const char* key) {
   const Value& m = member(v, key);

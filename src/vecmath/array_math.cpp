@@ -9,37 +9,25 @@ namespace finbench::vecmath {
 
 namespace {
 
-// Apply a generic lambda (templated on Vec type) over an array at width W.
-template <int W, class F>
-void apply_width(std::span<const double> in, std::span<double> out, F&& f) {
+// Apply a generic lambda (templated on Vec type) over an array at W lanes.
+template <class T, int W, class F>
+void apply_width(std::span<const T> in, std::span<T> out, F&& f) {
   assert(in.size() == out.size());
-  using V = simd::Vec<double, W>;
+  using V = simd::Vec<T, W>;
   const std::size_t n = in.size();
   std::size_t i = 0;
   if constexpr (W > 1) {
     for (; i + W <= n; i += W) f(V::loadu(in.data() + i)).storeu(out.data() + i);
   }
-  for (; i < n; ++i) out[i] = f(simd::Vec<double, 1>(in[i])).v;
+  for (; i < n; ++i) out[i] = f(simd::Vec<T, 1>(in[i])).v;
 }
 
-template <class F>
-void apply(std::span<const double> in, std::span<double> out, Width w, F&& f) {
-  switch (w) {
-    case Width::kScalar: apply_width<1>(in, out, f); return;
-    case Width::kAvx2: apply_width<4>(in, out, f); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512: apply_width<8>(in, out, f); return;
-    case Width::kAuto: apply_width<8>(in, out, f); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: apply_width<4>(in, out, f); return;
-#endif
-  }
+template <class T, class F>
+void apply(std::span<const T> in, std::span<T> out, Width w, F&& f) {
+  simd::with_lanes<T>(w, [&](auto L) { apply_width<T, L>(in, out, f); });
 }
 
 }  // namespace
-
-int max_width() noexcept { return simd::kMaxVectorWidth; }
 
 void exp(std::span<const double> in, std::span<double> out, Width w) {
   apply(in, out, w, [](auto x) { return vecmath::exp(x); });
@@ -91,63 +79,22 @@ void sincos_width(std::span<const double> in, std::span<double> s, std::span<dou
 
 void sincos(std::span<const double> in, std::span<double> sin_out, std::span<double> cos_out,
             Width w) {
-  switch (w) {
-    case Width::kScalar: sincos_width<1>(in, sin_out, cos_out); return;
-    case Width::kAvx2: sincos_width<4>(in, sin_out, cos_out); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case Width::kAvx512:
-    case Width::kAuto: sincos_width<8>(in, sin_out, cos_out); return;
-#else
-    case Width::kAvx512:
-    case Width::kAuto: sincos_width<4>(in, sin_out, cos_out); return;
-#endif
-  }
+  simd::with_lanes<double>(w, [&](auto L) { sincos_width<L>(in, sin_out, cos_out); });
 }
 
 // --- Single precision -----------------------------------------------------
 
-namespace {
-
-template <int W, class F>
-void apply_width_f(std::span<const float> in, std::span<float> out, F&& f) {
-  assert(in.size() == out.size());
-  using V = simd::Vec<float, W>;
-  const std::size_t n = in.size();
-  std::size_t i = 0;
-  if constexpr (W > 1) {
-    for (; i + W <= n; i += W) f(V::loadu(in.data() + i)).storeu(out.data() + i);
-  }
-  for (; i < n; ++i) out[i] = f(simd::Vec<float, 1>(in[i])).v;
+void expf(std::span<const float> in, std::span<float> out, Width w) {
+  apply(in, out, w, [](auto x) { return vecmath::expf(x); });
 }
-
-template <class F>
-void apply_f(std::span<const float> in, std::span<float> out, WidthF w, F&& f) {
-  switch (w) {
-    case WidthF::kScalar: apply_width_f<1>(in, out, f); return;
-    case WidthF::kAvx2: apply_width_f<8>(in, out, f); return;
-#if defined(FINBENCH_HAVE_AVX512)
-    case WidthF::kAvx512:
-    case WidthF::kAuto: apply_width_f<16>(in, out, f); return;
-#else
-    case WidthF::kAvx512:
-    case WidthF::kAuto: apply_width_f<8>(in, out, f); return;
-#endif
-  }
+void logf(std::span<const float> in, std::span<float> out, Width w) {
+  apply(in, out, w, [](auto x) { return vecmath::logf(x); });
 }
-
-}  // namespace
-
-void expf(std::span<const float> in, std::span<float> out, WidthF w) {
-  apply_f(in, out, w, [](auto x) { return vecmath::expf(x); });
+void erff(std::span<const float> in, std::span<float> out, Width w) {
+  apply(in, out, w, [](auto x) { return vecmath::erff(x); });
 }
-void logf(std::span<const float> in, std::span<float> out, WidthF w) {
-  apply_f(in, out, w, [](auto x) { return vecmath::logf(x); });
-}
-void erff(std::span<const float> in, std::span<float> out, WidthF w) {
-  apply_f(in, out, w, [](auto x) { return vecmath::erff(x); });
-}
-void cndf(std::span<const float> in, std::span<float> out, WidthF w) {
-  apply_f(in, out, w, [](auto x) { return vecmath::cndf(x); });
+void cndf(std::span<const float> in, std::span<float> out, Width w) {
+  apply(in, out, w, [](auto x) { return vecmath::cndf(x); });
 }
 
 }  // namespace finbench::vecmath

@@ -86,12 +86,8 @@ TEST_P(BlockedWidthTest, FusedAosPathHandlesDividendYield) {
   }
 }
 
-class BlockedWidthFTest : public ::testing::TestWithParam<bs::WidthF> {};
-INSTANTIATE_TEST_SUITE_P(Widths, BlockedWidthFTest,
-                         ::testing::Values(bs::WidthF::kScalar, bs::WidthF::kAvx2,
-                                           bs::WidthF::kAvx512, bs::WidthF::kAuto));
-
-TEST_P(BlockedWidthFTest, BlockedSpMatchesAnalyticAtSinglePrecision) {
+// The SP kernels run twice the double lane count at each Width.
+TEST_P(BlockedWidthTest, BlockedSpMatchesAnalyticAtSinglePrecision) {
   for (std::size_t n : kSizes) {
     core::Portfolio pf = core::Portfolio::bs(n, core::Layout::kBsBlocked, 1);
     core::BsBlockedView b = pf.view().blocked;
@@ -100,7 +96,7 @@ TEST_P(BlockedWidthFTest, BlockedSpMatchesAnalyticAtSinglePrecision) {
   }
 }
 
-TEST_P(BlockedWidthFTest, FusedAosSpMatchesAnalyticAcrossTailShapes) {
+TEST_P(BlockedWidthTest, FusedAosSpMatchesAnalyticAcrossTailShapes) {
   for (std::size_t n : kSizes) {
     core::Portfolio book = core::Portfolio::bs(n, core::Layout::kBsAos, 1);
     const core::BsAosView aos = book.view().aos;
@@ -115,7 +111,7 @@ TEST_P(BlockedWidthFTest, FusedAosSpMatchesAnalyticAcrossTailShapes) {
   }
 }
 
-TEST_P(BlockedWidthFTest, FusedAosSpHandlesDividendYield) {
+TEST_P(BlockedWidthTest, FusedAosSpHandlesDividendYield) {
   core::Portfolio book = core::Portfolio::bs(77, core::Layout::kBsAos, 5);
   core::BsAosView aos = book.view().aos;
   aos.dividend = 0.03;

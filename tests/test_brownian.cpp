@@ -97,14 +97,6 @@ INSTANTIATE_TEST_SUITE_P(Widths, BrownianWidthTest,
                          ::testing::Values(brownian::Width::kScalar, brownian::Width::kAvx2,
                                            brownian::Width::kAvx512, brownian::Width::kAuto));
 
-int actual_width(brownian::Width w) {
-  switch (w) {
-    case brownian::Width::kScalar: return 1;
-    case brownian::Width::kAvx2: return 4;
-    default: return vecmath::max_width();
-  }
-}
-
 TEST_P(BrownianWidthTest, IntermediateMatchesReference) {
   const auto sched = brownian::BridgeSchedule::uniform(5, 1.0);
   for (std::size_t nsim : {1UL, 4UL, 7UL, 8UL, 9UL, 40UL}) {
@@ -112,7 +104,7 @@ TEST_P(BrownianWidthTest, IntermediateMatchesReference) {
     std::vector<double> ref(nsim * sched.num_points()), simd(ref.size());
     brownian::construct_reference(sched, z, nsim, ref);
     const auto blocked = brownian::lane_block_normals(z, nsim, sched.normals_per_path(),
-                                                      actual_width(GetParam()));
+                                                      finbench::simd::lanes<double>(GetParam()));
     brownian::construct_intermediate(sched, blocked, nsim, simd, GetParam());
     for (std::size_t i = 0; i < ref.size(); ++i) {
       ASSERT_NEAR(simd[i], ref[i], 1e-12 * std::max(1.0, std::fabs(ref[i])))

@@ -151,21 +151,18 @@ INSTANTIATE_TEST_SUITE_P(Widths, CnWidthTest,
                          ::testing::Values(cn::Width::kAvx2, cn::Width::kAvx512,
                                            cn::Width::kAuto));
 
-int width_of(cn::Width w) {
-  return w == cn::Width::kAvx2 ? 4 : finbench::vecmath::max_width();
-}
-
 TEST_P(CnWidthTest, WavefrontMatchesBlockedScalar) {
   const core::OptionSpec o = am_put(100, 110, 1.0, 0.05, 0.25);
   const cn::GridSpec g = small_grid();
-  const auto blocked = cn::price_reference_blocked(o, g, width_of(GetParam()));
+  const int lanes = finbench::simd::lanes<double>(GetParam());
+  const auto blocked = cn::price_reference_blocked(o, g, lanes);
   const auto wf = cn::price_wavefront(o, g, GetParam());
   EXPECT_NEAR(wf.price, blocked.price, 1e-9 * std::max(1.0, blocked.price));
   // Identical convergence cadence: iteration totals should match almost
   // exactly (FP error-summation order may flip a boundary decision).
   EXPECT_NEAR(static_cast<double>(wf.total_iterations),
               static_cast<double>(blocked.total_iterations),
-              0.02 * static_cast<double>(blocked.total_iterations) + 2 * width_of(GetParam()));
+              0.02 * static_cast<double>(blocked.total_iterations) + 2 * lanes);
 }
 
 TEST_P(CnWidthTest, WavefrontSplitMatchesWavefront) {
@@ -176,7 +173,8 @@ TEST_P(CnWidthTest, WavefrontSplitMatchesWavefront) {
   EXPECT_NEAR(split.price, wf.price, 1e-9 * std::max(1.0, wf.price));
   EXPECT_NEAR(static_cast<double>(split.total_iterations),
               static_cast<double>(wf.total_iterations),
-              0.02 * static_cast<double>(wf.total_iterations) + 2 * width_of(GetParam()));
+              0.02 * static_cast<double>(wf.total_iterations) +
+                  2 * finbench::simd::lanes<double>(GetParam()));
 }
 
 TEST_P(CnWidthTest, EvenAndOddGridSizes) {
@@ -186,7 +184,8 @@ TEST_P(CnWidthTest, EvenAndOddGridSizes) {
     cn::GridSpec g;
     g.num_prices = m;
     g.num_steps = 50;
-    const auto blocked = cn::price_reference_blocked(o, g, width_of(GetParam()));
+    const auto blocked =
+        cn::price_reference_blocked(o, g, finbench::simd::lanes<double>(GetParam()));
     const auto split = cn::price_wavefront_split(o, g, GetParam());
     EXPECT_NEAR(split.price, blocked.price, 1e-8 * std::max(1.0, blocked.price)) << "m=" << m;
   }

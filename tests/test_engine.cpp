@@ -4,6 +4,7 @@
 // adapters must make chunking invisible), and the scheduling knobs.
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstring>
 #include <iterator>
@@ -405,6 +406,33 @@ TEST(Engine, BsChunkedOutputsAreBitwiseInvariantAcrossParticipantsAndChunkSizes)
           }
         }
       }
+    }
+  }
+}
+
+// chunks_per_thread is a plain int: at INT_MAX the partition count
+// (participants x chunks_per_thread) must not overflow, and the book
+// prices as it does at one chunk per thread.
+TEST(Engine, IntMaxChunksPerThreadPricesLikeOneChunkPerThread) {
+  engine::ThreadPool pool(4);
+  const Engine eng(&pool);
+  for (const bool bs : {true, false}) {
+    const char* id = bs ? "bs.blocked.auto" : "binomial.intermediate.auto";
+    std::vector<double> want;
+    for (const int cpt : {1, INT_MAX}) {
+      core::Portfolio bs_book = core::Portfolio::bs(5000, core::Layout::kBsAos, 47);
+      const auto specs = lattice_workload(24, 5);
+      PricingRequest req;
+      req.kernel_id = id;
+      req.portfolio =
+          bs ? bs_book.view() : core::view_of(std::span<const core::OptionSpec>(specs));
+      req.steps = 64;
+      req.chunks_per_thread = cpt;
+      const PricingResult res = eng.price(req);
+      ASSERT_TRUE(res.status.ok()) << id << " cpt=" << cpt << ": " << res.status.to_string();
+      const std::vector<double> got = bs ? bs_outputs(req.portfolio) : res.values;
+      if (want.empty()) want = got;
+      else EXPECT_TRUE(bitwise_equal(got, want)) << id;
     }
   }
 }

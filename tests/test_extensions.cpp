@@ -14,6 +14,7 @@
 #include "finbench/kernels/lattice.hpp"
 #include "finbench/rng/normal.hpp"
 #include "finbench/vecmath/array_math.hpp"
+#include "float_lanes.hpp"
 
 namespace {
 
@@ -105,10 +106,11 @@ TEST(Bbs, AmericanAtLeastIntrinsicAndEuropean) {
 
 // --- Float array math -------------------------------------------------------------
 
-class ArrayMathFTest : public ::testing::TestWithParam<vecmath::WidthF> {};
-INSTANTIATE_TEST_SUITE_P(Widths, ArrayMathFTest,
-                         ::testing::Values(vecmath::WidthF::kScalar, vecmath::WidthF::kAvx2,
-                                           vecmath::WidthF::kAvx512, vecmath::WidthF::kAuto));
+class ArrayMathFTest : public ::testing::TestWithParam<test::FloatLanes> {
+ protected:
+  static vecmath::Width width() { return test::width_of(GetParam()); }
+};
+INSTANTIATE_TEST_SUITE_P(Widths, ArrayMathFTest, ::testing::ValuesIn(test::kAllFloatLanes));
 
 TEST_P(ArrayMathFTest, ExpfMatchesLibmWithTails) {
   for (std::size_t n : {0UL, 1UL, 7UL, 15UL, 16UL, 17UL, 100UL}) {
@@ -116,7 +118,7 @@ TEST_P(ArrayMathFTest, ExpfMatchesLibmWithTails) {
     std::mt19937 gen(static_cast<unsigned>(n));
     std::uniform_real_distribution<float> d(-60.0f, 60.0f);
     for (auto& x : in) x = d(gen);
-    vecmath::expf(in, out, GetParam());
+    vecmath::expf(in, out, width());
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(out[i], std::exp(in[i]), 4e-7f * std::exp(in[i])) << i;
     }
@@ -126,14 +128,14 @@ TEST_P(ArrayMathFTest, ExpfMatchesLibmWithTails) {
 TEST_P(ArrayMathFTest, LogfErffCndfAgree) {
   std::vector<float> in(133), out(133);
   for (std::size_t i = 0; i < in.size(); ++i) in[i] = 0.05f * static_cast<float>(i) + 0.01f;
-  vecmath::logf(in, out, GetParam());
+  vecmath::logf(in, out, width());
   for (std::size_t i = 0; i < in.size(); ++i) {
     EXPECT_NEAR(out[i], std::log(in[i]), 4e-7f * std::max(1.0f, std::fabs(std::log(in[i]))));
   }
   for (std::size_t i = 0; i < in.size(); ++i) in[i] = 0.06f * static_cast<float>(i) - 4.0f;
-  vecmath::erff(in, out, GetParam());
+  vecmath::erff(in, out, width());
   for (std::size_t i = 0; i < in.size(); ++i) EXPECT_NEAR(out[i], std::erf(in[i]), 6e-7f);
-  vecmath::cndf(in, out, GetParam());
+  vecmath::cndf(in, out, width());
   for (std::size_t i = 0; i < in.size(); ++i) {
     EXPECT_NEAR(out[i], 0.5 * std::erfc(-in[i] * 0.7071067811865475), 6e-7f);
   }

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "bench_common.hpp"
 #include "finbench/arch/machine_model.hpp"
 #include "finbench/harness/report.hpp"
 #include "finbench/obs/json.hpp"
@@ -14,6 +17,37 @@
 namespace {
 
 using namespace finbench::harness;
+
+// One parser reads every numeric flag of pricectl and the exhibits: plain
+// digits that fit the field, nothing else.
+TEST(BenchFlags, ParseCountAcceptsOnlyPlainDigitsThatFit) {
+  using finbench::bench::parse_count;
+  EXPECT_EQ(parse_count("0", 10), 0u);
+  EXPECT_EQ(parse_count("12", 12), 12u);
+  EXPECT_EQ(parse_count("18446744073709551615", UINT64_MAX), UINT64_MAX);
+  for (const char* bad : {"", "-5", "+5", " 5", "5 ", "12abc", "abc", "0x10", "1e3", "1.5"}) {
+    EXPECT_FALSE(parse_count(bad, 1000).has_value()) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(parse_count(nullptr, 10).has_value());
+  EXPECT_FALSE(parse_count("13", 12).has_value());
+  EXPECT_FALSE(parse_count("3000000000", INT_MAX).has_value());
+  EXPECT_FALSE(parse_count("4294967297", INT_MAX).has_value());
+  EXPECT_FALSE(parse_count("18446744073709551616", UINT64_MAX).has_value());
+}
+
+// --threads is bounded, so a typo cannot start thousands of OS threads.
+// Checked on the parser: Options::parse exits before anything sizes a pool.
+TEST(BenchFlags, ThreadsAboveTheBoundAreRejected) {
+  using finbench::bench::kMaxThreads;
+  using finbench::bench::parse_count;
+  EXPECT_EQ(parse_count("1024", kMaxThreads), 1024u);
+  EXPECT_FALSE(parse_count("1025", kMaxThreads).has_value());
+  EXPECT_FALSE(parse_count("100000", kMaxThreads).has_value());
+  char prog[] = "fig4", flag[] = "--threads", value[] = "100000";
+  char* argv[] = {prog, flag, value};
+  EXPECT_EXIT(finbench::bench::Options::parse(3, argv), ::testing::ExitedWithCode(2),
+              "fig4: --threads takes a whole number from 0 to 1024, not '100000'");
+}
 
 TEST(Eng, FormatsMagnitudes) {
   EXPECT_NE(eng(1.5e9).find("G"), std::string::npos);

@@ -355,6 +355,21 @@ TEST(FaultPlan, SpecStringRoundTripsAndRejectsGarbage) {
   }
 }
 
+// A plan must be honourable: no infinite or NaN rate, and no sleep too long
+// for the clock's integer nanoseconds (which would overflow, or hang the
+// chunk). Parsing only; nothing here prices a plan.
+TEST(FaultPlan, RejectsNonFiniteValuesAndUnsleepableSlowMs) {
+  for (const char* bad : {"slow_ms=inf", "slow_ms=nan", "slow_ms=1e300", "slow_ms=1e20",
+                          "slow_ms=1e13", "poison=inf", "slow=infinity", "throw=nan"}) {
+    const auto rej = FaultPlan::parse(bad);
+    EXPECT_FALSE(rej.has_value()) << bad;
+    EXPECT_EQ(rej.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  const auto longest = FaultPlan::parse("slow_ms=1e12");
+  ASSERT_TRUE(longest.has_value()) << longest.status().to_string();
+  EXPECT_EQ(longest->slow_ms, 1e12);
+}
+
 TEST(FaultPlan, InputPoisoningIsDeterministicAndCounted) {
   FaultPlan plan;
   plan.seed = 5;

@@ -11,6 +11,7 @@
 #include <random>
 
 #include "finbench/simd/vec.hpp"
+#include "finbench/simd/vecf.hpp"
 
 namespace {
 
@@ -339,6 +340,33 @@ TEST(SimdConfig, MaxWidthMatchesBuild) {
 #else
   EXPECT_EQ(simd::kMaxVectorWidth, 4);
 #endif
+}
+
+// The one width dispatcher: each Width's lane count for double and for
+// float in this build, handed to the callee as a compile-time constant.
+TEST(SimdWidth, DispatcherMapsEveryWidthToItsLanes) {
+#if defined(FINBENCH_HAVE_AVX512)
+  constexpr int kWide = 8;
+#else
+  constexpr int kWide = 4;  // kAvx512 keeps meaning the AVX2 lanes
+#endif
+  struct Row {
+    simd::Width w;
+    int dbl, flt;
+  };
+  const Row table[] = {{simd::Width::kScalar, 1, 1},
+                       {simd::Width::kAvx2, 4, 8},
+                       {simd::Width::kAvx512, kWide, 2 * kWide},
+                       {simd::Width::kAuto, kWide, 2 * kWide}};
+  for (const Row& r : table) {
+    EXPECT_EQ(simd::lanes<double>(r.w), r.dbl) << static_cast<int>(r.w);
+    EXPECT_EQ(simd::lanes<float>(r.w), r.flt) << static_cast<int>(r.w);
+    EXPECT_EQ(simd::with_lanes<double>(r.w, [](auto L) { return simd::Vec<double, L>::width; }),
+              r.dbl);
+    EXPECT_EQ(simd::with_lanes<float>(r.w, [](auto L) { return simd::Vec<float, L>::width; }),
+              r.flt);
+  }
+  static_assert(simd::lanes<double>(simd::Width::kAuto) == simd::kMaxVectorWidth);
 }
 
 TEST(SimdIota, ProducesLaneIndices) {

@@ -11,6 +11,7 @@
 #include "finbench/kernels/blackscholes.hpp"
 #include "finbench/simd/vecf.hpp"
 #include "finbench/vecmath/vecmathf.hpp"
+#include "float_lanes.hpp"
 
 namespace {
 
@@ -138,12 +139,11 @@ TYPED_TEST(VecFTest, CndfMatchesDouble) {
 
 // --- SP Black–Scholes kernel --------------------------------------------------
 
-class BsSpWidthTest : public ::testing::TestWithParam<kernels::bs::WidthF> {};
-INSTANTIATE_TEST_SUITE_P(Widths, BsSpWidthTest,
-                         ::testing::Values(kernels::bs::WidthF::kScalar,
-                                           kernels::bs::WidthF::kAvx2,
-                                           kernels::bs::WidthF::kAvx512,
-                                           kernels::bs::WidthF::kAuto));
+class BsSpWidthTest : public ::testing::TestWithParam<test::FloatLanes> {
+ protected:
+  static kernels::bs::Width width() { return test::width_of(GetParam()); }
+};
+INSTANTIATE_TEST_SUITE_P(Widths, BsSpWidthTest, ::testing::ValuesIn(test::kAllFloatLanes));
 
 TEST_P(BsSpWidthTest, MatchesDoublePrecisionWithinSpTolerance) {
   for (std::size_t n : {1UL, 7UL, 16UL, 17UL, 333UL}) {
@@ -152,7 +152,7 @@ TEST_P(BsSpWidthTest, MatchesDoublePrecisionWithinSpTolerance) {
     const core::BsSoaView soa = dp_book.view().soa;
     const core::BsSoaFView sp = sp_book.view().sp;
     kernels::bs::price_intermediate(soa);
-    kernels::bs::price_intermediate_sp(sp, GetParam());
+    kernels::bs::price_intermediate_sp(sp, width());
     for (std::size_t i = 0; i < n; ++i) {
       // SP accumulates ~1e-6 relative error through the transcendentals.
       const double scale = std::max(1.0, soa.call[i]);
@@ -165,7 +165,7 @@ TEST_P(BsSpWidthTest, MatchesDoublePrecisionWithinSpTolerance) {
 TEST_P(BsSpWidthTest, PutCallParityInSingle) {
   core::Portfolio book = core::Portfolio::bs(128, core::Layout::kBsSoaF, 4);
   const core::BsSoaFView sp = book.view().sp;
-  kernels::bs::price_intermediate_sp(sp, GetParam());
+  kernels::bs::price_intermediate_sp(sp, width());
   for (std::size_t i = 0; i < sp.size(); ++i) {
     const float rhs = sp.spot[i] - sp.strike[i] * std::exp(-sp.rate * sp.years[i]);
     EXPECT_NEAR(sp.call[i] - sp.put[i], rhs, 2e-4f * std::max(1.0f, std::fabs(rhs)));
@@ -176,8 +176,8 @@ TEST(BsSp, WidthsAgree) {
   core::Portfolio a_book = core::Portfolio::bs(64, core::Layout::kBsSoaF, 9);
   core::Portfolio b_book = core::Portfolio::bs(64, core::Layout::kBsSoaF, 9);
   const core::BsSoaFView a = a_book.view().sp, b = b_book.view().sp;
-  kernels::bs::price_intermediate_sp(a, kernels::bs::WidthF::kAvx2);
-  kernels::bs::price_intermediate_sp(b, kernels::bs::WidthF::kAuto);
+  kernels::bs::price_intermediate_sp(a, kernels::bs::Width::kAvx2);
+  kernels::bs::price_intermediate_sp(b, kernels::bs::Width::kAuto);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(a.call[i], b.call[i], 1e-6f * std::max(1.0f, a.call[i]));
   }

@@ -370,6 +370,39 @@ TEST(PlanCache, MalformedEntriesAreSkippedGoodOnesKept) {
   EXPECT_TRUE(cache.find(key).has_value());
 }
 
+// An int field holding a fraction or a number outside int range is
+// malformed: its entry is skipped, not truncated into a plan.
+TEST(PlanCache, NonIntegralOrOutOfRangeIntsAreSkipped) {
+  const std::string path = temp_path("tune_bad_ints.json");
+  tune::PlanCache out;
+  const tune::TuneKey good = make_key(10);
+  out.put(good, make_report(good, "bs.intermediate.auto"));
+  // Distinct markers, rewritten below into values no int holds.
+  for (const int marker : {7001, 7002, 7003}) {
+    const tune::TuneKey k = make_key(marker - 6990);
+    tune::RaceReport rep = make_report(k, "bs.intermediate.auto");
+    rep.winner.chunks_per_thread = marker;
+    out.put(k, rep);
+  }
+  ASSERT_TRUE(out.save_as(path));
+
+  std::ifstream in(path);
+  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  in.close();
+  for (const auto& [marker, bad] : {std::pair{"7001", "2.5"}, std::pair{"7002", "1e300"},
+                                    std::pair{"7003", "2147483648"}}) {
+    const auto at = text.find(marker);
+    ASSERT_NE(at, std::string::npos) << marker;
+    text.replace(at, 4, bad);
+  }
+  write_file(path, text);
+
+  tune::PlanCache cache;
+  EXPECT_EQ(cache.load(path).code(), robust::StatusCode::kDegraded);
+  EXPECT_EQ(cache.size(), 1u) << "only the well-formed entry loads";
+  EXPECT_TRUE(cache.find(good).has_value());
+}
+
 // --- Engine auto dispatch ----------------------------------------------------
 
 TEST(AutoDispatch, FirstPriceRacesRepetitionsHitThePlanCache) {

@@ -340,12 +340,10 @@ TEST_P(ArrayMathTest, InverseCndArray) {
   }
 }
 
+// kAuto runs the widest lanes this build compiles, twice as many in float.
 TEST(ArrayMath, MaxWidthReportsBuild) {
-#if defined(FINBENCH_HAVE_AVX512)
-  EXPECT_EQ(vecmath::max_width(), 8);
-#else
-  EXPECT_EQ(vecmath::max_width(), 4);
-#endif
+  EXPECT_EQ(simd::lanes<double>(vecmath::Width::kAuto), simd::kMaxVectorWidth);
+  EXPECT_EQ(simd::lanes<float>(vecmath::Width::kAuto), 2 * simd::kMaxVectorWidth);
 }
 
 }  // namespace

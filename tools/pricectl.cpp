@@ -89,6 +89,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -107,8 +108,8 @@
 #include "finbench/resilience/chaos.hpp"
 #include "finbench/robust/robust.hpp"
 #include "finbench/serve/server.hpp"
+#include "finbench/simd/width.hpp"
 #include "finbench/tune/tuner.hpp"
-#include "finbench/vecmath/array_math.hpp"
 
 using namespace finbench;
 
@@ -317,7 +318,7 @@ int run_serve(const engine::VariantInfo* v, const std::string& family,
   bench::Projector proj;
   const double flops = rv && rv->flops_per_item ? rv->flops_per_item(jobs[0].request) : 0.0;
   const double bytes = rv && rv->bytes_per_item ? rv->bytes_per_item(jobs[0].request) : 0.0;
-  const int w = rv == nullptr || rv->width == 0 ? vecmath::max_width() : rv->width;
+  const int w = rv == nullptr || rv->width == 0 ? simd::kMaxVectorWidth : rv->width;
   report.add_row(
       proj.make_row(rv != nullptr ? rv->description : proto.kernel_id, rate, flops, bytes, w, w));
   if (metrics_path == "-") {
@@ -383,21 +384,22 @@ int main(int argc, char** argv) {
   std::string tune_cache_path;
 
   for (int i = 1; i < argc; ++i) {
-    auto next = [&](std::size_t fallback) -> std::size_t {
-      return i + 1 < argc ? std::strtoull(argv[++i], nullptr, 10) : fallback;
+    // Numeric flags fail closed: a value that is not plain digits or does
+    // not fit its field exits 2 naming the flag.
+    auto next = [&]<class T>(T& field) {
+      field = static_cast<T>(bench::count_arg("pricectl", argc, argv, i,
+                                              std::numeric_limits<T>::max()));
     };
     if (!std::strcmp(argv[i], "--list")) list = true;
     else if (!std::strcmp(argv[i], "--validate")) validate = true;
     else if (!std::strcmp(argv[i], "--kernel") && i + 1 < argc) kernel_id = argv[++i];
-    else if (!std::strcmp(argv[i], "--nopt")) nopt = next(0);
-    else if (!std::strcmp(argv[i], "--steps")) req.steps = static_cast<int>(next(req.steps));
-    else if (!std::strcmp(argv[i], "--npath")) req.npath = next(req.npath);
-    else if (!std::strcmp(argv[i], "--prices"))
-      req.cn_num_prices = static_cast<int>(next(req.cn_num_prices));
-    else if (!std::strcmp(argv[i], "--depth"))
-      req.bridge_depth = static_cast<int>(next(req.bridge_depth));
-    else if (!std::strcmp(argv[i], "--seed")) req.seed = next(req.seed);
-    else if (!std::strcmp(argv[i], "--spy")) spy = static_cast<int>(next(0));
+    else if (!std::strcmp(argv[i], "--nopt")) next(nopt);
+    else if (!std::strcmp(argv[i], "--steps")) next(req.steps);
+    else if (!std::strcmp(argv[i], "--npath")) next(req.npath);
+    else if (!std::strcmp(argv[i], "--prices")) next(req.cn_num_prices);
+    else if (!std::strcmp(argv[i], "--depth")) next(req.bridge_depth);
+    else if (!std::strcmp(argv[i], "--seed")) next(req.seed);
+    else if (!std::strcmp(argv[i], "--spy")) next(spy);
     else if (!std::strcmp(argv[i], "--layout") && i + 1 < argc) {
       layout_flag = argv[++i];
       if (layout_flag != "aos" && layout_flag != "soa" && layout_flag != "blocked" &&
@@ -406,7 +408,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (!std::strcmp(argv[i], "--chunks")) {
-      req.chunks_per_thread = static_cast<int>(next(req.chunks_per_thread));
+      next(req.chunks_per_thread);
       chunks_set = true;
     } else if (!std::strcmp(argv[i], "--tasks") && i + 1 < argc) {
       tasks_set = true;
@@ -444,7 +446,9 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (!std::strcmp(argv[i], "--deadline-ms")) {
-      req.deadline_seconds = static_cast<double>(next(0)) * 1e-3;
+      std::size_t ms = 0;
+      next(ms);
+      req.deadline_seconds = static_cast<double>(ms) * 1e-3;
     } else if (!std::strcmp(argv[i], "--inject") && i + 1 < argc) {
       inject_spec = argv[++i];
     } else if (!std::strcmp(argv[i], "--metrics") && i + 1 < argc) {
@@ -452,9 +456,9 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--flight-dump") && i + 1 < argc) {
       flight_path = argv[++i];
     } else if (!std::strcmp(argv[i], "--watch")) {
-      watch_ms = static_cast<int>(next(0));
+      next(watch_ms);
     } else if (!std::strcmp(argv[i], "--serve")) {
-      serve_n = static_cast<int>(next(0));
+      next(serve_n);
     } else if (!std::strcmp(argv[i], "--no-coalesce")) {
       no_coalesce = true;
     } else if (!std::strcmp(argv[i], "--chaos") && i + 1 < argc) {
@@ -467,7 +471,7 @@ int main(int argc, char** argv) {
       }
       resilience::BreakerRegistry::instance().set_enabled(b == "on");
     } else if (!std::strcmp(argv[i], "--retry")) {
-      req.retry.max_attempts = static_cast<int>(next(1));
+      next(req.retry.max_attempts);
     } else if (!std::strcmp(argv[i], "--brownout") && i + 1 < argc) {
       const std::string b = argv[++i];
       if (b != "on" && b != "off") {
@@ -791,7 +795,7 @@ int main(int argc, char** argv) {
   bench::Projector proj;
   const double flops = rv && rv->flops_per_item ? rv->flops_per_item(req) : 0.0;
   const double bytes = rv && rv->bytes_per_item ? rv->bytes_per_item(req) : 0.0;
-  const int w = rv == nullptr || rv->width == 0 ? vecmath::max_width() : rv->width;
+  const int w = rv == nullptr || rv->width == 0 ? simd::kMaxVectorWidth : rv->width;
   report.add_row(
       proj.make_row(rv != nullptr ? rv->description : kernel_id, rate, flops, bytes, w, w));
   // `--metrics -` claims stdout for the OpenMetrics exposition, so the

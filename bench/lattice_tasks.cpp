@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
   const int steps = 256;
   core::Portfolio bpf = core::Portfolio::bs(nblk, core::Layout::kBsBlocked, 7);
   report.add_note("blocked family: " + std::to_string(nblk) + " options in " +
-                  std::to_string(bpf.view().blocked.block) + "-wide AoSoA tiles, " +
+                  std::to_string(core::kBsBlock) + "-wide AoSoA tiles, " +
                   std::to_string(steps) + " steps, dual call+put lattices");
   engine::PricingRequest breq;
   breq.portfolio = bpf.view();

@@ -99,31 +99,32 @@ struct BsSoaFView {
   std::span<float> call{}, put{};  // outputs
   float rate = 0.05f;
   float vol = 0.2f;
+  float dividend = 0.0f;
 
   std::size_t size() const { return spot.size(); }
 };
 
-// Lane-blocked AoSoA: options grouped into blocks of `block` lanes, each
-// block storing its fields as contiguous `block`-vectors —
+// Lanes per block of the lane-blocked layout: one 64-byte line of doubles
+// per field, and a whole number of register tiles at every SIMD width.
+inline constexpr std::size_t kBsBlock = 8;
+
+// Lane-blocked AoSoA: options grouped into blocks of kBsBlock lanes, each
+// block storing its fields as contiguous kBsBlock-vectors —
 //   [spot×B | strike×B | years×B | call×B | put×B] per block
 // so a register tile touches one cache-line run per field. Trailing lanes
 // of the last block (n..ceil) are padded with the block's last option.
 struct BsBlockedView {
-  std::span<double> data{};  // ceil(n/block) * 5 * block doubles
+  std::span<double> data{};  // num_blocks() * 5 * kBsBlock doubles
   std::size_t n = 0;         // logical option count
-  int block = 8;
   double rate = 0.05;
   double vol = 0.2;
   double dividend = 0.0;
 
   std::size_t size() const { return n; }
-  std::size_t num_blocks() const {
-    const std::size_t b = static_cast<std::size_t>(block);
-    return b ? (n + b - 1) / b : 0;
-  }
+  std::size_t num_blocks() const { return (n + kBsBlock - 1) / kBsBlock; }
   // Field f (0=spot, 1=strike, 2=years, 3=call, 4=put) of block `blk`.
   double* field(std::size_t blk, int f) const {
-    return data.data() + (blk * 5 + static_cast<std::size_t>(f)) * static_cast<std::size_t>(block);
+    return data.data() + (blk * 5 + static_cast<std::size_t>(f)) * kBsBlock;
   }
 };
 

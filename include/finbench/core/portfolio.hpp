@@ -16,9 +16,9 @@
 //   kBsAos      Black–Scholes array-of-structures (the reference layout)
 //   kBsSoa      Black–Scholes structure-of-arrays (unit-stride SIMD)
 //   kBsSoaF     single-precision SOA (twice the lanes, half the bytes)
-//   kBsBlocked  lane-blocked AoSoA: W-option blocks, each field a W-vector
-//               (native layout of the bs.blocked{,_sp}.auto register-tiled
-//               kernels and of binomial.blocked.auto)
+//   kBsBlocked  lane-blocked AoSoA: kBsBlock-option blocks, each field a
+//               kBsBlock-vector (native layout of the bs.blocked{,_sp}.auto
+//               register-tiled kernels and of binomial.blocked.auto)
 //   kPaths      a path-construction job (a count, no per-item data)
 //
 // Lifetime rules: a PortfolioView never owns memory. Views obtained from
@@ -167,15 +167,21 @@ inline PortfolioView paths_view(std::size_t npaths) {
   return v;
 }
 
+// Bytes of per-item data the view spans: its OptionSpec records, or the
+// arrays of its Black–Scholes layout (a kBsBlocked view's padding lanes
+// included); 0 for kPaths, which carries only a count.
+std::size_t view_bytes(const PortfolioView& v);
+
 // --- Per-option access (Black–Scholes layouts) ------------------------------
 //
-// The one place that reads or writes option i, or the batch-shared
-// scalars, of any Black–Scholes layout. Values travel as doubles: a
-// kBsSoaF view widens on read and narrows to float on write. Index i may
-// reach a kBsBlocked view's padding lanes (up to num_blocks() * block).
-// These are for per-option slow paths (repair, fault injection, tests);
-// whole-range scans and conversions walk the arrays directly. The
-// accessors throw std::invalid_argument on a non-BS layout.
+// The per-option entry points to the one field map of the Black–Scholes
+// layouts, which the range copies and conversions below walk too: option
+// i, or the batch-shared scalars, of any Black–Scholes layout. Values
+// travel as doubles: a kBsSoaF view widens on read and narrows to float
+// on write. Index i may reach a kBsBlocked view's padding lanes (up to
+// num_blocks() * kBsBlock). These are for per-option slow paths (repair,
+// fault injection, tests). The accessors throw std::invalid_argument on a
+// non-BS layout.
 
 constexpr bool is_bs(Layout l) {
   return l == Layout::kBsAos || l == Layout::kBsSoa || l == Layout::kBsSoaF ||
@@ -186,7 +192,7 @@ struct BsLane {
   double spot, strike, years, call, put;
 };
 
-// Shared by every option of a batch. kBsSoaF carries no dividend (0).
+// Shared by every option of a batch (float-rounded on kBsSoaF).
 struct BsScalars {
   double rate, vol, dividend;
   friend bool operator==(const BsScalars&, const BsScalars&) = default;
@@ -198,8 +204,7 @@ void set_bs_inputs(const PortfolioView& v, std::size_t i, double spot, double st
 void set_bs_outputs(const PortfolioView& v, std::size_t i, double call, double put);
 
 BsScalars bs_scalars(const PortfolioView& v);
-// Writes the view's own scalar fields (the arrays are untouched); a
-// kBsSoaF view ignores s.dividend.
+// Writes the view's own scalar fields (the arrays are untouched).
 void set_bs_scalars(PortfolioView& v, const BsScalars& s);
 
 // --- Layout conversion ------------------------------------------------------

@@ -115,7 +115,7 @@ void price_advanced_tile(std::span<const core::OptionSpec> opts, int steps,
 // parameters come from the blocked spot/strike/years fields plus the
 // view-shared rate/vol/dividend, and both the call and put prices are
 // written back into the tiles (fields 3 and 4) — no OptionSpec gather.
-// Lanes whose block width is not a multiple of W fall back to scalar lanes.
+// Every width's W-lane groups divide a core::kBsBlock-lane block.
 void price_blocked(const core::BsBlockedView& view, int steps, Width w = Width::kAuto,
                    core::ScratchPool* scratch = nullptr);
 

@@ -2,10 +2,8 @@
 // Portfolio::bs is the one Black–Scholes book generator.
 //
 // Conversion pairs: any ordered pair of the Black–Scholes layouts
-// (kBsAos, kBsSoa, kBsSoaF, kBsBlocked). The AOS<->SOA pairs — the ones
-// the engine negotiates and fig4 measures — get dedicated loops; the rest
-// go through a generic per-lane path. kSpecs and kPaths only admit the
-// identity.
+// (kBsAos, kBsSoa, kBsSoaF, kBsBlocked), each one instantiation of the
+// same field-map copy loop. kSpecs and kPaths only admit the identity.
 
 #include "finbench/core/portfolio.hpp"
 
@@ -14,6 +12,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "finbench/arch/timing.hpp"
 #include "finbench/rng/philox.hpp"
@@ -67,7 +66,14 @@ Arena::Block& Arena::grow(std::size_t at_least) {
   return blocks_.back();
 }
 
-// --- Per-option access -----------------------------------------------------
+// --- The field map ----------------------------------------------------------
+//
+// Where field f (0 spot, 1 strike, 2 years, 3 call, 4 put) of option i
+// lives in each Black–Scholes layout, as an lvalue of the layout's element
+// type T; lanes(n) is the options a view of n stores (a lane-blocked view
+// pads its last block), bytes(n) the bytes they occupy. The per-option
+// accessors, the range copies, convert and the in-place draw all walk a
+// view through this one map.
 
 namespace {
 
@@ -75,140 +81,151 @@ namespace {
   throw std::invalid_argument(std::string(fn) + ": not a Black-Scholes layout");
 }
 
-}  // namespace
+struct AosMap {
+  using T = double;
+  static constexpr double BsOptionAos::*kField[5] = {&BsOptionAos::spot, &BsOptionAos::strike,
+                                                      &BsOptionAos::years, &BsOptionAos::call,
+                                                      &BsOptionAos::put};
+  BsOptionAos* options;
+  T& at(int f, std::size_t i) const { return options[i].*kField[f]; }
+  static std::size_t lanes(std::size_t n) { return n; }
+  static std::size_t bytes(std::size_t n) { return n * sizeof(BsOptionAos); }
+};
 
-BsLane bs_lane(const PortfolioView& v, std::size_t i) {
+template <class E>
+struct SoaMap {
+  using T = E;
+  T* fields[5];
+  T& at(int f, std::size_t i) const { return fields[f][i]; }
+  static std::size_t lanes(std::size_t n) { return n; }
+  static std::size_t bytes(std::size_t n) { return 5 * n * sizeof(T); }
+};
+
+struct BlockedMap {
+  using T = double;
+  double* data;
+  T& at(int f, std::size_t i) const {
+    return data[(i / kBsBlock * 5 + static_cast<std::size_t>(f)) * kBsBlock + i % kBsBlock];
+  }
+  static std::size_t lanes(std::size_t n) { return (n + kBsBlock - 1) / kBsBlock * kBsBlock; }
+  static std::size_t bytes(std::size_t n) { return 5 * lanes(n) * sizeof(double); }
+};
+
+AosMap map_of(const BsAosView& v) { return {v.options.data()}; }
+SoaMap<double> map_of(const BsSoaView& v) {
+  return {{v.spot.data(), v.strike.data(), v.years.data(), v.call.data(), v.put.data()}};
+}
+SoaMap<float> map_of(const BsSoaFView& v) {
+  return {{v.spot.data(), v.strike.data(), v.years.data(), v.call.data(), v.put.data()}};
+}
+BlockedMap map_of(const BsBlockedView& v) { return {v.data.data()}; }
+
+// f applied to the member of `v` its Black–Scholes layout populates.
+template <class View, class F>
+decltype(auto) visit_bs(View& v, const char* fn, F&& f) {
   switch (v.layout) {
-    case Layout::kBsAos: {
-      const BsOptionAos& o = v.aos.options[i];
-      return {o.spot, o.strike, o.years, o.call, o.put};
-    }
-    case Layout::kBsSoa:
-      return {v.soa.spot[i], v.soa.strike[i], v.soa.years[i], v.soa.call[i], v.soa.put[i]};
-    case Layout::kBsSoaF:
-      return {static_cast<double>(v.sp.spot[i]), static_cast<double>(v.sp.strike[i]),
-              static_cast<double>(v.sp.years[i]), static_cast<double>(v.sp.call[i]),
-              static_cast<double>(v.sp.put[i])};
-    case Layout::kBsBlocked: {
-      const BsBlockedView& b = v.blocked;
-      const std::size_t w = static_cast<std::size_t>(b.block);
-      const std::size_t blk = i / w, ln = i % w;
-      return {b.field(blk, 0)[ln], b.field(blk, 1)[ln], b.field(blk, 2)[ln],
-              b.field(blk, 3)[ln], b.field(blk, 4)[ln]};
-    }
+    case Layout::kBsAos: return f(v.aos);
+    case Layout::kBsSoa: return f(v.soa);
+    case Layout::kBsSoaF: return f(v.sp);
+    case Layout::kBsBlocked: return f(v.blocked);
     default: break;
   }
-  not_bs("bs_lane");
+  not_bs(fn);
+}
+
+// Fields [F0, F1) of option i of `from` into option j of `to`.
+template <int F0, int F1, class From, class To>
+void copy_lane(const From& from, std::size_t i, const To& to, std::size_t j) {
+  [&]<int... F>(std::integer_sequence<int, F...>) {
+    ((to.at(F0 + F, j) = static_cast<typename To::T>(from.at(F0 + F, i))), ...);
+  }(std::make_integer_sequence<int, F1 - F0>{});
+}
+
+// Fields [F0, F1) of options [0, n) of `from` into `to`. When the inputs
+// travel, a lane-blocked target's padding lanes take the final option, so
+// block kernels never read garbage. Returns the bytes written for the n
+// options.
+template <int F0, int F1>
+std::size_t copy_fields(const PortfolioView& from, const PortfolioView& to, const char* fn) {
+  if (from.size() != to.size()) throw std::invalid_argument(std::string(fn) + ": size mismatch");
+  const std::size_t n = to.size();
+  return visit_bs(from, fn, [&](const auto& f) {
+    return visit_bs(to, fn, [&](const auto& t) {
+      const auto src = map_of(f);
+      const auto dst = map_of(t);
+      using To = decltype(dst);
+      for (std::size_t i = 0; i < n; ++i) copy_lane<F0, F1>(src, i, dst, i);
+      if constexpr (F0 == 0) {
+        for (std::size_t i = n; i < To::lanes(n); ++i) copy_lane<F0, F1>(src, n - 1, dst, i);
+      }
+      return n * (F1 - F0) * sizeof(typename To::T);
+    });
+  });
+}
+
+}  // namespace
+
+std::size_t view_bytes(const PortfolioView& v) {
+  switch (v.layout) {
+    case Layout::kSpecs: return v.specs.size_bytes();
+    case Layout::kPaths: return 0;
+    default: break;
+  }
+  return visit_bs(v, "view_bytes", [&](const auto& x) {
+    return decltype(map_of(x))::bytes(v.size());
+  });
+}
+
+// --- Per-option access -----------------------------------------------------
+
+BsLane bs_lane(const PortfolioView& v, std::size_t i) {
+  return visit_bs(v, "bs_lane", [i](const auto& x) {
+    const auto m = map_of(x);
+    return BsLane{static_cast<double>(m.at(0, i)), static_cast<double>(m.at(1, i)),
+                  static_cast<double>(m.at(2, i)), static_cast<double>(m.at(3, i)),
+                  static_cast<double>(m.at(4, i))};
+  });
 }
 
 void set_bs_inputs(const PortfolioView& v, std::size_t i, double spot, double strike,
                    double years) {
-  switch (v.layout) {
-    case Layout::kBsAos: {
-      BsOptionAos& o = v.aos.options[i];
-      o.spot = spot;
-      o.strike = strike;
-      o.years = years;
-      return;
-    }
-    case Layout::kBsSoa:
-      v.soa.spot[i] = spot;
-      v.soa.strike[i] = strike;
-      v.soa.years[i] = years;
-      return;
-    case Layout::kBsSoaF:
-      v.sp.spot[i] = static_cast<float>(spot);
-      v.sp.strike[i] = static_cast<float>(strike);
-      v.sp.years[i] = static_cast<float>(years);
-      return;
-    case Layout::kBsBlocked: {
-      const BsBlockedView& b = v.blocked;
-      const std::size_t w = static_cast<std::size_t>(b.block);
-      const std::size_t blk = i / w, ln = i % w;
-      b.field(blk, 0)[ln] = spot;
-      b.field(blk, 1)[ln] = strike;
-      b.field(blk, 2)[ln] = years;
-      return;
-    }
-    default: break;
-  }
-  not_bs("set_bs_inputs");
+  visit_bs(v, "set_bs_inputs", [&](const auto& x) {
+    const auto m = map_of(x);
+    using T = typename decltype(m)::T;
+    m.at(0, i) = static_cast<T>(spot);
+    m.at(1, i) = static_cast<T>(strike);
+    m.at(2, i) = static_cast<T>(years);
+  });
 }
 
 void set_bs_outputs(const PortfolioView& v, std::size_t i, double call, double put) {
-  switch (v.layout) {
-    case Layout::kBsAos:
-      v.aos.options[i].call = call;
-      v.aos.options[i].put = put;
-      return;
-    case Layout::kBsSoa:
-      v.soa.call[i] = call;
-      v.soa.put[i] = put;
-      return;
-    case Layout::kBsSoaF:
-      v.sp.call[i] = static_cast<float>(call);
-      v.sp.put[i] = static_cast<float>(put);
-      return;
-    case Layout::kBsBlocked: {
-      const BsBlockedView& b = v.blocked;
-      const std::size_t w = static_cast<std::size_t>(b.block);
-      b.field(i / w, 3)[i % w] = call;
-      b.field(i / w, 4)[i % w] = put;
-      return;
-    }
-    default: break;
-  }
-  not_bs("set_bs_outputs");
+  visit_bs(v, "set_bs_outputs", [&](const auto& x) {
+    const auto m = map_of(x);
+    using T = typename decltype(m)::T;
+    m.at(3, i) = static_cast<T>(call);
+    m.at(4, i) = static_cast<T>(put);
+  });
 }
 
 BsScalars bs_scalars(const PortfolioView& v) {
-  switch (v.layout) {
-    case Layout::kBsAos: return {v.aos.rate, v.aos.vol, v.aos.dividend};
-    case Layout::kBsSoa: return {v.soa.rate, v.soa.vol, v.soa.dividend};
-    case Layout::kBsSoaF:
-      return {static_cast<double>(v.sp.rate), static_cast<double>(v.sp.vol), 0.0};
-    case Layout::kBsBlocked: return {v.blocked.rate, v.blocked.vol, v.blocked.dividend};
-    default: break;
-  }
-  not_bs("bs_scalars");
+  return visit_bs(v, "bs_scalars", [](const auto& x) {
+    return BsScalars{static_cast<double>(x.rate), static_cast<double>(x.vol),
+                     static_cast<double>(x.dividend)};
+  });
 }
 
 void set_bs_scalars(PortfolioView& v, const BsScalars& s) {
-  switch (v.layout) {
-    case Layout::kBsAos:
-      v.aos.rate = s.rate;
-      v.aos.vol = s.vol;
-      v.aos.dividend = s.dividend;
-      return;
-    case Layout::kBsSoa:
-      v.soa.rate = s.rate;
-      v.soa.vol = s.vol;
-      v.soa.dividend = s.dividend;
-      return;
-    case Layout::kBsSoaF:
-      v.sp.rate = static_cast<float>(s.rate);
-      v.sp.vol = static_cast<float>(s.vol);
-      return;
-    case Layout::kBsBlocked:
-      v.blocked.rate = s.rate;
-      v.blocked.vol = s.vol;
-      v.blocked.dividend = s.dividend;
-      return;
-    default: break;
-  }
-  not_bs("set_bs_scalars");
+  visit_bs(v, "set_bs_scalars", [&s](auto& x) {
+    using T = decltype(x.rate);
+    x.rate = static_cast<T>(s.rate);
+    x.vol = static_cast<T>(s.vol);
+    x.dividend = static_cast<T>(s.dividend);
+  });
 }
 
 // --- Conversion -------------------------------------------------------------
 
 namespace {
-
-// Inputs and outputs of option i of `src` into option j of `dst`.
-void copy_lane(const PortfolioView& src, std::size_t i, const PortfolioView& dst, std::size_t j) {
-  const BsLane l = bs_lane(src, i);
-  set_bs_inputs(dst, j, l.spot, l.strike, l.years);
-  set_bs_outputs(dst, j, l.call, l.put);
-}
 
 // The five SOA field arrays of n Ts, carved as one arena allocation so a
 // fresh arena commits exactly one block for them; each field starts on
@@ -221,121 +238,32 @@ std::array<std::span<T>, 5> carve_fields(std::size_t n, Arena& a) {
           all.subspan(3 * stride, n), all.subspan(4 * stride, n)};
 }
 
-// Carve an empty target-layout view of n options from the arena in one
-// allocation. Returns the view plus the bytes it occupies.
-PortfolioView carve(Layout target, std::size_t n, const BsScalars& s, Arena& a,
-                    std::size_t* bytes) {
+// An empty target-layout view of n options, carved from the arena in one
+// allocation.
+PortfolioView carve(Layout target, std::size_t n, const BsScalars& s, Arena& a) {
   PortfolioView v;
   v.layout = target;
   switch (target) {
-    case Layout::kBsAos: {
-      auto opts = a.make_span<BsOptionAos>(n);
-      v.aos = {opts, s.rate, s.vol, s.dividend};
-      *bytes = opts.size_bytes();
+    case Layout::kBsAos:
+      v.aos = {a.make_span<BsOptionAos>(n), s.rate, s.vol, s.dividend};
       return v;
-    }
     case Layout::kBsSoa: {
       const auto f = carve_fields<double>(n, a);
       v.soa = {f[0], f[1], f[2], f[3], f[4], s.rate, s.vol, s.dividend};
-      *bytes = 5 * n * sizeof(double);
       return v;
     }
     case Layout::kBsSoaF: {
       const auto f = carve_fields<float>(n, a);
       v.sp = {f[0], f[1], f[2], f[3], f[4], static_cast<float>(s.rate),
-              static_cast<float>(s.vol)};
-      *bytes = 5 * n * sizeof(float);
+              static_cast<float>(s.vol), static_cast<float>(s.dividend)};
       return v;
     }
-    case Layout::kBsBlocked: {
-      BsBlockedView b;
-      b.n = n;
-      const std::size_t w = static_cast<std::size_t>(b.block);
-      const std::size_t nb = n ? (n + w - 1) / w : 0;
-      b.data = a.make_span<double>(nb * 5 * w);
-      b.rate = s.rate;
-      b.vol = s.vol;
-      b.dividend = s.dividend;
-      v.blocked = b;
-      *bytes = b.data.size_bytes();
+    case Layout::kBsBlocked:
+      v.blocked = {a.make_span<double>(5 * BlockedMap::lanes(n)), n, s.rate, s.vol, s.dividend};
       return v;
-    }
     default: break;
   }
-  throw std::invalid_argument("carve: not a Black-Scholes layout");
-}
-
-void fill(const PortfolioView& src, const PortfolioView& dst) {
-  const std::size_t n = src.size();
-  if (src.layout == Layout::kBsAos && dst.layout == Layout::kBsSoa) {
-    const BsOptionAos* o = src.aos.options.data();
-    const BsSoaView& t = dst.soa;
-    for (std::size_t i = 0; i < n; ++i) {
-      t.spot[i] = o[i].spot;
-      t.strike[i] = o[i].strike;
-      t.years[i] = o[i].years;
-      t.call[i] = o[i].call;
-      t.put[i] = o[i].put;
-    }
-    return;
-  }
-  if (src.layout == Layout::kBsSoa && dst.layout == Layout::kBsAos) {
-    const BsSoaView& f = src.soa;
-    BsOptionAos* o = dst.aos.options.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      o[i] = {f.spot[i], f.strike[i], f.years[i], f.call[i], f.put[i]};
-    }
-    return;
-  }
-  if (src.layout == Layout::kBsAos && dst.layout == Layout::kBsBlocked && n > 0) {
-    // Block-local transpose with the tail padded inline (clamping to the
-    // last option) — the conversion the "incl. AOS->blocked" Fig. 4 rows
-    // pay, so it must not go through the per-lane switch dispatch.
-    const BsOptionAos* o = src.aos.options.data();
-    const BsBlockedView& b = dst.blocked;
-    const std::size_t w = static_cast<std::size_t>(b.block);
-    const std::size_t nfull = n / w;  // blocks with no padded lanes
-    for (std::size_t blk = 0; blk < nfull; ++blk) {
-      double* spot = b.field(blk, 0);
-      double* strike = b.field(blk, 1);
-      double* years = b.field(blk, 2);
-      double* call = b.field(blk, 3);
-      double* put = b.field(blk, 4);
-      const BsOptionAos* x = o + blk * w;
-      for (std::size_t ln = 0; ln < w; ++ln) {
-        spot[ln] = x[ln].spot;
-        strike[ln] = x[ln].strike;
-        years[ln] = x[ln].years;
-        call[ln] = x[ln].call;
-        put[ln] = x[ln].put;
-      }
-    }
-    for (std::size_t blk = nfull; blk < b.num_blocks(); ++blk) {
-      double* spot = b.field(blk, 0);
-      double* strike = b.field(blk, 1);
-      double* years = b.field(blk, 2);
-      double* call = b.field(blk, 3);
-      double* put = b.field(blk, 4);
-      const std::size_t base = blk * w;
-      for (std::size_t ln = 0; ln < w; ++ln) {
-        const BsOptionAos& x = o[std::min(base + ln, n - 1)];
-        spot[ln] = x.spot;
-        strike[ln] = x.strike;
-        years[ln] = x.years;
-        call[ln] = x.call;
-        put[ln] = x.put;
-      }
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) copy_lane(src, i, dst, i);
-  // Lane-blocked targets pad the trailing lanes of the last block by
-  // replicating the final option, so block kernels never read garbage.
-  if (dst.layout == Layout::kBsBlocked && n > 0) {
-    const std::size_t w = static_cast<std::size_t>(dst.blocked.block);
-    const std::size_t ceil_n = dst.blocked.num_blocks() * w;
-    for (std::size_t i = n; i < ceil_n; ++i) copy_lane(src, n - 1, dst, i);
-  }
+  not_bs("carve");
 }
 
 }  // namespace
@@ -357,159 +285,24 @@ PortfolioView convert(const PortfolioView& src, Layout target, Arena& a,
                                 " is not a supported layout conversion");
   }
   arch::WallTimer t;
-  std::size_t bytes = 0;
-  PortfolioView dst = carve(target, src.size(), bs_scalars(src), a, &bytes);
-  fill(src, dst);
-  if (stats) *stats = {t.seconds(), bytes};
+  const PortfolioView dst = carve(target, src.size(), bs_scalars(src), a);
+  copy_fields<0, 5>(src, dst, "convert");
+  if (stats) *stats = {t.seconds(), view_bytes(dst)};
   return dst;
 }
 
 std::size_t copy_outputs(const PortfolioView& from, const PortfolioView& to) {
-  if (!is_bs(from.layout) || !is_bs(to.layout)) {
-    throw std::invalid_argument("copy_outputs: both views must be Black-Scholes layouts");
-  }
-  if (from.size() != to.size()) {
-    throw std::invalid_argument("copy_outputs: size mismatch");
-  }
-  const std::size_t n = to.size();
-  if (from.layout == Layout::kBsSoa && to.layout == Layout::kBsAos) {
-    BsOptionAos* o = to.aos.options.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      o[i].call = from.soa.call[i];
-      o[i].put = from.soa.put[i];
-    }
-  } else if (from.layout == Layout::kBsAos && to.layout == Layout::kBsSoa) {
-    const BsOptionAos* o = from.aos.options.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      to.soa.call[i] = o[i].call;
-      to.soa.put[i] = o[i].put;
-    }
-  } else if (from.layout == Layout::kBsBlocked &&
-             (to.layout == Layout::kBsAos || to.layout == Layout::kBsSoa)) {
-    // Blocked writeback stays block-contiguous: one call/put run per block
-    // (the steady-state cost of pricing an AOS portfolio on a blocked
-    // variant, so it matters as much as the kernel's own stores).
-    const BsBlockedView& b = from.blocked;
-    const std::size_t w = static_cast<std::size_t>(b.block);
-    for (std::size_t blk = 0; blk < b.num_blocks(); ++blk) {
-      const double* call = b.field(blk, 3);
-      const double* put = b.field(blk, 4);
-      const std::size_t base = blk * w;
-      const std::size_t lanes = std::min(w, n - base);
-      if (to.layout == Layout::kBsAos) {
-        BsOptionAos* o = to.aos.options.data() + base;
-        for (std::size_t ln = 0; ln < lanes; ++ln) {
-          o[ln].call = call[ln];
-          o[ln].put = put[ln];
-        }
-      } else {
-        for (std::size_t ln = 0; ln < lanes; ++ln) {
-          to.soa.call[base + ln] = call[ln];
-          to.soa.put[base + ln] = put[ln];
-        }
-      }
-    }
-  } else if (from.layout == Layout::kBsSoaF && to.layout == Layout::kBsAos) {
-    // f32 -> f64 writeback (the single-precision rows priced from an AOS
-    // portfolio): widen per output, contiguous reads.
-    BsOptionAos* o = to.aos.options.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      o[i].call = static_cast<double>(from.sp.call[i]);
-      o[i].put = static_cast<double>(from.sp.put[i]);
-    }
-  } else if (from.layout == Layout::kBsSoaF && to.layout == Layout::kBsSoa) {
-    for (std::size_t i = 0; i < n; ++i) {
-      to.soa.call[i] = static_cast<double>(from.sp.call[i]);
-      to.soa.put[i] = static_cast<double>(from.sp.put[i]);
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      const BsLane f = bs_lane(from, i);
-      set_bs_outputs(to, i, f.call, f.put);
-    }
-  }
-  const std::size_t elem = to.layout == Layout::kBsSoaF ? sizeof(float) : sizeof(double);
-  return n * 2 * elem;
+  return copy_fields<3, 5>(from, to, "copy_outputs");
 }
 
 std::size_t copy_inputs(const PortfolioView& from, const PortfolioView& to) {
-  if (!is_bs(from.layout) || !is_bs(to.layout)) {
-    throw std::invalid_argument("copy_inputs: both views must be Black-Scholes layouts");
-  }
-  if (from.size() != to.size()) {
-    throw std::invalid_argument("copy_inputs: size mismatch");
-  }
-  const std::size_t n = to.size();
-  if (from.layout == to.layout && from.layout != Layout::kBsBlocked) {
-    // Same layout (fused-group assembly): straight array copies.
-    if (from.layout == Layout::kBsAos) {
-      const BsOptionAos* o = from.aos.options.data();
-      BsOptionAos* t = to.aos.options.data();
-      for (std::size_t i = 0; i < n; ++i) {
-        t[i].spot = o[i].spot;
-        t[i].strike = o[i].strike;
-        t[i].years = o[i].years;
-      }
-    } else if (from.layout == Layout::kBsSoa) {
-      std::copy_n(from.soa.spot.data(), n, to.soa.spot.data());
-      std::copy_n(from.soa.strike.data(), n, to.soa.strike.data());
-      std::copy_n(from.soa.years.data(), n, to.soa.years.data());
-    } else {
-      std::copy_n(from.sp.spot.data(), n, to.sp.spot.data());
-      std::copy_n(from.sp.strike.data(), n, to.sp.strike.data());
-      std::copy_n(from.sp.years.data(), n, to.sp.years.data());
-    }
-  } else if (from.layout == Layout::kBsAos && to.layout == Layout::kBsSoa) {
-    const BsOptionAos* o = from.aos.options.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      to.soa.spot[i] = o[i].spot;
-      to.soa.strike[i] = o[i].strike;
-      to.soa.years[i] = o[i].years;
-    }
-  } else if (from.layout == Layout::kBsAos && to.layout == Layout::kBsSoaF) {
-    const BsOptionAos* o = from.aos.options.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      to.sp.spot[i] = static_cast<float>(o[i].spot);
-      to.sp.strike[i] = static_cast<float>(o[i].strike);
-      to.sp.years[i] = static_cast<float>(o[i].years);
-    }
-  } else if (from.layout == Layout::kBsAos && to.layout == Layout::kBsBlocked) {
-    // Block-local transpose; lanes past n replicate the final option.
-    const BsOptionAos* o = from.aos.options.data();
-    const BsBlockedView& b = to.blocked;
-    const std::size_t w = static_cast<std::size_t>(b.block);
-    for (std::size_t blk = 0; blk < b.num_blocks(); ++blk) {
-      double* spot = b.field(blk, 0);
-      double* strike = b.field(blk, 1);
-      double* years = b.field(blk, 2);
-      const std::size_t base = blk * w;
-      for (std::size_t ln = 0; ln < w; ++ln) {
-        const BsOptionAos& x = o[std::min(base + ln, n - 1)];
-        spot[ln] = x.spot;
-        strike[ln] = x.strike;
-        years[ln] = x.years;
-      }
-    }
-  } else {
-    const auto copy_in = [&](std::size_t i, std::size_t j) {
-      const BsLane l = bs_lane(from, i);
-      set_bs_inputs(to, j, l.spot, l.strike, l.years);
-    };
-    for (std::size_t i = 0; i < n; ++i) copy_in(i, i);
-    if (to.layout == Layout::kBsBlocked && n > 0) {
-      const std::size_t ceil_n = to.blocked.num_blocks() * static_cast<std::size_t>(to.blocked.block);
-      for (std::size_t i = n; i < ceil_n; ++i) copy_in(n - 1, i);
-    }
-  }
-  const std::size_t elem = to.layout == Layout::kBsSoaF ? sizeof(float) : sizeof(double);
-  return n * 3 * elem;
+  return copy_fields<0, 3>(from, to, "copy_inputs");
 }
 
 PortfolioView allocate_like(const PortfolioView& like, Layout target, std::size_t n, Arena& a,
                             std::size_t* bytes) {
-  std::size_t sz = 0;
-  PortfolioView v = carve(target, n, bs_scalars(like), a, &sz);
-  if (bytes) *bytes = sz;
+  const PortfolioView v = carve(target, n, bs_scalars(like), a);
+  if (bytes) *bytes = view_bytes(v);
   return v;
 }
 
@@ -536,15 +329,13 @@ PortfolioView subview(const PortfolioView& v, std::size_t off, std::size_t m) {
       s.sp.call = v.sp.call.subspan(off, m);
       s.sp.put = v.sp.put.subspan(off, m);
       break;
-    case Layout::kBsBlocked: {
-      const std::size_t w = static_cast<std::size_t>(v.blocked.block);
-      if (off % w != 0) {
+    case Layout::kBsBlocked:
+      if (off % kBsBlock != 0) {
         throw std::invalid_argument("subview: a bs_blocked range must start on a block boundary");
       }
       s.blocked.n = m;
-      s.blocked.data = v.blocked.data.subspan(off * 5, s.blocked.num_blocks() * 5 * w);
+      s.blocked.data = v.blocked.data.subspan(off * 5, s.blocked.num_blocks() * 5 * kBsBlock);
       break;
-    }
     case Layout::kPaths:
       s.npaths = m;
       break;
@@ -560,28 +351,26 @@ Portfolio Portfolio::bs(std::size_t n, Layout layout, std::uint64_t seed,
     throw std::invalid_argument("Portfolio::bs: layout must be a Black-Scholes layout");
   }
   Portfolio out;
-  std::size_t bytes = 0;
-  out.view_ = carve(layout, n, {p.rate, p.vol, 0.0}, out.arena_, &bytes);
+  out.view_ = carve(layout, n, {p.rate, p.vol, 0.0}, out.arena_);
   // One AOS-ordered Philox pass, written in place: option i's spot, strike
   // and years are the draw's 3i-th to (3i+2)-th uniforms in every layout.
   rng::Philox4x32 gen(seed, /*stream=*/0xB5);
   const auto uniform_in = [&gen](double lo, double hi) {
     return lo + (hi - lo) * gen.next_u01();
   };
-  for (std::size_t i = 0; i < n; ++i) {
-    const double spot = uniform_in(p.spot_min, p.spot_max);
-    const double strike = uniform_in(p.strike_min, p.strike_max);
-    const double years = uniform_in(p.years_min, p.years_max);
-    set_bs_inputs(out.view_, i, spot, strike, years);
-    set_bs_outputs(out.view_, i, 0.0, 0.0);
-  }
-  // Lane-blocked padding replicates the final option, as convert() does.
-  if (layout == Layout::kBsBlocked) {
-    const BsBlockedView& b = out.view_.blocked;
-    for (std::size_t i = n; i < b.num_blocks() * static_cast<std::size_t>(b.block); ++i) {
-      copy_lane(out.view_, n - 1, out.view_, i);
+  visit_bs(out.view_, "Portfolio::bs", [&](const auto& x) {
+    const auto m = map_of(x);
+    using T = typename decltype(m)::T;
+    for (std::size_t i = 0; i < n; ++i) {
+      m.at(0, i) = static_cast<T>(uniform_in(p.spot_min, p.spot_max));
+      m.at(1, i) = static_cast<T>(uniform_in(p.strike_min, p.strike_max));
+      m.at(2, i) = static_cast<T>(uniform_in(p.years_min, p.years_max));
+      m.at(3, i) = T{0};
+      m.at(4, i) = T{0};
     }
-  }
+    // Lane-blocked padding replicates the final option, as convert() does.
+    for (std::size_t i = n; i < m.lanes(n); ++i) copy_lane<0, 5>(m, n - 1, m, i);
+  });
   return out;
 }
 

@@ -226,10 +226,9 @@ void run_blocked_gather(const PricingRequest& req, const core::PortfolioView& vi
                         std::size_t begin, std::size_t end, PricingResult&) {
   const core::BsBlockedView& b = view.blocked;
   core::ScratchPool* pool = &scratch_of(req).lattice_pool;
-  const std::size_t bw = static_cast<std::size_t>(b.block);
   for (std::size_t i = begin; i < end; ++i) {
-    const std::size_t blk = i / bw;
-    const std::size_t ln = i % bw;
+    const std::size_t blk = i / core::kBsBlock;
+    const std::size_t ln = i % core::kBsBlock;
     core::OptionSpec o{};
     o.spot = b.field(blk, 0)[ln];
     o.strike = b.field(blk, 1)[ln];

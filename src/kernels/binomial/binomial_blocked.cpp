@@ -1,6 +1,6 @@
 // Blocked-layout binomial family (paper Fig. 5 meets the Fig. 4 "Advanced"
 // layout): European CRR pricing straight off Layout::kBsBlocked AoSoA
-// tiles. Each lane-block stores its fields as contiguous `block`-lane runs,
+// tiles. Each lane-block stores its fields as contiguous kBsBlock-lane runs,
 // so lane setup is aligned unit-stride loads — no OptionSpec gather — and
 // both the call and the put lattice reduce together, keeping two
 // independent fmadd chains in flight per W-wide group (the same ILP idiom
@@ -23,9 +23,9 @@ namespace {
 template <int W>
 void price_blocked_width(const core::BsBlockedView& batch, int steps,
                          core::ScratchPool* scratch) {
+  static_assert(core::kBsBlock % W == 0, "a W-wide group covers whole lanes of a block");
   using V = simd::Vec<double, W>;
   const auto nblocks = static_cast<std::ptrdiff_t>(batch.num_blocks());
-  const std::size_t bw = static_cast<std::size_t>(batch.block);
   const std::size_t lat = static_cast<std::size_t>(steps + 1) * W;
 
   core::ScratchBuf buf(scratch, 2 * lat);
@@ -38,7 +38,7 @@ void price_blocked_width(const core::BsBlockedView& batch, int steps,
     const double* years = batch.field(b, 2);
     double* out_call = batch.field(b, 3);
     double* out_put = batch.field(b, 4);
-    for (std::size_t sub = 0; sub < bw; sub += W) {
+    for (std::size_t sub = 0; sub < core::kBsBlock; sub += W) {
       alignas(64) double pu_a[W], pd_a[W];
       for (int l = 0; l < W; ++l) {
         core::OptionSpec o{};
@@ -88,12 +88,7 @@ void price_blocked(const core::BsBlockedView& view, int steps, Width w,
                    core::ScratchPool* scratch) {
   static obs::Counter& priced = obs::counter("binomial.options_priced");
   priced.add(view.size());
-  // A block width that is not a multiple of the lane count would regroup
-  // lanes mid-block: fall back to scalar lanes (correct for any block).
-  simd::with_lanes<double>(w, [&](auto L) {
-    if (view.block % L == 0) price_blocked_width<L>(view, steps, scratch);
-    else price_blocked_width<1>(view, steps, scratch);
-  });
+  simd::with_lanes<double>(w, [&](auto L) { price_blocked_width<L>(view, steps, scratch); });
 }
 
 }  // namespace finbench::kernels::binomial

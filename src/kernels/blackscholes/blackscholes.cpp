@@ -14,6 +14,7 @@
 #include "finbench/obs/trace.hpp"
 #include "finbench/vecmath/vecmath.hpp"
 #include "finbench/vecmath/vecmathf.hpp"
+#include "sp_tile.hpp"
 
 namespace finbench::kernels::bs {
 
@@ -381,11 +382,6 @@ namespace {
 template <int W>
 void price_sp_width(const core::BsSoaFView& batch) {
   using V = simd::Vec<float, W>;
-  const V r(batch.rate);
-  const V sig(batch.vol);
-  const V sig22(batch.vol * batch.vol / 2);
-  const V one(1.0f);
-
   const std::ptrdiff_t nopt = static_cast<std::ptrdiff_t>(batch.size());
   const float* s = batch.spot.data();
   const float* k = batch.strike.data();
@@ -394,15 +390,7 @@ void price_sp_width(const core::BsSoaFView& batch) {
   float* put = batch.put.data();
 
   const auto price = [&](const V S, const V K, const V T) {
-    const V qlog = vecmath::logf(S / K);
-    const V denom = one / (sig * sqrt(T));
-    const V d1 = (qlog + (r + sig22) * T) * denom;
-    const V d2 = (qlog + (r - sig22) * T) * denom;
-    const V xexp = K * vecmath::expf(-r * T);
-    const V nd1 = vecmath::cndf(d1);
-    const V nd2 = vecmath::cndf(d2);
-    const V c = S * nd1 - xexp * nd2;
-    return std::pair{c, c - S + xexp};  // put from call/put parity
+    return sp_tile(S, K, T, batch.rate, batch.vol, batch.dividend);
   };
 
   const std::ptrdiff_t vec_end = nopt - nopt % W;

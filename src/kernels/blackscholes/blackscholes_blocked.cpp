@@ -1,8 +1,8 @@
 // Register-tiled Black–Scholes over the blocked AoSoA layout (paper
 // Sec. IV-A3, Fig. 4 "Advanced"). Each lane-block stores its five fields
-// as contiguous `block`-lane runs, so a register tile is nothing but
+// as contiguous kBsBlock-lane runs, so a register tile is nothing but
 // aligned unit-stride loads — no gathers, unlike SIMD over AOS — and the
-// whole working set of a tile (5 x block doubles) sits on a handful of
+// whole working set of a tile (5 x kBsBlock doubles) sits on a handful of
 // cache lines. Tiles are processed in pairs (×2 unroll) so two
 // independent exp/log/erf dependency chains are in flight per worker,
 // hiding the polynomial latency, and outputs leave through streaming
@@ -15,9 +15,9 @@
 // stays double, so the SP speedup is measured against identical bytes in
 // memory and the engine can negotiate/write back exactly as for DP.
 //
-// Lane-blocks are padded by replicating the final option (core::fill), so
-// full-width tiles are always safe; padded lanes are computed redundantly
-// and ignored by every reader.
+// Lane-blocks are core::kBsBlock (8) lanes, padded by replicating the
+// final option, so full-width tiles are always safe at every width; padded
+// lanes are computed redundantly and ignored by every reader.
 
 #include <cmath>
 #include <cstddef>
@@ -29,6 +29,7 @@
 #include "finbench/obs/metrics.hpp"
 #include "finbench/vecmath/vecmath.hpp"
 #include "finbench/vecmath/vecmathf.hpp"
+#include "sp_tile.hpp"
 
 namespace finbench::kernels::bs {
 
@@ -88,10 +89,11 @@ inline void dp_tile(const DpConsts<W>& k, double* base, std::size_t fs) {
 
 template <int W, bool HasDividend>
 void price_blocked_width(const core::BsBlockedView& batch) {
+  static_assert(core::kBsBlock % W == 0, "a register tile covers whole lanes of a block");
   const DpConsts<W> k(batch.rate, batch.vol, batch.dividend);
 
   const std::ptrdiff_t nblocks = static_cast<std::ptrdiff_t>(batch.num_blocks());
-  const std::size_t bw = static_cast<std::size_t>(batch.block);
+  constexpr std::size_t bw = core::kBsBlock;
   double* const data = batch.data.data();
 
   // When a tile covers a whole block, fs is the compile-time W and every
@@ -104,7 +106,7 @@ void price_blocked_width(const core::BsBlockedView& batch) {
   // otherwise pair the sub-runs inside each block. Either way two
   // independent transcendental chains are in flight and the indexing is
   // pure pointer increments (no per-tile division).
-  if (static_cast<std::size_t>(W) == bw) {
+  if constexpr (static_cast<std::size_t>(W) == bw) {
     const std::size_t stride = 5 * static_cast<std::size_t>(W);
     const std::ptrdiff_t npairs = nblocks / 2;
     for (std::ptrdiff_t p = 0; p < npairs; ++p) {
@@ -131,14 +133,6 @@ void price_blocked_width(const core::BsBlockedView& batch) {
 
 template <int W>
 void price_blocked_dispatch(const core::BsBlockedView& batch) {
-  // A register tile must cover whole lanes of a block; an exotic block
-  // size that W does not divide falls back to the scalar tiling, which
-  // divides everything.
-  if (batch.block % W != 0) {
-    if (batch.dividend != 0.0) price_blocked_width<1, true>(batch);
-    else price_blocked_width<1, false>(batch);
-    return;
-  }
   if (batch.dividend != 0.0) price_blocked_width<W, true>(batch);
   else price_blocked_width<W, false>(batch);
 }
@@ -267,50 +261,21 @@ inline void store_f64_16(double* a, double* b, simd::Vec<float, 16> x) {
 }
 #endif
 
-template <class VF>
-struct SpOut {
-  VF call, put;
-};
-
-// The SP model shared by every width: same algebra as the DP tile, with
-// cnd via the SP erf polynomial (~1.5e-7 abs; Fig. 4's SP rows trade this
-// for twice the lanes).
-template <class VF>
-inline SpOut<VF> sp_tile(VF S, VF K, VF T, float rate, float vol, float div) {
-  const VF r(rate);
-  const VF sig22(vol * vol / 2);
-  const VF one(1.0f);
-  const VF qlog = vecmath::logf(S / K);
-  const VF denom = one / (VF(vol) * sqrt(T));
-  VF drift = r;
-  VF sq = S;
-  if (div != 0.0f) {
-    drift = VF(rate - div);
-    sq = S * vecmath::expf(VF(-div) * T);
-  }
-  const VF d1 = (qlog + (drift + sig22) * T) * denom;
-  const VF d2 = (qlog + (drift - sig22) * T) * denom;
-  const VF xexp = K * vecmath::expf(-r * T);
-  const VF c = sq * vecmath::cndf(d1) - xexp * vecmath::cndf(d2);
-  return {c, c - sq + xexp};
-}
-
 // The SP blocked kernel at L float lanes per register tile.
 template <int L>
 void price_blocked_sp_lanes(const core::BsBlockedView& batch);
 
-// Fallback for block sizes the 8-lane converters cannot tile: scalar SP
-// per lane (still the SP model, so tolerances match the vector paths).
+// Scalar SP per lane (still the SP model, so tolerances match the vector
+// paths).
 template <>
 void price_blocked_sp_lanes<1>(const core::BsBlockedView& batch) {
   using V1 = simd::Vec<float, 1>;
   const float rate = static_cast<float>(batch.rate);
   const float vol = static_cast<float>(batch.vol);
   const float div = static_cast<float>(batch.dividend);
-  const std::size_t b = static_cast<std::size_t>(batch.block);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const std::size_t blk = i / b;
-    const std::size_t ln = i % b;
+    const std::size_t blk = i / core::kBsBlock;
+    const std::size_t ln = i % core::kBsBlock;
     const V1 s(static_cast<float>(batch.field(blk, 0)[ln]));
     const V1 k(static_cast<float>(batch.field(blk, 1)[ln]));
     const V1 t(static_cast<float>(batch.field(blk, 2)[ln]));
@@ -320,7 +285,10 @@ void price_blocked_sp_lanes<1>(const core::BsBlockedView& batch) {
   }
 }
 
-// 8 SP lanes per tile: one 8-lane sub-run of a block per register tile.
+// The 8-lane converters tile whole 8-double field runs: one block each.
+static_assert(core::kBsBlock == 8);
+
+// 8 SP lanes per tile: one block per register tile.
 template <>
 void price_blocked_sp_lanes<8>(const core::BsBlockedView& batch) {
   using VF = simd::Vec<float, 8>;
@@ -329,37 +297,24 @@ void price_blocked_sp_lanes<8>(const core::BsBlockedView& batch) {
   const float div = static_cast<float>(batch.dividend);
 
   const std::ptrdiff_t nblocks = static_cast<std::ptrdiff_t>(batch.num_blocks());
-  const std::size_t bw = static_cast<std::size_t>(batch.block);
 
-  auto tile = [&](std::size_t blk, std::size_t off) {
-    const VF S = load_f32_8(batch.field(blk, 0) + off);
-    const VF K = load_f32_8(batch.field(blk, 1) + off);
-    const VF T = load_f32_8(batch.field(blk, 2) + off);
+  auto tile = [&](std::size_t blk) {
+    const VF S = load_f32_8(batch.field(blk, 0));
+    const VF K = load_f32_8(batch.field(blk, 1));
+    const VF T = load_f32_8(batch.field(blk, 2));
     const SpOut<VF> o = sp_tile(S, K, T, rate, vol, div);
-    stream_f64_8(batch.field(blk, 3) + off, o.call);
-    stream_f64_8(batch.field(blk, 4) + off, o.put);
+    stream_f64_8(batch.field(blk, 3), o.call);
+    stream_f64_8(batch.field(blk, 4), o.put);
   };
 
-  // Same pairing scheme as the DP tiles: adjacent blocks when a tile is a
-  // whole block, sub-runs within a block otherwise — increment-only indexing.
-  if (bw == 8) {
-    const std::ptrdiff_t npairs = nblocks / 2;
-    for (std::ptrdiff_t p = 0; p < npairs; ++p) {
-      tile(static_cast<std::size_t>(2 * p), 0);
-      tile(static_cast<std::size_t>(2 * p + 1), 0);
-    }
-    if (nblocks % 2 != 0) tile(static_cast<std::size_t>(nblocks - 1), 0);
-    return;
+  // Same pairing scheme as the DP tiles: adjacent blocks, increment-only
+  // indexing.
+  const std::ptrdiff_t npairs = nblocks / 2;
+  for (std::ptrdiff_t p = 0; p < npairs; ++p) {
+    tile(static_cast<std::size_t>(2 * p));
+    tile(static_cast<std::size_t>(2 * p + 1));
   }
-  for (std::ptrdiff_t b = 0; b < nblocks; ++b) {
-    const std::size_t blk = static_cast<std::size_t>(b);
-    std::size_t off = 0;
-    for (; off + 16 <= bw; off += 16) {
-      tile(blk, off);
-      tile(blk, off + 8);
-    }
-    for (; off < bw; off += 8) tile(blk, off);
-  }
+  if (nblocks % 2 != 0) tile(static_cast<std::size_t>(nblocks - 1));
 }
 
 #if defined(FINBENCH_HAVE_AVX512)
@@ -372,44 +327,33 @@ void price_blocked_sp_lanes<16>(const core::BsBlockedView& batch) {
   const float div = static_cast<float>(batch.dividend);
 
   const std::ptrdiff_t nblocks = static_cast<std::ptrdiff_t>(batch.num_blocks());
-  const std::size_t bw = static_cast<std::size_t>(batch.block);
 
-  // A 16-float tile fuses two 8-double field runs (lo/hi halves).
-  auto tile16 = [&](std::size_t blk_lo, std::size_t off_lo, std::size_t blk_hi,
-                    std::size_t off_hi) {
-    const VF S = load_f32_16(batch.field(blk_lo, 0) + off_lo, batch.field(blk_hi, 0) + off_hi);
-    const VF K = load_f32_16(batch.field(blk_lo, 1) + off_lo, batch.field(blk_hi, 1) + off_hi);
-    const VF T = load_f32_16(batch.field(blk_lo, 2) + off_lo, batch.field(blk_hi, 2) + off_hi);
+  // A 16-float tile fuses the 8-double field runs of two adjacent blocks
+  // (lo/hi halves).
+  auto tile16 = [&](std::size_t lo, std::size_t hi) {
+    const VF S = load_f32_16(batch.field(lo, 0), batch.field(hi, 0));
+    const VF K = load_f32_16(batch.field(lo, 1), batch.field(hi, 1));
+    const VF T = load_f32_16(batch.field(lo, 2), batch.field(hi, 2));
     const SpOut<VF> o = sp_tile(S, K, T, rate, vol, div);
-    stream_f64_16(batch.field(blk_lo, 3) + off_lo, batch.field(blk_hi, 3) + off_hi, o.call);
-    stream_f64_16(batch.field(blk_lo, 4) + off_lo, batch.field(blk_hi, 4) + off_hi, o.put);
+    stream_f64_16(batch.field(lo, 3), batch.field(hi, 3), o.call);
+    stream_f64_16(batch.field(lo, 4), batch.field(hi, 4), o.put);
   };
-  auto tile8 = [&](std::size_t blk, std::size_t off) {
+  auto tile8 = [&](std::size_t blk) {
     using V8 = simd::Vec<float, 8>;
-    const V8 S = load_f32_8(batch.field(blk, 0) + off);
-    const V8 K = load_f32_8(batch.field(blk, 1) + off);
-    const V8 T = load_f32_8(batch.field(blk, 2) + off);
+    const V8 S = load_f32_8(batch.field(blk, 0));
+    const V8 K = load_f32_8(batch.field(blk, 1));
+    const V8 T = load_f32_8(batch.field(blk, 2));
     const SpOut<V8> o = sp_tile(S, K, T, rate, vol, div);
-    stream_f64_8(batch.field(blk, 3) + off, o.call);
-    stream_f64_8(batch.field(blk, 4) + off, o.put);
+    stream_f64_8(batch.field(blk, 3), o.call);
+    stream_f64_8(batch.field(blk, 4), o.put);
   };
 
-  if (bw == 8) {
-    // A 16-lane tile spans two adjacent blocks; an odd trailing block
-    // finishes 8-wide.
-    const std::ptrdiff_t npairs = nblocks / 2;
-    for (std::ptrdiff_t p = 0; p < npairs; ++p) {
-      tile16(static_cast<std::size_t>(2 * p), 0, static_cast<std::size_t>(2 * p + 1), 0);
-    }
-    if (nblocks % 2 != 0) tile8(static_cast<std::size_t>(nblocks - 1), 0);
-    return;
+  // An odd trailing block finishes 8-wide.
+  const std::ptrdiff_t npairs = nblocks / 2;
+  for (std::ptrdiff_t p = 0; p < npairs; ++p) {
+    tile16(static_cast<std::size_t>(2 * p), static_cast<std::size_t>(2 * p + 1));
   }
-  for (std::ptrdiff_t b = 0; b < nblocks; ++b) {
-    const std::size_t blk = static_cast<std::size_t>(b);
-    std::size_t off = 0;
-    for (; off + 16 <= bw; off += 16) tile16(blk, off, blk, off + 8);
-    for (; off < bw; off += 8) tile8(blk, off);
-  }
+  if (nblocks % 2 != 0) tile8(static_cast<std::size_t>(nblocks - 1));
 }
 #endif
 
@@ -527,8 +471,6 @@ void price_blocked_from_aos_f32(core::BsAosView batch, Width w) {
 void price_blocked_sp(core::BsBlockedView batch, Width w) {
   static obs::Counter& priced = obs::counter("bs.options_priced");
   priced.add(batch.size());
-  // The 8-lane converters tile whole 8-double field runs.
-  if (batch.block % 8 != 0) w = Width::kScalar;
   simd::with_lanes<float>(w, [&](auto L) { price_blocked_sp_lanes<L>(batch); });
 }
 

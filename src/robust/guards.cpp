@@ -105,11 +105,10 @@ bool outputs_finite(const core::PortfolioView& v) {
       break;
     case core::Layout::kBsBlocked: {
       const core::BsBlockedView& b = v.blocked;
-      const std::size_t w = static_cast<std::size_t>(b.block);
       for (std::size_t blk = 0; blk < b.num_blocks(); ++blk) {
         const double* call = b.field(blk, 3);
         const double* put = b.field(blk, 4);
-        const std::size_t lanes = std::min(w, b.n - blk * w);
+        const std::size_t lanes = std::min(core::kBsBlock, b.n - blk * core::kBsBlock);
         for (std::size_t ln = 0; ln < lanes; ++ln) acc |= bad(call[ln], put[ln]);
       }
       break;

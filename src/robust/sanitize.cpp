@@ -104,12 +104,11 @@ bool inputs_clean(const core::PortfolioView& v, double floor) {
     case core::Layout::kBsBlocked: {
       // Block by block over the logical lanes (padding past n is ignored).
       const core::BsBlockedView& b = v.blocked;
-      const std::size_t w = static_cast<std::size_t>(b.block);
       for (std::size_t blk = 0; blk < b.num_blocks(); ++blk) {
         const double* spot = b.field(blk, 0);
         const double* strike = b.field(blk, 1);
         const double* years = b.field(blk, 2);
-        const std::size_t lanes = std::min(w, b.n - blk * w);
+        const std::size_t lanes = std::min(core::kBsBlock, b.n - blk * core::kBsBlock);
         for (std::size_t ln = 0; ln < lanes; ++ln) acc |= bad(spot[ln], strike[ln], years[ln]);
       }
       break;

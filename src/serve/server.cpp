@@ -32,17 +32,10 @@ std::uint64_t now_ns() {
 }
 
 // Admission accounting: the workload bytes a job keeps in flight from
-// accept to completion.
+// accept to completion. A path job carries only a count and is charged
+// one double per path.
 std::size_t workload_bytes(const core::PortfolioView& v) {
-  switch (v.layout) {
-    case core::Layout::kSpecs: return v.specs.size_bytes();
-    case core::Layout::kBsAos: return v.aos.options.size_bytes();
-    case core::Layout::kBsSoa: return v.soa.spot.size_bytes() * 5;
-    case core::Layout::kBsSoaF: return v.sp.spot.size_bytes() * 5;
-    case core::Layout::kBsBlocked: return v.blocked.data.size_bytes();
-    case core::Layout::kPaths: return v.npaths * sizeof(double);
-  }
-  return 0;
+  return v.layout == core::Layout::kPaths ? v.npaths * sizeof(double) : core::view_bytes(v);
 }
 
 }  // namespace

@@ -48,6 +48,15 @@ int get_int(const Value& v, const char* key) {
   return static_cast<int>(x);
 }
 
+// A whole number in [0, 2^64); anything else (-1, 2.5, 1e300) is malformed.
+std::uint64_t get_u64(const Value& v, const char* key) {
+  const double x = get_number(v, key);
+  if (!(x >= 0.0 && x < 0x1p64) || x != std::trunc(x)) {
+    throw std::runtime_error(std::string(key) + ": not a uint64");
+  }
+  return static_cast<std::uint64_t>(x);
+}
+
 bool get_bool(const Value& v, const char* key) {
   const Value& m = member(v, key);
   if (!m.is_bool()) throw std::runtime_error(std::string(key) + ": not a bool");
@@ -65,7 +74,7 @@ TuneKey parse_key(const Value& v) {
   k.threads = get_int(v, "threads");
   k.steps = get_int(v, "steps");
   k.steps_per_year = get_int(v, "steps_per_year");
-  k.npath = static_cast<std::uint64_t>(get_number(v, "npath"));
+  k.npath = get_u64(v, "npath");
   k.bridge_depth = get_int(v, "bridge_depth");
   k.cn_num_prices = get_int(v, "cn_num_prices");
   k.american = get_bool(v, "american");

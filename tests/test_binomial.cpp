@@ -186,7 +186,7 @@ TEST_P(BinomialBlocked, CallAndPutMatchReferenceOnRaggedBooks) {
     core::Portfolio pf = core::Portfolio::bs(n, core::Layout::kBsBlocked, 23 + n);
     const core::BsBlockedView& b = pf.view().blocked;
     binomial::price_blocked(b, kSteps, GetParam());
-    const std::size_t w = static_cast<std::size_t>(b.block);
+    constexpr std::size_t w = core::kBsBlock;
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t blk = i / w, ln = i % w;
       core::OptionSpec o = euro_put(b.field(blk, 0)[ln], b.field(blk, 1)[ln],

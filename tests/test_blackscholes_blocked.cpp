@@ -28,7 +28,7 @@ constexpr std::size_t kSizes[] = {1, 3, 5, 8, 13, 16, 24, 100, 1000, 1003};
 void expect_blocked_matches_analytic(const core::BsBlockedView& b, std::size_t n,
                                      double rel_tol, const char* what) {
   ASSERT_EQ(b.n, n);
-  const std::size_t w = static_cast<std::size_t>(b.block);
+  constexpr std::size_t w = core::kBsBlock;
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t blk = i / w, ln = i % w;
     const double spot = b.field(blk, 0)[ln];
@@ -138,7 +138,7 @@ TEST(BlockedKernel, FusedAndInMemoryPathsAgreeBitwise) {
   const core::BsAosView aos = book.view().aos;
   bs::price_blocked_from_aos(aos, bs::Width::kAvx2);
 
-  const std::size_t w = static_cast<std::size_t>(b.block);
+  constexpr std::size_t w = core::kBsBlock;
   // The fused tail (< one tile) prices through the scalar closed form, so
   // compare only the full 4-lane tiles the two kernels both vectorize.
   const std::size_t vectorized = n / 4 * 4;

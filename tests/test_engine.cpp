@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "finbench/core/analytic.hpp"
 #include "finbench/core/portfolio.hpp"
 #include "finbench/core/workload.hpp"
 #include "finbench/engine/engine.hpp"
@@ -407,6 +408,31 @@ TEST(Engine, BsChunkedOutputsAreBitwiseInvariantAcrossParticipantsAndChunkSizes)
         }
       }
     }
+  }
+}
+
+// A book's continuous dividend yield reaches every Black–Scholes variant:
+// priced from an AOS book with q != 0 (negotiated into the variant's own
+// layout where that differs), each agrees with the closed form within its
+// registered tolerance.
+TEST(Engine, EveryBsVariantPricesTheDividendOfANegotiatedAosBook) {
+  for (const engine::VariantInfo* v : Registry::instance().all()) {
+    if (v->kernel != "bs") continue;
+    core::Portfolio book = core::Portfolio::bs(4096, core::Layout::kBsAos, 7);
+    core::PortfolioView view = book.view();
+    core::set_bs_scalars(view, {0.05, 0.2, 0.05});
+    PricingRequest req;
+    req.kernel_id = v->id;
+    req.portfolio = view;
+    const PricingResult res = Engine::shared().price(req);
+    ASSERT_TRUE(res.status.ok()) << v->id << ": " << res.status.to_string();
+    double worst = 0.0;
+    for (const core::BsOptionAos& o : view.aos.options) {
+      const core::BsPrice want = core::black_scholes(o.spot, o.strike, o.years, 0.05, 0.2, 0.05);
+      worst = std::max({worst, std::fabs(o.call - want.call) / std::max(1.0, std::fabs(want.call)),
+                        std::fabs(o.put - want.put) / std::max(1.0, std::fabs(want.put))});
+    }
+    EXPECT_LE(worst, v->tolerance) << v->id;
   }
 }
 

@@ -149,7 +149,7 @@ TEST(PortfolioView, BsAccessorsReadEveryLayoutAsTheAosDraw) {
     const core::BsScalars s = core::bs_scalars(v);
     EXPECT_EQ(s.rate, stored(l, ref.rate)) << to_string(l);
     EXPECT_EQ(s.vol, stored(l, ref.vol)) << to_string(l);
-    EXPECT_EQ(s.dividend, l == Layout::kBsSoaF ? 0.0 : ref.dividend) << to_string(l);
+    EXPECT_EQ(s.dividend, stored(l, ref.dividend)) << to_string(l);
     if (l == Layout::kBsBlocked) {
       for (std::size_t i = n; i < v.blocked.num_blocks() * 8; ++i) {
         EXPECT_EQ(core::bs_lane(v, i).spot, ref.options[n - 1].spot) << i;
@@ -191,7 +191,7 @@ TEST(PortfolioView, BsAccessorsRoundTripInputsOutputsAndScalars) {
       }
     }
 
-    const core::BsScalars s{0.03125, 0.375, l == Layout::kBsSoaF ? 0.0 : 0.0625};
+    const core::BsScalars s{0.03125, 0.375, 0.0625};
     core::set_bs_scalars(v, s);
     EXPECT_EQ(core::bs_scalars(v), s) << to_string(l);
     EXPECT_EQ(core::bs_lane(v, 0).spot, 100.0) << to_string(l) << ": scalars touched the arrays";
@@ -215,10 +215,11 @@ TEST(PortfolioView, SinglePrecisionAccessorsNarrowToFloat) {
   core::set_bs_scalars(v, {0.1, 0.3, 0.07});
   EXPECT_EQ(v.sp.rate, 0.1f);
   EXPECT_EQ(v.sp.vol, 0.3f);
+  EXPECT_EQ(v.sp.dividend, 0.07f);
   const core::BsScalars s = core::bs_scalars(v);
   EXPECT_EQ(s.rate, static_cast<double>(0.1f));
   EXPECT_EQ(s.vol, static_cast<double>(0.3f));
-  EXPECT_EQ(s.dividend, 0.0) << "the f32 layout has no dividend";
+  EXPECT_EQ(s.dividend, static_cast<double>(0.07f));
 }
 
 TEST(PortfolioView, BsAccessorsRejectNonBsLayouts) {
@@ -261,7 +262,7 @@ TEST(Convert, AosBlockedRoundTripIsBitwiseAndTailIsPadded) {
   Arena a;
   PortfolioView blk = core::convert(book.view(), Layout::kBsBlocked, a);
   ASSERT_EQ(blk.blocked.n, 21u);
-  const std::size_t b = static_cast<std::size_t>(blk.blocked.block);
+  constexpr std::size_t b = core::kBsBlock;
   ASSERT_EQ(blk.blocked.num_blocks(), (21 + b - 1) / b);
   // Trailing lanes of the last block replicate the final option, so a
   // register tile can run full-width without branching.
@@ -355,6 +356,91 @@ TEST(Convert, SameLayoutCopyInputsLeavesTheOutputs) {
       if (i < n) {
         EXPECT_EQ(got.call, -3.0) << to_string(l) << " " << i;
         EXPECT_EQ(got.put, -4.0) << to_string(l) << " " << i;
+      }
+    }
+  }
+}
+
+namespace {
+
+// Lanes a view stores: n, or every lane of its blocks for kBsBlocked.
+std::size_t stored_lanes(const PortfolioView& v) {
+  return v.layout == Layout::kBsBlocked ? v.blocked.num_blocks() * core::kBsBlock : v.size();
+}
+
+std::size_t elem_bytes(Layout l) { return l == Layout::kBsSoaF ? sizeof(float) : sizeof(double); }
+
+// Bytes a Black–Scholes layout of n options occupies, blocked padding
+// included.
+std::size_t layout_bytes(Layout l, std::size_t n) {
+  if (l == Layout::kBsBlocked) n = (n + core::kBsBlock - 1) / core::kBsBlock * core::kBsBlock;
+  return 5 * n * elem_bytes(l);
+}
+
+// Every stored lane of `got` equals that of `want`, bit for bit.
+void expect_same_lanes(const PortfolioView& got, const PortfolioView& want, const char* op,
+                       Layout from, std::size_t n) {
+  ASSERT_EQ(stored_lanes(got), stored_lanes(want));
+  for (std::size_t i = 0; i < stored_lanes(want); ++i) {
+    const core::BsLane g = core::bs_lane(got, i), w = core::bs_lane(want, i);
+    ASSERT_EQ(std::memcmp(&g, &w, sizeof g), 0)
+        << op << " " << to_string(from) << " -> " << to_string(want.layout) << " n=" << n
+        << " lane " << i;
+  }
+}
+
+}  // namespace
+
+// The range copies and convert() write exactly what the per-option
+// accessors would, for every ordered pair of the Black–Scholes layouts:
+// copy_inputs the three inputs (a blocked target's padding lanes take the
+// final option), copy_outputs call and put of the logical lanes only,
+// convert all five fields with the padding and the shared scalars. Values
+// are float-rounded on kBsSoaF, and each returns the bytes it wrote.
+TEST(Convert, EveryOrderedPairCopiesLikeTheAccessors) {
+  for (const std::size_t n : {1u, 7u, 8u, 9u, 63u, 64u, 65u, 1003u}) {
+    for (const Layout from : kBsLayouts) {
+      Portfolio src = Portfolio::bs(n, from, 3);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double x = static_cast<double>(i);
+        core::set_bs_outputs(src.view(), i, 0.1 + x / 3.0, 7.0 / (x + 1.0));
+      }
+      PortfolioView sv = src.view();
+      core::set_bs_scalars(sv, {0.03, 0.25, 0.02});
+      for (const Layout to : kBsLayouts) {
+        const auto want_from = [&](bool inputs, bool outputs) {
+          Portfolio want = Portfolio::bs(n, to, 4);
+          for (std::size_t i = 0; i < stored_lanes(want.view()); ++i) {
+            if (i >= n && !inputs) break;
+            const core::BsLane l = core::bs_lane(sv, std::min(i, n - 1));
+            if (inputs) core::set_bs_inputs(want.view(), i, l.spot, l.strike, l.years);
+            if (outputs) core::set_bs_outputs(want.view(), i, l.call, l.put);
+          }
+          return want;
+        };
+
+        Portfolio in = Portfolio::bs(n, to, 4);
+        EXPECT_EQ(core::copy_inputs(sv, in.view()), n * 3 * elem_bytes(to));
+        expect_same_lanes(in.view(), want_from(true, false).view(), "copy_inputs", from, n);
+
+        Portfolio out = Portfolio::bs(n, to, 4);
+        EXPECT_EQ(core::copy_outputs(sv, out.view()), n * 2 * elem_bytes(to));
+        expect_same_lanes(out.view(), want_from(false, true).view(), "copy_outputs", from, n);
+
+        Arena a;
+        ConvertStats stats;
+        const PortfolioView conv = core::convert(sv, to, a, &stats);
+        if (from == to) {  // the identity hands back the source itself
+          EXPECT_EQ(stats.bytes, 0u);
+          expect_same_lanes(conv, sv, "convert", from, n);
+          continue;
+        }
+        EXPECT_EQ(stats.bytes, layout_bytes(to, n));
+        Portfolio want = want_from(true, true);
+        PortfolioView wv = want.view();
+        core::set_bs_scalars(wv, core::bs_scalars(sv));
+        EXPECT_EQ(core::bs_scalars(conv), core::bs_scalars(wv));
+        expect_same_lanes(conv, wv, "convert", from, n);
       }
     }
   }

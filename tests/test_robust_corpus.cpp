@@ -138,8 +138,8 @@ void expect_bs_outputs_finite_or_masked(const core::PortfolioView& view,
     case Layout::kBsBlocked: {
       const core::BsBlockedView& b = view.blocked;
       for (std::size_t i = 0; i < b.size(); ++i) {
-        const std::size_t blk = i / static_cast<std::size_t>(b.block);
-        const std::size_t ln = i % static_cast<std::size_t>(b.block);
+        const std::size_t blk = i / core::kBsBlock;
+        const std::size_t ln = i % core::kBsBlock;
         check(i, b.field(blk, 3)[ln], b.field(blk, 4)[ln]);
       }
       break;

@@ -384,13 +384,20 @@ TEST(PlanCache, NonIntegralOrOutOfRangeIntsAreSkipped) {
     rep.winner.chunks_per_thread = marker;
     out.put(k, rep);
   }
+  // The key's npath is a 64-bit count: no fraction, no sign, below 2^64.
+  for (const int marker : {7004, 7005, 7006}) {
+    tune::TuneKey k = make_key(marker - 6990);
+    k.npath = static_cast<std::uint64_t>(marker);
+    out.put(k, make_report(k, "bs.intermediate.auto"));
+  }
   ASSERT_TRUE(out.save_as(path));
 
   std::ifstream in(path);
   std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   in.close();
-  for (const auto& [marker, bad] : {std::pair{"7001", "2.5"}, std::pair{"7002", "1e300"},
-                                    std::pair{"7003", "2147483648"}}) {
+  for (const auto& [marker, bad] :
+       {std::pair{"7001", "2.5"}, std::pair{"7002", "1e300"}, std::pair{"7003", "2147483648"},
+        std::pair{"7004", "1e300"}, std::pair{"7005", "-1"}, std::pair{"7006", "2.5"}}) {
     const auto at = text.find(marker);
     ASSERT_NE(at, std::string::npos) << marker;
     text.replace(at, 4, bad);

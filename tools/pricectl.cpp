@@ -352,6 +352,14 @@ constexpr const char* kUsage =
     "       an auto intent's plan decides chunks and tasks, so --chunks and --tasks\n"
     "       need a concrete ID\n";
 
+// The Black–Scholes layout `--layout` names; "auto" keeps the native one.
+engine::Layout bs_layout(const std::string& flag, engine::Layout native) {
+  if (flag == "aos") return engine::Layout::kBsAos;
+  if (flag == "soa") return engine::Layout::kBsSoa;
+  if (flag == "blocked") return engine::Layout::kBsBlocked;
+  return native;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -584,9 +592,7 @@ int main(int argc, char** argv) {
       case engine::Layout::kBsSoa:
       case engine::Layout::kBsSoaF:
       case engine::Layout::kBsBlocked:
-        if (layout_flag == "aos") serve_layout = engine::Layout::kBsAos;
-        else if (layout_flag == "soa") serve_layout = engine::Layout::kBsSoa;
-        else if (layout_flag == "blocked") serve_layout = engine::Layout::kBsBlocked;
+        serve_layout = bs_layout(layout_flag, native);
         break;
       case engine::Layout::kSpecs:
         break;
@@ -612,9 +618,7 @@ int main(int argc, char** argv) {
     case engine::Layout::kBsSoa:
     case engine::Layout::kBsSoaF:
     case engine::Layout::kBsBlocked:
-      if (layout_flag == "aos") req_layout = engine::Layout::kBsAos;
-      else if (layout_flag == "soa") req_layout = engine::Layout::kBsSoa;
-      else if (layout_flag == "blocked") req_layout = engine::Layout::kBsBlocked;
+      req_layout = bs_layout(layout_flag, native);
       pf = core::Portfolio::bs(items = items ? items : (1u << 18), req_layout, req.seed);
       // Poison the owned workload, not the engine's working copy — the
       // engine only ever repairs faults, it never manufactures them on

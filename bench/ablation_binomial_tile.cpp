@@ -1,7 +1,9 @@
 // Ablation: binomial-tree register-tile depth. The paper picks the tile
 // size so the Tile array fits the register file (Sec. IV-B2); this sweep
 // shows the tradeoff — deeper tiles amortize more loads/stores per Call
-// value until the tile spills.
+// value until the tile spills. A second table times American options at
+// uniform depth 768 on one thread: the level pass (price_intermediate)
+// against the American register tiles (price_advanced), in Gnode/s.
 
 #include <cstdio>
 #include <vector>
@@ -63,5 +65,36 @@ int main(int argc, char** argv) {
               best8 / untiled8);
   std::printf("  [%s] some tile depth beats the untiled kernel\n",
               best8 > untiled8 ? "PASS" : "FAIL");
+
+  // American exercise, one thread: the level pass walks every level
+  // through memory with its serial node-spot chain; the tiles keep four
+  // levels and their node spots in registers.
+  constexpr int kAmericanSteps = 768;
+  core::SingleOptionWorkloadParams am;
+  am.style = core::ExerciseStyle::kAmerican;
+  const std::size_t nam = opts.full ? 128 : 32;
+  const auto american = core::make_option_workload(nam, 3, am);
+  std::vector<double> am_out(nam);
+  const double nodes_per_option = kAmericanSteps * (kAmericanSteps + 1) / 2.0;
+  auto gnodes = [&](const char* label, auto&& kernel) {
+    return bench::items_per_sec(label, nam, opts.reps, [&] { kernel(american, am_out); }) *
+           nodes_per_option * 1e-9;
+  };
+  std::printf("\n  American, depth %d, one thread %14s %14s\n", kAmericanSteps, "4-wide Gnode/s",
+              "8-wide Gnode/s");
+  double level[2], tiled[2];
+  for (int k = 0; k < 2; ++k) {
+    const binomial::Width w = k == 0 ? binomial::Width::kAvx2 : binomial::Width::kAuto;
+    level[k] = gnodes("binomial_tile.american_level", [&](const auto& in, auto& out_) {
+      binomial::price_intermediate(in, kAmericanSteps, out_, w);
+    });
+    tiled[k] = gnodes("binomial_tile.american_tiled", [&](const auto& in, auto& out_) {
+      binomial::price_advanced(in, kAmericanSteps, out_, w);
+    });
+  }
+  std::printf("  %-28s %14.2f %14.2f\n", "level pass (intermediate)", level[0], level[1]);
+  std::printf("  %-28s %14.2f %14.2f\n", "register tiles (advanced)", tiled[0], tiled[1]);
+  std::printf("  [%s] American register tiles beat the level pass\n",
+              tiled[1] > level[1] ? "PASS" : "FAIL");
   return 0;
 }

@@ -13,15 +13,16 @@
 //   advanced      — intermediate + the paper's novel register-tiling
 //                   scheme (Lis. 3): a TS-deep tile lives in the register
 //                   file, each Call value is read/written once per TS time
-//                   steps instead of once per step
+//                   steps instead of once per step. Packs holding American
+//                   lanes tile too, each tile slot carrying its level's
+//                   node spots (price_packed_tiled)
 //   advanced_unrolled — advanced + manual unrolling of the tile loop (the
 //                   Fig. 5 "Basic (Unrolled)" increment that helps in-order
 //                   KNC cores)
 //
-// American exercise is supported by the reference and intermediate
-// variants and by the depth-packed path (the paper prices European;
-// American is the natural extension and is used to validate
-// Crank–Nicolson).
+// American exercise is supported by every variant except basic and the
+// blocked family. The paper prices European; American is the natural
+// extension and is used to validate Crank–Nicolson.
 
 #pragma once
 
@@ -67,9 +68,12 @@ void price_basic(std::span<const core::OptionSpec> opts, int steps, std::span<do
                  core::ScratchPool* scratch = nullptr);
 void price_intermediate(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
                         Width w = Width::kAuto, core::ScratchPool* scratch = nullptr);
-// European only (the tile carries no per-node early-exercise information).
+// Any exercise style: price_packed_tiled with every depth `steps`, bitwise
+// equal to price_intermediate.
 void price_advanced(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
                     Width w = Width::kAuto, core::ScratchPool* scratch = nullptr);
+// price_advanced with its 16-level European tile loop fully unrolled;
+// bitwise equal to price_advanced.
 void price_advanced_unrolled(std::span<const core::OptionSpec> opts, int steps,
                              std::span<double> out, Width w = Width::kAuto,
                              core::ScratchPool* scratch = nullptr);
@@ -86,26 +90,40 @@ void price_advanced_unrolled(std::span<const core::OptionSpec> opts, int steps,
 // waste, which sorting by depth keeps small.
 
 // Sort key of option `index` (< 2^32) priced over a `steps`-deep lattice:
-// depth in the high word, index in the low one, so sorting keys sorts by
-// depth.
-inline std::uint64_t depth_key(int steps, std::size_t index) {
-  return (static_cast<std::uint64_t>(steps) << 32) | static_cast<std::uint32_t>(index);
+// an American bit on top, depth below it and index in the low word, so
+// sorting keys sorts each exercise class by depth, European keys first.
+// price_packed never lets a pack span the two classes, so European packs
+// skip the exercise test.
+inline std::uint64_t depth_key(int steps, core::ExerciseStyle style, std::size_t index) {
+  const std::uint64_t american = style == core::ExerciseStyle::kAmerican ? 1 : 0;
+  return american << 63 | static_cast<std::uint64_t>(steps) << 32 |
+         static_cast<std::uint32_t>(index);
 }
-inline int key_steps(std::uint64_t key) { return static_cast<int>(key >> 32); }
+inline int key_steps(std::uint64_t key) { return static_cast<int>(key >> 32 & 0x7fffffffu); }
+inline bool key_american(std::uint64_t key) { return key >> 63 != 0; }
 inline std::size_t key_index(std::uint64_t key) { return key & 0xffffffffu; }
 
 // Prices opts[key_index(k)] over a key_steps(k)-deep lattice into
 // out[key_index(k)] for every key of `order`, which must be sorted
-// ascending. Consecutive keys share a pack; the one partial pack repeats a
-// real lane instead of falling to a scalar tail. Packs run deepest first
-// in one lattice of (deepest+1) x W doubles leased from `scratch`
-// (lattice_doubles(deepest) covers every width). Any exercise style.
+// ascending. Consecutive keys of one exercise class share a pack; a
+// class's one partial pack repeats a real lane instead of falling to a
+// scalar tail. Packs run deepest first in one lattice of (deepest+1) x W
+// doubles leased from `scratch` (lattice_doubles(deepest) covers every
+// width). Any exercise style. price_packed reduces one level at a time
+// (the paper's intermediate level); price_packed_tiled reduces in register
+// tiles (Lis. 3) cut at the levels where lanes start, and returns the
+// same bits.
 void price_packed(std::span<const core::OptionSpec> opts, std::span<const std::uint64_t> order,
                   std::span<double> out, Width w = Width::kAuto,
                   core::ScratchPool* scratch = nullptr);
+void price_packed_tiled(std::span<const core::OptionSpec> opts,
+                        std::span<const std::uint64_t> order, std::span<double> out,
+                        Width w = Width::kAuto, core::ScratchPool* scratch = nullptr);
 
-// Ablation entry: register tiling with an explicit tile depth (one of
-// 4, 8, 16, 32, 64; other values throw). The default variants use 16.
+// Ablation entry: price_advanced with an explicit European tile depth
+// (one of 4, 8, 16, 32, 64; other values throw); the default variants use
+// 16. Packs holding American lanes keep their 4-level tiles. Every depth
+// returns the same bits.
 void price_advanced_tile(std::span<const core::OptionSpec> opts, int steps,
                          std::span<double> out, int tile_size, Width w = Width::kAuto,
                          core::ScratchPool* scratch = nullptr);

@@ -7,11 +7,13 @@
 // costs ~3 s(s+1)/2 flops at depth s, so a 3-year option costs two orders
 // of magnitude more than a 1-month one — the skew cost-weighted chunking
 // and dynamic self-scheduling absorb. Inside a chunk:
-//   - the SIMD variants (intermediate, advanced) sort
-//     the chunk's options by depth and price them in depth packs of W
-//     lanes (kernels::binomial::price_packed); register tiling stays the
-//     uniform-depth path. Lanes never interact, so outputs are bitwise the
-//     same under any chunking, participant count, schedule and task mode;
+//   - the SIMD variants (intermediate, advanced) sort the chunk's options
+//     by exercise class, then depth, and price them in depth packs of W
+//     lanes that never mix the classes (kernels::binomial::price_packed);
+//     advanced reduces them in register tiles cut at lane start levels
+//     (price_packed_tiled), bitwise equal to intermediate's level passes.
+//     Lanes never interact, so outputs are bitwise the same under any
+//     chunking, participant count, schedule and task mode;
 //   - the scalar variants (reference, basic) price one option at a time,
 //     and with tasks on they split deep European options into banded
 //     segment tasks on the engine pool, bitwise-equal to the reference.
@@ -19,6 +21,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 
 #include "finbench/engine/task_group.hpp"
 #include "finbench/kernels/binomial.hpp"
@@ -61,6 +64,8 @@ double item_cost(const core::OptionSpec& o, const PricingRequest& req) {
 
 using BatchFn = void (*)(std::span<const core::OptionSpec>, int, std::span<double>,
                          core::ScratchPool*);
+using PackedFn = void (*)(std::span<const core::OptionSpec>, std::span<const std::uint64_t>,
+                          std::span<double>, Width, core::ScratchPool*);
 
 // Uniform-depth kernels take (opts, steps, out, scratch); the SIMD ones
 // run at the widest width compiled in.
@@ -145,19 +150,20 @@ double price_one_tasked(const core::OptionSpec& opt, int steps, Scratch& s) {
 
 // Mixed depths in depth packs: the chunk sorts its own options' depth keys
 // in its slice of the request's depth_order, then prices them W lanes at a
-// time.
+// time through the packed kernel P.
+template <PackedFn P>
 void run_packed(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
                 std::size_t end, PricingResult& res) {
   Scratch& s = scratch_of(req);
   const std::size_t m = end - begin;
   const std::span<std::uint64_t> order{s.depth_order.data() + begin, m};
   for (std::size_t i = 0; i < m; ++i) {
-    order[i] = kernels::binomial::depth_key(steps_for(view.specs[begin + i], req), i);
+    const core::OptionSpec& o = view.specs[begin + i];
+    order[i] = kernels::binomial::depth_key(steps_for(o, req), o.style, i);
   }
   std::sort(order.begin(), order.end());
-  kernels::binomial::price_packed(view.specs.subspan(begin, m), order,
-                                  {res.values.data() + begin, m}, Width::kAuto,
-                                  &s.lattice_pool);
+  P(view.specs.subspan(begin, m), order, {res.values.data() + begin, m}, Width::kAuto,
+    &s.lattice_pool);
 }
 
 // Mixed depths one option at a time (the scalar variants); with tasks on,
@@ -180,16 +186,17 @@ void run_each(const PricingRequest& req, const core::PortfolioView& view, std::s
   }
 }
 
-template <BatchFn K, bool Packed>
+// P is a PackedFn, or nullptr for the scalar variants.
+template <BatchFn K, auto P>
 void run_range(const PricingRequest& req, const core::PortfolioView& view, std::size_t begin,
                std::size_t end, PricingResult& res) {
   if (req.steps_per_year <= 0) {
     K(view.specs.subspan(begin, end - begin), req.steps,
       {res.values.data() + begin, end - begin}, &scratch_of(req).lattice_pool);
-  } else if constexpr (Packed) {
-    run_packed(req, view, begin, end, res);
-  } else {
+  } else if constexpr (std::is_null_pointer_v<decltype(P)>) {
     run_each<K>(req, view, begin, end, res);
+  } else {
+    run_packed<P>(req, view, begin, end, res);
   }
 }
 
@@ -261,11 +268,12 @@ VariantInfo base(const char* id, OptLevel level, int width, const char* desc) {
   return v;
 }
 
-// Packed: the SIMD variants, whose mixed-depth chunks run in depth packs.
-template <BatchFn K, bool Packed>
+// P: the packed kernel the SIMD variants' mixed-depth chunks run through
+// (nullptr for the scalar variants, which price one option at a time).
+template <BatchFn K, auto P = nullptr>
 void wire(VariantInfo& v) {
   v.prepare = reserve_lattice;
-  v.run_range = run_range<K, Packed>;
+  v.run_range = run_range<K, P>;
 }
 
 void wire_blocked(VariantInfo& v, decltype(VariantInfo::run_range) range) {
@@ -283,7 +291,7 @@ void register_binomial(Registry& r) {
     VariantInfo v = base("binomial.reference.scalar", OptLevel::kReference, 1,
                          "per-option scalar CRR reduction (Lis. 2)");
     v.reference_id = "";
-    wire<kernels::binomial::price_reference, false>(v);
+    wire<kernels::binomial::price_reference>(v);
     r.add(std::move(v));
   }
   {
@@ -293,22 +301,21 @@ void register_binomial(Registry& r) {
     // price_basic's backward induction carries no early-exercise max —
     // the omp-simd inner loop is pure continuation value.
     v.european_only = true;
-    wire<kernels::binomial::price_basic, false>(v);
+    wire<kernels::binomial::price_basic>(v);
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("binomial.intermediate.auto", OptLevel::kIntermediate, 0,
                          "widest SIMD across options, one option per lane");
-    wire<widest<kernels::binomial::price_intermediate>, true>(v);
+    wire<widest<kernels::binomial::price_intermediate>, kernels::binomial::price_packed>(v);
     r.add(std::move(v));
   }
   {
     VariantInfo v = base("binomial.advanced.auto", OptLevel::kAdvanced, 0,
                          "register tiling (Lis. 3), widest");
-    v.european_only = true;
     // Fallback chain: advanced -> intermediate -> reference.
     v.fallback_id = "binomial.intermediate.auto";
-    wire<widest<kernels::binomial::price_advanced>, true>(v);
+    wire<widest<kernels::binomial::price_advanced>, kernels::binomial::price_packed_tiled>(v);
     r.add(std::move(v));
   }
   // --- Blocked (AoSoA) family ----------------------------------------------

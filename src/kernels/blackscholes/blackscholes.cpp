@@ -51,15 +51,15 @@ void price_padded_tail(const T* s, const T* k, const T* t, T* call, T* put, std:
 
 // --- Reference: Lis. 1, scalar, AOS --------------------------------------
 
+// A dividend yield q prices through the forward-discounted spot S·e^(-qT)
+// and the drift r - q; at q = 0 both are exactly S and r, so the paper's
+// dividend-free arithmetic is unchanged bit for bit.
 void price_reference(core::BsAosView batch) {
   static obs::Counter& priced = obs::counter("bs.options_priced");
   priced.add(batch.size());
-  if (batch.dividend != 0.0) {
-    throw std::invalid_argument(
-        "this variant reproduces the paper's dividend-free kernel; "
-        "use price_intermediate for dividend yields");
-  }
   const double r = batch.rate;
+  const double q = batch.dividend;
+  const double drift = r - q;
   const double sig = batch.vol;
   const double sig22 = sig * sig / 2;
   core::BsOptionAos* opts = batch.options.data();
@@ -67,11 +67,12 @@ void price_reference(core::BsAosView batch) {
   for (std::size_t i = 0; i < nopt; ++i) {
     const double qlog = std::log(opts[i].spot / opts[i].strike);
     const double denom = 1.0 / (sig * std::sqrt(opts[i].years));
-    const double d1 = (qlog + (r + sig22) * opts[i].years) * denom;
-    const double d2 = (qlog + (r - sig22) * opts[i].years) * denom;
+    const double d1 = (qlog + (drift + sig22) * opts[i].years) * denom;
+    const double d2 = (qlog + (drift - sig22) * opts[i].years) * denom;
     const double xexp = opts[i].strike * std::exp(-r * opts[i].years);
-    opts[i].call = opts[i].spot * cnd_scalar(d1) - xexp * cnd_scalar(d2);
-    opts[i].put = xexp * cnd_scalar(-d2) - opts[i].spot * cnd_scalar(-d1);
+    const double sq = q == 0.0 ? opts[i].spot : opts[i].spot * std::exp(-q * opts[i].years);
+    opts[i].call = sq * cnd_scalar(d1) - xexp * cnd_scalar(d2);
+    opts[i].put = xexp * cnd_scalar(-d2) - sq * cnd_scalar(-d1);
   }
 }
 
@@ -173,14 +174,13 @@ void price_intermediate(core::BsSoaView batch, Width w) {
 
 // --- Advanced: VML-style whole-array passes --------------------------------
 
+// Dividends as in price_reference: a fifth array pass turns qlog's buffer
+// into e^(-qT) once the logs are consumed, and S·e^(-qT) replaces S.
 void price_advanced_vml(core::BsSoaView batch, Width w, core::ScratchPool* scratch) {
-  if (batch.dividend != 0.0) {
-    throw std::invalid_argument(
-        "this variant reproduces the paper's dividend-free kernel; "
-        "use price_intermediate for dividend yields");
-  }
   const std::size_t n = batch.size();
   const double r = batch.rate;
+  const double q = batch.dividend;
+  const double drift = r - q;
   const double sig = batch.vol;
   const double sig22 = sig * sig / 2;
 
@@ -207,17 +207,23 @@ void price_advanced_vml(core::BsSoaView batch, Width w, core::ScratchPool* scrat
     vecmath::log({qlog, c}, {qlog, c}, w);
     for (std::size_t i = 0; i < c; ++i) {
       const double denom = 1.0 / (sig * std::sqrt(t[i]));
-      d1[i] = (qlog[i] + (r + sig22) * t[i]) * denom;
-      d2[i] = (qlog[i] + (r - sig22) * t[i]) * denom;
+      d1[i] = (qlog[i] + (drift + sig22) * t[i]) * denom;
+      d2[i] = (qlog[i] + (drift - sig22) * t[i]) * denom;
       xexp[i] = -r * t[i];
     }
     vecmath::exp({xexp, c}, {xexp, c}, w);
     vecmath::cnd({d1, c}, {d1, c}, w);
     vecmath::cnd({d2, c}, {d2, c}, w);
+    double* const disc_q = qlog;
+    if (q != 0.0) {
+      for (std::size_t i = 0; i < c; ++i) disc_q[i] = -q * t[i];
+      vecmath::exp({disc_q, c}, {disc_q, c}, w);
+    }
     for (std::size_t i = 0; i < c; ++i) {
       const double disc_k = k[i] * xexp[i];
-      call[i] = s[i] * d1[i] - disc_k * d2[i];
-      put[i] = call[i] - s[i] + disc_k;
+      const double sq = q == 0.0 ? s[i] : s[i] * disc_q[i];
+      call[i] = sq * d1[i] - disc_k * d2[i];
+      put[i] = call[i] - sq + disc_k;
     }
   }
 }

@@ -413,7 +413,8 @@ TEST(Engine, BsChunkedOutputsAreBitwiseInvariantAcrossParticipantsAndChunkSizes)
 
 // A book's continuous dividend yield reaches every Black–Scholes variant:
 // priced from an AOS book with q != 0 (negotiated into the variant's own
-// layout where that differs), each agrees with the closed form within its
+// layout where that differs), each runs its own kernel (no fallback chunk,
+// no closed-form repair) and agrees with the closed form within its
 // registered tolerance.
 TEST(Engine, EveryBsVariantPricesTheDividendOfANegotiatedAosBook) {
   for (const engine::VariantInfo* v : Registry::instance().all()) {
@@ -426,6 +427,7 @@ TEST(Engine, EveryBsVariantPricesTheDividendOfANegotiatedAosBook) {
     req.portfolio = view;
     const PricingResult res = Engine::shared().price(req);
     ASSERT_TRUE(res.status.ok()) << v->id << ": " << res.status.to_string();
+    ASSERT_FALSE(res.status.degraded()) << v->id << ": " << res.status.to_string();
     double worst = 0.0;
     for (const core::BsOptionAos& o : view.aos.options) {
       const core::BsPrice want = core::black_scholes(o.spot, o.strike, o.years, 0.05, 0.2, 0.05);

@@ -8,13 +8,15 @@
 //     count, chunk granularity and task mode, and equal to its
 //     own whole-batch run_batch;
 //   - a depth-packed lane's price does not depend on its pack-mates, and
-//     4-wide packs price as the widest ones do.
+//     4-wide packs price as the widest ones do;
+//   - register-tiled packs return the level pass's bytes, at every width.
 //
 // A failure names the seed that produced it, so it can be replayed alone.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <random>
 #include <span>
@@ -168,7 +170,7 @@ TEST(MixedDepthLattice, PackedLaneIgnoresItsPackMates) {
     std::vector<std::uint64_t> order(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const int steps = std::max(16, static_cast<int>(specs[i].years * b.steps_per_year));
-      order[i] = bin::depth_key(steps, i);
+      order[i] = bin::depth_key(steps, specs[i].style, i);
     }
     std::sort(order.begin(), order.end());
     std::vector<double> packed(specs.size());
@@ -187,7 +189,7 @@ TEST(MixedDepthLattice, PackedLaneIgnoresItsPackMates) {
     }
     // Alone, an option fills a pack with repeats of itself.
     const std::size_t i = bin::key_index(order.back());
-    const std::uint64_t solo = bin::depth_key(bin::key_steps(order.back()), 0);
+    const std::uint64_t solo = bin::depth_key(bin::key_steps(order.back()), specs[i].style, 0);
     double alone = 0.0;
     bin::price_packed({&specs[i], 1}, {&solo, 1}, {&alone, 1});
     ASSERT_EQ(alone, packed[i]) << "seed " << seed << " option " << i;
@@ -207,7 +209,7 @@ TEST(MixedDepthLattice, FourWidePacksMatchTheReference) {
     std::vector<std::uint64_t> order(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
       steps[i] = std::max(16, static_cast<int>(specs[i].years * b.steps_per_year));
-      order[i] = bin::depth_key(steps[i], i);
+      order[i] = bin::depth_key(steps[i], specs[i].style, i);
     }
     std::sort(order.begin(), order.end());
     std::vector<double> w4(specs.size()), widest(specs.size());
@@ -218,6 +220,97 @@ TEST(MixedDepthLattice, FourWidePacksMatchTheReference) {
       const double want = bin::price_one_reference(specs[i], steps[i]);
       ASSERT_LE(std::fabs(w4[i] - want), 1e-8 * std::max(1.0, std::fabs(want)))
           << "seed " << seed << " option " << i;
+    }
+  }
+}
+
+namespace {
+
+// A book whose depths sit on, inside and just past the tile boundaries of
+// both tile depths (4 and 16 levels) below its deepest option, so lane
+// start levels cut tiles at every offset. Calls and puts, both exercise
+// styles, q of 0 or 0.03, and an odd option count (no width divides it).
+// Option 0 is an American put whose strike is exactly one of its node
+// spots, so the exercise value there is a signed zero.
+Book make_tile_book(std::uint64_t seed) {
+  std::mt19937_64 rng(seed * 6151 + 11);
+  std::uniform_real_distribution<double> u01(0.0, 1.0);
+  const auto pick = [&](int k) { return static_cast<int>(u01(rng) * k); };
+  Book b;
+  b.steps_per_year = 64;
+  const int top = 48 + static_cast<int>(seed * 37 % 200);
+  const std::size_t n = 8 * (1 + seed % 5) + 1 + 2 * (seed % 4);
+  for (std::size_t i = 0; i < n; ++i) {
+    const int ts = u01(rng) < 0.5 ? 4 : 16;
+    const int depth =
+        std::clamp(top - ts * pick((top - 16) / ts + 1) + pick(4) - 1, 16, top);
+    core::OptionSpec o;
+    o.spot = 70.0 + 60.0 * u01(rng);
+    o.strike = 70.0 + 60.0 * u01(rng);
+    o.years = (depth + 0.5) / b.steps_per_year;  // steps_for() gives `depth`
+    o.rate = 0.01 + 0.05 * u01(rng);
+    o.vol = 0.12 + 0.40 * u01(rng);
+    o.dividend = u01(rng) < 0.5 ? 0.0 : 0.03;
+    o.type = u01(rng) < 0.5 ? core::OptionType::kCall : core::OptionType::kPut;
+    o.style = u01(rng) < 0.5 ? core::ExerciseStyle::kAmerican : core::ExerciseStyle::kEuropean;
+    b.mixed.push_back(o);
+  }
+  // Walk the kernels' own node-spot chain (S·d^depth, then *= 1/d per
+  // level and *= u/d per node) to node (depth/2, depth/6).
+  core::OptionSpec& o = b.mixed[0];
+  o.type = core::OptionType::kPut;
+  o.style = core::ExerciseStyle::kAmerican;
+  const int depth = static_cast<int>(o.years * b.steps_per_year);
+  const kernels::binomial::detail::CrrDerived p = kernels::binomial::detail::crr_derived(o, depth);
+  double node = o.spot * std::pow(p.down, depth);
+  for (int level = depth; level > depth / 2; --level) node *= 1.0 / p.down;
+  for (int j = 0; j < depth / 6; ++j) node *= p.up / p.down;
+  o.strike = node;
+  return b;
+}
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+}  // namespace
+
+// binomial.advanced.auto reduces its packs in register tiles (Lis. 3) cut
+// at lane start levels, with the exercise max inside the tile;
+// binomial.intermediate.auto walks one level at a time. Every node runs
+// the same expression on the same operands, so the two agree byte for
+// byte: through the registry, and at every width for mixed-depth packs
+// and for uniform-depth batches whose packs mix the exercise classes.
+TEST(MixedDepthLattice, TiledPacksMatchLevelPassBitwise) {
+  namespace bin = kernels::binomial;
+  const engine::VariantInfo* level = engine::Registry::instance().find("binomial.intermediate.auto");
+  const engine::VariantInfo* tiled = engine::Registry::instance().find("binomial.advanced.auto");
+  ASSERT_NE(level, nullptr);
+  ASSERT_NE(tiled, nullptr);
+  ASSERT_FALSE(tiled->european_only);
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    const Book b = make_tile_book(seed);
+    const std::vector<core::OptionSpec>& specs = b.mixed;
+    ASSERT_NE(specs.size() % 4, 0u);
+    ASSERT_TRUE(same_bytes(run_batch(*tiled, b, specs), run_batch(*level, b, specs)))
+        << "seed " << seed;
+
+    std::vector<std::uint64_t> order(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      order[i] = bin::depth_key(static_cast<int>(specs[i].years * b.steps_per_year),
+                                specs[i].style, i);
+    }
+    std::sort(order.begin(), order.end());
+    const int top = bin::key_steps(order.back());
+    for (const bin::Width w : {bin::Width::kScalar, bin::Width::kAvx2, bin::Width::kAvx512}) {
+      std::vector<double> want(specs.size()), got(specs.size());
+      bin::price_packed(specs, order, want, w);
+      bin::price_packed_tiled(specs, order, got, w);
+      ASSERT_TRUE(same_bytes(got, want)) << "seed " << seed << " width " << static_cast<int>(w);
+      bin::price_intermediate(specs, top, want, w);
+      bin::price_advanced(specs, top, got, w);
+      ASSERT_TRUE(same_bytes(got, want))
+          << "seed " << seed << " width " << static_cast<int>(w) << " uniform depth " << top;
     }
   }
 }

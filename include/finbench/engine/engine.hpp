@@ -75,7 +75,8 @@ class Engine {
 
   // The kernel-only batch path (what VariantInfo::run_batch runs on
   // Engine::shared()): v's prepare hook, then its run_range over
-  // P x chunks_per_thread ranges of the view, on this
+  // P x chunks_per_thread ranges of the view (in the pricing order the
+  // hook chose, outputs back in caller order), on this
   // engine's pool — no sanitize, guard, fallback or telemetry, so no
   // cache-sized Black–Scholes chunks either. Outputs are those of price()
   // on a clean workload, bit for bit, on any pool. A kernel exception

@@ -91,8 +91,11 @@ struct VariantInfo {
   // lane-blocked layouts, scratch pools) and size the result's outputs
   // where they differ from the default — one value per option of a specs
   // workload, none for a Black–Scholes layout (priced in place), empty
-  // std_errors. A paths variant sizes its outputs here. Null = nothing
-  // to prepare.
+  // std_errors. A paths variant sizes its outputs here. A specs variant
+  // may also choose the order its options are priced in (the binomial
+  // depth-pack plan): run_range is then handed a reordered copy of the
+  // view, and the engine scatters the outputs back to caller order
+  // (docs/engine.md). Null = nothing to prepare.
   //
   // Every adapter hook receives the workload view to execute — this is the
   // request's own portfolio for a layout match, or the engine's negotiated
@@ -118,7 +121,8 @@ struct VariantInfo {
   // self-validation and direct callers dispatch:
   // Engine::shared().run_batch(*this, ...), i.e. prepare, then run_range
   // over P x chunks_per_thread ranges claimed from the shared ThreadPool's
-  // ticket counter (inline when called from inside a pool run).
+  // ticket counter (inline when called from inside a pool run), in the
+  // pricing order prepare chose; outputs come back in caller order.
   void run_batch(const PricingRequest& req, const core::PortfolioView& view,
                  PricingResult& res) const;
 };

@@ -22,10 +22,13 @@
 //
 // American exercise is supported by every variant except basic and the
 // blocked family. The paper prices European; American is the natural
-// extension and is used to validate Crank–Nicolson.
+// extension and is used to validate Crank–Nicolson. The SIMD variants
+// skip the exercise test of a pack of American puts at the nodes where
+// no lane's spot can be below its strike (detail::exercise_cut).
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -72,8 +75,8 @@ void price_intermediate(std::span<const core::OptionSpec> opts, int steps, std::
 // equal to price_intermediate.
 void price_advanced(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
                     Width w = Width::kAuto, core::ScratchPool* scratch = nullptr);
-// price_advanced with its 16-level European tile loop fully unrolled;
-// bitwise equal to price_advanced.
+// price_advanced with its European tile loop fully unrolled; bitwise
+// equal to price_advanced.
 void price_advanced_unrolled(std::span<const core::OptionSpec> opts, int steps,
                              std::span<double> out, Width w = Width::kAuto,
                              core::ScratchPool* scratch = nullptr);
@@ -89,40 +92,54 @@ void price_advanced_unrolled(std::span<const core::OptionSpec> opts, int steps,
 // and on any thread count. The pack-mates' depth difference is the only
 // waste, which sorting by depth keeps small.
 
+// Lattice depth of an option in a mixed-depth batch: T x steps_per_year
+// steps, at least 16.
+inline int depth_for(const core::OptionSpec& o, int steps_per_year) {
+  return std::max(16, static_cast<int>(o.years * steps_per_year));
+}
+
 // Sort key of option `index` (< 2^32) priced over a `steps`-deep lattice:
-// an American bit on top, depth below it and index in the low word, so
-// sorting keys sorts each exercise class by depth, European keys first.
-// price_packed never lets a pack span the two classes, so European packs
-// skip the exercise test.
-inline std::uint64_t depth_key(int steps, core::ExerciseStyle style, std::size_t index) {
-  const std::uint64_t american = style == core::ExerciseStyle::kAmerican ? 1 : 0;
-  return american << 63 | static_cast<std::uint64_t>(steps) << 32 |
+// its class on top (an American bit, then a call bit), depth below it and
+// index in the low word, so sorting keys sorts each class (European puts,
+// European calls, American puts, American calls) by depth. Packs never
+// span two classes: European packs skip the exercise test, and put packs
+// skip it wherever no lane can exercise.
+inline std::uint64_t depth_key(int steps, const core::OptionSpec& o, std::size_t index) {
+  const std::uint64_t american = o.style == core::ExerciseStyle::kAmerican ? 1 : 0;
+  const std::uint64_t call = o.type == core::OptionType::kCall ? 1 : 0;
+  return american << 63 | call << 62 | static_cast<std::uint64_t>(steps) << 32 |
          static_cast<std::uint32_t>(index);
 }
-inline int key_steps(std::uint64_t key) { return static_cast<int>(key >> 32 & 0x7fffffffu); }
-inline bool key_american(std::uint64_t key) { return key >> 63 != 0; }
+inline int key_steps(std::uint64_t key) { return static_cast<int>(key >> 32 & 0x3fffffffu); }
+inline unsigned key_class(std::uint64_t key) { return static_cast<unsigned>(key >> 62); }
 inline std::size_t key_index(std::uint64_t key) { return key & 0xffffffffu; }
 
-// Prices opts[key_index(k)] over a key_steps(k)-deep lattice into
-// out[key_index(k)] for every key of `order`, which must be sorted
-// ascending. Consecutive keys of one exercise class share a pack; a
-// class's one partial pack repeats a real lane instead of falling to a
-// scalar tail. Packs run deepest first in one lattice of (deepest+1) x W
-// doubles leased from `scratch` (lattice_doubles(deepest) covers every
-// width). Any exercise style. price_packed reduces one level at a time
-// (the paper's intermediate level); price_packed_tiled reduces in register
-// tiles (Lis. 3) cut at the levels where lanes start, and returns the
-// same bits.
-void price_packed(std::span<const core::OptionSpec> opts, std::span<const std::uint64_t> order,
+// Lanes per pack at width w: the engine plans its packs at this width.
+inline int pack_lanes(Width w = Width::kAuto) { return simd::lanes<double>(w); }
+
+// Prices opts[i] over a depth_for(opts[i], steps_per_year)-deep lattice
+// into out[i], in pack order: up to W consecutive options of one class
+// (depth_key) form a pack, and a class change closes one early. Options
+// sorted by depth_key are in pack order; so is an engine pack plan (its
+// full packs longest first, each class's partial pack last). A pack's
+// lanes need not ascend in depth, and a partial pack repeats its deepest
+// lane instead of falling to a scalar tail. Packs run in one lattice of
+// (deepest+1) x W doubles leased from `scratch` (lattice_doubles(deepest)
+// covers every width). Any exercise style. price_packed reduces one level
+// at a time (the paper's intermediate level); price_packed_tiled reduces
+// in register tiles (Lis. 3) cut at the levels where lanes start, and
+// returns the same bits.
+void price_packed(std::span<const core::OptionSpec> opts, int steps_per_year,
                   std::span<double> out, Width w = Width::kAuto,
                   core::ScratchPool* scratch = nullptr);
-void price_packed_tiled(std::span<const core::OptionSpec> opts,
-                        std::span<const std::uint64_t> order, std::span<double> out,
-                        Width w = Width::kAuto, core::ScratchPool* scratch = nullptr);
+void price_packed_tiled(std::span<const core::OptionSpec> opts, int steps_per_year,
+                        std::span<double> out, Width w = Width::kAuto,
+                        core::ScratchPool* scratch = nullptr);
 
 // Ablation entry: price_advanced with an explicit European tile depth
 // (one of 4, 8, 16, 32, 64; other values throw); the default variants use
-// 16. Packs holding American lanes keep their 4-level tiles. Every depth
+// 16 at 8 wide and 8 at 4 wide, the deepest tiles that fit the register
+// file. Packs holding American lanes keep their 4-level tiles. Every depth
 // returns the same bits.
 void price_advanced_tile(std::span<const core::OptionSpec> opts, int steps,
                          std::span<double> out, int tile_size, Width w = Width::kAuto,
@@ -151,6 +168,20 @@ struct CrrDerived {
 // [0, 1], exactly like the batch kernels.
 CrrDerived crr_derived(const core::OptionSpec& o, int steps);
 double payoff_of(const core::OptionSpec& o, double s);
+
+// The exercise cut of American put packs (DESIGN.md §4). Node j of level
+// L sits at S·u^(2j−L); once j >= exercise_cut(L, x), x = ln(K/S)/ln u,
+// it lies at least kCutMargin node steps (a factor u² each) above the
+// strike, so the put's intrinsic value K − S is negative,
+// max(cont, K − S) is cont, and the node takes the European expression.
+// exercise_cut_x is x for an American put over a `steps`-deep lattice;
+// −inf for a European option (it never exercises) and +inf, no cut, for
+// an American call or where the node-spot chain's rounding could reach
+// the margin. A pack cuts at the largest x of its lanes. exercise_cut is
+// L + 1 (no node of the level) for x = +inf or NaN, and 0 for x = −inf.
+inline constexpr int kCutMargin = 2;
+double exercise_cut_x(const core::OptionSpec& o, int steps);
+int exercise_cut(int level, double x);
 }  // namespace detail
 
 // --- Banded decomposition: intra-option task parallelism ---------------------

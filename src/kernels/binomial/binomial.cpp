@@ -45,6 +45,25 @@ double payoff(const core::OptionSpec& o, double s) {
                                            : std::max(o.strike - s, 0.0);
 }
 
+// detail::exercise_cut_x for a lane whose lattice has up-factor `up`.
+double cut_x(const core::OptionSpec& o, int steps, double up) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  if (o.style != core::ExerciseStyle::kAmerican) return -kInf;
+  if (o.type == core::OptionType::kCall) return kInf;
+  const double lnu = std::log(up);
+  const double lks = std::log(o.strike / o.spot);
+  // The kernels walk node spots as S·d^steps, times 1/d per level and u/d
+  // per node, so a node spot is within ~2·steps ulps of S·u^(2j−L); x
+  // carries the rounding of both logarithms. The margin, 2·kCutMargin·ln u
+  // in log space, must dominate both (it does by orders of magnitude for
+  // any priceable lattice; NaN or infinite inputs fail the test too).
+  if (!(2.0 * detail::kCutMargin * lnu > (4.0 * steps + 16.0 + 4.0 * std::fabs(lks)) * kEps)) {
+    return kInf;
+  }
+  return lks / lnu;
+}
+
 }  // namespace
 
 namespace detail {
@@ -55,6 +74,16 @@ CrrDerived crr_derived(const core::OptionSpec& o, int steps) {
 }
 
 double payoff_of(const core::OptionSpec& o, double s) { return payoff(o, s); }
+
+double exercise_cut_x(const core::OptionSpec& o, int steps) {
+  return cut_x(o, steps, crr(o, steps).up);
+}
+
+int exercise_cut(int level, double x) {
+  const double c = std::ceil((level + x) / 2.0 + kCutMargin);
+  if (!(c < level + 1.0)) return level + 1;
+  return c > 0.0 ? static_cast<int>(c) : 0;
+}
 
 }  // namespace detail
 
@@ -143,47 +172,60 @@ void price_basic(std::span<const core::OptionSpec> opts, int steps, std::span<do
 
 namespace {
 
-// One level of the in-place backward induction over W lanes: Call[j]
-// becomes the discounted expectation of Call[j] and Call[j+1], j < i.
+// The continuation node every reduction shares: the discounted
+// expectation of the up and down successors.
 template <int W>
-void european_level(double* call, int i, simd::Vec<double, W> pu, simd::Vec<double, W> pd) {
+simd::Vec<double, W> european_node(simd::Vec<double, W> pu, simd::Vec<double, W> pd,
+                                   simd::Vec<double, W> up, simd::Vec<double, W> dn) {
+  return fmadd(pu, up, pd * dn);
+}
+
+// Nodes [j0, j1) of one in-place backward-induction level over W lanes:
+// Call[j] becomes the continuation value of Call[j] and Call[j+1].
+template <int W>
+void european_nodes(double* call, int j0, int j1, simd::Vec<double, W> pu,
+                    simd::Vec<double, W> pd) {
   using V = simd::Vec<double, W>;
-  for (int j = 0; j <= i - 1; ++j) {
+  for (int j = j0; j < j1; ++j) {
     const V up = V::load(call + static_cast<std::size_t>(j + 1) * W);
     const V dn = V::load(call + static_cast<std::size_t>(j) * W);
-    fmadd(pu, up, pd * dn).store(call + static_cast<std::size_t>(j) * W);
+    european_node<W>(pu, pd, up, dn).store(call + static_cast<std::size_t>(j) * W);
   }
 }
 
 // The exercise node shared by american_level and american_tile_pass:
 // max(continuation, sign·S − sign·K) in one fmadd, nsk = −sign·K on
 // American lanes and −inf on European ones, whose max keeps the
-// continuation value. Both reductions evaluate every node through this one
-// expression (DESIGN.md §4).
+// continuation value. Both reductions evaluate every node below the
+// exercise cut through this one expression, and every node at or above it
+// through european_node, which returns the same bits there (DESIGN.md §4).
 template <int W>
 simd::Vec<double, W> american_node(simd::Vec<double, W> pu, simd::Vec<double, W> pd,
                                    simd::Vec<double, W> up, simd::Vec<double, W> dn,
                                    simd::Vec<double, W> sign, simd::Vec<double, W> node_s,
                                    simd::Vec<double, W> nsk) {
-  return max(fmadd(pu, up, pd * dn), fmadd(sign, node_s, nsk));
+  return max(european_node<W>(pu, pd, up, dn), fmadd(sign, node_s, nsk));
 }
 
 // The American level needs the node spot prices: node (i-1, j) is at
 // S·u^j·d^(i-1-j), rebuilt incrementally from the lane's `level` base
-// S·d^(i-1) and its u/d ratio.
+// S·d^(i-1) and its u/d ratio, up to the pack's exercise cut `cut`
+// (detail::exercise_cut_x); the nodes above it are European.
 template <int W>
 void american_level(double* call, int i, simd::Vec<double, W> pu, simd::Vec<double, W> pd,
                     simd::Vec<double, W> level, simd::Vec<double, W> ratio,
-                    simd::Vec<double, W> sign, simd::Vec<double, W> nsk) {
+                    simd::Vec<double, W> sign, simd::Vec<double, W> nsk, double cut) {
   using V = simd::Vec<double, W>;
+  const int jc = std::min(i, detail::exercise_cut(i - 1, cut));
   V node_s = level;
-  for (int j = 0; j <= i - 1; ++j) {
+  for (int j = 0; j < jc; ++j) {
     const V up = V::load(call + static_cast<std::size_t>(j + 1) * W);
     const V dn = V::load(call + static_cast<std::size_t>(j) * W);
     american_node<W>(pu, pd, up, dn, sign, node_s, nsk)
         .store(call + static_cast<std::size_t>(j) * W);
     node_s *= ratio;
   }
+  european_nodes<W>(call, jc, i, pu, pd);
 }
 
 // --- Register tiling (Lis. 3) -----------------------------------------------
@@ -203,7 +245,7 @@ template <int W, int TS, bool Unroll>
   // diagonal recurrence lines up (see DESIGN.md §4).
   for (int j = 0; j < TS; ++j) tile[j] = V::load(call + static_cast<std::size_t>(j) * W);
   for (int s = 1; s < TS; ++s) {
-    for (int j = 0; j <= TS - 1 - s; ++j) tile[j] = fmadd(pu, tile[j + 1], pd * tile[j]);
+    for (int j = 0; j <= TS - 1 - s; ++j) tile[j] = european_node<W>(pu, pd, tile[j + 1], tile[j]);
   }
 
   // Steady state: stream Call[i] through the register tile. For the large
@@ -216,13 +258,13 @@ template <int W, int TS, bool Unroll>
     if constexpr (Unroll) {
 #pragma GCC unroll 65534
       for (int j = TS - 1; j >= 0; --j) {
-        const V m2 = fmadd(pu, m1, pd * tile[j]);
+        const V m2 = european_node<W>(pu, pd, m1, tile[j]);
         tile[j] = m1;
         m1 = m2;
       }
     } else {
       for (int j = TS - 1; j >= 0; --j) {
-        const V m2 = fmadd(pu, m1, pd * tile[j]);
+        const V m2 = european_node<W>(pu, pd, m1, tile[j]);
         tile[j] = m1;
         m1 = m2;
       }
@@ -236,13 +278,17 @@ template <int W, int TS, bool Unroll>
 // `level *= invd` chain reduce_pack walks, then advanced by `*= ratio`
 // once per node of its level, so every level sees exactly the node spots
 // american_level would (DESIGN.md §4), and evaluates them through the same
-// american_node. On return `level` is S·d^(m-TS), where TS single levels
-// would leave it.
+// american_node. At column i slot j produces node i-TS+j of its level;
+// from the first column whose every slot lies at or above the pack's
+// exercise cut `cut`, the columns run european_node and the spot chains
+// stop. On return `level` is S·d^(m-TS), where TS single levels would
+// leave it.
 template <int W, int TS>
 [[gnu::noinline]] void american_tile_pass(double* call, int m, simd::Vec<double, W> pu,
                                           simd::Vec<double, W> pd, simd::Vec<double, W> invd,
                                           simd::Vec<double, W> ratio, simd::Vec<double, W> sign,
-                                          simd::Vec<double, W> nsk, simd::Vec<double, W>& level) {
+                                          simd::Vec<double, W> nsk, double cut,
+                                          simd::Vec<double, W>& level) {
   using V = simd::Vec<double, W>;
   V tile[TS], spot[TS];
   V lv = level;
@@ -256,6 +302,22 @@ template <int W, int TS>
     spot[slot] *= ratio;
     return v;
   };
+  const auto column = [&](int i, auto&& f) {
+    simd::prefetch_read(call + static_cast<std::size_t>(i + 4) * W);
+    V m1 = V::load(call + static_cast<std::size_t>(i) * W);
+    for (int j = TS - 1; j >= 0; --j) {
+      const V m2 = f(m1, tile[j], j);
+      tile[j] = m1;
+      m1 = m2;
+    }
+    m1.store(call + static_cast<std::size_t>(i - TS) * W);
+  };
+  // The first column whose every slot j (node i-TS+j of level m-TS+j)
+  // lies at or above its level's cut.
+  int icut = TS;
+  for (int j = 0; j < TS; ++j) {
+    icut = std::max(icut, detail::exercise_cut(m - TS + j, cut) + TS - j);
+  }
 
   // Triangle init as in tile_pass: reduction step s produces level m-s,
   // which is slot TS-s.
@@ -263,22 +325,18 @@ template <int W, int TS>
   for (int s = 1; s < TS; ++s) {
     for (int j = 0; j <= TS - 1 - s; ++j) tile[j] = node(tile[j + 1], tile[j], TS - s);
   }
-  for (int i = TS; i <= m; ++i) {
-    simd::prefetch_read(call + static_cast<std::size_t>(i + 4) * W);
-    V m1 = V::load(call + static_cast<std::size_t>(i) * W);
-    for (int j = TS - 1; j >= 0; --j) {
-      const V m2 = node(m1, tile[j], j);
-      tile[j] = m1;
-      m1 = m2;
-    }
-    m1.store(call + static_cast<std::size_t>(i - TS) * W);
+  for (int i = TS; i < icut; ++i) column(i, node);
+  for (int i = icut; i <= m; ++i) {
+    column(i, [&](V up, V dn, int) { return european_node<W>(pu, pd, up, dn); });
   }
 }
 
-// Tile depths: the European tile fits the zmm/ymm register file with room
-// to spare; an American slot adds its node-spot register, and 16 of those
-// spill, so American tiles are 4 levels deep.
-constexpr int kTileSize = 16;
+// Tile depths. The European tile is as deep as the register file holds
+// with pu, pd and the two in-flight values: 16 of 32 zmm registers at 8
+// wide, 8 of 16 ymm registers at 4 wide (16 spill there). An American slot
+// adds its node-spot register, so American tiles are 4 levels deep.
+template <int W>
+constexpr int kTileSize = W >= 8 ? 16 : 8;
 constexpr int kAmericanTileSize = 4;
 
 // One pack: W options side by side, one per lane, Call[j] a W-wide vector.
@@ -297,17 +355,21 @@ constexpr int kAmericanTileSize = 4;
 // fully unrolled, fig5's row) for an all-European pack, 4-level
 // american_tile_passes otherwise, and single levels for the remainder.
 // Either way every node gets the same continuation and exercise values, so
-// every TS returns the same bits (DESIGN.md §4).
+// every TS returns the same bits (DESIGN.md §4). A pack whose American
+// lanes are all puts skips the exercise test at the nodes above its
+// exercise cut: the largest detail::exercise_cut_x of its lanes.
 template <int W, int TS, bool Unroll = false>
 void reduce_pack(const core::OptionSpec* const* opt, const int* depth, double* call) {
   using V = simd::Vec<double, W>;
   alignas(64) double pu_a[W], pd_a[W], ratio_a[W], invd_a[W], sign_a[W], nsk_a[W];
   alignas(64) double base_a[W], level_a[W];
   bool any_american = false;
+  double cut = -std::numeric_limits<double>::infinity();
   for (int l = 0; l < W; ++l) {
     const core::OptionSpec& o = *opt[l];
     const CrrParams p = crr(o, depth[l]);
     const bool american = o.style == core::ExerciseStyle::kAmerican;
+    cut = std::max(cut, cut_x(o, depth[l], p.up));
     pu_a[l] = p.pu_by_df;
     pd_a[l] = p.pd_by_df;
     ratio_a[l] = p.up / p.down;
@@ -350,7 +412,7 @@ void reduce_pack(const core::OptionSpec* const* opt, const int* depth, double* c
     if constexpr (TS > 0) {
       if (any_american) {
         for (; i - kAmericanTileSize >= stop; i -= kAmericanTileSize) {
-          american_tile_pass<W, kAmericanTileSize>(call, i, pu, pd, invd, ratio, sign, nsk,
+          american_tile_pass<W, kAmericanTileSize>(call, i, pu, pd, invd, ratio, sign, nsk, cut,
                                                    level);
         }
       } else {
@@ -360,9 +422,9 @@ void reduce_pack(const core::OptionSpec* const* opt, const int* depth, double* c
     for (; i > stop; --i) {
       if (any_american) {
         level *= invd;  // now S * d^(i-1)
-        american_level<W>(call, i, pu, pd, level, ratio, sign, nsk);
+        american_level<W>(call, i, pu, pd, level, ratio, sign, nsk, cut);
       } else {
-        european_level<W>(call, i, pu, pd);
+        european_nodes<W>(call, 0, i, pu, pd);
       }
     }
   }
@@ -389,38 +451,40 @@ void price_simd(std::span<const core::OptionSpec> opts, int steps, std::span<dou
   }
 }
 
-// Mixed depths: each exercise class (European keys sort first) is packed
-// from its own deep end, so no pack spans the class boundary and a class's
-// one partial pack is its shallowest; a partial pack repeats its deepest
-// lane (no scalar tail: every lane runs the same arithmetic). Packs run
-// deepest first within a class, all in one leased lattice sized for the
-// deepest option.
+// Mixed depths in pack order: up to W consecutive options of one class
+// form a pack, its lanes put in ascending depth (already so in sorted
+// options and in an engine pack plan) and a partial pack repeating its
+// deepest lane (no scalar tail: every lane runs the same arithmetic).
+// Every pack runs in one leased lattice sized for the deepest option.
 template <int W, int TS>
-void price_packed_w(std::span<const core::OptionSpec> opts, std::span<const std::uint64_t> order,
+void price_packed_w(std::span<const core::OptionSpec> opts, int steps_per_year,
                     std::span<double> out, core::ScratchPool* scratch) {
-  const std::size_t n = order.size();
+  const std::size_t n = opts.size();
   if (n == 0) return;
-  const std::size_t split = static_cast<std::size_t>(
-      std::partition_point(order.begin(), order.end(),
-                           [](std::uint64_t k) { return !key_american(k); }) -
-      order.begin());
-  int deepest = key_steps(order[n - 1]);
-  if (split > 0) deepest = std::max(deepest, key_steps(order[split - 1]));
+  int deepest = 0;
+  for (const core::OptionSpec& o : opts) deepest = std::max(deepest, depth_for(o, steps_per_year));
   core::ScratchBuf buf(scratch, static_cast<std::size_t>(deepest + 1) * W);
-  for (const auto& [first, last] : {std::pair{std::size_t{0}, split}, std::pair{split, n}}) {
-    for (std::size_t hi = last; hi > first;) {
-      const std::size_t lo = hi - first > static_cast<std::size_t>(W) ? hi - W : first;
-      const core::OptionSpec* lane[W];
-      int depth[W];
-      for (int l = 0; l < W; ++l) {
-        const std::uint64_t k = order[std::min(lo + l, hi - 1)];
-        lane[l] = &opts[key_index(k)];
-        depth[l] = key_steps(k);
-      }
-      reduce_pack<W, TS>(lane, depth, buf.data());
-      for (std::size_t i = lo; i < hi; ++i) out[key_index(order[i])] = buf.data()[i - lo];
-      hi = lo;
+  for (std::size_t lo = 0; lo < n;) {
+    std::uint64_t key[W];  // the pack's lanes: depth_key(depth, option, offset from lo)
+    int m = 0;
+    for (; m < W && lo + m < n; ++m) {
+      const core::OptionSpec& o = opts[lo + m];
+      const std::uint64_t k = depth_key(depth_for(o, steps_per_year), o, m);
+      if (m > 0 && key_class(k) != key_class(key[0])) break;
+      int l = m;
+      for (; l > 0 && key[l - 1] > k; --l) key[l] = key[l - 1];
+      key[l] = k;
     }
+    const core::OptionSpec* lane[W];
+    int depth[W];
+    for (int l = 0; l < W; ++l) {
+      const std::uint64_t k = key[std::min(l, m - 1)];
+      lane[l] = &opts[lo + key_index(k)];
+      depth[l] = key_steps(k);
+    }
+    reduce_pack<W, TS>(lane, depth, buf.data());
+    for (int l = 0; l < m; ++l) out[lo + key_index(key[l])] = buf.data()[l];
+    lo += static_cast<std::size_t>(m);
   }
 }
 
@@ -435,22 +499,22 @@ void price_intermediate(std::span<const core::OptionSpec> opts, int steps, std::
 void price_advanced(std::span<const core::OptionSpec> opts, int steps, std::span<double> out,
                     Width w, core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
-  simd::with_lanes<double>(w,
-                           [&](auto L) { price_simd<L, kTileSize>(opts, steps, out, scratch); });
+  simd::with_lanes<double>(
+      w, [&](auto L) { price_simd<L, kTileSize<L>>(opts, steps, out, scratch); });
 }
 
-void price_packed(std::span<const core::OptionSpec> opts, std::span<const std::uint64_t> order,
+void price_packed(std::span<const core::OptionSpec> opts, int steps_per_year,
                   std::span<double> out, Width w, core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
-  simd::with_lanes<double>(w, [&](auto L) { price_packed_w<L, 0>(opts, order, out, scratch); });
+  simd::with_lanes<double>(
+      w, [&](auto L) { price_packed_w<L, 0>(opts, steps_per_year, out, scratch); });
 }
 
-void price_packed_tiled(std::span<const core::OptionSpec> opts,
-                        std::span<const std::uint64_t> order, std::span<double> out, Width w,
-                        core::ScratchPool* scratch) {
+void price_packed_tiled(std::span<const core::OptionSpec> opts, int steps_per_year,
+                        std::span<double> out, Width w, core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
   simd::with_lanes<double>(
-      w, [&](auto L) { price_packed_w<L, kTileSize>(opts, order, out, scratch); });
+      w, [&](auto L) { price_packed_w<L, kTileSize<L>>(opts, steps_per_year, out, scratch); });
 }
 
 namespace {
@@ -481,7 +545,7 @@ void price_advanced_unrolled(std::span<const core::OptionSpec> opts, int steps,
                              std::span<double> out, Width w, core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
   simd::with_lanes<double>(
-      w, [&](auto L) { price_simd<L, kTileSize, true>(opts, steps, out, scratch); });
+      w, [&](auto L) { price_simd<L, kTileSize<L>, true>(opts, steps, out, scratch); });
 }
 
 }  // namespace finbench::kernels::binomial

@@ -202,9 +202,9 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
   // cost-weighted kSpecs partition is worth racing. Black–Scholes chunks
   // are cache-sized (the knob only changes mid-size books) and Brownian
   // path groups cost the same: both keep the seed configuration. One
-  // chunk per participant is the large-chunk end: depth-packed SIMD
-  // lattices pack tighter in big chunks, and it wins shuffled mixed-depth
-  // binomial books.
+  // chunk per participant is the large-chunk end. Depth-packed binomial
+  // lattices are packed once per request whatever the grid point, so for
+  // them the grid only sets how many pack ranges each participant claims.
   const engine::VariantInfo* wv = engine::Registry::instance().find(phase1->id);
   if (wv != nullptr && wv->layout == core::Layout::kSpecs && req.portfolio.size() >= 2) {
     for (const int cpt : {1, 4, 16}) rep.candidates.push_back(probe(wv, cpt, false));

@@ -245,10 +245,11 @@ TEST(EngineAlloc, TaskedMixedExpiryBinomialIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "steady-state tasked binomial pricing allocated";
 }
 
-// Depth-packed SIMD lattices: each chunk sorts its depth keys in a slice
-// of the request's depth_order, sized by the prepare hook, and leases one
-// (deepest+1) x W lattice per worker — a mixed-style, mixed-depth book is
-// allocation-free after warm-up.
+// Depth-packed SIMD lattices: the prepare hook plans the request's packs
+// in Scratch-owned buffers (sort keys, pricing order), the engine prices a
+// Scratch-owned reordered copy and scatters the outputs back through
+// another, and each chunk leases one (deepest+1) x W lattice per worker —
+// a mixed-style, mixed-depth book is allocation-free after warm-up.
 TEST(EngineAlloc, PackedMixedDepthBinomialIsAllocationFree) {
   auto workload = core::make_option_workload(61, 12);
   for (std::size_t i = 0; i < workload.size(); i += 2) {
@@ -263,7 +264,7 @@ TEST(EngineAlloc, PackedMixedDepthBinomialIsAllocationFree) {
   engine::ThreadPool pool(4);
   Engine eng(&pool);
   PricingResult res;
-  eng.price(req, res);  // warm-up: lattice pool, depth keys, chunk bounds
+  eng.price(req, res);  // warm-up: lattice pool, pack plan, chunk bounds
   eng.price(req, res);  // second warm-up: result buffers at capacity
   ASSERT_TRUE(res.status.ok()) << res.status.to_string();
 

@@ -205,6 +205,20 @@ void print_parallel_stats() {
   }
 }
 
+// "binomial.lane_fill = ..." over the run's planned binomial requests, or
+// "" when none ran.
+std::string lane_fill_note() {
+  for (const auto& [name, s] : obs::snapshot_metrics().stats) {
+    if (name == "binomial.lane_fill" && s.count > 0) {
+      char buf[128];
+      std::snprintf(buf, sizeof buf, "binomial.lane_fill = %.4f (min %.4f over %" PRIu64
+                    " request(s))", s.mean, s.min, s.count);
+      return buf;
+    }
+  }
+  return "";
+}
+
 // --serve N: the closed-loop request-stream mode. The workload splits into
 // N sub-requests (each drawing its own options from seed + index over the
 // same batch scalars, so the group is fusable by construction); every rep
@@ -772,6 +786,10 @@ int main(int argc, char** argv) {
     }
     report.add_note(tnote);
   }
+  // Depth-pack lane use of mixed-depth binomial requests: useful over
+  // computed lane-levels of each request's pack plan.
+  const std::string lane_fill = lane_fill_note();
+  if (!lane_fill.empty()) report.add_note(lane_fill);
   // Robustness provenance: what policies ran and what they had to do.
   // The run report's `robust` object carries the obs counters; these notes
   // are the human-readable summary of the same run.
@@ -842,6 +860,7 @@ int main(int argc, char** argv) {
                      c.items_per_sec, c.imbalance, c.ok ? "" : "  FAILED: ",
                      c.ok ? "" : c.note.c_str());
       }
+      if (!lane_fill.empty()) std::fprintf(out, "tune: %s\n", lane_fill.c_str());
     } else {
       std::fprintf(out, "tune: no cache entry for key %s\n", key.to_string().c_str());
     }

@@ -33,9 +33,10 @@
 // form) and reported kDegraded without touching its neighbours' statuses
 // or bits. Sanitizer verdicts scatter the same way through the per-option
 // fault mask, and outcomes through the fused chunk statuses: a deadline
-// or an unrecoverable chunk fails only the members whose range it covers
-// (their priced values, and NaN for the rest, still land in their
-// outputs).
+// or an unrecoverable chunk fails only the members whose options it
+// holds (their priced values, and NaN for the rest, still land in their
+// outputs). Under a pricing order (a mixed-depth binomial pack plan) a
+// chunk holds plan positions, mapped to members through the order.
 //
 // GroupScratch is caller-owned and reused across calls; after warm-up, a
 // steady state of same-shaped groups prices with zero heap allocations
@@ -77,8 +78,10 @@ struct GroupScratch {
   double deadline_seconds = 0.0;
   const robust::CancelToken* cancel = nullptr;
 
-  // Internal scatter bookkeeping (kept for capacity reuse).
+  // Internal scatter bookkeeping (kept for capacity reuse): each member's
+  // offset in the fused batch, and the last fused chunk charged to it.
   std::vector<std::size_t> offsets;
+  std::vector<std::size_t> last_chunk;
 };
 
 }  // namespace finbench::engine

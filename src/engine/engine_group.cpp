@@ -182,32 +182,25 @@ void Engine::price_group(std::span<const GroupJob> group, GroupScratch& gs) cons
   const PricingResult& fr = gs.fused_res;
 
   // --- Scatter -------------------------------------------------------------
-  // Each member is decided from the fused chunk statuses over its own
-  // range, whatever happened to the rest of the group: a member whose
-  // every overlapping chunk priced gets a clean (or degraded) status; a
-  // member with an unpriced chunk takes the fused status (deadline or
-  // kernel error) with its partial outputs disclosed — priced values, NaN
-  // for the rest, as a solo pricing leaves them. A run that never
-  // executed (rejection, unknown kernel, failed prepare) has no chunk
-  // statuses or only kNotRun ones — after an execution the post-pass
-  // leaves none: every member takes the fused status and its outputs stay
-  // untouched.
+  // Each member is decided from the fused chunks that held its options,
+  // whatever happened to the rest of the group: a member whose every such
+  // chunk priced gets a clean (or degraded) status; a member with an
+  // unpriced chunk takes the fused status (deadline or kernel error) with
+  // its partial outputs disclosed — priced values, NaN for the rest, as a
+  // solo pricing leaves them. A run that never executed (rejection,
+  // unknown kernel, failed prepare) has no chunk statuses or only kNotRun
+  // ones — after an execution the post-pass leaves none: every member
+  // takes the fused status and its outputs stay untouched.
   const std::size_t nchunks = fr.chunk_status.size();
   const bool ran =
       std::any_of(fr.chunk_status.begin(), fr.chunk_status.end(), [](std::uint8_t c) {
         return static_cast<ChunkStatus>(c) != ChunkStatus::kNotRun;
       });
-  const std::size_t one_chunk[2] = {0, total};
-  const std::span<const std::size_t> bounds =
-      nchunks == 1 ? std::span<const std::size_t>(one_chunk)
-                   : std::span<const std::size_t>(scratch_of(f).bounds);
-  std::size_t first = 0;  // first fused chunk overlapping the member
   for (std::size_t j = 0; j < group.size(); ++j) {
     const std::size_t off = gs.offsets[j];
     const std::size_t m = group[j].req->portfolio.size();
-    const PricingRequest& req = *group[j].req;
     PricingResult& r = *group[j].res;
-    r.reset(req.kernel_id);  // the member's own (intent) id
+    r.reset(group[j].req->kernel_id);  // the member's own (intent) id
     r.resolved_id = fr.resolved_id;
     r.tuned = group_tuned;
     r.request_id = fr.request_id;
@@ -223,37 +216,70 @@ void Engine::price_group(std::span<const GroupJob> group, GroupScratch& gs) cons
         if (bit & robust::kFaultClamped) ++r.options_clamped;
       }
     }
-    if (!ran) {
-      r.status = fr.status;
-      continue;
-    }
+    if (!ran) r.status = fr.status;
+  }
+  if (!ran) return;
 
-    // Walk the fused chunks overlapping [off, off + m). A priced
-    // Black–Scholes segment is re-guarded with the member's own policy
-    // (repairs land in the fused arrays first), so a guardrail trip is
-    // repaired and reported on the member that caused it.
-    while (first + 1 < nchunks && bounds[first + 1] <= off) ++first;
-    for (std::size_t c = first; c < nchunks && bounds[c] < off + m; ++c) {
-      const std::size_t lo = std::max(bounds[c], off);
-      const std::size_t hi = std::min(bounds[c + 1], off + m);
-      const auto status = static_cast<ChunkStatus>(fr.chunk_status[c]);
-      if (status == ChunkStatus::kFailed) {
-        ++r.chunks_failed;
-        continue;
+  // Walk the fused chunks. Chunk c covers positions [bounds[c],
+  // bounds[c + 1]): fused indices, or plan positions when the prepare hook
+  // chose a pricing order (order[p] is then the fused index priced at
+  // position p; the outputs are already back in fused order). Each run of
+  // consecutive positions that belong to one member is charged to it: the
+  // chunk's status once per member, the options it priced per run. A
+  // priced Black–Scholes run (never ordered) is re-guarded with the
+  // member's own policy (repairs land in the fused arrays first), so a
+  // guardrail trip is repaired and reported on the member that caused it.
+  const std::size_t one_chunk[2] = {0, total};
+  const std::span<const std::size_t> bounds =
+      nchunks == 1 ? std::span<const std::size_t>(one_chunk)
+                   : std::span<const std::size_t>(scratch_of(f).bounds);
+  const std::vector<std::uint32_t>& order = scratch_of(f).order;
+  const bool ordered = order.size() == total;
+  gs.last_chunk.assign(group.size(), nchunks);
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    const auto status = static_cast<ChunkStatus>(fr.chunk_status[c]);
+    const bool priced = status == ChunkStatus::kOk || status == ChunkStatus::kDegraded;
+    for (std::size_t p = bounds[c]; p < bounds[c + 1];) {
+      const std::size_t i = ordered ? order[p] : p;
+      const std::size_t j = static_cast<std::size_t>(
+          std::upper_bound(gs.offsets.begin(), gs.offsets.end(), i) - gs.offsets.begin() - 1);
+      const std::size_t off = gs.offsets[j];
+      const std::size_t m = group[j].req->portfolio.size();
+      std::size_t end = std::min(bounds[c + 1], off + m);
+      if (ordered) {
+        end = p + 1;
+        while (end < bounds[c + 1] && order[end] >= off && order[end] < off + m) ++end;
       }
-      if (status != ChunkStatus::kOk && status != ChunkStatus::kDegraded) {
-        ++r.chunks_deadline;
-        continue;
+      const PricingRequest& req = *group[j].req;
+      PricingResult& r = *group[j].res;
+      if (gs.last_chunk[j] != c) {
+        gs.last_chunk[j] = c;
+        if (status == ChunkStatus::kFailed) {
+          ++r.chunks_failed;
+        } else if (!priced) {
+          ++r.chunks_deadline;
+        } else if (status == ChunkStatus::kDegraded) {
+          ++r.chunks_degraded;
+        }
       }
-      if (status == ChunkStatus::kDegraded) ++r.chunks_degraded;
-      r.items += hi - lo;
-      if (bs && req.guard.mode != robust::GuardMode::kOff) {
-        std::span<const std::uint8_t> mask;
-        if (!r.option_faults.empty()) mask = {r.option_faults.data() + (lo - off), hi - lo};
-        r.options_repaired += robust::guard_and_repair_bs(core::subview(fused_view, lo, hi - lo),
-                                                          req.guard, mask);
+      if (priced) {
+        r.items += end - p;
+        if (bs && req.guard.mode != robust::GuardMode::kOff) {
+          std::span<const std::uint8_t> mask;
+          if (!r.option_faults.empty()) mask = {r.option_faults.data() + (p - off), end - p};
+          r.options_repaired += robust::guard_and_repair_bs(
+              core::subview(fused_view, p, end - p), req.guard, mask);
+        }
       }
+      p = end;
     }
+  }
+
+  for (std::size_t j = 0; j < group.size(); ++j) {
+    const std::size_t off = gs.offsets[j];
+    const std::size_t m = group[j].req->portfolio.size();
+    const PricingRequest& req = *group[j].req;
+    PricingResult& r = *group[j].res;
     // Copy the member's slice back to where Engine::price would have
     // written it.
     if (bs) {

@@ -29,7 +29,10 @@
 // every W iterations — the transformation the paper notes a compiler
 // cannot legally perform.
 //
-// Variants (Fig. 8's bars):
+// Variants (Fig. 8's bars), all one PSOR: the same point update, stopping
+// rule and Lis. 6 relaxation — omega starts at 1 and rises by 0.05, up to
+// 1.95, after each time step that needed more sweeps than the step before
+// (the `Relaxation` helper in cranknicolson.cpp):
 //   reference       — scalar Lis. 6/7, convergence checked every iteration
 //   reference_blocked — scalar, but convergence checked every W iterations;
 //                     produces iteration-identical results to the wavefront
@@ -39,6 +42,9 @@
 //   wavefront_split — parity-split (even/odd j) storage of U, B, G makes
 //                     every wavefront access unit-stride ("Data structure
 //                     transform" bar)
+//
+// Every solve throws std::invalid_argument for a grid with fewer
+// than 3 prices or no time step.
 //
 // The direct solve of the same discretization — a Thomas tridiagonal
 // solve for Europeans, its Brennan–Schwartz projection for the American
@@ -67,16 +73,14 @@ namespace finbench::kernels::cn {
 using vecmath::Width;
 
 struct GridSpec {
-  int num_prices = 257;       // spatial points (including boundaries)
-  int num_steps = 1000;       // time steps
-  double halfwidth = 0.0;     // x half-width; 0 => auto (5 sigma sqrt(T) + moneyness)
-  double epsilon = 1e-16;     // PSOR convergence: sum of squared updates,
-                              // relative to the squared payoff scale. The
-                              // scale is the grid's largest payoff, far
-                              // above the price at mid: 1e-12 stops the
-                              // reference up to 3e-4 from converged.
-  double omega0 = 1.0;        // initial SOR relaxation
-  double domega = 0.05;       // relaxation adaptation step (Lis. 6)
+  int num_prices = 257;    // spatial points (including boundaries), at least 3;
+                           // the x half-width is 5 sigma sqrt(T) + moneyness
+  int num_steps = 1000;    // time steps, at least 1
+  double epsilon = 1e-16;  // PSOR convergence: sum of squared updates,
+                           // relative to the squared payoff scale. The
+                           // scale is the grid's largest payoff, far
+                           // above the price at mid: 1e-12 stops the
+                           // reference up to 3e-4 from converged.
 };
 
 struct SolveResult {
@@ -163,7 +167,7 @@ std::size_t direct_packed_doubles(const GridSpec& grid);
 // thread. The pack workspace is leased once from
 // `scratch` (a local allocation when it is null, too small or
 // exhausted). Any type, any style. Throws std::invalid_argument for an
-// option make_transform rejects, or a grid with fewer than 3 prices.
+// option the heat-equation transform rejects, or a degenerate grid.
 void price_direct_packed(std::span<const core::OptionSpec> opts, const GridSpec& grid,
                          std::span<double> out, Width w = Width::kAuto,
                          core::ScratchPool* scratch = nullptr);

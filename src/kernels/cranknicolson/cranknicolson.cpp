@@ -52,6 +52,9 @@ struct Transform {
 };
 
 Transform make_transform(const core::OptionSpec& o, const GridSpec& g) {
+  if (g.num_prices < 3 || g.num_steps < 1) {
+    throw std::invalid_argument("crank-nicolson: the grid needs at least 3 prices and 1 step");
+  }
   if (o.vol <= 0 || o.years <= 0) {
     throw std::invalid_argument("crank-nicolson: vol and years must be positive");
   }
@@ -76,8 +79,7 @@ Transform make_transform(const core::OptionSpec& o, const GridSpec& g) {
   t.m = g.num_prices;
   t.n = g.num_steps;
   t.mid = (t.m - 1) / 2;
-  const double half =
-      g.halfwidth > 0 ? g.halfwidth : 5.0 * o.vol * std::sqrt(o.years) + std::fabs(t.x0) + 0.5;
+  const double half = 5.0 * o.vol * std::sqrt(o.years) + std::fabs(t.x0) + 0.5;
   t.dx = 2.0 * half / (t.m - 1);
   t.xmin = t.x0 - t.mid * t.dx;  // grid centered so x0 is a grid point
   t.dtau = t.tau_max / t.n;
@@ -139,10 +141,21 @@ void explicit_half(const Transform& t, const double* u, double* b) {
   for (int j = 1; j < t.m - 1; ++j) b[j] = a1 * u[j] + a2 * (u[j + 1] + u[j - 1]);
 }
 
-// --- Scalar PSOR (Lis. 7) ----------------------------------------------------
+// --- PSOR (Lis. 6/7) ---------------------------------------------------------
 
-// Runs `block` iterations; returns the squared-update error of the LAST
-// iteration (callers decide convergence). Updates u in place.
+// Lis. 7's projected SOR update of one point from its neighbours' current
+// values: returns the new u_j and adds its squared change to err.
+inline double psor_point(double uj, double left, double right, double bj, double gj,
+                         double coeff, double a2, double omega, double& err) {
+  const double y = coeff * (bj + a2 * (left + right));
+  const double un = std::max(gj, uj + omega * (y - uj));
+  const double d = un - uj;
+  err += d * d;
+  return un;
+}
+
+// Runs `block` sweeps; returns the squared-update error of the LAST
+// sweep (callers decide convergence). Updates u in place.
 double psor_iterations(double* u, const double* b, const double* g, int m, double alpha,
                        double omega, int block) {
   const double coeff = 1.0 / (1.0 + alpha);
@@ -151,26 +164,55 @@ double psor_iterations(double* u, const double* b, const double* g, int m, doubl
   for (int it = 0; it < block; ++it) {
     err = 0.0;
     for (int j = 1; j < m - 1; ++j) {
-      const double y = coeff * (b[j] + a2 * (u[j - 1] + u[j + 1]));
-      const double un = std::max(g[j], u[j] + omega * (y - u[j]));
-      const double d = un - u[j];
-      err += d * d;
-      u[j] = un;
+      u[j] = psor_point(u[j], u[j - 1], u[j + 1], b[j], g[j], coeff, a2, omega, err);
     }
   }
   return err;
 }
 
-// One full solve given a PSOR driver `solve_step(u, b, g, omega) -> loops`.
-template <class StepSolver>
-SolveResult run_time_loop(const Transform& t, const GridSpec& grid, StepSolver&& solve_step) {
+// Lis. 6's relaxation rule, which every PSOR driver follows: omega starts
+// at 1 and rises by 0.05, up to 1.95, after each time step that needed
+// more sweeps than the step before.
+struct Relaxation {
+  double omega = 1.0;
+  long prev_sweeps = std::numeric_limits<long>::max();
+
+  void after_step(long sweeps) {
+    if (sweeps > prev_sweeps) omega = std::min(omega + 0.05, 1.95);
+    prev_sweeps = sweeps;
+  }
+};
+
+// One time step's sweep count and stopping rule: the step is done once a
+// block's last sweep moved u by at most eps (summed squares), or after
+// kMaxItersPerStep sweeps.
+struct StepSweeps {
+  double eps;
+  long count = 0;
+
+  // Counts a block of `sweeps` whose last sweep moved u by `err`.
+  bool done(double err, int sweeps) {
+    count += sweeps;
+    return err <= eps || count >= kMaxItersPerStep;
+  }
+};
+
+struct NoHook {
+  void operator()(int, const double*, const double*) const {}
+};
+
+// One solve on the natural layout. Each time step runs the explicit
+// half-step, sets the obstacle and the Dirichlet boundaries, then
+// `solve_step(u, b, g, omega)`, which returns the sweeps it ran (b is the
+// solver's to overwrite); `on_step(n, u, g)` then sees solved step n.
+template <class StepSolver, class OnStep = NoHook>
+SolveResult run_time_loop(const Transform& t, StepSolver&& solve_step, OnStep&& on_step = {}) {
   arch::AlignedVector<double> u(t.m), b(t.m), g(t.m);
   for (int j = 0; j < t.m; ++j) u[j] = t.payoff(t.x_at(j), 0.0);
   ObstacleFiller filler(t);
 
   SolveResult result;
-  double omega = grid.omega0;
-  long prev_loops = std::numeric_limits<long>::max();
+  Relaxation relax;
   for (int n = 1; n <= t.n; ++n) {
     const double tau = n * t.dtau;
     {
@@ -184,123 +226,126 @@ SolveResult run_time_loop(const Transform& t, const GridSpec& grid, StepSolver&&
       u[t.m - 1] = g[t.m - 1];
     }
     FINBENCH_SPAN("cn.solve");
-    const long loops = solve_step(u.data(), b.data(), g.data(), omega);
-    result.total_iterations += loops;
-    // Relaxation adaptation in the spirit of Lis. 6: when the iteration
-    // count grows, push omega toward the over-relaxed regime.
-    if (loops > prev_loops) omega = std::min(omega + grid.domega, 1.95);
-    prev_loops = loops;
+    const long sweeps = solve_step(u.data(), b.data(), g.data(), relax.omega);
+    result.total_iterations += sweeps;
+    relax.after_step(sweeps);
+    on_step(n, u.data(), g.data());
   }
   result.price = t.to_price(u[t.mid]);
   return result;
 }
 
+// The scalar PSOR step: sweeps checking convergence every `block`.
+auto scalar_psor(const Transform& t, double eps, int block) {
+  return [&t, eps, block](double* u, const double* b, const double* g, double omega) {
+    StepSweeps step{eps};
+    while (!step.done(psor_iterations(u, b, g, t.m, t.alpha, omega, block), block)) {
+    }
+    return step.count;
+  };
+}
+
 }  // namespace
 
 SolveResult price_reference(const core::OptionSpec& opt, const GridSpec& grid) {
-  const Transform t = make_transform(opt, grid);
-  const double eps = epsilon_abs(t, grid);
-  return run_time_loop(t, grid, [&](double* u, const double* b, const double* g, double omega) {
-    long loops = 0;
-    double err;
-    do {
-      err = psor_iterations(u, b, g, t.m, t.alpha, omega, 1);
-      ++loops;
-    } while (err > eps && loops < kMaxItersPerStep);
-    return loops;
-  });
+  return price_reference_blocked(opt, grid, 1);
 }
 
 SolveResult price_reference_blocked(const core::OptionSpec& opt, const GridSpec& grid,
                                     int block) {
   const Transform t = make_transform(opt, grid);
-  const double eps = epsilon_abs(t, grid);
-  return run_time_loop(t, grid, [&](double* u, const double* b, const double* g, double omega) {
-    long loops = 0;
-    double err;
-    do {
-      err = psor_iterations(u, b, g, t.m, t.alpha, omega, block);
-      loops += block;
-    } while (err > eps && loops < kMaxItersPerStep);
-    return loops;
-  });
+  return run_time_loop(t, scalar_psor(t, epsilon_abs(t, grid), block));
 }
 
 // --- Wavefront SIMD ----------------------------------------------------------
 
 namespace {
 
-// Scalar update of one point for iteration-diagonal phases; accumulates the
-// squared update into err[c] for convergence iteration c of the block.
-inline void update_point(double* u, const double* b, const double* g, int j, double coeff,
-                         double a2, double omega, double& err_c) {
-  const double y = coeff * (b[j] + a2 * (u[j - 1] + u[j + 1]));
-  const double un = std::max(g[j], u[j] + omega * (y - u[j]));
-  const double d = un - u[j];
-  err_c += d * d;
-  u[j] = un;
-}
-
-// One block of W PSOR iterations along the t = 2k + j wavefront, with
-// stride-2 gathers (the "Manual SIMD" variant). Lane l carries iteration
-// c = W-1-l of the block, so lane positions j = base + 2l ascend.
-// Returns the squared-update error of the newest iteration (c = W-1).
+// make_transform for a wavefront of W lanes, which needs 2W+1 interior
+// points.
 template <int W>
-double wavefront_block_gather(double* u, const double* b, const double* g, int m, double alpha,
-                              double omega) {
-  using V = simd::Vec<double, W>;
-  const double coeff_s = 1.0 / (1.0 + alpha);
-  const double a2_s = 0.5 * alpha;
-  const V coeff(coeff_s), a2(a2_s), om(omega);
-
-  double err[W] = {};  // err[c] for iteration c of this block
-  const int last_j = m - 2;
-  const int total_steps = last_j + 2 * (W - 1);  // s = 1 .. total_steps
-
-  alignas(64) std::int32_t idx[W];
-  for (int l = 0; l < W; ++l) idx[l] = 2 * l;
-
-  // A step s updates, for iteration c, the point j = s - 2c (active when
-  // 1 <= j <= m-2). Steady state = all W iterations active.
-  const int steady_lo = 1 + 2 * (W - 1);
-  const int steady_hi = last_j;
-
-  V verr(0.0);
-  for (int s = 1; s <= total_steps; ++s) {
-    if (s >= steady_lo && s <= steady_hi) {
-      const int base = s - 2 * (W - 1);  // lane l: j = base + 2l
-      const V um = V::gather(u + base - 1, idx);
-      const V up = V::gather(u + base + 1, idx);
-      const V uc = V::gather(u + base, idx);
-      const V bv = V::gather(b + base, idx);
-      const V gv = V::gather(g + base, idx);
-      const V y = coeff * fmadd(a2, um + up, bv);
-      const V un = max(gv, fmadd(om, y - uc, uc));
-      const V d = un - uc;
-      verr = fmadd(d, d, verr);
-      alignas(64) double tmp[W];
-      un.store(tmp);
-      for (int l = 0; l < W; ++l) u[base + 2 * l] = tmp[l];
-    } else {
-      for (int c = 0; c < W; ++c) {
-        const int j = s - 2 * c;
-        if (j >= 1 && j <= last_j) update_point(u, b, g, j, coeff_s, a2_s, omega, err[c]);
-      }
-    }
+Transform wavefront_transform(const core::OptionSpec& opt, const GridSpec& grid) {
+  const Transform t = make_transform(opt, grid);
+  if (t.m - 2 < 2 * W + 1) {
+    throw std::invalid_argument("crank-nicolson wavefront: grid too small for SIMD width");
   }
-  // Lane l carried iteration c = W-1-l.
-  for (int l = 0; l < W; ++l) err[W - 1 - l] += verr.lane(l);
-  return err[W - 1];
+  return t;
 }
+
+// One block of W PSOR sweeps run along the t = 2k + j wavefront. Lane l
+// carries sweep c = W-1-l of the block, so its point j = base + 2l
+// ascends with l; the ramp steps, where fewer than W sweeps are active,
+// update point by point. finish() returns the squared-update error of
+// the block's newest sweep (c = W-1).
+template <int W>
+struct WavefrontBlock {
+  using V = simd::Vec<double, W>;
+
+  double coeff_s, a2_s, omega_s;
+  V coeff, a2, om;
+  V verr = V(0.0);
+  double err[W] = {};  // err[c] for sweep c of this block
+
+  WavefrontBlock(double alpha, double omega)
+      : coeff_s(1.0 / (1.0 + alpha)),
+        a2_s(0.5 * alpha),
+        omega_s(omega),
+        coeff(coeff_s),
+        a2(a2_s),
+        om(omega) {}
+
+  // psor_point on all W lanes.
+  V update(V um, V up, V uc, V bv, V gv) {
+    const V y = coeff * fmadd(a2, um + up, bv);
+    const V un = max(gv, fmadd(om, y - uc, uc));
+    const V d = un - uc;
+    verr = fmadd(d, d, verr);
+    return un;
+  }
+
+  double point(double uj, double left, double right, double bj, double gj, int c) {
+    return psor_point(uj, left, right, bj, gj, coeff_s, a2_s, omega_s, err[c]);
+  }
+
+  double finish() {
+    for (int l = 0; l < W; ++l) err[W - 1 - l] += verr.lane(l);
+    return err[W - 1];
+  }
+};
+
+// The natural layout, lanes gathered at stride 2 ("Manual SIMD").
+template <int W>
+struct GatherBlock : WavefrontBlock<W> {
+  using V = simd::Vec<double, W>;
+
+  double* u;
+  const double* b;
+  const double* g;
+  alignas(64) std::int32_t idx[W];
+
+  GatherBlock(double* u_, const double* b_, const double* g_, double alpha, double omega)
+      : WavefrontBlock<W>(alpha, omega), u(u_), b(b_), g(g_) {
+    for (int l = 0; l < W; ++l) idx[l] = 2 * l;
+  }
+
+  void vector_step(int base) {
+    const V un = this->update(V::gather(u + base - 1, idx), V::gather(u + base + 1, idx),
+                              V::gather(u + base, idx), V::gather(b + base, idx),
+                              V::gather(g + base, idx));
+    alignas(64) double tmp[W];
+    un.store(tmp);
+    for (int l = 0; l < W; ++l) u[base + 2 * l] = tmp[l];
+  }
+
+  void point_step(int j, int c) { u[j] = this->point(u[j], u[j - 1], u[j + 1], b[j], g[j], c); }
+};
 
 // Parity-split state for the advanced variant: even/odd j live in separate
 // contiguous arrays, so wavefront lane accesses are unit-stride.
 struct SplitArrays {
   arch::AlignedVector<double> ue, uo, be, bo, ge, go;
-  int m = 0;
 
-  void resize(int m_) {
-    m = m_;
+  void resize(int m) {
     const int ne = (m + 1) / 2, no = m / 2;
     ue.resize(ne);
     uo.resize(no);
@@ -315,200 +360,82 @@ struct SplitArrays {
   double u_val(int j) const { return (j & 1) ? uo[j >> 1] : ue[j >> 1]; }
 };
 
-// The same wavefront block on parity-split arrays: all vector accesses are
-// contiguous (loadu/storeu), no gathers — the "data structure transform".
+// The parity-split layout: every lane access is contiguous (loadu/storeu),
+// no gathers — the "data structure transform".
 template <int W>
-double wavefront_block_split(SplitArrays& sa, double alpha, double omega) {
-  using V = simd::Vec<double, W>;
-  const int m = sa.m;
-  const double coeff_s = 1.0 / (1.0 + alpha);
-  const double a2_s = 0.5 * alpha;
-  const V coeff(coeff_s), a2(a2_s), om(omega);
-
-  double err[W] = {};
-  const int last_j = m - 2;
-  const int total_steps = last_j + 2 * (W - 1);
-  const int steady_lo = 1 + 2 * (W - 1);
-  const int steady_hi = last_j;
-
-  V verr(0.0);
-  for (int s = 1; s <= total_steps; ++s) {
-    if (s >= steady_lo && s <= steady_hi) {
-      const int base = s - 2 * (W - 1);  // lane l: j = base + 2l, parity(base)
-      double* uc_arr;
-      const double* b_arr;
-      const double* g_arr;
-      const double* um_arr;  // j-1 (opposite parity)
-      const double* up_arr;  // j+1 (opposite parity)
-      int half, mhalf, phalf;
-      if (base & 1) {
-        half = base >> 1;         // Uo index of j
-        mhalf = (base - 1) >> 1;  // Ue index of j-1
-        phalf = (base + 1) >> 1;  // Ue index of j+1
-        uc_arr = sa.uo.data();
-        b_arr = sa.bo.data();
-        g_arr = sa.go.data();
-        um_arr = sa.ue.data();
-        up_arr = sa.ue.data();
-      } else {
-        half = base >> 1;
-        mhalf = (base - 1) >> 1;
-        phalf = (base + 1) >> 1;
-        uc_arr = sa.ue.data();
-        b_arr = sa.be.data();
-        g_arr = sa.ge.data();
-        um_arr = sa.uo.data();
-        up_arr = sa.uo.data();
-      }
-      const V um = V::loadu(um_arr + mhalf);
-      const V up = V::loadu(up_arr + phalf);
-      const V uc = V::loadu(uc_arr + half);
-      const V bv = V::loadu(b_arr + half);
-      const V gv = V::loadu(g_arr + half);
-      const V y = coeff * fmadd(a2, um + up, bv);
-      const V un = max(gv, fmadd(om, y - uc, uc));
-      const V d = un - uc;
-      verr = fmadd(d, d, verr);
-      un.storeu(uc_arr + half);
-    } else {
-      for (int c = 0; c < W; ++c) {
-        const int j = s - 2 * c;
-        if (j < 1 || j > last_j) continue;
-        const double y =
-            coeff_s * (sa.b_at(j) + a2_s * (sa.u_val(j - 1) + sa.u_val(j + 1)));
-        const double un = std::max(sa.g_at(j), sa.u_at(j) + omega * (y - sa.u_at(j)));
-        const double dd = un - sa.u_at(j);
-        err[c] += dd * dd;
-        sa.u_at(j) = un;
-      }
-    }
-  }
-  for (int l = 0; l < W; ++l) err[W - 1 - l] += verr.lane(l);
-  return err[W - 1];
-}
-
-// Per-option state for one block of W wavefront iterations on split
-// arrays; lets two independent solves interleave their steps in one loop
-// (the ILP-pairing extension, price_wavefront_split_pair).
-template <int W>
-struct SplitBlockState {
+struct SplitBlock : WavefrontBlock<W> {
   using V = simd::Vec<double, W>;
 
-  SplitArrays* sa = nullptr;
-  double coeff_s = 0, a2_s = 0, om_s = 0;
-  V coeff, a2, om, verr;
-  double err[W] = {};
+  SplitArrays& sa;
 
-  void begin(SplitArrays& arrays, double alpha, double omega) {
-    sa = &arrays;
-    coeff_s = 1.0 / (1.0 + alpha);
-    a2_s = 0.5 * alpha;
-    om_s = omega;
-    coeff = V(coeff_s);
-    a2 = V(a2_s);
-    om = V(omega);
-    verr = V(0.0);
-    for (auto& e : err) e = 0.0;
-  }
+  SplitBlock(SplitArrays& arrays, double alpha, double omega)
+      : WavefrontBlock<W>(alpha, omega), sa(arrays) {}
 
-  // Steady-state vector step at wavefront position s.
-  inline void vector_step(int s) {
-    const int base = s - 2 * (W - 1);
-    double* uc_arr;
-    const double* b_arr;
-    const double* g_arr;
-    const double* um_arr;
-    const double* up_arr;
-    const int half = base >> 1;
-    const int mhalf = (base - 1) >> 1;
-    const int phalf = (base + 1) >> 1;
+  void vector_step(int base) {
+    // Lane l holds j = base + 2l, all of base's parity; j-1 and j+1 are in
+    // the other parity's array.
+    double* uc;
+    const double *bc, *gc, *nb;
     if (base & 1) {
-      uc_arr = sa->uo.data();
-      b_arr = sa->bo.data();
-      g_arr = sa->go.data();
-      um_arr = sa->ue.data();
-      up_arr = sa->ue.data();
+      uc = sa.uo.data();
+      bc = sa.bo.data();
+      gc = sa.go.data();
+      nb = sa.ue.data();
     } else {
-      uc_arr = sa->ue.data();
-      b_arr = sa->be.data();
-      g_arr = sa->ge.data();
-      um_arr = sa->uo.data();
-      up_arr = sa->uo.data();
+      uc = sa.ue.data();
+      bc = sa.be.data();
+      gc = sa.ge.data();
+      nb = sa.uo.data();
     }
-    const V um = V::loadu(um_arr + mhalf);
-    const V up = V::loadu(up_arr + phalf);
-    const V uc = V::loadu(uc_arr + half);
-    const V bv = V::loadu(b_arr + half);
-    const V gv = V::loadu(g_arr + half);
-    const V y = coeff * fmadd(a2, um + up, bv);
-    const V un = max(gv, fmadd(om, y - uc, uc));
-    const V d = un - uc;
-    verr = fmadd(d, d, verr);
-    un.storeu(uc_arr + half);
+    const int half = base >> 1;
+    const V un = this->update(V::loadu(nb + ((base - 1) >> 1)), V::loadu(nb + ((base + 1) >> 1)),
+                              V::loadu(uc + half), V::loadu(bc + half), V::loadu(gc + half));
+    un.storeu(uc + half);
   }
 
-  // Prologue/epilogue scalar step.
-  inline void scalar_step(int s, int last_j) {
-    for (int c = 0; c < W; ++c) {
-      const int j = s - 2 * c;
-      if (j < 1 || j > last_j) continue;
-      const double y = coeff_s * (sa->b_at(j) + a2_s * (sa->u_val(j - 1) + sa->u_val(j + 1)));
-      const double un = std::max(sa->g_at(j), sa->u_at(j) + om_s * (y - sa->u_at(j)));
-      const double dd = un - sa->u_at(j);
-      err[c] += dd * dd;
-      sa->u_at(j) = un;
-    }
-  }
-
-  double finish() {
-    for (int l = 0; l < W; ++l) err[W - 1 - l] += verr.lane(l);
-    return err[W - 1];
+  void point_step(int j, int c) {
+    sa.u_at(j) = this->point(sa.u_val(j), sa.u_val(j - 1), sa.u_val(j + 1), sa.b_at(j),
+                             sa.g_at(j), c);
   }
 };
 
-// One block of W iterations for each of two independent options,
-// interleaved step by step so the two serial dependence chains overlap.
-template <int W>
-std::pair<double, double> wavefront_block_split_x2(SplitArrays& a, double alpha_a, double om_a,
-                                                   SplitArrays& b, double alpha_b,
-                                                   double om_b) {
-  const int m = a.m;  // both grids share m
+// Runs one block of W sweeps on each of `blocks` (all on m points) in
+// lockstep: wavefront step s updates point j = s - 2c of sweep c. Several
+// independent blocks interleave their serial store->load chains, the
+// ILP pairing of price_wavefront_split_pair.
+template <int W, class... Blocks>
+void run_wavefront(int m, Blocks&... blocks) {
   const int last_j = m - 2;
   const int total_steps = last_j + 2 * (W - 1);
-  const int steady_lo = 1 + 2 * (W - 1);
-  const int steady_hi = last_j;
-
-  SplitBlockState<W> sa, sb;
-  sa.begin(a, alpha_a, om_a);
-  sb.begin(b, alpha_b, om_b);
-
+  const int steady_lo = 1 + 2 * (W - 1);  // all W sweeps active up to last_j
   for (int s = 1; s <= total_steps; ++s) {
-    if (s >= steady_lo && s <= steady_hi) {
-      sa.vector_step(s);
-      sb.vector_step(s);
+    if (s >= steady_lo && s <= last_j) {
+      (blocks.vector_step(s - 2 * (W - 1)), ...);
     } else {
-      sa.scalar_step(s, last_j);
-      sb.scalar_step(s, last_j);
+      for (int c = 0; c < W; ++c) {
+        const int j = s - 2 * c;
+        if (j >= 1 && j <= last_j) (blocks.point_step(j, c), ...);
+      }
     }
   }
-  return {sa.finish(), sb.finish()};
+}
+
+// One block alone; returns its newest sweep's squared update.
+template <int W, class Block>
+double run_block(int m, Block block) {
+  run_wavefront<W>(m, block);
+  return block.finish();
 }
 
 template <int W>
 SolveResult price_wavefront_width(const core::OptionSpec& opt, const GridSpec& grid) {
-  const Transform t = make_transform(opt, grid);
-  if (t.m - 2 < 2 * W + 1) {
-    throw std::invalid_argument("crank-nicolson wavefront: grid too small for SIMD width");
-  }
+  const Transform t = wavefront_transform<W>(opt, grid);
   const double eps = epsilon_abs(t, grid);
-  return run_time_loop(t, grid, [&](double* u, const double* b, const double* g, double omega) {
-    long loops = 0;
-    double err;
-    do {
-      err = wavefront_block_gather<W>(u, b, g, t.m, t.alpha, omega);
-      loops += W;
-    } while (err > eps && loops < kMaxItersPerStep);
-    return loops;
+  return run_time_loop(t, [&](double* u, const double* b, const double* g, double omega) {
+    StepSweeps step{eps};
+    while (!step.done(run_block<W>(t.m, GatherBlock<W>(u, b, g, t.alpha, omega)), W)) {
+    }
+    return step.count;
   });
 }
 
@@ -535,102 +462,84 @@ void prepare_split_step(SplitArrays& sa, const Transform& t, ObstacleFiller& fil
   sa.u_at(t.m - 1) = sa.g_at(t.m - 1);
 }
 
+// One option's PSOR solve on split arrays, advanced a time step at a time:
+// prepare(n), blocks until converged, end_step().
+template <int W>
+struct SplitSolve {
+  Transform t;
+  SplitArrays sa;
+  ObstacleFiller filler;
+  arch::AlignedVector<double> gbuf;
+  StepSweeps step;
+  Relaxation relax;
+  SolveResult result;
+
+  SplitSolve(const core::OptionSpec& opt, const GridSpec& grid)
+      : t(wavefront_transform<W>(opt, grid)), filler(t), gbuf(t.m), step{epsilon_abs(t, grid)} {
+    sa.resize(t.m);
+    for (int j = 0; j < t.m; ++j) sa.u_at(j) = t.payoff(t.x_at(j), 0.0);
+  }
+
+  void prepare(int n) {
+    prepare_split_step(sa, t, filler, gbuf, n);
+    step.count = 0;
+  }
+
+  SplitBlock<W> block() { return SplitBlock<W>(sa, t.alpha, relax.omega); }
+
+  // Runs one block alone; true once the step has converged.
+  bool sweep() { return step.done(run_block<W>(t.m, block()), W); }
+
+  void end_step() {
+    result.total_iterations += step.count;
+    relax.after_step(step.count);
+  }
+
+  SolveResult finish() {
+    result.price = t.to_price(sa.u_val(t.mid));
+    return result;
+  }
+};
+
+template <int W>
+SolveResult price_wavefront_split_width(const core::OptionSpec& opt, const GridSpec& grid) {
+  SplitSolve<W> s(opt, grid);
+  for (int n = 1; n <= s.t.n; ++n) {
+    {
+      FINBENCH_SPAN("cn.prepare_step");
+      s.prepare(n);
+    }
+    FINBENCH_SPAN("cn.wavefront_solve");
+    while (!s.sweep()) {
+    }
+    s.end_step();
+  }
+  return s.finish();
+}
+
+// Both options' blocks run in lockstep until one converges; the other
+// then finishes its step alone.
 template <int W>
 std::pair<SolveResult, SolveResult> price_pair_width(const core::OptionSpec& opt_a,
                                                      const core::OptionSpec& opt_b,
                                                      const GridSpec& grid) {
-  const Transform ta = make_transform(opt_a, grid);
-  const Transform tb = make_transform(opt_b, grid);
-  if (ta.m - 2 < 2 * W + 1) {
-    throw std::invalid_argument("crank-nicolson wavefront: grid too small for SIMD width");
-  }
-  const double eps_a = epsilon_abs(ta, grid);
-  const double eps_b = epsilon_abs(tb, grid);
-
-  SplitArrays A, B;
-  A.resize(ta.m);
-  B.resize(tb.m);
-  for (int j = 0; j < ta.m; ++j) A.u_at(j) = ta.payoff(ta.x_at(j), 0.0);
-  for (int j = 0; j < tb.m; ++j) B.u_at(j) = tb.payoff(tb.x_at(j), 0.0);
-  ObstacleFiller filler_a(ta), filler_b(tb);
-  arch::AlignedVector<double> gbuf_a(ta.m), gbuf_b(tb.m);
-
-  SolveResult ra, rb;
-  double omega_a = grid.omega0, omega_b = grid.omega0;
-  long prev_a = std::numeric_limits<long>::max(), prev_b = prev_a;
-
-  for (int n = 1; n <= ta.n; ++n) {
-    prepare_split_step(A, ta, filler_a, gbuf_a, n);
-    prepare_split_step(B, tb, filler_b, gbuf_b, n);
-
-    long loops_a = 0, loops_b = 0;
+  SplitSolve<W> a(opt_a, grid), b(opt_b, grid);
+  for (int n = 1; n <= a.t.n; ++n) {
+    a.prepare(n);
+    b.prepare(n);
     bool done_a = false, done_b = false;
-    while (!done_a || !done_b) {
-      if (!done_a && !done_b) {
-        const auto [ea, eb] = wavefront_block_split_x2<W>(A, ta.alpha, omega_a, B, tb.alpha,
-                                                          omega_b);
-        loops_a += W;
-        loops_b += W;
-        done_a = ea <= eps_a || loops_a >= kMaxItersPerStep;
-        done_b = eb <= eps_b || loops_b >= kMaxItersPerStep;
-      } else if (!done_a) {
-        const double ea = wavefront_block_split<W>(A, ta.alpha, omega_a);
-        loops_a += W;
-        done_a = ea <= eps_a || loops_a >= kMaxItersPerStep;
-      } else {
-        const double eb = wavefront_block_split<W>(B, tb.alpha, omega_b);
-        loops_b += W;
-        done_b = eb <= eps_b || loops_b >= kMaxItersPerStep;
-      }
+    while (!done_a && !done_b) {
+      SplitBlock<W> ba = a.block(), bb = b.block();
+      run_wavefront<W>(a.t.m, ba, bb);
+      done_a = a.step.done(ba.finish(), W);
+      done_b = b.step.done(bb.finish(), W);
     }
-    ra.total_iterations += loops_a;
-    rb.total_iterations += loops_b;
-    if (loops_a > prev_a) omega_a = std::min(omega_a + grid.domega, 1.95);
-    if (loops_b > prev_b) omega_b = std::min(omega_b + grid.domega, 1.95);
-    prev_a = loops_a;
-    prev_b = loops_b;
+    while (!done_a) done_a = a.sweep();
+    while (!done_b) done_b = b.sweep();
+    a.end_step();
+    b.end_step();
   }
-  ra.price = ta.to_price(A.u_val(ta.mid));
-  rb.price = tb.to_price(B.u_val(tb.mid));
-  return {ra, rb};
-}
-
-template <int W>
-SolveResult price_wavefront_split_width(const core::OptionSpec& opt, const GridSpec& grid) {
-  const Transform t = make_transform(opt, grid);
-  if (t.m - 2 < 2 * W + 1) {
-    throw std::invalid_argument("crank-nicolson wavefront: grid too small for SIMD width");
-  }
-  const double eps = epsilon_abs(t, grid);
-
-  SplitArrays sa;
-  sa.resize(t.m);
-  for (int j = 0; j < t.m; ++j) sa.u_at(j) = t.payoff(t.x_at(j), 0.0);
-  ObstacleFiller filler(t);
-  arch::AlignedVector<double> gbuf(t.m);
-
-  SolveResult result;
-  double omega = grid.omega0;
-  long prev_loops = std::numeric_limits<long>::max();
-
-  for (int n = 1; n <= t.n; ++n) {
-    {
-      FINBENCH_SPAN("cn.prepare_step");
-      prepare_split_step(sa, t, filler, gbuf, n);
-    }
-    FINBENCH_SPAN("cn.wavefront_solve");
-    long loops = 0;
-    double err;
-    do {
-      err = wavefront_block_split<W>(sa, t.alpha, omega);
-      loops += W;
-    } while (err > eps && loops < kMaxItersPerStep);
-    result.total_iterations += loops;
-    if (loops > prev_loops) omega = std::min(omega + grid.domega, 1.95);
-    prev_loops = loops;
-  }
-  result.price = t.to_price(sa.u_val(t.mid));
-  return result;
+  return {a.finish(), b.finish()};
 }
 
 }  // namespace
@@ -702,31 +611,10 @@ std::vector<double> exercise_boundary(const core::OptionSpec& opt, const GridSpe
     throw std::invalid_argument("exercise_boundary: American put only");
   }
   const Transform t = make_transform(opt, grid);
-  const double eps = epsilon_abs(t, grid);
-
-  arch::AlignedVector<double> u(t.m), b(t.m), g(t.m);
-  for (int j = 0; j < t.m; ++j) u[j] = t.payoff(t.x_at(j), 0.0);
-  ObstacleFiller filler(t);
-
   std::vector<double> boundary(t.n);
-  double omega = grid.omega0;
-  long prev_loops = std::numeric_limits<long>::max();
-  for (int n = 1; n <= t.n; ++n) {
-    explicit_half(t, u.data(), b.data());
-    filler.fill(t, n * t.dtau, g.data());
-    u[0] = g[0];
-    u[t.m - 1] = g[t.m - 1];
-    long loops = 0;
-    double err;
-    do {
-      err = psor_iterations(u.data(), b.data(), g.data(), t.m, t.alpha, omega, 1);
-      ++loops;
-    } while (err > eps && loops < kMaxItersPerStep);
-    if (loops > prev_loops) omega = std::min(omega + grid.domega, 1.95);
-    prev_loops = loops;
-
-    // Largest grid point still pinned to the obstacle (u == g): the last
-    // index of the exercise region, scanning up from low prices.
+  // Largest grid point still pinned to the obstacle (u == g): the last
+  // index of the exercise region, scanning up from low prices.
+  auto scan = [&](int n, const double* u, const double* g) {
     const double tol = 1e-7 * std::max(1.0, std::fabs(g[0]));
     int contact = 0;
     for (int j = 1; j < t.m - 1; ++j) {
@@ -734,7 +622,8 @@ std::vector<double> exercise_boundary(const core::OptionSpec& opt, const GridSpe
       else if (contact > 0) break;
     }
     boundary[n - 1] = opt.strike * std::exp(t.x_at(contact));
-  }
+  };
+  run_time_loop(t, scalar_psor(t, epsilon_abs(t, grid), 1), scan);
   return boundary;
 }
 
@@ -747,19 +636,11 @@ SolveResult price_american_brennan_schwartz(const core::OptionSpec& opt, const G
         "single low-price interval)");
   }
   const Transform t = make_transform(opt, grid);
-  arch::AlignedVector<double> u(t.m), b(t.m), g(t.m), dd(t.m), bb(t.m);
-  for (int j = 0; j < t.m; ++j) u[j] = t.payoff(t.x_at(j), 0.0);
-  ObstacleFiller filler(t);
-
+  arch::AlignedVector<double> dd(t.m), bb(t.m);
   const double diag = 1.0 + t.alpha;
   const double off = -0.5 * t.alpha;
-
-  SolveResult result;
-  for (int n = 1; n <= t.n; ++n) {
-    explicit_half(t, u.data(), b.data());
-    filler.fill(t, t.dtau * n, g.data());
-    u[0] = g[0];
-    u[t.m - 1] = g[t.m - 1];
+  // One direct solve per step, counted as one iteration.
+  return run_time_loop(t, [&](double* u, double* b, const double* g, double) -> long {
     b[1] -= off * u[0];
     b[t.m - 2] -= off * u[t.m - 1];
 
@@ -778,10 +659,8 @@ SolveResult price_american_brennan_schwartz(const core::OptionSpec& opt, const G
     for (int j = 2; j <= t.m - 2; ++j) {
       u[j] = std::max((bb[j] - off * u[j - 1]) / dd[j], g[j]);
     }
-    result.total_iterations += 1;  // one direct solve per step
-  }
-  result.price = t.to_price(u[t.mid]);
-  return result;
+    return 1;
+  });
 }
 
 // --- Option-packed direct solve (see header) ---------------------------------
@@ -923,9 +802,6 @@ std::size_t direct_packed_doubles(const GridSpec& grid) {
 void price_direct_packed(std::span<const core::OptionSpec> opts, const GridSpec& grid,
                          std::span<double> out, Width w, core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
-  if (grid.num_prices < 3) {
-    throw std::invalid_argument("crank-nicolson direct: the grid needs at least 3 prices");
-  }
   simd::with_lanes<double>(w, [&](auto L) { price_packs<L>(opts, grid, out, scratch); });
 }
 

@@ -336,3 +336,21 @@ TEST(CnDirectPacked, IllConditionedOptionFailsLikeTheReference) {
   }
   EXPECT_GT(priced, 0u);
 }
+
+// A degenerate grid fails the request on both CN ids, through the packed
+// variant's fallback to the reference too, instead of crashing or
+// returning prices from a grid that was never solved.
+TEST(CnDirectPacked, DegenerateGridFailsTheRequestOnBothIds) {
+  const Book b = exotic_book(5, 16);
+  engine::ThreadPool pool(2);
+  Engine eng(&pool);
+  for (const char* id : {"cn.reference.scalar", kPacked}) {
+    for (const auto [prices, steps] : {std::pair{0, 32}, {1, 32}, {2, 32}, {65, 0}}) {
+      PricingRequest req = request_for(id, b);
+      req.cn_num_prices = prices;
+      req.steps = steps;
+      const PricingResult res = eng.price(req);
+      EXPECT_FALSE(res.status.ok()) << id << " at " << prices << " x " << steps;
+    }
+  }
+}

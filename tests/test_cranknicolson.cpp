@@ -8,7 +8,9 @@
 
 #include <cmath>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "finbench/core/analytic.hpp"
@@ -218,6 +220,33 @@ TEST(CrankNicolson, ThrowsOnTooSmallGridForWavefront) {
   g.num_prices = 10;  // < 2W+3 for W=8
   g.num_steps = 10;
   EXPECT_THROW(cn::price_wavefront(o, g, cn::Width::kAuto), std::invalid_argument);
+}
+
+// A grid below 3 prices or without a time step has nothing to solve:
+// every solver rejects it rather than reading past its arrays or
+// returning the payoff as a price.
+TEST(CrankNicolson, DegenerateGridsThrowInEverySolver) {
+  const core::OptionSpec put = am_put();
+  const std::vector<core::OptionSpec> book{put, am_put(110, 100, 2.0, 0.03, 0.35)};
+  for (const auto [prices, steps] : {std::pair{0, 32}, {1, 32}, {2, 32}, {65, 0}}) {
+    SCOPED_TRACE(std::to_string(prices) + " prices x " + std::to_string(steps) + " steps");
+    cn::GridSpec g;
+    g.num_prices = prices;
+    g.num_steps = steps;
+    EXPECT_THROW(cn::price_reference(put, g), std::invalid_argument);
+    EXPECT_THROW(cn::price_reference_blocked(put, g, 4), std::invalid_argument);
+    for (const cn::Width w : {cn::Width::kScalar, cn::Width::kAvx2, cn::Width::kAuto}) {
+      EXPECT_THROW(cn::price_wavefront(put, g, w), std::invalid_argument);
+      EXPECT_THROW(cn::price_wavefront_split(put, g, w), std::invalid_argument);
+      EXPECT_THROW(cn::price_wavefront_split_pair(book[0], book[1], g, w), std::invalid_argument);
+      std::vector<double> out(book.size());
+      EXPECT_THROW(cn::price_direct_packed(book, g, out, w), std::invalid_argument);
+    }
+    EXPECT_THROW(cn::price_american_brennan_schwartz(put, g), std::invalid_argument);
+    EXPECT_THROW(cn::exercise_boundary(put, g), std::invalid_argument);
+    EXPECT_THROW(cn::price_european_thomas(put, g), std::invalid_argument);
+    EXPECT_THROW(cn::price_european_theta(put, g, 0.5), std::invalid_argument);
+  }
 }
 
 TEST(CrankNicolson, ThrowsOnDegenerateOption) {

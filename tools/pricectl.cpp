@@ -219,6 +219,20 @@ std::string lane_fill_note() {
   return "";
 }
 
+// bench::items_per_sec over a pricing loop that throws std::runtime_error,
+// carrying the status, for a result the engine could not deliver: the
+// rate, or nullopt with that status in `failure`.
+template <class F>
+std::optional<double> rate_or_failure(const char* label, std::size_t items, int reps, F&& fn,
+                                      std::string& failure) {
+  try {
+    return bench::items_per_sec(label, items, reps, fn);
+  } catch (const std::runtime_error& e) {
+    failure = e.what();
+    return std::nullopt;
+  }
+}
+
 // --serve N: the closed-loop request-stream mode. The workload splits into
 // N sub-requests (each drawing its own options from seed + index over the
 // same batch scalars, so the group is fusable by construction); every rep
@@ -275,8 +289,10 @@ int run_serve(const engine::VariantInfo* v, const std::string& family,
     });
   }
 
-  const double rate =
-      bench::items_per_sec("pricectl.serve", per * static_cast<std::size_t>(nreq), opts.reps, [&] {
+  std::string failure;
+  const std::optional<double> rate = rate_or_failure(
+      "pricectl.serve", per * static_cast<std::size_t>(nreq), opts.reps,
+      [&] {
         for (auto& job : jobs) {
           const robust::Status st = server.submit(job);
           if (!st.ok()) throw std::runtime_error(st.to_string());
@@ -288,7 +304,8 @@ int run_serve(const engine::VariantInfo* v, const std::string& family,
             throw std::runtime_error(job.result.status.to_string());
           }
         }
-      });
+      },
+      failure);
 
   if (watcher.joinable()) {
     watch_stop.store(true, std::memory_order_relaxed);
@@ -296,6 +313,10 @@ int run_serve(const engine::VariantInfo* v, const std::string& family,
     print_live_metrics();
   }
   server.stop();
+  if (!rate) {
+    std::fprintf(stderr, "pricectl: %s\n", failure.c_str());
+    return 1;
+  }
   const finbench::serve::Server::Stats st = server.stats();
 
   // Under auto dispatch the jobs carry what the tuner resolved; report
@@ -334,7 +355,7 @@ int run_serve(const engine::VariantInfo* v, const std::string& family,
   const double bytes = rv && rv->bytes_per_item ? rv->bytes_per_item(jobs[0].request) : 0.0;
   const int w = rv == nullptr || rv->width == 0 ? simd::kMaxVectorWidth : rv->width;
   report.add_row(
-      proj.make_row(rv != nullptr ? rv->description : proto.kernel_id, rate, flops, bytes, w, w));
+      proj.make_row(rv != nullptr ? rv->description : proto.kernel_id, *rate, flops, bytes, w, w));
   if (metrics_path == "-") {
     bench::finish_quiet(report, opts);
     obs::write_openmetrics(std::cout);
@@ -705,20 +726,28 @@ int main(int argc, char** argv) {
 
   engine::Engine& eng = engine::Engine::shared();
   engine::PricingResult last;
-  const double rate = bench::items_per_sec(kernel_id.c_str(), items, opts.reps, [&] {
-    last = eng.price(req);
-    // Degraded and deadline-partial results are designed outcomes of the
-    // robustness controls, not benchmark failures; only a result the
-    // engine could not deliver at all aborts the run.
-    if (!last.status.ok() && last.status.code() != robust::StatusCode::kDeadlineExceeded) {
-      throw std::runtime_error(last.status.to_string());
-    }
-  });
+  std::string failure;
+  const std::optional<double> rate = rate_or_failure(
+      kernel_id.c_str(), items, opts.reps,
+      [&] {
+        last = eng.price(req);
+        // Degraded and deadline-partial results are designed outcomes of
+        // the robustness controls, not benchmark failures; only a result
+        // the engine could not deliver at all ends the run.
+        if (!last.status.ok() && last.status.code() != robust::StatusCode::kDeadlineExceeded) {
+          throw std::runtime_error(last.status.to_string());
+        }
+      },
+      failure);
 
   if (watcher.joinable()) {
     watch_stop.store(true, std::memory_order_relaxed);
     watcher.join();
     print_live_metrics();
+  }
+  if (!rate) {
+    std::fprintf(stderr, "pricectl: %s\n", failure.c_str());
+    return 1;
   }
 
   // The reporting variant: the one named, or the one the tuner resolved.
@@ -819,7 +848,7 @@ int main(int argc, char** argv) {
   const double bytes = rv && rv->bytes_per_item ? rv->bytes_per_item(req) : 0.0;
   const int w = rv == nullptr || rv->width == 0 ? simd::kMaxVectorWidth : rv->width;
   report.add_row(
-      proj.make_row(rv != nullptr ? rv->description : kernel_id, rate, flops, bytes, w, w));
+      proj.make_row(rv != nullptr ? rv->description : kernel_id, *rate, flops, bytes, w, w));
   // `--metrics -` claims stdout for the OpenMetrics exposition, so the
   // report table and parallel stats are suppressed (the JSON/CSV/trace
   // exports still run) — scrapers get a pure document they can pipe

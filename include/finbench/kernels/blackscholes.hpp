@@ -23,6 +23,17 @@
 //
 // All SIMD variants take a Width so the 4-wide (SNB-EP-class) and 8-wide
 // (KNC-class) paths can be measured separately.
+//
+// The intermediate, blocked and fused kernels, in double and in single
+// precision, run one Black–Scholes model per precision (erf substitution,
+// put via parity; the dividend-free algebra picked at compile time)
+// through one driver per layout: SOA, blocked and fused AOS. The levels
+// differ only in data layout, as in Fig. 4. Every driver prices its
+// n mod W tail as one tile padded with the last option, so at equal width
+// the three layouts give the same bits for every option (the SP ones
+// after widening), and an option's price does not depend on where it
+// sits in the batch. Every pricing entry point adds its batch to the
+// bs.options_priced counter.
 
 #pragma once
 
@@ -57,30 +68,32 @@ inline constexpr std::size_t kVmlChunk = 4096;
 void price_advanced_vml(core::BsSoaView batch, Width w = Width::kAuto,
                         core::ScratchPool* scratch = nullptr);
 
-// Register-tiled pricing straight off the blocked AoSoA layout: one
-// lane-block sub-run per register tile, ×2 unrolled, streaming stores, no
-// gathers. The `_sp` flavor computes in single precision over the same
-// double storage (f64->f32 conversion stays in register), doubling the
-// lanes per tile at ~1e-7 absolute accuracy.
+// The blocked driver: register-tiled pricing straight off the blocked
+// AoSoA layout, one lane-block sub-run per register tile, ×2 unrolled,
+// streaming stores, no gathers. The `_sp` flavor computes in single
+// precision over the same double storage (f64->f32 conversion stays in
+// register), doubling the lanes per tile at ~1e-7 absolute accuracy.
 void price_blocked(core::BsBlockedView batch, Width w = Width::kAuto);
 
-// Fused AOS -> blocked -> AOS pipeline: transposes one lane-block at a
-// time into a stack-resident tile (L1-hot), prices it in register, and
-// writes call/put straight back into the AOS records. This is the honest
-// "incl. conversion" form of the blocked kernel — the layout change
-// composes with the tiling instead of costing a separate DRAM pass.
+// The fused AOS driver (AOS -> blocked -> AOS): transposes one tile at a
+// time into a stack-resident lane-block tile (L1-hot), prices it in
+// register, and writes call/put straight back into the AOS records. This
+// is the honest "incl. conversion" form of the blocked kernel — the
+// layout change composes with the tiling instead of costing a separate
+// DRAM pass.
 void price_blocked_from_aos(core::BsAosView batch, Width w = Width::kAuto);
 
-// Single-precision variant of the intermediate kernel: one option per
-// float lane, twice the double lanes at each Width (8 at kAvx2, 16 at
-// kAvx512). Accuracy ~1e-6 relative — the precision/lane-count trade
-// Table I's SP peak rows quantify.
+// Single-precision variant of the intermediate kernel (the same SOA
+// driver over float arrays): one option per float lane, twice the double
+// lanes at each Width (8 at kAvx2, 16 at kAvx512). Accuracy ~1e-6
+// relative — the precision/lane-count trade Table I's SP peak rows
+// quantify.
 void price_intermediate_sp(core::BsSoaFView batch, Width w = Width::kAuto);
 void price_blocked_sp(core::BsBlockedView batch, Width w = Width::kAuto);
 
 // SP twin of price_blocked_from_aos: the f64 AOS inputs narrow to f32 in
-// register (cvtpd_ps on a stack-resident tile), price through the shared
-// SP model, and widen back into the AOS records — the fused "incl.
+// register (cvtpd_ps on a stack-resident tile), price through the SP
+// model, and widen back into the AOS records — the fused "incl.
 // conversion" pipeline with twice the lanes per tile (8 on AVX2, 16 on
 // AVX-512). Accuracy matches the other SP rows (~1e-7 absolute).
 void price_blocked_from_aos_f32(core::BsAosView batch, Width w = Width::kAuto);

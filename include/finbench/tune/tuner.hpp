@@ -32,6 +32,7 @@
 
 #pragma once
 
+#include <string>
 #include <string_view>
 
 #include "finbench/engine/engine.hpp"
@@ -61,6 +62,9 @@ struct Resolution {
   // — the next resolution re-consults the breaker, which is how half-open
   // probes reach the real winner again.
   bool substituted = false;
+  // No runnable candidate: the first failing candidate's note as
+  // "<id>: <status>", so the caller can say why every candidate failed.
+  std::string failure;
 };
 
 // Cache-through resolution: PlanCache hit (validated against the registry

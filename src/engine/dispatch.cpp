@@ -90,7 +90,7 @@ ResolvedDispatch resolve_dispatch(const Engine& eng, const PricingRequest& req) 
       out.error = robust::Status::not_found(
           "auto dispatch found no runnable variant for family '" + std::string(family) +
           "' on this workload (layout " + std::string(core::to_string(req.portfolio.layout)) +
-          ")");
+          ")" + (r.failure.empty() ? "" : "; " + r.failure));
       return out;
     }
     if (r.substituted) {

@@ -5,16 +5,12 @@
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
-#include <utility>
 
 #include "finbench/arch/aligned.hpp"
 #include "finbench/core/analytic.hpp"
 #include "finbench/core/scratch_pool.hpp"
-#include "finbench/obs/metrics.hpp"
-#include "finbench/obs/trace.hpp"
 #include "finbench/vecmath/vecmath.hpp"
-#include "finbench/vecmath/vecmathf.hpp"
-#include "sp_tile.hpp"
+#include "bs_model.hpp"
 
 namespace finbench::kernels::bs {
 
@@ -23,7 +19,7 @@ namespace {
 inline double cnd_scalar(double x) { return 0.5 * std::erfc(-x * 0.70710678118654752440); }
 
 // Options [begin, n) of a SOA batch, fewer than one vector, through the
-// vector body `price` on a copy padded with the last option. No scalar
+// model `price` on a copy padded with the last option. No scalar
 // tail: an option's price does not depend on where it sits in the batch,
 // so a coalesced member prices as it does alone.
 template <class V, class T, class Price>
@@ -55,8 +51,7 @@ void price_padded_tail(const T* s, const T* k, const T* t, T* call, T* put, std:
 // and the drift r - q; at q = 0 both are exactly S and r, so the paper's
 // dividend-free arithmetic is unchanged bit for bit.
 void price_reference(core::BsAosView batch) {
-  static obs::Counter& priced = obs::counter("bs.options_priced");
-  priced.add(batch.size());
+  count_priced(batch.size());
   const double r = batch.rate;
   const double q = batch.dividend;
   const double drift = r - q;
@@ -79,8 +74,7 @@ void price_reference(core::BsAosView batch) {
 // --- Basic: compiler pragmas on the AOS loop ------------------------------
 
 void price_basic(core::BsAosView batch) {
-  static obs::Counter& priced = obs::counter("bs.options_priced");
-  priced.add(batch.size());
+  count_priced(batch.size());
   if (batch.dividend != 0.0) {
     throw std::invalid_argument(
         "this variant reproduces the paper's dividend-free kernel; "
@@ -110,66 +104,40 @@ void price_basic(core::BsAosView batch) {
 
 namespace {
 
-// One option per SIMD lane; cnd via erf (cheaper, same accuracy — the
-// paper's SVML substitution) and the put derived from call/put parity.
-template <int W, bool HasDividend>
-void price_soa_width(const core::BsSoaView& batch) {
-  using V = simd::Vec<double, W>;
-  const V r(batch.rate);
-  const V q(batch.dividend);
-  const V sig(batch.vol);
-  const V sig22(batch.vol * batch.vol / 2);
-  const V half(0.5), one(1.0);
-  const V inv_sqrt2(0.70710678118654752440);
+// One option per SIMD lane through the shared model, streaming stores;
+// the same driver prices the DP and the SP arrays.
+template <class V, bool HasDividend, class View>
+void price_soa(const View& batch) {
+  using T = typename V::value_type;
+  constexpr int W = V::width;
+  const BsModel<V, HasDividend> model(T(batch.rate), T(batch.vol), T(batch.dividend));
 
   const std::ptrdiff_t nopt = static_cast<std::ptrdiff_t>(batch.size());
-  const double* s = batch.spot.data();
-  const double* k = batch.strike.data();
-  const double* t = batch.years.data();
-  double* call = batch.call.data();
-  double* put = batch.put.data();
-
-  // Call and put of one vector of options; the put from call/put parity.
-  const auto price = [&](const V S, const V K, const V T) {
-    const V qlog = vecmath::log(S / K);
-    const V denom = one / (sig * sqrt(T));
-    V drift = r;
-    V sq = S;
-    if constexpr (HasDividend) {
-      drift = r - q;
-      sq = S * vecmath::exp(-q * T);  // forward-discounted spot
-    }
-    const V d1 = (qlog + (drift + sig22) * T) * denom;
-    const V d2 = (qlog + (drift - sig22) * T) * denom;
-    const V xexp = K * vecmath::exp(-r * T);
-    // cnd(x) = (1 + erf(x/sqrt(2))) / 2
-    const V nd1 = fmadd(vecmath::erf(d1 * inv_sqrt2), half, half);
-    const V nd2 = fmadd(vecmath::erf(d2 * inv_sqrt2), half, half);
-    const V c = fmsub(sq, nd1, xexp * nd2);
-    return std::pair{c, c - sq + xexp};
-  };
+  const T* s = batch.spot.data();
+  const T* k = batch.strike.data();
+  const T* t = batch.years.data();
+  T* call = batch.call.data();
+  T* put = batch.put.data();
 
   const std::ptrdiff_t vec_end = nopt - nopt % W;
   for (std::ptrdiff_t i = 0; i < vec_end; i += W) {
-    const auto [c, p] = price(V::load(s + i), V::load(k + i), V::load(t + i));
+    const auto [c, p] = model(V::load(s + i), V::load(k + i), V::load(t + i));
     c.stream(call + i);
     p.stream(put + i);
   }
-  if (vec_end < nopt) price_padded_tail<V>(s, k, t, call, put, vec_end, nopt, price);
-}
-
-template <int W>
-void price_soa_dispatch_q(const core::BsSoaView& batch) {
-  if (batch.dividend != 0.0) price_soa_width<W, true>(batch);
-  else price_soa_width<W, false>(batch);
+  if (vec_end < nopt) price_padded_tail<V>(s, k, t, call, put, vec_end, nopt, model);
 }
 
 }  // namespace
 
 void price_intermediate(core::BsSoaView batch, Width w) {
-  static obs::Counter& priced = obs::counter("bs.options_priced");
-  priced.add(batch.size());
-  simd::with_lanes<double>(w, [&](auto L) { price_soa_dispatch_q<L>(batch); });
+  count_priced(batch.size());
+  with_model<double>(w, batch.dividend, [&]<class V, bool Q>() { price_soa<V, Q>(batch); });
+}
+
+void price_intermediate_sp(core::BsSoaFView batch, Width w) {
+  count_priced(batch.size());
+  with_model<float>(w, batch.dividend, [&]<class V, bool Q>() { price_soa<V, Q>(batch); });
 }
 
 // --- Advanced: VML-style whole-array passes --------------------------------
@@ -177,6 +145,7 @@ void price_intermediate(core::BsSoaView batch, Width w) {
 // Dividends as in price_reference: a fifth array pass turns qlog's buffer
 // into e^(-qT) once the logs are consumed, and S·e^(-qT) replaces S.
 void price_advanced_vml(core::BsSoaView batch, Width w, core::ScratchPool* scratch) {
+  count_priced(batch.size());
   const std::size_t n = batch.size();
   const double r = batch.rate;
   const double q = batch.dividend;
@@ -379,39 +348,6 @@ void implied_vol_intermediate(core::BsSoaCView batch,
   assert(call_prices.size() >= batch.size() && vols_out.size() >= batch.size());
   simd::with_lanes<double>(
       w, [&](auto L) { implied_vol_width<L>(batch, call_prices, vols_out); });
-}
-
-// --- Single precision ---------------------------------------------------------
-
-namespace {
-
-template <int W>
-void price_sp_width(const core::BsSoaFView& batch) {
-  using V = simd::Vec<float, W>;
-  const std::ptrdiff_t nopt = static_cast<std::ptrdiff_t>(batch.size());
-  const float* s = batch.spot.data();
-  const float* k = batch.strike.data();
-  const float* t = batch.years.data();
-  float* call = batch.call.data();
-  float* put = batch.put.data();
-
-  const auto price = [&](const V S, const V K, const V T) {
-    return sp_tile(S, K, T, batch.rate, batch.vol, batch.dividend);
-  };
-
-  const std::ptrdiff_t vec_end = nopt - nopt % W;
-  for (std::ptrdiff_t i = 0; i < vec_end; i += W) {
-    const auto [c, p] = price(V::load(s + i), V::load(k + i), V::load(t + i));
-    c.stream(call + i);
-    p.stream(put + i);
-  }
-  if (vec_end < nopt) price_padded_tail<V>(s, k, t, call, put, vec_end, nopt, price);
-}
-
-}  // namespace
-
-void price_intermediate_sp(core::BsSoaFView batch, Width w) {
-  simd::with_lanes<float>(w, [&](auto L) { price_sp_width<L>(batch); });
 }
 
 }  // namespace finbench::kernels::bs

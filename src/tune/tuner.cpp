@@ -294,7 +294,15 @@ Resolution resolve(const engine::Engine& eng, const engine::PricingRequest& req,
   RaceReport rep = race(eng, req, key);
   obs::counter("engine.tune.race").add(1);
   out.raced = true;
-  if (!rep.winner.valid()) return out;
+  if (!rep.winner.valid()) {
+    for (const CandidateResult& c : rep.candidates) {
+      if (!c.note.empty()) {
+        out.failure = c.id + ": " + c.note;
+        break;
+      }
+    }
+    return out;
+  }
   if (rep.breaker_excluded > 0) {
     // Breakers kept candidates out of this race: the winner is the best of
     // a degraded field. Use it now, but do not persist — the key re-races

@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <utility>
 
 #include "finbench/core/analytic.hpp"
 #include "finbench/core/portfolio.hpp"
 #include "finbench/kernels/blackscholes.hpp"
+#include "finbench/obs/metrics.hpp"
 
 namespace {
 
@@ -104,6 +108,33 @@ TEST(BlackScholesKernel, EmptyBatchIsFine) {
   bs::price_intermediate(soa.view().soa);
   bs::price_advanced_vml(soa.view().soa);
   SUCCEED();
+}
+
+// bs.options_priced counts what every pricing entry point prices, so a
+// run whichever kernel won its race reports the options it priced.
+TEST(BlackScholesKernel, EveryPricingEntryPointCountsItsBatch) {
+  const obs::Counter& priced = obs::counter("bs.options_priced");
+  constexpr std::size_t n = 37;
+  Portfolio aos = Portfolio::bs(n, Layout::kBsAos);
+  Portfolio soa = Portfolio::bs(n, Layout::kBsSoa);
+  Portfolio sp = Portfolio::bs(n, Layout::kBsSoaF);
+  Portfolio blocked = Portfolio::bs(n, Layout::kBsBlocked);
+  const std::pair<const char*, std::function<void()>> entries[] = {
+      {"reference", [&] { bs::price_reference(aos.view().aos); }},
+      {"basic", [&] { bs::price_basic(aos.view().aos); }},
+      {"intermediate", [&] { bs::price_intermediate(soa.view().soa); }},
+      {"advanced_vml", [&] { bs::price_advanced_vml(soa.view().soa); }},
+      {"intermediate_sp", [&] { bs::price_intermediate_sp(sp.view().sp); }},
+      {"blocked", [&] { bs::price_blocked(blocked.view().blocked); }},
+      {"blocked_sp", [&] { bs::price_blocked_sp(blocked.view().blocked); }},
+      {"blocked_from_aos", [&] { bs::price_blocked_from_aos(aos.view().aos); }},
+      {"blocked_from_aos_f32", [&] { bs::price_blocked_from_aos_f32(aos.view().aos); }},
+  };
+  for (const auto& [name, price] : entries) {
+    const std::uint64_t before = priced.value();
+    price();
+    EXPECT_EQ(priced.value() - before, n) << name;
+  }
 }
 
 TEST(BlackScholesKernel, ExtremeParameterRanges) {

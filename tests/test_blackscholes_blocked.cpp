@@ -125,26 +125,49 @@ TEST_P(BlockedWidthTest, FusedAosSpHandlesDividendYield) {
   }
 }
 
-// The DP blocked kernel must agree with the in-memory kernel bit-for-bit
-// through the fused path at matching width: both run the identical tile
-// math, the only difference is where the tile's storage lives.
-TEST(BlockedKernel, FusedAndInMemoryPathsAgreeBitwise) {
-  const std::size_t n = 1003;
-  core::Portfolio pf = core::Portfolio::bs(n, core::Layout::kBsBlocked, 9);
-  core::BsBlockedView b = pf.view().blocked;
-  bs::price_blocked(b, bs::Width::kAvx2);
-
-  core::Portfolio book = core::Portfolio::bs(n, core::Layout::kBsAos, 9);
-  const core::BsAosView aos = book.view().aos;
-  bs::price_blocked_from_aos(aos, bs::Width::kAvx2);
-
+// At equal width every layout runs one model through its own driver, so
+// the blocked and fused AOS kernels equal the SOA kernel bit for bit, the
+// SP ones after widening — n mod W tails included: each driver prices its
+// tail as one tile padded with the last option, so an option's bits do not
+// depend on where it sits in the batch.
+TEST_P(BlockedWidthTest, LayoutsAgreeBitwiseWithIntermediate) {
   constexpr std::size_t w = core::kBsBlock;
-  // The fused tail (< one tile) prices through the scalar closed form, so
-  // compare only the full 4-lane tiles the two kernels both vectorize.
-  const std::size_t vectorized = n / 4 * 4;
-  for (std::size_t i = 0; i < vectorized; ++i) {
-    EXPECT_EQ(aos.options[i].call, b.field(i / w, 3)[i % w]) << i;
-    EXPECT_EQ(aos.options[i].put, b.field(i / w, 4)[i % w]) << i;
+  for (const double q : {0.0, 0.03}) {
+    for (std::size_t n : kSizes) {
+      core::Portfolio soa_book = core::Portfolio::bs(n, core::Layout::kBsSoa, 9);
+      core::BsSoaView soa = soa_book.view().soa;
+      soa.dividend = q;
+      bs::price_intermediate(soa, GetParam());
+      core::Portfolio sp_book = core::Portfolio::bs(n, core::Layout::kBsSoaF, 9);
+      core::BsSoaFView sp = sp_book.view().sp;
+      sp.dividend = static_cast<float>(q);
+      bs::price_intermediate_sp(sp, GetParam());
+
+      for (const bool single : {false, true}) {
+        core::Portfolio blocked_book = core::Portfolio::bs(n, core::Layout::kBsBlocked, 9);
+        core::BsBlockedView b = blocked_book.view().blocked;
+        b.dividend = q;
+        core::Portfolio aos_book = core::Portfolio::bs(n, core::Layout::kBsAos, 9);
+        core::BsAosView aos = aos_book.view().aos;
+        aos.dividend = q;
+        if (single) {
+          bs::price_blocked_sp(b, GetParam());
+          bs::price_blocked_from_aos_f32(aos, GetParam());
+        } else {
+          bs::price_blocked(b, GetParam());
+          bs::price_blocked_from_aos(aos, GetParam());
+        }
+        SCOPED_TRACE(testing::Message() << (single ? "sp" : "dp") << " q=" << q << " n=" << n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const double call = single ? static_cast<double>(sp.call[i]) : soa.call[i];
+          const double put = single ? static_cast<double>(sp.put[i]) : soa.put[i];
+          EXPECT_EQ(b.field(i / w, 3)[i % w], call) << "blocked i=" << i;
+          EXPECT_EQ(b.field(i / w, 4)[i % w], put) << "blocked i=" << i;
+          EXPECT_EQ(aos.options[i].call, call) << "fused i=" << i;
+          EXPECT_EQ(aos.options[i].put, put) << "fused i=" << i;
+        }
+      }
+    }
   }
 }
 

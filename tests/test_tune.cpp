@@ -506,6 +506,27 @@ TEST(AutoDispatch, UnknownFamilyAndEmptyWorkloadFailCleanly) {
       << res2.status.to_string();
 }
 
+// When every race candidate fails, the status says why: it carries the
+// first failing candidate's own status (here the CN grid rejection the
+// concrete ids report), and the failed race leaves no plan behind.
+TEST(AutoDispatch, EveryCandidateFailingNamesTheCauseAndCachesNoPlan) {
+  engine::Engine& eng = engine::Engine::shared();
+  const auto specs = core::make_option_workload(8, 7012);
+  engine::PricingRequest req;
+  req.kernel_id = "cn.auto";
+  req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
+  req.cn_num_prices = 1;
+  const engine::PricingResult res = eng.price(req);
+  EXPECT_EQ(res.status.code(), robust::StatusCode::kNotFound);
+  const std::string msg = res.status.to_string();
+  EXPECT_NE(msg.find("no runnable variant for family 'cn'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("; cn."), std::string::npos) << "no candidate id: " << msg;
+  EXPECT_NE(msg.find("the grid needs at least 3 prices"), std::string::npos) << msg;
+  EXPECT_FALSE(tune::PlanCache::instance()
+                   .find(tune::key_for(req, "cn", eng.pool_size()))
+                   .has_value());
+}
+
 // An auto id runs its plan: a request that asks for two chunks per
 // participant (a granularity the race never tries) and tasks on resolves
 // to the same key as a default request (no second race), and prices

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   };
 
   const double basic = direct("brownian.basic", [&](std::size_t b, std::size_t e) {
-    brownian::construct_basic(sched, z, nsim, paths, b, e);
+    brownian::construct_reference(sched, z, nsim, paths, b, e);
   });
   const double inter4 = direct("brownian.inter4", [&](std::size_t b, std::size_t e) {
     brownian::construct_intermediate(sched, z4, nsim, paths, brownian::Width::kAvx2, b, e);

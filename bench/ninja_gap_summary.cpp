@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
     const auto z4 = kernels::brownian::lane_block_normals(z, n, sched.normals_per_path(), 4);
     std::vector<double> paths(n * sched.num_points());
     const auto basic = pooled(n, 8, [&](std::size_t b, std::size_t e) {
-      kernels::brownian::construct_basic(sched, z, n, paths, b, e);
+      kernels::brownian::construct_reference(sched, z, n, paths, b, e);
     });
     const auto best4 = pooled(n, 8, [&](std::size_t b, std::size_t e) {
       kernels::brownian::construct_intermediate(sched, z4, n, paths,

@@ -15,15 +15,16 @@
 // Cov(v(t_i), v(t_j)) = min(t_i, t_j) — the property tests key on this.
 //
 // Variants (paper's stacked-bar levels, Fig. 6):
-//   reference / basic — Lis. 4 per-path scalar construction; the basic
-//       level adds nothing the compiler can use (the outer loop does not
-//       autovectorize because of how normals are consumed across
-//       iterations), so both run the same loop
+//   reference — Lis. 4 per-path scalar construction; also the basic
+//       level, which adds nothing the compiler can use (the outer loop
+//       does not autovectorize because of how normals are consumed across
+//       iterations)
 //   intermediate — SIMD across paths: W paths per lane; normals must be
 //       supplied lane-blocked (see lane_block_normals)
 //   advanced_interleaved — normals are generated on the fly in LLC-sized
 //       chunks and consumed from cache, removing the DRAM stream of
-//       pre-generated normals
+//       pre-generated normals; each full lane group runs the same lane
+//       build as intermediate
 //   advanced_fused — additionally the constructed path is consumed
 //       immediately (arithmetic path average, an Asian-payoff style
 //       reduction) and never written to DRAM ("cache-to-cache")
@@ -33,6 +34,7 @@
 
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -48,7 +50,8 @@ using vecmath::Width;
 // Precomputed interpolation weights for every level of one bridge.
 class BridgeSchedule {
  public:
-  // Uniform grid on [0, total_time] with 2^depth steps.
+  // Uniform grid on [0, total_time] with 2^depth steps; throws
+  // std::invalid_argument unless 0 <= depth < 63.
   static BridgeSchedule uniform(int depth, double total_time);
   // Arbitrary increasing grid; times.size() must be 2^depth + 1 and
   // times[0] is the (known) starting point of the path.
@@ -87,14 +90,11 @@ arch::AlignedVector<double> lane_block_normals(std::span<const double> z, std::s
 // Philox streams then stay those of the whole batch, bit for bit.
 inline constexpr std::size_t kAllPaths = ~std::size_t{0};
 
-// Scalar Lis. 4, one path at a time; z holds nsim * normals_per_path values.
+// Scalar Lis. 4, one path at a time (the reference and basic levels); z
+// holds nsim * normals_per_path values.
 void construct_reference(const BridgeSchedule& sched, std::span<const double> z,
                          std::size_t nsim, std::span<double> out, std::size_t first = 0,
                          std::size_t last = kAllPaths);
-// The basic level: the same per-path loop (it does not vectorize).
-void construct_basic(const BridgeSchedule& sched, std::span<const double> z, std::size_t nsim,
-                     std::span<double> out, std::size_t first = 0,
-                     std::size_t last = kAllPaths);
 // SIMD across paths; z must be lane-blocked for width `w`.
 void construct_intermediate(const BridgeSchedule& sched, std::span<const double> z,
                             std::size_t nsim, std::span<double> out, Width w = Width::kAuto,
@@ -112,6 +112,6 @@ void construct_advanced_fused(const BridgeSchedule& sched, std::uint64_t seed, s
 
 // Cost model: ~5 flops per constructed midpoint (2 mul + 2 fma-ish),
 // 2^depth midpoints per path.
-inline double flops_per_path(int depth) { return 5.0 * static_cast<double>(1ULL << depth); }
+inline double flops_per_path(int depth) { return std::ldexp(5.0, depth); }
 
 }  // namespace finbench::kernels::brownian

@@ -24,6 +24,14 @@
 //
 // Unlike Lis. 5 (which sums raw payoffs), results are returned discounted,
 // with the standard error of the estimate.
+//
+// In montecarlo.cpp every entry point prices through one PathModel per
+// option (libm terminal price, payoff, finalize); the SIMD ones sum
+// through one SimdSum<W>. Normals come from the caller's stream array or
+// from each_chunk, option o's Philox substream kRngChunk draws at a time,
+// so price_optimized_computed equals price_optimized_stream run on
+// NormalStream(seed, stream_base + o). Every entry point throws
+// std::invalid_argument on npath 0 and adds its paths to "mc.paths".
 
 #pragma once
 
@@ -97,8 +105,8 @@ void price_optimized_computed(std::span<const core::OptionSpec> opts, std::size_
 // --- Variance reduction (extension; Glasserman ch. 4) -----------------------
 // Antithetic pairs (+Z, -Z) halve the variance of monotone payoffs; the
 // optional control variate regresses the payoff on the terminal stock
-// (whose discounted mean S e^{-qT} is known exactly) and removes the
-// correlated component. `npath` counts total paths (antithetic pairs use
+// (whose undiscounted mean E[S_T] = S e^{(r-q)T} is known exactly) and
+// removes the correlated component. `npath` counts total paths (antithetic pairs use
 // npath/2 draws). std_error reflects the reduced estimator.
 void price_variance_reduced(std::span<const core::OptionSpec> opts, std::size_t npath,
                             std::uint64_t seed, std::span<McResult> out,
@@ -110,9 +118,9 @@ void price_variance_reduced(std::span<const core::OptionSpec> opts, std::size_t 
 // Unbiased delta and vega estimators from the same terminal draws as the
 // price: for a call, d payoff/d S0 = 1{S_T > K} S_T / S0 and
 // d payoff/d sigma = 1{S_T > K} S_T (ln(S_T/S0) - (r - q + sigma^2/2) T)/sigma.
-// Gamma has no pathwise estimator (the payoff kink); it is returned via the
-// likelihood-ratio-mixed estimator LRPW: gamma = e^{-rT} E[1{ITM} z /
-// (S0 sigma sqrt(T))] style weight.
+// Gamma has no pathwise estimator (the payoff kink); it is the pure
+// likelihood-ratio estimator gamma = e^{-rT} E[payoff * w] with weight
+// w = (z^2 - 1) / (S0^2 sigma^2 T) - z / (S0^2 sigma sqrt(T)).
 struct McGreeks {
   double price = 0.0;
   double delta = 0.0;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "finbench/engine/engine.hpp"
+#include "finbench/rng/normal.hpp"
 #include "variants.hpp"
 
 namespace finbench::engine {
@@ -13,6 +14,16 @@ namespace finbench::engine {
 Scratch& scratch_of(const PricingRequest& req) {
   if (!req.scratch) req.scratch = std::make_shared<Scratch>();
   return *req.scratch;
+}
+
+std::span<const double> stream_normals(const PricingRequest& req, std::size_t n) {
+  Scratch& s = scratch_of(req);
+  if (s.normals_seed != req.seed || s.normals.size() < n) {
+    s.normals.resize(n);
+    rng::NormalStream(req.seed).fill({s.normals.data(), n});
+    s.normals_seed = req.seed;
+  }
+  return {s.normals.data(), n};
 }
 
 int scratch_slots(const Scratch& s) {

@@ -34,20 +34,25 @@ class ThreadPool;
 // repetition of the same request performs zero heap allocations
 // (tests/test_engine_alloc.cpp).
 struct Scratch {
-  // Monte Carlo stream flavor: one shared normal array of npath draws.
-  arch::AlignedVector<double> z;
+  // Streamed normals: the first normals.size() draws of
+  // NormalStream(normals_seed), read through stream_normals(). The Monte
+  // Carlo stream flavor shares npath of them across every option; the
+  // Brownian bridge takes normals_per_path of them per path.
+  arch::AlignedVector<double> normals;
+  std::uint64_t normals_seed = 0;
 
   // Monte Carlo result buffer: ranges write disjoint [begin, end) slices
   // of it (pre-sized by the variant's prepare hook so no range ever
   // allocates).
   std::vector<kernels::mc::McResult> mc;
 
-  // Brownian bridge: schedule, per-path normals, and the lane-blocked
-  // reordering for the SIMD variants (one width per request).
+  // Brownian bridge: schedule, and the streamed normals lane-blocked for
+  // the SIMD variant at the widest width, with the seed and path count
+  // they were built for.
   std::unique_ptr<kernels::brownian::BridgeSchedule> sched;
-  arch::AlignedVector<double> bb_z;
   arch::AlignedVector<double> bb_z_blocked;
-  int bb_blocked_width = 0;
+  std::uint64_t bb_blocked_seed = 0;
+  std::size_t bb_blocked_paths = 0;
 
   // --- Chunk executor (engine-owned) ---------------------------------------
   // Per-chunk tallies of the last pricing, merged serially by the
@@ -174,6 +179,10 @@ struct Scratch {
 
 // Ensure req.scratch exists; returns it.
 Scratch& scratch_of(const PricingRequest& req);
+
+// The first n draws of NormalStream(req.seed), cached in the request's
+// Scratch: regenerated when the seed changes or n outgrows the cache.
+std::span<const double> stream_normals(const PricingRequest& req, std::size_t n);
 
 // True when specs[begin, end) holds an American-exercise option.
 inline bool range_has_american(std::span<const core::OptionSpec> specs, std::size_t begin,

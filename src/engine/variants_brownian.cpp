@@ -12,8 +12,9 @@
 // number generation". The paper's basic and RNG-interleaved levels are
 // Fig. 6 exhibit rows that call the kernels directly.
 
+#include <cmath>
+
 #include "finbench/kernels/brownian.hpp"
-#include "finbench/rng/normal.hpp"
 #include "variants.hpp"
 
 namespace finbench::engine {
@@ -28,30 +29,25 @@ double flops(const PricingRequest& req) {
   return kernels::brownian::flops_per_path(req.bridge_depth);
 }
 double bytes_stream(const PricingRequest& req) {
-  const double zn = static_cast<double>(std::size_t{1} << req.bridge_depth);
+  const double zn = std::ldexp(1.0, req.bridge_depth);
   return 8.0 * (2.0 * zn + 1.0);  // normals in, path out
 }
 
-Scratch& prepared(const PricingRequest& req, const core::PortfolioView& view, int blocked_width) {
+// The lane-blocked copy is rebuilt when its seed, path count or size (the
+// bridge depth) no longer match the request's.
+Scratch& prepared(const PricingRequest& req, const core::PortfolioView& view, bool blocked) {
   Scratch& s = scratch_of(req);
   if (!s.sched || s.sched->depth() != req.bridge_depth) {
     s.sched = std::make_unique<BridgeSchedule>(BridgeSchedule::uniform(req.bridge_depth, 1.0));
-    s.bb_z.clear();
-    s.bb_z_blocked.clear();
-    s.bb_blocked_width = 0;
   }
-  const std::size_t need = view.npaths * s.sched->normals_per_path();
-  if (s.bb_z.size() < need) {
-    s.bb_z.resize(need);
-    rng::NormalStream stream(req.seed);
-    stream.fill({s.bb_z.data(), s.bb_z.size()});
-    s.bb_z_blocked.clear();
-    s.bb_blocked_width = 0;
-  }
-  if (blocked_width > 1 && s.bb_blocked_width != blocked_width) {
-    s.bb_z_blocked = kernels::brownian::lane_block_normals(
-        s.bb_z, view.npaths, s.sched->normals_per_path(), blocked_width);
-    s.bb_blocked_width = blocked_width;
+  const std::size_t zn = s.sched->normals_per_path();
+  const std::span<const double> z = stream_normals(req, view.npaths * zn);
+  if (blocked && (s.bb_blocked_seed != req.seed || s.bb_blocked_paths != view.npaths ||
+                  s.bb_z_blocked.size() != z.size())) {
+    s.bb_z_blocked =
+        kernels::brownian::lane_block_normals(z, view.npaths, zn, simd::kMaxVectorWidth);
+    s.bb_blocked_seed = req.seed;
+    s.bb_blocked_paths = view.npaths;
   }
   return s;
 }
@@ -61,7 +57,7 @@ Scratch& prepared(const PricingRequest& req, const core::PortfolioView& view, in
 template <bool Blocked>
 void prepare_paths(const PricingRequest& req, const core::PortfolioView& view,
                    PricingResult& res) {
-  const Scratch& s = prepared(req, view, Blocked ? simd::kMaxVectorWidth : 1);
+  const Scratch& s = prepared(req, view, Blocked);
   const std::size_t need = view.npaths * s.sched->num_points();
   if (res.values.size() != need) res.values.assign(need, 0.0);
 }
@@ -69,7 +65,8 @@ void prepare_paths(const PricingRequest& req, const core::PortfolioView& view,
 void run_reference(const PricingRequest& req, const core::PortfolioView& view,
                    std::size_t begin, std::size_t end, PricingResult& res) {
   const Scratch& s = *req.scratch;
-  kernels::brownian::construct_reference(*s.sched, s.bb_z, view.npaths, res.values, begin, end);
+  kernels::brownian::construct_reference(*s.sched, s.normals, view.npaths, res.values, begin,
+                                         end);
 }
 
 void run_intermediate(const PricingRequest& req, const core::PortfolioView& view,

@@ -19,8 +19,6 @@
 
 #include "finbench/engine/task_group.hpp"
 #include "finbench/kernels/montecarlo.hpp"
-#include "finbench/obs/metrics.hpp"
-#include "finbench/rng/normal.hpp"
 #include "variants.hpp"
 
 namespace finbench::engine {
@@ -42,16 +40,6 @@ double bytes_computed(const PricingRequest&) { return 0.0; }
 // Paths per option are constant across the batch, so cost is uniform and
 // item_cost stays null (equal-count chunks are already balanced).
 
-const arch::AlignedVector<double>& stream_normals(const PricingRequest& req) {
-  Scratch& s = scratch_of(req);
-  if (s.z.size() < req.npath) {
-    s.z.resize(req.npath);
-    rng::NormalStream stream(req.seed);
-    stream.fill({s.z.data(), s.z.size()});
-  }
-  return s.z;
-}
-
 // Size the chunk result buffer once, before any chunk runs (chunks write
 // disjoint slices concurrently, so they must never resize it themselves).
 std::vector<McResult>& result_buffer(const PricingRequest& req, std::size_t n) {
@@ -67,7 +55,7 @@ void size_std_errors(const core::PortfolioView& view, PricingResult& res) {
 
 void prepare_stream(const PricingRequest& req, const core::PortfolioView& view,
                     PricingResult& res) {
-  stream_normals(req);
+  stream_normals(req, req.npath);
   result_buffer(req, view.specs.size());
   size_std_errors(view, res);
 }
@@ -104,7 +92,7 @@ void stream_range(const PricingRequest& req, const core::PortfolioView& view,
                   std::size_t begin, std::size_t end, PricingResult& res) {
   Scratch& s = *req.scratch;  // built by prepare_stream
   std::span<McResult> mc{s.mc.data() + begin, end - begin};
-  K(view.specs.subspan(begin, end - begin), s.z, req.npath, mc);
+  K(view.specs.subspan(begin, end - begin), s.normals, req.npath, mc);
   store(mc, begin, res);
 }
 
@@ -128,14 +116,12 @@ void stream_range_tasked(const PricingRequest& req, const core::PortfolioView& v
     stream_range<optimized_stream_w>(req, view, begin, end, res);
     return;
   }
-  static obs::Counter& paths = obs::counter("mc.paths");
-  paths.add((end - begin) * npath);
   std::span<McResult> mc{s.mc.data() + begin, end - begin};
   const std::size_t blksz =
       std::max(kMcTaskBlock,
                (npath + static_cast<std::size_t>(kMcMaxBlocks) - 1) / kMcMaxBlocks);
   const int nblk = static_cast<int>((npath + blksz - 1) / blksz);
-  const double* z = s.z.data();
+  const double* z = s.normals.data();
   for (std::size_t o = begin; o < end; ++o) {
     const core::OptionSpec& opt = view.specs[o];
     kernels::mc::McMoments parts[kMcMaxBlocks];

@@ -12,6 +12,9 @@ namespace finbench::kernels::brownian {
 // --- Schedule ---------------------------------------------------------------
 
 BridgeSchedule BridgeSchedule::uniform(int depth, double total_time) {
+  if (depth < 0 || depth >= 63) {
+    throw std::invalid_argument("BridgeSchedule: depth must be in [0, 62]");
+  }
   std::vector<double> times(std::size_t(1ULL << depth) + 1);
   const double dt = total_time / static_cast<double>(times.size() - 1);
   for (std::size_t i = 0; i < times.size(); ++i) times[i] = dt * static_cast<double>(i);
@@ -76,13 +79,14 @@ arch::AlignedVector<double> lane_block_normals(std::span<const double> z, std::s
 
 namespace {
 
-// Build one path into `scratch` (num_points doubles); z points at this
-// path's normals_per_path() normals.
-void build_one(const BridgeSchedule& sched, const double* z, double* scratch, double* scratch2) {
+// Build one path from z (this path's normals_per_path() normals) into the
+// ping-pong buffers a and b (num_points doubles each); returns the one
+// holding the path.
+const double* build_one(const BridgeSchedule& sched, const double* z, double* a, double* b) {
   const int depth = sched.depth();
   std::size_t zi = 0;
-  double* src = scratch;
-  double* dst = scratch2;
+  double* src = a;
+  double* dst = b;
   src[0] = 0.0;
   src[1] = z[zi++] * sched.terminal_sig();
   for (int d = 0; d < depth; ++d) {
@@ -96,9 +100,7 @@ void build_one(const BridgeSchedule& sched, const double* z, double* scratch, do
     }
     std::swap(src, dst);
   }
-  if (src != scratch) {
-    for (std::size_t c = 0; c < sched.num_points(); ++c) scratch[c] = src[c];
-  }
+  return src;
 }
 
 }  // namespace
@@ -112,38 +114,28 @@ void construct_reference(const BridgeSchedule& sched, std::span<const double> z,
   assert(z.size() >= nsim * zn && out.size() >= nsim * np);
   arch::AlignedVector<double> a(np), b(np);
   for (std::size_t s = first; s < last; ++s) {
-    build_one(sched, z.data() + s * zn, a.data(), b.data());
-    for (std::size_t c = 0; c < np; ++c) out[c * nsim + s] = a[c];
+    const double* path = build_one(sched, z.data() + s * zn, a.data(), b.data());
+    for (std::size_t c = 0; c < np; ++c) out[c * nsim + s] = path[c];
   }
-}
-
-// The basic level is the reference loop plus the pragmas the compiler can
-// use; path construction itself does not vectorize (see the header), so
-// it shares the reference's code.
-void construct_basic(const BridgeSchedule& sched, std::span<const double> z, std::size_t nsim,
-                     std::span<double> out, std::size_t first, std::size_t last) {
-  construct_reference(sched, z, nsim, out, first, last);
 }
 
 // --- SIMD across paths -------------------------------------------------------
 
 namespace {
 
-// Build W paths at once. z is lane-blocked for this group; out columns are
-// contiguous (point-major layout), so stores are full-width.
+// Build W paths at once from lane-blocked normals z into the ping-pong
+// buffers a and b (num_points * W doubles each); returns the one holding
+// the path, point-major: point c of lane l at [c * W + l].
 template <int W>
-void build_group(const BridgeSchedule& sched, const double* z, double* out, std::size_t nsim,
-                 std::size_t group_base, double* vsrc, double* vdst) {
+const double* build_lanes(const BridgeSchedule& sched, const double* z, double* a, double* b) {
   using V = simd::Vec<double, W>;
-  const int depth = sched.depth();
   std::size_t zi = 0;
-
-  double* src = vsrc;
-  double* dst = vdst;
+  double* src = a;
+  double* dst = b;
   V(0.0).store(src);
   (V::load(z + (zi++) * W) * V(sched.terminal_sig())).store(src + W);
 
-  for (int d = 0; d < depth; ++d) {
+  for (int d = 0; d < sched.depth(); ++d) {
     const double* wl = sched.w_l(d);
     const double* wr = sched.w_r(d);
     const double* sg = sched.sig(d);
@@ -158,27 +150,25 @@ void build_group(const BridgeSchedule& sched, const double* z, double* out, std:
     }
     std::swap(src, dst);
   }
-  for (std::size_t c = 0; c < sched.num_points(); ++c) {
-    V::load(src + c * W).storeu(out + c * nsim + group_base);
-  }
+  return src;
 }
 
 template <int W>
 void construct_simd(const BridgeSchedule& sched, std::span<const double> z, std::size_t nsim,
                     std::span<double> out, std::size_t first, std::size_t last) {
+  using V = simd::Vec<double, W>;
   const std::size_t np = sched.num_points();
   const std::size_t zn = sched.normals_per_path();
   const std::size_t full = nsim / W * W;  // paths in whole lane groups
   last = std::min(last, nsim);
   arch::AlignedVector<double> a(np * W), b(np * W);
   for (std::size_t s = first; s < std::min(last, full); s += W) {
-    build_group<W>(sched, z.data() + s * zn, out.data(), nsim, s, a.data(), b.data());
+    // Point-major output columns are contiguous, so stores are full-width.
+    const double* path = build_lanes<W>(sched, z.data() + s * zn, a.data(), b.data());
+    for (std::size_t c = 0; c < np; ++c) V::load(path + c * W).storeu(out.data() + c * nsim + s);
   }
-  // Tail paths: scalar (their z kept per-path layout).
-  for (std::size_t s = std::max(first, full); s < last; ++s) {
-    build_one(sched, z.data() + s * zn, a.data(), b.data());
-    for (std::size_t c = 0; c < np; ++c) out[c * nsim + s] = a[c];
-  }
+  // Tail paths kept per-path normals: the scalar construction.
+  if (full < last) construct_reference(sched, z, nsim, out, std::max(first, full), last);
 }
 
 // Interleaved generation: per group of W paths, generate the zn*W normals
@@ -200,37 +190,13 @@ void run_interleaved(const BridgeSchedule& sched, std::uint64_t seed, std::size_
     const std::size_t lanes = std::min<std::size_t>(W, nsim - base);
     if (lanes == W) {
       // Full group: vector construction straight from the cache buffer.
-      double* src = a.data();
-      double* dst = b.data();
-      using V = simd::Vec<double, W>;
-      std::size_t zi = 0;
-      V(0.0).store(src);
-      (V::load(zbuf.data()) * V(sched.terminal_sig())).store(src + W);
-      ++zi;
-      for (int d = 0; d < sched.depth(); ++d) {
-        const double* wl = sched.w_l(d);
-        const double* wr = sched.w_r(d);
-        const double* sg = sched.sig(d);
-        V::load(src).store(dst);
-        for (std::size_t c = 0; c < (std::size_t{1} << d); ++c) {
-          const V left = V::load(src + c * W);
-          const V right = V::load(src + (c + 1) * W);
-          const V zv = V::load(zbuf.data() + (zi++) * W);
-          fmadd(left, V(wl[c]), fmadd(right, V(wr[c]), V(sg[c]) * zv))
-              .store(dst + (2 * c + 1) * W);
-          right.store(dst + (2 * c + 2) * W);
-        }
-        std::swap(src, dst);
-      }
-      consume(src, base, W);
+      consume(build_lanes<W>(sched, zbuf.data(), a.data(), b.data()), base, W);
     } else {
       // Ragged final group: scalar per lane, reading lane-strided normals.
+      arch::AlignedVector<double> zs(zn);
       for (std::size_t l = 0; l < lanes; ++l) {
-        arch::AlignedVector<double> zs(zn);
         for (std::size_t i = 0; i < zn; ++i) zs[i] = zbuf[i * W + l];
-        arch::AlignedVector<double> pa(np), pb(np);
-        build_one(sched, zs.data(), pa.data(), pb.data());
-        consume(pa.data(), base + l, 1);
+        consume(build_one(sched, zs.data(), a.data(), b.data()), base + l, 1);
       }
     }
   }
@@ -246,57 +212,36 @@ void construct_intermediate(const BridgeSchedule& sched, std::span<const double>
       w, [&](auto L) { construct_simd<L>(sched, z, nsim, out, first, last); });
 }
 
-namespace {
-
-template <int W>
-void advanced_interleaved_width(const BridgeSchedule& sched, std::uint64_t seed,
-                                std::size_t nsim, std::span<double> out, std::size_t first,
-                                std::size_t last) {
-  const std::size_t np = sched.num_points();
-  run_interleaved<W>(sched, seed, nsim, first, last,
-                     [&](const double* path, std::size_t base, std::size_t lanes) {
-                       // path is [point][lane] for `lanes` paths.
-                       for (std::size_t c = 0; c < np; ++c) {
-                         for (std::size_t l = 0; l < lanes; ++l) {
-                           out[c * nsim + base + l] = path[c * lanes + l];
-                         }
-                       }
-                     });
-}
-
-template <int W>
-void advanced_fused_width(const BridgeSchedule& sched, std::uint64_t seed, std::size_t nsim,
-                          std::span<double> avg_out, std::size_t first, std::size_t last) {
-  const std::size_t np = sched.num_points();
-  const double inv = 1.0 / static_cast<double>(np - 1);
-  run_interleaved<W>(sched, seed, nsim, first, last,
-                     [&](const double* path, std::size_t base, std::size_t lanes) {
-                       for (std::size_t l = 0; l < lanes; ++l) {
-                         double acc = 0.0;
-                         for (std::size_t c = 1; c < np; ++c) acc += path[c * lanes + l];
-                         avg_out[base + l] = acc * inv;
-                       }
-                     });
-}
-
-}  // namespace
-
 void construct_advanced_interleaved(const BridgeSchedule& sched, std::uint64_t seed,
                                     std::size_t nsim, std::span<double> out, Width w,
                                     std::size_t first, std::size_t last) {
   assert(out.size() >= nsim * sched.num_points());
-  simd::with_lanes<double>(w, [&](auto L) {
-    advanced_interleaved_width<L>(sched, seed, nsim, out, first, last);
-  });
+  const std::size_t np = sched.num_points();
+  // path is [point][lane] for `lanes` paths.
+  auto store = [&](const double* path, std::size_t base, std::size_t lanes) {
+    for (std::size_t c = 0; c < np; ++c) {
+      for (std::size_t l = 0; l < lanes; ++l) out[c * nsim + base + l] = path[c * lanes + l];
+    }
+  };
+  simd::with_lanes<double>(
+      w, [&](auto L) { run_interleaved<L>(sched, seed, nsim, first, last, store); });
 }
 
 void construct_advanced_fused(const BridgeSchedule& sched, std::uint64_t seed, std::size_t nsim,
                               std::span<double> path_average_out, Width w, std::size_t first,
                               std::size_t last) {
   assert(path_average_out.size() >= nsim);
-  auto& out = path_average_out;
+  const std::size_t np = sched.num_points();
+  const double inv = 1.0 / static_cast<double>(np - 1);
+  auto average = [&](const double* path, std::size_t base, std::size_t lanes) {
+    for (std::size_t l = 0; l < lanes; ++l) {
+      double acc = 0.0;
+      for (std::size_t c = 1; c < np; ++c) acc += path[c * lanes + l];
+      path_average_out[base + l] = acc * inv;
+    }
+  };
   simd::with_lanes<double>(
-      w, [&](auto L) { advanced_fused_width<L>(sched, seed, nsim, out, first, last); });
+      w, [&](auto L) { run_interleaved<L>(sched, seed, nsim, first, last, average); });
 }
 
 }  // namespace finbench::kernels::brownian

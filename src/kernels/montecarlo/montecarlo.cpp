@@ -1,9 +1,10 @@
 #include "finbench/kernels/montecarlo.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
-#include "finbench/arch/aligned.hpp"
 #include "finbench/core/scratch_pool.hpp"
 #include "finbench/obs/metrics.hpp"
 #include "finbench/obs/trace.hpp"
@@ -13,41 +14,119 @@
 
 namespace finbench::kernels::mc {
 
-namespace detail {
-
-// Domain telemetry: total simulated paths across every MC entry point
-// (options x paths per call). One relaxed atomic add per batch.
-inline void count_paths(std::size_t paths) {
-  static obs::Counter& c = obs::counter("mc.paths");
-  c.add(paths);
-}
-
-}  // namespace detail
-
 namespace {
 
-struct PathParams {
+// Every entry point starts here: rejects an empty path count and records
+// the batch's options x paths in the "mc.paths" domain counter (one
+// relaxed atomic add per call).
+void begin_batch(std::size_t options, std::size_t npath) {
+  if (npath == 0) throw std::invalid_argument("monte carlo: npath must be at least 1");
+  static obs::Counter& c = obs::counter("mc.paths");
+  c.add(options * npath);
+}
+
+// One option's terminal-value model: S_T = S exp(sigma sqrt(T) z + mu T),
+// its payoff, and the discounted estimate from payoff moments.
+struct PathModel {
+  explicit PathModel(const core::OptionSpec& o)
+      : spot(o.spot),
+        strike(o.strike),
+        v_rt_t(o.vol * std::sqrt(o.years)),
+        mu_t((o.rate - o.dividend - 0.5 * o.vol * o.vol) * o.years),
+        df(std::exp(-o.rate * o.years)),
+        sign(o.type == core::OptionType::kCall ? 1.0 : -1.0) {}
+
+  double terminal(double z) const { return spot * std::exp(v_rt_t * z + mu_t); }
+  double payoff(double st) const { return std::max(0.0, sign * (st - strike)); }
+
+  // Payoff moments of the paths z[0, n), added in path order (Lis. 5).
+  void accumulate(const double* z, std::size_t n, McMoments& m) const {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double res = payoff(terminal(z[i]));
+      m.v0 += res;
+      m.v1 += res * res;
+    }
+  }
+
+  // Discounted mean and standard error of n observations.
+  McResult discount(double mean, double var, double n) const {
+    return {df * mean, df * std::sqrt(var / n)};
+  }
+  McResult finalize(const McMoments& m, std::size_t npath) const {
+    const double n = static_cast<double>(npath);
+    const double mean = m.v0 / n;
+    // Sample variance of the payoff; standard error of the mean.
+    return discount(mean, std::max(m.v1 / n - mean * mean, 0.0), n);
+  }
+
+  double spot, strike;
   double v_rt_t;  // sigma * sqrt(T)
-  double mu_t;    // (r - sigma^2/2) * T
+  double mu_t;    // (r - q - sigma^2/2) * T
   double df;      // exp(-r T)
   double sign;    // +1 call, -1 put
 };
 
-PathParams path_params(const core::OptionSpec& o) {
-  return {o.vol * std::sqrt(o.years),
-          (o.rate - o.dividend - 0.5 * o.vol * o.vol) * o.years, std::exp(-o.rate * o.years),
-          o.type == core::OptionType::kCall ? 1.0 : -1.0};
-}
+// Payoff moments over W SIMD lanes: two accumulator pairs over 2W normals
+// break the add latency chain. Chunks arrive in path order and every one
+// but the last must be a multiple of 2W paths; the last one's scalar tail
+// adds in after the vectors fold.
+template <int W>
+class SimdSum {
+ public:
+  explicit SimdSum(const PathModel& m) : m_(m) {}
 
-McResult finalize(const PathParams& p, double v0, double v1, std::size_t npath) {
-  McResult r;
-  const double n = static_cast<double>(npath);
-  const double mean = v0 / n;
-  // Sample variance of the payoff; standard error of the mean.
-  const double var = std::max(v1 / n - mean * mean, 0.0);
-  r.price = p.df * mean;
-  r.std_error = p.df * std::sqrt(var / n);
-  return r;
+  // Kept out of line: inlined into the option loop, GCC 12 reloads the
+  // exp constants every iteration (~10% slower at W = 8).
+  [[gnu::noinline]] void add(const double* z, std::size_t n) {
+    assert(ntail_ == 0);
+    const V spot(m_.spot), strike(m_.strike), vrt(m_.v_rt_t), mu(m_.mu_t), sign(m_.sign);
+    auto payoff = [&](V zv) {
+      return max(V(0.0), sign * (spot * vecmath::exp(fmadd(vrt, zv, mu)) - strike));
+    };
+    Acc a = acc_;  // a local copy stays in registers
+    std::size_t i = 0;
+    for (; i + 2 * W <= n; i += 2 * W) {
+      const V ra = payoff(V::loadu(z + i));
+      const V rb = payoff(V::loadu(z + i + W));
+      a.v0a += ra;
+      a.v1a = fmadd(ra, ra, a.v1a);
+      a.v0b += rb;
+      a.v1b = fmadd(rb, rb, a.v1b);
+    }
+    acc_ = a;
+    for (; i < n; ++i) tail_[ntail_++] = z[i];
+  }
+
+  McMoments moments() const {
+    McMoments m{hsum(acc_.v0a + acc_.v0b), hsum(acc_.v1a + acc_.v1b)};
+    m_.accumulate(tail_, ntail_, m);
+    return m;
+  }
+
+ private:
+  using V = simd::Vec<double, W>;
+  struct Acc {
+    V v0a{0.0}, v1a{0.0}, v0b{0.0}, v1b{0.0};
+  };
+  const PathModel& m_;
+  Acc acc_;
+  double tail_[2 * W]{};
+  std::size_t ntail_ = 0;
+};
+
+// Whole RNG chunks feed SimdSum without a tail at every width.
+static_assert(kRngChunk % (2 * simd::kMaxVectorWidth) == 0);
+
+// The computed-RNG normal source: the first n draws of
+// NormalStream(seed, stream), handed to f kRngChunk at a time through buf.
+template <class F>
+void each_chunk(std::uint64_t seed, std::uint64_t stream, std::size_t n, double* buf, F&& f) {
+  rng::NormalStream s(seed, stream);
+  for (std::size_t done = 0; done < n; done += kRngChunk) {
+    const std::size_t chunk = std::min(kRngChunk, n - done);
+    s.fill({buf, chunk});
+    f(buf, chunk);
+  }
 }
 
 }  // namespace
@@ -57,17 +136,12 @@ McResult finalize(const PathParams& p, double v0, double v1, std::size_t npath) 
 void price_reference_stream(std::span<const core::OptionSpec> opts, std::span<const double> z,
                             std::size_t npath, std::span<McResult> out) {
   assert(z.size() >= npath && out.size() >= opts.size());
-  detail::count_paths(opts.size() * npath);
+  begin_batch(opts.size(), npath);
   for (std::size_t o = 0; o < opts.size(); ++o) {
-    const PathParams p = path_params(opts[o]);
-    double v0 = 0.0, v1 = 0.0;
-    for (std::size_t i = 0; i < npath; ++i) {
-      const double st = opts[o].spot * std::exp(p.v_rt_t * z[i] + p.mu_t);
-      const double res = std::max(0.0, p.sign * (st - opts[o].strike));
-      v0 += res;
-      v1 += res * res;
-    }
-    out[o] = finalize(p, v0, v1, npath);
+    const PathModel m(opts[o]);
+    McMoments s;
+    m.accumulate(z.data(), npath, s);
+    out[o] = m.finalize(s, npath);
   }
 }
 
@@ -76,166 +150,88 @@ void price_reference_stream(std::span<const core::OptionSpec> opts, std::span<co
 void price_basic_stream(std::span<const core::OptionSpec> opts, std::span<const double> z,
                         std::size_t npath, std::span<McResult> out) {
   assert(z.size() >= npath && out.size() >= opts.size());
-  detail::count_paths(opts.size() * npath);
+  begin_batch(opts.size(), npath);
   for (std::size_t o = 0; o < opts.size(); ++o) {
     FINBENCH_SPAN("mc.option");
-    const PathParams p = path_params(opts[o]);
-    const double spot = opts[o].spot, strike = opts[o].strike;
+    const PathModel m(opts[o]);
     double v0 = 0.0, v1 = 0.0;
     // Autovectorization + unroll: the compiler maps exp to its vector math
     // library (libmvec here, SVML in the paper) and splits the reductions.
 #pragma omp simd reduction(+ : v0, v1)
     for (std::size_t i = 0; i < npath; ++i) {
-      const double st = spot * std::exp(p.v_rt_t * z[i] + p.mu_t);
-      const double res = std::max(0.0, p.sign * (st - strike));
+      const double res = m.payoff(m.terminal(z[i]));
       v0 += res;
       v1 += res * res;
     }
-    out[o] = finalize(p, v0, v1, npath);
+    out[o] = m.finalize({v0, v1}, npath);
   }
 }
 
 // --- Optimized: explicit SIMD over paths --------------------------------------
 
-namespace {
-
-template <int W>
-McMoments integrate_moments(const core::OptionSpec& opt, const double* z, std::size_t npath) {
-  using V = simd::Vec<double, W>;
-  const PathParams p = path_params(opt);
-  const V spot(opt.spot), strike(opt.strike), vrt(p.v_rt_t), mu(p.mu_t), sign(p.sign);
-  // Two independent accumulator pairs break the add latency chain.
-  V v0a(0.0), v1a(0.0), v0b(0.0), v1b(0.0);
-  std::size_t i = 0;
-  for (; i + 2 * W <= npath; i += 2 * W) {
-    const V za = V::loadu(z + i);
-    const V zb = V::loadu(z + i + W);
-    const V sta = spot * vecmath::exp(fmadd(vrt, za, mu));
-    const V stb = spot * vecmath::exp(fmadd(vrt, zb, mu));
-    const V ra = max(V(0.0), sign * (sta - strike));
-    const V rb = max(V(0.0), sign * (stb - strike));
-    v0a += ra;
-    v1a = fmadd(ra, ra, v1a);
-    v0b += rb;
-    v1b = fmadd(rb, rb, v1b);
-  }
-  double v0 = hsum(v0a + v0b), v1 = hsum(v1a + v1b);
-  for (; i < npath; ++i) {
-    const double st = opt.spot * std::exp(p.v_rt_t * z[i] + p.mu_t);
-    const double res = std::max(0.0, p.sign * (st - opt.strike));
-    v0 += res;
-    v1 += res * res;
-  }
-  return {v0, v1};
-}
-
-template <int W>
-McResult integrate_paths(const core::OptionSpec& opt, const double* z, std::size_t npath) {
-  const McMoments m = integrate_moments<W>(opt, z, npath);
-  return finalize(path_params(opt), m.v0, m.v1, npath);
-}
-
-template <int W>
-void optimized_stream_width(std::span<const core::OptionSpec> opts, std::span<const double> z,
-                            std::size_t npath, std::span<McResult> out) {
-  for (std::size_t o = 0; o < opts.size(); ++o) {
-    FINBENCH_SPAN("mc.option");
-    out[o] = integrate_paths<W>(opts[o], z.data(), npath);
-  }
-}
-
-template <int W>
-void optimized_computed_width(std::span<const core::OptionSpec> opts, std::size_t npath,
-                              std::uint64_t seed, std::span<McResult> out,
-                              std::uint64_t stream_base, core::ScratchPool* scratch) {
-  using V = simd::Vec<double, W>;
-  core::ScratchBuf zb(scratch, kRngChunk);
-  double* const zbuf = zb.data();
-  for (std::size_t o = 0; o < opts.size(); ++o) {
-    FINBENCH_SPAN("mc.option");
-    const core::OptionSpec& opt = opts[o];
-    const PathParams p = path_params(opt);
-    const V spot(opt.spot), strike(opt.strike), vrt(p.v_rt_t), mu(p.mu_t), sign(p.sign);
-    rng::NormalStream stream(seed, stream_base + static_cast<std::uint64_t>(o));
-    V v0v(0.0), v1v(0.0);
-    double v0 = 0.0, v1 = 0.0;
-    std::size_t done = 0;
-    while (done < npath) {
-      const std::size_t chunk = std::min(kRngChunk, npath - done);
-      stream.fill({zbuf, chunk});
-      std::size_t i = 0;
-      for (; i + W <= chunk; i += W) {
-        const V zv = V::load(zbuf + i);
-        const V st = spot * vecmath::exp(fmadd(vrt, zv, mu));
-        const V res = max(V(0.0), sign * (st - strike));
-        v0v += res;
-        v1v = fmadd(res, res, v1v);
-      }
-      for (; i < chunk; ++i) {
-        const double st = opt.spot * std::exp(p.v_rt_t * zbuf[i] + p.mu_t);
-        const double res = std::max(0.0, p.sign * (st - opt.strike));
-        v0 += res;
-        v1 += res * res;
-      }
-      done += chunk;
-    }
-    out[o] = finalize(p, v0 + hsum(v0v), v1 + hsum(v1v), npath);
-  }
-}
-
-}  // namespace
-
 void price_optimized_stream(std::span<const core::OptionSpec> opts, std::span<const double> z,
                             std::size_t npath, std::span<McResult> out, Width w) {
   assert(z.size() >= npath && out.size() >= opts.size());
-  detail::count_paths(opts.size() * npath);
-  simd::with_lanes<double>(w, [&](auto L) { optimized_stream_width<L>(opts, z, npath, out); });
+  begin_batch(opts.size(), npath);
+  simd::with_lanes<double>(w, [&](auto L) {
+    for (std::size_t o = 0; o < opts.size(); ++o) {
+      FINBENCH_SPAN("mc.option");
+      const PathModel m(opts[o]);
+      SimdSum<L> s(m);
+      s.add(z.data(), npath);
+      out[o] = m.finalize(s.moments(), npath);
+    }
+  });
 }
 
 McMoments integrate_stream_partial(const core::OptionSpec& opt, std::span<const double> z,
                                    Width w) {
-  return simd::with_lanes<double>(
-      w, [&](auto L) { return integrate_moments<L>(opt, z.data(), z.size()); });
+  begin_batch(1, z.size());
+  const PathModel m(opt);
+  return simd::with_lanes<double>(w, [&](auto L) {
+    SimdSum<L> s(m);
+    s.add(z.data(), z.size());
+    return s.moments();
+  });
 }
 
 McResult finalize_moments(const core::OptionSpec& opt, const McMoments& m, std::size_t npath) {
-  return finalize(path_params(opt), m.v0, m.v1, npath);
+  begin_batch(0, npath);  // the partials counted their paths
+  return PathModel(opt).finalize(m, npath);
 }
 
 void price_reference_computed(std::span<const core::OptionSpec> opts, std::size_t npath,
                               std::uint64_t seed, std::span<McResult> out,
                               std::uint64_t stream_base, core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
-  detail::count_paths(opts.size() * npath);
+  begin_batch(opts.size(), npath);
   core::ScratchBuf zb(scratch, kRngChunk);
-  double* const zbuf = zb.data();
   for (std::size_t o = 0; o < opts.size(); ++o) {
-    const PathParams p = path_params(opts[o]);
-    rng::NormalStream stream(seed, stream_base + o);
-    double v0 = 0.0, v1 = 0.0;
-    std::size_t done = 0;
-    while (done < npath) {
-      const std::size_t chunk = std::min(kRngChunk, npath - done);
-      stream.fill({zbuf, chunk});
-      for (std::size_t i = 0; i < chunk; ++i) {
-        const double st = opts[o].spot * std::exp(p.v_rt_t * zbuf[i] + p.mu_t);
-        const double res = std::max(0.0, p.sign * (st - opts[o].strike));
-        v0 += res;
-        v1 += res * res;
-      }
-      done += chunk;
-    }
-    out[o] = finalize(p, v0, v1, npath);
+    const PathModel m(opts[o]);
+    McMoments s;
+    each_chunk(seed, stream_base + o, npath, zb.data(),
+               [&](const double* z, std::size_t n) { m.accumulate(z, n, s); });
+    out[o] = m.finalize(s, npath);
   }
 }
 
+// Option o's normals are NormalStream(seed, stream_base + o)'s first npath
+// draws, summed exactly as price_optimized_stream sums them.
 void price_optimized_computed(std::span<const core::OptionSpec> opts, std::size_t npath,
                               std::uint64_t seed, std::span<McResult> out, Width w,
                               std::uint64_t stream_base, core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
-  detail::count_paths(opts.size() * npath);
+  begin_batch(opts.size(), npath);
+  core::ScratchBuf zb(scratch, kRngChunk);
   simd::with_lanes<double>(w, [&](auto L) {
-    optimized_computed_width<L>(opts, npath, seed, out, stream_base, scratch);
+    for (std::size_t o = 0; o < opts.size(); ++o) {
+      FINBENCH_SPAN("mc.option");
+      const PathModel m(opts[o]);
+      SimdSum<L> s(m);
+      each_chunk(seed, stream_base + o, npath, zb.data(),
+                 [&](const double* z, std::size_t n) { s.add(z, n); });
+      out[o] = m.finalize(s.moments(), npath);
+    }
   });
 }
 
@@ -246,13 +242,11 @@ void price_variance_reduced(std::span<const core::OptionSpec> opts, std::size_t 
                             bool control_variate, std::uint64_t stream_base,
                             core::ScratchPool* scratch) {
   assert(out.size() >= opts.size());
-  detail::count_paths(opts.size() * npath);
+  begin_batch(opts.size(), npath);
   core::ScratchBuf zb(scratch, kRngChunk);
-  double* const zbuf = zb.data();
   for (std::size_t o = 0; o < opts.size(); ++o) {
     const core::OptionSpec& opt = opts[o];
-    const PathParams p = path_params(opt);
-    rng::NormalStream stream(seed, stream_base + static_cast<std::uint64_t>(o));
+    const PathModel m(opt);
 
     // One observation per draw: the (pair-averaged, when antithetic)
     // payoff and control. Pair averaging bakes the negative within-pair
@@ -260,17 +254,14 @@ void price_variance_reduced(std::span<const core::OptionSpec> opts, std::size_t 
     // the true variance reduction.
     double sp = 0, spp = 0, sc = 0, scc = 0, spc = 0;
     const std::size_t draws = antithetic ? (npath + 1) / 2 : npath;
-    std::size_t done = 0;
-    while (done < draws) {
-      const std::size_t chunk = std::min(kRngChunk, draws - done);
-      stream.fill({zbuf, chunk});
-      for (std::size_t i = 0; i < chunk; ++i) {
-        const double st_plus = opt.spot * std::exp(p.v_rt_t * zbuf[i] + p.mu_t);
-        double pay = std::max(0.0, p.sign * (st_plus - opt.strike));
+    each_chunk(seed, stream_base + o, draws, zb.data(), [&](const double* z, std::size_t n) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const double st_plus = m.terminal(z[i]);
+        double pay = m.payoff(st_plus);
         double ctrl = st_plus;
         if (antithetic) {
-          const double st_minus = opt.spot * std::exp(-p.v_rt_t * zbuf[i] + p.mu_t);
-          pay = 0.5 * (pay + std::max(0.0, p.sign * (st_minus - opt.strike)));
+          const double st_minus = m.terminal(-z[i]);
+          pay = 0.5 * (pay + m.payoff(st_minus));
           ctrl = 0.5 * (ctrl + st_minus);
         }
         sp += pay;
@@ -279,8 +270,7 @@ void price_variance_reduced(std::span<const core::OptionSpec> opts, std::size_t 
         scc += ctrl * ctrl;
         spc += pay * ctrl;
       }
-      done += chunk;
-    }
+    });
     const double n = static_cast<double>(draws);
     const double mean_p = sp / n, mean_c = sc / n;
     double var_p = std::max(spp / n - mean_p * mean_p, 0.0);
@@ -297,10 +287,7 @@ void price_variance_reduced(std::span<const core::OptionSpec> opts, std::size_t 
         var_p = std::max(var_p - cov * cov / var_c, 0.0);
       }
     }
-    McResult r;
-    r.price = p.df * est;
-    r.std_error = p.df * std::sqrt(var_p / n);
-    out[o] = r;
+    out[o] = m.discount(est, var_p, n);
   }
 }
 
@@ -309,37 +296,30 @@ void price_variance_reduced(std::span<const core::OptionSpec> opts, std::size_t 
 void greeks_pathwise(std::span<const core::OptionSpec> opts, std::size_t npath,
                      std::uint64_t seed, std::span<McGreeks> out) {
   assert(out.size() >= opts.size());
-  arch::AlignedVector<double> zbuf(kRngChunk);
+  begin_batch(opts.size(), npath);
+  core::ScratchBuf zb(nullptr, kRngChunk);
   for (std::size_t o = 0; o < opts.size(); ++o) {
     const core::OptionSpec& opt = opts[o];
-    const PathParams p = path_params(opt);
-    const bool call = opt.type == core::OptionType::kCall;
-    const double sig_rt = p.v_rt_t;
+    const PathModel m(opt);
+    const double sig_rt = m.v_rt_t;
     const double drift_vega = (opt.rate - opt.dividend + 0.5 * opt.vol * opt.vol) *
                               opt.years;  // d S_T / d sigma uses this
-    rng::NormalStream stream(seed, static_cast<std::uint64_t>(o));
 
     double sp = 0, sd = 0, sdd = 0, sv = 0, svv = 0, sg = 0;
-    std::size_t done = 0;
-    while (done < npath) {
-      const std::size_t chunk = std::min(kRngChunk, npath - done);
-      stream.fill({zbuf.data(), chunk});
-      for (std::size_t i = 0; i < chunk; ++i) {
-        const double z = zbuf[i];
-        const double st = opt.spot * std::exp(p.v_rt_t * z + p.mu_t);
-        const bool itm = call ? st > opt.strike : st < opt.strike;
-        const double sign = call ? 1.0 : -1.0;
-        const double pay = std::max(0.0, sign * (st - opt.strike));
+    each_chunk(seed, o, npath, zb.data(), [&](const double* zs, std::size_t n) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const double z = zs[i];
+        const double st = m.terminal(z);
+        const double pay = m.payoff(st);
         sp += pay;
-        if (itm) {
+        if (pay > 0.0) {  // in the money
           // Pathwise delta: d payoff / d S0 = sign * S_T / S0 on ITM paths.
-          const double d = sign * st / opt.spot;
+          const double d = m.sign * st / opt.spot;
           sd += d;
           sdd += d * d;
           // Pathwise vega: d S_T / d sigma = S_T (ln(S_T/S0) - drift)/sigma.
-          const double dst_dsig =
-              st * (std::log(st / opt.spot) - drift_vega) / opt.vol;
-          const double v = sign * dst_dsig;
+          const double dst_dsig = st * (std::log(st / opt.spot) - drift_vega) / opt.vol;
+          const double v = m.sign * dst_dsig;
           sv += v;
           svv += v * v;
         }
@@ -348,17 +328,16 @@ void greeks_pathwise(std::span<const core::OptionSpec> opts, std::size_t npath,
                          z / (opt.spot * opt.spot * sig_rt);
         sg += pay * w;
       }
-      done += chunk;
-    }
+    });
     const double n = static_cast<double>(npath);
     McGreeks g;
-    g.price = p.df * sp / n;
-    g.delta = p.df * sd / n;
-    g.vega = p.df * sv / n;
-    g.gamma = p.df * sg / n;
+    g.price = m.df * sp / n;
+    g.delta = m.df * sd / n;
+    g.vega = m.df * sv / n;
+    g.gamma = m.df * sg / n;
     const double md = sd / n, mv = sv / n;
-    g.delta_se = p.df * std::sqrt(std::max(sdd / n - md * md, 0.0) / n);
-    g.vega_se = p.df * std::sqrt(std::max(svv / n - mv * mv, 0.0) / n);
+    g.delta_se = m.df * std::sqrt(std::max(sdd / n - md * md, 0.0) / n);
+    g.vega_se = m.df * std::sqrt(std::max(svv / n - mv * mv, 0.0) / n);
     out[o] = g;
   }
 }

@@ -7,8 +7,12 @@
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "finbench/core/portfolio.hpp"
+#include "finbench/engine/engine.hpp"
 #include "finbench/kernels/brownian.hpp"
 #include "finbench/rng/normal.hpp"
 
@@ -80,16 +84,6 @@ TEST(BrownianBridge, ReferenceEndpointsAreExact) {
     EXPECT_DOUBLE_EQ(out[(sched.num_points() - 1) * nsim + s],
                      z[s * sched.normals_per_path()] * sched.terminal_sig());
   }
-}
-
-TEST(BrownianBridge, BasicMatchesReference) {
-  const auto sched = brownian::BridgeSchedule::uniform(5, 3.0);
-  const std::size_t nsim = 31;
-  const auto z = make_normals(nsim * sched.normals_per_path());
-  std::vector<double> a(nsim * sched.num_points()), b(a.size());
-  brownian::construct_reference(sched, z, nsim, a);
-  brownian::construct_basic(sched, z, nsim, b);
-  EXPECT_EQ(a, b);
 }
 
 class BrownianWidthTest : public ::testing::TestWithParam<brownian::Width> {};
@@ -238,6 +232,22 @@ TEST(BrownianBridge, RaggedTailGroupHandled) {
   brownian::construct_advanced_interleaved(sched, 2, nsim, out);
   for (double v : out) EXPECT_NE(v, -999.0);
   for (std::size_t s = 0; s < nsim; ++s) EXPECT_EQ(out[s], 0.0);  // pinned start
+}
+
+// Depths 30 to 62 pass the check but ask the allocator for up to 2^62
+// doubles, so only the rejected edges run here.
+TEST(BrownianBridge, DepthOutsideRangeIsRejected) {
+  for (int depth : {-1, 64}) {
+    EXPECT_THROW(brownian::BridgeSchedule::uniform(depth, 1.0), std::invalid_argument) << depth;
+    engine::PricingRequest req;
+    req.kernel_id = "brownian.reference.scalar";
+    req.portfolio = core::paths_view(8);
+    req.bridge_depth = depth;
+    const engine::PricingResult res = engine::Engine::shared().price(req);
+    EXPECT_FALSE(res.status.ok()) << depth;
+    EXPECT_NE(res.status.to_string().find("depth"), std::string::npos)
+        << res.status.to_string();
+  }
 }
 
 TEST(BrownianBridge, FlopsModel) {

@@ -4,6 +4,7 @@
 // adapters must make chunking invisible), and the scheduling knobs.
 
 #include <algorithm>
+#include <bit>
 #include <climits>
 #include <cmath>
 #include <cstring>
@@ -647,4 +648,62 @@ TEST(Engine, FusableRefusesMembersWithDifferentSharedScalars) {
     core::set_bs_scalars(b.portfolio, base);
     EXPECT_EQ(eng.fusable(a, b), fusable_layout) << c.id;
   }
+}
+
+// --- The request's streamed-normals cache -------------------------------------
+// A repriced request reuses its Scratch: the cached normals (and the
+// bridge's lane-blocked copy) must follow the request's seed and size.
+
+namespace {
+
+// Values then standard errors, compared bit for bit.
+std::vector<std::uint64_t> result_bits(const PricingResult& res) {
+  std::vector<std::uint64_t> out;
+  for (double v : res.values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  for (double v : res.std_errors) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+// The same request priced on a fresh Scratch.
+PricingResult price_fresh(const PricingRequest& req) {
+  PricingRequest fresh = req;
+  fresh.scratch.reset();
+  return Engine::shared().price(fresh);
+}
+
+}  // namespace
+
+TEST(NormalsCache, ReseededRequestPricesLikeAFreshOne) {
+  const auto specs = core::make_option_workload(16, 21);
+  for (const char* id : {"mc.reference_stream.scalar", "mc.optimized_stream.auto",
+                         "brownian.reference.scalar", "brownian.intermediate.auto"}) {
+    PricingRequest req;
+    req.kernel_id = id;
+    req.portfolio = std::string(id).starts_with("mc.")
+                        ? core::view_of(std::span<const core::OptionSpec>(specs))
+                        : core::paths_view(64);
+    req.npath = 1000;
+    req.bridge_depth = 4;
+    req.seed = 1;
+    ASSERT_TRUE(Engine::shared().price(req).status.ok()) << id;
+    req.seed = 2;
+    const PricingResult again = Engine::shared().price(req);
+    const PricingResult fresh = price_fresh(req);
+    ASSERT_TRUE(again.status.ok() && fresh.status.ok()) << id;
+    EXPECT_EQ(result_bits(again), result_bits(fresh)) << id;
+  }
+}
+
+TEST(NormalsCache, FewerBridgePathsPriceLikeAFreshRequest) {
+  PricingRequest req;
+  req.kernel_id = "brownian.intermediate.auto";
+  req.bridge_depth = 3;
+  req.portfolio = core::paths_view(16);
+  ASSERT_TRUE(Engine::shared().price(req).status.ok());
+  req.portfolio = core::paths_view(13);
+  const PricingResult again = Engine::shared().price(req);
+  const PricingResult fresh = price_fresh(req);
+  ASSERT_TRUE(again.status.ok() && fresh.status.ok());
+  EXPECT_EQ(again.values.size(), 13u * 9u);
+  EXPECT_EQ(result_bits(again), result_bits(fresh));
 }

@@ -5,12 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "finbench/core/analytic.hpp"
 #include "finbench/core/workload.hpp"
+#include "finbench/core/portfolio.hpp"
+#include "finbench/engine/engine.hpp"
+#include "finbench/engine/registry.hpp"
 #include "finbench/kernels/montecarlo.hpp"
+#include "finbench/obs/metrics.hpp"
 #include "finbench/rng/normal.hpp"
 
 namespace {
@@ -86,6 +93,104 @@ TEST_P(McWidthTest, ComputedRngMatchesReferenceComputed) {
   for (std::size_t i = 0; i < opts.size(); ++i) {
     // Same Philox substreams -> same normals -> near-identical sums.
     EXPECT_NEAR(opt[i].price, ref[i].price, 1e-9 * std::max(1.0, ref[i].price)) << i;
+  }
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Calls and puts, with and without a dividend yield.
+std::vector<core::OptionSpec> mixed_book(std::size_t n, std::uint64_t seed) {
+  auto opts = core::make_option_workload(n, seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 2 == 0) opts[i].type = core::OptionType::kCall;
+    if (i % 3 == 0) opts[i].dividend = 0.03;
+  }
+  return opts;
+}
+
+TEST_P(McWidthTest, OptimizedComputedEqualsStreamOnSubstreamNormals) {
+  // Whole RNG chunks are multiples of 2W paths, so the computed kernel sums
+  // option o's substream exactly as the stream kernel sums those normals.
+  const auto opts = mixed_book(8, 12);
+  const std::uint64_t seed = 17, base = 3;
+  for (std::size_t npath : {1UL, 15UL, 4096UL, 4097UL, 8193UL, 10001UL}) {
+    std::vector<mc::McResult> computed(opts.size()), stream(1);
+    mc::price_optimized_computed(opts, npath, seed, computed, GetParam(), base);
+    std::vector<double> z(npath);
+    for (std::size_t o = 0; o < opts.size(); ++o) {
+      rng::NormalStream(seed, base + o).fill(z);
+      mc::price_optimized_stream(std::span(&opts[o], 1), z, npath, stream, GetParam());
+      EXPECT_EQ(bits(computed[o].price), bits(stream[0].price)) << "npath=" << npath << " o=" << o;
+      EXPECT_EQ(bits(computed[o].std_error), bits(stream[0].std_error))
+          << "npath=" << npath << " o=" << o;
+    }
+  }
+}
+
+TEST(MonteCarlo, PathCounterCountsEveryEntryPoint) {
+  const auto opts = mixed_book(3, 13);
+  const std::size_t npath = 100;
+  const auto z = normals(npath);
+  std::vector<mc::McResult> res(opts.size());
+  std::vector<mc::McGreeks> greeks(opts.size());
+  const obs::Counter& paths = obs::counter("mc.paths");
+  auto adds = [&](auto&& price) {
+    const std::uint64_t before = paths.value();
+    price();
+    return paths.value() - before;
+  };
+  const std::uint64_t batch = opts.size() * npath;
+  EXPECT_EQ(adds([&] { mc::price_reference_stream(opts, z, npath, res); }), batch);
+  EXPECT_EQ(adds([&] { mc::price_basic_stream(opts, z, npath, res); }), batch);
+  EXPECT_EQ(adds([&] { mc::price_optimized_stream(opts, z, npath, res); }), batch);
+  EXPECT_EQ(adds([&] { mc::price_reference_computed(opts, npath, 1, res); }), batch);
+  EXPECT_EQ(adds([&] { mc::price_optimized_computed(opts, npath, 1, res); }), batch);
+  EXPECT_EQ(adds([&] { mc::price_variance_reduced(opts, npath, 1, res); }), batch);
+  EXPECT_EQ(adds([&] { mc::greeks_pathwise(opts, npath, 1, greeks); }), batch);
+  // A path block counts its own paths; finalizing the sum adds none.
+  mc::McMoments m;
+  EXPECT_EQ(adds([&] { m = mc::integrate_stream_partial(opts[0], {z.data(), 40}); }), 40u);
+  EXPECT_EQ(adds([&] { mc::finalize_moments(opts[0], m, 40); }), 0u);
+}
+
+TEST(MonteCarlo, ZeroPathsNameTheirCause) {
+  const auto opts = mixed_book(2, 14);
+  const auto z = normals(8);
+  std::vector<mc::McResult> res(opts.size());
+  std::vector<mc::McGreeks> greeks(opts.size());
+  auto rejects = [](auto&& price) {
+    try {
+      price();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what()) == "monte carlo: npath must be at least 1";
+    }
+    return false;
+  };
+  EXPECT_TRUE(rejects([&] { mc::price_reference_stream(opts, z, 0, res); }));
+  EXPECT_TRUE(rejects([&] { mc::price_basic_stream(opts, z, 0, res); }));
+  EXPECT_TRUE(rejects([&] { mc::price_optimized_stream(opts, z, 0, res); }));
+  EXPECT_TRUE(rejects([&] { mc::integrate_stream_partial(opts[0], {z.data(), 0}); }));
+  EXPECT_TRUE(rejects([&] { mc::finalize_moments(opts[0], {}, 0); }));
+  EXPECT_TRUE(rejects([&] { mc::price_reference_computed(opts, 0, 1, res); }));
+  EXPECT_TRUE(rejects([&] { mc::price_optimized_computed(opts, 0, 1, res); }));
+  EXPECT_TRUE(rejects([&] { mc::price_variance_reduced(opts, 0, 1, res); }));
+  EXPECT_TRUE(rejects([&] { mc::greeks_pathwise(opts, 0, 1, greeks); }));
+
+  // Through the engine, every MC id (and the family's race) reports it.
+  std::vector<std::string> ids{"mc.auto"};
+  for (const std::string& id : engine::Registry::instance().ids()) {
+    if (engine::Registry::instance().find(id)->kernel == "mc") ids.push_back(id);
+  }
+  EXPECT_GE(ids.size(), 6u);
+  for (const std::string& id : ids) {
+    engine::PricingRequest req;
+    req.kernel_id = id;
+    req.portfolio = core::view_of(std::span<const core::OptionSpec>(opts));
+    req.npath = 0;
+    const engine::PricingResult r = engine::Engine::shared().price(req);
+    EXPECT_FALSE(r.status.ok()) << id;
+    EXPECT_NE(r.status.to_string().find("npath must be at least 1"), std::string::npos)
+        << id << ": " << r.status.to_string();
   }
 }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "finbench/arch/parallel.hpp"
@@ -36,9 +37,14 @@ struct DispatchPlan {
   bool valid() const { return !variant_id.empty(); }
 };
 
+// Note prefix of a candidate the race's prefix round pruned.
+inline constexpr std::string_view kPrunedNote = "pruned: ";
+
 // One raced configuration: a (variant, chunks_per_thread, tasks) triple
 // and what it measured. ok == false candidates carry the failure in `note`
-// (e.g. a variant whose status came back not-ok on this workload).
+// (e.g. a variant whose status came back not-ok on this workload), or a
+// kPrunedNote note when the prefix round pruned them: then items_per_sec
+// is the rate on the prefix, not on the whole request.
 struct CandidateResult {
   std::string id;
   int chunks_per_thread = 8;
@@ -47,6 +53,8 @@ struct CandidateResult {
   double imbalance = 0.0;
   bool ok = false;
   std::string note;
+
+  bool pruned() const { return !ok && note.starts_with(kPrunedNote); }
 };
 
 struct RaceReport {

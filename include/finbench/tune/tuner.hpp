@@ -21,6 +21,16 @@
 //  - Timing is the best PricingResult::seconds of two runs, the warm-up
 //    included — the same discipline as bench::measure_variant, without
 //    leaving the engine.
+//  - Prefix round: a request of at least 256 items with more than one
+//    candidate first probes every candidate on its first eighth. One
+//    below 1/4 of the best prefix rate is pruned: it never runs on the
+//    whole request, and its entry keeps ok = false, its prefix rate and a
+//    "pruned: ..." note (CandidateResult::pruned()). ok = false keeps a
+//    prefix rate, which may have run in cache, out of the winner pick and
+//    out of the tune-cache --max-loss gate. The survivors race on the
+//    whole request; when none of them prices it cleanly, the pruned ones
+//    race on it too. The paper's levels sit 10-100x apart, so a 1/4 cut
+//    drops reference kernels and keeps every contender.
 //  - Load-imbalance telemetry (parallel.engine.dynamic.imbalance) is
 //    sampled per configuration and used as the tie-breaker between
 //    configurations within 3% of the best rate — and recorded on the plan
@@ -47,8 +57,9 @@ namespace finbench::tune {
 TuneKey key_for(const engine::PricingRequest& req, std::string_view family, int threads);
 
 // Race every candidate configuration for `key` on the live workload of
-// `req`. Never throws; a key with no runnable candidate returns a report
-// whose winner is !valid().
+// `req` (after the prefix round above). Bumps engine.tune.pruned by the
+// candidates its report leaves pruned. Never throws; a key with no
+// runnable candidate returns a report whose winner is !valid().
 RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
                 const TuneKey& key);
 
@@ -64,6 +75,7 @@ struct Resolution {
   bool substituted = false;
   // No runnable candidate: the first failing candidate's note as
   // "<id>: <status>", so the caller can say why every candidate failed.
+  // A pruned candidate did not fail and is never named here.
   std::string failure;
 };
 

@@ -1,12 +1,15 @@
 #include "finbench/tune/tuner.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "finbench/arch/timing.hpp"
 #include "finbench/core/option.hpp"
+#include "finbench/core/portfolio.hpp"
 #include "finbench/engine/registry.hpp"
 #include "finbench/obs/metrics.hpp"
 #include "finbench/resilience/breaker.hpp"
@@ -18,6 +21,15 @@ namespace {
 // Configurations within this factor of the best rate are considered tied;
 // the one with the lower measured imbalance wins the tie.
 constexpr double kTieBand = 0.97;
+
+// The prefix round of race()'s phase 1. The paper's basic and advanced
+// levels sit 10-100x apart, far beyond what a prefix's cache fit or
+// chunking moves a rate by, so a 1/4 cut drops reference kernels and
+// keeps every contender. Below kPrefixMinItems the probes are cheap and
+// an eighth of the request says little.
+constexpr std::size_t kPrefixMinItems = 256;
+constexpr std::size_t kPrefixDivisor = 8;
+constexpr double kPruneBelow = 0.25;  // "1/4" in the pruned note
 
 // Delta-sampler over an obs::Stat: mean of the observations recorded
 // between construction and delta_mean() — how the race attributes
@@ -126,21 +138,24 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
     candidates.push_back(v);
   }
 
-  // One configuration probe through the real engine path: warm-up (builds
-  // the candidate's own Scratch — negotiation, streams, pools) plus one
-  // more run, best PricingResult::seconds of the two. A tasks-on probe
+  // One configuration probe through the real engine path on `book` (the
+  // request's portfolio or a prefix of it): warm-up (builds the
+  // candidate's own Scratch — negotiation, streams, pools) plus one more
+  // run, best PricingResult::seconds of the two. A tasks-on probe
   // that spawned no task ran the tasks-off code, so its rate is noise and
   // it cannot win. The counter is process-global: a concurrent spawn
   // elsewhere only lets such a probe compete as it would without this
   // check.
   const obs::Counter& spawned = obs::counter("engine.tasks.spawned");
   constexpr int kRuns = 2;  // per configuration, the warm-up included
-  auto probe = [&](const engine::VariantInfo* v, int cpt, bool tasks) -> CandidateResult {
+  auto probe = [&](const engine::VariantInfo* v, int cpt, bool tasks,
+                   const core::PortfolioView& book) -> CandidateResult {
     CandidateResult c;
     c.id = v->id;
     c.chunks_per_thread = cpt;
     c.tasks = tasks;
     engine::PricingRequest r = req;
+    r.portfolio = book;
     r.kernel_id = v->id;
     r.chunks_per_thread = cpt;
     r.tasks = tasks ? engine::TaskMode::kOn : engine::TaskMode::kOff;
@@ -185,11 +200,51 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
   };
 
   // Phase 1 — race the variants at the PricingRequest defaults: 8 chunks
-  // per participant, tasks off.
+  // per participant, tasks off. On a large request with a field to prune,
+  // a prefix round probes every candidate on the first eighth of the book
+  // first. A candidate far behind there is recorded pruned (ok = false,
+  // its prefix rate, a "pruned: ..." note), so a prefix rate, which may
+  // have run in cache, never competes with whole-book rates. A candidate
+  // that fails on the prefix stays a failure. The survivors race on the
+  // whole request; if none of them prices it cleanly, the pruned ones get
+  // their whole-book probe after all.
   constexpr int kSeedCpt = 8;
-  for (const engine::VariantInfo* v : candidates) {
-    rep.candidates.push_back(probe(v, kSeedCpt, false));
+  const std::size_t n = req.portfolio.size();
+  const auto whole = [&](std::size_t i) {
+    return probe(candidates[i], kSeedCpt, false, req.portfolio);
+  };
+  std::vector<std::size_t> pruned;  // rep.candidates indices
+  if (n >= kPrefixMinItems && candidates.size() > 1) {
+    const std::size_t m = n / kPrefixDivisor;
+    const core::PortfolioView prefix = core::subview(req.portfolio, 0, m);
+    double best = 0.0;
+    for (const engine::VariantInfo* v : candidates) {
+      rep.candidates.push_back(probe(v, kSeedCpt, false, prefix));
+      if (rep.candidates.back().ok) best = std::max(best, rep.candidates.back().items_per_sec);
+    }
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      CandidateResult& c = rep.candidates[i];
+      if (!c.ok) continue;
+      if (c.items_per_sec < kPruneBelow * best) {
+        char note[160];
+        std::snprintf(note, sizeof note,
+                      "%.4g items/s on the first %zu of %zu items, below 1/4 of the best",
+                      c.items_per_sec, m, n);
+        c.ok = false;
+        c.note = std::string(kPrunedNote) + note;
+        pruned.push_back(i);
+      } else {
+        c = whole(i);
+      }
+    }
+    if (pick_best(rep.candidates) == nullptr) {
+      for (const std::size_t i : pruned) rep.candidates[i] = whole(i);
+      pruned.clear();
+    }
+  } else {
+    for (std::size_t i = 0; i < candidates.size(); ++i) rep.candidates.push_back(whole(i));
   }
+  obs::counter("engine.tune.pruned").add(pruned.size());
 
   const CandidateResult* phase1 = pick_best(rep.candidates);
   if (phase1 == nullptr) {
@@ -207,7 +262,9 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
   // them the grid only sets how many pack ranges each participant claims.
   const engine::VariantInfo* wv = engine::Registry::instance().find(phase1->id);
   if (wv != nullptr && wv->layout == core::Layout::kSpecs && req.portfolio.size() >= 2) {
-    for (const int cpt : {1, 4, 16}) rep.candidates.push_back(probe(wv, cpt, false));
+    for (const int cpt : {1, 4, 16}) {
+      rep.candidates.push_back(probe(wv, cpt, false, req.portfolio));
+    }
   }
 
   // Phase 3 — race the intra-option task mode on the winning configuration.
@@ -217,7 +274,8 @@ RaceReport race(const engine::Engine& eng, const engine::PricingRequest& req,
     const CandidateResult* sofar = pick_best(rep.candidates);
     const engine::VariantInfo* tv = engine::Registry::instance().find(sofar->id);
     if (tv != nullptr) {
-      rep.candidates.push_back(probe(tv, sofar->chunks_per_thread, !sofar->tasks));
+      rep.candidates.push_back(
+          probe(tv, sofar->chunks_per_thread, !sofar->tasks, req.portfolio));
     }
   }
 
@@ -296,7 +354,7 @@ Resolution resolve(const engine::Engine& eng, const engine::PricingRequest& req,
   out.raced = true;
   if (!rep.winner.valid()) {
     for (const CandidateResult& c : rep.candidates) {
-      if (!c.note.empty()) {
+      if (!c.note.empty() && !c.pruned()) {
         out.failure = c.id + ": " + c.note;
         break;
       }

@@ -19,7 +19,9 @@
 //   - a cached plan naming a variant this build does not ship re-races
 //     once and is replaced, put directly or loaded from a v2 file
 //   - the race: a tasks-on probe that spawned no task cannot win, and CN
-//     races no task mode
+//     races no task mode; from 256 items a candidate far behind on the
+//     first eighth of the book is pruned and never prices the whole book,
+//     and a pruned entry reloads from the cache file with ok = false
 //   - serve coalescing: two auto requests resolving to the same plan fuse
 //     (coalesced == 2) and stay bitwise identical to an explicit solo run
 
@@ -29,6 +31,8 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -218,6 +222,37 @@ TEST(PlanCache, FileRoundTripIsDeterministic) {
   const std::string t1((std::istreambuf_iterator<char>(f1)), std::istreambuf_iterator<char>());
   const std::string t2((std::istreambuf_iterator<char>(f2)), std::istreambuf_iterator<char>());
   EXPECT_EQ(t1, t2);
+}
+
+// A pruned entry is evidence, not a winner: it reloads with ok = false
+// and its note, so the prefix rate it carries stays out of the race.
+TEST(PlanCache, PrunedEntriesRoundTripNotOk) {
+  const std::string path = temp_path("tune_pruned.json");
+  const tune::TuneKey key = make_key(10);
+  tune::RaceReport rep = make_report(key, "bs.intermediate.auto");
+  tune::CandidateResult c;
+  c.id = "bs.reference.scalar";
+  c.items_per_sec = 5.0e8;  // a cached prefix rate above the winner's
+  c.note = std::string(tune::kPrunedNote) +
+           "5e+08 items/s on the first 512 of 4096 items, below 1/4 of the best";
+  rep.candidates.push_back(c);
+  tune::PlanCache a;
+  a.put(key, rep);
+  ASSERT_TRUE(a.save_as(path));
+
+  tune::PlanCache b;
+  EXPECT_EQ(b.load(path).code(), robust::StatusCode::kOk);
+  const auto back = b.explain(key);
+  ASSERT_TRUE(back.has_value());
+  ASSERT_EQ(back->candidates.size(), 3u);
+  const tune::CandidateResult& p = back->candidates[2];
+  EXPECT_EQ(p.id, c.id);
+  EXPECT_FALSE(p.ok);
+  EXPECT_TRUE(p.pruned());
+  EXPECT_EQ(p.note, c.note);
+  EXPECT_EQ(p.items_per_sec, c.items_per_sec);
+  EXPECT_FALSE(back->candidates[1].pruned()) << "a failure is not a pruned entry";
+  EXPECT_EQ(b.find(key)->variant_id, "bs.intermediate.auto");
 }
 
 // Two processes (here: threads) saving the same cache path concurrently must
@@ -766,6 +801,103 @@ TEST(TuneRace, TasksOnProbeThatSpawnedNoTaskCannotWin) {
   rep = tune::race(eng, req, tune::key_for(req, "cn", eng.pool_size()));
   ASSERT_TRUE(rep.winner.valid());
   for (const tune::CandidateResult& c : rep.candidates) EXPECT_FALSE(c.tasks) << c.id;
+}
+
+// The prefix round: on 1024 CN options the scalar reference, about 80x
+// behind the direct packed solve, prices only the first eighth of the
+// book. Every probe is a warm-up plus one timed run, so engine.items
+// moves by 2·(n/8) per phase-1 candidate (each distinct id in the report)
+// and by 2·n per entry that is not pruned (a whole-book probe).
+TEST(TuneRace, PrunedCandidatesPriceOnlyThePrefix) {
+  engine::ThreadPool pool(2);
+  engine::Engine eng(&pool);
+  constexpr std::uint64_t n = 1024;
+  const auto specs = core::make_option_workload(n, 7013);
+  engine::PricingRequest req;
+  req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
+  req.steps = 32;
+  req.cn_num_prices = 65;
+
+  const obs::Counter& items = obs::counter("engine.items");
+  const obs::Counter& pruned = obs::counter("engine.tune.pruned");
+  const std::uint64_t items0 = items.value();
+  const std::uint64_t pruned0 = pruned.value();
+  const tune::RaceReport rep = tune::race(eng, req, tune::key_for(req, "cn", eng.pool_size()));
+  ASSERT_TRUE(rep.winner.valid());
+
+  std::set<std::string> ids;
+  std::uint64_t whole = 0;
+  std::uint64_t npruned = 0;
+  const tune::CandidateResult* ref = nullptr;
+  for (const tune::CandidateResult& c : rep.candidates) {
+    ids.insert(c.id);
+    (c.pruned() ? npruned : whole) += 1;
+    if (c.id == "cn.reference.scalar") ref = &c;
+  }
+  EXPECT_EQ(items.value() - items0, 2 * (n / 8) * ids.size() + 2 * n * whole);
+  EXPECT_EQ(pruned.value() - pruned0, npruned);
+  ASSERT_NE(ref, nullptr);
+  EXPECT_TRUE(ref->pruned());
+  EXPECT_GT(ref->items_per_sec, 0.0) << "a pruned entry keeps its prefix rate";
+  EXPECT_NE(ref->note.find("items/s on the first 128 of 1024 items, below 1/4 of the best"),
+            std::string::npos)
+      << ref->note;
+  EXPECT_NE(rep.winner.variant_id, "cn.reference.scalar");
+}
+
+// A pruned candidate is only an early exit: when no survivor prices the
+// whole request cleanly, the pruned ones race on it too. Here an option
+// past the prefix with |2r/σ²| > 60 fails every CN kernel, so the
+// reference, pruned on the clean prefix, ends with its own whole-book
+// failure, and the resolution names the first real failure.
+TEST(TuneRace, PrunedCandidatesRaceWholeWhenNoSurvivorPricesIt) {
+  engine::ThreadPool pool(2);
+  engine::Engine eng(&pool);
+  auto specs = core::make_option_workload(1024, 7015);
+  specs[1000].rate = 0.05;
+  specs[1000].vol = 0.04;  // 2r/σ² = 62.5
+  engine::PricingRequest req;
+  req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
+  req.steps = 32;
+  req.cn_num_prices = 65;
+
+  const tune::TuneKey key = tune::key_for(req, "cn", eng.pool_size());
+  const tune::RaceReport rep = tune::race(eng, req, key);
+  EXPECT_FALSE(rep.winner.valid());
+  ASSERT_EQ(rep.candidates.size(), 2u);
+  for (const tune::CandidateResult& c : rep.candidates) {
+    EXPECT_FALSE(c.ok) << c.id;
+    EXPECT_FALSE(c.pruned()) << c.id << ": " << c.note;
+    EXPECT_NE(c.note.find("kernel_error"), std::string::npos) << c.id << ": " << c.note;
+  }
+
+  const tune::Resolution res = tune::resolve(eng, req, key);
+  EXPECT_FALSE(res.plan.valid());
+  EXPECT_EQ(res.failure.rfind(rep.candidates[0].id + ": kernel_error", 0), 0u) << res.failure;
+}
+
+// Below 256 items there is no prefix round: every probe prices the whole
+// request and nothing is pruned.
+TEST(TuneRace, SmallRequestsRaceEveryCandidateWhole) {
+  engine::ThreadPool pool(2);
+  engine::Engine eng(&pool);
+  constexpr std::uint64_t n = 255;
+  const auto specs = core::make_option_workload(n, 7014);
+  engine::PricingRequest req;
+  req.portfolio = core::view_of(std::span<const core::OptionSpec>(specs));
+  req.steps = 32;
+  req.cn_num_prices = 65;
+
+  const obs::Counter& items = obs::counter("engine.items");
+  const std::uint64_t items0 = items.value();
+  const tune::RaceReport rep = tune::race(eng, req, tune::key_for(req, "cn", eng.pool_size()));
+  ASSERT_TRUE(rep.winner.valid());
+  ASSERT_GT(rep.candidates.size(), 1u);
+  for (const tune::CandidateResult& c : rep.candidates) {
+    EXPECT_FALSE(c.pruned()) << c.id;
+    EXPECT_EQ(c.note.find("pruned"), std::string::npos) << c.id << ": " << c.note;
+  }
+  EXPECT_EQ(items.value() - items0, 2 * n * rep.candidates.size());
 }
 
 TEST(AutoDispatch, CorruptBoundCacheFileStillResolves) {

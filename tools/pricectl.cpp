@@ -27,7 +27,8 @@
 // (schema finbench.tune_cache/v2, fingerprinted by host CPU) so later
 // runs resolve without racing; --tune forces a re-race of this workload's
 // key; --explain prints the cached race evidence — every candidate's
-// measured rate and imbalance — after the run. The plan decides
+// measured rate and imbalance, a candidate the prefix round pruned with
+// its prefix rate and size — after the run. The plan decides
 // chunks_per_thread and the task mode of an auto id, so --chunks and
 // --tasks are usage errors there; with a concrete id they are run
 // verbatim.
@@ -872,7 +873,8 @@ int main(int argc, char** argv) {
   }
 
   // --explain: the race evidence behind this workload's plan — every
-  // candidate configuration's measured rate and imbalance. (To stderr when
+  // candidate configuration's measured rate and imbalance; a pruned one
+  // prints its prefix rate and size, not a failure. (To stderr when
   // `--metrics -` owns stdout.)
   if (explain && auto_id) {
     FILE* out = metrics_path == "-" ? stderr : stdout;
@@ -886,8 +888,8 @@ int main(int argc, char** argv) {
       for (const auto& c : rep->candidates) {
         std::fprintf(out, "tune:   %-34s cpt=%-3d tasks=%-3s %12.4g items/s imbalance=%.3f%s%s\n",
                      c.id.c_str(), c.chunks_per_thread, c.tasks ? "on" : "off",
-                     c.items_per_sec, c.imbalance, c.ok ? "" : "  FAILED: ",
-                     c.ok ? "" : c.note.c_str());
+                     c.items_per_sec, c.imbalance,
+                     c.ok ? "" : (c.pruned() ? "  " : "  FAILED: "), c.ok ? "" : c.note.c_str());
       }
       if (!lane_fill.empty()) std::fprintf(out, "tune: %s\n", lane_fill.c_str());
     } else {
